@@ -17,8 +17,8 @@ from .certify import (AsymptoticSlopeReport, MeanChainEntry, MeanChainReport,
                       check_mean_chain, check_threshold_chain, find_witness,
                       integrated_defect, rational_stage,
                       rational_stage_deriv)
-from .errors import (CertificationError, DomainError, GammaTailError,
-                     QuadratureError, WitnessSearchError)
+from .errors import (CertificationError, ConvergenceError, DomainError,
+                     GammaTailError, QuadratureError, WitnessSearchError)
 from .median import (MedianBracketCheck, MedianBracketReport, MedianResult,
                      check_median_bracket, gamma_median)
 from .quadrature import QuadResult, integrate
@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "GammaTailError", "DomainError", "QuadratureError", "CertificationError",
-    "WitnessSearchError",
+    "GammaTailError", "DomainError", "QuadratureError", "ConvergenceError",
+    "CertificationError", "WitnessSearchError",
     # special functions
     "Precision", "DEFAULT_PRECISION", "EvalDetail", "BranchRoots",
     "log_gamma", "reg_gamma_q", "reg_gamma_q_detail", "reg_gamma_p",

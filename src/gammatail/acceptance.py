@@ -24,7 +24,7 @@ from .certify import (ScanSpec, certify_monotone, check_asymptotic_slope,
                       check_mean_chain, check_threshold_chain, find_witness)
 from .errors import CertificationError, GammaTailError
 from .median import check_median_bracket, gamma_median
-from .oracle import oracle_gamma_q, oracle_tail_prob
+from .oracle import oracle_gamma_q_many, oracle_tail_prob
 from .specfun import DEFAULT_PRECISION, branch_roots, reg_gamma_q
 from .tailprob import (TailQuery, direction_form_detail, integrand_ratio,
                        ratio_parts, tail_prob)
@@ -64,10 +64,9 @@ def c01_kernel_accuracy(tol_scale: float = 1.0,
     for a in np.geomspace(1e-3, 1e4, _KERNEL_GRID_N):
         a = float(a)
         x_hi = a + 40.0 * math.sqrt(a) + 40.0
-        for x in np.linspace(0.0, x_hi, _KERNEL_GRID_N):
-            x = float(x)
+        xs = [float(x) for x in np.linspace(0.0, x_hi, _KERNEL_GRID_N)]
+        for x, slow in zip(xs, oracle_gamma_q_many(a, xs)):
             fast = reg_gamma_q(a, x)
-            slow = oracle_gamma_q(a, x)
             if slow == 0.0:
                 rel = 0.0 if fast == 0.0 else math.inf
             else:

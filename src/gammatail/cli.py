@@ -7,7 +7,8 @@ JSON regardless.  Identical flags produce byte-identical output.
 
 Exit codes: 0 success / certified as predicted; 1 certified violation of a
 claim this package certifies; 2 usage or domain error; 3 inconclusive (a
-certification that could not be decided at the requested precision).
+certification that could not be decided at the requested precision, or a
+numerical routine that ran out of its budget before it converged).
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from typing import Optional, Sequence
 
 from .acceptance import CRITERIA, verify_all
 from .certify import MonotoneVerdict, ScanSpec, certify_monotone
-from .errors import (CertificationError, DomainError, GammaTailError,
-                     QuadratureError, WitnessSearchError)
+from .errors import (CertificationError, ConvergenceError, DomainError,
+                     GammaTailError, QuadratureError, WitnessSearchError)
 from .median import gamma_median
 from .oracle import oracle_tail_prob
 from .specfun import DEFAULT_PRECISION, Precision
@@ -314,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (WitnessSearchError, QuadratureError) as exc:
+    except (WitnessSearchError, QuadratureError, ConvergenceError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return _EXIT_INCONCLUSIVE
     except CertificationError as exc:

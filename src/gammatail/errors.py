@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Every failure mode is explicit: invalid inputs raise DomainError, a quadrature
-that cannot meet its target reports what it did achieve, and certification or
-witness-search routines that run out of budget say so rather than guessing.
+that cannot meet its target reports what it did achieve, a kernel loop that
+runs out of iterations raises ConvergenceError instead of returning a partial
+sum, and certification or witness-search routines that run out of budget say
+so rather than guessing.
 """
 from __future__ import annotations
 
@@ -28,6 +30,14 @@ class QuadratureError(GammaTailError, RuntimeError):
         self.value = value
         self.err_bound = err_bound
         self.n_panels = n_panels
+
+
+class ConvergenceError(GammaTailError, RuntimeError):
+    """A kernel's iteration stopped at its cap before it converged."""
+
+    def __init__(self, message: str, *, n_iter: int) -> None:
+        super().__init__(message)
+        self.n_iter = n_iter
 
 
 class CertificationError(GammaTailError, RuntimeError):

@@ -5,21 +5,23 @@ here goes through the defining integrals (adaptive panel quadrature of the
 gamma integrand in log space), plain bisection for inverse problems, central
 differences for derivatives, and error-free double-double transformations
 (Dekker/Knuth two_sum and split-based two_prod) for the few scalars whose
-conditioning exceeds double precision.  No series or continued-fraction
-kernel is shared with the fast path, so agreement between the two is
-meaningful evidence of correctness.
+conditioning exceeds double precision.  No Q kernel is shared with the fast
+path, so agreement between the two is meaningful evidence of correctness;
+the one helper borrowed from specfun is the vectorized log1p(d) - d that
+evaluates the integrand's exponent.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate
+from .quadrature import integrate, integrate_many
+from .specfun import _log1pmx_vec
 
 _EPS = 2.220446049250313e-16
 _SPLITTER = 134217729.0            # 2^27 + 1
@@ -157,29 +159,13 @@ def dd_log1p_small(u: tuple[float, float]) -> tuple[float, float]:
 # Gamma-integrand quadrature oracle.
 # ---------------------------------------------------------------------------
 
-_ORACLE_L1PMX_COEF = np.array(
-    [1.0 if k % 2 == 0 else (k - 1.0) / k for k in range(2, 68)])
-
-
-def _oracle_log1pmx(d: np.ndarray) -> np.ndarray:
-    """Oracle-private vectorized log1p(d) - d (series for |d| <= 0.5)."""
-    d = np.asarray(d, dtype=float)
-    series = np.abs(d) <= 0.5
-    safe = np.where(series, 0.0, d)
-    direct = np.log1p(safe) - safe
-    ud = np.where(series, d, 0.0)
-    u = ud / (2.0 + ud)
-    acc = np.zeros_like(u)
-    for c in _ORACLE_L1PMX_COEF[::-1]:
-        acc = acc * u + c
-    return np.where(series, -2.0 * u * u * acc, direct)
-
-
-def _referenced_exponent(t: np.ndarray, u: float, ref: float) -> np.ndarray:
-    """h(t) - h(ref) for h(t) = u ln t - t, stably for t near ref."""
+def _referenced_exponent(t: np.ndarray, u: float,
+                         ref: float | np.ndarray) -> np.ndarray:
+    """h(t) - h(ref) for h(t) = u ln t - t, stably for t near ref; ref is a
+    scalar or one reference per point."""
     if u == 0.0:
         return ref - t
-    return u * _oracle_log1pmx((t - ref) / ref) + (t - ref) * (u / ref - 1.0)
+    return u * _log1pmx_vec((t - ref) / ref) + (t - ref) * (u / ref - 1.0)
 
 
 def _validate_gamma_args(a: float, x: float) -> tuple[float, float]:
@@ -254,6 +240,104 @@ def _norm_small(a: float, rel_tol: float) -> tuple[float, float]:
     return h, tl
 
 
+def _by_group(fns: Sequence[Callable[[np.ndarray], np.ndarray]],
+              group: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
+                                             np.ndarray]:
+    """An integrate_many integrand applying fns[group[k]] to the points of
+    interval k; each point's value is what its own integrand gives it."""
+    def fn(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        g = group[k]
+        out = np.empty_like(t)
+        for i, f in enumerate(fns):
+            sel = g == i
+            if sel.all():
+                return f(t)
+            if sel.any():
+                out[sel] = f(t[sel])
+        return out
+    return fn
+
+
+def oracle_gamma_q_many(a: float, xs: Sequence[float], *,
+                        rel_tol: float = DEFAULT_REL_TOL) -> list[float]:
+    """oracle_gamma_q(a, x) for every x in xs, as one lockstep quadrature.
+
+    All numerator integrals of the row advance together through
+    integrate_many, and each value equals the one-x call exactly.
+    Arguments are validated before any integration; a QuadratureError is
+    the one the lowest-indexed failing x raises.
+    """
+    a = _validate_gamma_args(a, 0.0)[0]
+    xs = [_validate_gamma_args(a, x)[1] for x in xs]
+    out = [1.0] * len(xs)
+    todo = [j for j, x in enumerate(xs) if x != 0.0]
+    if not todo:
+        return out
+    xt = [xs[j] for j in todo]
+    half_tol = 0.5 * rel_tol
+
+    if a >= _A_BIG:
+        # Numerators referenced at the peak t0 for x <= t0, at x beyond.
+        d_int, t0, _t_lo, t_up = _norm_big(a, rel_tol)
+        u = a - 1.0
+        refs = np.array([t0 if x <= t0 else x for x in xt])
+
+        def fn(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return np.exp(_referenced_exponent(t, u, refs[k]))
+
+        his = [t_up if x <= t0 else max(t_up, x + 900.0) for x in xt]
+        nums = integrate_many(fn, xt, his, rel_tol=half_tol)
+        log_t0 = dd_log(t0)
+        for j, x, res in zip(todo, xt, nums):
+            if x <= t0:
+                q = res.value / d_int
+            else:
+                log_ratio = dd_sub(dd_log(x), log_t0)
+                e_dd = dd_sub(dd_mul(two_sum(a, -1.0), log_ratio),
+                              two_sum(x, -t0))
+                pref = math.exp(e_dd[0]) * (1.0 + e_dd[1])
+                q = pref * (res.value / d_int)
+            out[j] = min(max(q, 0.0), 1.0)
+        return out
+
+    # Below _A_BIG, x >= 1 integrates the direct integrand from x, and
+    # x < 1 the substituted head from x's image up to 1 plus the cached
+    # tail from 1.
+    def tail_fn(t: np.ndarray) -> np.ndarray:
+        return np.exp((a - 1.0) * np.log(t) - t)
+
+    if a >= 1.0:
+        head, tail = _norm_mid(a, rel_tol)
+        head_scale = 1.0
+
+        def head_fn(s: np.ndarray) -> np.ndarray:
+            return 4.0 * np.exp((4.0 * a - 1.0) * np.log(s) - s ** 4)
+
+        def head_lo(x: float) -> float:
+            return x ** 0.25
+    else:
+        head, tail = _norm_small(a, rel_tol)
+        head_scale = a
+
+        def head_fn(s: np.ndarray) -> np.ndarray:
+            return np.exp(-np.exp(np.log(s) / a))
+
+        def head_lo(x: float) -> float:
+            return math.exp(a * math.log(x))
+
+    in_head = [x < 1.0 for x in xt]
+    los = [head_lo(x) if h else x for h, x in zip(in_head, xt)]
+    his = [1.0 if h else max(901.0, x + 900.0) for h, x in zip(in_head, xt)]
+    fn = _by_group((tail_fn, head_fn), np.array(in_head, dtype=np.intp))
+    nums = integrate_many(fn, los, his, rel_tol=half_tol)
+    denom = head + tail
+    for j, h, res in zip(todo, in_head, nums):
+        # Dividing by head_scale = 1.0 is exact.
+        num = res.value / head_scale + tail if h else res.value
+        out[j] = min(max(num / denom, 0.0), 1.0)
+    return out
+
+
 def oracle_gamma_q(a: float, x: float, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Upper regularized incomplete gamma by direct quadrature of the
     defining integral, as a ratio of two integrals sharing one integrand.
@@ -262,58 +346,7 @@ def oracle_gamma_q(a: float, x: float, *, rel_tol: float = DEFAULT_REL_TOL) -> f
     the connecting prefactor exp(h(x) - h(t0)) is evaluated in double-double,
     keeping the relative error near 2e-13 even when the exponent is ~700.
     """
-    a, x = _validate_gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if a >= _A_BIG:
-        d_int, t0, _t_lo, t_up = _norm_big(a, rel_tol)
-        u = a - 1.0
-        if x <= t0:
-            def fn(t: np.ndarray) -> np.ndarray:
-                return np.exp(_referenced_exponent(t, u, t0))
-            n_int = integrate(fn, x, t_up, rel_tol=0.5 * rel_tol).value
-            q = n_int / d_int
-        else:
-            x_up = max(t_up, x + 900.0)
-
-            def fn(t: np.ndarray) -> np.ndarray:
-                return np.exp(_referenced_exponent(t, u, x))
-            n_int = integrate(fn, x, x_up, rel_tol=0.5 * rel_tol).value
-            log_ratio = dd_sub(dd_log(x), dd_log(t0))
-            e_dd = dd_sub(dd_mul(two_sum(a, -1.0), log_ratio),
-                          two_sum(x, -t0))
-            pref = math.exp(e_dd[0]) * (1.0 + e_dd[1])
-            q = pref * (n_int / d_int)
-        return min(max(q, 0.0), 1.0)
-
-    if a >= 1.0:
-        head, tail = _norm_mid(a, rel_tol)
-        if x >= 1.0:
-            def fn(t: np.ndarray) -> np.ndarray:
-                return np.exp((a - 1.0) * np.log(t) - t)
-            num = integrate(fn, x, max(901.0, x + 900.0),
-                            rel_tol=0.5 * rel_tol).value
-        else:
-            def fn(s: np.ndarray) -> np.ndarray:
-                return 4.0 * np.exp((4.0 * a - 1.0) * np.log(s) - s ** 4)
-            num = integrate(fn, x ** 0.25, 1.0,
-                            rel_tol=0.5 * rel_tol).value + tail
-        return min(max(num / (head + tail), 0.0), 1.0)
-
-    head, tail = _norm_small(a, rel_tol)
-    denom = head + tail
-    if x >= 1.0:
-        def fn(t: np.ndarray) -> np.ndarray:
-            return np.exp((a - 1.0) * np.log(t) - t)
-        num = integrate(fn, x, max(901.0, x + 900.0),
-                        rel_tol=0.5 * rel_tol).value
-    else:
-        xa = math.exp(a * math.log(x))
-
-        def fn(s: np.ndarray) -> np.ndarray:
-            return np.exp(-np.exp(np.log(s) / a))
-        num = integrate(fn, xa, 1.0, rel_tol=0.5 * rel_tol).value / a + tail
-    return min(max(num / denom, 0.0), 1.0)
+    return oracle_gamma_q_many(a, (x,), rel_tol=rel_tol)[0]
 
 
 def oracle_tail_prob(a: float, c: float, *,

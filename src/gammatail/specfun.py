@@ -19,14 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._series import LAMBDA_EXCESS, eval_series
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _INV_E = 1.0 / math.e
 
 # Ascending series / continued fraction split, and the shape size below which
-# the tail is summed directly to avoid forming 1 - P for a tiny result.
+# the tail is summed directly to avoid forming 1 - P for a tiny result.  A
+# kernel loop that reaches the iteration cap raises ConvergenceError.
 _SMALL_SHAPE = 0.5
 _KERNEL_MAX_ITER = 100_000
 
@@ -202,7 +203,8 @@ _L1PMX_COEF = np.array(
 
 
 def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
-    """Vectorized log1p(d) - d for d > -1 (quadrature integrands).
+    """Vectorized log1p(d) - d for d > -1 (quadrature integrands, here and
+    in the oracle).
 
     The fixed-length Horner series is only used for |d| <= 0.5, where its
     truncation sits far below eps; outside, the direct form's cancellation
@@ -212,6 +214,8 @@ def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
     series = np.abs(d) <= 0.5
     safe = np.where(series, 0.0, d)
     direct = np.log1p(safe) - safe
+    if not series.any():
+        return direct
     ud = np.where(series, d, 0.0)
     u = ud / (2.0 + ud)
     acc = np.zeros_like(u)
@@ -238,6 +242,12 @@ def _log_gamma_norm(a: float, x: float) -> float:
     return a * math.log(x) - x - math.lgamma(a)
 
 
+def _not_converged(kernel: str, a: float, x: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"{kernel} for Q(a={a!r}, x={x!r}) did not converge in "
+        f"{_KERNEL_MAX_ITER} iterations", n_iter=_KERNEL_MAX_ITER)
+
+
 def _lower_series(a: float, x: float) -> tuple[float, float, int]:
     """Lower regularized P(a, x) by the ascending series, for x < a + 1."""
     ln_pref = _log_gamma_norm(a, x) - math.log(a)
@@ -250,6 +260,8 @@ def _lower_series(a: float, x: float) -> tuple[float, float, int]:
         total += term
         if term <= 0.25 * EPS * total:
             break
+    else:
+        raise _not_converged("ascending series", a, x)
     value = math.exp(ln_pref) * total
     rel = EPS * (2.0 * abs(ln_pref) + 2.0 * n + 32.0)
     return value, rel, n
@@ -280,6 +292,8 @@ def _upper_cf(a: float, x: float) -> tuple[float, float, int]:
         h *= delta
         if abs(delta - 1.0) <= EPS:
             break
+    else:
+        raise _not_converged("continued fraction", a, x)
     value = math.exp(ln_pref) * h
     rel = EPS * (2.0 * abs(ln_pref) + 2.0 * n + 32.0)
     return value, rel, n
@@ -312,6 +326,8 @@ def _upper_small_shape(a: float, x: float) -> tuple[float, float, int]:
         habs += abs(contrib)
         if abs(term) <= 0.25 * EPS * max(abs(h), 1e-300):
             break
+    else:
+        raise _not_converged("small-shape series", a, x)
     eg = math.exp(g)
     value = -math.expm1(g) + eg * h
     abs_err = EPS * (2.0 * abs(alnx) + 6.0 * abs(lg) + 2.0 * abs(g)

@@ -292,6 +292,21 @@ def test_witness_search_error_maps_to_exit_three(monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("a", ["1e10", "1e12"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--c", "-0.2", "--a"],
+    ["median", "--a"],
+    ["certify", "--c", "-0.2", "--n", "3", "--a-max", "1e13", "--a-min"],
+])
+def test_kernel_iteration_cap_is_inconclusive_not_a_violation(command, a,
+                                                              capsys):
+    # The ascending series needs ~sqrt(a) terms and stops at its cap far
+    # below these shapes; the result is unknown, not a contradiction.
+    code, _ = run_cli(command + [a])
+    assert code == 3
+    assert "inconclusive: ascending series" in capsys.readouterr().err
+
+
 def test_repeated_invocations_are_byte_identical():
     args = ["median", "--a-min", "0.01", "--a-max", "100", "--n", "20"]
     _, first = run_cli(args)

@@ -24,6 +24,7 @@ from gammatail.oracle import (
     dd_mul,
     dd_sqrt,
     oracle_gamma_q,
+    oracle_gamma_q_many,
     oracle_log_gamma,
     oracle_mean_gaps,
     oracle_root,
@@ -129,6 +130,28 @@ def test_oracle_gamma_q_rejects_bad_arguments():
     for a, x in ((0.0, 1.0), (-2.0, 1.0), (1.0, -1.0), (math.inf, 1.0)):
         with pytest.raises(DomainError):
             oracle_gamma_q(a, x)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.3, 0.999, 1.0, 5.5, 15.99, 16.0, 40.0,
+                               2.5e3])
+def test_oracle_gamma_q_many_equals_one_x_calls(a):
+    # x = 0, both sides of x = 1 (the head/tail split below a = 16) and of
+    # the peak a - 1 (the reference switch from a = 16), out of order and
+    # with a repeat.
+    xs = [0.0, 1e-9, 0.4, 0.999, 1.0, 1.5, a - 1.0 - 0.5 * math.sqrt(a),
+          a - 1.0, a - 1.0 + 1e-9, a, 0.0, a + 5.0 * math.sqrt(a), 0.4,
+          a + 40.0 * math.sqrt(a) + 40.0]
+    xs = [x for x in xs if x >= 0.0]
+    assert oracle_gamma_q_many(a, xs) == [oracle_gamma_q(a, x) for x in xs]
+
+
+def test_oracle_gamma_q_many_edge_rows():
+    assert oracle_gamma_q_many(3.0, []) == []
+    assert oracle_gamma_q_many(3.0, [0.0, 0.0]) == [1.0, 1.0]
+    for a, xs in ((0.0, [1.0]), (2.0, [1.0, -1.0]), (math.inf, []),
+                  (2.0, [math.nan])):
+        with pytest.raises(DomainError):
+            oracle_gamma_q_many(a, xs)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammatail import QuadResult, QuadratureError, integrate
+from gammatail.quadrature import integrate_many
 
 
 def test_polynomials_are_integrated_to_machine_precision():
@@ -106,3 +107,246 @@ def test_random_polynomials_match_antiderivative(coeffs, lo, width):
     exact = anti(hi) - anti(lo)
     scale = max(1.0, sum(abs(c) for c in coeffs) * max(abs(lo), abs(hi), 1.0) ** len(coeffs))
     assert abs(res.value - exact) <= 1e-11 * scale
+
+
+# ----------------------------------------------------------------------
+# integrate_many: the lockstep engine
+# ----------------------------------------------------------------------
+
+
+def _one_at_a_time(fn, los, his, **kw):
+    """integrate on each interval alone, fn seeing that interval's index."""
+    return [
+        integrate(lambda t, k=k: fn(t, np.full(t.shape, k)), lo, hi, **kw)
+        for k, (lo, hi) in enumerate(zip(los, his))
+    ]
+
+
+def test_integrate_many_endpoint_singular_matches_integrate():
+    # t^p with 0 < p < 1 has an unbounded derivative at the endpoint 0,
+    # which forces deep refinement there and nowhere else.
+    powers = np.array([0.5, 0.25, 0.75, 1.5])
+    los = [0.0, 0.0, 0.0, 0.0]
+    his = [1.0, 3.0, 0.5, 2.0]
+
+    def fn(t, k):
+        return t ** powers[k]
+
+    many = integrate_many(fn, los, his)
+    assert many == _one_at_a_time(fn, los, his)
+    for res, p, hi in zip(many, powers, his):
+        assert math.isclose(res.value, hi ** (p + 1) / (p + 1), rel_tol=1e-10)
+
+
+def test_integrate_many_sharply_peaked_matches_integrate():
+    centers = np.array([0.3, 0.71, 0.05, 0.5, 0.999])
+    widths = np.array([1e-3, 1e-2, 3e-4, 0.2, 1e-3])
+
+    def fn(t, k):
+        return np.exp(-(((t - centers[k]) / widths[k]) ** 2))
+
+    los = [0.0] * 5
+    his = [1.0] * 5
+    many = integrate_many(fn, los, his, rel_tol=1e-12)
+    assert many == _one_at_a_time(fn, los, his, rel_tol=1e-12)
+    assert [r.n_panels for r in many] != [many[0].n_panels] * 5
+
+
+def test_integrate_many_oracle_referenced_integrand_matches_integrate():
+    # The oracle's a >= 16 numerator, referenced at the peak u = a - 1 for
+    # x <= u and at x beyond: one reference point per interval.
+    from gammatail.oracle import _referenced_exponent
+
+    a = 40.0
+    u = a - 1.0
+    xs = [1.0, 20.0, 39.0, 39.5, 60.0, 120.0]
+    refs = np.array([u if x <= u else x for x in xs])
+
+    def fn(t, k):
+        return np.exp(_referenced_exponent(t, u, refs[k]))
+
+    his = [x + 900.0 for x in xs]
+    many = integrate_many(fn, xs, his, rel_tol=5e-14)
+    assert many == _one_at_a_time(fn, xs, his, rel_tol=5e-14)
+
+
+def test_integrate_many_passes_each_points_interval_index():
+    seen = []
+
+    def fn(t, k):
+        seen.append((t.copy(), k.copy()))
+        return np.ones_like(t)
+
+    los = [0.0, 10.0, 20.0]
+    his = [1.0, 11.0, 21.0]
+    res = integrate_many(fn, los, his)
+    assert [r.value for r in res] == [1.0, 1.0, 1.0]
+    # One integrand call per sweep: a constant converges in the first.
+    assert len(seen) == 1
+    t, k = seen[0]
+    assert t.shape == k.shape
+    for j, (lo, hi) in enumerate(zip(los, his)):
+        assert np.all((t[k == j] > lo) & (t[k == j] < hi))
+
+
+def test_integrate_many_empty_input():
+    assert integrate_many(lambda t, k: t, [], []) == []
+
+
+def _error_fields(exc):
+    return (str(exc), exc.value, exc.err_bound, exc.n_panels)
+
+
+def _power_law(powers):
+    powers = np.asarray(powers)
+    return lambda t, k: t ** powers[k]
+
+
+def test_integrate_many_raises_lowest_index_failure():
+    # t^p with p < 0 stalls at its singular endpoint until the sweep limit.
+    # Interval 1 fails only after all 120 sweeps, interval 3 is degenerate
+    # and fails at once; a loop of integrate calls reaches interval 1 first.
+    fn = _power_law([2.0, -0.5, 1.0, 0.0, -0.3])
+    los = [0.0, 0.0, 0.0, 2.0, 0.0]
+    his = [1.0, 1.0, 1.0, 2.0, 1.0]
+    with pytest.raises(QuadratureError) as single:
+        integrate(lambda t: t ** -0.5, 0.0, 1.0)
+    with pytest.raises(QuadratureError) as many:
+        integrate_many(fn, los, his)
+    assert _error_fields(many.value) == _error_fields(single.value)
+
+
+def test_integrate_many_two_stalled_intervals_report_the_first():
+    fn = _power_law([-0.3, 1.0, -0.5])
+    with pytest.raises(QuadratureError) as first:
+        integrate(lambda t: t ** -0.3, 0.0, 0.5)
+    with pytest.raises(QuadratureError) as second:
+        integrate(lambda t: t ** -0.5, 0.0, 1.0)
+    assert _error_fields(first.value) != _error_fields(second.value)
+    with pytest.raises(QuadratureError) as many:
+        integrate_many(fn, [0.0, 0.0, 0.0], [0.5, 1.0, 1.0])
+    assert _error_fields(many.value) == _error_fields(first.value)
+
+
+def test_integrate_many_panel_budget_is_per_interval():
+    def gauss(t):
+        return np.exp(-0.5 * t * t)
+
+    kw = dict(rel_tol=1e-14, max_panels=6, pre_split=1)
+    with pytest.raises(QuadratureError) as single:
+        integrate(gauss, -30.0, 30.0, **kw)
+    with pytest.raises(QuadratureError) as many:
+        integrate_many(lambda t, k: gauss(t), [0.0, -30.0, -40.0],
+                       [1.0, 30.0, 40.0], **kw)
+    assert "panel budget" in str(many.value)
+    assert _error_fields(many.value) == _error_fields(single.value)
+
+
+# ----------------------------------------------------------------------
+# The lockstep engine against the one-interval refinement loop
+# ----------------------------------------------------------------------
+
+_EPS = 2.220446049250313e-16
+
+
+def _reference_integrate(fn, lo, hi, *, rel_tol=1e-10, abs_tol=0.0,
+                         max_panels=10_000, pre_split=8):
+    """The plain one-interval refinement loop the lockstep engine replaced,
+    kept as the bit-level reference for integrate."""
+    from gammatail.quadrature import (_MAX_SWEEPS, GAUSS_NODES_01,
+                                      GAUSS_ORDER, GAUSS_WEIGHTS_01)
+
+    def estimates(lows, widths):
+        pts = lows[:, None] + widths[:, None] * GAUSS_NODES_01[None, :]
+        vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+        return (vals * GAUSS_WEIGHTS_01[None, :]).sum(axis=1) * widths
+
+    lo = float(lo)
+    hi = float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise QuadratureError("integration interval must be finite with hi > lo",
+                              value=math.nan, err_bound=math.inf, n_panels=0)
+    span = hi - lo
+    width0 = span / pre_split
+    lows = lo + width0 * np.arange(pre_split)
+    widths = np.full(pre_split, width0)
+    vals = estimates(lows, widths)
+    n_evals = pre_split * GAUSS_ORDER
+    acc_vals, acc_errs = [], []
+
+    def partial(message):
+        return QuadratureError(
+            message, value=math.fsum(acc_vals) + math.fsum(vals.tolist()),
+            err_bound=math.fsum(acc_errs) + math.fsum(np.abs(vals).tolist()),
+            n_panels=len(acc_vals) + lows.size)
+
+    for _ in range(_MAX_SWEEPS):
+        total = math.fsum(acc_vals) + math.fsum(vals.tolist())
+        tol = max(rel_tol * abs(total), abs_tol, 1e-320)
+        half = 0.5 * widths
+        l_vals = estimates(lows, half)
+        r_lows = lows + half
+        r_vals = estimates(r_lows, half)
+        n_evals += 2 * GAUSS_ORDER * lows.size
+        pair = l_vals + r_vals
+        diff = np.abs(vals - pair)
+        mass = (math.fsum(abs(v) for v in acc_vals)
+                + math.fsum(np.abs(vals).tolist()))
+        share = widths / span
+        if mass > 0.0:
+            share = np.maximum(share, np.abs(vals) / mass)
+        floor = 32.0 * _EPS * (np.abs(l_vals) + np.abs(r_vals))
+        exhausted = (r_lows <= lows) | (r_lows >= lows + widths)
+        finite = np.isfinite(pair)
+        if (~finite & exhausted).any():
+            raise QuadratureError(
+                "integrand is non-finite on an unsplittable panel",
+                value=math.fsum(acc_vals), err_bound=math.inf,
+                n_panels=len(acc_vals) + lows.size)
+        accept = ((diff <= tol * share) | (diff <= floor) | exhausted) & finite
+        for i in np.nonzero(accept)[0]:
+            acc_vals += [float(l_vals[i]), float(r_vals[i])]
+            acc_errs.append(float(diff[i]))
+        keep = np.nonzero(~accept)[0]
+        if keep.size == 0:
+            break
+        lows = np.stack((lows[keep], r_lows[keep]), axis=1).ravel()
+        widths = np.repeat(half[keep], 2)
+        vals = np.stack((l_vals[keep], r_vals[keep]), axis=1).ravel()
+        if len(acc_vals) + lows.size > max_panels:
+            raise partial(f"panel budget {max_panels} exceeded")
+    else:
+        raise partial(f"no convergence after {_MAX_SWEEPS} refinement sweeps")
+    abs_sum = math.fsum(abs(v) for v in acc_vals)
+    return QuadResult(value=math.fsum(acc_vals),
+                      err_bound=math.fsum(acc_errs) + 4.0 * _EPS * abs_sum,
+                      n_panels=len(acc_vals), n_evals=n_evals)
+
+
+def _outcome(integrator, fn, lo, hi, **kw):
+    try:
+        return integrator(fn, lo, hi, **kw)
+    except QuadratureError as exc:
+        return _error_fields(exc)
+
+
+@pytest.mark.parametrize("fn, lo, hi, kw", [
+    (np.exp, 0.0, 50.0, {}),
+    (lambda t: np.sqrt(t), 0.0, 1.0, {}),
+    (lambda t: np.exp(-(((t - 0.3) / 1e-3) ** 2)), 0.0, 1.0,
+     {"rel_tol": 1e-12}),
+    (lambda t: np.cos(40.0 * t) ** 2, 0.0, 3.0, {"rel_tol": 1e-13}),
+    (lambda t: np.exp(-0.5 * t * t), -30.0, 30.0, {"rel_tol": 1e-14}),
+    # Failures: sweep limit, panel budget, non-finite unsplittable panels,
+    # and a degenerate interval.
+    (lambda t: t ** -0.5, 0.0, 1.0, {}),
+    (lambda t: np.exp(-0.5 * t * t), -30.0, 30.0,
+     {"rel_tol": 1e-14, "max_panels": 6, "pre_split": 1}),
+    (lambda t: np.full_like(t, np.inf), 1.0, 1.0 + 1e-14, {}),
+    (np.exp, 2.0, 2.0, {}),
+], ids=["exp", "sqrt", "peak", "oscillatory", "gauss", "sweep-limit",
+        "budget", "non-finite", "degenerate"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_integrate_equals_the_one_interval_loop(fn, lo, hi, kw):
+    assert (_outcome(integrate, fn, lo, hi, **kw)
+            == _outcome(_reference_integrate, fn, lo, hi, **kw))

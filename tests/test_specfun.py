@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from gammatail import (
     DEFAULT_PRECISION,
+    ConvergenceError,
     DomainError,
+    GammaTailError,
     Precision,
     branch_root_deriv,
     branch_roots,
@@ -114,6 +116,16 @@ def test_gamma_q_rejects_bad_arguments():
     for a, x in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)):
         with pytest.raises(DomainError):
             reg_gamma_q(a, x)
+
+
+def test_gamma_q_kernel_cap_raises_instead_of_partial_sum():
+    # The ascending series needs ~sqrt(a) terms: beyond its cap a partial
+    # sum would be returned as 0.6587 with a bound of 1.5e-11 (true value
+    # 0.4999995).
+    with pytest.raises(ConvergenceError) as excinfo:
+        reg_gamma_q_detail(1e10, 1e10 - 0.2)
+    assert excinfo.value.n_iter == 100_000
+    assert isinstance(excinfo.value, GammaTailError)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
