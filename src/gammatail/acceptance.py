@@ -22,15 +22,14 @@ import numpy as np
 
 from .certify import (ScanSpec, certify_monotone, check_asymptotic_slope,
                       check_mean_chain, check_threshold_chain, find_witness)
-from .errors import CertificationError, GammaTailError
+from .errors import CertificationError, DomainError, GammaTailError
 from .median import check_median_bracket, gamma_median
 from .oracle import oracle_gamma_q_many, oracle_tail_prob
-from .specfun import DEFAULT_PRECISION, branch_roots, reg_gamma_q
+from .specfun import (DEFAULT_PRECISION, EPS, ONE_THIRD, branch_roots,
+                      reg_gamma_q)
 from .tailprob import (TailQuery, direction_form_detail, integrand_ratio,
                        ratio_parts, tail_prob)
 
-_ONE_THIRD = 1.0 / 3.0
-_EPS = 2.220446049250313e-16
 _KERNEL_GRID_N = 50
 _KERNEL_TOL = 1e-12
 _KERNEL_TIME_LIMIT = 10.0
@@ -55,7 +54,7 @@ def _result(cid: str, name: str, passed: bool, detail: str) -> CriterionResult:
 
 
 def c01_kernel_accuracy(tol_scale: float = 1.0,
-                        threads: Optional[int] = None) -> CriterionResult:
+                        _unused: object = None) -> CriterionResult:
     """Fast kernel vs oracle on a 50x50 (a, x) grid, under a runtime cap."""
     tol = _KERNEL_TOL * tol_scale
     start = time.perf_counter()
@@ -85,15 +84,14 @@ def c01_kernel_accuracy(tol_scale: float = 1.0,
 
 def _monotone_cases(cid: str, name: str, cases: Sequence[float],
                     expected: str, a_min_of: Callable[[float], float],
-                    tol_scale: float, threads: Optional[int]
-                    ) -> CriterionResult:
+                    tol_scale: float) -> CriterionResult:
     prec = DEFAULT_PRECISION
     required = prec.strict_margin / tol_scale
     lines = []
     ok = True
     for c in cases:
         scan = ScanSpec(a_min_of(c), 200.0, 400, "log")
-        verdict = certify_monotone(c, scan, prec, threads=threads)
+        verdict = certify_monotone(c, scan, prec)
         good = (verdict.direction == expected
                 and verdict.margin_ratio >= required)
         ok = ok and good
@@ -105,25 +103,25 @@ def _monotone_cases(cid: str, name: str, cases: Sequence[float],
 
 
 def c02_increasing_regime(tol_scale: float = 1.0,
-                          threads: Optional[int] = None) -> CriterionResult:
+                          _unused: object = None) -> CriterionResult:
     """Certified increasing tail probability for c >= 0."""
     return _monotone_cases(
         "C02", "increasing tail for c >= 0",
-        (0.0, 0.1, _ONE_THIRD, 1.0, 5.0), "increasing",
-        lambda c: 0.01, tol_scale, threads)
+        (0.0, 0.1, ONE_THIRD, 1.0, 5.0), "increasing",
+        lambda c: 0.01, tol_scale)
 
 
 def c03_decreasing_regime(tol_scale: float = 1.0,
-                          threads: Optional[int] = None) -> CriterionResult:
+                          _unused: object = None) -> CriterionResult:
     """Certified decreasing tail probability for c <= -1/3."""
     return _monotone_cases(
         "C03", "decreasing tail for c <= -1/3",
-        (-_ONE_THIRD - 1e-3, -0.5, -1.0, -2.0), "decreasing",
-        lambda c: -c + 0.01, tol_scale, threads)
+        (-ONE_THIRD - 1e-3, -0.5, -1.0, -2.0), "decreasing",
+        lambda c: -c + 0.01, tol_scale)
 
 
 def c04_witnesses(tol_scale: float = 1.0,
-                  threads: Optional[int] = None) -> CriterionResult:
+                  _unused: object = None) -> CriterionResult:
     """Witness triples exist for c in (-1/3, 0) and survive the oracle."""
     lines = []
     ok = True
@@ -146,7 +144,7 @@ def c04_witnesses(tol_scale: float = 1.0,
 
 
 def c05_median_bracket(tol_scale: float = 1.0,
-                       threads: Optional[int] = None) -> CriterionResult:
+                       _unused: object = None) -> CriterionResult:
     """Both bracket inequalities strict with margins on the shape grid."""
     prec = DEFAULT_PRECISION
     required = prec.strict_margin / tol_scale
@@ -160,7 +158,7 @@ def c05_median_bracket(tol_scale: float = 1.0,
 
 
 def c06_median_solver(tol_scale: float = 1.0,
-                      threads: Optional[int] = None) -> CriterionResult:
+                      _unused: object = None) -> CriterionResult:
     """Median offsets stay in (-1/3, 0) with residual <= 1e-12; spot a=1."""
     residual_tol = 1e-12 * tol_scale
     spot_tol = 1e-14 * tol_scale
@@ -173,7 +171,7 @@ def c06_median_solver(tol_scale: float = 1.0,
             failures += 1
             continue
         worst_residual = max(worst_residual, r.residual)
-        if not (-_ONE_THIRD < r.offset < 0.0 and r.residual <= residual_tol):
+        if not (-ONE_THIRD < r.offset < 0.0 and r.residual <= residual_tol):
             failures += 1
     spot = gamma_median(1.0)
     spot_err = abs(spot.offset - (math.log(2.0) - 1.0))
@@ -186,7 +184,7 @@ def c06_median_solver(tol_scale: float = 1.0,
 
 
 def c07_ratio_identity(tol_scale: float = 1.0,
-                       threads: Optional[int] = None) -> CriterionResult:
+                       _unused: object = None) -> CriterionResult:
     """tail_prob equals 1/(1 + head/tail integral ratio) at shifted shape."""
     tol = _IDENTITY_TOL * tol_scale
     rng = np.random.default_rng(107)
@@ -205,8 +203,7 @@ def c07_ratio_identity(tol_scale: float = 1.0,
 
 
 def c08_direction_form_signs(tol_scale: float = 1.0,
-                             threads: Optional[int] = None
-                             ) -> CriterionResult:
+                             _unused: object = None) -> CriterionResult:
     """Direction form certified negative for c <= -1/3 on a z-grid, and
     certified positive somewhere for c > -1/3."""
     prec = DEFAULT_PRECISION
@@ -215,7 +212,7 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
     roots = [branch_roots(float(z)) for z in zs]
     lines = []
     ok = True
-    for c in (-_ONE_THIRD, -0.4, -1.0, -3.0):
+    for c in (-ONE_THIRD, -0.4, -1.0, -3.0):
         worst = -math.inf
         certified = True
         for r in roots:
@@ -241,7 +238,7 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
 
 
 def c09_threshold_chain(tol_scale: float = 1.0,
-                        threads: Optional[int] = None) -> CriterionResult:
+                        _unused: object = None) -> CriterionResult:
     """All four reduction stages certified increasing with a common limit."""
     prec = DEFAULT_PRECISION
     required = prec.strict_margin / tol_scale
@@ -260,7 +257,7 @@ def c09_threshold_chain(tol_scale: float = 1.0,
 
 
 def c10_mean_chain(tol_scale: float = 1.0,
-                   threads: Optional[int] = None) -> CriterionResult:
+                   _unused: object = None) -> CriterionResult:
     """Mean chain on 1e4 seeded pairs plus the 0.332 optimality probe."""
     prec = DEFAULT_PRECISION
     required = prec.strict_margin / tol_scale
@@ -283,7 +280,7 @@ def c10_mean_chain(tol_scale: float = 1.0,
 
 
 def c11_asymptotic_slope(tol_scale: float = 1.0,
-                         threads: Optional[int] = None) -> CriterionResult:
+                         _unused: object = None) -> CriterionResult:
     """Fitted small-eps slope of the integrated defect matches c + 1/3."""
     slope_tol = 0.02 * tol_scale
     report = check_asymptotic_slope(-0.2, (0.02, 0.01, 0.005, 0.0025))
@@ -300,7 +297,7 @@ def c11_asymptotic_slope(tol_scale: float = 1.0,
 
 
 def c12_ratio_sign_relation(tol_scale: float = 1.0,
-                            threads: Optional[int] = None) -> CriterionResult:
+                            _unused: object = None) -> CriterionResult:
     """Finite-difference slope sign of the integrand ratio is opposite to
     the direction form's sign at seeded (z, c) points."""
     prec = DEFAULT_PRECISION
@@ -325,7 +322,7 @@ def c12_ratio_sign_relation(tol_scale: float = 1.0,
             if not (math.isfinite(r_hi) and math.isfinite(r_lo)):
                 continue
             d = r_hi - r_lo
-            noise = 64.0 * _EPS * (abs(r_hi) + abs(r_lo))
+            noise = 64.0 * EPS * (abs(r_hi) + abs(r_lo))
             if abs(d) <= noise:
                 continue
             resolved = True
@@ -345,26 +342,24 @@ def c12_ratio_sign_relation(tol_scale: float = 1.0,
 
 
 def c13_determinism(tol_scale: float = 1.0,
-                    threads: Optional[int] = None) -> CriterionResult:
+                    _unused: object = None) -> CriterionResult:
     """Verdicts and their serialized forms are identical across repeated
-    runs and across thread counts (in-process check; the CLI-level byte
-    comparison lives in the test suite)."""
+    runs (in-process check; the CLI-level byte comparison lives in the test
+    suite)."""
     scan = ScanSpec(0.21, 500.0, 120, "log")
-    v_serial = certify_monotone(-0.2, scan, threads=1)
-    v_thread = certify_monotone(-0.2, scan, threads=threads or 4)
-    v_again = certify_monotone(-0.2, scan, threads=1)
-    s1 = json.dumps(asdict(v_serial), sort_keys=True)
-    s2 = json.dumps(asdict(v_thread), sort_keys=True)
-    s3 = json.dumps(asdict(v_again), sort_keys=True)
-    passed = v_serial == v_thread == v_again and s1 == s2 == s3
+    first = certify_monotone(-0.2, scan)
+    again = certify_monotone(-0.2, scan)
+    same_bytes = (json.dumps(asdict(first), sort_keys=True)
+                  == json.dumps(asdict(again), sort_keys=True))
     return _result(
-        "C13", "deterministic verdicts", passed,
-        f"verdict equality across runs: {v_serial == v_again}; across "
-        f"thread counts: {v_serial == v_thread}; serialized forms "
-        f"{'identical' if s1 == s2 == s3 else 'DIFFER'}")
+        "C13", "deterministic verdicts", first == again and same_bytes,
+        f"verdict equality across runs: {first == again}; serialized forms "
+        f"{'identical' if same_bytes else 'DIFFER'}")
 
 
-CRITERIA: dict[str, Callable[[float, Optional[int]], CriterionResult]] = {
+# Each criterion is called as fn(tol_scale) by verify_all; the ignored second
+# positional slot stays because perfbench/worker.py calls fn(1.0, None).
+CRITERIA: dict[str, Callable[[float, object], CriterionResult]] = {
     "C01": c01_kernel_accuracy,
     "C02": c02_increasing_regime,
     "C03": c03_decreasing_regime,
@@ -384,8 +379,7 @@ _CORRUPT_TOL_SCALE = 1e-6
 
 
 def verify_all(criteria: Optional[Sequence[str]] = None, *,
-               corrupt: bool = False,
-               threads: Optional[int] = None) -> tuple[CriterionResult, ...]:
+               corrupt: bool = False) -> tuple[CriterionResult, ...]:
     """Run the selected acceptance criteria (all by default), in id order.
 
     corrupt=True injects a 1e-6 tolerance scale so that healthy code fails:
@@ -397,8 +391,7 @@ def verify_all(criteria: Optional[Sequence[str]] = None, *,
         cids = [c.upper() for c in criteria]
         unknown = [c for c in cids if c not in CRITERIA]
         if unknown:
-            from .errors import DomainError
             raise DomainError(f"unknown criteria: {', '.join(unknown)}")
         cids = sorted(set(cids), key=list(CRITERIA).index)
     tol_scale = _CORRUPT_TOL_SCALE if corrupt else 1.0
-    return tuple(CRITERIA[cid](tol_scale, threads) for cid in cids)
+    return tuple(CRITERIA[cid](tol_scale) for cid in cids)

@@ -27,7 +27,6 @@ Contents:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,12 +36,11 @@ from ._series import CHAIN1_NUM, CHAIN2_NUM, LAMBDA_EXCESS, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .oracle import central_difference, oracle_mean_gaps
 from .quadrature import integrate
-from .specfun import (DEFAULT_PRECISION, Precision, log_mean, refined_mean,
+from .specfun import (_THRESHOLD_SERIES_MAX, DEFAULT_PRECISION, EPS,
+                      ONE_THIRD, Precision, log_mean, refined_mean,
                       threshold_ratio)
 from .tailprob import TailQuery, tail_prob_detail
 
-_ONE_THIRD = 1.0 / 3.0
-_EPS = 2.220446049250313e-16
 _REFINE_DEPTH = 6
 _WITNESS_BUDGET = 1e6
 _WITNESS_SCAN_N = 200
@@ -55,6 +53,7 @@ _CHAIN_DIRECT_RERR = 1e-10
 # Pairs closer than this relative spread get extended-precision mean gaps.
 _MEAN_EXTENDED_MAX = 0.02
 _PROBE_DELTA = 1e-3
+_DEFECT_REL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +135,10 @@ class MonotoneVerdict:
 # Monotonicity certification
 
 
-def _eval_points(a_values: Sequence[float], c: float,
-                 threads: Optional[int]) -> list[tuple[float, float]]:
-    """(value, err_bound) of the tail probability at each shape, in order."""
-    def one(a: float) -> tuple[float, float]:
-        d = tail_prob_detail(TailQuery(a, c))
-        return d.value, d.err_bound
-
-    if threads is not None and threads > 1 and len(a_values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, a_values))
-    return [one(a) for a in a_values]
+def _eval_point(a: float, c: float) -> tuple[float, float]:
+    """(value, err_bound) of the tail probability at one shape."""
+    d = tail_prob_detail(TailQuery(a, c))
+    return d.value, d.err_bound
 
 
 def _classify(d: float, err_sum: float, prec: Precision) -> int:
@@ -167,8 +159,7 @@ def _scale_midpoint(lo: float, hi: float, scale: str) -> float:
 
 
 def certify_monotone(c: float, scan: ScanSpec,
-                     prec: Precision = DEFAULT_PRECISION, *,
-                     threads: Optional[int] = None) -> MonotoneVerdict:
+                     prec: Precision = DEFAULT_PRECISION) -> MonotoneVerdict:
     """Scan the tail probability over shapes and certify its direction.
 
     A direction is certified only if every consecutive difference carries a
@@ -190,8 +181,7 @@ def certify_monotone(c: float, scan: ScanSpec,
             "probability is identically 1; start the scan at -c or above")
 
     grid = scan.grid()
-    base = _eval_points(grid, c, threads)
-    points: dict[float, tuple[float, float]] = dict(zip(grid, base))
+    points = {a: _eval_point(a, c) for a in grid}
 
     pos_ratio = math.inf
     neg_ratio = math.inf
@@ -223,7 +213,7 @@ def certify_monotone(c: float, scan: ScanSpec,
             continue
         mid = _scale_midpoint(a_lo, a_hi, scan.scale)
         if mid not in points:
-            points[mid] = _eval_points([mid], c, None)[0]
+            points[mid] = _eval_point(mid, c)
         stack.append((mid, a_hi, depth + 1))
         stack.append((a_lo, mid, depth + 1))
 
@@ -311,19 +301,15 @@ def find_witness(c: float, prec: Precision = DEFAULT_PRECISION) -> Witness:
     of returning an uncertified triple.
     """
     c = float(c)
-    if not (-_ONE_THIRD < c < 0.0):
+    if not (-ONE_THIRD < c < 0.0):
         raise DomainError("witness search requires c strictly in (-1/3, 0)")
-
-    def prob(a: float) -> tuple[float, float]:
-        d = tail_prob_detail(TailQuery(a, c))
-        return d.value, d.err_bound
 
     # Coarse scan for the interior minimizer, starting just off the plateau.
     scan_lo = -c * (1.0 + 1e-3)
     scan_hi = max(8.0 * -c, 4.0)
     while True:
         grid = np.geomspace(scan_lo, scan_hi, _WITNESS_SCAN_N)
-        vals = [prob(float(a))[0] for a in grid]
+        vals = [_eval_point(float(a), c)[0] for a in grid]
         j = min(range(len(vals)), key=lambda k: (vals[k], k))
         if j < len(vals) - 1:
             break
@@ -339,24 +325,24 @@ def find_witness(c: float, prec: Precision = DEFAULT_PRECISION) -> Witness:
     # value-only path, margins are re-checked at the final point.
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, _ = prob(x1)
-    f2, _ = prob(x2)
+    f1, _ = _eval_point(x1, c)
+    f2, _ = _eval_point(x2, c)
     for _ in range(200):
         if hi - lo <= 1e-10 * hi:
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1, _ = prob(x1)
+            f1, _ = _eval_point(x1, c)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2, _ = prob(x2)
+            f2, _ = _eval_point(x2, c)
     a2 = 0.5 * (lo + hi)
-    p2, e2 = prob(a2)
+    p2, e2 = _eval_point(a2, c)
 
     a1 = -c
-    p1, e1 = prob(a1)  # plateau edge: exactly 1 with zero error bound
+    p1, e1 = _eval_point(a1, c)  # plateau edge: exactly 1, zero error
     if not (p1 - p2 > prec.strict_margin * (e1 + e2)):
         raise WitnessSearchError(
             f"interior minimum at a={a2!r} is not certifiably below the "
@@ -364,7 +350,7 @@ def find_witness(c: float, prec: Precision = DEFAULT_PRECISION) -> Witness:
 
     a3 = max(2.0 * a2, a2 + 1.0)
     while True:
-        p3, e3 = prob(a3)
+        p3, e3 = _eval_point(a3, c)
         if p3 - p2 > prec.strict_margin * (e3 + e2):
             break
         a3 *= 2.0
@@ -403,11 +389,11 @@ class ThresholdChainReport:
 
 def _ratio_excess(y: float, s: float) -> tuple[float, float]:
     """threshold_ratio(y) + 1/3 and its absolute error bound."""
-    if s <= 0.25:
+    if s <= _THRESHOLD_SERIES_MAX:
         v = eval_series(LAMBDA_EXCESS, s)
         return v, _CHAIN_SERIES_RERR * abs(v)
-    v = threshold_ratio(y) + _ONE_THIRD
-    return v, 4.0 * _EPS * _ONE_THIRD + 4.0 * _EPS * abs(v)
+    v = threshold_ratio(y) + ONE_THIRD
+    return v, 4.0 * EPS * ONE_THIRD + 4.0 * EPS * abs(v)
 
 
 def _reduction1_excess(y: float, s: float) -> tuple[float, float]:
@@ -421,7 +407,7 @@ def _reduction1_excess(y: float, s: float) -> tuple[float, float]:
         num = 3.0 * (1.0 / y - y + 2.0 * w) + den / 3.0
         rerr = _CHAIN_DIRECT_RERR
     v = num / den
-    return v, rerr * abs(v) + 4.0 * _EPS * abs(v)
+    return v, rerr * abs(v) + 4.0 * EPS * abs(v)
 
 
 def _reduction2_excess(y: float, s: float) -> tuple[float, float]:
@@ -436,18 +422,18 @@ def _reduction2_excess(y: float, s: float) -> tuple[float, float]:
         num = w - 2.0 * half
         rerr = _CHAIN_DIRECT_RERR
     v = num / den
-    return v, rerr * abs(v) + 4.0 * _EPS * abs(v)
+    return v, rerr * abs(v) + 4.0 * EPS * abs(v)
 
 
 def _rational_excess(y: float, s: float) -> tuple[float, float]:
     """Excess of -2y/(1 + 4y + y^2): exactly s^2/(3(6 + 6s + s^2))."""
     v = s * s / (3.0 * (6.0 + s * (6.0 + s)))
-    return v, 4.0 * _EPS * abs(v)
+    return v, 4.0 * EPS * abs(v)
 
 
 def rational_stage(y: float) -> float:
     """The closed rational end of the chain, -2y/(1 + 4y + y^2)."""
-    return _rational_excess(y, y - 1.0)[0] - _ONE_THIRD
+    return _rational_excess(y, y - 1.0)[0] - ONE_THIRD
 
 
 def rational_stage_deriv(y: float) -> float:
@@ -571,7 +557,7 @@ def _mean_entry(x: float, y: float, prec: Precision) -> MeanChainEntry:
         extended = True
     else:
         g1, g2, g3 = lm - geo, ref - lm, ari - ref
-        err = 32.0 * _EPS * ari
+        err = 32.0 * EPS * ari
         extended = False
     ok = (g1 > prec.strict_margin * err and g2 > prec.strict_margin * err
           and g3 > prec.strict_margin * err)
@@ -583,7 +569,7 @@ def _mean_entry(x: float, y: float, prec: Precision) -> MeanChainEntry:
 
 def check_mean_chain(pairs: Sequence[tuple[float, float]],
                      prec: Precision = DEFAULT_PRECISION, *,
-                     probe_factor: float = _ONE_THIRD - _PROBE_DELTA
+                     probe_factor: float = ONE_THIRD - _PROBE_DELTA
                      ) -> MeanChainReport:
     """Certify the mean chain on each pair and probe the 1/3 factor.
 
@@ -596,7 +582,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     near-equal pairs for a certified reversal of L < refined mean; finding
     one shows the factor cannot be lowered.
     """
-    if not (0.0 < probe_factor < _ONE_THIRD):
+    if not (0.0 < probe_factor < ONE_THIRD):
         raise DomainError("probe_factor must lie strictly inside (0, 1/3)")
     if len(pairs) == 0:
         raise DomainError("check_mean_chain requires at least one pair")
@@ -624,7 +610,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         lm = log_mean(x, y)
         weakened = math.sqrt(x * y + factor * (lm - x) * (y - lm))
         gap = lm - weakened
-        if gap > prec.strict_margin * 32.0 * _EPS and gap > probe_gap:
+        if gap > prec.strict_margin * 32.0 * EPS and gap > probe_gap:
             probe_found = True
             probe_spread = float(t)
             probe_gap = gap
@@ -664,8 +650,7 @@ class AsymptoticSlopeReport:
     certified: bool
 
 
-def integrated_defect(c: float, eps: float, *, rel_tol: float = 1e-12
-                      ) -> tuple[float, float]:
+def integrated_defect(c: float, eps: float) -> tuple[float, float]:
     """T(eps) = 2 * int_0^1 [1 - (1-b*eps)(1-z*eps)^(1/eps-b-1) e^z] dz
     with b = c + 1, and its quadrature error bound.
 
@@ -685,7 +670,7 @@ def integrated_defect(c: float, eps: float, *, rel_tol: float = 1e-12
     def fn(z: np.ndarray) -> np.ndarray:
         return -np.expm1(lead + power * np.log1p(-eps * z) + z)
 
-    res = integrate(fn, 0.0, 1.0, rel_tol=rel_tol, abs_tol=1e-300)
+    res = integrate(fn, 0.0, 1.0, rel_tol=_DEFECT_REL_TOL, abs_tol=1e-300)
     return 2.0 * res.value, 2.0 * res.err_bound
 
 
@@ -703,7 +688,7 @@ def check_asymptotic_slope(c: float,
     fitted quadratic envelope.
     """
     c = float(c)
-    if not (-_ONE_THIRD < c < 0.0):
+    if not (-ONE_THIRD < c < 0.0):
         raise DomainError("slope check requires c strictly in (-1/3, 0)")
     eps = tuple(sorted(float(e) for e in eps_list))
     if len(eps) < 2:
@@ -718,7 +703,7 @@ def check_asymptotic_slope(c: float,
         totals.append(t)
         errs.append(q)
 
-    slope_target = c + _ONE_THIRD
+    slope_target = c + ONE_THIRD
     positive_ok = all(t > prec.strict_margin * q
                       for t, q in zip(totals, errs))
 

@@ -24,10 +24,8 @@ from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError, QuadratureError, WitnessSearchError)
 from .median import gamma_median
 from .oracle import oracle_tail_prob
-from .specfun import DEFAULT_PRECISION, Precision
+from .specfun import DEFAULT_PRECISION, ONE_THIRD, Precision
 from .tailprob import TailQuery, tail_prob_detail
-
-_ONE_THIRD = 1.0 / 3.0
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
@@ -65,21 +63,13 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _precision_from(args: argparse.Namespace) -> Precision:
-    return Precision(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                     strict_margin=args.strict_margin)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rel-tol", type=float,
-                        default=DEFAULT_PRECISION.rel_tol,
-                        help="relative tolerance target")
-    parser.add_argument("--abs-tol", type=float,
-                        default=DEFAULT_PRECISION.abs_tol,
-                        help="absolute tolerance floor")
+def _add_strict_margin(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict-margin", type=float,
                         default=DEFAULT_PRECISION.strict_margin,
                         help="certified-sign margin multiplier")
+
+
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None,
                         help="write output to this path instead of stdout")
 
@@ -159,15 +149,15 @@ def _certify_exit(verdict: MonotoneVerdict) -> int:
     c = verdict.c
     if c >= 0.0 and verdict.direction != "increasing":
         return _EXIT_VIOLATION
-    if c <= -_ONE_THIRD and verdict.direction != "decreasing":
+    if c <= -ONE_THIRD and verdict.direction != "decreasing":
         return _EXIT_VIOLATION
     return _EXIT_OK
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     spec = _scan_spec(args, args.c)
-    verdict = certify_monotone(args.c, spec, _precision_from(args),
-                               threads=args.threads)
+    verdict = certify_monotone(
+        args.c, spec, Precision(strict_margin=args.strict_margin))
     _emit(_json_text(_verdict_payload(verdict)), args.out)
     return _certify_exit(verdict)
 
@@ -182,7 +172,7 @@ def _cmd_median(args: argparse.Namespace) -> int:
         spec = ScanSpec(a_min=args.a_min, a_max=args.a_max, n=args.n,
                         scale=args.scale)
         shapes = list(spec.grid())
-    prec = _precision_from(args)
+    prec = Precision(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     rows = []
     for a in shapes:
         r = gamma_median(a, prec)
@@ -200,7 +190,8 @@ def _cmd_means(args: argparse.Namespace) -> int:
     # check_mean_chain validates 0 < x < y and raises DomainError otherwise
     # (equal arguments are rejected: the chain is strict).
     from .certify import check_mean_chain
-    report = check_mean_chain([(args.x, args.y)], _precision_from(args))
+    report = check_mean_chain([(args.x, args.y)],
+                              Precision(strict_margin=args.strict_margin))
     entry = report.entries[0]
     record = {
         "x": entry.x, "y": entry.y, "geo": entry.geometric,
@@ -218,8 +209,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     criteria = None
     if args.criteria:
         criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    results = verify_all(criteria, corrupt=args.corrupt,
-                         threads=args.threads)
+    results = verify_all(criteria, corrupt=args.corrupt)
     all_pass = all(r.passed for r in results)
     if args.json:
         payload = {
@@ -257,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--json", action="store_true")
     p_eval.add_argument("--use-oracle", action="store_true",
                         help=argparse.SUPPRESS)
-    _add_common(p_eval)
+    _add_out(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_scan = sub.add_parser("scan", help="tabulate the tail probability "
@@ -265,15 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--c", type=float, required=True)
     _add_scan_flags(p_scan)
     p_scan.add_argument("--json", action="store_true")
-    _add_common(p_scan)
+    _add_out(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_cert = sub.add_parser("certify", help="certify the monotonicity "
                                             "direction over a scan")
     p_cert.add_argument("--c", type=float, required=True)
     _add_scan_flags(p_cert)
-    p_cert.add_argument("--threads", type=int, default=None)
-    _add_common(p_cert)
+    _add_strict_margin(p_cert)
+    _add_out(p_cert)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_med = sub.add_parser("median", help="gamma median and its offset "
@@ -281,14 +271,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_med.add_argument("--a", type=float, default=None)
     _add_scan_flags(p_med, n_default=50)
     p_med.add_argument("--json", action="store_true")
-    _add_common(p_med)
+    p_med.add_argument("--rel-tol", type=float,
+                       default=DEFAULT_PRECISION.rel_tol,
+                       help="relative tolerance target")
+    p_med.add_argument("--abs-tol", type=float,
+                       default=DEFAULT_PRECISION.abs_tol,
+                       help="absolute tolerance floor")
+    _add_out(p_med)
     p_med.set_defaults(func=_cmd_median)
 
     p_means = sub.add_parser("means", help="the mean chain at one pair")
     p_means.add_argument("--x", type=float, required=True)
     p_means.add_argument("--y", type=float, required=True)
     p_means.add_argument("--json", action="store_true")
-    _add_common(p_means)
+    _add_strict_margin(p_means)
+    _add_out(p_means)
     p_means.set_defaults(func=_cmd_means)
 
     p_ver = sub.add_parser("verify-all", help="run the acceptance criteria")
@@ -297,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(known: {','.join(CRITERIA)})")
     p_ver.add_argument("--corrupt", action="store_true",
                        help="inject a tolerance corruption (must fail)")
-    p_ver.add_argument("--threads", type=int, default=None)
     p_ver.add_argument("--json", action="store_true")
-    _add_common(p_ver)
+    _add_out(p_ver)
     p_ver.set_defaults(func=_cmd_verify_all)
     return parser
 

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import CertificationError, DomainError
-from .specfun import DEFAULT_PRECISION, Precision, reg_gamma_q
+from .specfun import DEFAULT_PRECISION, ONE_THIRD, Precision, reg_gamma_q
 from .tailprob import TailQuery, tail_prob_detail
 
 _LINEAR_BRACKET_MIN = 0.35
 _LOG_FLOOR = math.log(1e-300)
 _COARSE_WIDTH = 1e-3
-_ONE_THIRD = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class MedianResult:
     residual: float
 
     def __post_init__(self) -> None:
-        if not (-_ONE_THIRD < self.offset < 0.0):
+        if not (-ONE_THIRD < self.offset < 0.0):
             raise CertificationError(
                 f"median offset {self.offset!r} for a={self.a!r} escapes "
                 "(-1/3, 0), contradicting the bracket theorem")
@@ -140,7 +139,7 @@ def gamma_median(a: float, prec: Precision = DEFAULT_PRECISION
         return reg_gamma_q(a, m) - 0.5
 
     if a >= _LINEAR_BRACKET_MIN:
-        lo, hi = a - _ONE_THIRD, a
+        lo, hi = a - ONE_THIRD, a
         f_lo, f_hi = f_linear(lo), f_linear(hi)
         if not (f_lo > 0.0 > f_hi):
             raise CertificationError(
@@ -190,7 +189,7 @@ def check_median_bracket(a_grid: Sequence[float],
     for a in a_grid:
         a = float(a)
         at_mean = tail_prob_detail(TailQuery(a, 0.0))
-        at_third = tail_prob_detail(TailQuery(a, -_ONE_THIRD))
+        at_third = tail_prob_detail(TailQuery(a, -ONE_THIRD))
         below = 0.5 - at_mean.value
         above = at_third.value - 0.5
         entries.append(MedianBracketCheck(

@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import integrate, integrate_many
-from .specfun import _log1pmx_vec
+from .specfun import EPS, _log1pmx_vec
 
-_EPS = 2.220446049250313e-16
 _SPLITTER = 134217729.0            # 2^27 + 1
 # ln 2 to double-double precision (standard pair).
 _LN2_HI = 6.931471805599453e-01
@@ -453,7 +452,7 @@ def central_difference(fn: Callable[[float], float], x: float,
     d1 = (f_p - f_m) / (2.0 * h)
     d2 = (fn(x + 0.5 * h) - fn(x - 0.5 * h)) / h
     value = (4.0 * d2 - d1) / 3.0
-    err = abs(d2 - d1) / 3.0 + 2.0 * _EPS * (abs(f_p) + abs(f_m)) / h
+    err = abs(d2 - d1) / 3.0 + 2.0 * EPS * (abs(f_p) + abs(f_m)) / h
     return value, err
 
 
@@ -499,7 +498,7 @@ def oracle_mean_gaps(x: float, y: float) -> MeanChainGaps:
     a_dd = dd_mul_d(two_sum(x, y), 0.5)
     a2_dd = dd_mul(a_dd, a_dd)
     gap3 = dd_sub(dd_sub(a2_dd, xy_dd), third)
-    err = 64.0 * _EPS * _EPS * a2_dd[0]
+    err = 64.0 * EPS * EPS * a2_dd[0]
     return MeanChainGaps(log_vs_geo=gap1[0], refined_vs_log=gap2[0],
                          arith_vs_refined=gap3[0], err_bound=err)
 

@@ -28,9 +28,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import QuadratureError
+from .specfun import EPS
 
 GAUSS_ORDER = 15
-_EPS = 2.220446049250313e-16
 _MAX_SWEEPS = 120
 
 _nodes, _weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -95,7 +95,7 @@ class _Interval:
 
     def result(self) -> QuadResult:
         value, abs_sum = self.sums()
-        err_bound = math.fsum(self.errs) + 4.0 * _EPS * abs_sum
+        err_bound = math.fsum(self.errs) + 4.0 * EPS * abs_sum
         return QuadResult(value=value, err_bound=err_bound,
                           n_panels=len(self.vals), n_evals=self.n_evals)
 
@@ -212,7 +212,7 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         mass_share = abs_vals / np.where(massive, abs_mass, 1.0)
         share = np.where(massive, np.maximum(share, mass_share), share)
         alloc = tol_of[owner] * share
-        floor = 32.0 * _EPS * (np.abs(l_vals) + np.abs(r_vals))
+        floor = 32.0 * EPS * (np.abs(l_vals) + np.abs(r_vals))
         # A panel too narrow to bisect in floating point cannot be improved.
         exhausted = (r_lows <= lows) | (r_lows >= lows + widths)
         finite = np.isfinite(pair)

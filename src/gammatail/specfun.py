@@ -22,6 +22,7 @@ from ._series import LAMBDA_EXCESS, eval_series
 from .errors import ConvergenceError, DomainError
 
 EPS = 2.220446049250313e-16
+ONE_THIRD = 1.0 / 3.0
 _TWO_PI = 2.0 * math.pi
 _INV_E = 1.0 / math.e
 
@@ -539,7 +540,7 @@ def threshold_ratio(y: float) -> float:
         raise DomainError("threshold_ratio requires y > 1")
     s = y - 1.0
     if s <= _THRESHOLD_SERIES_MAX:
-        return eval_series(LAMBDA_EXCESS, s) - 1.0 / 3.0
+        return eval_series(LAMBDA_EXCESS, s) - ONE_THIRD
     w = math.log1p(s)
     f_top = y * w * w - s * s
     m1 = -_log1pmx(s)          # s - ln y  (= (l - 1) * ln y)

@@ -40,6 +40,7 @@ from .specfun import (
 import numpy as np
 
 _LOG_MAX = 709.0
+_RATIO_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def _substitution_order(exponent_at_zero: float) -> int:
     return max(4, math.ceil(4.0 / (exponent_at_zero + 1.0)))
 
 
-def ratio_parts(u: float, c: float, *, rel_tol: float = 1e-10) -> RatioParts:
+def ratio_parts(u: float, c: float) -> RatioParts:
     """The split integrals of f(x)^u e^(-(1+c)x) and their ratio.
 
     Requires u > -1 (integrability at 0) and u + c > -1 (integrability at
@@ -198,8 +199,8 @@ def ratio_parts(u: float, c: float, *, rel_tol: float = 1e-10) -> RatioParts:
                 + math.log(m_tail) - (1.0 + c))
         return np.exp(expo)
 
-    head = integrate(head_fn, 0.0, 1.0, rel_tol=rel_tol)
-    tail = integrate(tail_fn, 0.0, 1.0, rel_tol=rel_tol)
+    head = integrate(head_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
+    tail = integrate(tail_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
     ratio = head.value / tail.value
     ratio_err = (head.err_bound / tail.value
                  + ratio * tail.err_bound / tail.value)

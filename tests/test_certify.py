@@ -136,14 +136,6 @@ def test_certify_rejects_scan_entering_plateau():
     assert v.direction in ("decreasing", "inconclusive", "non_monotone")
 
 
-def test_certify_is_deterministic_across_thread_counts():
-    spec = ScanSpec(0.21, 500.0, 120)
-    single = certify_monotone(-0.2, spec, threads=1)
-    pooled = certify_monotone(-0.2, spec, threads=4)
-    again = certify_monotone(-0.2, spec, threads=1)
-    assert single == pooled == again
-
-
 def test_certify_reports_inconclusive_under_unreachable_margin():
     # With an absurd margin requirement no sign can be certified, and the
     # verdict must say so instead of guessing a direction.

@@ -163,13 +163,6 @@ def test_certify_plateau_scan_is_usage_error():
     assert code == 2
 
 
-def test_certify_threads_flag_is_byte_deterministic():
-    base = ["certify", "--c", "-0.2", "--a-min", "0.21", "--a-max", "500", "--n", "120"]
-    _, single = run_cli(base + ["--threads", "1"])
-    _, pooled = run_cli(base + ["--threads", "4"])
-    assert single == pooled
-
-
 # ----------------------------------------------------------------------
 # median / means
 # ----------------------------------------------------------------------
@@ -212,6 +205,15 @@ def test_means_golden_and_degenerate_pair():
     )
     code, _ = run_cli(["means", "--x", "1", "--y", "1"])
     assert code == 2
+
+
+def test_precision_flags_reach_the_computation():
+    # An unreachable residual target or margin turns success into failure.
+    assert run_cli(["median", "--a", "2"])[0] == 0
+    assert run_cli(["median", "--a", "2", "--rel-tol", "1e-300"])[0] != 0
+    # The means golden above exits 0 at the default margin of 8.
+    args = ["means", "--x", "1", "--y", "4", "--strict-margin", "1e15"]
+    assert run_cli(args)[0] != 0
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +266,36 @@ def test_out_flag_writes_identical_bytes(tmp_path):
     assert code == 0
     assert silent == ""
     assert target.read_text() == stdout_text
+
+
+_CLI_OPTIONS = {
+    "eval": "--a --c --json --use-oracle --out",
+    "scan": "--c --a-min --a-max --n --scale --json --out",
+    "certify": "--c --a-min --a-max --n --scale --strict-margin --out",
+    "median": "--a --a-min --a-max --n --scale --json --rel-tol --abs-tol --out",
+    "means": "--x --y --json --strict-margin --out",
+    "verify-all": "--criteria --corrupt --json --out",
+}
+
+
+def test_cli_surface_is_pinned():
+    # Each subcommand registers only the options its command reads; adding
+    # a flag must be a deliberate edit of this table.
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    surface = {name: " ".join(o for a in p._actions for o in a.option_strings
+                              if o not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert surface == _CLI_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    "certify --c 0 --threads 4", "verify-all --threads 4",
+    "eval --a 1 --c 0 --rel-tol 1e-3", "median --a 1 --strict-margin 2",
+    "scan --c 0 --abs-tol 1e-3", "means --x 1 --y 4 --rel-tol 1e-3",
+])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    assert run_cli(argv.split()) == (2, "")
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_no_subcommand_and_help_exit_codes():
