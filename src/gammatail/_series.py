@@ -94,8 +94,6 @@ def _build() -> dict[str, tuple[float, ...]]:
         "LAMBDA_EXCESS": tuple(float(c) for c in lam_excess),
         "CHAIN1_NUM": tuple(float(c) for c in chain1_num),
         "CHAIN2_NUM": tuple(float(c) for c in chain2_num),
-        "F_TOP": tuple(float(c) for c in f_top),
-        "G_TOP": tuple(float(c) for c in g_top),
     }
 
 
@@ -107,10 +105,6 @@ LAMBDA_EXCESS: tuple[float, ...] = _TABLES["LAMBDA_EXCESS"]
 CHAIN1_NUM: tuple[float, ...] = _TABLES["CHAIN1_NUM"]
 # Coefficients of 3*f2 + g2 (leading term s^3/12).
 CHAIN2_NUM: tuple[float, ...] = _TABLES["CHAIN2_NUM"]
-# Coefficients of y ln^2 y - (y-1)^2 (leading term -s^4/12).
-F_TOP: tuple[float, ...] = _TABLES["F_TOP"]
-# Coefficients of (y - ln y - 1)(y ln y - y + 1) (leading term s^4/4).
-G_TOP: tuple[float, ...] = _TABLES["G_TOP"]
 
 
 def eval_series(coeffs: tuple[float, ...], s: float) -> float:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .certify import (ScanSpec, certify_monotone, check_asymptotic_slope,
                       check_mean_chain, check_threshold_chain, find_witness)
-from .errors import CertificationError, DomainError, GammaTailError
+from .errors import (CertificationError, ConvergenceError, DomainError,
+                     GammaTailError)
 from .median import check_median_bracket, gamma_median
 from .oracle import oracle_gamma_q_many, oracle_tail_prob
 from .specfun import (DEFAULT_PRECISION, EPS, ONE_THIRD, branch_roots,
@@ -167,7 +168,7 @@ def c06_median_solver(tol_scale: float = 1.0,
     for a in np.geomspace(*_MEDIAN_GRID):
         try:
             r = gamma_median(float(a))
-        except CertificationError:
+        except (CertificationError, ConvergenceError):
             failures += 1
             continue
         worst_residual = max(worst_residual, r.residual)

@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._dd import central_difference, mean_gaps
 from ._series import CHAIN1_NUM, CHAIN2_NUM, LAMBDA_EXCESS, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
-from .oracle import central_difference, oracle_mean_gaps
 from .quadrature import integrate
 from .specfun import (_THRESHOLD_SERIES_MAX, DEFAULT_PRECISION, EPS,
                       ONE_THIRD, Precision, log_mean, refined_mean,
@@ -550,7 +550,7 @@ def _mean_entry(x: float, y: float, prec: Precision) -> MeanChainEntry:
     ari = 0.5 * (x + y)
     spread = (y - x) / x
     if spread <= _MEAN_EXTENDED_MAX:
-        gaps = oracle_mean_gaps(x, y)
+        gaps = mean_gaps(x, y)
         g1, g2, g3 = (gaps.log_vs_geo, gaps.refined_vs_log,
                       gaps.arith_vs_refined)
         err = gaps.err_bound

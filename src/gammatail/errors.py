@@ -2,9 +2,9 @@
 
 Every failure mode is explicit: invalid inputs raise DomainError, a quadrature
 that cannot meet its target reports what it did achieve, a kernel loop that
-runs out of iterations raises ConvergenceError instead of returning a partial
-sum, and certification or witness-search routines that run out of budget say
-so rather than guessing.
+runs out of iterations or a solver that misses its residual target raises
+ConvergenceError instead of returning a partial result, and certification or
+witness-search routines that run out of budget say so rather than guessing.
 """
 from __future__ import annotations
 
@@ -33,7 +33,8 @@ class QuadratureError(GammaTailError, RuntimeError):
 
 
 class ConvergenceError(GammaTailError, RuntimeError):
-    """A kernel's iteration stopped at its cap before it converged."""
+    """An iteration stopped before it met its target: a kernel at its cap,
+    or the median solver short of its residual tolerance."""
 
     def __init__(self, message: str, *, n_iter: int) -> None:
         super().__init__(message)

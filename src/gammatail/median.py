@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, ConvergenceError, DomainError
 from .specfun import DEFAULT_PRECISION, ONE_THIRD, Precision, reg_gamma_q
 from .tailprob import TailQuery, tail_prob_detail
 
@@ -128,8 +128,9 @@ def gamma_median(a: float, prec: Precision = DEFAULT_PRECISION
 
     Located by bracketed root finding of Q(a, m) = 1/2 on [a - 1/3, a]
     (in log space on [1e-300, a] when a < 0.35).  A bracket endpoint with
-    the wrong sign, or a residual that will not meet prec.rel_tol, raises
-    CertificationError.
+    the wrong sign raises CertificationError; a residual that will not meet
+    prec.rel_tol raises ConvergenceError (the solver's evaluation count in
+    n_iter).
     """
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
@@ -146,7 +147,8 @@ def gamma_median(a: float, prec: Precision = DEFAULT_PRECISION
                 f"median bracket [a-1/3, a] sign check failed at a={a!r}: "
                 f"endpoint values {f_lo + 0.5!r}, {f_hi + 0.5!r} "
                 "contradict the bracket theorem")
-        root, f_root, _n = _hybrid_root(f_linear, lo, hi, f_lo, f_hi, prec)
+        root, f_root, n_evals = _hybrid_root(f_linear, lo, hi, f_lo, f_hi,
+                                             prec)
         median = root
     else:
         def f_log(t: float) -> float:
@@ -159,14 +161,16 @@ def gamma_median(a: float, prec: Precision = DEFAULT_PRECISION
                 f"median bracket (0, a] sign check failed at a={a!r}: "
                 f"endpoint values {f_lo + 0.5!r}, {f_hi + 0.5!r} "
                 "contradict positivity or the bracket theorem")
-        t_root, f_root, _n = _hybrid_root(f_log, t_lo, t_hi, f_lo, f_hi, prec)
+        t_root, f_root, n_evals = _hybrid_root(f_log, t_lo, t_hi, f_lo,
+                                               f_hi, prec)
         median = math.exp(t_root)
 
     residual = abs(f_root)
     if residual > prec.rel_tol:
-        raise CertificationError(
+        # An unreachable target contradicts nothing: the bracket held.
+        raise ConvergenceError(
             f"median residual {residual!r} at a={a!r} exceeds the target "
-            f"{prec.rel_tol!r}")
+            f"{prec.rel_tol!r} after {n_evals} evaluations", n_iter=n_evals)
     return MedianResult(a=a, median=median, offset=median - a,
                         residual=residual)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._dd import two_sum
 from .errors import DomainError
 from .quadrature import integrate
 from .specfun import (
@@ -115,12 +116,6 @@ def tail_prob(query: TailQuery) -> float:
     return tail_prob_detail(query).value
 
 
-def _two_sum(p: float, q: float) -> tuple[float, float]:
-    s = p + q
-    t = s - p
-    return s, (p - (s - t)) + (q - t)
-
-
 def tail_delta(a: float, c: float) -> tuple[float, float]:
     """tail_prob(a + 1, c) - tail_prob(a, c) with an error bound.
 
@@ -131,7 +126,7 @@ def tail_delta(a: float, c: float) -> tuple[float, float]:
     """
     lo = tail_prob_detail(TailQuery(a, c))
     hi = tail_prob_detail(TailQuery(a + 1.0, c))
-    diff, resid = _two_sum(hi.value, -lo.value)
+    diff, resid = two_sum(hi.value, -lo.value)
     return diff + resid, hi.err_bound + lo.err_bound + abs(resid) * EPS
 
 

@@ -35,7 +35,8 @@ from gammatail import (
     reg_gamma_q_detail,
     threshold_ratio,
 )
-from gammatail.oracle import central_difference, oracle_gamma_q, oracle_threshold_ratio
+from gammatail._dd import central_difference
+from gammatail.oracle import oracle_gamma_q, oracle_threshold_ratio
 
 ULP = 2.220446049250313e-16
 

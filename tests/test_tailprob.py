@@ -29,7 +29,8 @@ from gammatail import (
     tail_prob,
     tail_prob_detail,
 )
-from gammatail.oracle import central_difference, oracle_tail_prob
+from gammatail._dd import central_difference
+from gammatail.oracle import oracle_tail_prob
 
 ULP = 2.220446049250313e-16
 
