@@ -22,11 +22,11 @@ from .errors import (CertificationError, ConvergenceError, DomainError,
 from .median import (MedianBracketCheck, MedianBracketReport, MedianResult,
                      check_median_bracket, gamma_median)
 from .quadrature import QuadResult, integrate
-from .specfun import (DEFAULT_PRECISION, BranchRoots, EvalDetail, Precision,
-                      branch_root_deriv, branch_roots, lambert_w0,
-                      lambert_wm1, log_gamma, log_mean, peak_map,
-                      refined_mean, reg_gamma_p, reg_gamma_p_detail,
-                      reg_gamma_q, reg_gamma_q_detail, threshold_ratio)
+from .specfun import (BranchRoots, EvalDetail, branch_root_deriv,
+                      branch_roots, lambert_w0, lambert_wm1, log_gamma,
+                      log_mean, peak_map, refined_mean, reg_gamma_p,
+                      reg_gamma_p_detail, reg_gamma_q, reg_gamma_q_detail,
+                      threshold_ratio)
 from .tailprob import (RatioParts, TailQuery, TailValue, direction_form,
                        direction_form_detail, integrand_ratio, power_function,
                        ratio_parts, tail_delta, tail_prob, tail_prob_detail)
@@ -39,11 +39,10 @@ __all__ = [
     "GammaTailError", "DomainError", "QuadratureError", "ConvergenceError",
     "CertificationError", "WitnessSearchError",
     # special functions
-    "Precision", "DEFAULT_PRECISION", "EvalDetail", "BranchRoots",
-    "log_gamma", "reg_gamma_q", "reg_gamma_q_detail", "reg_gamma_p",
-    "reg_gamma_p_detail", "lambert_w0", "lambert_wm1", "peak_map",
-    "branch_roots", "branch_root_deriv", "log_mean", "refined_mean",
-    "threshold_ratio",
+    "EvalDetail", "BranchRoots", "log_gamma", "reg_gamma_q",
+    "reg_gamma_q_detail", "reg_gamma_p", "reg_gamma_p_detail", "lambert_w0",
+    "lambert_wm1", "peak_map", "branch_roots", "branch_root_deriv",
+    "log_mean", "refined_mean", "threshold_ratio",
     # quadrature
     "QuadResult", "integrate",
     # tail probability

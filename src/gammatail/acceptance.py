@@ -26,7 +26,7 @@ from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError)
 from .median import check_median_bracket, gamma_median
 from .oracle import oracle_gamma_q_many, oracle_tail_prob
-from .specfun import (DEFAULT_PRECISION, EPS, ONE_THIRD, branch_roots,
+from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, branch_roots,
                       reg_gamma_q)
 from .tailprob import (TailQuery, direction_form_detail, integrand_ratio,
                        ratio_parts, tail_prob)
@@ -86,13 +86,12 @@ def c01_kernel_accuracy(tol_scale: float = 1.0,
 def _monotone_cases(cid: str, name: str, cases: Sequence[float],
                     expected: str, a_min_of: Callable[[float], float],
                     tol_scale: float) -> CriterionResult:
-    prec = DEFAULT_PRECISION
-    required = prec.strict_margin / tol_scale
+    required = STRICT_MARGIN / tol_scale
     lines = []
     ok = True
     for c in cases:
         scan = ScanSpec(a_min_of(c), 200.0, 400, "log")
-        verdict = certify_monotone(c, scan, prec)
+        verdict = certify_monotone(c, scan)
         good = (verdict.direction == expected
                 and verdict.margin_ratio >= required)
         ok = ok and good
@@ -147,10 +146,9 @@ def c04_witnesses(tol_scale: float = 1.0,
 def c05_median_bracket(tol_scale: float = 1.0,
                        _unused: object = None) -> CriterionResult:
     """Both bracket inequalities strict with margins on the shape grid."""
-    prec = DEFAULT_PRECISION
-    required = prec.strict_margin / tol_scale
+    required = STRICT_MARGIN / tol_scale
     grid = np.geomspace(*_MEDIAN_GRID)
-    report = check_median_bracket(grid, prec)
+    report = check_median_bracket(grid)
     passed = report.certified and report.min_margin_ratio >= required
     return _result(
         "C05", "median bracket inequalities", passed,
@@ -207,8 +205,7 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
                              _unused: object = None) -> CriterionResult:
     """Direction form certified negative for c <= -1/3 on a z-grid, and
     certified positive somewhere for c > -1/3."""
-    prec = DEFAULT_PRECISION
-    required = prec.strict_margin / tol_scale
+    required = STRICT_MARGIN / tol_scale
     zs = np.linspace(0.001, 0.999, 1000)
     roots = [branch_roots(float(z)) for z in zs]
     lines = []
@@ -217,7 +214,7 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
         worst = -math.inf
         certified = True
         for r in roots:
-            m, err = direction_form_detail(r, c, prec)
+            m, err = direction_form_detail(r, c)
             worst = max(worst, m)
             if not (m < 0.0 and -m >= required * err):
                 certified = False
@@ -227,7 +224,7 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
     for c in (-0.33, -0.2, 0.0, 1.0):
         found = False
         for r in roots:
-            m, err = direction_form_detail(r, c, prec)
+            m, err = direction_form_detail(r, c)
             if m > 0.0 and m >= required * err:
                 found = True
                 break
@@ -241,11 +238,10 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
 def c09_threshold_chain(tol_scale: float = 1.0,
                         _unused: object = None) -> CriterionResult:
     """All four reduction stages certified increasing with a common limit."""
-    prec = DEFAULT_PRECISION
-    required = prec.strict_margin / tol_scale
+    required = STRICT_MARGIN / tol_scale
     limit_tol = _LIMIT_TOL * tol_scale
     ys = 1.0 + np.geomspace(1e-8, 1e6 - 1.0, 400)
-    report = check_threshold_chain(ys, prec)
+    report = check_threshold_chain(ys)
     worst_limit = max(abs(v) for v in report.limit_excesses)
     passed = (report.certified
               and min(report.min_margin_ratios) >= required
@@ -260,15 +256,14 @@ def c09_threshold_chain(tol_scale: float = 1.0,
 def c10_mean_chain(tol_scale: float = 1.0,
                    _unused: object = None) -> CriterionResult:
     """Mean chain on 1e4 seeded pairs plus the 0.332 optimality probe."""
-    prec = DEFAULT_PRECISION
-    required = prec.strict_margin / tol_scale
+    required = STRICT_MARGIN / tol_scale
     rng = np.random.default_rng(110)
     n = 10_000
     xs = 10.0 ** (-2.0 + 4.0 * rng.random(n))
     spreads = 10.0 ** (-6.0 + (math.log10(1e6 - 1.0) + 6.0) * rng.random(n))
     pairs = [(float(x), float(x) * (1.0 + float(t)))
              for x, t in zip(xs, spreads)]
-    report = check_mean_chain(pairs, prec, probe_factor=0.332)
+    report = check_mean_chain(pairs, probe_factor=0.332)
     passed = (report.certified
               and report.min_margin_ratio >= required
               and report.probe_violation_found)
@@ -301,7 +296,6 @@ def c12_ratio_sign_relation(tol_scale: float = 1.0,
                             _unused: object = None) -> CriterionResult:
     """Finite-difference slope sign of the integrand ratio is opposite to
     the direction form's sign at seeded (z, c) points."""
-    prec = DEFAULT_PRECISION
     rng = np.random.default_rng(112)
     n = 1000
     checked = 0
@@ -311,15 +305,15 @@ def c12_ratio_sign_relation(tol_scale: float = 1.0,
     for _ in range(n):
         z = 0.01 + 0.98 * float(rng.random())
         c = -2.0 + 4.0 * float(rng.random())
-        m, m_err = direction_form_detail(branch_roots(z), c, prec)
-        if abs(m) <= max(_SIGN_NOISE_FLOOR, prec.strict_margin * m_err):
+        m, m_err = direction_form_detail(branch_roots(z), c)
+        if abs(m) <= max(_SIGN_NOISE_FLOOR, STRICT_MARGIN * m_err):
             skipped_floor += 1
             continue
         resolved = False
         for h_rel in _FD_LADDER:
             h = z * h_rel
-            r_hi = integrand_ratio(branch_roots(z + h), c, prec)
-            r_lo = integrand_ratio(branch_roots(z - h), c, prec)
+            r_hi = integrand_ratio(branch_roots(z + h), c)
+            r_lo = integrand_ratio(branch_roots(z - h), c)
             if not (math.isfinite(r_hi) and math.isfinite(r_lo)):
                 continue
             d = r_hi - r_lo

@@ -2,11 +2,12 @@
 
 Everything here reduces a claimed analytic fact to finitely many certified
 floating-point sign checks.  The margin discipline is uniform: a difference
-counts as a certified sign only when it exceeds ``strict_margin`` times the
-combined evaluation error bound of its two endpoints.  Anything smaller is
-refined (up to a fixed depth) and then reported inconclusive rather than
-rounded up to a verdict, because strict monotonicity cannot be proven
-numerically without a margin.
+counts as a certified sign only when it exceeds the strict margin
+(``STRICT_MARGIN`` = 8, or the ``strict_margin`` keyword of
+``certify_monotone`` and ``check_mean_chain``) times the combined evaluation
+error bound of its two endpoints.  Anything smaller is refined (up to a fixed
+depth) and then reported inconclusive rather than rounded up to a verdict,
+because strict monotonicity cannot be proven numerically without a margin.
 
 Contents:
 
@@ -33,12 +34,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._dd import central_difference, mean_gaps
-from ._series import CHAIN1_NUM, CHAIN2_NUM, LAMBDA_EXCESS, eval_series
+from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
-from .specfun import (_THRESHOLD_SERIES_MAX, DEFAULT_PRECISION, EPS,
-                      ONE_THIRD, Precision, log_mean, refined_mean,
-                      threshold_ratio)
+from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _threshold_forms,
+                      log_mean, refined_mean)
 from .tailprob import TailQuery, tail_prob_detail
 
 _REFINE_DEPTH = 6
@@ -141,9 +141,14 @@ def _eval_point(a: float, c: float) -> tuple[float, float]:
     return d.value, d.err_bound
 
 
-def _classify(d: float, err_sum: float, prec: Precision) -> int:
+def _check_margin(strict_margin: float) -> None:
+    if not strict_margin >= 1.0:
+        raise DomainError("strict_margin must be at least 1")
+
+
+def _classify(d: float, err_sum: float, strict_margin: float) -> int:
     """+1 / -1 for a certified strict sign, 0 for not-certifiable."""
-    margin = prec.strict_margin * err_sum
+    margin = strict_margin * err_sum
     if d > margin:
         return 1
     if d < -margin:
@@ -159,7 +164,7 @@ def _scale_midpoint(lo: float, hi: float, scale: str) -> float:
 
 
 def certify_monotone(c: float, scan: ScanSpec,
-                     prec: Precision = DEFAULT_PRECISION) -> MonotoneVerdict:
+                     strict_margin: float = STRICT_MARGIN) -> MonotoneVerdict:
     """Scan the tail probability over shapes and certify its direction.
 
     A direction is certified only if every consecutive difference carries a
@@ -170,8 +175,9 @@ def certify_monotone(c: float, scan: ScanSpec,
 
     The scan must not start strictly inside the plateau: a_min >= -c is
     required when c < 0 (equality puts the first point on the plateau edge,
-    where the probability is exactly 1).
+    where the probability is exactly 1).  strict_margin must be at least 1.
     """
+    _check_margin(strict_margin)
     c = float(c)
     if not math.isfinite(c):
         raise DomainError("c must be finite")
@@ -198,7 +204,7 @@ def certify_monotone(c: float, scan: ScanSpec,
         p_hi, e_hi = points[a_hi]
         d = p_hi - p_lo
         err_sum = e_lo + e_hi
-        sign = _classify(d, err_sum, prec)
+        sign = _classify(d, err_sum, strict_margin)
         if sign != 0:
             ratio = abs(d) / max(err_sum, 5e-324)
             if sign > 0:
@@ -219,7 +225,7 @@ def certify_monotone(c: float, scan: ScanSpec,
 
     n_extra = len(points) - len(grid)
     if has_pos and has_neg:
-        witness, ratio = _witness_from_points(points, prec)
+        witness, ratio = _witness_from_points(points, strict_margin)
         if witness is None:
             a_lo, a_hi, d, err_sum = unresolved[0] if unresolved else (
                 grid[0], grid[-1], 0.0, 0.0)
@@ -261,7 +267,7 @@ def certify_monotone(c: float, scan: ScanSpec,
 
 
 def _witness_from_points(points: dict[float, tuple[float, float]],
-                         prec: Precision
+                         strict_margin: float
                          ) -> tuple[Optional[Witness], float]:
     """Best dip triple from evaluated points, or None if margins fail."""
     a_sorted = sorted(points)
@@ -276,8 +282,8 @@ def _witness_from_points(points: dict[float, tuple[float, float]],
     right_gap = p[k] - p[j]
     left_err = e[i] + e[j]
     right_err = e[k] + e[j]
-    if not (left_gap > prec.strict_margin * left_err
-            and right_gap > prec.strict_margin * right_err):
+    if not (left_gap > strict_margin * left_err
+            and right_gap > strict_margin * right_err):
         return None, 0.0
     ratio = min(left_gap / max(left_err, 5e-324),
                 right_gap / max(right_err, 5e-324))
@@ -290,7 +296,7 @@ def _witness_from_points(points: dict[float, tuple[float, float]],
 # Witness search
 
 
-def find_witness(c: float, prec: Precision = DEFAULT_PRECISION) -> Witness:
+def find_witness(c: float) -> Witness:
     """A certified dip triple for c strictly inside (-1/3, 0).
 
     a1 is placed at the plateau edge -c where the probability is exactly 1;
@@ -343,7 +349,7 @@ def find_witness(c: float, prec: Precision = DEFAULT_PRECISION) -> Witness:
 
     a1 = -c
     p1, e1 = _eval_point(a1, c)  # plateau edge: exactly 1, zero error
-    if not (p1 - p2 > prec.strict_margin * (e1 + e2)):
+    if not (p1 - p2 > STRICT_MARGIN * (e1 + e2)):
         raise WitnessSearchError(
             f"interior minimum at a={a2!r} is not certifiably below the "
             f"plateau value for c={c!r}", budget=_WITNESS_BUDGET)
@@ -351,7 +357,7 @@ def find_witness(c: float, prec: Precision = DEFAULT_PRECISION) -> Witness:
     a3 = max(2.0 * a2, a2 + 1.0)
     while True:
         p3, e3 = _eval_point(a3, c)
-        if p3 - p2 > prec.strict_margin * (e3 + e2):
+        if p3 - p2 > STRICT_MARGIN * (e3 + e2):
             break
         a3 *= 2.0
         if a3 > _WITNESS_BUDGET:
@@ -389,10 +395,9 @@ class ThresholdChainReport:
 
 def _ratio_excess(y: float, s: float) -> tuple[float, float]:
     """threshold_ratio(y) + 1/3 and its absolute error bound."""
-    if s <= _THRESHOLD_SERIES_MAX:
-        v = eval_series(LAMBDA_EXCESS, s)
+    v, _, series = _threshold_forms(y)
+    if series:
         return v, _CHAIN_SERIES_RERR * abs(v)
-    v = threshold_ratio(y) + ONE_THIRD
     return v, 4.0 * EPS * ONE_THIRD + 4.0 * EPS * abs(v)
 
 
@@ -450,9 +455,7 @@ _CHAIN_STAGES = (
 )
 
 
-def check_threshold_chain(y_grid: Sequence[float],
-                          prec: Precision = DEFAULT_PRECISION
-                          ) -> ThresholdChainReport:
+def check_threshold_chain(y_grid: Sequence[float]) -> ThresholdChainReport:
     """Certify that every reduction stage increases along y_grid.
 
     The grid must lie strictly inside (1, oo) and be strictly increasing.
@@ -480,11 +483,11 @@ def check_threshold_chain(y_grid: Sequence[float],
         for (v0, e0), (v1, e1) in zip(vals_errs, vals_errs[1:]):
             d = v1 - v0
             err_sum = e0 + e1
-            if d < -prec.strict_margin * err_sum:
+            if d < -STRICT_MARGIN * err_sum:
                 raise CertificationError(
                     f"stage {_name!r} certifiably decreases between grid "
                     f"points with values {v0!r} -> {v1!r}")
-            if d > prec.strict_margin * err_sum:
+            if d > STRICT_MARGIN * err_sum:
                 min_ratio = min(min_ratio, d / max(err_sum, 5e-324))
             else:
                 ok = False
@@ -543,7 +546,7 @@ class MeanChainReport:
     probe_gap: float
 
 
-def _mean_entry(x: float, y: float, prec: Precision) -> MeanChainEntry:
+def _mean_entry(x: float, y: float, strict_margin: float) -> MeanChainEntry:
     geo = math.sqrt(x * y)
     lm = log_mean(x, y)
     ref = refined_mean(x, y)
@@ -559,8 +562,8 @@ def _mean_entry(x: float, y: float, prec: Precision) -> MeanChainEntry:
         g1, g2, g3 = lm - geo, ref - lm, ari - ref
         err = 32.0 * EPS * ari
         extended = False
-    ok = (g1 > prec.strict_margin * err and g2 > prec.strict_margin * err
-          and g3 > prec.strict_margin * err)
+    margin = strict_margin * err
+    ok = g1 > margin and g2 > margin and g3 > margin
     return MeanChainEntry(
         x=x, y=y, geometric=geo, logarithmic=lm, refined=ref, arithmetic=ari,
         gap_log_vs_geo=g1, gap_refined_vs_log=g2, gap_arith_vs_refined=g3,
@@ -568,7 +571,7 @@ def _mean_entry(x: float, y: float, prec: Precision) -> MeanChainEntry:
 
 
 def check_mean_chain(pairs: Sequence[tuple[float, float]],
-                     prec: Precision = DEFAULT_PRECISION, *,
+                     strict_margin: float = STRICT_MARGIN, *,
                      probe_factor: float = ONE_THIRD - _PROBE_DELTA
                      ) -> MeanChainReport:
     """Certify the mean chain on each pair and probe the 1/3 factor.
@@ -580,8 +583,9 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     The optimality probe replaces the 1/3 factor inside the refined mean by
     probe_factor (default 1/3 - 1e-3, which must stay below 1/3) and scans
     near-equal pairs for a certified reversal of L < refined mean; finding
-    one shows the factor cannot be lowered.
+    one shows the factor cannot be lowered.  strict_margin must be >= 1.
     """
+    _check_margin(strict_margin)
     if not (0.0 < probe_factor < ONE_THIRD):
         raise DomainError("probe_factor must lie strictly inside (0, 1/3)")
     if len(pairs) == 0:
@@ -592,7 +596,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         x, y = float(x), float(y)
         if not (0.0 < x < y) or not math.isfinite(y):
             raise DomainError("mean chain pairs require 0 < x < y, finite")
-        entry = _mean_entry(x, y, prec)
+        entry = _mean_entry(x, y, strict_margin)
         entries.append(entry)
         for gap in (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
                     entry.gap_arith_vs_refined):
@@ -610,7 +614,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         lm = log_mean(x, y)
         weakened = math.sqrt(x * y + factor * (lm - x) * (y - lm))
         gap = lm - weakened
-        if gap > prec.strict_margin * 32.0 * EPS and gap > probe_gap:
+        if gap > strict_margin * 32.0 * EPS and gap > probe_gap:
             probe_found = True
             probe_spread = float(t)
             probe_gap = gap
@@ -676,8 +680,7 @@ def integrated_defect(c: float, eps: float) -> tuple[float, float]:
 
 def check_asymptotic_slope(c: float,
                            eps_list: Sequence[float] = (0.02, 0.01, 0.005,
-                                                        0.0025),
-                           prec: Precision = DEFAULT_PRECISION
+                                                        0.0025)
                            ) -> AsymptoticSlopeReport:
     """Certify the leading small-eps behaviour of the integrated defect.
 
@@ -704,7 +707,7 @@ def check_asymptotic_slope(c: float,
         errs.append(q)
 
     slope_target = c + ONE_THIRD
-    positive_ok = all(t > prec.strict_margin * q
+    positive_ok = all(t > STRICT_MARGIN * q
                       for t, q in zip(totals, errs))
 
     # Least squares for T ~ slope*eps + curvature*eps^2 (2x2 normal system).
@@ -723,7 +726,7 @@ def check_asymptotic_slope(c: float,
     resid = [t - slope_target * e for t, e in zip(totals, eps)]
     k_fit = sum(r * e * e for r, e in zip(resid, eps)) / s4
     residual_bound_ok = all(
-        abs(r) <= 1.25 * abs(k_fit) * e * e + prec.strict_margin * q
+        abs(r) <= 1.25 * abs(k_fit) * e * e + STRICT_MARGIN * q
         for r, e, q in zip(resid, eps, errs))
 
     # Advisory: a quadratic-plus-cubic model must explain the residuals
@@ -740,7 +743,7 @@ def check_asymptotic_slope(c: float,
     leftover = [abs(r - k2 * e * e - k3 * e ** 3)
                 for r, e in zip(resid, eps)]
     fit_consistent = max(leftover) <= (0.05 * max(abs(r) for r in resid)
-                                       + prec.strict_margin * max(errs))
+                                       + STRICT_MARGIN * max(errs))
 
     certified = positive_ok and slope_ok and residual_bound_ok
     return AsymptoticSlopeReport(

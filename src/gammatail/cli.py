@@ -24,11 +24,12 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .acceptance import CRITERIA, verify_all
-from .certify import MonotoneVerdict, ScanSpec, certify_monotone
+from .certify import (MonotoneVerdict, ScanSpec, certify_monotone,
+                      check_mean_chain)
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError, QuadratureError, WitnessSearchError)
-from .median import gamma_median
-from .specfun import DEFAULT_PRECISION, ONE_THIRD, Precision
+from .median import ABS_TOL, REL_TOL, gamma_median
+from .specfun import ONE_THIRD, STRICT_MARGIN
 from .tailprob import TailQuery, tail_prob_detail
 
 _EXIT_OK = 0
@@ -69,7 +70,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _add_strict_margin(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict-margin", type=float,
-                        default=DEFAULT_PRECISION.strict_margin,
+                        default=STRICT_MARGIN,
                         help="certified-sign margin multiplier")
 
 
@@ -156,8 +157,7 @@ def _certify_exit(verdict: MonotoneVerdict) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     spec = _scan_spec(args, args.c)
-    verdict = certify_monotone(
-        args.c, spec, Precision(strict_margin=args.strict_margin))
+    verdict = certify_monotone(args.c, spec, strict_margin=args.strict_margin)
     _emit(_json_text(_verdict_payload(verdict)), args.out)
     return _certify_exit(verdict)
 
@@ -172,10 +172,9 @@ def _cmd_median(args: argparse.Namespace) -> int:
         spec = ScanSpec(a_min=args.a_min, a_max=args.a_max, n=args.n,
                         scale=args.scale)
         shapes = list(spec.grid())
-    prec = Precision(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     rows = []
     for a in shapes:
-        r = gamma_median(a, prec)
+        r = gamma_median(a, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
         rows.append((r.a, r.median, r.offset, r.residual))
     if args.json:
         payload = [{"a": a, "median": m, "offset": o, "residual": res}
@@ -189,9 +188,8 @@ def _cmd_median(args: argparse.Namespace) -> int:
 def _cmd_means(args: argparse.Namespace) -> int:
     # check_mean_chain validates 0 < x < y and raises DomainError otherwise
     # (equal arguments are rejected: the chain is strict).
-    from .certify import check_mean_chain
-    prec = Precision(strict_margin=args.strict_margin)
-    report = check_mean_chain([(args.x, args.y)], prec)
+    report = check_mean_chain([(args.x, args.y)],
+                              strict_margin=args.strict_margin)
     entry = report.entries[0]
     record = {
         "x": entry.x, "y": entry.y, "geo": entry.geometric,
@@ -208,7 +206,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
     # inside the margin is merely undecided at this precision.
     gaps = (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
             entry.gap_arith_vs_refined)
-    if min(gaps) < -prec.strict_margin * entry.err_bound:
+    if min(gaps) < -args.strict_margin * entry.err_bound:
         return _EXIT_VIOLATION
     return _EXIT_INCONCLUSIVE
 
@@ -278,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_flags(p_med, n_default=50)
     p_med.add_argument("--json", action="store_true")
     p_med.add_argument("--rel-tol", type=float,
-                       default=DEFAULT_PRECISION.rel_tol,
+                       default=REL_TOL,
                        help="relative tolerance target")
     p_med.add_argument("--abs-tol", type=float,
-                       default=DEFAULT_PRECISION.abs_tol,
+                       default=ABS_TOL,
                        help="absolute tolerance floor")
     _add_out(p_med)
     p_med.set_defaults(func=_cmd_median)

@@ -11,6 +11,9 @@ the median itself collapses towards zero much faster than a (for a = 0.01
 it is ~4e-31), so the root is located in log space on [1e-300, a]; the
 positive lower floor is implementation policy justified by positivity of
 the median, not by the bracket statement itself.
+
+gamma_median takes its residual target and bracket-width floor as keywords;
+its 200-evaluation budget and the bracket check's margin are constants.
 """
 from __future__ import annotations
 
@@ -19,12 +22,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import CertificationError, ConvergenceError, DomainError
-from .specfun import DEFAULT_PRECISION, ONE_THIRD, Precision, reg_gamma_q
+from .specfun import ONE_THIRD, STRICT_MARGIN, reg_gamma_q
 from .tailprob import TailQuery, tail_prob_detail
 
 _LINEAR_BRACKET_MIN = 0.35
 _LOG_FLOOR = math.log(1e-300)
 _COARSE_WIDTH = 1e-3
+REL_TOL = 1e-12     # gamma_median's default residual target,
+ABS_TOL = 1e-14     # its default bracket-width floor,
+_MAX_EVALS = 200    # and its solver's budget of Q evaluations
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class MedianBracketReport:
 
 
 def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
-                 f_lo: float, f_hi: float, prec: Precision
+                 f_lo: float, f_hi: float, abs_tol: float
                  ) -> tuple[float, float, int]:
     """Root of fn on a sign-changing bracket: bisection to a coarse width,
     then secant/inverse-quadratic refinement kept inside the bracket.
@@ -76,7 +82,7 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
     f_lo > 0 > f_hi.
     """
     n = 0
-    while hi - lo > _COARSE_WIDTH and n < prec.max_iter:
+    while hi - lo > _COARSE_WIDTH and n < _MAX_EVALS:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -95,7 +101,7 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
     x1, f1 = hi, f_hi
     x2, f2 = None, None
     best_x, best_f = (x0, f0) if abs(f0) <= abs(f1) else (x1, f1)
-    while n < prec.max_iter:
+    while n < _MAX_EVALS:
         x_new = None
         if x2 is not None and f0 != f1 and f1 != f2 and f0 != f2:
             # Inverse quadratic interpolation through the three iterates.
@@ -117,24 +123,27 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
         else:
             hi = x_new
         x0, f0, x1, f1, x2, f2 = x1, f1, x_new, f_new, x0, f0
-        if hi - lo <= 8.0 * prec.abs_tol + 4.0 * (abs(lo) + abs(hi)) * 1.1e-16:
+        if hi - lo <= 8.0 * abs_tol + 4.0 * (abs(lo) + abs(hi)) * 1.1e-16:
             break
     return best_x, best_f, n
 
 
-def gamma_median(a: float, prec: Precision = DEFAULT_PRECISION
-                 ) -> MedianResult:
-    """The median of a gamma variable with shape a, to residual prec.rel_tol.
+def gamma_median(a: float, rel_tol: float = REL_TOL,
+                 abs_tol: float = ABS_TOL) -> MedianResult:
+    """The median of a gamma variable with shape a, to residual rel_tol.
 
     Located by bracketed root finding of Q(a, m) = 1/2 on [a - 1/3, a]
-    (in log space on [1e-300, a] when a < 0.35).  A bracket endpoint with
-    the wrong sign raises CertificationError; a residual that will not meet
-    prec.rel_tol raises ConvergenceError (the solver's evaluation count in
-    n_iter).
+    (in log space on [1e-300, a] when a < 0.35); the refinement stops once
+    the bracket is narrower than about 8 * abs_tol plus a few ulps.  Both
+    tolerances must lie in (0, 1).  A bracket endpoint with the wrong sign
+    raises CertificationError; a residual that will not meet rel_tol raises
+    ConvergenceError (the solver's evaluation count in n_iter).
     """
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
         raise DomainError("gamma_median requires finite a > 0")
+    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
+        raise DomainError("tolerances must lie in (0, 1)")
 
     def f_linear(m: float) -> float:
         return reg_gamma_q(a, m) - 0.5
@@ -148,7 +157,7 @@ def gamma_median(a: float, prec: Precision = DEFAULT_PRECISION
                 f"endpoint values {f_lo + 0.5!r}, {f_hi + 0.5!r} "
                 "contradict the bracket theorem")
         root, f_root, n_evals = _hybrid_root(f_linear, lo, hi, f_lo, f_hi,
-                                             prec)
+                                             abs_tol)
         median = root
     else:
         def f_log(t: float) -> float:
@@ -162,26 +171,24 @@ def gamma_median(a: float, prec: Precision = DEFAULT_PRECISION
                 f"endpoint values {f_lo + 0.5!r}, {f_hi + 0.5!r} "
                 "contradict positivity or the bracket theorem")
         t_root, f_root, n_evals = _hybrid_root(f_log, t_lo, t_hi, f_lo,
-                                               f_hi, prec)
+                                               f_hi, abs_tol)
         median = math.exp(t_root)
 
     residual = abs(f_root)
-    if residual > prec.rel_tol:
+    if residual > rel_tol:
         # An unreachable target contradicts nothing: the bracket held.
         raise ConvergenceError(
             f"median residual {residual!r} at a={a!r} exceeds the target "
-            f"{prec.rel_tol!r} after {n_evals} evaluations", n_iter=n_evals)
+            f"{rel_tol!r} after {n_evals} evaluations", n_iter=n_evals)
     return MedianResult(a=a, median=median, offset=median - a,
                         residual=residual)
 
 
-def check_median_bracket(a_grid: Sequence[float],
-                         prec: Precision = DEFAULT_PRECISION
-                         ) -> MedianBracketReport:
+def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     """Certify Q(a, a) < 1/2 < Q(a, a - 1/3) with margins over a grid.
 
     Each strict inequality is certified only when its margin exceeds
-    prec.strict_margin times the evaluation error bound; the report's
+    STRICT_MARGIN (8) times the evaluation error bound; the report's
     min_margin_ratio is the smallest margin/error ratio encountered.
     An empty grid is rejected rather than certified vacuously.
     """
@@ -203,7 +210,7 @@ def check_median_bracket(a_grid: Sequence[float],
                             (above, at_third.err_bound)):
             ratio = margin / max(err, 1e-300)
             min_ratio = min(min_ratio, ratio)
-            if not (margin > 0.0 and ratio > prec.strict_margin):
+            if not (margin > 0.0 and ratio > STRICT_MARGIN):
                 certified = False
     return MedianBracketReport(entries=tuple(entries), certified=certified,
                                min_margin_ratio=min_ratio)

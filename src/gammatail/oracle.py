@@ -12,7 +12,6 @@ the integrand's exponent.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -62,7 +61,6 @@ def _validate_gamma_args(a: float, x: float) -> tuple[float, float]:
 _A_BIG = 16.0
 
 
-@functools.lru_cache(maxsize=512)
 def _norm_big(a: float) -> tuple[float, float, float, float]:
     """Normalization integral for a >= _A_BIG, referenced at the peak
     t0 = a - 1.
@@ -116,12 +114,6 @@ def _head_and_tail(a: float) -> tuple[float, float]:
     h = integrate(head_fn, 0.0, 1.0, rel_tol=_HALF_TOL).value / scale
     tl = integrate(_tail_integrand(a), 1.0, 901.0, rel_tol=_HALF_TOL).value
     return h, tl
-
-
-# One cache per head substitution: _norm_mid for 1 <= a < _A_BIG and
-# _norm_small for a < 1 (perfbench/spans.py reads both caches by name).
-_norm_mid = functools.lru_cache(maxsize=512)(_head_and_tail)
-_norm_small = functools.lru_cache(maxsize=512)(_head_and_tail)
 
 
 def _by_group(fns: Sequence[Callable[[np.ndarray], np.ndarray]],
@@ -183,9 +175,9 @@ def oracle_gamma_q_many(a: float, xs: Sequence[float]) -> list[float]:
         return out
 
     # Below _A_BIG, x >= 1 integrates the direct integrand from x, and
-    # x < 1 the substituted head from x's image up to 1 plus the cached
-    # tail from 1.
-    head, tail = (_norm_mid if a >= 1.0 else _norm_small)(a)
+    # x < 1 the substituted head from x's image up to 1 plus the tail
+    # from 1.
+    head, tail = _head_and_tail(a)
     head_fn, image, scale = _head(a)
     in_head = [x < 1.0 for x in xt]
     los = [image(x) if h else x for h, x in zip(in_head, xt)]
@@ -230,7 +222,7 @@ def oracle_log_gamma(a: float) -> float:
     if not math.isfinite(a) or a <= 0.0:
         raise DomainError("oracle_log_gamma requires a > 0")
     if a < _A_BIG:
-        head, tail = (_norm_mid if a >= 1.0 else _norm_small)(a)
+        head, tail = _head_and_tail(a)
         return math.log(head + tail)
     d_int, t0, _t_lo, _t_up = _norm_big(a)
     h_dd = dd_sub(dd_mul(two_sum(a, -1.0), dd_log(t0)), (t0, 0.0))

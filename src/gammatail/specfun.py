@@ -7,9 +7,11 @@ branches with a branch-point expansion; the unit-peak map x*exp(1-x) and its
 two inverse branches with analytic derivatives; the logarithmic mean; the
 threshold ratio with an exact near-diagonal Taylor branch; and the refined
 geometric mean.  All operations validate their domains, are pure, and are
-deterministic.  Error bounds returned by the *_detail variants follow a
-rounding model calibrated against the independent quadrature oracle:
-(2*|log prefactor| + 2*iterations + 32) units of eps, relative.
+deterministic; tolerances are module constants, and every iterative loop
+raises ConvergenceError at its cap.  Error bounds returned by the *_detail
+variants follow a rounding model calibrated against the independent
+quadrature oracle: (2*|log prefactor| + 2*iterations + 32) units of eps,
+relative.
 """
 from __future__ import annotations
 
@@ -57,26 +59,16 @@ Z_GAP = 1e-12
 # formula has lost more than ~24 eps / s^2 relative accuracy.
 _THRESHOLD_SERIES_MAX = 0.25
 
+# Lambert W solvers stop once a step is below rel * |w| + abs and raise
+# ConvergenceError at the cap.  The abs floor also bounds the slack clamped
+# below -1/e and the double-root guard of the branch-root derivatives.
+_ROOT_REL_TOL = 1e-12
+_ROOT_ABS_TOL = 1e-14
+_ROOT_MAX_ITER = 200
 
-@dataclass(frozen=True)
-class Precision:
-    """Solver and certification tolerances shared across the package."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_iter: int = 200
-    strict_margin: float = 8.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < 1.0):
-            raise DomainError("tolerances must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be positive")
-        if self.strict_margin < 1.0:
-            raise DomainError("strict_margin must be at least 1")
-
-
-DEFAULT_PRECISION = Precision()
+# Certified-sign policy: a difference counts as a certified sign only when it
+# exceeds this multiple of the combined error bound of its two sides.
+STRICT_MARGIN = 8.0
 
 
 @dataclass(frozen=True)
@@ -243,10 +235,9 @@ def _log_gamma_norm(a: float, x: float) -> float:
     return a * math.log(x) - x - math.lgamma(a)
 
 
-def _not_converged(kernel: str, a: float, x: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"{kernel} for Q(a={a!r}, x={x!r}) did not converge in "
-        f"{_KERNEL_MAX_ITER} iterations", n_iter=_KERNEL_MAX_ITER)
+def _not_converged(loop: str, cap: int) -> ConvergenceError:
+    return ConvergenceError(f"{loop} did not converge in {cap} iterations",
+                            n_iter=cap)
 
 
 def _lower_series(a: float, x: float) -> tuple[float, float, int]:
@@ -262,7 +253,8 @@ def _lower_series(a: float, x: float) -> tuple[float, float, int]:
         if term <= 0.25 * EPS * total:
             break
     else:
-        raise _not_converged("ascending series", a, x)
+        raise _not_converged(f"ascending series for Q(a={a!r}, x={x!r})",
+                             _KERNEL_MAX_ITER)
     value = math.exp(ln_pref) * total
     rel = EPS * (2.0 * abs(ln_pref) + 2.0 * n + 32.0)
     return value, rel, n
@@ -294,7 +286,8 @@ def _upper_cf(a: float, x: float) -> tuple[float, float, int]:
         if abs(delta - 1.0) <= EPS:
             break
     else:
-        raise _not_converged("continued fraction", a, x)
+        raise _not_converged(f"continued fraction for Q(a={a!r}, x={x!r})",
+                             _KERNEL_MAX_ITER)
     value = math.exp(ln_pref) * h
     rel = EPS * (2.0 * abs(ln_pref) + 2.0 * n + 32.0)
     return value, rel, n
@@ -328,7 +321,8 @@ def _upper_small_shape(a: float, x: float) -> tuple[float, float, int]:
         if abs(term) <= 0.25 * EPS * max(abs(h), 1e-300):
             break
     else:
-        raise _not_converged("small-shape series", a, x)
+        raise _not_converged(f"small-shape series for Q(a={a!r}, x={x!r})",
+                             _KERNEL_MAX_ITER)
     eg = math.exp(g)
     value = -math.expm1(g) + eg * h
     abs_err = EPS * (2.0 * abs(alnx) + 6.0 * abs(lg) + 2.0 * abs(g)
@@ -386,9 +380,9 @@ def reg_gamma_p(a: float, x: float) -> float:
     return reg_gamma_p_detail(a, x).value
 
 
-def _halley_iterate(v: float, w: float, prec: Precision) -> float:
+def _halley_iterate(v: float, w: float) -> float:
     """Halley refinement for w*exp(w) = v from a seed on the right branch."""
-    for _ in range(prec.max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - v
         if f == 0.0:
@@ -397,8 +391,11 @@ def _halley_iterate(v: float, w: float, prec: Precision) -> float:
         denom = ew * wp1 - f * (w + 2.0) / (2.0 * wp1)
         step = f / denom
         w -= step
-        if abs(step) <= prec.rel_tol * abs(w) + prec.abs_tol:
+        if abs(step) <= _ROOT_REL_TOL * abs(w) + _ROOT_ABS_TOL:
             break
+    else:
+        raise _not_converged(f"Halley iteration for W(v={v!r})",
+                             _ROOT_MAX_ITER)
     return w
 
 
@@ -409,12 +406,12 @@ def _branch_series(p: float) -> float:
     return acc
 
 
-def lambert_w0(v: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def lambert_w0(v: float) -> float:
     """Principal branch W0(v) for v >= -1/e (small slack below is clamped)."""
     v = _require_finite("v", v)
     lower = -_INV_E
     if v < lower:
-        if v < lower - prec.abs_tol:
+        if v < lower - _ROOT_ABS_TOL:
             raise DomainError("lambert_w0 requires v >= -1/e")
         v = lower
     if v == 0.0:
@@ -431,24 +428,25 @@ def lambert_w0(v: float, prec: Precision = DEFAULT_PRECISION) -> float:
         # Solve w + ln w = ln v by Newton; exp(w) would overflow for huge v.
         t = math.log(v)
         w = t - math.log(t)
-        for _ in range(prec.max_iter):
+        for _ in range(_ROOT_MAX_ITER):
             f = w + math.log(w) - t
             step = f / (1.0 + 1.0 / w)
             w -= step
-            if abs(step) <= prec.rel_tol * abs(w) + prec.abs_tol:
-                break
-        return w
-    return _halley_iterate(v, w, prec)
+            if abs(step) <= _ROOT_REL_TOL * abs(w) + _ROOT_ABS_TOL:
+                return w
+        raise _not_converged(f"Newton iteration for W0(v={v!r})",
+                             _ROOT_MAX_ITER)
+    return _halley_iterate(v, w)
 
 
-def lambert_wm1(v: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def lambert_wm1(v: float) -> float:
     """Secondary real branch W-1(v) for v in [-1/e, 0)."""
     v = _require_finite("v", v)
     lower = -_INV_E
     if v >= 0.0:
         raise DomainError("lambert_wm1 requires v < 0")
     if v < lower:
-        if v < lower - prec.abs_tol:
+        if v < lower - _ROOT_ABS_TOL:
             raise DomainError("lambert_wm1 requires v >= -1/e")
         v = lower
     if abs(v - lower) < _BRANCH_WINDOW:
@@ -456,18 +454,18 @@ def lambert_wm1(v: float, prec: Precision = DEFAULT_PRECISION) -> float:
         return _branch_series(-p)
     if v <= -0.25:
         w = _branch_series(-math.sqrt(2.0 * (math.e * v + 1.0)))
-        return _halley_iterate(v, w, prec)
+        return _halley_iterate(v, w)
     # Near 0-: solve ln t - t = ln(-v) for t = -w by Newton, which stays
     # well-conditioned even when exp(w) underflows.
     t_target = math.log(-v)
     t = -t_target + math.log(max(-t_target, 2.0))
-    for _ in range(prec.max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         f = math.log(t) - t - t_target
         step = f / (1.0 / t - 1.0)
         t -= step
-        if abs(step) <= prec.rel_tol * abs(t) + prec.abs_tol:
-            break
-    return -t
+        if abs(step) <= _ROOT_REL_TOL * abs(t) + _ROOT_ABS_TOL:
+            return -t
+    raise _not_converged(f"Newton iteration for W-1(v={v!r})", _ROOT_MAX_ITER)
 
 
 def peak_map(x: float) -> float:
@@ -479,7 +477,7 @@ def peak_map(x: float) -> float:
     return x * math.exp(1.0 - x)
 
 
-def branch_roots(z: float, prec: Precision = DEFAULT_PRECISION) -> BranchRoots:
+def branch_roots(z: float) -> BranchRoots:
     """Both preimages of z under the unit-peak map, for z in [1e-300, 1-1e-12].
 
     Near z = 1 the two roots collide; the Lambert kernels switch to the
@@ -489,13 +487,12 @@ def branch_roots(z: float, prec: Precision = DEFAULT_PRECISION) -> BranchRoots:
     if not (Z_MIN <= z <= 1.0 - Z_GAP):
         raise DomainError("branch_roots requires z in [1e-300, 1 - 1e-12]")
     v = -z * _INV_E
-    x1 = -lambert_w0(v, prec)
-    x2 = -lambert_wm1(v, prec)
+    x1 = -lambert_w0(v)
+    x2 = -lambert_wm1(v)
     return BranchRoots(z=z, x1=x1, x2=x2)
 
 
-def branch_root_deriv(roots: BranchRoots, which: int,
-                      prec: Precision = DEFAULT_PRECISION) -> float:
+def branch_root_deriv(roots: BranchRoots, which: int) -> float:
     """d x_j / d z = x_j / ((1 - x_j) z); positive for j=1, negative for j=2."""
     if which == 1:
         x = roots.x1
@@ -504,7 +501,7 @@ def branch_root_deriv(roots: BranchRoots, which: int,
     else:
         raise DomainError("which must be 1 or 2")
     om = 1.0 - x
-    if abs(om) < prec.abs_tol:
+    if abs(om) < _ROOT_ABS_TOL:
         raise DomainError("branch_root_deriv is degenerate at the double root")
     return x / (om * roots.z)
 
@@ -538,14 +535,22 @@ def threshold_ratio(y: float) -> float:
     y = _require_finite("y", y)
     if y <= 1.0:
         raise DomainError("threshold_ratio requires y > 1")
+    return _threshold_forms(y)[1]
+
+
+def _threshold_forms(y: float) -> tuple[float, float, bool]:
+    """(lambda(y) + 1/3, lambda(y), whether the Taylor branch made them)
+    for y > 1; each branch derives its other form with one rounding."""
     s = y - 1.0
     if s <= _THRESHOLD_SERIES_MAX:
-        return eval_series(LAMBDA_EXCESS, s) - ONE_THIRD
+        excess = eval_series(LAMBDA_EXCESS, s)
+        return excess, excess - ONE_THIRD, True
     w = math.log1p(s)
     f_top = y * w * w - s * s
     m1 = -_log1pmx(s)          # s - ln y  (= (l - 1) * ln y)
     m2 = s * w + _log1pmx(s)   # y ln y - y + 1  (= (y - l) * ln y)
-    return f_top / (m1 * m2)
+    ratio = f_top / (m1 * m2)
+    return ratio + ONE_THIRD, ratio, False
 
 
 def refined_mean(x: float, y: float) -> float:

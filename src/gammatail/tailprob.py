@@ -29,9 +29,8 @@ from .errors import DomainError
 from .quadrature import integrate
 from .specfun import (
     BranchRoots,
-    DEFAULT_PRECISION,
     EPS,
-    Precision,
+    _ROOT_ABS_TOL,
     _log1pmx_vec,
     _log_gamma_norm,
     branch_root_deriv,
@@ -213,9 +212,7 @@ def direction_form(roots: BranchRoots, c: float) -> float:
     return 1.0 - roots.x1 * roots.x2 + c * (1.0 - roots.x1) * (roots.x2 - 1.0)
 
 
-def direction_form_detail(roots: BranchRoots, c: float,
-                          prec: Precision = DEFAULT_PRECISION
-                          ) -> tuple[float, float]:
+def direction_form_detail(roots: BranchRoots, c: float) -> tuple[float, float]:
     """direction_form with an error bound propagated from the root errors.
 
     Each root solves w e^w = v to a residual of a few eps, which maps to a
@@ -224,8 +221,8 @@ def direction_form_detail(roots: BranchRoots, c: float,
     """
     x1, x2 = roots.x1, roots.x2
     value = direction_form(roots, c)
-    gap1 = max(1.0 - x1, prec.abs_tol)
-    gap2 = max(x2 - 1.0, prec.abs_tol)
+    gap1 = max(1.0 - x1, _ROOT_ABS_TOL)
+    gap2 = max(x2 - 1.0, _ROOT_ABS_TOL)
     err_x1 = 4.0 * EPS * x1 / gap1
     err_x2 = 4.0 * EPS * x2 / gap2
     d_dx1 = abs(-x2 - c * gap2)
@@ -235,8 +232,7 @@ def direction_form_detail(roots: BranchRoots, c: float,
     return value, err
 
 
-def integrand_ratio(roots: BranchRoots, c: float,
-                    prec: Precision = DEFAULT_PRECISION) -> float:
+def integrand_ratio(roots: BranchRoots, c: float) -> float:
     """r(z) = [x1' e^(-(1+c)x1)] / [-x2' e^(-(1+c)x2)] > 0.
 
     Evaluated in log space; values beyond the double range saturate to inf
@@ -245,8 +241,8 @@ def integrand_ratio(roots: BranchRoots, c: float,
     c = float(c)
     if not math.isfinite(c):
         raise DomainError("integrand_ratio requires finite c")
-    d1 = branch_root_deriv(roots, 1, prec)
-    d2 = branch_root_deriv(roots, 2, prec)
+    d1 = branch_root_deriv(roots, 1)
+    d2 = branch_root_deriv(roots, 2)
     ln_r = (math.log(d1) - math.log(-d2)
             + (1.0 + c) * (roots.x2 - roots.x1))
     if ln_r > _LOG_MAX:

@@ -20,7 +20,6 @@ from gammatail import (
     CertificationError,
     DomainError,
     MonotoneVerdict,
-    Precision,
     ScanSpec,
     Witness,
     WitnessSearchError,
@@ -139,9 +138,7 @@ def test_certify_rejects_scan_entering_plateau():
 def test_certify_reports_inconclusive_under_unreachable_margin():
     # With an absurd margin requirement no sign can be certified, and the
     # verdict must say so instead of guessing a direction.
-    v = certify_monotone(
-        0.0, ScanSpec(1.0, 2.0, 12), prec=Precision(strict_margin=1e15)
-    )
+    v = certify_monotone(0.0, ScanSpec(1.0, 2.0, 12), strict_margin=1e15)
     assert v.direction == "inconclusive"
     assert v.witness is None
     assert v.interval is not None

@@ -10,20 +10,24 @@ Pinned values fall into three classes:
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gammatail
 from gammatail import (
-    DEFAULT_PRECISION,
     ConvergenceError,
     DomainError,
     GammaTailError,
-    Precision,
+    ScanSpec,
     branch_root_deriv,
     branch_roots,
+    certify_monotone,
+    check_mean_chain,
+    gamma_median,
     lambert_w0,
     lambert_wm1,
     log_gamma,
@@ -242,6 +246,19 @@ def test_lambert_rejects_out_of_branch_arguments():
         lambert_wm1(0.5)  # -1 branch needs v in [-1/e, 0)
 
 
+@pytest.mark.parametrize("fn, v", [
+    (lambert_w0, 1.0),     # Halley from the log1p seed
+    (lambert_w0, 1e6),     # Newton on w + ln w = ln v
+    (lambert_wm1, -0.3),   # Halley from the branch-point seed
+    (lambert_wm1, -0.1),   # Newton on ln t - t = ln(-v)
+])
+def test_lambert_loops_raise_at_their_cap(monkeypatch, fn, v):
+    monkeypatch.setattr("gammatail.specfun._ROOT_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError) as info:
+        fn(v)
+    assert info.value.n_iter == 1
+
+
 # ----------------------------------------------------------------------
 # peak map and its branch inverses
 # ----------------------------------------------------------------------
@@ -394,20 +411,46 @@ def test_threshold_ratio_domain():
 
 
 # ----------------------------------------------------------------------
-# precision container
+# tolerance keywords
 # ----------------------------------------------------------------------
 
 
 def test_precision_validation():
-    p = Precision(rel_tol=1e-10, abs_tol=1e-12, max_iter=50, strict_margin=4.0)
-    assert p.rel_tol == 1e-10
-    assert DEFAULT_PRECISION.strict_margin == 8.0
-    for kwargs in (
-        {"rel_tol": 0.0},
-        {"rel_tol": -1e-3},
-        {"abs_tol": -1.0},
-        {"max_iter": 0},
-        {"strict_margin": 0.5},
-    ):
+    # Each tolerance is checked where it enters: the solver tolerances by
+    # gamma_median, the margin by the two checks that take it.
+    assert gamma_median(1.0, rel_tol=1e-10, abs_tol=1e-12).residual <= 1e-10
+    for kwargs in ({"rel_tol": 0.0}, {"rel_tol": -1e-3}, {"abs_tol": -1.0}):
         with pytest.raises(DomainError):
-            Precision(**kwargs)
+            gamma_median(1.0, **kwargs)
+    for margin in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            certify_monotone(0.0, ScanSpec(1.0, 2.0, 12), strict_margin=margin)
+        with pytest.raises(DomainError):
+            check_mean_chain([(1.0, 4.0)], strict_margin=margin)
+
+
+def test_public_signatures_take_only_the_tolerances_they_read():
+    takers = {"prec": set(), "strict_margin": set(), "rel_tol": set(),
+              "abs_tol": set()}
+    defaults = {}
+    for name in gammatail.__all__:
+        obj = getattr(gammatail, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:
+            continue
+        for key, names in takers.items():
+            if key in params:
+                names.add(name)
+                defaults[name, key] = params[key].default
+    assert takers["prec"] == set()
+    assert takers["strict_margin"] == {"certify_monotone", "check_mean_chain"}
+    # integrate's targets are the quadrature engine's own, set per call.
+    assert takers["rel_tol"] == takers["abs_tol"] == {"gamma_median",
+                                                      "integrate"}
+    assert defaults["certify_monotone", "strict_margin"] == 8.0
+    assert defaults["check_mean_chain", "strict_margin"] == 8.0
+    assert defaults["gamma_median", "rel_tol"] == 1e-12
+    assert defaults["gamma_median", "abs_tol"] == 1e-14
