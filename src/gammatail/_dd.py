@@ -5,12 +5,20 @@ for the few scalars whose conditioning exceeds double precision: the
 mean-chain gaps certify uses, tailprob's compensated difference, and the
 oracle's quadrature prefactors.  central_difference, the derivative check
 that certify and the tests share, lives here too.
+
+The error-free transforms and dd_add/dd_sub/dd_mul/dd_div use only IEEE
++, -, * and /, so they work unchanged on numpy arrays, lane by lane, with
+the same rounding as on floats.  mean_gaps and dd_log1p_small use that to
+evaluate many pairs in one lockstep pass, each lane bit-identical to the
+pair computed alone; dd_exp and dd_log stay scalar.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError
 from .specfun import EPS
@@ -114,20 +122,43 @@ def dd_log(x: float) -> tuple[float, float]:
 
 
 def dd_log1p_small(u: tuple[float, float]) -> tuple[float, float]:
-    """ln(1 + u) for |u| <= 0.5 by the Taylor series in double-double."""
-    if abs(u[0]) > 0.5:
+    """ln(1 + u) for |u| <= 0.5 by the Taylor series in double-double.
+
+    u may be a pair of floats or of equal-shape arrays.  Array lanes run in
+    lockstep, and each lane stops at its own last term: a converged lane is
+    frozen and leaves the working set, so its sum is bit-identical to the
+    same lane computed alone.
+    """
+    u_hi = np.asarray(u[0], dtype=float)
+    u_lo = np.asarray(u[1], dtype=float)
+    if np.any(np.abs(u_hi) > 0.5):
         raise DomainError("dd_log1p_small requires |u| <= 0.5")
-    acc = u
-    term = u
+    shape = u_hi.shape
+    u_hi, u_lo = np.broadcast_arrays(u_hi.ravel(), u_lo.ravel())
+    out_hi, out_lo = u_hi.copy(), u_lo.copy()
+    lane = np.arange(u_hi.size)             # working set: unconverged lanes
+    uu = (u_hi, u_lo)
+    acc = term = uu
     sign = 1.0
     for n in range(2, 120):
-        term = dd_mul(term, u)
+        if not lane.size:
+            break
+        term = dd_mul(term, uu)
         sign = -sign
         contrib = dd_mul_d(term, sign / n)
         acc = dd_add(acc, contrib)
-        if abs(contrib[0]) < 1e-36 * max(abs(acc[0]), 1e-300):
-            break
-    return acc
+        done = np.abs(contrib[0]) < 1e-36 * np.maximum(np.abs(acc[0]), 1e-300)
+        if np.any(done):
+            out_hi[lane[done]] = acc[0][done]
+            out_lo[lane[done]] = acc[1][done]
+            live = ~done
+            lane = lane[live]
+            uu, term, acc = ((p[0][live], p[1][live]) for p in (uu, term, acc))
+    else:
+        out_hi[lane], out_lo[lane] = acc
+    if not shape:
+        return float(out_hi[0]), float(out_lo[0])
+    return out_hi.reshape(shape), out_lo.reshape(shape)
 
 
 def central_difference(fn: Callable[[float], float], x: float,
@@ -153,41 +184,55 @@ def central_difference(fn: Callable[[float], float], x: float,
 @dataclass(frozen=True)
 class MeanChainGaps:
     """Signed squared-mean gaps along geometric < logarithmic < refined <
-    arithmetic, each with an error bound.  All three should be positive."""
+    arithmetic, each with an error bound, one array lane per pair.  All
+    three should be positive."""
 
-    log_vs_geo: float
-    refined_vs_log: float
-    arith_vs_refined: float
-    err_bound: float
+    log_vs_geo: np.ndarray
+    refined_vs_log: np.ndarray
+    arith_vs_refined: np.ndarray
+    err_bound: np.ndarray
 
 
-def mean_gaps(x: float, y: float) -> MeanChainGaps:
+def mean_gaps(x: np.ndarray | float, y: np.ndarray | float) -> MeanChainGaps:
     """L^2 - xy, G~^2 - L^2 and A^2 - G~^2 in double-double arithmetic.
 
-    The logarithm of the ratio is taken as log1p of the exact difference
-    quotient, never as a difference of two logs, so the relative error of
-    every gap stays O(eps^2) times the x*y scale even at ratio 1 + 1e-6.
+    x and y are equal-shape arrays (or floats) of pairs, evaluated in one
+    lockstep pass; the fields of the result are arrays of that shape, each
+    lane bit-identical to the pair computed alone.  The logarithm of the
+    ratio is taken as log1p of the exact difference quotient, never as a
+    difference of two logs, so the relative error of every gap stays
+    O(eps^2) times the x*y scale even at ratio 1 + 1e-6.  Lanes beyond the
+    series window, (y - x)/x > 0.5, take the difference of the double-double
+    logs of x and y instead, one lane at a time.
     """
-    x = float(x)
-    y = float(y)
-    if not (0.0 < x < y) or not math.isfinite(y):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    if not np.all((0.0 < x) & (x < y) & np.isfinite(y)):
         raise DomainError("mean_gaps requires 0 < x < y, finite")
-    d_dd = two_sum(y, -x)
-    r_dd = dd_div(d_dd, (x, 0.0))
-    if r_dd[0] <= 0.5:
-        w_dd = dd_log1p_small(r_dd)
-    else:
-        w_dd = dd_sub(dd_log(y), dd_log(x))
-    l_dd = dd_div(d_dd, w_dd)
-    xy_dd = two_prod(x, y)
-    l2_dd = dd_mul(l_dd, l_dd)
-    gap1 = dd_sub(l2_dd, xy_dd)
-    cross = dd_mul(dd_sub(l_dd, (x, 0.0)), dd_sub((y, 0.0), l_dd))
-    third = dd_div(cross, (3.0, 0.0))
-    gap2 = dd_add(dd_sub(xy_dd, l2_dd), third)
-    a_dd = dd_mul_d(two_sum(x, y), 0.5)
-    a2_dd = dd_mul(a_dd, a_dd)
-    gap3 = dd_sub(dd_sub(a2_dd, xy_dd), third)
-    err = 64.0 * EPS * EPS * a2_dd[0]
-    return MeanChainGaps(log_vs_geo=gap1[0], refined_vs_log=gap2[0],
-                         arith_vs_refined=gap3[0], err_bound=err)
+    # Lanes near the double range overflow to inf/NaN silently, as floats do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_dd = two_sum(y, -x)
+        r_dd = dd_div(d_dd, (x, 0.0))
+        small = r_dd[0] <= 0.5
+        w_hi, w_lo = np.empty_like(x), np.empty_like(x)
+        w_hi[small], w_lo[small] = dd_log1p_small((r_dd[0][small],
+                                                   r_dd[1][small]))
+        for i in np.flatnonzero(~small).tolist():
+            w_hi[i], w_lo[i] = dd_sub(dd_log(float(y[i])), dd_log(float(x[i])))
+        l_dd = dd_div(d_dd, (w_hi, w_lo))
+        xy_dd = two_prod(x, y)
+        l2_dd = dd_mul(l_dd, l_dd)
+        gap1 = dd_sub(l2_dd, xy_dd)
+        cross = dd_mul(dd_sub(l_dd, (x, 0.0)), dd_sub((y, 0.0), l_dd))
+        third = dd_div(cross, (3.0, 0.0))
+        gap2 = dd_add(dd_sub(xy_dd, l2_dd), third)
+        a_dd = dd_mul_d(two_sum(x, y), 0.5)
+        a2_dd = dd_mul(a_dd, a_dd)
+        gap3 = dd_sub(dd_sub(a2_dd, xy_dd), third)
+        err = 64.0 * EPS * EPS * a2_dd[0]
+    return MeanChainGaps(log_vs_geo=gap1[0].reshape(shape),
+                         refined_vs_log=gap2[0].reshape(shape),
+                         arith_vs_refined=gap3[0].reshape(shape),
+                         err_bound=err.reshape(shape))

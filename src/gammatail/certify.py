@@ -37,8 +37,8 @@ from ._dd import central_difference, mean_gaps
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
-from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _threshold_forms,
-                      log_mean, refined_mean)
+from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _refined_from_log,
+                      _threshold_forms, log_mean)
 from .tailprob import TailQuery, tail_prob_detail
 
 _REFINE_DEPTH = 6
@@ -546,28 +546,26 @@ class MeanChainReport:
     probe_gap: float
 
 
-def _mean_entry(x: float, y: float, strict_margin: float) -> MeanChainEntry:
+def _mean_entry(x: float, y: float,
+                gaps: Optional[tuple[float, float, float, float]],
+                strict_margin: float) -> MeanChainEntry:
+    """One pair's entry; gaps holds its extended-precision gaps and error
+    bound, or is None to take the gaps in double precision."""
     geo = math.sqrt(x * y)
     lm = log_mean(x, y)
-    ref = refined_mean(x, y)
+    ref = _refined_from_log(x, y, lm)
     ari = 0.5 * (x + y)
-    spread = (y - x) / x
-    if spread <= _MEAN_EXTENDED_MAX:
-        gaps = mean_gaps(x, y)
-        g1, g2, g3 = (gaps.log_vs_geo, gaps.refined_vs_log,
-                      gaps.arith_vs_refined)
-        err = gaps.err_bound
-        extended = True
+    if gaps is not None:
+        g1, g2, g3, err = gaps
     else:
         g1, g2, g3 = lm - geo, ref - lm, ari - ref
         err = 32.0 * EPS * ari
-        extended = False
     margin = strict_margin * err
     ok = g1 > margin and g2 > margin and g3 > margin
     return MeanChainEntry(
         x=x, y=y, geometric=geo, logarithmic=lm, refined=ref, arithmetic=ari,
         gap_log_vs_geo=g1, gap_refined_vs_log=g2, gap_arith_vs_refined=g3,
-        err_bound=err, extended=extended, chain_ok=ok)
+        err_bound=err, extended=gaps is not None, chain_ok=ok)
 
 
 def check_mean_chain(pairs: Sequence[tuple[float, float]],
@@ -578,7 +576,8 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
 
     Pairs with relative spread below 2% are evaluated with the extended-
     precision gap routine (the refined-vs-logarithmic gap shrinks like the
-    fourth power of the spread and cancels catastrophically in doubles).
+    fourth power of the spread and cancels catastrophically in doubles),
+    all of them in one lockstep call.
 
     The optimality probe replaces the 1/3 factor inside the refined mean by
     probe_factor (default 1/3 - 1e-3, which must stay below 1/3) and scans
@@ -590,13 +589,23 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         raise DomainError("probe_factor must lie strictly inside (0, 1/3)")
     if len(pairs) == 0:
         raise DomainError("check_mean_chain requires at least one pair")
-    entries = []
-    min_ratio = math.inf
+    xs, ys, extended = [], [], []
     for x, y in pairs:
         x, y = float(x), float(y)
         if not (0.0 < x < y) or not math.isfinite(y):
             raise DomainError("mean chain pairs require 0 < x < y, finite")
-        entry = _mean_entry(x, y, strict_margin)
+        xs.append(x)
+        ys.append(y)
+        extended.append((y - x) / x <= _MEAN_EXTENDED_MAX)
+    ext = np.array(extended, dtype=bool)
+    gaps = mean_gaps(np.array(xs)[ext], np.array(ys)[ext])
+    ext_gaps = zip(gaps.log_vs_geo.tolist(), gaps.refined_vs_log.tolist(),
+                   gaps.arith_vs_refined.tolist(), gaps.err_bound.tolist())
+    entries = []
+    min_ratio = math.inf
+    for x, y, is_ext in zip(xs, ys, extended):
+        entry = _mean_entry(x, y, next(ext_gaps) if is_ext else None,
+                            strict_margin)
         entries.append(entry)
         for gap in (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
                     entry.gap_arith_vs_refined):

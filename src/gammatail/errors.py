@@ -34,7 +34,8 @@ class QuadratureError(GammaTailError, RuntimeError):
 
 class ConvergenceError(GammaTailError, RuntimeError):
     """An iteration stopped before it met its target: a kernel at its cap,
-    or the median solver short of its residual tolerance."""
+    or the median solver out of evaluations, short of its residual
+    tolerance, or unable to resolve a bracket sign within its error bound."""
 
     def __init__(self, message: str, *, n_iter: int) -> None:
         super().__init__(message)

@@ -2,15 +2,22 @@
 
 The tail inequalities Q(a, a) < 1/2 < Q(a, a - 1/3) pin the median of a
 gamma variable with shape a between a - 1/3 and a.  The solver treats that
-bracket as a theorem: if either endpoint sign check fails, it raises a
-certification error instead of widening the search, since a failure would
-contradict the proven statement rather than indicate a bad initial guess.
+bracket as a theorem and never widens the search.  When an endpoint sign
+check fails, it re-evaluates the bracket margins with their error bounds,
+as check_median_bracket does (the bound charges the rounding of a - 1/3),
+and raises a certification error only when a margin is wrong by more than
+STRICT_MARGIN times its bound, which would contradict the proven statement.
+A wrong sign inside the bound is a precision limit and raises
+ConvergenceError: from about a = 3e7 the true margin ~0.0079 a^{-3/2} falls
+below the rounding of the kernel's argument.
 
 For a < 0.35 the lower endpoint a - 1/3 is non-positive or nearly so while
 the median itself collapses towards zero much faster than a (for a = 0.01
 it is ~4e-31), so the root is located in log space on [1e-300, a]; the
 positive lower floor is implementation policy justified by positivity of
-the median, not by the bracket statement itself.
+the median, not by the bracket statement itself.  Below about
+a = 1.0043e-3 the median lies under that floor, and gamma_median rejects
+the shape with DomainError.
 
 gamma_median takes its residual target and bracket-width floor as keywords;
 its 200-evaluation budget and the bracket check's margin are constants.
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .errors import CertificationError, ConvergenceError, DomainError
 from .specfun import ONE_THIRD, STRICT_MARGIN, reg_gamma_q
@@ -79,7 +86,8 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
     then secant/inverse-quadratic refinement kept inside the bracket.
 
     Returns (root, fn(root), n_evals).  fn must be finite on [lo, hi] with
-    f_lo > 0 > f_hi.
+    f_lo > 0 > f_hi.  Raises ConvergenceError when _MAX_EVALS evaluations
+    leave the bracket wider than the target.
     """
     n = 0
     while hi - lo > _COARSE_WIDTH and n < _MAX_EVALS:
@@ -124,8 +132,37 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
             hi = x_new
         x0, f0, x1, f1, x2, f2 = x1, f1, x_new, f_new, x0, f0
         if hi - lo <= 8.0 * abs_tol + 4.0 * (abs(lo) + abs(hi)) * 1.1e-16:
-            break
-    return best_x, best_f, n
+            return best_x, best_f, n
+    raise ConvergenceError(
+        f"median root bracket [{lo!r}, {hi!r}] still wider than the target "
+        f"after {n} evaluations", n_iter=n)
+
+
+def _bracket_margins(a: float) -> tuple[tuple[float, float], ...]:
+    """(margin, err_bound) of 1/2 - Q(a, a) and Q(a, a - 1/3) - 1/2; both
+    margins are positive by the bracket theorem."""
+    at_mean = tail_prob_detail(TailQuery(a, 0.0))
+    at_third = tail_prob_detail(TailQuery(a, -ONE_THIRD))
+    return ((0.5 - at_mean.value, at_mean.err_bound),
+            (at_third.value - 0.5, at_third.err_bound))
+
+
+def _bracket_failure(a: float, bracket: str) -> NoReturn:
+    """Raise for a median bracket whose raw endpoint signs failed: a
+    certification error if a bracket margin is wrong by more than
+    STRICT_MARGIN times its bound, an inconclusive ConvergenceError
+    otherwise."""
+    margins = _bracket_margins(a)
+    for margin, err in margins:
+        if margin < -STRICT_MARGIN * err:
+            raise CertificationError(
+                f"median bracket {bracket} sign check failed at a={a!r}: "
+                f"margin {margin!r} with error bound {err!r} contradicts the "
+                "bracket theorem")
+    raise ConvergenceError(
+        f"median bracket {bracket} sign check at a={a!r} failed only inside "
+        "the evaluation error: (margin, error bound) "
+        + ", ".join(f"({m!r}, {e!r})" for m, e in margins), n_iter=2)
 
 
 def gamma_median(a: float, rel_tol: float = REL_TOL,
@@ -135,9 +172,12 @@ def gamma_median(a: float, rel_tol: float = REL_TOL,
     Located by bracketed root finding of Q(a, m) = 1/2 on [a - 1/3, a]
     (in log space on [1e-300, a] when a < 0.35); the refinement stops once
     the bracket is narrower than about 8 * abs_tol plus a few ulps.  Both
-    tolerances must lie in (0, 1).  A bracket endpoint with the wrong sign
-    raises CertificationError; a residual that will not meet rel_tol raises
-    ConvergenceError (the solver's evaluation count in n_iter).
+    tolerances must lie in (0, 1).  A bracket endpoint whose sign is wrong
+    by more than STRICT_MARGIN times its error bound raises
+    CertificationError; one wrong only within that bound, a residual that
+    will not meet rel_tol, or a solver budget run out raises
+    ConvergenceError (with an evaluation count in n_iter).  A shape whose
+    median lies below the 1e-300 floor raises DomainError.
     """
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
@@ -152,10 +192,7 @@ def gamma_median(a: float, rel_tol: float = REL_TOL,
         lo, hi = a - ONE_THIRD, a
         f_lo, f_hi = f_linear(lo), f_linear(hi)
         if not (f_lo > 0.0 > f_hi):
-            raise CertificationError(
-                f"median bracket [a-1/3, a] sign check failed at a={a!r}: "
-                f"endpoint values {f_lo + 0.5!r}, {f_hi + 0.5!r} "
-                "contradict the bracket theorem")
+            _bracket_failure(a, "[a-1/3, a]")
         root, f_root, n_evals = _hybrid_root(f_linear, lo, hi, f_lo, f_hi,
                                              abs_tol)
         median = root
@@ -165,11 +202,13 @@ def gamma_median(a: float, rel_tol: float = REL_TOL,
 
         t_lo, t_hi = _LOG_FLOOR, math.log(a)
         f_lo, f_hi = f_log(t_lo), f_log(t_hi)
-        if not (f_lo > 0.0 > f_hi):
-            raise CertificationError(
-                f"median bracket (0, a] sign check failed at a={a!r}: "
-                f"endpoint values {f_lo + 0.5!r}, {f_hi + 0.5!r} "
-                "contradict positivity or the bracket theorem")
+        if not f_lo > 0.0:
+            raise DomainError(
+                f"gamma_median: at a={a!r} the median lies below the solver's "
+                f"floor 1e-300 (Q(a, 1e-300) = {f_lo + 0.5!r} <= 1/2); shapes "
+                "below about 1.0043e-3 are not supported")
+        if not 0.0 > f_hi:
+            _bracket_failure(a, "(0, a]")
         t_root, f_root, n_evals = _hybrid_root(f_log, t_lo, t_hi, f_lo,
                                                f_hi, abs_tol)
         median = math.exp(t_root)
@@ -199,15 +238,12 @@ def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     min_ratio = math.inf
     for a in a_grid:
         a = float(a)
-        at_mean = tail_prob_detail(TailQuery(a, 0.0))
-        at_third = tail_prob_detail(TailQuery(a, -ONE_THIRD))
-        below = 0.5 - at_mean.value
-        above = at_third.value - 0.5
+        margins = _bracket_margins(a)
+        (below, below_err), (above, above_err) = margins
         entries.append(MedianBracketCheck(
             a=a, below=below, above=above,
-            below_err=at_mean.err_bound, above_err=at_third.err_bound))
-        for margin, err in ((below, at_mean.err_bound),
-                            (above, at_third.err_bound)):
+            below_err=below_err, above_err=above_err))
+        for margin, err in margins:
             ratio = margin / max(err, 1e-300)
             min_ratio = min(min_ratio, ratio)
             if not (margin > 0.0 and ratio > STRICT_MARGIN):

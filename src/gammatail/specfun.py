@@ -562,5 +562,9 @@ def refined_mean(x: float, y: float) -> float:
         raise DomainError("refined_mean requires 0 < x <= y")
     if x == y:
         return x
-    lm = log_mean(x, y)
+    return _refined_from_log(x, y, log_mean(x, y))
+
+
+def _refined_from_log(x: float, y: float, lm: float) -> float:
+    """The refined mean of x < y given their logarithmic mean lm."""
     return math.sqrt(x * y + (lm - x) * (y - lm) / 3.0)

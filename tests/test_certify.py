@@ -32,7 +32,10 @@ from gammatail import (
     rational_stage,
     rational_stage_deriv,
 )
+from gammatail._dd import mean_gaps
+from gammatail.certify import MeanChainEntry
 from gammatail.oracle import oracle_tail_prob
+from gammatail.specfun import log_mean, refined_mean
 
 ULP = 2.220446049250313e-16
 
@@ -247,6 +250,46 @@ def test_mean_chain_certifies_mixed_pairs():
         spread = (entry.y - entry.x) / entry.x
         assert entry.extended == (spread <= 0.02)
         assert entry.geometric < entry.logarithmic < entry.arithmetic
+
+
+def _reference_mean_entry(x, y, strict_margin=8.0):
+    """One pair's entry built on its own, as check_mean_chain did before it
+    batched the extended-precision gaps."""
+    geo = math.sqrt(x * y)
+    lm = log_mean(x, y)
+    ref = refined_mean(x, y)
+    ari = 0.5 * (x + y)
+    extended = (y - x) / x <= 0.02
+    if extended:
+        g = mean_gaps(x, y)
+        g1, g2, g3, err = (float(g.log_vs_geo), float(g.refined_vs_log),
+                           float(g.arith_vs_refined), float(g.err_bound))
+    else:
+        g1, g2, g3 = lm - geo, ref - lm, ari - ref
+        err = 32.0 * ULP * ari
+    margin = strict_margin * err
+    return MeanChainEntry(
+        x=x, y=y, geometric=geo, logarithmic=lm, refined=ref, arithmetic=ari,
+        gap_log_vs_geo=g1, gap_refined_vs_log=g2, gap_arith_vs_refined=g3,
+        err_bound=err, extended=extended,
+        chain_ok=g1 > margin and g2 > margin and g3 > margin)
+
+
+def test_mean_chain_entries_match_per_pair_reference():
+    rng = np.random.default_rng(5)
+    x = 10.0 ** rng.uniform(-8.0, 8.0, 300)
+    y = x * (1.0 + 10.0 ** rng.uniform(-9.0, 1.0, 300))
+    pairs = [(a, b) for a, b in zip(x.tolist(), y.tolist()) if a < b]
+    pairs += [(1.0, 4.0), (5.0, 5.05), (1.0, 1.0 + 1e-7), (3, 3.03)]
+    rep = check_mean_chain(pairs)
+    expected = tuple(_reference_mean_entry(float(a), float(b))
+                     for a, b in pairs)
+    assert repr(rep.entries) == repr(expected)     # bitwise, -0.0 included
+    assert all(type(v) is float for v in (
+        rep.entries[0].gap_log_vs_geo, rep.entries[0].err_bound))
+    assert 0 < sum(e.extended for e in rep.entries) < len(pairs)
+    with pytest.raises(DomainError):
+        check_mean_chain([(1.0, 1.01), (2.0, 2.0)])
 
 
 def test_mean_chain_declines_to_certify_below_dd_resolution():

@@ -184,6 +184,19 @@ def test_median_requires_shape_or_grid():
     assert code == 2
 
 
+@pytest.mark.parametrize("a, expected", [
+    ("1e-3", 2),    # median below the 1e-300 floor: a shape limit
+    ("3e7", 3),     # bracket sign wrong only inside its error bound
+])
+def test_median_numerical_limits_are_not_violations(a, expected, capsys):
+    assert run_cli(["median", "--a", a])[0] == expected
+    assert "certified violation" not in capsys.readouterr().err
+
+
+def test_median_beyond_the_kernel_cap_is_not_a_violation():
+    assert run_cli(["median", "--a", "1e10"])[0] != 1
+
+
 def test_means_golden_and_degenerate_pair():
     code, out = run_cli(["means", "--x", "1", "--y", "4"])
     assert code == 0

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from gammatail import (
     CertificationError,
+    ConvergenceError,
     DomainError,
     MedianResult,
     check_median_bracket,
     gamma_median,
     reg_gamma_q,
 )
+from gammatail.median import _hybrid_root
 from gammatail.oracle import oracle_gamma_q
+from gammatail.tailprob import TailValue
 
 
 def test_median_of_unit_exponential_is_log_two():
@@ -111,3 +114,42 @@ def test_check_median_bracket_rejects_bad_grid():
         check_median_bracket([])
     with pytest.raises(DomainError):
         check_median_bracket([1.0, -2.0])
+
+
+@pytest.mark.parametrize("cap", [1, 11])   # in bisection, in refinement
+def test_hybrid_root_raises_at_its_cap(monkeypatch, cap):
+    monkeypatch.setattr("gammatail.median._MAX_EVALS", cap)
+    with pytest.raises(ConvergenceError) as info:
+        _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7, 1e-14)
+    assert info.value.n_iter == cap
+    monkeypatch.setattr("gammatail.median._MAX_EVALS", 200)
+    root, _, n = _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7,
+                              1e-14)
+    assert n < 200 and abs(root - 0.3 ** (1.0 / 3.0)) < 1e-13
+
+
+def test_median_below_the_log_floor_is_a_domain_limit():
+    # Below a ~ 1.0043e-3 the median lies under 1e-300: an implementation
+    # limit, not a contradiction of the bracket theorem.
+    with pytest.raises(DomainError, match="below the solver's floor"):
+        gamma_median(1e-3)
+    assert gamma_median(1.0045e-3).median > 1e-300
+
+
+def test_median_bracket_sign_inside_its_bound_is_inconclusive():
+    # At a = 3e7 the computed Q(a, a - 1/3) - 1/2 is -2.6e-14, well inside
+    # its 9.4e-12 bound (the true value is +4.8e-14).
+    with pytest.raises(ConvergenceError, match="inside the evaluation error"):
+        gamma_median(3e7)
+
+
+def test_median_bracket_violation_needs_a_margin_certified_sign(monkeypatch):
+    # Raw endpoint signs alone never make a certified violation ...
+    monkeypatch.setattr("gammatail.median.reg_gamma_q", lambda a, x: 0.25)
+    with pytest.raises(ConvergenceError):
+        gamma_median(2.0)
+    # ... a margin wrong by more than 8 error bounds does.
+    monkeypatch.setattr("gammatail.median.tail_prob_detail",
+                        lambda q: TailValue(0.25, 1e-15, "cf"))
+    with pytest.raises(CertificationError, match="contradicts the bracket"):
+        gamma_median(2.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,10 @@ from gammatail._dd import (
     dd_div,
     dd_exp,
     dd_log,
+    dd_log1p_small,
     dd_mul,
+    dd_mul_d,
+    dd_sub,
     mean_gaps,
     two_prod,
     two_sum,
@@ -231,6 +235,88 @@ def test_oracle_mean_gaps_rejects_bad_pairs():
     for x, y in ((1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (-1.0, 3.0)):
         with pytest.raises(DomainError):
             mean_gaps(x, y)
+
+
+def _reference_log1p_small(u):
+    """The one-pair Taylor loop the lockstep series replaced."""
+    acc = term = u
+    sign = 1.0
+    for n in range(2, 120):
+        term = dd_mul(term, u)
+        sign = -sign
+        contrib = dd_mul_d(term, sign / n)
+        acc = dd_add(acc, contrib)
+        if abs(contrib[0]) < 1e-36 * max(abs(acc[0]), 1e-300):
+            break
+    return acc
+
+
+def _reference_mean_gaps(x, y):
+    """The one-pair gap routine the lockstep pass replaced, kept as the
+    bit-level reference for mean_gaps."""
+    d_dd = two_sum(y, -x)
+    r_dd = dd_div(d_dd, (x, 0.0))
+    if r_dd[0] <= 0.5:
+        w_dd = _reference_log1p_small(r_dd)
+    else:
+        w_dd = dd_sub(dd_log(y), dd_log(x))
+    l_dd = dd_div(d_dd, w_dd)
+    xy_dd = two_prod(x, y)
+    l2_dd = dd_mul(l_dd, l_dd)
+    gap1 = dd_sub(l2_dd, xy_dd)
+    cross = dd_mul(dd_sub(l_dd, (x, 0.0)), dd_sub((y, 0.0), l_dd))
+    third = dd_div(cross, (3.0, 0.0))
+    gap2 = dd_add(dd_sub(xy_dd, l2_dd), third)
+    a_dd = dd_mul_d(two_sum(x, y), 0.5)
+    a2_dd = dd_mul(a_dd, a_dd)
+    gap3 = dd_sub(dd_sub(a2_dd, xy_dd), third)
+    return gap1[0], gap2[0], gap3[0], 64.0 * ULP * ULP * a2_dd[0]
+
+
+def _bits(values):
+    # NaN lanes (overflow near the double range) compare equal to NaN.
+    return ["nan" if math.isnan(v) else float(v).hex() for v in values]
+
+
+def test_mean_gaps_lockstep_matches_one_pair_loop_bitwise():
+    rng = np.random.default_rng(20240611)
+    n = 600
+    x = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    x[:200] = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+    spread = 10.0 ** rng.uniform(-15.0, math.log10(0.49), n)
+    spread[:60] = rng.uniform(0.5, 50.0, 60)      # the dd_log lanes
+    y = x * (1.0 + spread)
+    x = np.append(x, [1.0, 1.0, 2.0])
+    y = np.append(y, [4.0, 1.0 + 1e-6, 2.0 + 2.0 ** -51])
+    keep = x < y
+    x, y = x[keep], y[keep]
+    with np.errstate(all="ignore"):
+        ref = [_reference_mean_gaps(a, b)
+               for a, b in zip(x.tolist(), y.tolist())]
+    g = mean_gaps(x, y)
+    fields = (g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined, g.err_bound)
+    for k, field in enumerate(fields):
+        assert field.shape == x.shape
+        assert _bits(field.tolist()) == _bits(r[k] for r in ref)
+    # one pair at a time through the same routine, scalars in and out
+    for i in (0, 250, len(x) - 3):
+        one = mean_gaps(float(x[i]), float(y[i]))
+        assert _bits([one.log_vs_geo, one.err_bound]) == _bits(
+            [ref[i][0], ref[i][3]])
+
+
+def test_dd_log1p_small_lanes_stop_at_their_own_term():
+    u = np.array([0.5, -0.5, 1e-3, 1e-12, 0.0, 0.25])
+    lo = np.array([1e-17, 0.0, -1e-20, 0.0, 0.0, 1e-18])
+    hi_out, lo_out = dd_log1p_small((u, lo))
+    for k in range(u.size):
+        ref = _reference_log1p_small((float(u[k]), float(lo[k])))
+        assert (hi_out[k], lo_out[k]) == ref
+    scalar = dd_log1p_small((0.1, 0.0))
+    assert type(scalar[0]) is float and type(scalar[1]) is float
+    assert scalar == _reference_log1p_small((0.1, 0.0))
+    with pytest.raises(DomainError):
+        dd_log1p_small((np.array([0.1, 0.6]), np.zeros(2)))
 
 
 def test_oracle_threshold_ratio_known_point():

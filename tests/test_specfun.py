@@ -39,6 +39,7 @@ from gammatail import (
     reg_gamma_q_detail,
     threshold_ratio,
 )
+from gammatail import _series
 from gammatail._dd import central_difference
 from gammatail.oracle import oracle_gamma_q, oracle_threshold_ratio
 
@@ -401,6 +402,16 @@ def test_threshold_ratio_matches_oracle_across_series_handoff():
         fast = threshold_ratio(y)
         slow = oracle_threshold_ratio(y)
         assert math.isclose(fast, slow, rel_tol=1e-13, abs_tol=1e-18), y
+
+
+def test_frozen_series_tables_match_their_fraction_build():
+    # The tables ship as float literals; _build() regenerates them exactly.
+    built = _series._build()
+    for name in ("LAMBDA_EXCESS", "CHAIN1_NUM", "CHAIN2_NUM"):
+        frozen = getattr(_series, name)
+        assert len(frozen) == _series.ORDER + 1, name
+        rebuilt = built[name]
+        assert [c.hex() for c in frozen] == [c.hex() for c in rebuilt], name
 
 
 def test_threshold_ratio_domain():
