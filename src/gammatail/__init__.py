@@ -29,7 +29,8 @@ from .specfun import (BranchRoots, EvalDetail, branch_root_deriv,
                       threshold_ratio)
 from .tailprob import (RatioParts, TailQuery, TailValue, direction_form,
                        direction_form_detail, integrand_ratio, power_function,
-                       ratio_parts, tail_delta, tail_prob, tail_prob_detail)
+                       ratio_parts, tail_delta, tail_prob, tail_prob_detail,
+                       tail_prob_many)
 
 __version__ = "0.1.0"
 
@@ -47,6 +48,7 @@ __all__ = [
     "QuadResult", "integrate",
     # tail probability
     "TailQuery", "TailValue", "RatioParts", "tail_prob", "tail_prob_detail",
+    "tail_prob_many",
     "tail_delta", "ratio_parts", "direction_form", "direction_form_detail",
     "integrand_ratio", "power_function",
     # median

@@ -11,21 +11,26 @@ stays reproducible from the formulas in this file.
 
 Conventions: a series is a list of coefficients indexed by power, truncated
 at ORDER.  Products are truncated Cauchy products; division is the standard
-power-series long division after cancelling the shared leading zero block.
+power-series long division after cancelling the shared leading zero block,
+so its operands are built past ORDER by the length of that block.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 ORDER = 40
+# The threshold-ratio division cancels a shared s^4 factor, so its operands
+# are built this many terms past ORDER for the quotient to be exact there.
+_DIV_SHIFT = 4
 
 
 def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (ORDER + 1)
+    n = len(a)
+    out = [Fraction(0)] * n
     for i, ai in enumerate(a):
         if not ai:
             continue
-        for j in range(0, ORDER + 1 - i):
+        for j in range(0, n - i):
             bj = b[j]
             if bj:
                 out[i + j] += ai * bj
@@ -44,15 +49,19 @@ def _scale(a: list[Fraction], k: int) -> list[Fraction]:
     return [x * k for x in a]
 
 
-def _div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Power-series division: shared leading zeros cancel exactly."""
+def _div(num: list[Fraction], den: list[Fraction],
+         order: int) -> list[Fraction]:
+    """Power-series division through s^order: shared leading zeros cancel
+    exactly, so the operands must run that many terms past s^order."""
     shift = next(i for i, c in enumerate(den) if c)
     if any(num[:shift]):
         raise ValueError("numerator must vanish at least as fast as denominator")
-    n = [*num[shift:]] + [Fraction(0)] * shift
-    d = [*den[shift:]] + [Fraction(0)] * shift
-    q = [Fraction(0)] * (ORDER + 1)
-    for k in range(ORDER + 1):
+    if min(len(num), len(den)) < order + 1 + shift:
+        raise ValueError("operands too short for the quotient order")
+    n = num[shift:]
+    d = den[shift:]
+    q = [Fraction(0)] * (order + 1)
+    for k in range(order + 1):
         acc = n[k]
         for j in range(k):
             acc -= q[j] * d[k - j]
@@ -60,17 +69,18 @@ def _div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
     return q
 
 
-def _build() -> dict[str, tuple[float, ...]]:
-    zero = [Fraction(0)] * (ORDER + 1)
+def _build(order: int = ORDER) -> dict[str, tuple[float, ...]]:
+    length = order + 1 + _DIV_SHIFT
+    zero = [Fraction(0)] * length
     s = [*zero]
     s[1] = Fraction(1)
     y = [*zero]
     y[0] = Fraction(1)
     y[1] = Fraction(1)
     # w = log1p(s), inv_y = 1/(1+s), half = s/(2+s)
-    w = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, ORDER + 1)]
-    inv_y = [Fraction((-1) ** k) for k in range(ORDER + 1)]
-    half = [Fraction(0)] + [Fraction((-1) ** (k + 1), 2 ** k) for k in range(1, ORDER + 1)]
+    w = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, length)]
+    inv_y = [Fraction((-1) ** k) for k in range(length)]
+    half = [Fraction(0)] + [Fraction((-1) ** (k + 1), 2 ** k) for k in range(1, length)]
 
     omega = _sub(s, w)                # y - ln y - 1
     xlx = _sub(_mul(y, w), s)         # y ln y - y + 1
@@ -79,7 +89,7 @@ def _build() -> dict[str, tuple[float, ...]]:
 
     # Excess of the threshold ratio over its limit -1/3:
     #   f_top/g_top + 1/3 = (3 f_top + g_top) / (3 g_top).
-    lam_excess = _div(_add(_scale(f_top, 3), g_top), _scale(g_top, 3))
+    lam_excess = _div(_add(_scale(f_top, 3), g_top), _scale(g_top, 3), order)
 
     # First reduction stage: f1 = 1/y - y + 2 ln y, g1 = s^2 ln y / y.
     f1 = _add(_sub(inv_y, y), _scale(w, 2))
@@ -93,8 +103,8 @@ def _build() -> dict[str, tuple[float, ...]]:
 
     return {
         "LAMBDA_EXCESS": tuple(float(c) for c in lam_excess),
-        "CHAIN1_NUM": tuple(float(c) for c in chain1_num),
-        "CHAIN2_NUM": tuple(float(c) for c in chain2_num),
+        "CHAIN1_NUM": tuple(float(c) for c in chain1_num[:order + 1]),
+        "CHAIN2_NUM": tuple(float(c) for c in chain2_num[:order + 1]),
     }
 
 
@@ -112,8 +122,8 @@ LAMBDA_EXCESS: tuple[float, ...] = (
     0.0013098623133235416, -0.001262534327430949, 0.0012182437809431488,
     -0.0011767143274594846, 0.0011377017905515316, -0.0011009896453761233,
     0.0010663852373999066, -0.0010337166022309338, 0.0010028297783837474,
-    0.02092441818332018, 0.0012907677183607647, 0.00033893982194816726,
-    -0.00035680352811657244,
+    -0.0009735865264135168, 0.0009458623847435979, -0.0009195450057935687,
+    0.0008945327265240564,
 )
 # Coefficients of 3*f1 + g1 (leading term s^5/30).
 CHAIN1_NUM: tuple[float, ...] = (

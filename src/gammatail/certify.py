@@ -13,9 +13,12 @@ Contents:
 
 * ``certify_monotone`` — scans ``a -> P(X_a - a > c)`` on a grid and returns
   a direction verdict (increasing / decreasing / non-monotone with witness /
-  inconclusive with the offending interval).
+  inconclusive with the offending interval).  The grid is evaluated in one
+  ``tail_prob_many`` call and its intervals classified at once; only the
+  uncertified ones are refined, point by point.
 * ``find_witness`` — constructive non-monotonicity: for c in (-1/3, 0) finds
-  a1 < a2 < a3 with p(a1) > p(a2) < p(a3) at certified margins.
+  a1 < a2 < a3 with p(a1) > p(a2) < p(a3) at certified margins; its coarse
+  scan is one ``tail_prob_many`` call.
 * ``check_threshold_chain`` — certifies that each stage of the derivative
   ratio chain behind the -1/3 threshold is increasing on (1, oo) and that
   all stages share the limit -1/3 at 1+.
@@ -39,7 +42,7 @@ from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
 from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _refined_from_log,
                       _threshold_forms, log_mean)
-from .tailprob import TailQuery, tail_prob_detail
+from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
 _REFINE_DEPTH = 6
 _WITNESS_BUDGET = 1e6
@@ -146,14 +149,11 @@ def _check_margin(strict_margin: float) -> None:
         raise DomainError("strict_margin must be at least 1")
 
 
-def _classify(d: float, err_sum: float, strict_margin: float) -> int:
-    """+1 / -1 for a certified strict sign, 0 for not-certifiable."""
+def _classify(d, err_sum, strict_margin: float):
+    """+1 / -1 for a certified strict sign, 0 for not-certifiable;
+    elementwise when d and err_sum are arrays."""
     margin = strict_margin * err_sum
-    if d > margin:
-        return 1
-    if d < -margin:
-        return -1
-    return 0
+    return 1 * (d > margin) - 1 * (d < -margin)
 
 
 def _scale_midpoint(lo: float, hi: float, scale: str) -> float:
@@ -187,17 +187,26 @@ def certify_monotone(c: float, scan: ScanSpec,
             "probability is identically 1; start the scan at -c or above")
 
     grid = scan.grid()
-    points = {a: _eval_point(a, c) for a in grid}
+    p, e = tail_prob_many(grid, c)
+    points = dict(zip(grid, zip(p.tolist(), e.tolist())))
 
-    pos_ratio = math.inf
-    neg_ratio = math.inf
-    has_pos = False
-    has_neg = False
+    # Every grid interval is classified at once; the certified ones only
+    # update the smallest margin ratio of their sign.
+    d = p[1:] - p[:-1]
+    err_sum = e[:-1] + e[1:]
+    sign = _classify(d, err_sum, strict_margin)
+    ratio = np.abs(d) / np.maximum(err_sum, 5e-324)
+    has_pos = bool(np.any(sign > 0))
+    has_neg = bool(np.any(sign < 0))
+    pos_ratio = float(np.min(ratio[sign > 0], initial=math.inf))
+    neg_ratio = float(np.min(ratio[sign < 0], initial=math.inf))
     unresolved: list[tuple[float, float, float, float]] = []
 
-    # Stack of (a_lo, a_hi, depth); children pushed right-first so intervals
-    # are examined left-to-right, keeping the verdict deterministic.
-    stack = [(grid[i], grid[i + 1], 0) for i in range(len(grid) - 2, -1, -1)]
+    # Stack of (a_lo, a_hi, depth) holding the uncertified grid intervals;
+    # children are pushed right-first so intervals are examined
+    # left-to-right, keeping the verdict deterministic.
+    stack = [(grid[i], grid[i + 1], 0)
+             for i in np.flatnonzero(sign == 0)[::-1].tolist()]
     while stack:
         a_lo, a_hi, depth = stack.pop()
         p_lo, e_lo = points[a_lo]
@@ -315,9 +324,8 @@ def find_witness(c: float) -> Witness:
     scan_hi = max(8.0 * -c, 4.0)
     while True:
         grid = np.geomspace(scan_lo, scan_hi, _WITNESS_SCAN_N)
-        vals = [_eval_point(float(a), c)[0] for a in grid]
-        j = min(range(len(vals)), key=lambda k: (vals[k], k))
-        if j < len(vals) - 1:
+        j = int(np.argmin(tail_prob_many(grid, c)[0]))
+        if j < len(grid) - 1:
             break
         scan_hi *= 8.0
         if scan_hi > _WITNESS_BUDGET:

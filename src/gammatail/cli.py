@@ -30,7 +30,7 @@ from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError, QuadratureError, WitnessSearchError)
 from .median import ABS_TOL, REL_TOL, gamma_median
 from .specfun import ONE_THIRD, STRICT_MARGIN
-from .tailprob import TailQuery, tail_prob_detail
+from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
@@ -113,14 +113,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    spec = _scan_spec(args, args.c)
+    grid = _scan_spec(args, args.c).grid()
+    values, errs = tail_prob_many(grid, args.c)
     rows = []
     prev: Optional[float] = None
-    for a in spec.grid():
-        detail = tail_prob_detail(TailQuery(a, args.c))
-        delta = None if prev is None else detail.value - prev
-        rows.append((a, detail.value, delta, detail.err_bound))
-        prev = detail.value
+    for a, p, e in zip(grid, values.tolist(), errs.tolist()):
+        rows.append((a, p, None if prev is None else p - prev, e))
+        prev = p
     if args.json:
         payload = [{"a": a, "p": p, "delta": d, "err_bound": e}
                    for a, p, d, e in rows]

@@ -4,7 +4,9 @@ For a gamma variable X_a with shape a (unit rate), the central quantity is
 
     tail_prob(a, c) = P(X_a - a > c) = Q(a, a + c),
 
-the probability that X_a exceeds its mean by more than c.  The companions
+the probability that X_a exceeds its mean by more than c.  tail_prob_many
+evaluates it for many shapes at one c in one lockstep kernel pass, each
+value bit-identical to the one-shape evaluation.  The companions
 implement an equivalent representation used to reason about how tail_prob
 moves with the shape: with f(x) = x e^(1-x) and u = a - 1,
 
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from ._dd import two_sum
-from .errors import DomainError
+from .errors import DomainError, GammaTailError
 from .quadrature import integrate
 from .specfun import (
     BranchRoots,
@@ -33,6 +35,8 @@ from .specfun import (
     _ROOT_ABS_TOL,
     _log1pmx_vec,
     _log_gamma_norm,
+    _per_lane,
+    _reg_gamma_q_lanes,
     branch_root_deriv,
     reg_gamma_q_detail,
 )
@@ -108,6 +112,44 @@ def tail_prob_detail(query: TailQuery) -> TailValue:
     if ln_density > -_LOG_MAX:
         arg_err = math.exp(ln_density) * (0.5 * EPS * abs(x))
     return TailValue(detail.value, detail.err_bound + arg_err, detail.method)
+
+
+def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """tail_prob_detail for many shapes at one offset c.
+
+    a is a 1-D sequence of shapes; returns (values, err_bounds) arrays, each
+    lane bit-identical to tail_prob_detail(TailQuery(a_i, c)).  The kernel
+    loops run in lockstep over the lanes (see specfun._lockstep) and each
+    lane's log prefactor is computed once.  If any lane fails, the error
+    raised is the first one a tail_prob_detail scan in lane order raises.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1:
+        raise DomainError("tail_prob_many takes a 1-D sequence of shapes")
+    c = float(c)
+    with np.errstate(over="ignore"):        # overflows to inf, as floats do
+        x = a + c
+    values = np.ones_like(a)
+    errs = np.zeros_like(a)
+    live = x > 0.0
+    try:
+        if not np.all((a > 0.0) & np.isfinite(x)):
+            raise DomainError("tail_prob_many requires shapes a > 0 with "
+                              "a + c finite")
+        a_l, x_l = a[live], x[live]
+        ln_norm = _per_lane(_log_gamma_norm, a_l, x_l)
+        q, q_err = _reg_gamma_q_lanes(a_l, x_l, ln_norm)
+    except GammaTailError:
+        # Lanes of several branches may fail; the scalar scan says which
+        # fails first, and how.
+        for a_i in a.tolist():
+            tail_prob_detail(TailQuery(a_i, c))
+        raise
+    ln_density = ln_norm - _per_lane(math.log, x_l)
+    arg_err = _per_lane(math.exp, ln_density) * (0.5 * EPS * np.abs(x_l))
+    values[live] = q
+    errs[live] = q_err + np.where(ln_density > -_LOG_MAX, arg_err, 0.0)
+    return values, errs
 
 
 def tail_prob(query: TailQuery) -> float:

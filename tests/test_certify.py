@@ -188,6 +188,138 @@ def test_find_witness_rejects_outside_open_band():
 
 
 # ----------------------------------------------------------------------
+# batched scans against the point-by-point scans they replaced
+# ----------------------------------------------------------------------
+
+
+def _reference_certify_monotone(c, scan, strict_margin=8.0):
+    """certify_monotone with one tail_prob_detail call per grid point and
+    every grid interval classified on the refinement stack, kept as the
+    bit-level reference for the batched scan."""
+    from gammatail.certify import (_REFINE_DEPTH, _eval_point,
+                                   _scale_midpoint, _witness_from_points)
+
+    grid = scan.grid()
+    points = {a: _eval_point(a, c) for a in grid}
+    ratios = {1: math.inf, -1: math.inf}
+    seen = set()
+    unresolved = []
+    stack = [(grid[i], grid[i + 1], 0) for i in range(len(grid) - 2, -1, -1)]
+    while stack:
+        a_lo, a_hi, depth = stack.pop()
+        (p_lo, e_lo), (p_hi, e_hi) = points[a_lo], points[a_hi]
+        d = p_hi - p_lo
+        err_sum = e_lo + e_hi
+        margin = strict_margin * err_sum
+        sign = 1 if d > margin else -1 if d < -margin else 0
+        if sign:
+            seen.add(sign)
+            ratios[sign] = min(ratios[sign], abs(d) / max(err_sum, 5e-324))
+        elif depth >= _REFINE_DEPTH:
+            unresolved.append((a_lo, a_hi, d, err_sum))
+        else:
+            mid = _scale_midpoint(a_lo, a_hi, scan.scale)
+            if mid not in points:
+                points[mid] = _eval_point(mid, c)
+            stack += [(mid, a_hi, depth + 1), (a_lo, mid, depth + 1)]
+
+    def verdict(direction, ratio, interval, detail, witness=None):
+        return MonotoneVerdict(direction=direction, c=c, scan=scan,
+                               witness=witness, margin_ratio=ratio,
+                               interval=interval, detail=detail)
+
+    n_extra = len(points) - len(grid)
+    if seen == {1, -1}:
+        witness, ratio = _witness_from_points(points, strict_margin)
+        if witness is None:
+            lo, hi = (unresolved[0][:2] if unresolved
+                      else (grid[0], grid[-1]))
+            return verdict("inconclusive", 0.0, (lo, hi),
+                           "opposite certified signs found but no witness "
+                           "triple met the margin discipline")
+        return verdict("non_monotone", ratio, None,
+                       f"certified decrease and increase on the scan "
+                       f"({len(grid)} grid points, {n_extra} refinement "
+                       f"points)", witness)
+    if unresolved:
+        lo, hi, d, err_sum = unresolved[0]
+        return verdict("inconclusive", abs(d) / max(err_sum, 5e-324),
+                       (lo, hi),
+                       f"difference {d!r} on [{lo!r}, {hi!r}] is below the "
+                       f"certification margin after depth-{_REFINE_DEPTH} "
+                       "refinement")
+    for sign, word, name in ((1, "positive", "increasing"),
+                             (-1, "negative", "decreasing")):
+        if sign in seen:
+            return verdict(name, ratios[sign], None,
+                           f"all {len(grid) - 1} consecutive differences "
+                           f"certified {word} ({n_extra} refinement points)")
+    return verdict("inconclusive", 0.0, (grid[0], grid[-1]),
+                   "no certified differences on the scan")
+
+
+@pytest.mark.parametrize("c, scan, margin", [
+    (0.0, ScanSpec(0.01, 200.0, 400), 8.0),
+    (2.5, ScanSpec(0.01, 200.0, 400), 8.0),
+    (-1.2, ScanSpec(1.2, 200.0, 400), 8.0),
+    (-0.1, ScanSpec(0.1, 200.0, 400), 8.0),
+    (-0.2, ScanSpec(0.2, 30.0, 200, scale="linear"), 1e9),    # refines
+    (0.0, ScanSpec(0.01, 200.0, 400), 1e10),                  # inconclusive
+    (-0.3, ScanSpec(0.3, 50.0, 50, scale="linear"), 1e11),    # inconclusive
+    (0.0, ScanSpec(1.0, 2.0, 12), 1e15),                      # no signs
+], ids=["increasing", "cf", "decreasing", "non-monotone", "refined",
+        "inconclusive", "inconclusive-dip", "no-signs"])
+def test_certify_monotone_equals_point_by_point_scan(c, scan, margin):
+    got = certify_monotone(c, scan, strict_margin=margin)
+    assert repr(got) == repr(_reference_certify_monotone(c, scan, margin))
+    if margin == 1e9:
+        assert "0 refinement points" not in got.detail
+
+
+def _reference_find_witness(c):
+    """find_witness with its coarse scan evaluated point by point, kept as
+    the bit-level reference for the batched scan."""
+    from gammatail.certify import (_GOLDEN, _WITNESS_SCAN_N, _eval_point)
+
+    scan_lo, scan_hi = -c * (1.0 + 1e-3), max(8.0 * -c, 4.0)
+    while True:
+        grid = np.geomspace(scan_lo, scan_hi, _WITNESS_SCAN_N)
+        vals = [_eval_point(float(a), c)[0] for a in grid]
+        j = min(range(len(vals)), key=lambda k: (vals[k], k))
+        if j < len(vals) - 1:
+            break
+        scan_hi *= 8.0
+    lo = float(grid[j - 1]) if j > 0 else float(grid[0])
+    hi = float(grid[j + 1])
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = _eval_point(x1, c)[0], _eval_point(x2, c)[0]
+    while hi - lo > 1e-10 * hi:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = _eval_point(x1, c)[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = _eval_point(x2, c)[0]
+    a2 = 0.5 * (lo + hi)
+    p2, e2 = _eval_point(a2, c)
+    a3 = max(2.0 * a2, a2 + 1.0)
+    while True:
+        p3, e3 = _eval_point(a3, c)
+        if p3 - p2 > 8.0 * (e3 + e2):
+            break
+        a3 *= 2.0
+    return Witness(a1=-c, a2=a2, a3=a3, p1=_eval_point(-c, c)[0], p2=p2,
+                   p3=p3)
+
+
+@pytest.mark.parametrize("c", [-0.3332, -0.3, -0.2, -0.05, -0.001])
+def test_find_witness_equals_point_by_point_scan(c):
+    assert repr(find_witness(c)) == repr(_reference_find_witness(c))
+
+
+# ----------------------------------------------------------------------
 # threshold-ratio chain
 # ----------------------------------------------------------------------
 

@@ -3,12 +3,14 @@
 The oracle exists only to audit the fast path, so no production module may
 depend on it, and it may not depend on the code it audits.  Helpers have a
 single home: a second copy of an error-free transform is a fork waiting to
-drift.  The checks read the source with ``ast`` and import nothing.
+drift.  No capped iterative loop may run out of iterations silently.  The
+checks read the source with ``ast`` and import nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import gammatail
@@ -51,3 +53,108 @@ def test_oracle_is_validation_only_and_two_sum_has_one_home():
              if isinstance(node, ast.FunctionDef)
              and node.name.lstrip("_") == "two_sum"]
     assert homes == ["_dd"]
+
+
+# Capped loops that stop early on convergence but cannot reach their cap,
+# so they end without a raise: (module, function) -> why.
+LOOPS_THAT_CANNOT_RUN_OUT = {
+    ("specfun", "_lgamma1p"):
+        "for a <= 1/2 the zeta series stops by term 50 of the 69 tabled",
+    ("_dd", "dd_exp"):
+        "after range reduction |r| <= ln2/2, so r^n/n! < 1e-36 by n = 25 "
+        "of 39",
+    ("_dd", "dd_log1p_small"):
+        "|u| <= 0.5 is enforced, so u^n/n < 1e-36 |sum| by n = 115 of 119",
+    ("certify", "find_witness"):
+        "golden section cuts a bracket of relative width <= 1 to 1e-10 in "
+        "at most 48 of its 200 steps",
+    ("median", "_hybrid_root"):
+        "the coarse bisection hands over to the refinement loop, which "
+        "raises at the same evaluation cap",
+    ("quadrature", "integrate_many"):
+        "the last sweep records a failure for every live interval; it is "
+        "raised after the loop",
+    ("acceptance", "c12_ratio_sign_relation"):
+        "a point that runs out of finite-difference steps is counted as "
+        "unresolved and reported",
+}
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+
+
+def _is_cap(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    return isinstance(node, ast.Name) and bool(_CONSTANT.match(node.id))
+
+
+def _is_capped(loop: ast.For | ast.While) -> bool:
+    """A while bounded by a literal or constant, a for over a range with
+    one, or a for over a constant table."""
+    if isinstance(loop, ast.While):
+        nodes = list(ast.walk(loop.test))
+        return (any(isinstance(n, ast.Compare) for n in nodes)
+                and any(_is_cap(n) for n in nodes))
+    it = loop.iter
+    if isinstance(it, ast.Call) and isinstance(it.func, ast.Name):
+        if it.func.id == "range":
+            return any(_is_cap(n) for arg in it.args for n in ast.walk(arg))
+        if it.func.id == "enumerate":
+            it = it.args[0]
+    return isinstance(it, ast.Name) and bool(_CONSTANT.match(it.id))
+
+
+def _early_exits(loop: ast.For | ast.While) -> tuple[bool, bool]:
+    """Whether the loop's body has a break of its own, and a return."""
+    has_break = has_return = False
+    stack = [(node, False) for node in loop.body]
+    while stack:
+        node, nested = stack.pop()
+        if isinstance(node, ast.Break) and not nested:
+            has_break = True
+        elif isinstance(node, ast.Return):
+            has_return = True
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        inner = nested or isinstance(node, (ast.For, ast.While))
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+    return has_break, has_return
+
+
+def _loops_that_can_run_out_silently() -> set[tuple[str, str]]:
+    """(module, function) of every capped loop with an early exit whose
+    exhaustion does not raise: a break needs `else: raise`, a loop left
+    only by return needs a raise right after it."""
+    found = set()
+    for module, tree in TREES.items():
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for parent in ast.walk(tree):
+            for field in ("body", "orelse", "finalbody"):
+                block = getattr(parent, field, None)
+                if not isinstance(block, list):
+                    continue
+                for i, loop in enumerate(block):
+                    if not (isinstance(loop, (ast.For, ast.While))
+                            and _is_capped(loop)):
+                        continue
+                    has_break, has_return = _early_exits(loop)
+                    if has_break:
+                        raises = bool(loop.orelse) and isinstance(
+                            loop.orelse[-1], ast.Raise)
+                    elif has_return:
+                        raises = (i + 1 < len(block)
+                                  and isinstance(block[i + 1], ast.Raise))
+                    else:
+                        continue
+                    if not raises:
+                        found.add((module, owner[loop]))
+    return found
+
+
+def test_no_capped_loop_runs_out_silently():
+    # A convergence loop that reaches its cap must raise, not return a
+    # partial sum; the allowlist holds loops that provably stop in time.
+    assert _loops_that_can_run_out_silently() == set(LOOPS_THAT_CANNOT_RUN_OUT)

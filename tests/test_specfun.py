@@ -42,6 +42,7 @@ from gammatail import (
 from gammatail import _series
 from gammatail._dd import central_difference
 from gammatail.oracle import oracle_gamma_q, oracle_threshold_ratio
+from gammatail.specfun import _log1pmx
 
 ULP = 2.220446049250313e-16
 
@@ -412,6 +413,36 @@ def test_frozen_series_tables_match_their_fraction_build():
         assert len(frozen) == _series.ORDER + 1, name
         rebuilt = built[name]
         assert [c.hex() for c in frozen] == [c.hex() for c in rebuilt], name
+
+
+def test_frozen_series_tables_are_exact_through_their_order():
+    # A quotient is only exact to ORDER when its operands run past it by
+    # the cancelled leading block; a longer build must agree term by term.
+    longer = _series._build(_series.ORDER + 8)
+    for name in ("LAMBDA_EXCESS", "CHAIN1_NUM", "CHAIN2_NUM"):
+        frozen = getattr(_series, name)
+        assert ([c.hex() for c in frozen]
+                == [c.hex() for c in longer[name][:_series.ORDER + 1]]), name
+
+
+def test_log1pmx_series_converges_across_its_window():
+    # Near d = -0.95 the series needs ~374 terms; it used to stop at 120
+    # with an unconverged sum (relative error 3.4e-6 at d = -0.949999).
+    # Summing ~374 terms costs up to ~13 eps of rounding here.
+    for k in range(201):
+        d = -0.95 + 0.1 * k / 200
+        exact = math.log1p(d) - d
+        assert abs(_log1pmx(d) - exact) <= 32 * ULP * abs(exact), d
+
+
+def test_log1pmx_fix_reaches_the_gamma_kernels():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    # a >= 24 takes the prefactor through log1pmx((x - a) / a) = -0.948.
+    d = gammatail.reg_gamma_p_detail(24.0, 1.25)
+    ref = float(mpmath.gammainc(24, 0, 1.25, regularized=True))
+    assert abs(d.value - ref) <= d.err_bound
+    assert abs(d.value - ref) <= 1e-13 * ref
 
 
 def test_threshold_ratio_domain():

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gammatail import (
+    ConvergenceError,
     DomainError,
     TailQuery,
     branch_roots,
@@ -28,7 +30,9 @@ from gammatail import (
     tail_delta,
     tail_prob,
     tail_prob_detail,
+    tail_prob_many,
 )
+from gammatail import specfun
 from gammatail._dd import central_difference
 from gammatail.oracle import oracle_tail_prob
 
@@ -98,6 +102,114 @@ def test_probability_range_property(a, c):
     assume(a + c > 0.0 or -c >= a)
     p = tail_prob(TailQuery(a, c))
     assert 0.0 <= p <= 1.0
+
+
+# ----------------------------------------------------------------------
+# many shapes at one offset
+# ----------------------------------------------------------------------
+
+
+def _scalar_scan(a, c):
+    """(value, err_bound) hex strings of tail_prob_detail, lane by lane."""
+    out = [tail_prob_detail(TailQuery(float(v), c)) for v in a]
+    return [(d.value.hex(), d.err_bound.hex()) for d in out]
+
+
+def _batch_scan(a, c):
+    values, errs = tail_prob_many(a, c)
+    return [(v.hex(), e.hex()) for v, e in zip(values.tolist(), errs.tolist())]
+
+
+_RNG = np.random.default_rng(20)
+_BATCH_GRIDS = [
+    # plateau interior, its edge a + c = 0, and just past it
+    (np.array([0.1, 0.25, 0.5, 0.5 + 1e-12, 0.6, 3.0]), -0.5),
+    (np.array([2.0, 2.0 + 2.0 ** -51, 2.5]), -2.0),
+    # a <= 1/2: the small-shape tail, and the continued fraction above it
+    (np.geomspace(1e-3, 0.5, 60), 0.3),
+    (np.geomspace(1e-3, 0.5, 60), 1.7),
+    # series and continued fraction on both sides of x = a + 1 and at it
+    (np.linspace(0.6, 40.0, 150), 1.0),
+    (np.linspace(0.6, 40.0, 150), 1.0 - 2.0 ** -40),
+    # the Stirling switch of the log prefactor at a = 24
+    (np.concatenate(([np.nextafter(24.0, 0.0), 24.0,
+                      np.nextafter(24.0, 48.0)], np.linspace(23.0, 25.0, 81))),
+     -0.7),
+    (np.linspace(23.0, 25.0, 81), 2.0),
+    # a from 1e-3 to 1e6, and seeded random shapes and offsets
+    (np.geomspace(1e-3, 1e6, 400), 0.5),
+    (np.geomspace(1e-3, 1e6, 400), -0.2),
+] + [(10.0 ** _RNG.uniform(-3.0, 4.0, 120), float(c))
+     for c in _RNG.uniform(-3.0, 6.0, 6)]
+
+
+@pytest.mark.parametrize("min_lanes", [1, None, 10 ** 9],
+                         ids=["lockstep-only", "default", "scalar-only"])
+def test_tail_prob_many_is_bitwise_the_scalar_scan(monkeypatch, min_lanes):
+    # The default hands the last lanes of every loop to the scalar loop; a
+    # threshold of 1 never does, and a huge one hands over at once.
+    if min_lanes is not None:
+        monkeypatch.setattr(specfun, "_LOCKSTEP_MIN_LANES", min_lanes)
+    for a, c in _BATCH_GRIDS:
+        assert _batch_scan(a, c) == _scalar_scan(a, c), (a[0], a[-1], c)
+
+
+def test_tail_prob_many_hands_its_last_lanes_to_the_scalar_loop(monkeypatch):
+    handed = []
+    run = specfun._lower_series_run
+
+    def spy(a, x, n, *state):
+        handed.append(n)
+        return run(a, x, n, *state)
+
+    monkeypatch.setattr(specfun, "_lower_series_run", spy)
+    a = np.geomspace(1.0, 1e4, 200)
+    assert _batch_scan(a, 0.5) == _scalar_scan(a, 0.5)
+    lanes = len(handed) - 200      # the scalar scan calls it once per lane
+    assert 0 < lanes < specfun._LOCKSTEP_MIN_LANES
+    assert all(n > 0 for n in handed[:lanes])
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value), getattr(info.value, "n_iter",
+                                                      None)
+
+
+def test_tail_prob_many_raises_the_scalar_scans_error():
+    # The series needs ~sqrt(72 a) terms, past the cap from a ~ 2e8: the
+    # lowest failing lane raises, as a scan in lane order does.
+    grid = np.geomspace(3e9, 1e10, 3)
+    err = _raised(tail_prob_many, grid, 0.5)
+    assert err[0] is ConvergenceError
+    assert err == _raised(_scalar_scan, grid, 0.5)
+    for a, c in ((np.array([1.0, 0.0, 2.0]), 0.0),
+                 (np.array([1.0, np.nan]), 0.0),
+                 (np.array([1.0, 2.0]), math.inf),
+                 (np.array([1e308, 1.7e308]), 1e308)):
+        err = _raised(tail_prob_many, a, c)
+        assert err[0] is DomainError
+        assert err == _raised(_scalar_scan, a, c)
+    with pytest.raises(DomainError):
+        tail_prob_many(np.ones((2, 2)), 0.0)
+    assert tail_prob_many([], 0.5)[0].shape == (0,)
+
+
+def test_tail_prob_many_cap_error_with_many_lanes_at_the_cap(monkeypatch):
+    # With a low cap, many lanes are still in the lockstep loop when it
+    # reaches the cap; and a series lane must win over a later small-shape
+    # lane, although the small-shape branch is evaluated first.
+    monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", 12)
+    monkeypatch.setattr(specfun, "_LOCKSTEP_MIN_LANES", 4)
+    for grid, c in ((np.geomspace(0.05, 1e4, 300), 0.5),
+                    (np.geomspace(0.05, 1e4, 300), 3.0),
+                    (np.geomspace(0.15, 1e4, 300), -0.1),
+                    (np.array([5000.0, 0.4, 0.3]), 0.9)):
+        err = _raised(tail_prob_many, grid, c)
+        assert err[0] is ConvergenceError and err[2] == 12
+        assert err == _raised(_scalar_scan, grid, c)
+    assert "ascending series" in err[1]
 
 
 # ----------------------------------------------------------------------
