@@ -87,7 +87,7 @@ class ScanSpec:
             pts = np.geomspace(self.a_min, self.a_max, self.n)
         else:
             pts = np.linspace(self.a_min, self.a_max, self.n)
-        return tuple(float(v) for v in pts)
+        return tuple(pts.tolist())
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,15 @@ geometric mean.  All operations validate their domains, are pure, and are
 deterministic; tolerances are module constants, and every iterative loop
 raises ConvergenceError at its cap.
 
-Each incomplete-gamma loop is written once as a scalar loop that can resume
-from any iteration, plus a numpy copy of one iteration.  _lockstep runs
-that copy for many lanes at once and finishes the last few lanes on the
-scalar loop; _reg_gamma_q_lanes (behind tailprob.tail_prob_many) uses it to
-evaluate whole scan grids, every lane bit-identical to reg_gamma_q_detail.
+_reg_gamma_q_lanes and _log_gamma_norm_lanes (behind tailprob.tail_prob_many)
+evaluate whole scan grids, every lane bit-identical to the scalar kernels.
+The first-order loops -- the ascending series, the small-shape tail and the
+_log1pmx and _lgamma1p Taylor sums -- fold _FOLD_BLOCK iterations of all
+lanes per numpy pass (_fold): each state variable is one row-wise
+ufunc.accumulate, a sequential left fold, so every column holds the scalar
+loop's bits at that iteration.  The continued fraction is no such fold: it
+keeps a numpy copy of one iteration (_upper_cf_step), which _lockstep runs
+for all lanes, handing the last few to its scalar loop (_upper_cf_run).
 
 Error bounds returned by the *_detail variants follow a rounding model
 calibrated against the independent quadrature oracle: (2*|log prefactor| +
@@ -40,12 +44,17 @@ _INV_E = 1.0 / math.e
 # kernel loop that reaches the iteration cap raises ConvergenceError.
 _SMALL_SHAPE = 0.5
 _KERNEL_MAX_ITER = 100_000
-# A kernel loop run for many lanes at once hands its last lanes to the
-# scalar loop once fewer than this many are still iterating: below it,
-# numpy's fixed cost per iteration exceeds the scalar loop's cost.  Timed
-# over 8..128 on 400-point scans up to a = 200 and up to a = 1e6, 64 was
-# fastest on both.
+# The continued fraction, run for many lanes at once one iteration per
+# numpy pass (_lockstep), hands its last lanes to its scalar loop once fewer
+# than this many are still iterating: below it, numpy's fixed cost per
+# iteration exceeds the scalar loop's cost.  Timed over 8..128 on 400-point
+# scans up to a = 200 and up to a = 1e6, 64 was fastest on both.
 _LOCKSTEP_MIN_LANES = 64
+# Iterations per numpy pass of the folded loops (_fold): a wider block
+# wastes more iterations past each lane's stop.  Timed over 8..128 on a
+# certify pass (200 scans up to a = 200), 32 was fastest (0.55 s; 0.62 s at
+# 16, 0.60 s at 64); wider blocks win only on long series, up to a = 1e6.
+_FOLD_BLOCK = 32
 
 # Stirling correction phi(a) with lnGamma(a) = (a-1/2)ln a - a + ln(2*pi)/2
 # + phi(a); the six-term tail is below 1e-20 for a >= 24.
@@ -184,6 +193,31 @@ def _lgamma1p(a: float) -> float:
     return acc - _EULER_GAMMA * a
 
 
+_ZETA_COEF = np.array(_ZETA_TABLE)
+# (-1)^k k: dividing by it rounds exactly as _lgamma1p's -(z * a^k / k).
+_ZETA_SIGNED_K = np.array([(-1.0) ** k * k
+                           for k in range(2, 2 + len(_ZETA_TABLE))])
+
+
+def _lgamma1p_block(i, width, a, ak, acc):
+    """Terms i..i+width-1 of _lgamma1p's loop on arrays of lanes (ak starts
+    at a, so the first fold step makes a*a)."""
+    k = slice(i, i + width)
+    aks = _accumulate(np.multiply, ak, a[:, None], width)
+    terms = _ZETA_COEF[k] * aks / _ZETA_SIGNED_K[k]
+    accs = _accumulate(np.add, acc, terms, width)
+    stop = np.abs(terms) <= 0.25 * EPS * (np.abs(accs)
+                                          + _EULER_GAMMA * a[:, None])
+    return aks, accs, stop
+
+
+def _lgamma1p_lanes(a: np.ndarray) -> np.ndarray:
+    """_lgamma1p for arrays of lanes, bit-identical per lane; a lane that
+    runs through the table keeps its last sum, as the scalar loop does."""
+    _, _, _, acc = _fold(_lgamma1p_block, len(_ZETA_TABLE), (a,), (a, 0.0))
+    return acc - _EULER_GAMMA * a
+
+
 def _log1pmx(d: float) -> float:
     """log1p(d) - d without cancellation for moderate |d| (scalar)."""
     if d <= -1.0:
@@ -209,8 +243,38 @@ def _log1pmx(d: float) -> float:
     return -2.0 * acc
 
 
-_L1PMX_COEF = np.array(
-    [1.0 if k % 2 == 0 else (k - 1.0) / k for k in range(2, 68)])
+# c_k of _log1pmx's series for k = 2.._L1PMX_MAX_TERMS-1.
+_L1PMX_COEF = np.array([1.0 if k % 2 == 0 else (k - 1.0) / k
+                        for k in range(2, _L1PMX_MAX_TERMS)])
+# The fixed-length Horner series of _log1pmx_vec sums c_2..c_67.
+_L1PMX_VEC_TERMS = 66
+
+
+def _log1pmx_block(i, width, u, uk, acc):
+    """Terms i..i+width-1 of _log1pmx's loop (k = i+2..) on arrays of
+    lanes (uk starts at u, so the first fold step makes u*u)."""
+    uks = _accumulate(np.multiply, uk, u[:, None], width)
+    terms = _L1PMX_COEF[i:i + width] * uks
+    accs = _accumulate(np.add, acc, terms, width)
+    return uks, accs, np.abs(terms) <= 0.25 * EPS * np.abs(accs)
+
+
+def _log1pmx_lanes(d: np.ndarray) -> np.ndarray:
+    """_log1pmx for arrays of lanes, bit-identical per lane."""
+    if np.any(d <= -1.0):
+        raise DomainError("log1pmx requires d > -1")
+    out = np.empty_like(d)
+    direct = (np.abs(d) > _L1PMX_WINDOW) | (d < -0.95)
+    d_b = d[direct]
+    out[direct] = _per_lane(math.log1p, d_b) - d_b
+    d_b = d[~direct]
+    u = d_b / (2.0 + d_b)
+    left, _, _, acc = _fold(_log1pmx_block, _L1PMX_MAX_TERMS - 2, (u,),
+                            (u, 0.0))
+    for i in left[:1].tolist():
+        _log1pmx(d_b[i].item())             # raises the scalar loop's error
+    out[~direct] = -2.0 * acc
+    return out
 
 
 def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
@@ -230,13 +294,14 @@ def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
     ud = np.where(series, d, 0.0)
     u = ud / (2.0 + ud)
     acc = np.zeros_like(u)
-    for c in _L1PMX_COEF[::-1]:
+    for c in _L1PMX_COEF[_L1PMX_VEC_TERMS - 1::-1]:
         acc = acc * u + c
     ser = -2.0 * u * u * acc
     return np.where(series, ser, direct)
 
 
-def _stirling_phi(a: float) -> float:
+def _stirling_phi(a):
+    """phi(a) by Horner in 1/a^2; elementwise on arrays."""
     r2 = 1.0 / (a * a)
     acc = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
@@ -251,6 +316,22 @@ def _log_gamma_norm(a: float, x: float) -> float:
         d = (x - a) / a
         return a * _log1pmx(d) + 0.5 * math.log(a / _TWO_PI) - _stirling_phi(a)
     return a * math.log(x) - x - math.lgamma(a)
+
+
+def _log_gamma_norm_lanes(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_log_gamma_norm for arrays of lanes, bit-identical per lane: the
+    same operations in numpy, each transcendental one scalar call."""
+    out = np.empty_like(a)
+    big = a >= _STIRLING_MIN
+    a_b = a[big]
+    d = (x[big] - a_b) / a_b
+    out[big] = (a_b * _log1pmx_lanes(d)
+                + 0.5 * _per_lane(math.log, a_b / _TWO_PI)
+                - _stirling_phi(a_b))
+    a_b, x_b = a[~big], x[~big]
+    out[~big] = (a_b * _per_lane(math.log, x_b) - x_b
+                 - _per_lane(math.lgamma, a_b))
+    return out
 
 
 def _not_converged(loop: str, cap: int) -> ConvergenceError:
@@ -281,11 +362,12 @@ def _lower_series_run(a: float, x: float, n: int, term: float,
                          _KERNEL_MAX_ITER)
 
 
-def _lower_series_step(n, a, x, term, total):
-    """One iteration of _lower_series_run on arrays of lanes."""
-    term = term * (x / (a + n))
-    total = total + term
-    return term, total, term <= 0.25 * EPS * total
+def _lower_series_block(n, width, a, x, term, total):
+    """Iterations n+1..n+width of _lower_series_run on arrays of lanes."""
+    terms = _accumulate(np.multiply, term,
+                        x[:, None] / (a[:, None] + _counts(n, width)), width)
+    totals = _accumulate(np.add, total, terms, width)
+    return terms, totals, terms <= 0.25 * EPS * totals
 
 
 def _lower_series(a: float, x: float) -> tuple[float, float, int]:
@@ -377,14 +459,16 @@ def _upper_small_shape_run(a: float, x: float, n: int, term: float, h: float,
                          _KERNEL_MAX_ITER)
 
 
-def _upper_small_shape_step(n, a, x, term, h, habs):
-    """One iteration of _upper_small_shape_run on arrays of lanes."""
-    term = term * (-x / n)
-    contrib = term * (a / (a + n))
-    h = h - contrib
-    habs = habs + np.abs(contrib)
-    stop = np.abs(term) <= 0.25 * EPS * np.maximum(np.abs(h), 1e-300)
-    return term, h, habs, stop
+def _upper_small_shape_block(n, width, a, x, term, h, habs):
+    """Iterations n+1..n+width of _upper_small_shape_run on arrays of
+    lanes."""
+    counts = _counts(n, width)
+    terms = _accumulate(np.multiply, term, -x[:, None] / counts, width)
+    contrib = terms * (a[:, None] / (a[:, None] + counts))
+    hs = _accumulate(np.subtract, h, contrib, width)
+    habss = _accumulate(np.add, habs, np.abs(contrib), width)
+    stop = np.abs(terms) <= 0.25 * EPS * np.maximum(np.abs(hs), 1e-300)
+    return terms, hs, habss, stop
 
 
 def _upper_small_shape(a: float, x: float) -> tuple[float, float, int]:
@@ -406,6 +490,65 @@ def _upper_small_shape(a: float, x: float) -> tuple[float, float, int]:
     eg = math.exp(g)
     value = -math.expm1(g) + eg * h
     return value, _small_shape_err(alnx, lg, g, eg, n, habs, value), n
+
+
+def _counts(n: int, width: int) -> np.ndarray:
+    """The iteration numbers n+1..n+width as floats."""
+    return np.arange(n + 1.0, n + width + 1.0)
+
+
+def _accumulate(ufunc, carry, steps, width: int) -> np.ndarray:
+    """Each lane's left fold of ufunc over carry and its width steps (steps
+    broadcast to lanes x width): column k is the state after step k + 1,
+    rounded exactly as a scalar loop applying ufunc step by step."""
+    rows = np.empty((np.shape(carry)[0], width + 1))
+    rows[:, 0] = carry
+    rows[:, 1:] = steps
+    return ufunc.accumulate(rows, axis=1, out=rows)[:, 1:]
+
+
+def _fold(block, n_max: int, consts: tuple, start: tuple
+          ) -> tuple[np.ndarray, ...]:
+    """Run a loop whose iterations block folds, for arrays of lanes.
+
+    block(n, width, *consts, *state) returns the states after iterations
+    n+1..n+width of every lane, one lanes x width matrix per state
+    variable, and the matching stop matrix; start is the state before the
+    first iteration (scalars broadcast).  Each pass runs _FOLD_BLOCK
+    iterations, or fewer to end at n_max.  A lane leaves at its first stop
+    column with that column's state, so its iteration count and final state
+    are bit-identical to the scalar loop's.
+
+    Returns the lanes still running after n_max iterations (in lane order),
+    the iteration counts and the final states, one array each; a lane still
+    running counts n_max and keeps its state there.
+    """
+    state = np.broadcast_arrays(consts[0], *start)[1:]
+    out = [s.copy() for s in state]
+    n_out = np.full(consts[0].shape, n_max, dtype=np.int64)
+    lane = np.arange(consts[0].size)
+    n = 0
+    while lane.size and n < n_max:
+        width = min(_FOLD_BLOCK, n_max - n)
+        *cols, stop = block(n, width, *consts, *state)
+        first = stop.argmax(axis=1)
+        rows = np.arange(lane.size)
+        hit = stop[rows, first]
+        if hit.any():
+            done, k = lane[hit], first[hit]
+            n_out[done] = n + 1 + k
+            for o, col in zip(out, cols):
+                o[done] = col[rows[hit], k]
+            live = ~hit
+            lane = lane[live]
+            consts = [v[live] for v in consts]
+            state = [col[live, -1] for col in cols]
+        else:
+            state = [col[:, -1] for col in cols]
+        n += width
+    for o, s in zip(out, state):
+        o[lane] = s
+    return lane, n_out, *out
 
 
 def _lockstep(step, run, a: np.ndarray, x: np.ndarray,
@@ -446,10 +589,22 @@ def _lockstep(step, run, a: np.ndarray, x: np.ndarray,
     return n_out, *out
 
 
+def _kernel_fold(block, run, a: np.ndarray, x: np.ndarray,
+                 start: tuple) -> tuple[np.ndarray, ...]:
+    """_fold of a kernel loop over lanes (a, x), capped at
+    _KERNEL_MAX_ITER; a lane still running there raises the scalar loop's
+    ConvergenceError from run.  Returns the iteration counts and the final
+    state."""
+    left, *out = _fold(block, _KERNEL_MAX_ITER, (a, x), start)
+    for i in left[:1].tolist():
+        run(a[i].item(), x[i].item(), _KERNEL_MAX_ITER,
+            *(v[i].item() for v in out[1:]))
+    return tuple(out)
+
+
 def _per_lane(fn, *arrays: np.ndarray) -> np.ndarray:
     """fn applied to each lane's Python floats, one scalar call per lane."""
-    return np.array([fn(*args) for args in zip(*(v.tolist() for v in arrays))],
-                    dtype=float)
+    return np.array(list(map(fn, *(v.tolist() for v in arrays))), dtype=float)
 
 
 def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
@@ -458,9 +613,9 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     x > 0, given each lane's _log_gamma_norm(a, x).
 
     The branch choice and the bound assembly are reg_gamma_q_detail's, in
-    numpy + - * / on whole branches; the kernel loops run in lockstep and
-    every transcendental is one scalar call per lane, so each lane is
-    bit-identical to the scalar call.
+    numpy + - * / on whole branches; the series loops fold in blocks, the
+    continued fraction runs in lockstep, and every transcendental is one
+    scalar call per lane, so each lane is bit-identical to the scalar call.
     """
     q = np.empty_like(a)
     err = np.empty_like(a)
@@ -476,11 +631,11 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     if small.any():
         a_b, x_b = a[small], x[small]
         alnx = a_b * _per_lane(math.log, x_b)
-        lg = _per_lane(_lgamma1p, a_b)
+        lg = _lgamma1p_lanes(a_b)
         g = alnx - lg
-        n, _, h, habs = _lockstep(_upper_small_shape_step,
-                                  _upper_small_shape_run, a_b, x_b,
-                                  _SMALL_SHAPE_START)
+        n, _, h, habs = _kernel_fold(_upper_small_shape_block,
+                                     _upper_small_shape_run, a_b, x_b,
+                                     _SMALL_SHAPE_START)
         eg = _per_lane(math.exp, g)
         q[small] = value = -_per_lane(math.expm1, g) + eg * h
         err[small] = _small_shape_err(alnx, lg, g, eg, n, habs,
@@ -488,8 +643,8 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     if series.any():
         a_b, x_b = a[series], x[series]
         ln_pref = ln_norm[series] - _per_lane(math.log, a_b)
-        n, _, total = _lockstep(_lower_series_step, _lower_series_run, a_b,
-                                x_b, _LOWER_SERIES_START)
+        n, _, total = _kernel_fold(_lower_series_block, _lower_series_run,
+                                   a_b, x_b, _LOWER_SERIES_START)
         p = _per_lane(math.exp, ln_pref) * total
         q[series] = 1.0 - p
         err[series] = _kernel_rel(ln_pref, n) * p + EPS

@@ -5,7 +5,7 @@ For a gamma variable X_a with shape a (unit rate), the central quantity is
     tail_prob(a, c) = P(X_a - a > c) = Q(a, a + c),
 
 the probability that X_a exceeds its mean by more than c.  tail_prob_many
-evaluates it for many shapes at one c in one lockstep kernel pass, each
+evaluates it for many shapes at one c in one batched kernel pass, each
 value bit-identical to the one-shape evaluation.  The companions
 implement an equivalent representation used to reason about how tail_prob
 moves with the shape: with f(x) = x e^(1-x) and u = a - 1,
@@ -35,6 +35,7 @@ from .specfun import (
     _ROOT_ABS_TOL,
     _log1pmx_vec,
     _log_gamma_norm,
+    _log_gamma_norm_lanes,
     _per_lane,
     _reg_gamma_q_lanes,
     branch_root_deriv,
@@ -118,10 +119,13 @@ def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
     """tail_prob_detail for many shapes at one offset c.
 
     a is a 1-D sequence of shapes; returns (values, err_bounds) arrays, each
-    lane bit-identical to tail_prob_detail(TailQuery(a_i, c)).  The kernel
-    loops run in lockstep over the lanes (see specfun._lockstep) and each
-    lane's log prefactor is computed once.  If any lane fails, the error
-    raised is the first one a tail_prob_detail scan in lane order raises.
+    lane bit-identical to tail_prob_detail(TailQuery(a_i, c)).  The
+    ascending series, the small-shape tail and the log prefactor's
+    log1pmx and lgamma1p sums fold blocks of iterations for all lanes per
+    numpy pass (specfun._fold); the continued fraction steps all lanes one
+    iteration per pass (specfun._lockstep).  Each lane's log prefactor is
+    computed once.  If any lane fails, the error raised is the first one a
+    tail_prob_detail scan in lane order raises.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
@@ -137,7 +141,7 @@ def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
             raise DomainError("tail_prob_many requires shapes a > 0 with "
                               "a + c finite")
         a_l, x_l = a[live], x[live]
-        ln_norm = _per_lane(_log_gamma_norm, a_l, x_l)
+        ln_norm = _log_gamma_norm_lanes(a_l, x_l)
         q, q_err = _reg_gamma_q_lanes(a_l, x_l, ln_norm)
     except GammaTailError:
         # Lanes of several branches may fail; the scalar scan says which

@@ -158,3 +158,59 @@ def test_no_capped_loop_runs_out_silently():
     # A convergence loop that reaches its cap must raise, not return a
     # partial sum; the allowlist holds loops that provably stop in time.
     assert _loops_that_can_run_out_silently() == set(LOOPS_THAT_CANNOT_RUN_OUT)
+
+
+# Every `raise CertificationError` site, (module, qualified function) -> the
+# condition of the `if` it sits in.  Exit 1 must mean a real contradiction,
+# so each guard compares a margin with STRICT_MARGIN (or strict_margin) times
+# its error bound, unless it is listed below with the reason it needs none.
+CERTIFICATION_RAISES = {
+    ("certify", "check_threshold_chain"): ("d < -STRICT_MARGIN * err_sum",),
+    ("median", "_bracket_failure"): ("margin < -STRICT_MARGIN * err",),
+    ("median", "MedianResult.__post_init__"):
+        ("not -ONE_THIRD < self.offset < 0.0",),
+}
+GUARDS_WITHOUT_MARGIN = {
+    ("median", "MedianResult.__post_init__"):
+        "the offset of a median solved inside the bracket [a - 1/3, a], "
+        "whose endpoint signs gamma_median has already margin-checked",
+}
+
+_MARGIN_GUARD = re.compile(
+    r"\w+ [<>] -?(STRICT_MARGIN|strict_margin) \* \w+")
+
+
+def _certification_raises() -> dict[tuple[str, str], tuple]:
+    """(module, qualified function) -> the guard of each CertificationError
+    raise in it, as source; None for a raise not directly inside an if."""
+    found: dict[tuple[str, str], tuple] = {}
+    for module, tree in TREES.items():
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if not (isinstance(exc, ast.Name)
+                    and exc.id == "CertificationError"):
+                continue
+            up = parent[node]
+            guard = (ast.unparse(up.test)
+                     if isinstance(up, ast.If) and node in up.body else None)
+            names = []
+            while up in parent:
+                if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
+                    names.append(up.name)
+                up = parent[up]
+            site = (module, ".".join(reversed(names)))
+            found[site] = found.get(site, ()) + (guard,)
+    return found
+
+
+def test_every_certification_error_is_margin_guarded():
+    # A certification error must come from a certified contradiction, never
+    # from a sign that rounding alone could flip.
+    assert _certification_raises() == CERTIFICATION_RAISES
+    for site, guards in CERTIFICATION_RAISES.items():
+        if site not in GUARDS_WITHOUT_MARGIN:
+            assert all(_MARGIN_GUARD.fullmatch(g) for g in guards), site

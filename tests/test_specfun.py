@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +40,7 @@ from gammatail import (
     reg_gamma_q_detail,
     threshold_ratio,
 )
-from gammatail import _series
+from gammatail import _series, specfun
 from gammatail._dd import central_difference
 from gammatail.oracle import oracle_gamma_q, oracle_threshold_ratio
 from gammatail.specfun import _log1pmx
@@ -443,6 +444,38 @@ def test_log1pmx_fix_reaches_the_gamma_kernels():
     ref = float(mpmath.gammainc(24, 0, 1.25, regularized=True))
     assert abs(d.value - ref) <= d.err_bound
     assert abs(d.value - ref) <= 1e-13 * ref
+
+
+def _hex(values):
+    return [v.hex() for v in values.tolist()]
+
+
+def test_lane_prefactors_are_bitwise_the_scalar_ones(monkeypatch):
+    # tail_prob_many's log prefactor folds the log1pmx and lgamma1p sums
+    # over all lanes at once; every lane must keep the scalar loop's bits.
+    rng = np.random.default_rng(8)
+    d = np.concatenate((rng.uniform(-0.999, 2.0, 2000),
+                        [-0.95, np.nextafter(-0.95, 0.0), 1.5,
+                         np.nextafter(1.5, 2.0), 0.0]))
+    assert (_hex(specfun._log1pmx_lanes(d))
+            == [_log1pmx(v).hex() for v in d.tolist()])
+    a = np.concatenate((rng.uniform(0.0, 0.5, 2000), [0.0, 1e-300, 0.5]))
+    assert (_hex(specfun._lgamma1p_lanes(a))
+            == [specfun._lgamma1p(v).hex() for v in a.tolist()])
+    a = 10.0 ** rng.uniform(-3.0, 6.0, 2000)
+    x = a * rng.uniform(0.01, 3.0, a.size)
+    assert (_hex(specfun._log_gamma_norm_lanes(a, x))
+            == [specfun._log_gamma_norm(*p).hex()
+                for p in zip(a.tolist(), x.tolist())])
+    with pytest.raises(DomainError):
+        specfun._log1pmx_lanes(np.array([0.5, -1.0]))
+    # At a lowered term cap the lanes raise the scalar loop's error.
+    monkeypatch.setattr(specfun, "_L1PMX_MAX_TERMS", 40)
+    with pytest.raises(ConvergenceError) as scalar:
+        _log1pmx(-0.9)
+    with pytest.raises(ConvergenceError) as lanes:
+        specfun._log1pmx_lanes(np.array([0.1, -0.9, -0.92]))
+    assert str(lanes.value) == str(scalar.value)
 
 
 def test_threshold_ratio_domain():

@@ -139,6 +139,17 @@ _BATCH_GRIDS = [
     # a from 1e-3 to 1e6, and seeded random shapes and offsets
     (np.geomspace(1e-3, 1e6, 400), 0.5),
     (np.geomspace(1e-3, 1e6, 400), -0.2),
+    # the log1pmx window of the Stirling prefactor in d = c/a: just outside
+    # and just inside d = -0.95 (a = 24 and its successor) and across it, at
+    # d = 1.5 and across it
+    (np.array([24.0, np.nextafter(24.0, 25.0), 24.01, 25.0, 40.0]), -22.8),
+    (np.concatenate(([23.0 / 0.95], np.linspace(24.0, 24.5, 41))), -23.0),
+    (np.array([24.0, np.nextafter(24.0, 25.0), 24.5, 30.0]), 36.0),
+    (np.concatenate(([40.0 / 1.5], np.linspace(24.0, 30.0, 41))), 40.0),
+    # lgamma1p's whole range: tiny shapes, and at and just below a = 1/2
+    (np.array([1e-300, 1e-100, 1e-10, 0.45, np.nextafter(0.5, 0.0), 0.5,
+               np.nextafter(0.5, 1.0)]), 0.2),
+    (np.linspace(0.4, 0.5, 50), -0.3),
 ] + [(10.0 ** _RNG.uniform(-3.0, 4.0, 120), float(c))
      for c in _RNG.uniform(-3.0, 6.0, 6)]
 
@@ -155,16 +166,19 @@ def test_tail_prob_many_is_bitwise_the_scalar_scan(monkeypatch, min_lanes):
 
 
 def test_tail_prob_many_hands_its_last_lanes_to_the_scalar_loop(monkeypatch):
+    # The continued fraction (x = a + 3 >= a + 1 on the whole grid) steps
+    # one iteration per pass and hands over its last lanes; the folded
+    # loops never do.
     handed = []
-    run = specfun._lower_series_run
+    run = specfun._upper_cf_run
 
     def spy(a, x, n, *state):
         handed.append(n)
         return run(a, x, n, *state)
 
-    monkeypatch.setattr(specfun, "_lower_series_run", spy)
+    monkeypatch.setattr(specfun, "_upper_cf_run", spy)
     a = np.geomspace(1.0, 1e4, 200)
-    assert _batch_scan(a, 0.5) == _scalar_scan(a, 0.5)
+    assert _batch_scan(a, 3.0) == _scalar_scan(a, 3.0)
     lanes = len(handed) - 200      # the scalar scan calls it once per lane
     assert 0 < lanes < specfun._LOCKSTEP_MIN_LANES
     assert all(n > 0 for n in handed[:lanes])
@@ -210,6 +224,20 @@ def test_tail_prob_many_cap_error_with_many_lanes_at_the_cap(monkeypatch):
         assert err[0] is ConvergenceError and err[2] == 12
         assert err == _raised(_scalar_scan, grid, c)
     assert "ascending series" in err[1]
+
+
+def test_tail_prob_many_stops_no_lane_past_a_cap_inside_a_block(
+        monkeypatch):
+    # The cap falls inside a fold block, which must end there: the series
+    # needs 45 iterations at a = 16 and 46 at a = 16.2 (c = 0.5).
+    monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", 45)
+    assert 45 % specfun._FOLD_BLOCK != 0
+    grid = np.array([0.3, 3.0, 15.2, 16.0])
+    assert _batch_scan(grid, 0.5) == _scalar_scan(grid, 0.5)
+    grid = np.append(grid, 16.2)
+    err = _raised(tail_prob_many, grid, 0.5)
+    assert err[0] is ConvergenceError and err[2] == 45
+    assert err == _raised(_scalar_scan, grid, 0.5)
 
 
 # ----------------------------------------------------------------------
