@@ -8,9 +8,11 @@ that certify and the tests share, lives here too.
 
 The error-free transforms and dd_add/dd_sub/dd_mul/dd_div use only IEEE
 +, -, * and /, so they work unchanged on numpy arrays, lane by lane, with
-the same rounding as on floats.  mean_gaps and dd_log1p_small use that to
-evaluate many pairs in one lockstep pass, each lane bit-identical to the
-pair computed alone; dd_exp and dd_log stay scalar.
+the same rounding as on floats.  dd_exp, dd_log, dd_log1p_small and
+mean_gaps use that to evaluate many lanes in one lockstep pass, each lane
+bit-identical to the value computed alone: their Taylor sums stop each lane
+at its own last term, and dd_log takes one math.log call per lane.  A float
+argument gives a float result.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .specfun import EPS
+from .specfun import EPS, _per_lane
 
 _SPLITTER = 134217729.0            # 2^27 + 1
 # ln 2 to double-double precision (standard pair).
@@ -90,35 +92,74 @@ def dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float
     return quick_two_sum(s, e + q3)
 
 
-def dd_exp(x: tuple[float, float]) -> tuple[float, float]:
-    """exp of a double-double; arguments beyond the double range saturate."""
-    if x[0] > 709.0:
-        return math.inf, 0.0
-    if x[0] < -745.0:
-        return 0.0, 0.0
-    k = round(x[0] / _LN2_HI)
-    r = dd_sub(x, dd_mul_d((_LN2_HI, _LN2_LO), float(k)))
+def dd_exp(x: tuple) -> tuple:
+    """exp of a double-double; arguments beyond the double range saturate.
+
+    x may be a pair of floats or of equal-shape arrays.  Array lanes run the
+    Taylor sum in lockstep, and each lane stops at its own last term: a
+    converged lane is frozen and leaves the working set, so its value is
+    bit-identical to the same lane computed alone.
+    """
+    x_hi = np.asarray(x[0], dtype=float)
+    shape = x_hi.shape
+    x_hi, x_lo = np.broadcast_arrays(x_hi.ravel(),
+                                     np.asarray(x[1], dtype=float).ravel())
+    out_hi = np.where(x_hi > 709.0, math.inf,
+                      np.where(x_hi < -745.0, 0.0, math.nan))
+    out_lo = np.zeros_like(out_hi)
+    todo = np.flatnonzero((-745.0 <= x_hi) & (x_hi <= 709.0))
+    k = np.rint(x_hi[todo] / _LN2_HI)
+    r = dd_sub((x_hi[todo], x_lo[todo]), dd_mul_d((_LN2_HI, _LN2_LO), k))
     # Taylor sum of exp(r) for |r| <= ~0.35.
-    acc = (1.0, 0.0)
-    term = (1.0, 0.0)
+    sum_hi, sum_lo = np.empty(todo.size), np.empty(todo.size)
+    lane = np.arange(todo.size)             # working set: unconverged lanes
+    acc = term = (np.ones(todo.size), np.zeros(todo.size))
     for n in range(1, 40):
+        if not lane.size:
+            break
         term = dd_mul_d(dd_mul(term, r), 1.0 / n)
         acc = dd_add(acc, term)
-        if abs(term[0]) < 1e-36 * abs(acc[0]):
-            break
-    return math.ldexp(acc[0], k), math.ldexp(acc[1], k)
+        done = np.abs(term[0]) < 1e-36 * np.abs(acc[0])
+        if np.any(done):
+            sum_hi[lane[done]] = acc[0][done]
+            sum_lo[lane[done]] = acc[1][done]
+            live = ~done
+            lane = lane[live]
+            r, term, acc = ((p[0][live], p[1][live]) for p in (r, term, acc))
+    else:
+        sum_hi[lane], sum_lo[lane] = acc
+    k = k.astype(np.int64)
+    out_hi[todo] = np.ldexp(sum_hi, k)
+    out_lo[todo] = np.ldexp(sum_lo, k)
+    if not shape:
+        return float(out_hi[0]), float(out_lo[0])
+    return out_hi.reshape(shape), out_lo.reshape(shape)
 
 
-def dd_log(x: float) -> tuple[float, float]:
+def dd_log(x: float | np.ndarray) -> tuple:
     """ln x as a double-double, refined from the double log by one Newton
-    step: w + (x e^{-w} - 1) - (x e^{-w} - 1)^2 / 2."""
-    if x <= 0.0:
+    step: w + (x e^{-w} - 1) - (x e^{-w} - 1)^2 / 2.
+
+    x may be a float or an array; each lane takes one math.log call, and
+    all lanes share one lockstep dd_exp, so every lane is bit-identical to
+    the float computed alone.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
         raise DomainError("dd_log requires x > 0")
-    w = math.log(x)
-    r = dd_mul_d(dd_exp((-w, 0.0)), x)
-    r = dd_add(r, (-1.0, 0.0))
-    corr = dd_sub(r, dd_mul_d(dd_mul(r, r), 0.5))
-    return dd_add((w, 0.0), corr)
+    shape = x.shape
+    x = x.ravel()
+    w = _per_lane(math.log, x)
+    # Splitting x overflows from about 1.34e300 on, and the result turns
+    # NaN silently, as it does with floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = dd_mul_d(dd_exp((-w, 0.0)), x)
+        r = dd_add(r, (-1.0, 0.0))
+        corr = dd_sub(r, dd_mul_d(dd_mul(r, r), 0.5))
+        hi, lo = dd_add((w, 0.0), corr)
+    if not shape:
+        return float(hi[0]), float(lo[0])
+    return hi.reshape(shape), lo.reshape(shape)
 
 
 def dd_log1p_small(u: tuple[float, float]) -> tuple[float, float]:
@@ -203,7 +244,7 @@ def mean_gaps(x: np.ndarray | float, y: np.ndarray | float) -> MeanChainGaps:
     difference of two logs, so the relative error of every gap stays
     O(eps^2) times the x*y scale even at ratio 1 + 1e-6.  Lanes beyond the
     series window, (y - x)/x > 0.5, take the difference of the double-double
-    logs of x and y instead, one lane at a time.
+    logs of x and y instead.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
@@ -219,8 +260,8 @@ def mean_gaps(x: np.ndarray | float, y: np.ndarray | float) -> MeanChainGaps:
         w_hi, w_lo = np.empty_like(x), np.empty_like(x)
         w_hi[small], w_lo[small] = dd_log1p_small((r_dd[0][small],
                                                    r_dd[1][small]))
-        for i in np.flatnonzero(~small).tolist():
-            w_hi[i], w_lo[i] = dd_sub(dd_log(float(y[i])), dd_log(float(x[i])))
+        wide = ~small
+        w_hi[wide], w_lo[wide] = dd_sub(dd_log(y[wide]), dd_log(x[wide]))
         l_dd = dd_div(d_dd, (w_hi, w_lo))
         xy_dd = two_prod(x, y)
         l2_dd = dd_mul(l_dd, l_dd)

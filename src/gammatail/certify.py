@@ -31,7 +31,8 @@ Contents:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from ._dd import central_difference, mean_gaps
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
-from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _refined_from_log,
+from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _per_lane,
                       _threshold_forms, log_mean)
 from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
@@ -546,34 +547,34 @@ class MeanChainEntry:
 
 @dataclass(frozen=True)
 class MeanChainReport:
-    entries: tuple[MeanChainEntry, ...]
+    """The mean-chain verdict over a list of pairs.
+
+    The per-pair results are kept as read-only numpy columns, one per
+    MeanChainEntry field in field order; entries builds the MeanChainEntry
+    records from them on first access.  Two reports are equal when their
+    summary fields and their entries are.
+    """
+
     certified: bool
     min_margin_ratio: float
     probe_violation_found: bool
     probe_spread: float
     probe_gap: float
+    columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
+    @cached_property
+    def entries(self) -> tuple[MeanChainEntry, ...]:
+        return tuple(map(MeanChainEntry, *(c.tolist() for c in self.columns)))
 
-def _mean_entry(x: float, y: float,
-                gaps: Optional[tuple[float, float, float, float]],
-                strict_margin: float) -> MeanChainEntry:
-    """One pair's entry; gaps holds its extended-precision gaps and error
-    bound, or is None to take the gaps in double precision."""
-    geo = math.sqrt(x * y)
-    lm = log_mean(x, y)
-    ref = _refined_from_log(x, y, lm)
-    ari = 0.5 * (x + y)
-    if gaps is not None:
-        g1, g2, g3, err = gaps
-    else:
-        g1, g2, g3 = lm - geo, ref - lm, ari - ref
-        err = 32.0 * EPS * ari
-    margin = strict_margin * err
-    ok = g1 > margin and g2 > margin and g3 > margin
-    return MeanChainEntry(
-        x=x, y=y, geometric=geo, logarithmic=lm, refined=ref, arithmetic=ari,
-        gap_log_vs_geo=g1, gap_refined_vs_log=g2, gap_arith_vs_refined=g3,
-        err_bound=err, extended=gaps is not None, chain_ok=ok)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MeanChainReport):
+            return NotImplemented
+        return ((self.certified, self.min_margin_ratio,
+                 self.probe_violation_found, self.probe_spread,
+                 self.probe_gap, self.entries)
+                == (other.certified, other.min_margin_ratio,
+                    other.probe_violation_found, other.probe_spread,
+                    other.probe_gap, other.entries))
 
 
 def check_mean_chain(pairs: Sequence[tuple[float, float]],
@@ -582,10 +583,12 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
                      ) -> MeanChainReport:
     """Certify the mean chain on each pair and probe the 1/3 factor.
 
-    Pairs with relative spread below 2% are evaluated with the extended-
-    precision gap routine (the refined-vs-logarithmic gap shrinks like the
-    fourth power of the spread and cancels catastrophically in doubles),
-    all of them in one lockstep call.
+    All pairs are evaluated together, as numpy columns with the scalar
+    formulas' operations (log1p stays one math.log1p call per pair).  Pairs
+    with relative spread below 2% take their gaps from the extended-
+    precision gap routine instead (the refined-vs-logarithmic gap shrinks
+    like the fourth power of the spread and cancels catastrophically in
+    doubles), all of them in one lockstep call.
 
     The optimality probe replaces the 1/3 factor inside the refined mean by
     probe_factor (default 1/3 - 1e-3, which must stay below 1/3) and scans
@@ -597,27 +600,36 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         raise DomainError("probe_factor must lie strictly inside (0, 1/3)")
     if len(pairs) == 0:
         raise DomainError("check_mean_chain requires at least one pair")
-    xs, ys, extended = [], [], []
-    for x, y in pairs:
-        x, y = float(x), float(y)
-        if not (0.0 < x < y) or not math.isfinite(y):
-            raise DomainError("mean chain pairs require 0 < x < y, finite")
-        xs.append(x)
-        ys.append(y)
-        extended.append((y - x) / x <= _MEAN_EXTENDED_MAX)
-    ext = np.array(extended, dtype=bool)
-    gaps = mean_gaps(np.array(xs)[ext], np.array(ys)[ext])
-    ext_gaps = zip(gaps.log_vs_geo.tolist(), gaps.refined_vs_log.tolist(),
-                   gaps.arith_vs_refined.tolist(), gaps.err_bound.tolist())
-    entries = []
-    min_ratio = math.inf
-    for x, y, is_ext in zip(xs, ys, extended):
-        entry = _mean_entry(x, y, next(ext_gaps) if is_ext else None,
-                            strict_margin)
-        entries.append(entry)
-        for gap in (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
-                    entry.gap_arith_vs_refined):
-            min_ratio = min(min_ratio, gap / max(entry.err_bound, 5e-324))
+    xy = np.array(pairs, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise DomainError("check_mean_chain takes a sequence of (x, y) pairs")
+    x, y = xy[:, 0], xy[:, 1]
+    if not np.all((0.0 < x) & (x < y) & np.isfinite(y)):
+        raise DomainError("mean chain pairs require 0 < x < y, finite")
+    # Pairs near the double range overflow to inf/NaN silently, as floats do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = y - x
+        extended = d / x <= _MEAN_EXTENDED_MAX
+        geo = np.sqrt(x * y)
+        lm = d / _per_lane(math.log1p, d / x)
+        ref = np.sqrt(x * y + (lm - x) * (y - lm) / 3.0)
+        ari = 0.5 * (x + y)
+        gaps = np.stack((lm - geo, ref - lm, ari - ref))
+        err = 32.0 * EPS * ari
+        ext = mean_gaps(x[extended], y[extended])
+        gaps[:, extended] = (ext.log_vs_geo, ext.refined_vs_log,
+                             ext.arith_vs_refined)
+        err[extended] = ext.err_bound
+        margin = strict_margin * err
+        chain_ok = np.all(gaps > margin, axis=0)
+        ratios = (gaps / np.maximum(err, 5e-324)).T
+    # Python's min over the ratios in pair order skips NaN ratios and keeps
+    # the first of two equal signed zeros; np.fmin's reduction skips NaN
+    # but may return either zero.
+    min_ratio = min([math.inf, *ratios.ravel().tolist()])
+    columns = (x, y, geo, lm, ref, ari, *gaps, err, extended, chain_ok)
+    for column in columns:
+        column.flags.writeable = False
 
     # Optimality probe: with the weakened factor the refined mean must drop
     # below the logarithmic mean somewhere near the diagonal.  The violation
@@ -635,11 +647,11 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
             probe_found = True
             probe_spread = float(t)
             probe_gap = gap
-    certified = all(e.chain_ok for e in entries) and probe_found
+    certified = bool(chain_ok.all()) and probe_found
     return MeanChainReport(
-        entries=tuple(entries), certified=certified,
-        min_margin_ratio=min_ratio, probe_violation_found=probe_found,
-        probe_spread=probe_spread, probe_gap=probe_gap)
+        certified=certified, min_margin_ratio=min_ratio,
+        probe_violation_found=probe_found, probe_spread=probe_spread,
+        probe_gap=probe_gap, columns=columns)
 
 
 # ---------------------------------------------------------------------------

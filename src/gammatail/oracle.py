@@ -161,16 +161,20 @@ def oracle_gamma_q_many(a: float, xs: Sequence[float]) -> list[float]:
 
         his = [t_up if x <= t0 else max(t_up, x + 900.0) for x in xt]
         nums = integrate_many(fn, xt, his, rel_tol=_HALF_TOL)
-        log_t0 = dd_log(t0)
+        # The connecting prefactors of all x beyond t0, from one dd_log
+        # call that also takes ln t0.
+        x_far = np.array([x for x in xt if x > t0])
+        logs = dd_log(np.concatenate(([t0], x_far)))
+        log_ratio = dd_sub((logs[0][1:], logs[1][1:]),
+                           (logs[0][0], logs[1][0]))
+        e_dd = dd_sub(dd_mul(two_sum(a, -1.0), log_ratio),
+                      two_sum(x_far, -t0))
+        prefs = iter([math.exp(hi) * (1.0 + lo)
+                      for hi, lo in zip(e_dd[0].tolist(), e_dd[1].tolist())])
         for j, x, res in zip(todo, xt, nums):
-            if x <= t0:
-                q = res.value / d_int
-            else:
-                log_ratio = dd_sub(dd_log(x), log_t0)
-                e_dd = dd_sub(dd_mul(two_sum(a, -1.0), log_ratio),
-                              two_sum(x, -t0))
-                pref = math.exp(e_dd[0]) * (1.0 + e_dd[1])
-                q = pref * (res.value / d_int)
+            q = res.value / d_int
+            if x > t0:
+                q = next(prefs) * q
             out[j] = min(max(q, 0.0), 1.0)
         return out
 

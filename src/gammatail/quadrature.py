@@ -11,13 +11,14 @@ target.
 The engine runs in lockstep: integrate_many advances any number of intervals
 together, and each refinement sweep makes one integrand call covering every
 live panel of every interval (both bisection halves, plus the parent panels
-on the first sweep).  Acceptance, the panel budget, the sweep limit and the
-fsum accumulation stay per interval, so each interval's result is
-bit-identical to integrating it alone: integrand values and per-panel
-15-node sums are element-wise, and fsum is exactly rounded, so neither
-depends on which other panels share the arrays.  integrate is the
-one-interval call of the same engine.  The routine is single-threaded and
-bit-deterministic.
+on the first sweep).  Live panels stay grouped by interval, so each sweep
+records an interval's accepted panels in one step, in panel order.
+Acceptance, the panel budget, the sweep limit and the fsum accumulation
+stay per interval, so each interval's result is bit-identical to
+integrating it alone: integrand values and per-panel 15-node sums are
+element-wise, and fsum is exactly rounded, so neither depends on which
+other panels share the arrays.  integrate is the one-interval call of the
+same engine.  The routine is single-threaded and bit-deterministic.
 """
 from __future__ import annotations
 
@@ -72,10 +73,11 @@ class _Interval:
         self.n_evals = n_evals
         self._sums: Optional[tuple[float, float]] = (0.0, 0.0)
 
-    def accept(self, left: float, right: float, defect: float) -> None:
-        self.vals.append(left)
-        self.vals.append(right)
-        self.errs.append(defect)
+    def accept(self, vals: list[float], errs: list[float]) -> None:
+        """Record accepted panels: their children's values, interleaved
+        left and right, and their defects."""
+        self.vals.extend(vals)
+        self.errs.extend(errs)
         self._sums = None
 
     def sums(self) -> tuple[float, float]:
@@ -230,12 +232,16 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             accept &= live
             refine &= live
 
-        idx = np.nonzero(accept)[0]
-        for k, left, right, defect in zip(owner[idx].tolist(),
-                                          l_vals[idx].tolist(),
-                                          r_vals[idx].tolist(),
-                                          diff[idx].tolist()):
-            states[k].accept(left, right, defect)
+        idx = np.flatnonzero(accept)
+        children = np.stack((l_vals[idx], r_vals[idx]), axis=1).ravel()
+        n_acc = np.bincount(owner[idx])
+        acc_ids = np.flatnonzero(n_acc)
+        n_acc = n_acc[acc_ids].tolist()
+        for k, seg, defects in zip(
+                acc_ids.tolist(),
+                _split(children.tolist(), [2 * c for c in n_acc]),
+                _split(diff[idx].tolist(), n_acc)):
+            states[k].accept(seg, defects)
 
         keep = np.nonzero(refine)[0]
         m = keep.size

@@ -10,15 +10,17 @@ geometric mean.  All operations validate their domains, are pure, and are
 deterministic; tolerances are module constants, and every iterative loop
 raises ConvergenceError at its cap.
 
-_reg_gamma_q_lanes and _log_gamma_norm_lanes (behind tailprob.tail_prob_many)
-evaluate whole scan grids, every lane bit-identical to the scalar kernels.
-The first-order loops -- the ascending series, the small-shape tail and the
-_log1pmx and _lgamma1p Taylor sums -- fold _FOLD_BLOCK iterations of all
-lanes per numpy pass (_fold): each state variable is one row-wise
-ufunc.accumulate, a sequential left fold, so every column holds the scalar
-loop's bits at that iteration.  The continued fraction is no such fold: it
-keeps a numpy copy of one iteration (_upper_cf_step), which _lockstep runs
-for all lanes, handing the last few to its scalar loop (_upper_cf_run).
+_reg_gamma_q_lanes and _log_gamma_norm_lanes evaluate whole arrays of lanes,
+every lane bit-identical to the scalar kernels: behind reg_gamma_q_many (any
+(a, x) lanes, such as the acceptance grid) and tailprob.tail_prob_many (scan
+grids at one offset).  The first-order loops -- the ascending series, the
+small-shape tail and the _log1pmx and _lgamma1p Taylor sums -- fold
+_FOLD_BLOCK iterations of all lanes per numpy pass (_fold): each state
+variable is one row-wise ufunc.accumulate, a sequential left fold, so every
+column holds the scalar loop's bits at that iteration.  The continued
+fraction is no such fold: it keeps a numpy copy of one iteration
+(_upper_cf_step), which _lockstep runs for all lanes, handing the last few
+to its scalar loop (_upper_cf_run).
 
 Error bounds returned by the *_detail variants follow a rounding model
 calibrated against the independent quadrature oracle: (2*|log prefactor| +
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._series import LAMBDA_EXCESS, eval_series
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, GammaTailError
 
 EPS = 2.220446049250313e-16
 ONE_THIRD = 1.0 / 3.0
@@ -287,17 +289,17 @@ def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     series = np.abs(d) <= 0.5
-    safe = np.where(series, 0.0, d)
-    direct = np.log1p(safe) - safe
-    if not series.any():
-        return direct
-    ud = np.where(series, d, 0.0)
-    u = ud / (2.0 + ud)
+    out = np.empty_like(d)
+    d_b = d[~series]
+    out[~series] = np.log1p(d_b) - d_b
+    d_b = d[series]
+    u = d_b / (2.0 + d_b)
     acc = np.zeros_like(u)
     for c in _L1PMX_COEF[_L1PMX_VEC_TERMS - 1::-1]:
-        acc = acc * u + c
-    ser = -2.0 * u * u * acc
-    return np.where(series, ser, direct)
+        np.multiply(acc, u, out=acc)
+        np.add(acc, c, out=acc)
+    out[series] = -2.0 * u * u * acc
+    return out
 
 
 def _stirling_phi(a):
@@ -610,7 +612,7 @@ def _per_lane(fn, *arrays: np.ndarray) -> np.ndarray:
 def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """reg_gamma_q_detail's value and err_bound for arrays of lanes with
-    x > 0, given each lane's _log_gamma_norm(a, x).
+    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x).
 
     The branch choice and the bound assembly are reg_gamma_q_detail's, in
     numpy + - * / on whole branches; the series loops fold in blocks, the
@@ -661,6 +663,12 @@ def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
         raise DomainError("reg_gamma_q requires x >= 0")
     if x == 0.0:
         return EvalDetail(1.0, 0.0, "exact", 0)
+    if a + 1.0 == a:
+        # From 2^53 on, a + 1 rounds to a: the continued fraction's first
+        # denominator x + 1 - a vanishes at x = a, and the split at x = a + 1
+        # no longer separates the branches.
+        raise DomainError("reg_gamma_q requires a + 1 > a, i.e. a below "
+                          "2**53")
     if x >= a + 1.0:
         q, rel, n = _upper_cf(a, x)
         return EvalDetail(q, rel * q + 5e-324, "cf", n)
@@ -674,6 +682,35 @@ def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
 
 def reg_gamma_q(a: float, x: float) -> float:
     return reg_gamma_q_detail(a, x).value
+
+
+def reg_gamma_q_many(a, x) -> np.ndarray:
+    """reg_gamma_q for equal-shape arrays of lanes (a, x), each lane
+    bit-identical to the scalar call; lanes with x == 0 are 1.0.
+
+    One pass of _reg_gamma_q_lanes over all lanes with x > 0.  If any lane
+    fails, the error raised is the first one a loop of reg_gamma_q calls in
+    lane order raises.
+    """
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(x, dtype=float))
+    q = np.ones(a.shape)
+    live = x > 0.0
+    try:
+        if not np.all(np.isfinite(a) & np.isfinite(x) & (a > 0.0)
+                      & (x >= 0.0) & ~(live & (a + 1.0 == a))):
+            raise DomainError("reg_gamma_q_many requires finite a > 0 and "
+                              "x >= 0, and a below 2**53 where x > 0")
+        a_l, x_l = a[live], x[live]
+        q[live] = _reg_gamma_q_lanes(a_l, x_l,
+                                     _log_gamma_norm_lanes(a_l, x_l))[0]
+    except GammaTailError:
+        # Lanes of several branches may fail; the scalar loop says which
+        # fails first, and how.
+        for a_i, x_i in zip(a.ravel().tolist(), x.ravel().tolist()):
+            reg_gamma_q_detail(a_i, x_i)
+        raise
+    return q
 
 
 def reg_gamma_p_detail(a: float, x: float) -> EvalDetail:

@@ -137,9 +137,11 @@ def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
     errs = np.zeros_like(a)
     live = x > 0.0
     try:
-        if not np.all((a > 0.0) & np.isfinite(x)):
+        if not np.all((a > 0.0) & np.isfinite(x)
+                      & ~(live & (a + 1.0 == a))):
             raise DomainError("tail_prob_many requires shapes a > 0 with "
-                              "a + c finite")
+                              "a + c finite, and a below 2**53 off the "
+                              "plateau")
         a_l, x_l = a[live], x[live]
         ln_norm = _log_gamma_norm_lanes(a_l, x_l)
         q, q_err = _reg_gamma_q_lanes(a_l, x_l, ln_norm)

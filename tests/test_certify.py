@@ -424,6 +424,93 @@ def test_mean_chain_entries_match_per_pair_reference():
         check_mean_chain([(1.0, 1.01), (2.0, 2.0)])
 
 
+def _reference_mean_entry_from_gaps(x, y, gaps, strict_margin):
+    """One pair's entry as check_mean_chain built it pair by pair before it
+    kept columns; gaps holds the pair's extended-precision gaps and error
+    bound, or is None to take the gaps in double precision."""
+    geo = math.sqrt(x * y)
+    lm = log_mean(x, y)
+    ref = math.sqrt(x * y + (lm - x) * (y - lm) / 3.0)
+    ari = 0.5 * (x + y)
+    if gaps is not None:
+        g1, g2, g3, err = gaps
+    else:
+        g1, g2, g3 = lm - geo, ref - lm, ari - ref
+        err = 32.0 * ULP * ari
+    margin = strict_margin * err
+    return MeanChainEntry(
+        x=x, y=y, geometric=geo, logarithmic=lm, refined=ref, arithmetic=ari,
+        gap_log_vs_geo=g1, gap_refined_vs_log=g2, gap_arith_vs_refined=g3,
+        err_bound=err, extended=gaps is not None,
+        chain_ok=g1 > margin and g2 > margin and g3 > margin)
+
+
+def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
+    # Acceptance criterion C10's seeded pairs, plus pairs at, just below and
+    # just above the extended-precision switch at relative spread 0.02.
+    rng = np.random.default_rng(110)
+    n = 10_000
+    xs = 10.0 ** (-2.0 + 4.0 * rng.random(n))
+    spreads = 10.0 ** (-6.0 + (math.log10(1e6 - 1.0) + 6.0) * rng.random(n))
+    pairs = [(float(x), float(x) * (1.0 + float(t)))
+             for x, t in zip(xs, spreads)]
+    for x in (1.0, 3.0, 0.5, 50.0, 7.25, 1e-3, 1e4, 0.3):
+        y = x + 0.02 * x
+        pairs += [(x, float(np.nextafter(y, 0.0))), (x, y),
+                  (x, float(np.nextafter(y, 2.0 * y)))]
+    edge = [(y - x) / x for x, y in pairs[n:]]
+    assert 0.02 in edge and min(edge) < 0.02 < max(edge)
+    extended = [(y - x) / x <= 0.02 for x, y in pairs]
+    g = mean_gaps(np.array([p[0] for p, e in zip(pairs, extended) if e]),
+                  np.array([p[1] for p, e in zip(pairs, extended) if e]))
+    ext_gaps = list(zip(g.log_vs_geo.tolist(), g.refined_vs_log.tolist(),
+                        g.arith_vs_refined.tolist(), g.err_bound.tolist()))
+    for margin in (8.0, 1e15):
+        gaps = iter(ext_gaps)
+        expected = tuple(
+            _reference_mean_entry_from_gaps(x, y, next(gaps) if e else None,
+                                            margin)
+            for (x, y), e in zip(pairs, extended))
+        ratio = math.inf
+        for entry in expected:
+            for gap in (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
+                        entry.gap_arith_vs_refined):
+                ratio = min(ratio, gap / max(entry.err_bound, 5e-324))
+        rep = check_mean_chain(pairs, margin, probe_factor=0.332)
+        assert len(rep.entries) == len(expected)
+        # bitwise, -0.0 included; name the first mismatch, not all 10,000
+        bad = next((i for i, (got, ref) in enumerate(zip(rep.entries,
+                                                         expected))
+                    if got != ref or repr(got) != repr(ref)), None)
+        assert bad is None, (rep.entries[bad], expected[bad])
+        assert rep.min_margin_ratio.hex() == ratio.hex()
+        assert rep.certified == (all(e.chain_ok for e in expected)
+                                 and rep.probe_violation_found)
+    assert rep.entries is rep.entries         # built once, on first access
+    assert not rep.certified and 0 < sum(e.chain_ok for e in expected) < n
+    # Reports compare by their summary fields and entries.
+    few = pairs[:100]
+    assert check_mean_chain(few) == check_mean_chain(few)
+    assert check_mean_chain(few) != check_mean_chain(few[:-1])
+
+
+def test_mean_chain_min_ratio_passes_over_nan_ratios():
+    # Near the top of the double range all three gaps of a pair are NaN;
+    # the minimum is taken over the other pairs' ratios, one of them a
+    # zero gap at spread 2^-52.
+    pairs = [(1e308, 1.7e308), (1.0, 1.0 + 2.0 ** -52), (2.0, 3.0)]
+    rep = check_mean_chain(pairs)
+    ratios = [gap / max(e.err_bound, 5e-324) for e in rep.entries
+              for gap in (e.gap_log_vs_geo, e.gap_refined_vs_log,
+                          e.gap_arith_vs_refined)]
+    assert all(math.isnan(r) for r in ratios[:3]) and 0.0 in ratios
+    ratio = math.inf
+    for r in ratios:
+        ratio = min(ratio, r)
+    assert rep.min_margin_ratio.hex() == ratio.hex()
+    assert not math.isnan(rep.min_margin_ratio)
+
+
 def test_mean_chain_declines_to_certify_below_dd_resolution():
     # At spread 1e-7 the refined-vs-log gap (~ x^2 t^4/180 ~ 6e-31) sinks
     # below even the double-double error bound; the report must refuse to

@@ -53,6 +53,14 @@ def test_eval_golden_json():
     )
 
 
+def test_eval_past_two_to_53_is_a_domain_error(capsys):
+    # a + 1 rounds to a there; the kernel must reject the shape (exit 2),
+    # not fail inside the continued fraction and exit 1.
+    code, _ = run_cli(["eval", "--a", "1e16", "--c", "0"])
+    assert code == 2
+    assert "2**53" in capsys.readouterr().err
+
+
 def test_eval_rejects_bad_arguments():
     code, _ = run_cli(["eval", "--a", "-1", "--c", "0"])
     assert code == 2

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from gammatail import DomainError
 from gammatail._dd import (
+    _LN2_HI,
+    _LN2_LO,
     central_difference,
     dd_add,
     dd_div,
@@ -317,6 +319,68 @@ def test_dd_log1p_small_lanes_stop_at_their_own_term():
     assert scalar == _reference_log1p_small((0.1, 0.0))
     with pytest.raises(DomainError):
         dd_log1p_small((np.array([0.1, 0.6]), np.zeros(2)))
+
+
+def _reference_dd_exp(x):
+    """The float-only dd_exp the lockstep form replaced, kept as the
+    bit-level reference."""
+    if x[0] > 709.0:
+        return math.inf, 0.0
+    if x[0] < -745.0:
+        return 0.0, 0.0
+    k = round(x[0] / _LN2_HI)
+    r = dd_sub(x, dd_mul_d((_LN2_HI, _LN2_LO), float(k)))
+    acc = (1.0, 0.0)
+    term = (1.0, 0.0)
+    for n in range(1, 40):
+        term = dd_mul_d(dd_mul(term, r), 1.0 / n)
+        acc = dd_add(acc, term)
+        if abs(term[0]) < 1e-36 * abs(acc[0]):
+            break
+    return math.ldexp(acc[0], k), math.ldexp(acc[1], k)
+
+
+def _reference_dd_log(x):
+    """The float-only dd_log the lockstep form replaced."""
+    w = math.log(x)
+    r = dd_mul_d(_reference_dd_exp((-w, 0.0)), x)
+    r = dd_add(r, (-1.0, 0.0))
+    corr = dd_sub(r, dd_mul_d(dd_mul(r, r), 0.5))
+    return dd_add((w, 0.0), corr)
+
+
+def _pair_bits(pairs):
+    return [(float(hi).hex(), float(lo).hex()) for hi, lo in pairs]
+
+
+def test_dd_exp_and_dd_log_lanes_are_bitwise_the_float_calls():
+    x = np.concatenate((np.geomspace(1e-300, 1e300, 1201),
+                        2.0 ** np.arange(-1000.0, 1001.0, 37.0),
+                        [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                         5e-324, 2.0 ** -1022, 1e308]))
+    hi, lo = dd_log(x)
+    ref = [_reference_dd_log(v) for v in x.tolist()]
+    assert _pair_bits(zip(hi.tolist(), lo.tolist())) == _pair_bits(ref)
+    for i in (0, 700, x.size - 6):
+        one = dd_log(float(x[i]))
+        assert type(one[0]) is float and type(one[1]) is float
+        assert _pair_bits([one]) == _pair_bits([ref[i]])
+    # dd_exp across its range and at both saturation edges, with a low part
+    e_hi = np.concatenate((np.linspace(-750.0, 712.0, 2923),
+                           [709.0, np.nextafter(709.0, 710.0), -745.0,
+                            np.nextafter(-745.0, -746.0), 0.0, -0.0,
+                            0.5 * _LN2_HI, -0.5 * _LN2_HI]))
+    e_lo = e_hi * 1e-17
+    hi, lo = dd_exp((e_hi, e_lo))
+    ref = [_reference_dd_exp(p) for p in zip(e_hi.tolist(), e_lo.tolist())]
+    assert _pair_bits(zip(hi.tolist(), lo.tolist())) == _pair_bits(ref)
+    one = dd_exp((709.0, 1e-15))
+    assert type(one[0]) is float
+    assert _pair_bits([one]) == _pair_bits([_reference_dd_exp((709.0, 1e-15))])
+    assert dd_exp((np.array([710.0, -746.0]), 0.0))[0].tolist() == [
+        math.inf, 0.0]
+    with pytest.raises(DomainError):
+        dd_log(np.array([1.0, 0.0]))
 
 
 def test_oracle_threshold_ratio_known_point():

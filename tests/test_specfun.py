@@ -478,6 +478,87 @@ def test_lane_prefactors_are_bitwise_the_scalar_ones(monkeypatch):
     assert str(lanes.value) == str(scalar.value)
 
 
+def _unmasked_log1pmx_vec(d):
+    """_log1pmx_vec as it was before it masked its lanes: both forms on
+    every lane, then a select; kept as the bit-level reference."""
+    series = np.abs(d) <= 0.5
+    safe = np.where(series, 0.0, d)
+    direct = np.log1p(safe) - safe
+    ud = np.where(series, d, 0.0)
+    u = ud / (2.0 + ud)
+    acc = np.zeros_like(u)
+    for c in specfun._L1PMX_COEF[specfun._L1PMX_VEC_TERMS - 1::-1]:
+        acc = acc * u + c
+    return np.where(series, -2.0 * u * u * acc, direct)
+
+
+def test_log1pmx_vec_masked_lanes_keep_the_unmasked_bits():
+    rng = np.random.default_rng(12)
+    edges = [0.5, -0.5, 0.0, -0.0]
+    edges += [np.nextafter(e, t) for e in (0.5, -0.5) for t in (-1.0, 1.0)]
+    d = np.concatenate((rng.uniform(-0.999, 3.0, 4000), edges,
+                        [-1.0 + 2.0 ** -52, -0.999999, -0.95, 1.5,
+                         np.nextafter(1.5, 2.0), 2.0, 10.0, 1e300]))
+    assert _hex(specfun._log1pmx_vec(d)) == _hex(_unmasked_log1pmx_vec(d))
+    assert specfun._log1pmx_vec(np.array([0.7])).shape == (1,)
+
+
+def _c01_grid():
+    """The (a, x) lanes of acceptance criterion C01's 50 x 50 grid."""
+    shapes = np.geomspace(1e-3, 1e4, 50)
+    rows = [np.linspace(0.0, a + 40.0 * math.sqrt(a) + 40.0, 50)
+            for a in shapes.tolist()]
+    return np.repeat(shapes, 50), np.concatenate(rows)
+
+
+def test_reg_gamma_q_many_is_bitwise_the_scalar_loop():
+    a, x = _c01_grid()
+    # Branch edges: x = 0, x = a + 1 and its neighbours, the small-shape
+    # switch at a = 1/2 and the Stirling switch at a = 24.
+    for s in (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 24.0,
+              np.nextafter(24.0, 0.0), np.nextafter(24.0, 25.0), 3.0):
+        xs = [0.0, s + 1.0, np.nextafter(s + 1.0, 0.0),
+              np.nextafter(s + 1.0, 99.0), 0.5 * s, 2.0 * s + 5.0]
+        a = np.append(a, [s] * len(xs))
+        x = np.append(x, xs)
+    got = specfun.reg_gamma_q_many(a, x)
+    assert _hex(got) == [reg_gamma_q(*p).hex()
+                         for p in zip(a.tolist(), x.tolist())]
+    assert specfun.reg_gamma_q_many(a[:2500].reshape(50, 50),
+                                    x[:2500].reshape(50, 50)).shape == (50, 50)
+
+
+def test_reg_gamma_q_many_raises_the_scalar_loops_error(monkeypatch):
+    def raised(fn, *args):
+        with pytest.raises(GammaTailError) as info:
+            fn(*args)
+        return type(info.value), str(info.value)
+
+    def scalar_loop(a, x):
+        for p in zip(a, x):
+            reg_gamma_q(*p)
+
+    for a, x in (([1.0, 0.0, 2.0], [1.0, 1.0, 1.0]),
+                 ([1.0, 2.0], [1.0, -1.0]),
+                 ([1.0, 2.0], [math.nan, 1.0]),
+                 ([1.0, math.inf], [1.0, 1.0]),
+                 ([1.0, 1e16, 2.0], [1.0, 1e16, -1.0])):
+        err = raised(specfun.reg_gamma_q_many, a, x)
+        assert err[0] is DomainError
+        assert err == raised(scalar_loop, a, x)
+    # x = 0 is exact at every shape, 2^53 and beyond included.
+    assert specfun.reg_gamma_q_many([1e16, 2.0], [0.0, 0.0]).tolist() == [
+        reg_gamma_q(1e16, 0.0), 1.0]
+    # A lane at a lowered cap: each branch's first failure in lane order.
+    monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", 12)
+    for a, x in (([0.3, 5.0, 40.0, 0.2], [0.1, 20.0, 30.0, 0.5]),
+                 ([0.3, 5.0, 0.2, 40.0], [0.1, 20.0, 0.9, 30.0]),
+                 ([40.0, 0.2], [30.0, 0.9])):
+        err = raised(specfun.reg_gamma_q_many, a, x)
+        assert err[0] is ConvergenceError
+        assert err == raised(scalar_loop, a, x)
+
+
 def test_threshold_ratio_domain():
     with pytest.raises(DomainError):
         threshold_ratio(0.999)

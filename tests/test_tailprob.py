@@ -10,6 +10,7 @@ randomized sweeps live in the acceptance criteria).
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,14 +155,24 @@ _BATCH_GRIDS = [
      for c in _RNG.uniform(-3.0, 6.0, 6)]
 
 
+def _has_cf_lanes(a, c):
+    """Whether any lane of the grid takes the continued fraction."""
+    x = a + c
+    return bool(np.any((x > 0.0) & (x >= a + 1.0)))
+
+
 @pytest.mark.parametrize("min_lanes", [1, None, 10 ** 9],
                          ids=["lockstep-only", "default", "scalar-only"])
 def test_tail_prob_many_is_bitwise_the_scalar_scan(monkeypatch, min_lanes):
-    # The default hands the last lanes of every loop to the scalar loop; a
-    # threshold of 1 never does, and a huge one hands over at once.
+    # The default hands the last lanes of the continued fraction to the
+    # scalar loop; a threshold of 1 never does, and a huge one hands over at
+    # once.  Only the continued fraction reads the threshold, so the other
+    # two variants run the grids that have continued-fraction lanes.
+    grids = _BATCH_GRIDS
     if min_lanes is not None:
         monkeypatch.setattr(specfun, "_LOCKSTEP_MIN_LANES", min_lanes)
-    for a, c in _BATCH_GRIDS:
+        grids = [g for g in _BATCH_GRIDS if _has_cf_lanes(*g)]
+    for a, c in grids:
         assert _batch_scan(a, c) == _scalar_scan(a, c), (a[0], a[-1], c)
 
 
@@ -208,6 +219,24 @@ def test_tail_prob_many_raises_the_scalar_scans_error():
     with pytest.raises(DomainError):
         tail_prob_many(np.ones((2, 2)), 0.0)
     assert tail_prob_many([], 0.5)[0].shape == (0,)
+
+
+def test_tail_prob_many_rejects_shapes_past_two_to_53_as_the_scan_does():
+    # From a = 2^53 on, a + 1 rounds to a and x = a would divide by zero in
+    # the continued fraction's start; both paths raise DomainError, and the
+    # batch computes nothing that warns first.
+    for a, c in ((np.array([1.0, 1e16]), 0.0),
+                 (np.array([2.0 ** 53, 3.0]), 0.5),
+                 (np.array([3.0, 1e300]), -0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _raised(tail_prob_many, a, c)
+        assert err[0] is DomainError and "2**53" in err[1]
+        assert err == _raised(_scalar_scan, a, c)
+    # The plateau and the largest shape below 2^53 are still served.
+    a = np.array([1e16, np.nextafter(2.0 ** 53, 0.0)])
+    assert _batch_scan(a, -2e16) == _scalar_scan(a, -2e16)
+    assert _batch_scan(a[1:], 1e15) == _scalar_scan(a[1:], 1e15)
 
 
 def test_tail_prob_many_cap_error_with_many_lanes_at_the_cap(monkeypatch):
