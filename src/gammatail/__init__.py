@@ -23,14 +23,12 @@ from .median import (MedianBracketCheck, MedianBracketReport, MedianResult,
                      check_median_bracket, gamma_median)
 from .quadrature import QuadResult, integrate
 from .specfun import (BranchRoots, EvalDetail, branch_root_deriv,
-                      branch_roots, lambert_w0, lambert_wm1, log_gamma,
-                      log_mean, peak_map, refined_mean, reg_gamma_p,
-                      reg_gamma_p_detail, reg_gamma_q, reg_gamma_q_detail,
+                      branch_roots, lambert_w0, lambert_wm1, log_mean,
+                      refined_mean, reg_gamma_q, reg_gamma_q_detail,
                       threshold_ratio)
 from .tailprob import (RatioParts, TailQuery, TailValue, direction_form,
-                       direction_form_detail, integrand_ratio, power_function,
-                       ratio_parts, tail_delta, tail_prob, tail_prob_detail,
-                       tail_prob_many)
+                       direction_form_detail, integrand_ratio, ratio_parts,
+                       tail_prob, tail_prob_detail, tail_prob_many)
 
 __version__ = "0.1.0"
 
@@ -40,17 +38,15 @@ __all__ = [
     "GammaTailError", "DomainError", "QuadratureError", "ConvergenceError",
     "CertificationError", "WitnessSearchError",
     # special functions
-    "EvalDetail", "BranchRoots", "log_gamma", "reg_gamma_q",
-    "reg_gamma_q_detail", "reg_gamma_p", "reg_gamma_p_detail", "lambert_w0",
-    "lambert_wm1", "peak_map", "branch_roots", "branch_root_deriv",
+    "EvalDetail", "BranchRoots", "reg_gamma_q", "reg_gamma_q_detail",
+    "lambert_w0", "lambert_wm1", "branch_roots", "branch_root_deriv",
     "log_mean", "refined_mean", "threshold_ratio",
     # quadrature
     "QuadResult", "integrate",
     # tail probability
     "TailQuery", "TailValue", "RatioParts", "tail_prob", "tail_prob_detail",
-    "tail_prob_many",
-    "tail_delta", "ratio_parts", "direction_form", "direction_form_detail",
-    "integrand_ratio", "power_function",
+    "tail_prob_many", "ratio_parts", "direction_form",
+    "direction_form_detail", "integrand_ratio",
     # median
     "MedianResult", "MedianBracketCheck", "MedianBracketReport",
     "gamma_median", "check_median_bracket",

@@ -665,8 +665,7 @@ class AsymptoticSlopeReport:
     The defect must be certifiably positive with T(eps)/eps approaching
     c + 1/3 (the slope target); a quadratic least-squares fit over eps_list
     checks the slope to 2% and bounds the residual by a fitted curvature
-    constant.  fit_consistent is an advisory cubic-order check on the fit
-    residuals; its failure flags the fit quality, not the underlying fact.
+    constant.
     """
 
     c: float
@@ -679,7 +678,6 @@ class AsymptoticSlopeReport:
     positive_ok: bool
     slope_ok: bool
     residual_bound_ok: bool
-    fit_consistent: bool
     certified: bool
 
 
@@ -758,26 +756,9 @@ def check_asymptotic_slope(c: float,
         abs(r) <= 1.25 * abs(k_fit) * e * e + STRICT_MARGIN * q
         for r, e, q in zip(resid, eps, errs))
 
-    # Advisory: a quadratic-plus-cubic model must explain the residuals
-    # almost entirely, i.e. what is left over after fitting K2*eps^2 +
-    # K3*eps^3 should be tiny against the residuals themselves.
-    a11 = s4
-    a12 = sum(e ** 5 for e in eps)
-    a22 = sum(e ** 6 for e in eps)
-    c1 = sum(r * e * e for r, e in zip(resid, eps))
-    c2 = sum(r * e ** 3 for r, e in zip(resid, eps))
-    det2 = a11 * a22 - a12 * a12
-    k2 = (c1 * a22 - c2 * a12) / det2
-    k3 = (c2 * a11 - c1 * a12) / det2
-    leftover = [abs(r - k2 * e * e - k3 * e ** 3)
-                for r, e in zip(resid, eps)]
-    fit_consistent = max(leftover) <= (0.05 * max(abs(r) for r in resid)
-                                       + STRICT_MARGIN * max(errs))
-
     certified = positive_ok and slope_ok and residual_bound_ok
     return AsymptoticSlopeReport(
         c=c, slope_target=slope_target, eps=eps, totals=tuple(totals),
         quad_errs=tuple(errs), slope=slope, curvature=curvature,
         positive_ok=positive_ok, slope_ok=slope_ok,
-        residual_bound_ok=residual_bound_ok, fit_consistent=fit_consistent,
-        certified=certified)
+        residual_bound_ok=residual_bound_ok, certified=certified)

@@ -33,6 +33,9 @@ from .specfun import EPS
 
 GAUSS_ORDER = 15
 _MAX_SWEEPS = 120
+# Panels each interval starts with, and the most it may accept.
+_PRE_SPLIT = 8
+_MAX_PANELS = 10_000
 
 _nodes, _weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 # Affine map of the canonical nodes onto (0, 1); weights absorb the 1/2.
@@ -114,8 +117,7 @@ def _split(flat: list[float], counts: list[int]) -> list[list[float]]:
 
 def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    los: Sequence[float], his: Sequence[float], *,
-                   rel_tol: float = 1e-10, abs_tol: float = 0.0,
-                   max_panels: int = 10_000, pre_split: int = 8
+                   rel_tol: float = 1e-10, abs_tol: float = 0.0
                    ) -> list[QuadResult]:
     """Integrate fn over each [los[k], his[k]], all intervals in lockstep.
 
@@ -140,7 +142,7 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 "integration interval must be finite with hi > lo",
                 value=math.nan, err_bound=math.inf, n_panels=0))
             break
-        states.append(_Interval(hi - lo, pre_split * GAUSS_ORDER))
+        states.append(_Interval(hi - lo, _PRE_SPLIT * GAUSS_ORDER))
         starts.append(lo)
 
     def fail(k: int, err: QuadratureError) -> None:
@@ -149,11 +151,11 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             failed = (k, err)
 
     # Live panels, grouped by owning interval in ascending order.
-    width0 = np.array([st.span / pre_split for st in states])
+    width0 = np.array([st.span / _PRE_SPLIT for st in states])
     lows = (np.array(starts)[:, None]
-            + width0[:, None] * np.arange(pre_split)[None, :]).ravel()
-    widths = np.repeat(width0, pre_split)
-    owner = np.repeat(np.arange(len(states)), pre_split)
+            + width0[:, None] * np.arange(_PRE_SPLIT)[None, :]).ravel()
+    widths = np.repeat(width0, _PRE_SPLIT)
+    owner = np.repeat(np.arange(len(states)), _PRE_SPLIT)
     vals: Optional[np.ndarray] = None
     span_of = np.array([st.span for st in states])
     tol_of = np.empty(len(states))
@@ -259,9 +261,9 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
         counts = np.bincount(owner, minlength=len(states))
         for k in np.flatnonzero(counts).tolist():
-            if len(states[k].vals) + int(counts[k]) > max_panels:
+            if len(states[k].vals) + int(counts[k]) > _MAX_PANELS:
                 fail(k, states[k].failure(
-                    f"panel budget {max_panels} exceeded",
+                    f"panel budget {_MAX_PANELS} exceeded",
                     vals[owner == k].tolist()))
 
     if failed is not None:
@@ -270,8 +272,7 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
-              rel_tol: float = 1e-10, abs_tol: float = 0.0,
-              max_panels: int = 10_000, pre_split: int = 8) -> QuadResult:
+              rel_tol: float = 1e-10, abs_tol: float = 0.0) -> QuadResult:
     """Integrate a vectorized callable over [lo, hi] to a requested tolerance.
 
     The target for the whole interval is max(rel_tol * |integral|, abs_tol);
@@ -283,9 +284,8 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
     refinement into the panel budget.  A bisected panel is accepted when the
     parent-vs-children defect meets its share or is indistinguishable from
     quadrature rounding noise, and the children's values are what get
-    accumulated.  Exceeding max_panels or producing non-finite values on an
+    accumulated.  Exceeding _MAX_PANELS or producing non-finite values on an
     unsplittable panel raises QuadratureError.
     """
     return integrate_many(lambda t, _k: fn(t), (lo,), (hi,),
-                          rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_panels=max_panels, pre_split=pre_split)[0]
+                          rel_tol=rel_tol, abs_tol=abs_tol)[0]

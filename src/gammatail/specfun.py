@@ -1,10 +1,10 @@
 """Double-precision special-function kernels.
 
-Provides the regularized incomplete gamma pair by a lower ascending series, a
-modified-Lentz continued fraction, and a small-shape complement series, all
-behind a cancellation-safe log-space prefactor; Lambert W on both real
-branches with a branch-point expansion; the unit-peak map x*exp(1-x) and its
-two inverse branches with analytic derivatives; the logarithmic mean; the
+Provides the upper regularized incomplete gamma Q by a lower ascending
+series, a modified-Lentz continued fraction, and a small-shape complement
+series, all behind a cancellation-safe log-space prefactor; Lambert W on both
+real branches with a branch-point expansion; the two inverse branches of the
+unit-peak map x*exp(1-x) with analytic derivatives; the logarithmic mean; the
 threshold ratio with an exact near-diagonal Taylor branch; and the refined
 geometric mean.  All operations validate their domains, are pure, and are
 deterministic; tolerances are module constants, and every iterative loop
@@ -128,18 +128,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def log_gamma(a: float) -> float:
-    """ln Gamma(a) for a > 0.
-
-    Delegates to the platform lgamma, which is within a couple of ulp across
-    the supported range; the quadrature oracle validates it in the tests.
-    """
-    a = _require_finite("a", a)
-    if a <= 0.0:
-        raise DomainError("log_gamma requires a > 0")
-    return math.lgamma(a)
 
 
 # Euler-Mascheroni constant, correctly rounded.
@@ -713,31 +701,6 @@ def reg_gamma_q_many(a, x) -> np.ndarray:
     return q
 
 
-def reg_gamma_p_detail(a: float, x: float) -> EvalDetail:
-    """Lower regularized incomplete gamma P(a, x) with an error bound.
-
-    Computed by the ascending series (never as 1 - Q) whenever x < a + 1,
-    so small lower tails keep full relative accuracy.
-    """
-    a = _require_finite("a", a)
-    x = _require_finite("x", x)
-    if a <= 0.0:
-        raise DomainError("reg_gamma_p requires a > 0")
-    if x < 0.0:
-        raise DomainError("reg_gamma_p requires x >= 0")
-    if x == 0.0:
-        return EvalDetail(0.0, 0.0, "exact", 0)
-    if x < a + 1.0:
-        p, rel, n = _lower_series(a, x)
-        return EvalDetail(p, rel * p + 5e-324, "series", n)
-    q, rel, n = _upper_cf(a, x)
-    return EvalDetail(1.0 - q, rel * q + EPS, "cf-complement", n)
-
-
-def reg_gamma_p(a: float, x: float) -> float:
-    return reg_gamma_p_detail(a, x).value
-
-
 def _halley_iterate(v: float, w: float) -> float:
     """Halley refinement for w*exp(w) = v from a seed on the right branch."""
     for _ in range(_ROOT_MAX_ITER):
@@ -824,15 +787,6 @@ def lambert_wm1(v: float) -> float:
         if abs(step) <= _ROOT_REL_TOL * abs(t) + _ROOT_ABS_TOL:
             return -t
     raise _not_converged(f"Newton iteration for W-1(v={v!r})", _ROOT_MAX_ITER)
-
-
-def peak_map(x: float) -> float:
-    """The unit-peak map x * exp(1 - x) on [0, inf): increasing on (0,1),
-    equal to 1 at x=1, decreasing beyond."""
-    x = _require_finite("x", x)
-    if x < 0.0:
-        raise DomainError("peak_map requires x >= 0")
-    return x * math.exp(1.0 - x)
 
 
 def branch_roots(z: float) -> BranchRoots:

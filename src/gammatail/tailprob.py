@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._dd import two_sum
 from .errors import DomainError, GammaTailError
 from .quadrature import integrate
 from .specfun import (
@@ -163,20 +162,6 @@ def tail_prob(query: TailQuery) -> float:
     return tail_prob_detail(query).value
 
 
-def tail_delta(a: float, c: float) -> tuple[float, float]:
-    """tail_prob(a + 1, c) - tail_prob(a, c) with an error bound.
-
-    The two probabilities are subtracted with a compensated difference, so
-    the returned bound is dominated by the evaluation errors of the two
-    terms, not by the subtraction; the difference is often far below the
-    rounding of either term, and a bare float would be uninterpretable.
-    """
-    lo = tail_prob_detail(TailQuery(a, c))
-    hi = tail_prob_detail(TailQuery(a + 1.0, c))
-    diff, resid = two_sum(hi.value, -lo.value)
-    return diff + resid, hi.err_bound + lo.err_bound + abs(resid) * EPS
-
-
 def _substitution_order(exponent_at_zero: float) -> int:
     """Power m for t = s^m so the transformed endpoint exponent is >= 3.
 
@@ -297,19 +282,3 @@ def integrand_ratio(roots: BranchRoots, c: float) -> float:
         return math.inf
     return math.exp(ln_r)
 
-
-def power_function(theta: float, c: float) -> float:
-    """Power of the one-sided test rejecting when X_theta > theta + c.
-
-    Defined for theta > 0 and c > 0; equals tail_prob(theta, c) and is
-    increasing in theta with limit 1/2.
-    """
-    theta = float(theta)
-    c = float(c)
-    if not (math.isfinite(theta) and math.isfinite(c)):
-        raise DomainError("power_function requires finite arguments")
-    if theta <= 0.0:
-        raise DomainError("power_function requires theta > 0")
-    if c <= 0.0:
-        raise DomainError("power_function requires c > 0")
-    return tail_prob(TailQuery(theta, c))

@@ -577,7 +577,6 @@ def test_asymptotic_slope_report():
     rep = check_asymptotic_slope(-0.2)
     assert rep.certified
     assert rep.positive_ok and rep.slope_ok and rep.residual_bound_ok
-    assert rep.fit_consistent
     assert math.isclose(rep.slope_target, -0.2 + 1.0 / 3.0, rel_tol=1e-12)
     assert math.isclose(rep.slope, rep.slope_target, rel_tol=0.02)
     assert rep.curvature > 0.0

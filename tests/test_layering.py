@@ -3,8 +3,9 @@
 The oracle exists only to audit the fast path, so no production module may
 depend on it, and it may not depend on the code it audits.  Helpers have a
 single home: a second copy of an error-free transform is a fork waiting to
-drift.  No capped iterative loop may run out of iterations silently.  The
-checks read the source with ``ast`` and import nothing.
+drift.  No capped iterative loop may run out of iterations silently.  An
+exported function needs a caller in another module or a stated reason to be
+public.  The checks read the source with ``ast`` and import nothing.
 """
 
 from __future__ import annotations
@@ -214,3 +215,72 @@ def test_every_certification_error_is_margin_guarded():
     for site, guards in CERTIFICATION_RAISES.items():
         if site not in GUARDS_WITHOUT_MARGIN:
             assert all(_MARGIN_GUARD.fullmatch(g) for g in guards), site
+
+
+# Exported functions that no other module of the package calls,
+# (module, function) -> why they are public.  Any other exported function
+# without a caller is dead weight; result records and errors are public as
+# what the exported functions return or raise, so only functions are held
+# to this.
+PUBLIC_WITHOUT_CALLER = {
+    ("specfun", "lambert_w0"):
+        "x1(z) = -W0(-z/e), the closed form of the lower branch root that "
+        "branch_roots evaluates",
+    ("specfun", "lambert_wm1"):
+        "x2(z) = -W-1(-z/e), the closed form of the upper branch root",
+    ("specfun", "refined_mean"):
+        "the refined mean of the paper's chain L < refined < (x+y)/2 for "
+        "one pair; check_mean_chain certifies it with a bound",
+    ("specfun", "threshold_ratio"):
+        "the paper's lambda(y), the threshold between the direction regimes",
+    ("tailprob", "direction_form"):
+        "the paper's direction form, whose sign is opposite to dr/dz; "
+        "direction_form_detail adds its bound",
+    ("certify", "integrated_defect"):
+        "the paper's integrated defect T(eps), whose small-eps slope "
+        "check_asymptotic_slope fits",
+    ("certify", "rational_stage"):
+        "-2y/(1 + 4y + y^2), the closed end of the threshold chain that "
+        "check_threshold_chain certifies",
+    ("certify", "rational_stage_deriv"):
+        "the derivative of rational_stage, whose sign check_threshold_chain "
+        "checks",
+}
+
+
+def _exported_functions() -> set[tuple[str, str]]:
+    """(home module, name) of every function in gammatail.__all__."""
+    init = TREES["__init__"]
+    names = next(ast.literal_eval(node.value) for node in init.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["__all__"])
+    homes = {alias.name: node.module for node in init.body
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    return {(homes[name], name) for name in names if name in homes
+            and any(isinstance(node, ast.FunctionDef) and node.name == name
+                    for node in TREES[homes[name]].body)}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a tree reads, imports or looks up as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_export_is_called_or_listed():
+    # A public function that no other module calls must say why it is
+    # public, so an export outliving its last caller is deleted or argued.
+    used = {module: _referenced_names(tree)
+            for module, tree in TREES.items() if module != "__init__"}
+    uncalled = {(home, name) for home, name in _exported_functions()
+                if not any(name in names for module, names in used.items()
+                           if module != home)}
+    assert uncalled == set(PUBLIC_WITHOUT_CALLER)

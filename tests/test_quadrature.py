@@ -6,6 +6,7 @@ is a statement about the integrator alone.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -63,20 +64,33 @@ def test_degenerate_intervals_are_rejected():
             integrate(np.exp, lo, hi)
 
 
-def test_panel_budget_exhaustion_raises_with_diagnostics():
+def _set_budget(monkeypatch, max_panels, pre_split):
+    """Shrink the engine's panel budget and initial split for one test."""
+    monkeypatch.setattr("gammatail.quadrature._MAX_PANELS", max_panels)
+    monkeypatch.setattr("gammatail.quadrature._PRE_SPLIT", pre_split)
+
+
+def test_panel_budget_exhaustion_raises_with_diagnostics(monkeypatch):
+    _set_budget(monkeypatch, max_panels=3, pre_split=1)
     with pytest.raises(QuadratureError) as excinfo:
         integrate(
             lambda x: np.exp(-0.5 * x * x),
             -30.0,
             30.0,
             rel_tol=1e-14,
-            max_panels=3,
-            pre_split=1,
         )
     err = excinfo.value
     assert err.n_panels >= 3
     assert err.err_bound > 0.0
     assert math.isfinite(err.value)
+
+
+def test_engine_takes_only_its_tolerances():
+    # The panel budget and the initial split are module constants.
+    for fn in (integrate, integrate_many):
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
+            "rel_tol", "abs_tol"]
 
 
 def test_result_is_deterministic():
@@ -228,16 +242,16 @@ def test_integrate_many_two_stalled_intervals_report_the_first():
     assert _error_fields(many.value) == _error_fields(first.value)
 
 
-def test_integrate_many_panel_budget_is_per_interval():
+def test_integrate_many_panel_budget_is_per_interval(monkeypatch):
     def gauss(t):
         return np.exp(-0.5 * t * t)
 
-    kw = dict(rel_tol=1e-14, max_panels=6, pre_split=1)
+    _set_budget(monkeypatch, max_panels=6, pre_split=1)
     with pytest.raises(QuadratureError) as single:
-        integrate(gauss, -30.0, 30.0, **kw)
+        integrate(gauss, -30.0, 30.0, rel_tol=1e-14)
     with pytest.raises(QuadratureError) as many:
         integrate_many(lambda t, k: gauss(t), [0.0, -30.0, -40.0],
-                       [1.0, 30.0, 40.0], **kw)
+                       [1.0, 30.0, 40.0], rel_tol=1e-14)
     assert "panel budget" in str(many.value)
     assert _error_fields(many.value) == _error_fields(single.value)
 
@@ -330,23 +344,26 @@ def _outcome(integrator, fn, lo, hi, **kw):
         return _error_fields(exc)
 
 
-@pytest.mark.parametrize("fn, lo, hi, kw", [
-    (np.exp, 0.0, 50.0, {}),
-    (lambda t: np.sqrt(t), 0.0, 1.0, {}),
+@pytest.mark.parametrize("fn, lo, hi, kw, budget", [
+    (np.exp, 0.0, 50.0, {}, {}),
+    (lambda t: np.sqrt(t), 0.0, 1.0, {}, {}),
     (lambda t: np.exp(-(((t - 0.3) / 1e-3) ** 2)), 0.0, 1.0,
-     {"rel_tol": 1e-12}),
-    (lambda t: np.cos(40.0 * t) ** 2, 0.0, 3.0, {"rel_tol": 1e-13}),
-    (lambda t: np.exp(-0.5 * t * t), -30.0, 30.0, {"rel_tol": 1e-14}),
+     {"rel_tol": 1e-12}, {}),
+    (lambda t: np.cos(40.0 * t) ** 2, 0.0, 3.0, {"rel_tol": 1e-13}, {}),
+    (lambda t: np.exp(-0.5 * t * t), -30.0, 30.0, {"rel_tol": 1e-14}, {}),
     # Failures: sweep limit, panel budget, non-finite unsplittable panels,
     # and a degenerate interval.
-    (lambda t: t ** -0.5, 0.0, 1.0, {}),
-    (lambda t: np.exp(-0.5 * t * t), -30.0, 30.0,
-     {"rel_tol": 1e-14, "max_panels": 6, "pre_split": 1}),
-    (lambda t: np.full_like(t, np.inf), 1.0, 1.0 + 1e-14, {}),
-    (np.exp, 2.0, 2.0, {}),
+    (lambda t: t ** -0.5, 0.0, 1.0, {}, {}),
+    (lambda t: np.exp(-0.5 * t * t), -30.0, 30.0, {"rel_tol": 1e-14},
+     {"max_panels": 6, "pre_split": 1}),
+    (lambda t: np.full_like(t, np.inf), 1.0, 1.0 + 1e-14, {}, {}),
+    (np.exp, 2.0, 2.0, {}, {}),
 ], ids=["exp", "sqrt", "peak", "oscillatory", "gauss", "sweep-limit",
         "budget", "non-finite", "degenerate"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_integrate_equals_the_one_interval_loop(fn, lo, hi, kw):
+def test_integrate_equals_the_one_interval_loop(fn, lo, hi, kw, budget,
+                                                monkeypatch):
+    if budget:
+        _set_budget(monkeypatch, **budget)
     assert (_outcome(integrate, fn, lo, hi, **kw)
-            == _outcome(_reference_integrate, fn, lo, hi, **kw))
+            == _outcome(_reference_integrate, fn, lo, hi, **kw, **budget))

@@ -25,10 +25,8 @@ from gammatail import (
     direction_form,
     direction_form_detail,
     integrand_ratio,
-    power_function,
     ratio_parts,
     reg_gamma_q,
-    tail_delta,
     tail_prob,
     tail_prob_detail,
     tail_prob_many,
@@ -270,35 +268,6 @@ def test_tail_prob_many_stops_no_lane_past_a_cap_inside_a_block(
 
 
 # ----------------------------------------------------------------------
-# consecutive difference
-# ----------------------------------------------------------------------
-
-
-def test_tail_delta_matches_direct_difference():
-    delta, err = tail_delta(1.0, 0.0)
-    direct = 3.0 * math.exp(-2.0) - math.exp(-1.0)
-    assert abs(delta - direct) <= err + 4 * ULP
-    assert err > 0.0
-
-
-def test_tail_delta_oracle_pin():
-    # frozen from the extended-precision oracle: p(51, -0.2) - p(50, -0.2)
-    delta, err = tail_delta(50.0, -0.2)
-    assert abs(delta - 7.410432853893756e-05) <= err + 1e-15
-    assert err < 1e-12
-
-
-def test_tail_delta_signs_in_certified_regimes():
-    # increasing for c >= 0, decreasing for c <= -1/3, both certified
-    # (difference exceeds its error bound).
-    for a in (0.5, 2.0, 10.0):
-        up, up_err = tail_delta(a, 0.0)
-        assert up > up_err > 0.0
-        down, down_err = tail_delta(a + 1.0, -1.0)
-        assert down < -down_err
-
-
-# ----------------------------------------------------------------------
 # ratio decomposition
 # ----------------------------------------------------------------------
 
@@ -388,22 +357,10 @@ def test_integrand_ratio_derivative_sign_relation():
 # ----------------------------------------------------------------------
 
 
-def test_power_function_equals_tail_probability():
-    for theta, c in ((0.5, 0.2), (2.0, 0.5), (10.0, 1.0)):
-        assert power_function(theta, c) == tail_prob(TailQuery(theta, c))
-
-
 def test_power_function_monotone_toward_half():
+    # The power of the test rejecting when X_theta > theta + c is
+    # tail_prob(theta, c); for c > 0 it rises toward 1/2.
     thetas = (0.5, 1.0, 4.0, 64.0, 1e4)
-    vals = [power_function(t, 0.5) for t in thetas]
+    vals = [tail_prob(TailQuery(t, 0.5)) for t in thetas]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.5
-
-
-def test_power_function_domain():
-    with pytest.raises(DomainError):
-        power_function(0.0, 0.5)
-    with pytest.raises(DomainError):
-        power_function(1.0, 0.0)  # strictly positive offset required
-    with pytest.raises(DomainError):
-        power_function(1.0, -0.5)
