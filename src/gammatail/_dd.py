@@ -18,17 +18,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .specfun import EPS, _per_lane
+from .specfun import EPS, _not_converged, _per_lane
 
 _SPLITTER = 134217729.0            # 2^27 + 1
 # ln 2 to double-double precision (standard pair).
 _LN2_HI = 6.931471805599453e-01
 _LN2_LO = 2.3190468138462996e-17
+# Term cap of dd_log1p_small's Taylor series; |u| <= 1/2 stops by n = 115.
+_LOG1P_MAX_TERMS = 120
+# 1/n as double-double pairs for the Taylor sums, 1/n at index n - 1: a
+# double 1/n alone would cap them near 1e-19 relative.
+_RECIPROCALS = tuple((1.0 / n, float(Fraction(1, n) - Fraction(1.0 / n)))
+                     for n in range(1, _LOG1P_MAX_TERMS))
+# dd_log scales x outside [2^-960, 2^960] by a power of two, so that
+# neither exp(-ln x) nor the split of x leaves the double range.
+_LOG_SCALE_MAX = 960
+# Within this distance of 1, dd_log sums the log1p series of the exact
+# x - 1: its Newton step's absolute error, about 6e-32, would be large
+# relative to ln x there.
+_LOG_NEAR_ONE = 0.125
 
 
 def two_sum(a: float, b: float) -> tuple[float, float]:
@@ -109,7 +123,16 @@ def dd_exp(x: tuple) -> tuple:
     out_lo = np.zeros_like(out_hi)
     todo = np.flatnonzero((-745.0 <= x_hi) & (x_hi <= 709.0))
     k = np.rint(x_hi[todo] / _LN2_HI)
-    r = dd_sub((x_hi[todo], x_lo[todo]), dd_mul_d((_LN2_HI, _LN2_LO), k))
+    # r = x - k ln 2: every term at the scale of x joins by an exact
+    # two_sum, so the cancellation leaves the O(eps^2) error at the scale
+    # of r, not of x.
+    p1, e1 = two_prod(_LN2_HI, k)
+    p2, e2 = two_prod(_LN2_LO, k)
+    r_hi, r_lo = two_sum(x_hi[todo], -p1)
+    for part in (x_lo[todo], -e1, -p2):
+        r_hi, t = two_sum(r_hi, part)
+        r_lo = r_lo + t
+    r = quick_two_sum(r_hi, r_lo - e2)
     # Taylor sum of exp(r) for |r| <= ~0.35.
     sum_hi, sum_lo = np.empty(todo.size), np.empty(todo.size)
     lane = np.arange(todo.size)             # working set: unconverged lanes
@@ -117,7 +140,7 @@ def dd_exp(x: tuple) -> tuple:
     for n in range(1, 40):
         if not lane.size:
             break
-        term = dd_mul_d(dd_mul(term, r), 1.0 / n)
+        term = dd_mul(dd_mul(term, r), _RECIPROCALS[n - 1])
         acc = dd_add(acc, term)
         done = np.abs(term[0]) < 1e-36 * np.abs(acc[0])
         if np.any(done):
@@ -137,26 +160,39 @@ def dd_exp(x: tuple) -> tuple:
 
 
 def dd_log(x: float | np.ndarray) -> tuple:
-    """ln x as a double-double, refined from the double log by one Newton
-    step: w + (x e^{-w} - 1) - (x e^{-w} - 1)^2 / 2.
+    """ln x as a double-double, relative error below 1e-30 for every
+    positive double x.
 
-    x may be a float or an array; each lane takes one math.log call, and
-    all lanes share one lockstep dd_exp, so every lane is bit-identical to
-    the float computed alone.
+    x outside [2^-960, 2^960] is written m 2^k with m in [1/2, 1) and taken
+    as ln m + k ln 2.  Within 1/8 of 1, ln x is the log1p series of x - 1
+    (exact there); elsewhere the double log w is refined by one Newton
+    step, w + (x e^{-w} - 1) - (x e^{-w} - 1)^2 / 2.  x may be a float or an
+    array; each lane takes one math.log call, and all lanes share one
+    lockstep dd_exp, so every lane is bit-identical to the float computed
+    alone.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("dd_log requires x > 0")
     shape = x.shape
     x = x.ravel()
+    window = (2.0 ** -_LOG_SCALE_MAX <= x) & (x <= 2.0 ** _LOG_SCALE_MAX)
+    k = np.where(window, 0, np.frexp(x)[1])
+    x = np.ldexp(x, -k)
     w = _per_lane(math.log, x)
-    # Splitting x overflows from about 1.34e300 on, and the result turns
-    # NaN silently, as it does with floats.
+    # inf and NaN lanes turn NaN silently, as they do with floats.
     with np.errstate(over="ignore", invalid="ignore"):
         r = dd_mul_d(dd_exp((-w, 0.0)), x)
         r = dd_add(r, (-1.0, 0.0))
         corr = dd_sub(r, dd_mul_d(dd_mul(r, r), 0.5))
         hi, lo = dd_add((w, 0.0), corr)
+    near = np.abs(x - 1.0) <= _LOG_NEAR_ONE
+    if np.any(near):
+        hi[near], lo[near] = dd_log1p_small((x[near] - 1.0, 0.0))
+    scaled = ~window
+    hi[scaled], lo[scaled] = dd_add(
+        (hi[scaled], lo[scaled]),
+        dd_mul_d((_LN2_HI, _LN2_LO), k[scaled].astype(float)))
     if not shape:
         return float(hi[0]), float(lo[0])
     return hi.reshape(shape), lo.reshape(shape)
@@ -181,22 +217,28 @@ def dd_log1p_small(u: tuple[float, float]) -> tuple[float, float]:
     uu = (u_hi, u_lo)
     acc = term = uu
     sign = 1.0
-    for n in range(2, 120):
-        if not lane.size:
-            break
+    for n in range(2, _LOG1P_MAX_TERMS):
         term = dd_mul(term, uu)
         sign = -sign
-        contrib = dd_mul_d(term, sign / n)
+        inv_hi, inv_lo = _RECIPROCALS[n - 1]
+        contrib = dd_mul(term, (sign * inv_hi, sign * inv_lo))
         acc = dd_add(acc, contrib)
-        done = np.abs(contrib[0]) < 1e-36 * np.maximum(np.abs(acc[0]), 1e-300)
+        # A lane stops at its own last term, or once its terms underflow
+        # to 0 (then the relative test's right side is 0 as well, and the
+        # sum can no longer change).
+        floor = 1e-36 * np.maximum(np.abs(acc[0]), 1e-300)
+        done = (np.abs(contrib[0]) < floor) | (contrib[0] == 0.0)
         if np.any(done):
             out_hi[lane[done]] = acc[0][done]
             out_lo[lane[done]] = acc[1][done]
             live = ~done
             lane = lane[live]
             uu, term, acc = ((p[0][live], p[1][live]) for p in (uu, term, acc))
+        if not lane.size:
+            break
     else:
-        out_hi[lane], out_lo[lane] = acc
+        raise _not_converged("dd_log1p_small's Taylor series",
+                             _LOG1P_MAX_TERMS)
     if not shape:
         return float(out_hi[0]), float(out_lo[0])
     return out_hi.reshape(shape), out_lo.reshape(shape)

@@ -13,9 +13,10 @@ Contents:
 
 * ``certify_monotone`` — scans ``a -> P(X_a - a > c)`` on a grid and returns
   a direction verdict (increasing / decreasing / non-monotone with witness /
-  inconclusive with the offending interval).  The grid is evaluated in one
-  ``tail_prob_many`` call and its intervals classified at once; only the
-  uncertified ones are refined, point by point.
+  inconclusive with the offending interval).  One loop runs over the
+  refinement depths, the grid being depth 0: each pass classifies all open
+  intervals at once and splits the uncertified ones, evaluating all new
+  midpoints in one ``tail_prob_many`` call.
 * ``find_witness`` — constructive non-monotonicity: for c in (-1/3, 0) finds
   a1 < a2 < a3 with p(a1) > p(a2) < p(a3) at certified margins; its coarse
   scan is one ``tail_prob_many`` call.
@@ -157,11 +158,23 @@ def _classify(d, err_sum, strict_margin: float):
     return 1 * (d > margin) - 1 * (d < -margin)
 
 
-def _scale_midpoint(lo: float, hi: float, scale: str) -> float:
-    mid = math.sqrt(lo * hi) if scale == "log" else 0.5 * (lo + hi)
-    if not (lo < mid < hi):
-        mid = 0.5 * (lo + hi)
-    return mid
+def _scale_midpoint(lo, hi, scale: str) -> np.ndarray:
+    """Midpoints of the intervals (lo, hi), elementwise: geometric on a log
+    scan, arithmetic on a linear one or where the geometric midpoint rounds
+    out of the open interval."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    with np.errstate(over="ignore"):        # overflows to inf, as floats do
+        mean = 0.5 * (lo + hi)
+        if scale != "log":
+            return mean
+        mid = np.sqrt(lo * hi)
+    return np.where((lo < mid) & (mid < hi), mid, mean)
+
+
+def _children(ends: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """The children (lo, mid) and (mid, hi) of each interval, left to right;
+    rows 0 and 1 of ends (and of the result) are the lo and hi ends."""
+    return np.stack((ends[0], mid, mid, ends[1]), axis=-1).reshape(-1, 2).T
 
 
 def certify_monotone(c: float, scan: ScanSpec,
@@ -188,60 +201,44 @@ def certify_monotone(c: float, scan: ScanSpec,
             "probability is identically 1; start the scan at -c or above")
 
     grid = scan.grid()
-    p, e = tail_prob_many(grid, c)
-    points = dict(zip(grid, zip(p.tolist(), e.tolist())))
-
-    # Every grid interval is classified at once; the certified ones only
-    # update the smallest margin ratio of their sign.
-    d = p[1:] - p[:-1]
-    err_sum = e[:-1] + e[1:]
-    sign = _classify(d, err_sum, strict_margin)
-    ratio = np.abs(d) / np.maximum(err_sum, 5e-324)
-    has_pos = bool(np.any(sign > 0))
-    has_neg = bool(np.any(sign < 0))
-    pos_ratio = float(np.min(ratio[sign > 0], initial=math.inf))
-    neg_ratio = float(np.min(ratio[sign < 0], initial=math.inf))
-    unresolved: list[tuple[float, float, float, float]] = []
-
-    # Stack of (a_lo, a_hi, depth) holding the uncertified grid intervals;
-    # children are pushed right-first so intervals are examined
-    # left-to-right, keeping the verdict deterministic.
-    stack = [(grid[i], grid[i + 1], 0)
-             for i in np.flatnonzero(sign == 0)[::-1].tolist()]
-    while stack:
-        a_lo, a_hi, depth = stack.pop()
-        p_lo, e_lo = points[a_lo]
-        p_hi, e_hi = points[a_hi]
-        d = p_hi - p_lo
-        err_sum = e_lo + e_hi
+    a = np.array(grid)
+    evaluated = [(a, *tail_prob_many(a, c))]
+    # Shapes, values and error bounds at the ends of the open intervals of
+    # one depth, left to right; depth 0 is the grid.
+    ends = [np.stack((x[:-1], x[1:])) for x in evaluated[0]]
+    ratios: dict[int, float] = {}       # certified sign -> smallest ratio
+    for depth in range(_REFINE_DEPTH + 1):
+        a_ends, p_ends, e_ends = ends
+        d = p_ends[1] - p_ends[0]
+        err_sum = e_ends[0] + e_ends[1]
         sign = _classify(d, err_sum, strict_margin)
-        if sign != 0:
-            ratio = abs(d) / max(err_sum, 5e-324)
-            if sign > 0:
-                has_pos = True
-                pos_ratio = min(pos_ratio, ratio)
-            else:
-                has_neg = True
-                neg_ratio = min(neg_ratio, ratio)
-            continue
-        if depth >= _REFINE_DEPTH:
-            unresolved.append((a_lo, a_hi, d, err_sum))
-            continue
-        mid = _scale_midpoint(a_lo, a_hi, scan.scale)
-        if mid not in points:
-            points[mid] = _eval_point(mid, c)
-        stack.append((mid, a_hi, depth + 1))
-        stack.append((a_lo, mid, depth + 1))
+        ratio = np.abs(d) / np.maximum(err_sum, 5e-324)
+        for s in (1, -1):
+            if np.any(sign == s):
+                ratios[s] = min(ratios.get(s, math.inf),
+                                float(np.min(ratio[sign == s])))
+        open_ = sign == 0
+        if depth == _REFINE_DEPTH or not np.any(open_):
+            break
+        mid = _scale_midpoint(*a_ends[:, open_], scan.scale)
+        evaluated.append((mid, *tail_prob_many(mid, c)))
+        ends = [_children(x[:, open_], m)
+                for x, m in zip(ends, evaluated[-1])]
+    # Open intervals are left only at the last depth.
+    unresolved = np.flatnonzero(open_)
 
-    n_extra = len(points) - len(grid)
-    if has_pos and has_neg:
-        witness, ratio = _witness_from_points(points, strict_margin)
+    a_all, p_all, e_all = (np.concatenate(x) for x in zip(*evaluated))
+    a_pts, first = np.unique(a_all, return_index=True)
+    n_extra = a_pts.size - len(grid)
+    if len(ratios) == 2:
+        witness, ratio = _witness_from_points(a_pts, p_all[first],
+                                              e_all[first], strict_margin)
         if witness is None:
-            a_lo, a_hi, d, err_sum = unresolved[0] if unresolved else (
-                grid[0], grid[-1], 0.0, 0.0)
+            interval = (tuple(a_ends[:, unresolved[0]].tolist())
+                        if unresolved.size else (grid[0], grid[-1]))
             return MonotoneVerdict(
                 direction="inconclusive", c=c, scan=scan, witness=None,
-                margin_ratio=0.0, interval=(a_lo, a_hi),
+                margin_ratio=0.0, interval=interval,
                 detail="opposite certified signs found but no witness triple "
                        "met the margin discipline")
         return MonotoneVerdict(
@@ -249,56 +246,48 @@ def certify_monotone(c: float, scan: ScanSpec,
             margin_ratio=ratio, interval=None,
             detail=f"certified decrease and increase on the scan "
                    f"({len(grid)} grid points, {n_extra} refinement points)")
-    if unresolved:
-        a_lo, a_hi, d, err_sum = unresolved[0]
-        ratio = abs(d) / max(err_sum, 5e-324)
+    if unresolved.size:
+        k = unresolved[0]
+        a_lo, a_hi = a_ends[:, k].tolist()
         return MonotoneVerdict(
             direction="inconclusive", c=c, scan=scan, witness=None,
-            margin_ratio=ratio, interval=(a_lo, a_hi),
-            detail=f"difference {d!r} on [{a_lo!r}, {a_hi!r}] is below the "
-                   f"certification margin after depth-{_REFINE_DEPTH} "
-                   "refinement")
-    if has_pos:
-        return MonotoneVerdict(
-            direction="increasing", c=c, scan=scan, witness=None,
-            margin_ratio=pos_ratio, interval=None,
-            detail=f"all {len(grid) - 1} consecutive differences certified "
-                   f"positive ({n_extra} refinement points)")
-    if has_neg:
-        return MonotoneVerdict(
-            direction="decreasing", c=c, scan=scan, witness=None,
-            margin_ratio=neg_ratio, interval=None,
-            detail=f"all {len(grid) - 1} consecutive differences certified "
-                   f"negative ({n_extra} refinement points)")
+            margin_ratio=float(ratio[k]), interval=(a_lo, a_hi),
+            detail=f"difference {float(d[k])!r} on [{a_lo!r}, {a_hi!r}] is "
+                   f"below the certification margin after "
+                   f"depth-{_REFINE_DEPTH} refinement")
+    # Every interval certified one sign.
+    s, word, direction = ((1, "positive", "increasing") if 1 in ratios
+                          else (-1, "negative", "decreasing"))
     return MonotoneVerdict(
-        direction="inconclusive", c=c, scan=scan, witness=None,
-        margin_ratio=0.0, interval=(grid[0], grid[-1]),
-        detail="no certified differences on the scan")
+        direction=direction, c=c, scan=scan, witness=None,
+        margin_ratio=ratios[s], interval=None,
+        detail=f"all {len(grid) - 1} consecutive differences certified "
+               f"{word} ({n_extra} refinement points)")
 
 
-def _witness_from_points(points: dict[float, tuple[float, float]],
+def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray,
                          strict_margin: float
                          ) -> tuple[Optional[Witness], float]:
-    """Best dip triple from evaluated points, or None if margins fail."""
-    a_sorted = sorted(points)
-    p = [points[a][0] for a in a_sorted]
-    e = [points[a][1] for a in a_sorted]
-    j = min(range(len(p)), key=lambda k: (p[k], k))
+    """Best dip triple from evaluated points, given as arrays sorted by
+    shape without repeats, or None if margins fail.  Ties go to the
+    leftmost point."""
+    j = int(np.argmin(p))
     if j == 0 or j == len(p) - 1:
         return None, 0.0
-    i = min(range(0, j), key=lambda k: (-p[k], k))
-    k = min(range(j + 1, len(p)), key=lambda m: (-p[m], m))
-    left_gap = p[i] - p[j]
-    right_gap = p[k] - p[j]
-    left_err = e[i] + e[j]
-    right_err = e[k] + e[j]
+    i = int(np.argmax(p[:j]))
+    k = j + 1 + int(np.argmax(p[j + 1:]))
+    (a1, a2, a3), (p1, p2, p3), (e1, e2, e3) = (
+        x[[i, j, k]].tolist() for x in (a, p, e))
+    left_gap = p1 - p2
+    right_gap = p3 - p2
+    left_err = e1 + e2
+    right_err = e3 + e2
     if not (left_gap > strict_margin * left_err
             and right_gap > strict_margin * right_err):
         return None, 0.0
     ratio = min(left_gap / max(left_err, 5e-324),
                 right_gap / max(right_err, 5e-324))
-    witness = Witness(a1=a_sorted[i], a2=a_sorted[j], a3=a_sorted[k],
-                      p1=p[i], p2=p[j], p3=p[k])
+    witness = Witness(a1=a1, a2=a2, a3=a3, p1=p1, p2=p2, p3=p3)
     return witness, ratio
 
 

@@ -218,7 +218,7 @@ def _reference_certify_monotone(c, scan, strict_margin=8.0):
         elif depth >= _REFINE_DEPTH:
             unresolved.append((a_lo, a_hi, d, err_sum))
         else:
-            mid = _scale_midpoint(a_lo, a_hi, scan.scale)
+            mid = float(_scale_midpoint(a_lo, a_hi, scan.scale))
             if mid not in points:
                 points[mid] = _eval_point(mid, c)
             stack += [(mid, a_hi, depth + 1), (a_lo, mid, depth + 1)]
@@ -230,7 +230,10 @@ def _reference_certify_monotone(c, scan, strict_margin=8.0):
 
     n_extra = len(points) - len(grid)
     if seen == {1, -1}:
-        witness, ratio = _witness_from_points(points, strict_margin)
+        a_pts = sorted(points)
+        witness, ratio = _witness_from_points(
+            np.array(a_pts), np.array([points[a][0] for a in a_pts]),
+            np.array([points[a][1] for a in a_pts]), strict_margin)
         if witness is None:
             lo, hi = (unresolved[0][:2] if unresolved
                       else (grid[0], grid[-1]))
@@ -267,13 +270,27 @@ def _reference_certify_monotone(c, scan, strict_margin=8.0):
     (0.0, ScanSpec(0.01, 200.0, 400), 1e10),                  # inconclusive
     (-0.3, ScanSpec(0.3, 50.0, 50, scale="linear"), 1e11),    # inconclusive
     (0.0, ScanSpec(1.0, 2.0, 12), 1e15),                      # no signs
+    (-0.2, ScanSpec(0.23738424190495053, 16648.89558963054, 3, "linear"),
+     8.0),                                           # refined, then certified
+    (0.0, ScanSpec(1.0, 1.0 + 4.440892098500626e-16, 3, "linear"),
+     8.0),                                      # midpoints round onto ends
 ], ids=["increasing", "cf", "decreasing", "non-monotone", "refined",
-        "inconclusive", "inconclusive-dip", "no-signs"])
+        "inconclusive", "inconclusive-dip", "no-signs", "refined-certified",
+        "rounded-midpoints"])
 def test_certify_monotone_equals_point_by_point_scan(c, scan, margin):
     got = certify_monotone(c, scan, strict_margin=margin)
     assert repr(got) == repr(_reference_certify_monotone(c, scan, margin))
     if margin == 1e9:
         assert "0 refinement points" not in got.detail
+
+
+def test_witness_from_points_takes_the_leftmost_of_tied_points():
+    from gammatail.certify import _witness_from_points
+
+    p = np.array([0.9, 0.9, 0.5, 0.1, 0.1, 0.8, 0.8])
+    witness, _ = _witness_from_points(np.arange(1.0, 8.0), p, np.zeros(7),
+                                      8.0)
+    assert (witness.a1, witness.a2, witness.a3) == (1.0, 4.0, 6.0)
 
 
 def _reference_find_witness(c):

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gammatail import DomainError
+from gammatail import ConvergenceError, DomainError
 from gammatail._dd import (
     _LN2_HI,
     _LN2_LO,
+    _RECIPROCALS,
     central_difference,
     dd_add,
     dd_div,
@@ -30,6 +31,7 @@ from gammatail._dd import (
     dd_mul_d,
     dd_sub,
     mean_gaps,
+    quick_two_sum,
     two_prod,
     two_sum,
 )
@@ -246,7 +248,8 @@ def _reference_log1p_small(u):
     for n in range(2, 120):
         term = dd_mul(term, u)
         sign = -sign
-        contrib = dd_mul_d(term, sign / n)
+        inv_hi, inv_lo = _RECIPROCALS[n - 1]
+        contrib = dd_mul(term, (sign * inv_hi, sign * inv_lo))
         acc = dd_add(acc, contrib)
         if abs(contrib[0]) < 1e-36 * max(abs(acc[0]), 1e-300):
             break
@@ -329,11 +332,17 @@ def _reference_dd_exp(x):
     if x[0] < -745.0:
         return 0.0, 0.0
     k = round(x[0] / _LN2_HI)
-    r = dd_sub(x, dd_mul_d((_LN2_HI, _LN2_LO), float(k)))
+    p1, e1 = two_prod(_LN2_HI, float(k))
+    p2, e2 = two_prod(_LN2_LO, float(k))
+    r_hi, r_lo = two_sum(x[0], -p1)
+    for part in (x[1], -e1, -p2):
+        r_hi, t = two_sum(r_hi, part)
+        r_lo += t
+    r = quick_two_sum(r_hi, r_lo - e2)
     acc = (1.0, 0.0)
     term = (1.0, 0.0)
     for n in range(1, 40):
-        term = dd_mul_d(dd_mul(term, r), 1.0 / n)
+        term = dd_mul(dd_mul(term, r), _RECIPROCALS[n - 1])
         acc = dd_add(acc, term)
         if abs(term[0]) < 1e-36 * abs(acc[0]):
             break
@@ -342,11 +351,19 @@ def _reference_dd_exp(x):
 
 def _reference_dd_log(x):
     """The float-only dd_log the lockstep form replaced."""
-    w = math.log(x)
-    r = dd_mul_d(_reference_dd_exp((-w, 0.0)), x)
-    r = dd_add(r, (-1.0, 0.0))
-    corr = dd_sub(r, dd_mul_d(dd_mul(r, r), 0.5))
-    return dd_add((w, 0.0), corr)
+    k = 0 if 2.0 ** -960 <= x <= 2.0 ** 960 else math.frexp(x)[1]
+    x = math.ldexp(x, -k)
+    if abs(x - 1.0) <= 0.125:
+        out = _reference_log1p_small((x - 1.0, 0.0))
+    else:
+        w = math.log(x)
+        r = dd_mul_d(_reference_dd_exp((-w, 0.0)), x)
+        r = dd_add(r, (-1.0, 0.0))
+        corr = dd_sub(r, dd_mul_d(dd_mul(r, r), 0.5))
+        out = dd_add((w, 0.0), corr)
+    if k:
+        out = dd_add(out, dd_mul_d((_LN2_HI, _LN2_LO), float(k)))
+    return out
 
 
 def _pair_bits(pairs):
@@ -381,6 +398,53 @@ def test_dd_exp_and_dd_log_lanes_are_bitwise_the_float_calls():
         math.inf, 0.0]
     with pytest.raises(DomainError):
         dd_log(np.array([1.0, 0.0]))
+
+
+def _worst_rel_err(pairs, refs, mpmath):
+    return max(float(abs(mpmath.mpf(hi) + mpmath.mpf(lo) - ref) / abs(ref))
+               for (hi, lo), ref in zip(pairs, refs))
+
+
+def test_dd_transcendentals_are_double_double_accurate():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 240
+    rng = np.random.default_rng(7)
+    # dd_log over every positive double: subnormals, the scaling window's
+    # edges, both sides of 1 and the top of the range
+    x = np.concatenate((
+        10.0 ** rng.uniform(-323.3, 308.25, 400),
+        1.0 + rng.uniform(-0.3, 0.3, 100),
+        1.0 + 10.0 ** rng.uniform(-15.0, -1.0, 50) * rng.choice([-1, 1], 50),
+        [5e-324, 2.0 ** -1022, 2.0 ** -960, np.nextafter(2.0 ** -960, 0.0),
+         2.0 ** 960, np.nextafter(2.0 ** 960, np.inf), 1.34e300, 1e308,
+         np.finfo(float).max, 0.875, 1.125, np.nextafter(1.0, 0.0),
+         np.nextafter(1.0, 2.0), 2.0, 10.0]))
+    hi, lo = dd_log(x)
+    assert _worst_rel_err(zip(hi.tolist(), lo.tolist()),
+                          [mpmath.log(v) for v in x.tolist()], mpmath) <= 1e-30
+    u = np.concatenate((rng.uniform(-0.5, 0.5, 300),
+                        10.0 ** rng.uniform(-300.0, -0.4, 100)
+                        * rng.choice([-1, 1], 100), [0.5, -0.5, 0.02]))
+    hi, lo = dd_log1p_small((u, np.zeros_like(u)))
+    assert _worst_rel_err(zip(hi.tolist(), lo.tolist()),
+                          [mpmath.log1p(v) for v in u.tolist()],
+                          mpmath) <= 1e-30
+    e = np.concatenate((rng.uniform(-600.0, 700.0, 400),
+                        [-600.0, 700.0, 0.5, 1e-20, -0.5 * _LN2_HI]))
+    hi, lo = dd_exp((e, np.zeros_like(e)))
+    assert _worst_rel_err(zip(hi.tolist(), lo.tolist()),
+                          [mpmath.exp(v) for v in e.tolist()], mpmath) <= 2e-30
+
+
+def test_dd_log1p_small_stops_zero_lanes_and_raises_at_its_cap(monkeypatch):
+    # With one term allowed, lanes whose terms underflow to 0 still stop,
+    # and a lane that needs more terms raises instead of returning.
+    monkeypatch.setattr("gammatail._dd._LOG1P_MAX_TERMS", 3)
+    assert dd_log1p_small((0.0, 0.0)) == (0.0, 0.0)
+    hi, lo = dd_log1p_small((np.array([0.0, 1e-300]), np.zeros(2)))
+    assert hi.tolist() == [0.0, 1e-300] and lo.tolist() == [0.0, 0.0]
+    with pytest.raises(ConvergenceError):
+        dd_log1p_small((0.25, 0.0))
 
 
 def test_oracle_threshold_ratio_known_point():
