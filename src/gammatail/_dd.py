@@ -10,9 +10,9 @@ The error-free transforms and dd_add/dd_sub/dd_mul/dd_div use only IEEE
 +, -, * and /, so they work unchanged on numpy arrays, lane by lane, with
 the same rounding as on floats.  dd_exp, dd_log, dd_log1p_small and
 mean_gaps use that to evaluate many lanes in one lockstep pass, each lane
-bit-identical to the value computed alone: their Taylor sums stop each lane
-at its own last term, and dd_log takes one math.log call per lane.  A float
-argument gives a float result.
+bit-identical to the value computed alone: their Taylor sums run on
+specfun._lockstep, which stops each lane at its own last term, and dd_log
+takes one math.log call per lane.  A float argument gives a float result.
 """
 from __future__ import annotations
 
@@ -24,12 +24,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .specfun import EPS, _not_converged, _per_lane
+from .specfun import EPS, _lockstep, _not_converged, _per_lane
 
 _SPLITTER = 134217729.0            # 2^27 + 1
 # ln 2 to double-double precision (standard pair).
 _LN2_HI = 6.931471805599453e-01
 _LN2_LO = 2.3190468138462996e-17
+# Term cap of dd_exp's Taylor series; after range reduction |r| <= ln2/2,
+# so r^n/n! < 1e-36 by n = 25.
+_EXP_MAX_TERMS = 39
 # Term cap of dd_log1p_small's Taylor series; |u| <= 1/2 stops by n = 115.
 _LOG1P_MAX_TERMS = 120
 # 1/n as double-double pairs for the Taylor sums, 1/n at index n - 1: a
@@ -106,13 +109,19 @@ def dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float
     return quick_two_sum(s, e + q3)
 
 
+def _exp_term(n, r_hi, r_lo, t_hi, t_lo, s_hi, s_lo):
+    """Term n of dd_exp's Taylor sum and the sum through it, on lanes."""
+    term = dd_mul(dd_mul((t_hi, t_lo), (r_hi, r_lo)), _RECIPROCALS[n - 1])
+    acc = dd_add((s_hi, s_lo), term)
+    return *term, *acc, np.abs(term[0]) < 1e-36 * np.abs(acc[0])
+
+
 def dd_exp(x: tuple) -> tuple:
     """exp of a double-double; arguments beyond the double range saturate.
 
-    x may be a pair of floats or of equal-shape arrays.  Array lanes run the
-    Taylor sum in lockstep, and each lane stops at its own last term: a
-    converged lane is frozen and leaves the working set, so its value is
-    bit-identical to the same lane computed alone.
+    x may be a pair of floats or of equal-shape arrays.  Each lane stops
+    its Taylor sum at its own last term, so its value is bit-identical to
+    the same lane computed alone, and raises ConvergenceError at the cap.
     """
     x_hi = np.asarray(x[0], dtype=float)
     shape = x_hi.shape
@@ -132,25 +141,12 @@ def dd_exp(x: tuple) -> tuple:
     for part in (x_lo[todo], -e1, -p2):
         r_hi, t = two_sum(r_hi, part)
         r_lo = r_lo + t
-    r = quick_two_sum(r_hi, r_lo - e2)
-    # Taylor sum of exp(r) for |r| <= ~0.35.
-    sum_hi, sum_lo = np.empty(todo.size), np.empty(todo.size)
-    lane = np.arange(todo.size)             # working set: unconverged lanes
-    acc = term = (np.ones(todo.size), np.zeros(todo.size))
-    for n in range(1, 40):
-        if not lane.size:
-            break
-        term = dd_mul(dd_mul(term, r), _RECIPROCALS[n - 1])
-        acc = dd_add(acc, term)
-        done = np.abs(term[0]) < 1e-36 * np.abs(acc[0])
-        if np.any(done):
-            sum_hi[lane[done]] = acc[0][done]
-            sum_lo[lane[done]] = acc[1][done]
-            live = ~done
-            lane = lane[live]
-            r, term, acc = ((p[0][live], p[1][live]) for p in (r, term, acc))
-    else:
-        sum_hi[lane], sum_lo[lane] = acc
+    # Taylor sum of exp(r) for |r| <= ~0.35, from term = sum = 1.
+    left, _, _, _, sum_hi, sum_lo = _lockstep(
+        _exp_term, _EXP_MAX_TERMS, quick_two_sum(r_hi, r_lo - e2),
+        (1.0, 0.0, 1.0, 0.0), 1)
+    if left.size:
+        raise _not_converged("dd_exp's Taylor series", _EXP_MAX_TERMS)
     k = k.astype(np.int64)
     out_hi[todo] = np.ldexp(sum_hi, k)
     out_lo[todo] = np.ldexp(sum_lo, k)
@@ -198,13 +194,27 @@ def dd_log(x: float | np.ndarray) -> tuple:
     return hi.reshape(shape), lo.reshape(shape)
 
 
+def _log1p_term(n, u_hi, u_lo, t_hi, t_lo, s_hi, s_lo):
+    """Term n + 1, (-1)^n u^(n+1) / (n+1), of dd_log1p_small's Taylor sum
+    and the sum through it, on lanes."""
+    term = dd_mul((t_hi, t_lo), (u_hi, u_lo))
+    inv_hi, inv_lo = _RECIPROCALS[n]
+    sign = -1.0 if n % 2 else 1.0
+    contrib = dd_mul(term, (sign * inv_hi, sign * inv_lo))
+    acc = dd_add((s_hi, s_lo), contrib)
+    # A lane stops at its own last term, or once its terms underflow to 0
+    # (then the relative test's right side is 0 as well, and the sum can no
+    # longer change).
+    floor = 1e-36 * np.maximum(np.abs(acc[0]), 1e-300)
+    return *term, *acc, (np.abs(contrib[0]) < floor) | (contrib[0] == 0.0)
+
+
 def dd_log1p_small(u: tuple[float, float]) -> tuple[float, float]:
     """ln(1 + u) for |u| <= 0.5 by the Taylor series in double-double.
 
-    u may be a pair of floats or of equal-shape arrays.  Array lanes run in
-    lockstep, and each lane stops at its own last term: a converged lane is
-    frozen and leaves the working set, so its sum is bit-identical to the
-    same lane computed alone.
+    u may be a pair of floats or of equal-shape arrays.  Each lane stops at
+    its own last term, so its sum is bit-identical to the same lane
+    computed alone.
     """
     u_hi = np.asarray(u[0], dtype=float)
     u_lo = np.asarray(u[1], dtype=float)
@@ -212,31 +222,11 @@ def dd_log1p_small(u: tuple[float, float]) -> tuple[float, float]:
         raise DomainError("dd_log1p_small requires |u| <= 0.5")
     shape = u_hi.shape
     u_hi, u_lo = np.broadcast_arrays(u_hi.ravel(), u_lo.ravel())
-    out_hi, out_lo = u_hi.copy(), u_lo.copy()
-    lane = np.arange(u_hi.size)             # working set: unconverged lanes
-    uu = (u_hi, u_lo)
-    acc = term = uu
-    sign = 1.0
-    for n in range(2, _LOG1P_MAX_TERMS):
-        term = dd_mul(term, uu)
-        sign = -sign
-        inv_hi, inv_lo = _RECIPROCALS[n - 1]
-        contrib = dd_mul(term, (sign * inv_hi, sign * inv_lo))
-        acc = dd_add(acc, contrib)
-        # A lane stops at its own last term, or once its terms underflow
-        # to 0 (then the relative test's right side is 0 as well, and the
-        # sum can no longer change).
-        floor = 1e-36 * np.maximum(np.abs(acc[0]), 1e-300)
-        done = (np.abs(contrib[0]) < floor) | (contrib[0] == 0.0)
-        if np.any(done):
-            out_hi[lane[done]] = acc[0][done]
-            out_lo[lane[done]] = acc[1][done]
-            live = ~done
-            lane = lane[live]
-            uu, term, acc = ((p[0][live], p[1][live]) for p in (uu, term, acc))
-        if not lane.size:
-            break
-    else:
+    # Terms 2.._LOG1P_MAX_TERMS-1, from term = sum = u.
+    left, _, _, _, out_hi, out_lo = _lockstep(
+        _log1p_term, _LOG1P_MAX_TERMS - 2, (u_hi, u_lo),
+        (u_hi, u_lo, u_hi, u_lo), 1)
+    if left.size:
         raise _not_converged("dd_log1p_small's Taylor series",
                              _LOG1P_MAX_TERMS)
     if not shape:
@@ -267,13 +257,13 @@ def central_difference(fn: Callable[[float], float], x: float,
 @dataclass(frozen=True)
 class MeanChainGaps:
     """Signed squared-mean gaps along geometric < logarithmic < refined <
-    arithmetic, each with an error bound, one array lane per pair.  All
-    three should be positive."""
+    arithmetic, one array lane per pair; row k of err_bounds bounds the k-th
+    gap.  All three should be positive."""
 
     log_vs_geo: np.ndarray
     refined_vs_log: np.ndarray
     arith_vs_refined: np.ndarray
-    err_bound: np.ndarray
+    err_bounds: np.ndarray
 
 
 def mean_gaps(x: np.ndarray | float, y: np.ndarray | float) -> MeanChainGaps:
@@ -286,7 +276,9 @@ def mean_gaps(x: np.ndarray | float, y: np.ndarray | float) -> MeanChainGaps:
     difference of two logs, so the relative error of every gap stays
     O(eps^2) times the x*y scale even at ratio 1 + 1e-6.  Lanes beyond the
     series window, (y - x)/x > 0.5, take the difference of the double-double
-    logs of x and y instead.
+    logs of x and y instead.  Each gap's bound is 64 eps^2 A^2 for the
+    double-double arithmetic plus half an ulp, 0.5 eps |gap|, for its
+    rounding to a double.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
@@ -314,8 +306,7 @@ def mean_gaps(x: np.ndarray | float, y: np.ndarray | float) -> MeanChainGaps:
         a_dd = dd_mul_d(two_sum(x, y), 0.5)
         a2_dd = dd_mul(a_dd, a_dd)
         gap3 = dd_sub(dd_sub(a2_dd, xy_dd), third)
-        err = 64.0 * EPS * EPS * a2_dd[0]
-    return MeanChainGaps(log_vs_geo=gap1[0].reshape(shape),
-                         refined_vs_log=gap2[0].reshape(shape),
-                         arith_vs_refined=gap3[0].reshape(shape),
-                         err_bound=err.reshape(shape))
+        gaps = np.stack((gap1[0], gap2[0], gap3[0]))
+        err = 64.0 * EPS * EPS * a2_dd[0] + 0.5 * EPS * np.abs(gaps)
+    return MeanChainGaps(*(g.reshape(shape) for g in gaps),
+                         err_bounds=err.reshape((3, *shape)))

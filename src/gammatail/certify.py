@@ -518,7 +518,8 @@ def check_threshold_chain(y_grid: Sequence[float]) -> ThresholdChainReport:
 
 @dataclass(frozen=True)
 class MeanChainEntry:
-    """One certified instance of sqrt(xy) < L < refined < (x+y)/2."""
+    """One certified instance of sqrt(xy) < L < refined < (x+y)/2; each gap
+    is checked against its own bound, and err_bound is the largest."""
 
     x: float
     y: float
@@ -604,14 +605,14 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         ref = np.sqrt(x * y + (lm - x) * (y - lm) / 3.0)
         ari = 0.5 * (x + y)
         gaps = np.stack((lm - geo, ref - lm, ari - ref))
-        err = 32.0 * EPS * ari
+        errs = np.tile(32.0 * EPS * ari, (3, 1))
         ext = mean_gaps(x[extended], y[extended])
         gaps[:, extended] = (ext.log_vs_geo, ext.refined_vs_log,
                              ext.arith_vs_refined)
-        err[extended] = ext.err_bound
-        margin = strict_margin * err
-        chain_ok = np.all(gaps > margin, axis=0)
-        ratios = (gaps / np.maximum(err, 5e-324)).T
+        errs[:, extended] = ext.err_bounds
+        chain_ok = np.all(gaps > strict_margin * errs, axis=0)
+        ratios = (gaps / np.maximum(errs, 5e-324)).T
+        err = errs.max(axis=0)
     # Python's min over the ratios in pair order skips NaN ratios and keeps
     # the first of two equal signed zeros; np.fmin's reduction skips NaN
     # but may return either zero.

@@ -8,17 +8,19 @@ accepted as converged.  Non-convergence raises QuadratureError carrying the
 best estimate; the engine never silently returns a value that missed its
 target.
 
-The engine runs in lockstep: integrate_many advances any number of intervals
-together, and each refinement sweep makes one integrand call covering every
-live panel of every interval (both bisection halves, plus the parent panels
-on the first sweep).  Live panels stay grouped by interval, so each sweep
+The engine runs in lockstep: it advances any number of intervals together,
+and each refinement sweep makes one integrand call covering every live
+panel of every interval (both bisection halves, plus the parent panels on
+the first sweep).  Live panels stay grouped by interval, so each sweep
 records an interval's accepted panels in one step, in panel order.
 Acceptance, the panel budget, the sweep limit and the fsum accumulation
 stay per interval, so each interval's result is bit-identical to
 integrating it alone: integrand values and per-panel 15-node sums are
 element-wise, and fsum is exactly rounded, so neither depends on which
-other panels share the arrays.  integrate is the one-interval call of the
-same engine.  The routine is single-threaded and bit-deterministic.
+other panels share the arrays.  The engine raises the first failure it
+meets; integrate_many then replays the intervals one at a time, so the
+error is the one a loop of integrate calls raises first.  The routine is
+single-threaded and bit-deterministic.
 """
 from __future__ import annotations
 
@@ -115,72 +117,37 @@ def _split(flat: list[float], counts: list[int]) -> list[list[float]]:
     return out
 
 
-def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   los: Sequence[float], his: Sequence[float], *,
-                   rel_tol: float = 1e-10, abs_tol: float = 0.0
-                   ) -> list[QuadResult]:
-    """Integrate fn over each [los[k], his[k]], all intervals in lockstep.
-
-    fn(t, k) is vectorized over points t, where k[i] is the index of the
-    interval that t[i] belongs to.  Each result equals, field for field,
-    what integrate would return for that interval alone (see integrate for
-    the tolerance and acceptance rules).  If any interval fails, the
-    QuadratureError raised is the lowest-indexed interval's, the one a loop
-    of integrate calls would have raised first.
-    """
-    n_int = len(los)
-    if len(his) != n_int:
-        raise ValueError("los and his must have the same length")
+def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            los: Sequence[float], his: Sequence[float], rel_tol: float,
+            abs_tol: float) -> list[QuadResult]:
+    """The lockstep engine: integrate fn over each [los[k], his[k]], raising
+    the first failure it meets."""
     states: list[_Interval] = []
-    starts: list[float] = []
-    failed: Optional[tuple[int, QuadratureError]] = None
-    for k in range(n_int):
-        lo = float(los[k])
-        hi = float(his[k])
+    for lo, hi in zip(los, his):
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            failed = (k, QuadratureError(
+            raise QuadratureError(
                 "integration interval must be finite with hi > lo",
-                value=math.nan, err_bound=math.inf, n_panels=0))
-            break
+                value=math.nan, err_bound=math.inf, n_panels=0)
         states.append(_Interval(hi - lo, _PRE_SPLIT * GAUSS_ORDER))
-        starts.append(lo)
-
-    def fail(k: int, err: QuadratureError) -> None:
-        nonlocal failed
-        if failed is None or k < failed[0]:
-            failed = (k, err)
+    if not states:
+        return []
 
     # Live panels, grouped by owning interval in ascending order.
-    width0 = np.array([st.span / _PRE_SPLIT for st in states])
-    lows = (np.array(starts)[:, None]
+    span_of = np.array([st.span for st in states])
+    width0 = span_of / _PRE_SPLIT
+    lows = (np.array(los, dtype=float)[:, None]
             + width0[:, None] * np.arange(_PRE_SPLIT)[None, :]).ravel()
     widths = np.repeat(width0, _PRE_SPLIT)
     owner = np.repeat(np.arange(len(states)), _PRE_SPLIT)
     vals: Optional[np.ndarray] = None
-    span_of = np.array([st.span for st in states])
     tol_of = np.empty(len(states))
     mass_of = np.empty(len(states))
 
-    for sweep in range(_MAX_SWEEPS + 1):
-        if failed is not None:
-            # Intervals above the lowest failure can never be reported.
-            live = owner < failed[0]
-            lows, widths, owner = lows[live], widths[live], owner[live]
-            if vals is not None:
-                vals = vals[live]
-        if owner.size == 0:
-            break
+    for _ in range(_MAX_SWEEPS):
         counts = np.bincount(owner)
         ids = np.flatnonzero(counts)
-        id_list = ids.tolist()
         count_list = counts[ids].tolist()
-        if sweep == _MAX_SWEEPS:
-            for k, live_vals in zip(id_list,
-                                    _split(vals.tolist(), count_list)):
-                fail(k, states[k].failure(
-                    f"no convergence after {_MAX_SWEEPS} refinement sweeps",
-                    live_vals))
-            break
 
         n = lows.size
         half = 0.5 * widths
@@ -198,7 +165,7 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
         # Each interval's error target and absolute mass.
         abs_vals = np.abs(vals)
-        for k, c, seg, seg_abs in zip(id_list, count_list,
+        for k, c, seg, seg_abs in zip(ids.tolist(), count_list,
                                       _split(vals.tolist(), count_list),
                                       _split(abs_vals.tolist(), count_list)):
             st = states[k]
@@ -222,17 +189,12 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         finite = np.isfinite(pair)
         stuck = ~finite & exhausted
         if stuck.any():
-            for k in np.unique(owner[stuck]).tolist():
-                fail(k, QuadratureError(
-                    "integrand is non-finite on an unsplittable panel",
-                    value=states[k].sums()[0], err_bound=math.inf,
-                    n_panels=len(states[k].vals) + int(counts[k])))
+            k = owner[stuck][0]
+            raise QuadratureError(
+                "integrand is non-finite on an unsplittable panel",
+                value=states[k].sums()[0], err_bound=math.inf,
+                n_panels=len(states[k].vals) + int(counts[k]))
         accept = ((diff <= alloc) | (diff <= floor) | exhausted) & finite
-        refine = ~accept
-        if failed is not None:
-            live = owner < failed[0]
-            accept &= live
-            refine &= live
 
         idx = np.flatnonzero(accept)
         children = np.stack((l_vals[idx], r_vals[idx]), axis=1).ravel()
@@ -245,7 +207,7 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 _split(diff[idx].tolist(), n_acc)):
             states[k].accept(seg, defects)
 
-        keep = np.nonzero(refine)[0]
+        keep = np.flatnonzero(~accept)
         m = keep.size
         new_lows = np.empty(2 * m)
         new_widths = np.empty(2 * m)
@@ -262,13 +224,41 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         counts = np.bincount(owner, minlength=len(states))
         for k in np.flatnonzero(counts).tolist():
             if len(states[k].vals) + int(counts[k]) > _MAX_PANELS:
-                fail(k, states[k].failure(
+                raise states[k].failure(
                     f"panel budget {_MAX_PANELS} exceeded",
-                    vals[owner == k].tolist()))
-
-    if failed is not None:
-        raise failed[1]
+                    vals[owner == k].tolist())
+        if owner.size == 0:
+            break
+    else:
+        k = owner[0]
+        raise states[k].failure(
+            f"no convergence after {_MAX_SWEEPS} refinement sweeps",
+            vals[owner == k].tolist())
     return [st.result() for st in states]
+
+
+def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   los: Sequence[float], his: Sequence[float], *,
+                   rel_tol: float = 1e-10, abs_tol: float = 0.0
+                   ) -> list[QuadResult]:
+    """Integrate fn over each [los[k], his[k]], all intervals in lockstep.
+
+    fn(t, k) is vectorized over points t, where k[i] is the index of the
+    interval that t[i] belongs to.  Each result equals, field for field,
+    what integrate would return for that interval alone (see integrate for
+    the tolerance and acceptance rules).  If any interval fails, the
+    intervals are replayed one at a time, so the QuadratureError raised is
+    the one a loop of integrate calls raises first.
+    """
+    if len(his) != len(los):
+        raise ValueError("los and his must have the same length")
+    try:
+        return _sweeps(fn, los, his, rel_tol, abs_tol)
+    except QuadratureError:
+        for k, (lo, hi) in enumerate(zip(los, his)):
+            _sweeps(lambda t, own, k=k: fn(t, own + k), (lo,), (hi,),
+                    rel_tol, abs_tol)
+        raise
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
@@ -287,5 +277,4 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
     accumulated.  Exceeding _MAX_PANELS or producing non-finite values on an
     unsplittable panel raises QuadratureError.
     """
-    return integrate_many(lambda t, _k: fn(t), (lo,), (hi,),
-                          rel_tol=rel_tol, abs_tol=abs_tol)[0]
+    return _sweeps(lambda t, _k: fn(t), (lo,), (hi,), rel_tol, abs_tol)[0]

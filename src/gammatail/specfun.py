@@ -17,10 +17,10 @@ grids at one offset).  The first-order loops -- the ascending series, the
 small-shape tail and the _log1pmx and _lgamma1p Taylor sums -- fold
 _FOLD_BLOCK iterations of all lanes per numpy pass (_fold): each state
 variable is one row-wise ufunc.accumulate, a sequential left fold, so every
-column holds the scalar loop's bits at that iteration.  The continued
-fraction is no such fold: it keeps a numpy copy of one iteration
-(_upper_cf_step), which _lockstep runs for all lanes, handing the last few
-to its scalar loop (_upper_cf_run).
+column holds the scalar loop's bits at that iteration.  Other loops run one
+iteration of all lanes per pass (_lockstep): the continued fraction
+(_upper_cf_step) and the Taylor sums of _dd.  _finish continues the lanes
+either one leaves running on their scalar loop, which raises at its cap.
 
 Error bounds returned by the *_detail variants follow a rounding model
 calibrated against the independent quadrature oracle: (2*|log prefactor| +
@@ -47,10 +47,10 @@ _INV_E = 1.0 / math.e
 _SMALL_SHAPE = 0.5
 _KERNEL_MAX_ITER = 100_000
 # The continued fraction, run for many lanes at once one iteration per
-# numpy pass (_lockstep), hands its last lanes to its scalar loop once fewer
-# than this many are still iterating: below it, numpy's fixed cost per
-# iteration exceeds the scalar loop's cost.  Timed over 8..128 on 400-point
-# scans up to a = 200 and up to a = 1e6, 64 was fastest on both.
+# numpy pass (_lockstep), hands its last lanes to its scalar loop (_finish)
+# once fewer than this many are still iterating: below it, numpy's fixed
+# cost per iteration exceeds the scalar loop's cost.  Timed over 8..128 on
+# 400-point scans up to a = 200 and up to a = 1e6, 64 was fastest on both.
 _LOCKSTEP_MIN_LANES = 64
 # Iterations per numpy pass of the folded loops (_fold): a wider block
 # wastes more iterations past each lane's stop.  Timed over 8..128 on a
@@ -180,6 +180,8 @@ def _lgamma1p(a: float) -> float:
         if abs(term) <= 0.25 * EPS * (abs(acc) + _EULER_GAMMA * a):
             break
         ak *= a
+    else:
+        raise _not_converged(f"lgamma1p series at a={a!r}", len(_ZETA_TABLE))
     return acc - _EULER_GAMMA * a
 
 
@@ -202,9 +204,10 @@ def _lgamma1p_block(i, width, a, ak, acc):
 
 
 def _lgamma1p_lanes(a: np.ndarray) -> np.ndarray:
-    """_lgamma1p for arrays of lanes, bit-identical per lane; a lane that
-    runs through the table keeps its last sum, as the scalar loop does."""
-    _, _, _, acc = _fold(_lgamma1p_block, len(_ZETA_TABLE), (a,), (a, 0.0))
+    """_lgamma1p for arrays of lanes, bit-identical per lane."""
+    left, _, _, acc = _fold(_lgamma1p_block, len(_ZETA_TABLE), (a,), (a, 0.0))
+    for i in left[:1].tolist():
+        _lgamma1p(a[i].item())              # raises the scalar loop's error
     return acc - _EULER_GAMMA * a
 
 
@@ -541,55 +544,52 @@ def _fold(block, n_max: int, consts: tuple, start: tuple
     return lane, n_out, *out
 
 
-def _lockstep(step, run, a: np.ndarray, x: np.ndarray,
-              start: tuple) -> tuple[np.ndarray, ...]:
-    """Run one kernel loop for arrays of lanes (a, x) in lockstep.
+def _lockstep(step, n_max: int, consts: tuple, start: tuple,
+              min_lanes: int) -> tuple[np.ndarray, ...]:
+    """Run a loop for arrays of lanes, one iteration of all lanes per pass.
 
-    step is the loop body on arrays, run the scalar loop continued from an
-    iteration, and start the loop state (scalars broadcast).  Each lane
-    leaves the working set at its own stopping iteration, so its final
-    state is bit-identical to the scalar loop's.  Once fewer than
-    _LOCKSTEP_MIN_LANES lanes are left, each is finished by run from its
-    current state; a lane that reaches the cap raises the scalar loop's
-    ConvergenceError.
-
-    Returns the iteration counts and the final state, one array each.
+    step(n, *consts, *state) returns the state after iteration n of the
+    running lanes and their stop mask; start is the state before the first
+    iteration (scalars broadcast).  A lane leaves at its own stopping
+    iteration, so its count and final state are bit-identical to the scalar
+    loop's.  The loop ends after n_max iterations, or once fewer than
+    min_lanes lanes run.  Returns what _fold returns.
     """
-    state = np.broadcast_arrays(a, *start)[1:]
+    state = np.broadcast_arrays(consts[0], *start)[1:]
     out = [s.copy() for s in state]
-    n_out = np.zeros(a.shape, dtype=np.int64)
-    lane = np.arange(a.size)
+    n_out = np.empty(consts[0].shape, dtype=np.int64)
+    lane = np.arange(consts[0].size)
     n = 0
-    while lane.size >= _LOCKSTEP_MIN_LANES and n < _KERNEL_MAX_ITER:
+    while lane.size >= min_lanes and n < n_max:
         n += 1
-        *state, stop = step(n, a, x, *state)
+        *state, stop = step(n, *consts, *state)
         if stop.any():
             hit = lane[stop]
             n_out[hit] = n
             for o, s in zip(out, state):
                 o[hit] = s[stop]
             live = ~stop
-            lane, a, x = lane[live], a[live], x[live]
+            lane = lane[live]
+            consts = [v[live] for v in consts]
             state = [s[live] for s in state]
-    lists = (v.tolist() for v in (lane, a, x, *state))
-    for i, a_i, x_i, *s_i in zip(*lists):
-        n_out[i], *final = run(a_i, x_i, n, *s_i)
-        for o, v in zip(out, final):
+    n_out[lane] = n
+    for o, s in zip(out, state):
+        o[lane] = s
+    return lane, n_out, *out
+
+
+def _finish(run, consts: tuple, left: np.ndarray, n: np.ndarray,
+            *state: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Finish the lanes that _fold or _lockstep left running, given that
+    call's result, on the scalar loop run(*consts, n, *state) -> (n,
+    *state); a lane at the cap raises run's ConvergenceError.  Returns the
+    iteration counts and the final states."""
+    lists = (v[left].tolist() for v in (*consts, n, *state))
+    for i, *args in zip(left.tolist(), *lists):
+        n[i], *final = run(*args)
+        for o, v in zip(state, final):
             o[i] = v
-    return n_out, *out
-
-
-def _kernel_fold(block, run, a: np.ndarray, x: np.ndarray,
-                 start: tuple) -> tuple[np.ndarray, ...]:
-    """_fold of a kernel loop over lanes (a, x), capped at
-    _KERNEL_MAX_ITER; a lane still running there raises the scalar loop's
-    ConvergenceError from run.  Returns the iteration counts and the final
-    state."""
-    left, *out = _fold(block, _KERNEL_MAX_ITER, (a, x), start)
-    for i in left[:1].tolist():
-        run(a[i].item(), x[i].item(), _KERNEL_MAX_ITER,
-            *(v[i].item() for v in out[1:]))
-    return tuple(out)
+    return n, *state
 
 
 def _per_lane(fn, *arrays: np.ndarray) -> np.ndarray:
@@ -614,8 +614,9 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     series = ~(cf | small)
     if cf.any():
         a_b, x_b, ln_pref = a[cf], x[cf], ln_norm[cf]
-        n, *_, h = _lockstep(_upper_cf_step, _upper_cf_run, a_b, x_b,
-                             _upper_cf_start(a_b, x_b))
+        n, *_, h = _finish(_upper_cf_run, (a_b, x_b), *_lockstep(
+            _upper_cf_step, _KERNEL_MAX_ITER, (a_b, x_b),
+            _upper_cf_start(a_b, x_b), _LOCKSTEP_MIN_LANES))
         q[cf] = value = _per_lane(math.exp, ln_pref) * h
         err[cf] = _kernel_rel(ln_pref, n) * value + 5e-324
     if small.any():
@@ -623,9 +624,9 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
         alnx = a_b * _per_lane(math.log, x_b)
         lg = _lgamma1p_lanes(a_b)
         g = alnx - lg
-        n, _, h, habs = _kernel_fold(_upper_small_shape_block,
-                                     _upper_small_shape_run, a_b, x_b,
-                                     _SMALL_SHAPE_START)
+        n, _, h, habs = _finish(_upper_small_shape_run, (a_b, x_b), *_fold(
+            _upper_small_shape_block, _KERNEL_MAX_ITER, (a_b, x_b),
+            _SMALL_SHAPE_START))
         eg = _per_lane(math.exp, g)
         q[small] = value = -_per_lane(math.expm1, g) + eg * h
         err[small] = _small_shape_err(alnx, lg, g, eg, n, habs,
@@ -633,8 +634,9 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     if series.any():
         a_b, x_b = a[series], x[series]
         ln_pref = ln_norm[series] - _per_lane(math.log, a_b)
-        n, _, total = _kernel_fold(_lower_series_block, _lower_series_run,
-                                   a_b, x_b, _LOWER_SERIES_START)
+        n, _, total = _finish(_lower_series_run, (a_b, x_b), *_fold(
+            _lower_series_block, _KERNEL_MAX_ITER, (a_b, x_b),
+            _LOWER_SERIES_START))
         p = _per_lane(math.exp, ln_pref) * total
         q[series] = 1.0 - p
         err[series] = _kernel_rel(ln_pref, n) * p + EPS

@@ -154,6 +154,23 @@ def test_certify_reports_inconclusive_under_unreachable_margin():
 # ----------------------------------------------------------------------
 
 
+def test_certify_opposite_signs_without_a_witness_triple_is_inconclusive(
+        monkeypatch):
+    # Certified decrease, increase and decrease with the minimum at the
+    # last point: there is no interior dip to form a witness triple.
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "tail_prob_many", lambda a, c: (
+        np.array([1.0, 0.5, 0.9, 0.1]), np.full(4, 1e-17)))
+    scan = ScanSpec(1.0, 4.0, 4, scale="linear")
+    v = certify_monotone(0.5, scan)
+    assert v.direction == "inconclusive"
+    assert v.witness is None and v.margin_ratio == 0.0
+    assert v.interval == (1.0, 4.0)
+    assert v.detail.startswith("opposite certified signs found but no "
+                               "witness triple")
+
+
 def test_find_witness_structure_and_oracle_recheck():
     w = find_witness(-0.2)
     # the left witness sits exactly on the plateau edge, where p = 1
@@ -411,17 +428,18 @@ def _reference_mean_entry(x, y, strict_margin=8.0):
     extended = (y - x) / x <= 0.02
     if extended:
         g = mean_gaps(x, y)
-        g1, g2, g3, err = (float(g.log_vs_geo), float(g.refined_vs_log),
-                           float(g.arith_vs_refined), float(g.err_bound))
+        g1, g2, g3 = (float(g.log_vs_geo), float(g.refined_vs_log),
+                      float(g.arith_vs_refined))
+        errs = g.err_bounds.tolist()
     else:
         g1, g2, g3 = lm - geo, ref - lm, ari - ref
-        err = 32.0 * ULP * ari
-    margin = strict_margin * err
+        errs = [32.0 * ULP * ari] * 3
     return MeanChainEntry(
         x=x, y=y, geometric=geo, logarithmic=lm, refined=ref, arithmetic=ari,
         gap_log_vs_geo=g1, gap_refined_vs_log=g2, gap_arith_vs_refined=g3,
-        err_bound=err, extended=extended,
-        chain_ok=g1 > margin and g2 > margin and g3 > margin)
+        err_bound=max(errs), extended=extended,
+        chain_ok=all(gap > strict_margin * err
+                     for gap, err in zip((g1, g2, g3), errs)))
 
 
 def test_mean_chain_entries_match_per_pair_reference():
@@ -443,23 +461,24 @@ def test_mean_chain_entries_match_per_pair_reference():
 
 def _reference_mean_entry_from_gaps(x, y, gaps, strict_margin):
     """One pair's entry as check_mean_chain built it pair by pair before it
-    kept columns; gaps holds the pair's extended-precision gaps and error
-    bound, or is None to take the gaps in double precision."""
+    kept columns, and the three gaps' error bounds; gaps holds the pair's
+    extended-precision gaps and their error bounds, or is None to take the
+    gaps in double precision."""
     geo = math.sqrt(x * y)
     lm = log_mean(x, y)
     ref = math.sqrt(x * y + (lm - x) * (y - lm) / 3.0)
     ari = 0.5 * (x + y)
     if gaps is not None:
-        g1, g2, g3, err = gaps
+        g1, g2, g3, *errs = gaps
     else:
         g1, g2, g3 = lm - geo, ref - lm, ari - ref
-        err = 32.0 * ULP * ari
-    margin = strict_margin * err
+        errs = [32.0 * ULP * ari] * 3
     return MeanChainEntry(
         x=x, y=y, geometric=geo, logarithmic=lm, refined=ref, arithmetic=ari,
         gap_log_vs_geo=g1, gap_refined_vs_log=g2, gap_arith_vs_refined=g3,
-        err_bound=err, extended=gaps is not None,
-        chain_ok=g1 > margin and g2 > margin and g3 > margin)
+        err_bound=max(errs), extended=gaps is not None,
+        chain_ok=all(gap > strict_margin * err
+                     for gap, err in zip((g1, g2, g3), errs))), errs
 
 
 def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
@@ -481,18 +500,19 @@ def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
     g = mean_gaps(np.array([p[0] for p, e in zip(pairs, extended) if e]),
                   np.array([p[1] for p, e in zip(pairs, extended) if e]))
     ext_gaps = list(zip(g.log_vs_geo.tolist(), g.refined_vs_log.tolist(),
-                        g.arith_vs_refined.tolist(), g.err_bound.tolist()))
+                        g.arith_vs_refined.tolist(), *g.err_bounds.tolist()))
     for margin in (8.0, 1e15):
         gaps = iter(ext_gaps)
-        expected = tuple(
+        expected, errs = zip(*(
             _reference_mean_entry_from_gaps(x, y, next(gaps) if e else None,
                                             margin)
-            for (x, y), e in zip(pairs, extended))
+            for (x, y), e in zip(pairs, extended)))
         ratio = math.inf
-        for entry in expected:
-            for gap in (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
-                        entry.gap_arith_vs_refined):
-                ratio = min(ratio, gap / max(entry.err_bound, 5e-324))
+        for entry, entry_errs in zip(expected, errs):
+            for gap, err in zip((entry.gap_log_vs_geo,
+                                 entry.gap_refined_vs_log,
+                                 entry.gap_arith_vs_refined), entry_errs):
+                ratio = min(ratio, gap / max(err, 5e-324))
         rep = check_mean_chain(pairs, margin, probe_factor=0.332)
         assert len(rep.entries) == len(expected)
         # bitwise, -0.0 included; name the first mismatch, not all 10,000

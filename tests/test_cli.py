@@ -17,8 +17,9 @@ import sys
 
 import pytest
 
-from gammatail import CertificationError, WitnessSearchError
-from gammatail.cli import build_parser, main
+from gammatail import (CertificationError, MonotoneVerdict, ScanSpec, Witness,
+                       WitnessSearchError)
+from gammatail.cli import _certify_exit, build_parser, main
 
 
 def run_cli(argv):
@@ -154,6 +155,26 @@ def test_certify_inconclusive_exits_three():
     assert json.loads(out)["direction"] == "inconclusive"
 
 
+def test_certify_exit_maps_regime_violations():
+    # A direction the paper's regime rules out is a certified violation
+    # (exit 1); inside the band between them any certified direction is ok.
+    scan = ScanSpec(1.0, 4.0, 4)
+    dip = Witness(a1=1.0, a2=2.0, a3=3.0, p1=0.9, p2=0.5, p3=0.7)
+
+    def verdict(direction, c):
+        return MonotoneVerdict(
+            direction=direction, c=c, scan=scan,
+            witness=dip if direction == "non_monotone" else None,
+            margin_ratio=10.0, interval=None, detail="")
+
+    for direction, c, code in [
+            ("increasing", 0.5, 0), ("decreasing", 0.5, 1),
+            ("non_monotone", 0.0, 1), ("decreasing", -0.5, 0),
+            ("increasing", -0.5, 1), ("non_monotone", -1.0 / 3.0, 1),
+            ("increasing", -0.2, 0), ("non_monotone", -0.2, 0)]:
+        assert _certify_exit(verdict(direction, c)) == code, (direction, c)
+
+
 def test_certify_plateau_scan_is_usage_error():
     code, _ = run_cli(["certify", "--c", "-0.5", "--a-min", "0.3"])
     assert code == 2
@@ -170,6 +191,21 @@ def test_median_golden_single_shape():
     assert out == (
         "a,median,offset,residual\n"
         "1.0,0.6931471805599453,-0.3068528194400547,0.0\n"
+    )
+
+
+def test_median_golden_json():
+    code, out = run_cli(["median", "--a", "1", "--json"])
+    assert code == 0
+    assert out == (
+        "[\n"
+        "  {\n"
+        '    "a": 1.0,\n'
+        '    "median": 0.6931471805599453,\n'
+        '    "offset": -0.3068528194400547,\n'
+        '    "residual": 0.0\n'
+        "  }\n"
+        "]\n"
     )
 
 
@@ -214,6 +250,22 @@ def test_means_golden_and_degenerate_pair():
     )
     code, _ = run_cli(["means", "--x", "1", "--y", "1"])
     assert code == 2
+
+
+def test_means_golden_json():
+    code, out = run_cli(["means", "--x", "1", "--y", "4", "--json"])
+    assert code == 0
+    assert out == (
+        "{\n"
+        '  "x": 1.0,\n'
+        '  "y": 4.0,\n'
+        '  "geo": 2.0,\n'
+        '  "log_mean": 2.1640425613334453,\n'
+        '  "refined_mean": 2.1708011270346415,\n'
+        '  "arith": 2.5,\n'
+        '  "chain_ok": true\n'
+        "}\n"
+    )
 
 
 def test_precision_flags_reach_the_computation():

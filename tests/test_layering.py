@@ -59,11 +59,6 @@ def test_oracle_is_validation_only_and_two_sum_has_one_home():
 # Capped loops that stop early on convergence but cannot reach their cap,
 # so they end without a raise: (module, function) -> why.
 LOOPS_THAT_CANNOT_RUN_OUT = {
-    ("specfun", "_lgamma1p"):
-        "for a <= 1/2 the zeta series stops by term 50 of the 69 tabled",
-    ("_dd", "dd_exp"):
-        "after range reduction |r| <= ln2/2, so r^n/n! < 1e-36 by n = 25 "
-        "of 39",
     ("certify", "certify_monotone"):
         "the pass at the last refinement depth always breaks, and the "
         "intervals still open there are reported inconclusive",
@@ -73,9 +68,6 @@ LOOPS_THAT_CANNOT_RUN_OUT = {
     ("median", "_hybrid_root"):
         "the coarse bisection hands over to the refinement loop, which "
         "raises at the same evaluation cap",
-    ("quadrature", "integrate_many"):
-        "the last sweep records a failure for every live interval; it is "
-        "raised after the loop",
     ("acceptance", "c12_ratio_sign_relation"):
         "a point that runs out of finite-difference steps is counted as "
         "unresolved and reported",

@@ -216,7 +216,9 @@ def test_oracle_mean_gaps_wide_pair_matches_double_formulas():
     assert math.isclose(g.log_vs_geo, lm * lm - 4.0, rel_tol=1e-13)
     assert math.isclose(g.refined_vs_log, refined_sq - lm * lm, rel_tol=1e-12)
     assert math.isclose(g.arith_vs_refined, 6.25 - refined_sq, rel_tol=1e-12)
-    assert g.err_bound < 1e-20
+    # Each bound is its gap's half-ulp rounding plus the double-double term.
+    gaps = np.array([g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined])
+    assert np.all(g.err_bounds - 0.5 * ULP * np.abs(gaps) < 1e-20)
 
 
 def test_oracle_mean_gaps_resolves_near_diagonal():
@@ -226,7 +228,8 @@ def test_oracle_mean_gaps_resolves_near_diagonal():
     assert g.log_vs_geo > 0.0
     assert g.refined_vs_log > 0.0
     assert g.arith_vs_refined > 0.0
-    assert g.err_bound < g.refined_vs_log
+    assert np.all(g.err_bounds
+                  < [g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined])
     # leading terms: L^2 - G^2 ~ x^2 t^2/12, A^2 - G^2 ~ x^2 t^2/4 => ratio 3
     assert math.isclose(
         (g.log_vs_geo + g.refined_vs_log + g.arith_vs_refined) / g.log_vs_geo,
@@ -275,7 +278,9 @@ def _reference_mean_gaps(x, y):
     a_dd = dd_mul_d(two_sum(x, y), 0.5)
     a2_dd = dd_mul(a_dd, a_dd)
     gap3 = dd_sub(dd_sub(a2_dd, xy_dd), third)
-    return gap1[0], gap2[0], gap3[0], 64.0 * ULP * ULP * a2_dd[0]
+    gaps = (gap1[0], gap2[0], gap3[0])
+    return (*gaps, *(64.0 * ULP * ULP * a2_dd[0] + 0.5 * ULP * abs(gap)
+                     for gap in gaps))
 
 
 def _bits(values):
@@ -299,15 +304,16 @@ def test_mean_gaps_lockstep_matches_one_pair_loop_bitwise():
         ref = [_reference_mean_gaps(a, b)
                for a, b in zip(x.tolist(), y.tolist())]
     g = mean_gaps(x, y)
-    fields = (g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined, g.err_bound)
+    fields = (g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined,
+              *g.err_bounds)
     for k, field in enumerate(fields):
         assert field.shape == x.shape
         assert _bits(field.tolist()) == _bits(r[k] for r in ref)
     # one pair at a time through the same routine, scalars in and out
     for i in (0, 250, len(x) - 3):
         one = mean_gaps(float(x[i]), float(y[i]))
-        assert _bits([one.log_vs_geo, one.err_bound]) == _bits(
-            [ref[i][0], ref[i][3]])
+        assert _bits([one.log_vs_geo, *one.err_bounds]) == _bits(
+            [ref[i][0], *ref[i][3:]])
 
 
 def test_dd_log1p_small_lanes_stop_at_their_own_term():
@@ -445,6 +451,40 @@ def test_dd_log1p_small_stops_zero_lanes_and_raises_at_its_cap(monkeypatch):
     assert hi.tolist() == [0.0, 1e-300] and lo.tolist() == [0.0, 0.0]
     with pytest.raises(ConvergenceError):
         dd_log1p_small((0.25, 0.0))
+
+
+def test_dd_exp_raises_at_its_cap(monkeypatch):
+    # With five terms allowed, |r| near ln2/2 needs more and must raise
+    # rather than return a partial sum; r = 0 stops at its first term.  At
+    # the default cap the lanes keep the reference bits (tested above).
+    monkeypatch.setattr("gammatail._dd._EXP_MAX_TERMS", 5)
+    assert dd_exp((0.0, 0.0)) == (1.0, 0.0)
+    with pytest.raises(ConvergenceError):
+        dd_exp((0.3, 0.0))
+    with pytest.raises(ConvergenceError):
+        dd_exp((np.array([0.0, 0.3]), 0.0))
+
+
+def test_mean_gaps_bounds_cover_each_returned_gap():
+    # Each gap is rounded to a double; its bound must cover that half-ulp
+    # on top of the double-double error, against a 300-bit reference.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 300
+    rng = np.random.default_rng(12)
+    x = np.append(10.0 ** rng.uniform(-2.0, 2.0, 300), 1.0)
+    spread = 10.0 ** rng.uniform(-6.0, math.log10(0.02), 300)
+    y = np.append(x[:-1] * (1.0 + spread), 1.02)
+    g = mean_gaps(x, y)
+    gaps = (g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined)
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        X, Y = mpmath.mpf(xi), mpmath.mpf(yi)
+        lm = (Y - X) / mpmath.log(Y / X)
+        refined_sq = X * Y + (lm - X) * (Y - lm) / 3
+        refs = (lm * lm - X * Y, refined_sq - lm * lm,
+                (X + Y) ** 2 / 4 - refined_sq)
+        for k, ref in enumerate(refs):
+            assert abs(mpmath.mpf(float(gaps[k][i])) - ref) <= (
+                g.err_bounds[k][i]), (xi, yi, k)
 
 
 def test_oracle_threshold_ratio_known_point():

@@ -242,6 +242,24 @@ def test_integrate_many_two_stalled_intervals_report_the_first():
     assert _error_fields(many.value) == _error_fields(first.value)
 
 
+def test_integrate_many_replays_a_failed_batch_one_interval_at_a_time():
+    # After the batch raises, the intervals run alone in index order up to
+    # the first one that fails, each seeing its own index k.
+    powers = np.array([1.0, -0.5, 2.0])
+    seen = []
+
+    def fn(t, k):
+        seen.append(np.unique(k).tolist())
+        return t ** powers[k]
+
+    with pytest.raises(QuadratureError):
+        integrate_many(fn, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    assert seen[0] == [0, 1, 2]
+    replay = seen[seen.index([0]):]
+    assert replay[0] == [0] and replay[-1] == [1]
+    assert {tuple(k) for k in replay} == {(0,), (1,)}
+
+
 def test_integrate_many_panel_budget_is_per_interval(monkeypatch):
     def gauss(t):
         return np.exp(-0.5 * t * t)

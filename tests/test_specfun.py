@@ -480,6 +480,20 @@ def test_lane_prefactors_are_bitwise_the_scalar_ones(monkeypatch):
     assert str(lanes.value) == str(scalar.value)
 
 
+def test_lgamma1p_raises_at_the_end_of_its_zeta_table(monkeypatch):
+    # a = 1e-3 stops within ten terms; a = 0.5 needs about fifty and must
+    # raise on the scalar and the lane path alike, not return a partial sum.
+    small = specfun._lgamma1p(1e-3)
+    monkeypatch.setattr(specfun, "_ZETA_TABLE", specfun._ZETA_TABLE[:10])
+    assert specfun._lgamma1p(1e-3).hex() == small.hex()
+    assert _hex(specfun._lgamma1p_lanes(np.array([1e-3]))) == [small.hex()]
+    with pytest.raises(ConvergenceError) as scalar:
+        specfun._lgamma1p(0.5)
+    with pytest.raises(ConvergenceError) as lanes:
+        specfun._lgamma1p_lanes(np.array([1e-3, 0.5, 0.4]))
+    assert str(lanes.value) == str(scalar.value)
+
+
 def _unmasked_log1pmx_vec(d):
     """_log1pmx_vec as it was before it masked its lanes: both forms on
     every lane, then a select; kept as the bit-level reference."""
