@@ -7,55 +7,57 @@ explicit witness in between), solves for gamma medians inside the proven
 (a - 1/3, a) bracket, and certifies the supporting mean inequalities and
 derivative-ratio sign relations — every verdict backed by explicit error
 bounds and strictness margins rather than bare floating-point comparisons.
+
+The package loads lazily (PEP 562): importing it runs no submodule, and each
+exported name imports its home module on first access, so a caller pays
+only for the layers it uses.  numpy comes in with the batched scans,
+quadrature and the acceptance criteria; the scalar kernels, tail
+probabilities and medians need the standard library alone.
 """
 from __future__ import annotations
 
-from .acceptance import CRITERIA, CriterionResult, verify_all
-from .certify import (AsymptoticSlopeReport, MeanChainEntry, MeanChainReport,
-                      MonotoneVerdict, ScanSpec, ThresholdChainReport,
-                      Witness, certify_monotone, check_asymptotic_slope,
-                      check_mean_chain, check_threshold_chain, find_witness,
-                      integrated_defect, rational_stage,
-                      rational_stage_deriv)
-from .errors import (CertificationError, ConvergenceError, DomainError,
-                     GammaTailError, QuadratureError, WitnessSearchError)
-from .median import (MedianBracketCheck, MedianBracketReport, MedianResult,
-                     check_median_bracket, gamma_median)
-from .quadrature import QuadResult, integrate
-from .specfun import (BranchRoots, EvalDetail, branch_root_deriv,
-                      branch_roots, lambert_w0, lambert_wm1, log_mean,
-                      refined_mean, reg_gamma_q, reg_gamma_q_detail,
-                      threshold_ratio)
-from .tailprob import (RatioParts, TailQuery, TailValue, direction_form,
-                       direction_form_detail, integrand_ratio, ratio_parts,
-                       tail_prob, tail_prob_detail, tail_prob_many)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "GammaTailError", "DomainError", "QuadratureError", "ConvergenceError",
-    "CertificationError", "WitnessSearchError",
-    # special functions
-    "EvalDetail", "BranchRoots", "reg_gamma_q", "reg_gamma_q_detail",
-    "lambert_w0", "lambert_wm1", "branch_roots", "branch_root_deriv",
-    "log_mean", "refined_mean", "threshold_ratio",
-    # quadrature
-    "QuadResult", "integrate",
-    # tail probability
-    "TailQuery", "TailValue", "RatioParts", "tail_prob", "tail_prob_detail",
-    "tail_prob_many", "ratio_parts", "direction_form",
-    "direction_form_detail", "integrand_ratio",
-    # median
-    "MedianResult", "MedianBracketCheck", "MedianBracketReport",
-    "gamma_median", "check_median_bracket",
-    # certification
-    "ScanSpec", "Witness", "MonotoneVerdict", "ThresholdChainReport",
-    "MeanChainEntry", "MeanChainReport", "AsymptoticSlopeReport",
-    "certify_monotone", "find_witness", "check_threshold_chain",
-    "check_mean_chain", "check_asymptotic_slope", "integrated_defect",
-    "rational_stage", "rational_stage_deriv",
-    # acceptance
-    "CRITERIA", "CriterionResult", "verify_all",
-]
+# Home module -> the names it exports, in the order of __all__.
+_HOMES = {
+    "errors": (
+        "GammaTailError", "DomainError", "QuadratureError", "ConvergenceError",
+        "CertificationError", "WitnessSearchError"),
+    "specfun": (
+        "EvalDetail", "BranchRoots", "reg_gamma_q", "reg_gamma_q_detail",
+        "lambert_w0", "lambert_wm1", "branch_roots", "branch_root_deriv",
+        "log_mean", "refined_mean", "threshold_ratio"),
+    "quadrature": ("QuadResult", "integrate"),
+    "tailprob": (
+        "TailQuery", "TailValue", "RatioParts", "tail_prob",
+        "tail_prob_detail", "tail_prob_many", "ratio_parts",
+        "direction_form", "direction_form_detail", "integrand_ratio"),
+    "median": (
+        "MedianResult", "MedianBracketCheck", "MedianBracketReport",
+        "gamma_median", "check_median_bracket"),
+    "certify": (
+        "ScanSpec", "Witness", "MonotoneVerdict", "ThresholdChainReport",
+        "MeanChainEntry", "MeanChainReport", "AsymptoticSlopeReport",
+        "certify_monotone", "find_witness", "check_threshold_chain",
+        "check_mean_chain", "check_asymptotic_slope", "integrated_defect",
+        "rational_stage", "rational_stage_deriv"),
+    "acceptance": ("CRITERIA", "CriterionResult", "verify_all"),
+}
+_HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
+
+__all__ = ["__version__", *_HOME_OF]
+
+
+def __getattr__(name: str) -> object:
+    home = _HOME_OF.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

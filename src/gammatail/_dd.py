@@ -11,7 +11,7 @@ The error-free transforms and dd_add/dd_sub/dd_mul/dd_div use only IEEE
 the same rounding as on floats.  dd_exp, dd_log, dd_log1p_small and
 mean_gaps use that to evaluate many lanes in one lockstep pass, each lane
 bit-identical to the value computed alone: their Taylor sums run on
-specfun._lockstep, which stops each lane at its own last term, and dd_log
+_lanes._lockstep, which stops each lane at its own last term, and dd_log
 takes one math.log call per lane.  A float argument gives a float result.
 """
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .specfun import EPS, _lockstep, _not_converged, _per_lane
+from ._lanes import _lockstep, _per_lane
+from .specfun import EPS, _not_converged
 
 _SPLITTER = 134217729.0            # 2^27 + 1
 # ln 2 to double-double precision (standard pair).

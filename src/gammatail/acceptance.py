@@ -19,14 +19,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._lanes import reg_gamma_q_many
 from .certify import (ScanSpec, certify_monotone, check_asymptotic_slope,
                       check_mean_chain, check_threshold_chain, find_witness)
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError)
 from .median import check_median_bracket, gamma_median
 from .oracle import oracle_gamma_q_many, oracle_tail_prob
-from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, branch_roots,
-                      reg_gamma_q_many)
+from .specfun import EPS, ONE_THIRD, STRICT_MARGIN, branch_roots
 from .tailprob import (TailQuery, direction_form_detail, integrand_ratio,
                        ratio_parts, tail_prob)
 

@@ -39,11 +39,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._dd import central_difference, mean_gaps
+from ._lanes import _per_lane
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
-from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _per_lane,
-                      _threshold_forms, log_mean)
+from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _threshold_forms,
+                      log_mean)
 from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
 _REFINE_DEPTH = 6

@@ -9,6 +9,10 @@ printed with their shortest round-trip representation), JSON behind --json;
 certification verdicts and verify-all reports are structured and printed as
 JSON regardless.  Identical flags produce byte-identical output.
 
+Each command imports only the layers it runs, inside its handler: eval and
+median --a need the scalar kernels alone and never load numpy, and neither
+does building the parser (--help included).
+
 Exit codes: 0 success / certified as predicted; 1 certified violation of a
 claim this package certifies; 2 usage or domain error; 3 inconclusive (a
 certification that could not be decided at the requested precision or
@@ -21,21 +25,25 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .acceptance import CRITERIA, verify_all
-from .certify import (MonotoneVerdict, ScanSpec, certify_monotone,
-                      check_mean_chain)
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError, QuadratureError, WitnessSearchError)
-from .median import ABS_TOL, REL_TOL, gamma_median
+from .median import ABS_TOL, REL_TOL
 from .specfun import ONE_THIRD, STRICT_MARGIN
-from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
+
+if TYPE_CHECKING:
+    from .certify import MonotoneVerdict, ScanSpec
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
 _EXIT_USAGE = 2
 _EXIT_INCONCLUSIVE = 3
+
+# The ids of acceptance.CRITERIA, for the verify-all help text; the parser
+# does not import the acceptance layer.
+_CRITERIA_IDS = ("C01", "C02", "C03", "C04", "C05", "C06", "C07", "C08",
+                 "C09", "C10", "C11", "C12", "C13")
 
 
 def _fmt(value: object) -> str:
@@ -92,6 +100,8 @@ def _add_scan_flags(parser: argparse.ArgumentParser, *,
 
 
 def _scan_spec(args: argparse.Namespace, c: float) -> ScanSpec:
+    from .certify import ScanSpec
+
     a_min = args.a_min
     if a_min is None:
         a_min = 0.01 if c >= 0.0 else -c + 0.01
@@ -100,6 +110,8 @@ def _scan_spec(args: argparse.Namespace, c: float) -> ScanSpec:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .tailprob import TailQuery, tail_prob_detail
+
     detail = tail_prob_detail(TailQuery(args.a, args.c))
     record: dict[str, object] = {
         "a": args.a, "c": args.c, "p": detail.value,
@@ -113,6 +125,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .tailprob import tail_prob_many
+
     grid = _scan_spec(args, args.c).grid()
     values, errs = tail_prob_many(grid, args.c)
     rows = []
@@ -155,6 +169,8 @@ def _certify_exit(verdict: MonotoneVerdict) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .certify import certify_monotone
+
     spec = _scan_spec(args, args.c)
     verdict = certify_monotone(args.c, spec, strict_margin=args.strict_margin)
     _emit(_json_text(_verdict_payload(verdict)), args.out)
@@ -162,12 +178,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_median(args: argparse.Namespace) -> int:
+    from .median import gamma_median
+
     if args.a is not None:
         shapes = [args.a]
     else:
         if args.a_min is None or args.a_max is None:
             raise DomainError(
                 "median requires either --a or both --a-min and --a-max")
+        from .certify import ScanSpec
+
         spec = ScanSpec(a_min=args.a_min, a_max=args.a_max, n=args.n,
                         scale=args.scale)
         shapes = list(spec.grid())
@@ -185,6 +205,8 @@ def _cmd_median(args: argparse.Namespace) -> int:
 
 
 def _cmd_means(args: argparse.Namespace) -> int:
+    from .certify import check_mean_chain
+
     # check_mean_chain validates 0 < x < y and raises DomainError otherwise
     # (equal arguments are rejected: the chain is strict).
     report = check_mean_chain([(args.x, args.y)],
@@ -211,6 +233,8 @@ def _cmd_means(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
+    from .acceptance import verify_all
+
     criteria = None
     if args.criteria:
         criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
@@ -294,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-all", help="run the acceptance criteria")
     p_ver.add_argument("--criteria", type=str, default=None,
                        help="comma-separated ids, e.g. C01,C05 "
-                            f"(known: {','.join(CRITERIA)})")
+                            f"(known: {','.join(_CRITERIA_IDS)})")
     p_ver.add_argument("--corrupt", action="store_true",
                        help="inject a tolerance corruption (must fail)")
     p_ver.add_argument("--json", action="store_true")

@@ -7,8 +7,8 @@ integrand in log space), plain bisection for inverse problems, and the
 double-double arithmetic of ``_dd`` for the few scalars whose conditioning
 exceeds double precision.  No Q kernel is shared with the fast path, so
 agreement between the two is meaningful evidence of correctness; the one
-helper borrowed from specfun is the vectorized log1p(d) - d that evaluates
-the integrand's exponent.
+helper borrowed from the fast path is _lanes' vectorized log1p(d) - d that
+evaluates the integrand's exponent.
 """
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ import numpy as np
 from ._dd import mean_gaps as oracle_mean_gaps  # noqa: F401
 from ._dd import (dd_add, dd_div, dd_log, dd_log1p_small, dd_mul, dd_sub,
                   two_sum)
+from ._lanes import _log1pmx_vec
 from .errors import DomainError
 from .quadrature import integrate, integrate_many
-from .specfun import _log1pmx_vec
 
 # Every quadrature gets half the oracle's relative target of 1e-13, so a
 # ratio of two of them meets it.

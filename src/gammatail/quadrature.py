@@ -63,7 +63,11 @@ def _panel_estimates(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     pts = lows[:, None] + widths[:, None] * GAUSS_NODES_01[None, :]
     vals = np.asarray(fn(pts.ravel(), np.repeat(owner, GAUSS_ORDER)),
                       dtype=float).reshape(pts.shape)
-    return (vals * GAUSS_WEIGHTS_01[None, :]).sum(axis=1) * widths
+    # An inf or NaN in the engine's own arithmetic is caught as a
+    # non-finite panel and ends in QuadratureError, so numpy's warnings for
+    # it are silenced here and in _sweeps; the integrand runs outside.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (vals * GAUSS_WEIGHTS_01[None, :]).sum(axis=1) * widths
 
 
 class _Interval:
@@ -175,15 +179,16 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                             1e-320)
             mass_of[k] = acc_abs + math.fsum(seg_abs)
 
-        pair = l_vals + r_vals
-        diff = np.abs(vals - pair)
-        share = widths / span_of[owner]
-        abs_mass = mass_of[owner]
-        massive = abs_mass > 0.0
-        mass_share = abs_vals / np.where(massive, abs_mass, 1.0)
-        share = np.where(massive, np.maximum(share, mass_share), share)
-        alloc = tol_of[owner] * share
-        floor = 32.0 * EPS * (np.abs(l_vals) + np.abs(r_vals))
+        with np.errstate(invalid="ignore", over="ignore"):
+            pair = l_vals + r_vals
+            diff = np.abs(vals - pair)
+            share = widths / span_of[owner]
+            abs_mass = mass_of[owner]
+            massive = abs_mass > 0.0
+            mass_share = abs_vals / np.where(massive, abs_mass, 1.0)
+            share = np.where(massive, np.maximum(share, mass_share), share)
+            alloc = tol_of[owner] * share
+            floor = 32.0 * EPS * (np.abs(l_vals) + np.abs(r_vals))
         # A panel too narrow to bisect in floating point cannot be improved.
         exhausted = (r_lows <= lows) | (r_lows >= lows + widths)
         finite = np.isfinite(pair)

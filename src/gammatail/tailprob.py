@@ -20,28 +20,29 @@ integrand ratio r(z) and the direction form
     direction_form(z, c) = 1 - x1 x2 + c (1 - x1)(x2 - 1),
 
 whose sign is opposite to the sign of dr/dz.
+
+The scalar functions import the standard library alone; tail_prob_many and
+ratio_parts import numpy, the lane kernels and quadrature when called, so
+a one-shape evaluation never loads them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GammaTailError
-from .quadrature import integrate
 from .specfun import (
     BranchRoots,
     EPS,
     _ROOT_ABS_TOL,
-    _log1pmx_vec,
     _log_gamma_norm,
-    _log_gamma_norm_lanes,
-    _per_lane,
-    _reg_gamma_q_lanes,
     branch_root_deriv,
     reg_gamma_q_detail,
 )
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _LOG_MAX = 709.0
 _RATIO_REL_TOL = 1e-10
@@ -121,11 +122,15 @@ def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
     lane bit-identical to tail_prob_detail(TailQuery(a_i, c)).  The
     ascending series, the small-shape tail and the log prefactor's
     log1pmx and lgamma1p sums fold blocks of iterations for all lanes per
-    numpy pass (specfun._fold); the continued fraction steps all lanes one
-    iteration per pass (specfun._lockstep).  Each lane's log prefactor is
+    numpy pass (_lanes._fold); the continued fraction steps all lanes one
+    iteration per pass (_lanes._lockstep).  Each lane's log prefactor is
     computed once.  If any lane fails, the error raised is the first one a
     tail_prob_detail scan in lane order raises.
     """
+    import numpy as np
+
+    from ._lanes import _log_gamma_norm_lanes, _per_lane, _reg_gamma_q_lanes
+
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
         raise DomainError("tail_prob_many takes a 1-D sequence of shapes")
@@ -181,6 +186,11 @@ def ratio_parts(u: float, c: float) -> RatioParts:
     regularizes the endpoint with t = s^m, the order m chosen from the
     endpoint exponent in each case.
     """
+    import numpy as np
+
+    from ._lanes import _log1pmx_vec
+    from .quadrature import integrate
+
     u = float(u)
     c = float(c)
     if not (math.isfinite(u) and math.isfinite(c)):

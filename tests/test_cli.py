@@ -361,6 +361,13 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_verify_all_help_lists_every_criterion():
+    # The parser names the criteria without importing the acceptance layer.
+    from gammatail.acceptance import CRITERIA
+    from gammatail.cli import _CRITERIA_IDS
+    assert _CRITERIA_IDS == tuple(CRITERIA)
+
+
 def test_no_subcommand_and_help_exit_codes():
     code, _ = run_cli([])
     assert code == 2
@@ -373,7 +380,7 @@ def test_certification_error_maps_to_exit_one(monkeypatch):
     def boom(*args, **kwargs):
         raise CertificationError("synthetic contradiction")
 
-    monkeypatch.setattr("gammatail.cli.certify_monotone", boom)
+    monkeypatch.setattr("gammatail.certify.certify_monotone", boom)
     code, _ = run_cli(["certify", "--c", "0"])
     assert code == 1
 
@@ -382,7 +389,7 @@ def test_witness_search_error_maps_to_exit_three(monkeypatch):
     def boom(*args, **kwargs):
         raise WitnessSearchError("synthetic exhaustion", budget=1e6)
 
-    monkeypatch.setattr("gammatail.cli.certify_monotone", boom)
+    monkeypatch.setattr("gammatail.certify.certify_monotone", boom)
     code, _ = run_cli(["certify", "--c", "-0.2"])
     assert code == 3
 

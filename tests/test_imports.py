@@ -1,0 +1,100 @@
+"""The lazy package surface, and what each entry point imports.
+
+``import gammatail`` resolves its exports on first access (PEP 562), so a
+cold command pays only for the layers it runs.  The scalar commands
+(``eval``, ``median --a``) and the parser must not load numpy or the
+batched, quadrature, oracle and acceptance layers; fresh interpreters
+check that.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gammatail
+
+
+def test_every_export_is_its_home_modules_object():
+    names = [name for name in gammatail.__all__ if name != "__version__"]
+    assert len(set(names)) == len(names) == len(gammatail._HOME_OF)
+    for name in names:
+        home = importlib.import_module(f"gammatail.{gammatail._HOME_OF[name]}")
+        assert getattr(gammatail, name) is getattr(home, name), name
+
+
+def test_dir_lists_every_export():
+    assert set(gammatail.__all__) <= set(dir(gammatail))
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_export"):
+        gammatail.no_such_export  # noqa: B018
+
+
+def test_star_import_binds_every_export():
+    namespace: dict[str, object] = {}
+    exec("from gammatail import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(gammatail.__all__)
+    assert namespace["tail_prob"] is gammatail.tail_prob
+
+
+# Runs `import gammatail` (args null) or `python -m gammatail ARGS`, then
+# prints the names of every loaded module as the last line.
+_PROBE = r"""
+import json, runpy, sys
+args = json.loads(sys.argv[1])
+if args is None:
+    import gammatail
+else:
+    sys.argv = ["gammatail", *args]
+    try:
+        runpy.run_module("gammatail", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+sys.stdout.write("\n" + json.dumps(sorted(sys.modules)) + "\n")
+"""
+
+_BATCH_LAYERS = {"numpy", "gammatail._lanes", "gammatail._dd",
+                 "gammatail.certify", "gammatail.quadrature",
+                 "gammatail.oracle", "gammatail.acceptance"}
+
+
+def _loaded(args: list[str] | None) -> set[str]:
+    """The modules a fresh interpreter has loaded after the probe."""
+    root = str(Path(gammatail.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=root if not path else os.pathsep.join((root, path)))
+    out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(args)],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_import_gammatail_loads_no_submodule_and_no_numpy():
+    loaded = _loaded(None)
+    assert "gammatail" in loaded
+    assert {m for m in loaded
+            if m.startswith("gammatail.") or m == "numpy"} == set()
+
+
+@pytest.mark.parametrize("args", [["eval", "--a", "5", "--c", "0.1"],
+                                  ["median", "--a", "2"]],
+                         ids=["eval", "median"])
+def test_scalar_commands_load_no_numpy_and_no_batch_layer(args):
+    loaded = _loaded(args)
+    assert "gammatail.tailprob" in loaded
+    assert loaded & _BATCH_LAYERS == set()
+
+
+def test_help_loads_neither_acceptance_nor_numpy():
+    loaded = _loaded(["--help"])
+    assert "gammatail.cli" in loaded
+    assert loaded & {"numpy", "gammatail.acceptance"} == set()

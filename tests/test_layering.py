@@ -242,17 +242,15 @@ PUBLIC_WITHOUT_CALLER = {
 
 
 def _exported_functions() -> set[tuple[str, str]]:
-    """(home module, name) of every function in gammatail.__all__."""
+    """(home module, name) of every function in the lazy export table,
+    gammatail._HOMES."""
     init = TREES["__init__"]
-    names = next(ast.literal_eval(node.value) for node in init.body
+    table = next(ast.literal_eval(node.value) for node in init.body
                  if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets] == ["__all__"])
-    homes = {alias.name: node.module for node in init.body
-             if isinstance(node, ast.ImportFrom)
-             for alias in node.names}
-    return {(homes[name], name) for name in names if name in homes
-            and any(isinstance(node, ast.FunctionDef) and node.name == name
-                    for node in TREES[homes[name]].body)}
+                 and [t.id for t in node.targets] == ["_HOMES"])
+    return {(home, name) for home, names in table.items() for name in names
+            if any(isinstance(node, ast.FunctionDef) and node.name == name
+                   for node in TREES[home].body)}
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:

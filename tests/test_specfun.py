@@ -37,7 +37,7 @@ from gammatail import (
     reg_gamma_q_detail,
     threshold_ratio,
 )
-from gammatail import _series, specfun
+from gammatail import _lanes, _series, specfun
 from gammatail._dd import central_difference
 from gammatail.oracle import oracle_gamma_q, oracle_threshold_ratio
 from gammatail.specfun import _log1pmx
@@ -459,24 +459,24 @@ def test_lane_prefactors_are_bitwise_the_scalar_ones(monkeypatch):
     d = np.concatenate((rng.uniform(-0.999, 2.0, 2000),
                         [-0.95, np.nextafter(-0.95, 0.0), 1.5,
                          np.nextafter(1.5, 2.0), 0.0]))
-    assert (_hex(specfun._log1pmx_lanes(d))
+    assert (_hex(_lanes._log1pmx_lanes(d))
             == [_log1pmx(v).hex() for v in d.tolist()])
     a = np.concatenate((rng.uniform(0.0, 0.5, 2000), [0.0, 1e-300, 0.5]))
-    assert (_hex(specfun._lgamma1p_lanes(a))
+    assert (_hex(_lanes._lgamma1p_lanes(a))
             == [specfun._lgamma1p(v).hex() for v in a.tolist()])
     a = 10.0 ** rng.uniform(-3.0, 6.0, 2000)
     x = a * rng.uniform(0.01, 3.0, a.size)
-    assert (_hex(specfun._log_gamma_norm_lanes(a, x))
+    assert (_hex(_lanes._log_gamma_norm_lanes(a, x))
             == [specfun._log_gamma_norm(*p).hex()
                 for p in zip(a.tolist(), x.tolist())])
     with pytest.raises(DomainError):
-        specfun._log1pmx_lanes(np.array([0.5, -1.0]))
+        _lanes._log1pmx_lanes(np.array([0.5, -1.0]))
     # At a lowered term cap the lanes raise the scalar loop's error.
     monkeypatch.setattr(specfun, "_L1PMX_MAX_TERMS", 40)
     with pytest.raises(ConvergenceError) as scalar:
         _log1pmx(-0.9)
     with pytest.raises(ConvergenceError) as lanes:
-        specfun._log1pmx_lanes(np.array([0.1, -0.9, -0.92]))
+        _lanes._log1pmx_lanes(np.array([0.1, -0.9, -0.92]))
     assert str(lanes.value) == str(scalar.value)
 
 
@@ -486,11 +486,11 @@ def test_lgamma1p_raises_at_the_end_of_its_zeta_table(monkeypatch):
     small = specfun._lgamma1p(1e-3)
     monkeypatch.setattr(specfun, "_ZETA_TABLE", specfun._ZETA_TABLE[:10])
     assert specfun._lgamma1p(1e-3).hex() == small.hex()
-    assert _hex(specfun._lgamma1p_lanes(np.array([1e-3]))) == [small.hex()]
+    assert _hex(_lanes._lgamma1p_lanes(np.array([1e-3]))) == [small.hex()]
     with pytest.raises(ConvergenceError) as scalar:
         specfun._lgamma1p(0.5)
     with pytest.raises(ConvergenceError) as lanes:
-        specfun._lgamma1p_lanes(np.array([1e-3, 0.5, 0.4]))
+        _lanes._lgamma1p_lanes(np.array([1e-3, 0.5, 0.4]))
     assert str(lanes.value) == str(scalar.value)
 
 
@@ -503,7 +503,7 @@ def _unmasked_log1pmx_vec(d):
     ud = np.where(series, d, 0.0)
     u = ud / (2.0 + ud)
     acc = np.zeros_like(u)
-    for c in specfun._L1PMX_COEF[specfun._L1PMX_VEC_TERMS - 1::-1]:
+    for c in _lanes._L1PMX_COEF[_lanes._L1PMX_VEC_TERMS - 1::-1]:
         acc = acc * u + c
     return np.where(series, -2.0 * u * u * acc, direct)
 
@@ -515,8 +515,8 @@ def test_log1pmx_vec_masked_lanes_keep_the_unmasked_bits():
     d = np.concatenate((rng.uniform(-0.999, 3.0, 4000), edges,
                         [-1.0 + 2.0 ** -52, -0.999999, -0.95, 1.5,
                          np.nextafter(1.5, 2.0), 2.0, 10.0, 1e300]))
-    assert _hex(specfun._log1pmx_vec(d)) == _hex(_unmasked_log1pmx_vec(d))
-    assert specfun._log1pmx_vec(np.array([0.7])).shape == (1,)
+    assert _hex(_lanes._log1pmx_vec(d)) == _hex(_unmasked_log1pmx_vec(d))
+    assert _lanes._log1pmx_vec(np.array([0.7])).shape == (1,)
 
 
 def _c01_grid():
@@ -537,10 +537,10 @@ def test_reg_gamma_q_many_is_bitwise_the_scalar_loop():
               np.nextafter(s + 1.0, 99.0), 0.5 * s, 2.0 * s + 5.0]
         a = np.append(a, [s] * len(xs))
         x = np.append(x, xs)
-    got = specfun.reg_gamma_q_many(a, x)
+    got = _lanes.reg_gamma_q_many(a, x)
     assert _hex(got) == [reg_gamma_q(*p).hex()
                          for p in zip(a.tolist(), x.tolist())]
-    assert specfun.reg_gamma_q_many(a[:2500].reshape(50, 50),
+    assert _lanes.reg_gamma_q_many(a[:2500].reshape(50, 50),
                                     x[:2500].reshape(50, 50)).shape == (50, 50)
 
 
@@ -559,18 +559,18 @@ def test_reg_gamma_q_many_raises_the_scalar_loops_error(monkeypatch):
                  ([1.0, 2.0], [math.nan, 1.0]),
                  ([1.0, math.inf], [1.0, 1.0]),
                  ([1.0, 1e16, 2.0], [1.0, 1e16, -1.0])):
-        err = raised(specfun.reg_gamma_q_many, a, x)
+        err = raised(_lanes.reg_gamma_q_many, a, x)
         assert err[0] is DomainError
         assert err == raised(scalar_loop, a, x)
     # x = 0 is exact at every shape, 2^53 and beyond included.
-    assert specfun.reg_gamma_q_many([1e16, 2.0], [0.0, 0.0]).tolist() == [
+    assert _lanes.reg_gamma_q_many([1e16, 2.0], [0.0, 0.0]).tolist() == [
         reg_gamma_q(1e16, 0.0), 1.0]
     # A lane at a lowered cap: each branch's first failure in lane order.
     monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", 12)
     for a, x in (([0.3, 5.0, 40.0, 0.2], [0.1, 20.0, 30.0, 0.5]),
                  ([0.3, 5.0, 0.2, 40.0], [0.1, 20.0, 0.9, 30.0]),
                  ([40.0, 0.2], [30.0, 0.9])):
-        err = raised(specfun.reg_gamma_q_many, a, x)
+        err = raised(_lanes.reg_gamma_q_many, a, x)
         assert err[0] is ConvergenceError
         assert err == raised(scalar_loop, a, x)
 

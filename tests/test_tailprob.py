@@ -31,7 +31,7 @@ from gammatail import (
     tail_prob_detail,
     tail_prob_many,
 )
-from gammatail import specfun
+from gammatail import _lanes, specfun
 from gammatail._dd import central_difference
 from gammatail.oracle import oracle_tail_prob
 
@@ -168,7 +168,7 @@ def test_tail_prob_many_is_bitwise_the_scalar_scan(monkeypatch, min_lanes):
     # two variants run the grids that have continued-fraction lanes.
     grids = _BATCH_GRIDS
     if min_lanes is not None:
-        monkeypatch.setattr(specfun, "_LOCKSTEP_MIN_LANES", min_lanes)
+        monkeypatch.setattr(_lanes, "_LOCKSTEP_MIN_LANES", min_lanes)
         grids = [g for g in _BATCH_GRIDS if _has_cf_lanes(*g)]
     for a, c in grids:
         assert _batch_scan(a, c) == _scalar_scan(a, c), (a[0], a[-1], c)
@@ -179,18 +179,17 @@ def test_tail_prob_many_hands_its_last_lanes_to_the_scalar_loop(monkeypatch):
     # one iteration per pass and hands over its last lanes; the folded
     # loops never do.
     handed = []
-    run = specfun._upper_cf_run
+    run = _lanes._upper_cf_run
 
     def spy(a, x, n, *state):
         handed.append(n)
         return run(a, x, n, *state)
 
-    monkeypatch.setattr(specfun, "_upper_cf_run", spy)
+    monkeypatch.setattr(_lanes, "_upper_cf_run", spy)
     a = np.geomspace(1.0, 1e4, 200)
     assert _batch_scan(a, 3.0) == _scalar_scan(a, 3.0)
-    lanes = len(handed) - 200      # the scalar scan calls it once per lane
-    assert 0 < lanes < specfun._LOCKSTEP_MIN_LANES
-    assert all(n > 0 for n in handed[:lanes])
+    assert 0 < len(handed) < _lanes._LOCKSTEP_MIN_LANES
+    assert all(n > 0 for n in handed)
 
 
 def _raised(fn, *args):
@@ -242,7 +241,7 @@ def test_tail_prob_many_cap_error_with_many_lanes_at_the_cap(monkeypatch):
     # reaches the cap; and a series lane must win over a later small-shape
     # lane, although the small-shape branch is evaluated first.
     monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", 12)
-    monkeypatch.setattr(specfun, "_LOCKSTEP_MIN_LANES", 4)
+    monkeypatch.setattr(_lanes, "_LOCKSTEP_MIN_LANES", 4)
     for grid, c in ((np.geomspace(0.05, 1e4, 300), 0.5),
                     (np.geomspace(0.05, 1e4, 300), 3.0),
                     (np.geomspace(0.15, 1e4, 300), -0.1),
@@ -258,7 +257,7 @@ def test_tail_prob_many_stops_no_lane_past_a_cap_inside_a_block(
     # The cap falls inside a fold block, which must end there: the series
     # needs 45 iterations at a = 16 and 46 at a = 16.2 (c = 0.5).
     monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", 45)
-    assert 45 % specfun._FOLD_BLOCK != 0
+    assert 45 % _lanes._FOLD_BLOCK != 0
     grid = np.array([0.3, 3.0, 15.2, 16.0])
     assert _batch_scan(grid, 0.5) == _scalar_scan(grid, 0.5)
     grid = np.append(grid, 16.2)
