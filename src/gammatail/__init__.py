@@ -31,14 +31,14 @@ _HOMES = {
         "log_mean", "refined_mean", "threshold_ratio"),
     "quadrature": ("QuadResult", "integrate"),
     "tailprob": (
-        "TailQuery", "TailValue", "RatioParts", "tail_prob",
+        "TailQuery", "TailValue", "RatioParts", "ScanSpec", "tail_prob",
         "tail_prob_detail", "tail_prob_many", "ratio_parts",
         "direction_form", "direction_form_detail", "integrand_ratio"),
     "median": (
         "MedianResult", "MedianBracketCheck", "MedianBracketReport",
         "gamma_median", "check_median_bracket"),
     "certify": (
-        "ScanSpec", "Witness", "MonotoneVerdict", "ThresholdChainReport",
+        "Witness", "MonotoneVerdict", "ThresholdChainReport",
         "MeanChainEntry", "MeanChainReport", "AsymptoticSlopeReport",
         "certify_monotone", "find_witness", "check_threshold_chain",
         "check_mean_chain", "check_asymptotic_slope", "integrated_defect",

@@ -45,7 +45,7 @@ from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
 from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _threshold_forms,
                       log_mean)
-from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
+from .tailprob import ScanSpec, TailQuery, tail_prob_detail, tail_prob_many
 
 _REFINE_DEPTH = 6
 _WITNESS_BUDGET = 1e6
@@ -64,33 +64,6 @@ _DEFECT_REL_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # Types
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """A deterministic evaluation grid over the shape parameter."""
-
-    a_min: float
-    a_max: float
-    n: int
-    scale: str = "log"
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a_min) and math.isfinite(self.a_max)):
-            raise DomainError("scan bounds must be finite")
-        if not (0.0 < self.a_min < self.a_max):
-            raise DomainError("scan bounds must satisfy 0 < a_min < a_max")
-        if self.n < 3:
-            raise DomainError("scan needs at least 3 points")
-        if self.scale not in ("linear", "log"):
-            raise DomainError("scan scale must be 'linear' or 'log'")
-
-    def grid(self) -> tuple[float, ...]:
-        if self.scale == "log":
-            pts = np.geomspace(self.a_min, self.a_max, self.n)
-        else:
-            pts = np.linspace(self.a_min, self.a_max, self.n)
-        return tuple(pts.tolist())
 
 
 @dataclass(frozen=True)

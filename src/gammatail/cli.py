@@ -33,7 +33,8 @@ from .median import ABS_TOL, REL_TOL
 from .specfun import ONE_THIRD, STRICT_MARGIN
 
 if TYPE_CHECKING:
-    from .certify import MonotoneVerdict, ScanSpec
+    from .certify import MonotoneVerdict
+    from .tailprob import ScanSpec
 
 _EXIT_OK = 0
 _EXIT_VIOLATION = 1
@@ -100,7 +101,7 @@ def _add_scan_flags(parser: argparse.ArgumentParser, *,
 
 
 def _scan_spec(args: argparse.Namespace, c: float) -> ScanSpec:
-    from .certify import ScanSpec
+    from .tailprob import ScanSpec
 
     a_min = args.a_min
     if a_min is None:
@@ -186,7 +187,7 @@ def _cmd_median(args: argparse.Namespace) -> int:
         if args.a_min is None or args.a_max is None:
             raise DomainError(
                 "median requires either --a or both --a-min and --a-max")
-        from .certify import ScanSpec
+        from .tailprob import ScanSpec
 
         spec = ScanSpec(a_min=args.a_min, a_max=args.a_max, n=args.n,
                         scale=args.scale)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +70,15 @@ def _panel_estimates(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         return (vals * GAUSS_WEIGHTS_01[None, :]).sum(axis=1) * widths
 
 
+def _fsum(values: Iterable[float]) -> float:
+    """math.fsum, or NaN where it refuses: +inf and -inf together, or an
+    intermediate overflow.  A NaN target or total ends in QuadratureError."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 class _Interval:
     """One interval's bookkeeping: its accepted panel values and defects."""
 
@@ -92,21 +101,24 @@ class _Interval:
     def sums(self) -> tuple[float, float]:
         """fsum of the accepted values and of their magnitudes."""
         if self._sums is None:
-            self._sums = (math.fsum(self.vals),
-                          math.fsum(map(abs, self.vals)))
+            self._sums = (_fsum(self.vals), _fsum(map(abs, self.vals)))
         return self._sums
 
     def failure(self, message: str, live: list[float]) -> QuadratureError:
         """The error for an interval stopped with panels still live; they
         count in full towards the error bound."""
         return QuadratureError(
-            message, value=self.sums()[0] + math.fsum(live),
-            err_bound=math.fsum(self.errs) + math.fsum(map(abs, live)),
+            message, value=self.sums()[0] + _fsum(live),
+            err_bound=_fsum(self.errs) + _fsum(map(abs, live)),
             n_panels=len(self.vals) + len(live))
 
     def result(self) -> QuadResult:
         value, abs_sum = self.sums()
-        err_bound = math.fsum(self.errs) + 4.0 * EPS * abs_sum
+        err_bound = _fsum(self.errs) + 4.0 * EPS * abs_sum
+        if not math.isfinite(err_bound):
+            raise QuadratureError(
+                "accepted panels sum beyond the double range", value=value,
+                err_bound=math.inf, n_panels=len(self.vals))
         return QuadResult(value=value, err_bound=err_bound,
                           n_panels=len(self.vals), n_evals=self.n_evals)
 
@@ -175,9 +187,9 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             st = states[k]
             st.n_evals += 2 * GAUSS_ORDER * c
             acc, acc_abs = st.sums()
-            tol_of[k] = max(rel_tol * abs(acc + math.fsum(seg)), abs_tol,
+            tol_of[k] = max(rel_tol * abs(acc + _fsum(seg)), abs_tol,
                             1e-320)
-            mass_of[k] = acc_abs + math.fsum(seg_abs)
+            mass_of[k] = acc_abs + _fsum(seg_abs)
 
         with np.errstate(invalid="ignore", over="ignore"):
             pair = l_vals + r_vals

@@ -21,9 +21,10 @@ integrand ratio r(z) and the direction form
 
 whose sign is opposite to the sign of dr/dz.
 
-The scalar functions import the standard library alone; tail_prob_many and
-ratio_parts import numpy, the lane kernels and quadrature when called, so
-a one-shape evaluation never loads them.
+ScanSpec is the shape grid of scans, certification and median grids.  The
+scalar functions import the standard library alone; ScanSpec.grid,
+tail_prob_many and ratio_parts import numpy, the lane kernels and
+quadrature when called, so a one-shape evaluation never loads them.
 """
 from __future__ import annotations
 
@@ -113,6 +114,35 @@ def tail_prob_detail(query: TailQuery) -> TailValue:
     if ln_density > -_LOG_MAX:
         arg_err = math.exp(ln_density) * (0.5 * EPS * abs(x))
     return TailValue(detail.value, detail.err_bound + arg_err, detail.method)
+
+
+@dataclass(frozen=True)
+class ScanSpec:
+    """A deterministic evaluation grid over the shape parameter."""
+
+    a_min: float
+    a_max: float
+    n: int
+    scale: str = "log"
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.a_min) and math.isfinite(self.a_max)):
+            raise DomainError("scan bounds must be finite")
+        if not (0.0 < self.a_min < self.a_max):
+            raise DomainError("scan bounds must satisfy 0 < a_min < a_max")
+        if self.n < 3:
+            raise DomainError("scan needs at least 3 points")
+        if self.scale not in ("linear", "log"):
+            raise DomainError("scan scale must be 'linear' or 'log'")
+
+    def grid(self) -> tuple[float, ...]:
+        import numpy as np
+
+        if self.scale == "log":
+            pts = np.geomspace(self.a_min, self.a_max, self.n)
+        else:
+            pts = np.linspace(self.a_min, self.a_max, self.n)
+        return tuple(pts.tolist())
 
 
 def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:

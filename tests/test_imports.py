@@ -98,3 +98,18 @@ def test_help_loads_neither_acceptance_nor_numpy():
     loaded = _loaded(["--help"])
     assert "gammatail.cli" in loaded
     assert loaded & {"numpy", "gammatail.acceptance"} == set()
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["scan", "--c", "0.5", "--n", "5"],
+     {"_lanes", "_series", "cli", "errors", "median", "specfun", "tailprob"}),
+    (["median", "--a-min", "1", "--a-max", "2", "--n", "3"],
+     {"_series", "cli", "errors", "median", "specfun", "tailprob"}),
+], ids=["scan", "median-grid"])
+def test_grid_commands_load_numpy_but_no_certification_layer(args, layers):
+    # ScanSpec lives in tailprob: building a grid needs numpy, not certify,
+    # quadrature or the double-double layer.
+    loaded = _loaded(args)
+    assert "numpy" in loaded
+    assert {m for m in loaded if m.startswith("gammatail.")} == {
+        f"gammatail.{name}" for name in layers}

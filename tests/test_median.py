@@ -25,6 +25,7 @@ from gammatail import (
 )
 from gammatail.median import _hybrid_root
 from gammatail.oracle import oracle_gamma_q
+from gammatail.specfun import reg_gamma_q_detail
 from gammatail.tailprob import TailValue
 
 
@@ -126,6 +127,59 @@ def test_hybrid_root_raises_at_its_cap(monkeypatch, cap):
     root, _, n = _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7,
                               1e-14)
     assert n < 200 and abs(root - 0.3 ** (1.0 / 3.0)) < 1e-13
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0, 1e3, 1e5])
+def test_median_solve_starts_at_the_asymptotic_median(monkeypatch, a):
+    # Two endpoint sign checks, the guess, a step or two outward from it
+    # and a short refinement.
+    calls = []
+
+    def counted(shape, x):
+        calls.append(x)
+        return reg_gamma_q(shape, x)
+
+    monkeypatch.setattr("gammatail.median.reg_gamma_q", counted)
+    r = gamma_median(a)
+    assert len(calls) <= 8, calls
+    assert r.residual <= 1e-12
+
+
+def test_median_invariants_from_the_linear_branch_to_1e6():
+    a_values = [0.35 * (1e6 / 0.35) ** (i / 59.0) for i in range(60)]
+    medians = []
+    for a in a_values:
+        r = gamma_median(a)
+        assert -1.0 / 3.0 < r.offset < 0.0, a
+        assert r.residual <= 1e-12, a
+        medians.append(r.median)
+    assert all(lo < hi for lo, hi in zip(medians, medians[1:]))
+
+
+@pytest.mark.parametrize("cap, message", [
+    (1, "found no sign change"),            # in the search from the guess
+    (3, "still wider than the target"),     # in the refinement after it
+])
+def test_median_search_and_refinement_share_the_budget(monkeypatch, cap,
+                                                        message):
+    # At a = 10 the guess and its first step lie on the same side of the
+    # root and the second step crosses it.
+    monkeypatch.setattr("gammatail.median._MAX_EVALS", cap)
+    with pytest.raises(ConvergenceError, match=message) as info:
+        gamma_median(10.0)
+    assert info.value.n_iter == cap
+
+
+@pytest.mark.parametrize("a", [0.35, 1.0, 7.5, 250.0, 12345.678, 1e6])
+def test_median_residual_against_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
+    r = gamma_median(a)
+    with mpmath.workdps(40):
+        # a and the median enter as the exact doubles.
+        q_ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(r.median),
+                                mpmath.inf, regularized=True)
+        miss = float(abs(q_ref - mpmath.mpf(0.5)))
+    assert miss <= 1e-12 + reg_gamma_q_detail(a, r.median).err_bound
 
 
 def test_median_below_the_log_floor_is_a_domain_limit():

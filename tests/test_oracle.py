@@ -413,7 +413,6 @@ def _worst_rel_err(pairs, refs, mpmath):
 
 def test_dd_transcendentals_are_double_double_accurate():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.prec = 240
     rng = np.random.default_rng(7)
     # dd_log over every positive double: subnormals, the scaling window's
     # edges, both sides of 1 and the top of the range
@@ -425,21 +424,19 @@ def test_dd_transcendentals_are_double_double_accurate():
          2.0 ** 960, np.nextafter(2.0 ** 960, np.inf), 1.34e300, 1e308,
          np.finfo(float).max, 0.875, 1.125, np.nextafter(1.0, 0.0),
          np.nextafter(1.0, 2.0), 2.0, 10.0]))
-    hi, lo = dd_log(x)
-    assert _worst_rel_err(zip(hi.tolist(), lo.tolist()),
-                          [mpmath.log(v) for v in x.tolist()], mpmath) <= 1e-30
     u = np.concatenate((rng.uniform(-0.5, 0.5, 300),
                         10.0 ** rng.uniform(-300.0, -0.4, 100)
                         * rng.choice([-1, 1], 100), [0.5, -0.5, 0.02]))
-    hi, lo = dd_log1p_small((u, np.zeros_like(u)))
-    assert _worst_rel_err(zip(hi.tolist(), lo.tolist()),
-                          [mpmath.log1p(v) for v in u.tolist()],
-                          mpmath) <= 1e-30
     e = np.concatenate((rng.uniform(-600.0, 700.0, 400),
                         [-600.0, 700.0, 0.5, 1e-20, -0.5 * _LN2_HI]))
-    hi, lo = dd_exp((e, np.zeros_like(e)))
-    assert _worst_rel_err(zip(hi.tolist(), lo.tolist()),
-                          [mpmath.exp(v) for v in e.tolist()], mpmath) <= 2e-30
+    cases = ((dd_log(x), x, mpmath.log, 1e-30),
+             (dd_log1p_small((u, np.zeros_like(u))), u, mpmath.log1p, 1e-30),
+             (dd_exp((e, np.zeros_like(e))), e, mpmath.exp, 2e-30))
+    with mpmath.workprec(240):
+        for (hi, lo), args, ref, tol in cases:
+            assert _worst_rel_err(zip(hi.tolist(), lo.tolist()),
+                                  [ref(v) for v in args.tolist()],
+                                  mpmath) <= tol, ref
 
 
 def test_dd_log1p_small_stops_zero_lanes_and_raises_at_its_cap(monkeypatch):
@@ -469,22 +466,22 @@ def test_mean_gaps_bounds_cover_each_returned_gap():
     # Each gap is rounded to a double; its bound must cover that half-ulp
     # on top of the double-double error, against a 300-bit reference.
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.prec = 300
     rng = np.random.default_rng(12)
     x = np.append(10.0 ** rng.uniform(-2.0, 2.0, 300), 1.0)
     spread = 10.0 ** rng.uniform(-6.0, math.log10(0.02), 300)
     y = np.append(x[:-1] * (1.0 + spread), 1.02)
     g = mean_gaps(x, y)
     gaps = (g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined)
-    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
-        X, Y = mpmath.mpf(xi), mpmath.mpf(yi)
-        lm = (Y - X) / mpmath.log(Y / X)
-        refined_sq = X * Y + (lm - X) * (Y - lm) / 3
-        refs = (lm * lm - X * Y, refined_sq - lm * lm,
-                (X + Y) ** 2 / 4 - refined_sq)
-        for k, ref in enumerate(refs):
-            assert abs(mpmath.mpf(float(gaps[k][i])) - ref) <= (
-                g.err_bounds[k][i]), (xi, yi, k)
+    with mpmath.workprec(300):
+        for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+            X, Y = mpmath.mpf(xi), mpmath.mpf(yi)
+            lm = (Y - X) / mpmath.log(Y / X)
+            refined_sq = X * Y + (lm - X) * (Y - lm) / 3
+            refs = (lm * lm - X * Y, refined_sq - lm * lm,
+                    (X + Y) ** 2 / 4 - refined_sq)
+            for k, ref in enumerate(refs):
+                assert abs(mpmath.mpf(float(gaps[k][i])) - ref) <= (
+                    g.err_bounds[k][i]), (xi, yi, k)
 
 
 def test_oracle_threshold_ratio_known_point():

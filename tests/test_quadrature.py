@@ -71,6 +71,18 @@ def test_non_finite_integrand_raises_quadrature_error():
         integrate(lambda t: np.full_like(t, np.inf), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("fn, hi", [
+    (lambda t: np.where(t < 0.5, np.inf, -np.inf), 1.0),
+    (lambda t: np.full_like(t, 1e307), 100.0),
+], ids=["mixed-infinities", "overflow"])
+def test_fsum_refusals_raise_quadrature_error(fn, hi):
+    # math.fsum raises ValueError on +inf with -inf and OverflowError when
+    # its total leaves the double range; neither may escape the engine.
+    with pytest.raises(QuadratureError) as excinfo:
+        integrate(fn, 0.0, hi)
+    assert excinfo.value.err_bound == math.inf
+
+
 def _set_budget(monkeypatch, max_panels, pre_split):
     """Shrink the engine's panel budget and initial split for one test."""
     monkeypatch.setattr("gammatail.quadrature._MAX_PANELS", max_panels)
