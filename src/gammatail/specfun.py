@@ -12,9 +12,13 @@ raises ConvergenceError at its cap.
 
 The module imports the standard library alone.  Each incomplete-gamma loop
 is one scalar loop that resumes from any iteration (_lower_series_run,
-_upper_cf_run, _upper_small_shape_run); the numpy copies that run many
-lanes at once, bit-identical to these loops, live in _lanes, which reads
-the loop caps from here at each call.
+_upper_cf_run, _upper_small_shape_run).  The ascending series, which runs
+up to tens of thousands of steps at large shapes, takes eight steps per
+pass and tests only the eighth; its stop test is monotone, so replaying the
+block whose eighth step stops gives the bits of a loop that tests every
+step.  The other two loops test every step.  The numpy copies that run
+many lanes at once, bit-identical to these loops, live in _lanes, which
+reads the loop caps from here at each call.
 
 Error bounds returned by the *_detail variants follow a rounding model
 calibrated against the independent quadrature oracle: (2*|log prefactor| +
@@ -226,12 +230,46 @@ _LOWER_SERIES_START = (1.0, 1.0)            # (term, total)
 def _lower_series_run(a: float, x: float, n: int, term: float,
                       total: float) -> tuple[int, float, float]:
     """The ascending-series loop from iteration n: (n, term, total) at its
-    stop."""
+    stop.
+
+    Each pass takes eight steps and tests only the eighth.  The stop test is
+    monotone: x < a + 1, so every ratio x / (a + n) with n >= 1 is below 1,
+    the terms never grow and the total never shrinks, and once a step meets
+    the test every later step does too.  A block whose eighth step stops is
+    replayed from its start one checked step at a time, and the loop stops
+    at the n, term and total of a loop that tests every step.  Blocks run
+    only while they end at or below the cap, so the loop also raises at the
+    same n.  Each denominator a + (k + j) rounds once, as a + n does.
+    """
+    tol = 0.25 * EPS
+    last_block = _KERNEL_MAX_ITER - 8
     while n < _KERNEL_MAX_ITER:
+        if n <= last_block:
+            k = float(n)
+            t = term * (x / (a + (k + 1.0)))
+            s = total + t
+            t *= x / (a + (k + 2.0))
+            s += t
+            t *= x / (a + (k + 3.0))
+            s += t
+            t *= x / (a + (k + 4.0))
+            s += t
+            t *= x / (a + (k + 5.0))
+            s += t
+            t *= x / (a + (k + 6.0))
+            s += t
+            t *= x / (a + (k + 7.0))
+            s += t
+            t *= x / (a + (k + 8.0))
+            s += t
+            if t > tol * s:
+                n, term, total = n + 8, t, s
+                continue
+            last_block = -1                 # replay this block step by step
         n += 1
         term *= x / (a + n)
         total += term
-        if term <= 0.25 * EPS * total:
+        if term <= tol * total:
             return n, term, total
     raise _not_converged(f"ascending series for Q(a={a!r}, x={x!r})",
                          _KERNEL_MAX_ITER)

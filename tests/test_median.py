@@ -129,10 +129,18 @@ def test_hybrid_root_raises_at_its_cap(monkeypatch, cap):
     assert n < 200 and abs(root - 0.3 ** (1.0 / 3.0)) < 1e-13
 
 
-@pytest.mark.parametrize("a", [1.0, 10.0, 1e3, 1e5])
-def test_median_solve_starts_at_the_asymptotic_median(monkeypatch, a):
-    # Two endpoint sign checks, the guess, a step or two outward from it
-    # and a short refinement.
+_CALL_CAPS = [(1.0, 8), (10.0, 8), (1e3, 8), (1e5, 8),
+              (0.002, 10), (0.01, 10), (0.1, 10), (0.3, 10)]
+
+
+@pytest.mark.parametrize("a, max_calls", _CALL_CAPS,
+                         ids=[str(a) for a, _ in _CALL_CAPS])
+def test_median_solve_starts_at_the_asymptotic_median(monkeypatch, a,
+                                                      max_calls):
+    # Two endpoint sign checks, the guess (the large-shape expansion, or
+    # below a = 0.35 the root of x^a / Gamma(a + 1) = 1/2 in ln x), a step
+    # or two outward from it and a short refinement.  Bisecting took 14 to
+    # 17 calls at the large shapes and 25 to 27 at the small ones.
     calls = []
 
     def counted(shape, x):
@@ -141,7 +149,7 @@ def test_median_solve_starts_at_the_asymptotic_median(monkeypatch, a):
 
     monkeypatch.setattr("gammatail.median.reg_gamma_q", counted)
     r = gamma_median(a)
-    assert len(calls) <= 8, calls
+    assert len(calls) <= max_calls, calls
     assert r.residual <= 1e-12
 
 
@@ -170,7 +178,8 @@ def test_median_search_and_refinement_share_the_budget(monkeypatch, cap,
     assert info.value.n_iter == cap
 
 
-@pytest.mark.parametrize("a", [0.35, 1.0, 7.5, 250.0, 12345.678, 1e6])
+@pytest.mark.parametrize("a", [0.002, 0.01, 0.1, 0.3, 0.35, 1.0, 7.5, 250.0,
+                               12345.678, 1e6])
 def test_median_residual_against_mpmath(a):
     mpmath = pytest.importorskip("mpmath")
     r = gamma_median(a)
