@@ -3,7 +3,9 @@
 _reg_gamma_q_lanes and _log_gamma_norm_lanes evaluate whole arrays of lanes,
 every lane bit-identical to the scalar kernels of specfun: behind
 reg_gamma_q_many (any (a, x) lanes, such as the acceptance grid) and
-tailprob.tail_prob_many (scan grids at one offset).  The first-order loops
+tailprob.tail_prob_many (scan grids at one offset).  Only the loops and the
+branch masks live here: each branch's result and the log prefactor are
+specfun's formulas, given per-lane transcendentals.  The first-order loops
 -- the ascending series, the small-shape tail and the _log1pmx and
 _lgamma1p Taylor sums -- fold _FOLD_BLOCK iterations of all lanes per numpy
 pass (_fold): each state variable is one row-wise ufunc.accumulate, a
@@ -22,6 +24,7 @@ loops always share them.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -29,9 +32,10 @@ from . import specfun
 from .errors import DomainError, GammaTailError
 from .specfun import (EPS, _CF_TINY, _EULER_GAMMA, _L1PMX_WINDOW,
                       _LOWER_SERIES_START, _SMALL_SHAPE, _SMALL_SHAPE_START,
-                      _STIRLING_MIN, _TWO_PI, _kernel_rel, _lgamma1p,
-                      _log1pmx, _lower_series_run, _small_shape_err,
-                      _stirling_phi, _upper_cf_run, _upper_cf_start,
+                      _STIRLING_MIN, _cf_result, _lgamma1p, _log1pmx,
+                      _log_gamma_norm_direct, _log_gamma_norm_stirling,
+                      _lower_series_run, _series_complement_result,
+                      _tail_series_result, _upper_cf_run, _upper_cf_start,
                       _upper_small_shape_run, reg_gamma_q_detail)
 
 # The continued fraction, run for many lanes at once one iteration per
@@ -170,6 +174,11 @@ def _per_lane(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(v.tolist() for v in arrays))), dtype=float)
 
 
+# The transcendentals of specfun's shared formulas, one scalar call per lane.
+_exp, _expm1, _log, _lgamma = (partial(_per_lane, fn) for fn in (
+    math.exp, math.expm1, math.log, math.lgamma))
+
+
 def _lgamma1p_block(i, width, a, ak, acc):
     """Terms i..i+width-1 of _lgamma1p's loop on arrays of lanes (ak starts
     at a, so the first fold step makes a*a)."""
@@ -242,18 +251,11 @@ def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
 
 
 def _log_gamma_norm_lanes(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_log_gamma_norm for arrays of lanes, bit-identical per lane: the
-    same operations in numpy, each transcendental one scalar call."""
+    """_log_gamma_norm for arrays of lanes, bit-identical per lane."""
     out = np.empty_like(a)
     big = a >= _STIRLING_MIN
-    a_b = a[big]
-    d = (x[big] - a_b) / a_b
-    out[big] = (a_b * _log1pmx_lanes(d)
-                + 0.5 * _per_lane(math.log, a_b / _TWO_PI)
-                - _stirling_phi(a_b))
-    a_b, x_b = a[~big], x[~big]
-    out[~big] = (a_b * _per_lane(math.log, x_b) - x_b
-                 - _per_lane(math.lgamma, a_b))
+    out[big] = _log_gamma_norm_stirling(a[big], x[big], _log1pmx_lanes, _log)
+    out[~big] = _log_gamma_norm_direct(a[~big], x[~big], _log, _lgamma)
     return out
 
 
@@ -294,12 +296,9 @@ def _upper_small_shape_block(n, width, a, x, term, h, habs):
 def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """reg_gamma_q_detail's value and err_bound for arrays of lanes with
-    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x).
-
-    The branch choice and the bound assembly are reg_gamma_q_detail's, in
-    numpy + - * / on whole branches; the series loops fold in blocks, the
-    continued fraction runs in lockstep, and every transcendental is one
-    scalar call per lane, so each lane is bit-identical to the scalar call.
+    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x): its
+    branch choice as masks, the series loops folded in blocks, the continued
+    fraction in lockstep, and each branch's result specfun's formula.
     """
     q = np.empty_like(a)
     err = np.empty_like(a)
@@ -308,33 +307,25 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     series = ~(cf | small)
     max_iter = specfun._KERNEL_MAX_ITER
     if cf.any():
-        a_b, x_b, ln_pref = a[cf], x[cf], ln_norm[cf]
+        a_b, x_b = a[cf], x[cf]
         n, *_, h = _finish(_upper_cf_run, (a_b, x_b), *_lockstep(
             _upper_cf_step, max_iter, (a_b, x_b),
             _upper_cf_start(a_b, x_b), _LOCKSTEP_MIN_LANES))
-        q[cf] = value = _per_lane(math.exp, ln_pref) * h
-        err[cf] = _kernel_rel(ln_pref, n) * value + 5e-324
+        q[cf], err[cf] = _cf_result(ln_norm[cf], n, h, _exp)
     if small.any():
         a_b, x_b = a[small], x[small]
-        alnx = a_b * _per_lane(math.log, x_b)
-        lg = _lgamma1p_lanes(a_b)
-        g = alnx - lg
         n, _, h, habs = _finish(_upper_small_shape_run, (a_b, x_b), *_fold(
             _upper_small_shape_block, max_iter, (a_b, x_b),
             _SMALL_SHAPE_START))
-        eg = _per_lane(math.exp, g)
-        q[small] = value = -_per_lane(math.expm1, g) + eg * h
-        err[small] = _small_shape_err(alnx, lg, g, eg, n, habs,
-                                      value) + 5e-324
+        q[small], err[small] = _tail_series_result(
+            a_b, x_b, n, h, habs, _log, _lgamma1p_lanes, _exp, _expm1)
     if series.any():
         a_b, x_b = a[series], x[series]
-        ln_pref = ln_norm[series] - _per_lane(math.log, a_b)
         n, _, total = _finish(_lower_series_run, (a_b, x_b), *_fold(
             _lower_series_block, max_iter, (a_b, x_b),
             _LOWER_SERIES_START))
-        p = _per_lane(math.exp, ln_pref) * total
-        q[series] = 1.0 - p
-        err[series] = _kernel_rel(ln_pref, n) * p + EPS
+        q[series], err[series] = _series_complement_result(
+            ln_norm[series], a_b, n, total, _log, _exp)
     return q, err
 
 

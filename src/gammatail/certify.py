@@ -43,8 +43,8 @@ from ._lanes import _per_lane
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
-from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _threshold_forms,
-                      log_mean)
+from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _mean_scale,
+                      _threshold_forms, log_mean)
 from .tailprob import ScanSpec, TailQuery, tail_prob_detail, tail_prob_many
 
 _REFINE_DEPTH = 6
@@ -568,28 +568,38 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise DomainError("check_mean_chain takes a sequence of (x, y) pairs")
     x, y = xy[:, 0], xy[:, 1]
-    if not np.all((0.0 < x) & (x < y) & np.isfinite(y)):
-        raise DomainError("mean chain pairs require 0 < x < y, finite")
-    # Pairs near the double range overflow to inf/NaN silently, as floats do.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = y - x
-        extended = d / x <= _MEAN_EXTENDED_MAX
-        geo = np.sqrt(x * y)
-        lm = d / _per_lane(math.log1p, d / x)
-        ref = np.sqrt(x * y + (lm - x) * (y - lm) / 3.0)
-        ari = 0.5 * (x + y)
-        gaps = np.stack((lm - geo, ref - lm, ari - ref))
-        errs = np.tile(32.0 * EPS * ari, (3, 1))
-        ext = mean_gaps(x[extended], y[extended])
-        gaps[:, extended] = (ext.log_vs_geo, ext.refined_vs_log,
-                             ext.arith_vs_refined)
-        errs[:, extended] = ext.err_bounds
-        chain_ok = np.all(gaps > strict_margin * errs, axis=0)
-        ratios = (gaps / np.maximum(errs, 5e-324)).T
-        err = errs.max(axis=0)
-    # Python's min over the ratios in pair order skips NaN ratios and keeps
-    # the first of two equal signed zeros; np.fmin's reduction skips NaN
-    # but may return either zero.
+    # A pair near either end of the double range is evaluated centred on 1
+    # by an exact power of two, then scaled back: the means and the double
+    # gaps by 2^-k, the extended gaps, which are of squared means, by 2^-2k.
+    k, fits = _mean_scale(x, y, np.frexp)
+    if not np.all((0.0 < x) & (x < y) & np.isfinite(y) & fits):
+        raise DomainError("mean chain pairs require 0 < x < y, finite, with "
+                          "y/x below 2**1000")
+    xs, ys = np.ldexp(x, k), np.ldexp(y, k)
+    d = ys - xs
+    extended = d / xs <= _MEAN_EXTENDED_MAX
+    geo = np.sqrt(xs * ys)
+    lm = d / _per_lane(math.log1p, d / xs)
+    ref = np.sqrt(xs * ys + (lm - xs) * (ys - lm) / 3.0)
+    ari = 0.5 * (xs + ys)
+    gaps = np.stack((lm - geo, ref - lm, ari - ref))
+    errs = np.tile(32.0 * EPS * ari, (3, 1))
+    ext = mean_gaps(xs[extended], ys[extended])
+    gaps[:, extended] = (ext.log_vs_geo, ext.refined_vs_log,
+                         ext.arith_vs_refined)
+    errs[:, extended] = ext.err_bounds
+    geo, lm, ref, ari = (np.ldexp(v, -k) for v in (geo, lm, ref, ari))
+    k = np.where(extended, 2 * k, k)
+    with np.errstate(over="ignore"):
+        gaps, errs = np.ldexp(gaps, -k), np.ldexp(errs, -k)
+    if not np.all((errs >= 2.0 ** -1022) & np.isfinite(gaps)):
+        raise DomainError("mean chain pairs need gaps and error bounds "
+                          "inside the normal double range")
+    chain_ok = np.all(gaps > strict_margin * errs, axis=0)
+    ratios = (gaps / errs).T
+    err = errs.max(axis=0)
+    # Python's min over the ratios in pair order keeps the first of two
+    # equal signed zeros; np.min may return either.
     min_ratio = min([math.inf, *ratios.ravel().tolist()])
     columns = (x, y, geo, lm, ref, ari, *gaps, err, extended, chain_ok)
     for column in columns:

@@ -14,10 +14,11 @@ median --a need the scalar kernels alone and never load numpy, and neither
 does building the parser (--help included).
 
 Exit codes: 0 success / certified as predicted; 1 certified violation of a
-claim this package certifies; 2 usage or domain error; 3 inconclusive (a
-certification that could not be decided at the requested precision or
-margin, or a numerical routine that ran out of its budget before it met its
-target).
+claim this package certifies, and nothing else; 2 usage or domain error; 3
+inconclusive (a certification that could not be decided at the requested
+precision or margin, or a numerical routine that ran out of its budget
+before it met its target); 4 internal error (an error that no other code
+names, reported on stderr with its traceback).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (CertificationError, ConvergenceError, DomainError,
-                     GammaTailError, QuadratureError, WitnessSearchError)
+                     QuadratureError, WitnessSearchError)
 from .median import ABS_TOL, REL_TOL
 from .specfun import ONE_THIRD, STRICT_MARGIN
 
@@ -40,6 +41,7 @@ _EXIT_OK = 0
 _EXIT_VIOLATION = 1
 _EXIT_USAGE = 2
 _EXIT_INCONCLUSIVE = 3
+_EXIT_INTERNAL = 4
 
 # The ids of acceptance.CRITERIA, for the verify-all help text; the parser
 # does not import the acceptance layer.
@@ -328,10 +330,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _float_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of every float-valued option, subcommands'
+    included."""
+    found = set()
+    for action in parser._actions:
+        if action.type is float:
+            found.update(action.option_strings)
+        if isinstance(action.choices, dict):
+            for sub in action.choices.values():
+                found |= _float_options(sub)
+    return found
+
+
+def _join_float_values(parser: argparse.ArgumentParser,
+                       argv: Sequence[str]) -> list[str]:
+    """argv with each float option joined to a following token that
+    float() accepts and that starts with '-', as --c=-1e-05: argparse's
+    negative-number pattern has no exponent, so it reads -1e-05 as an
+    option and --c as missing its value."""
+    floats = _float_options(parser)
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in floats and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(parser, argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else _EXIT_OK
     try:
@@ -345,9 +382,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CertificationError as exc:
         print(f"certified violation: {exc}", file=sys.stderr)
         return _EXIT_VIOLATION
-    except GammaTailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VIOLATION
+    except Exception as exc:            # GammaTailError and the unforeseen
+        import traceback
+
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 def main_entry() -> None:

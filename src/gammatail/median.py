@@ -57,8 +57,12 @@ class MedianResult:
     """A solved gamma median with its offset from the mean.
 
     residual is |Q(a, median) - 1/2| at the returned point.  The offset
-    lies strictly inside (-1/3, 0); that containment is validated here
-    because a violation would contradict the bracket theorem.
+    lies strictly inside (-1/3, 0), and that containment is validated here.
+    An offset that escapes by more than STRICT_MARGIN ulps of a would
+    contradict the bracket theorem; one that escapes by less is a precision
+    limit (ConvergenceError), since the bracket end a - 1/3 itself rounds by
+    up to half an ulp of a, and from a ~ 3e7 the median lies closer to
+    a - 1/3 than that.
     """
 
     a: float
@@ -67,10 +71,18 @@ class MedianResult:
     residual: float
 
     def __post_init__(self) -> None:
-        if not (-ONE_THIRD < self.offset < 0.0):
+        if -ONE_THIRD < self.offset < 0.0:
+            return
+        escape = max(-ONE_THIRD - self.offset, self.offset)
+        slack = math.ulp(self.a)
+        if escape > STRICT_MARGIN * slack:
             raise CertificationError(
                 f"median offset {self.offset!r} for a={self.a!r} escapes "
                 "(-1/3, 0), contradicting the bracket theorem")
+        raise ConvergenceError(
+            f"median offset {self.offset!r} for a={self.a!r} escapes (-1/3, "
+            f"0) only by {escape!r}, within {STRICT_MARGIN:g} ulps of a: the "
+            "rounding of the bracket ends", n_iter=0)
 
 
 @dataclass(frozen=True)
@@ -252,7 +264,8 @@ def gamma_median(a: float, rel_tol: float = REL_TOL,
     endpoint whose sign is wrong by more than STRICT_MARGIN times its error
     bound raises CertificationError; one wrong only within that bound, a
     residual that will not meet rel_tol, or a solver budget run out raises
-    ConvergenceError (with an evaluation count in n_iter).  A shape whose
+    ConvergenceError (with an evaluation count in n_iter), and so does a
+    root that escapes the bracket only by rounding (n_iter 0).  A shape whose
     median lies below the 1e-300 floor raises DomainError.
     """
     a = float(a)

@@ -16,9 +16,11 @@ _upper_cf_run, _upper_small_shape_run).  The ascending series, which runs
 up to tens of thousands of steps at large shapes, takes eight steps per
 pass and tests only the eighth; its stop test is monotone, so replaying the
 block whose eighth step stops gives the bits of a loop that tests every
-step.  The other two loops test every step.  The numpy copies that run
-many lanes at once, bit-identical to these loops, live in _lanes, which
-reads the loop caps from here at each call.
+step.  The other two loops test every step.  _lanes runs them for many
+lanes at once, bit-identical, and reads the loop caps from here at each
+call.  Each branch's value and bound (the *_result functions) and the log
+prefactor's two forms serve both paths: numpy-free, they take their
+transcendentals as arguments, math functions or _lanes' per-lane forms.
 
 Error bounds returned by the *_detail variants follow a rounding model
 calibrated against the independent quadrature oracle: (2*|log prefactor| +
@@ -195,22 +197,26 @@ def _log1pmx(d: float) -> float:
     return -2.0 * acc
 
 
-def _stirling_phi(a):
-    """phi(a) by Horner in 1/a^2; elementwise on arrays."""
+def _log_gamma_norm_stirling(a, x, log1pmx, log):
+    """a*ln x - x - lnGamma(a) by Stirling's series (a >= 24)."""
     r2 = 1.0 / (a * a)
-    acc = _STIRLING[-1]
+    phi = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
-        acc = acc * r2 + c
-    return acc / a
+        phi = phi * r2 + c
+    return a * log1pmx((x - a) / a) + 0.5 * log(a / _TWO_PI) - phi / a
+
+
+def _log_gamma_norm_direct(a, x, log, lgamma):
+    """a*ln x - x - lnGamma(a) as written, for a < 24."""
+    return a * log(x) - x - lgamma(a)
 
 
 def _log_gamma_norm(a: float, x: float) -> float:
     """a*ln x - x - lnGamma(a) with small absolute error even when the naive
     form cancels catastrophically (large a, x near a)."""
     if a >= _STIRLING_MIN:
-        d = (x - a) / a
-        return a * _log1pmx(d) + 0.5 * math.log(a / _TWO_PI) - _stirling_phi(a)
-    return a * math.log(x) - x - math.lgamma(a)
+        return _log_gamma_norm_stirling(a, x, _log1pmx, math.log)
+    return _log_gamma_norm_direct(a, x, math.log, math.lgamma)
 
 
 def _not_converged(loop: str, cap: int) -> ConvergenceError:
@@ -219,8 +225,7 @@ def _not_converged(loop: str, cap: int) -> ConvergenceError:
 
 
 def _kernel_rel(ln_pref, n):
-    """Relative bound of a prefactor-times-sum kernel after n iterations;
-    elementwise on arrays."""
+    """Relative bound of a prefactor-times-sum kernel after n iterations."""
     return EPS * (2.0 * abs(ln_pref) + 2.0 * n + 32.0)
 
 
@@ -275,12 +280,12 @@ def _lower_series_run(a: float, x: float, n: int, term: float,
                          _KERNEL_MAX_ITER)
 
 
-def _lower_series(a: float, x: float) -> tuple[float, float, int]:
-    """Lower regularized P(a, x) by the ascending series, for x < a + 1."""
-    ln_pref = _log_gamma_norm(a, x) - math.log(a)
-    n, _, total = _lower_series_run(a, x, 0, *_LOWER_SERIES_START)
-    value = math.exp(ln_pref) * total
-    return value, _kernel_rel(ln_pref, n), n
+def _series_complement_result(ln_norm, a, n, total, log, exp):
+    """Q = 1 - P and its err_bound from the ascending series' total after
+    n iterations, given ln_norm = _log_gamma_norm(a, x)."""
+    ln_pref = ln_norm - log(a)
+    p = exp(ln_pref) * total
+    return 1.0 - p, _kernel_rel(ln_pref, n) * p + EPS
 
 
 _CF_TINY = 1e-300
@@ -316,19 +321,11 @@ def _upper_cf_run(a: float, x: float, n: int, b: float, c: float, d: float,
                          _KERNEL_MAX_ITER)
 
 
-def _upper_cf(a: float, x: float) -> tuple[float, float, int]:
-    """Upper regularized Q(a, x) by the modified Lentz continued fraction,
-    for x >= a + 1."""
-    ln_pref = _log_gamma_norm(a, x)
-    n, *_, h = _upper_cf_run(a, x, 0, *_upper_cf_start(a, x))
-    value = math.exp(ln_pref) * h
-    return value, _kernel_rel(ln_pref, n), n
-
-
-def _small_shape_err(alnx, lg, g, eg, n, habs, value):
-    """Absolute bound of the small-shape tail; elementwise on arrays."""
-    return EPS * (2.0 * abs(alnx) + 6.0 * abs(lg) + 2.0 * abs(g)
-                  + eg * (2.0 * n + 4.0) * habs + 8.0 * abs(value))
+def _cf_result(ln_norm, n, h, exp):
+    """Q and its err_bound from the continued fraction's h after n
+    iterations, given ln_norm = _log_gamma_norm(a, x)."""
+    q = exp(ln_norm) * h
+    return q, _kernel_rel(ln_norm, n) * q + 5e-324
 
 
 _SMALL_SHAPE_START = (1.0, 0.0, 0.0)        # (term, h, habs)
@@ -350,25 +347,24 @@ def _upper_small_shape_run(a: float, x: float, n: int, term: float, h: float,
                          _KERNEL_MAX_ITER)
 
 
-def _upper_small_shape(a: float, x: float) -> tuple[float, float, int]:
-    """Q(a, x) for a <= 1/2 and x < a + 1, summed directly.
+def _tail_series_result(a, x, n, h, habs, log, lgamma1p, exp, expm1):
+    """Q(a, x) and its err_bound for a <= 1/2 and x < a + 1, from the
+    small-shape loop's h and habs after n iterations.
 
     With g = a*ln x - lnGamma(a+1),
         Q = -expm1(g) + exp(g) * h,   h = sum_{n>=1} -a (-x)^n / (n! (a+n)),
-    which avoids forming 1 - P when Q is many orders below 1.  lnGamma(1+a)
-    comes from its Taylor series via _lgamma1p: the two outer terms cancel
-    to O(a), so an absolute ~2e-16 error in g (the platform lgamma's floor
-    near its zero at 1) would leak into Q at full size.
-
-    Returns (value, abs_err_bound, n_terms).
+    which avoids forming 1 - P when Q is many orders below 1.  lgamma1p is
+    the Taylor series _lgamma1p: the two outer terms cancel to O(a), so an
+    absolute ~2e-16 error in g (the platform lgamma's floor near its zero
+    at 1) would leak into Q at full size.
     """
-    alnx = a * math.log(x)
-    lg = _lgamma1p(a)
+    alnx = a * log(x)
+    lg = lgamma1p(a)
     g = alnx - lg
-    n, _, h, habs = _upper_small_shape_run(a, x, 0, *_SMALL_SHAPE_START)
-    eg = math.exp(g)
-    value = -math.expm1(g) + eg * h
-    return value, _small_shape_err(alnx, lg, g, eg, n, habs, value), n
+    eg = exp(g)
+    q = -expm1(g) + eg * h
+    return q, EPS * (2.0 * abs(alnx) + 6.0 * abs(lg) + 2.0 * abs(g)
+                     + eg * (2.0 * n + 4.0) * habs + 8.0 * abs(q)) + 5e-324
 
 
 def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
@@ -387,15 +383,18 @@ def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
         # no longer separates the branches.
         raise DomainError("reg_gamma_q requires a + 1 > a, i.e. a below "
                           "2**53")
+    if x < a + 1.0 and a <= _SMALL_SHAPE:
+        n, _, h, habs = _upper_small_shape_run(a, x, 0, *_SMALL_SHAPE_START)
+        return EvalDetail(*_tail_series_result(
+            a, x, n, h, habs, math.log, _lgamma1p, math.exp, math.expm1),
+            "tail-series", n)
+    ln_norm = _log_gamma_norm(a, x)
     if x >= a + 1.0:
-        q, rel, n = _upper_cf(a, x)
-        return EvalDetail(q, rel * q + 5e-324, "cf", n)
-    if a <= _SMALL_SHAPE:
-        q, abs_err, n = _upper_small_shape(a, x)
-        return EvalDetail(q, abs_err + 5e-324, "tail-series", n)
-    p, rel, n = _lower_series(a, x)
-    q = 1.0 - p
-    return EvalDetail(q, rel * p + EPS, "series-complement", n)
+        n, *_, h = _upper_cf_run(a, x, 0, *_upper_cf_start(a, x))
+        return EvalDetail(*_cf_result(ln_norm, n, h, math.exp), "cf", n)
+    n, _, total = _lower_series_run(a, x, 0, *_LOWER_SERIES_START)
+    return EvalDetail(*_series_complement_result(
+        ln_norm, a, n, total, math.log, math.exp), "series-complement", n)
 
 
 def reg_gamma_q(a: float, x: float) -> float:
@@ -568,16 +567,24 @@ def _threshold_forms(y: float) -> tuple[float, float, bool]:
 
 def refined_mean(x: float, y: float) -> float:
     """sqrt(x*y + (L - x)(y - L)/3) with L the logarithmic mean: a mean that
-    sits strictly between L and the arithmetic mean for x != y."""
+    sits strictly between L and the arithmetic mean for x != y.  Computed
+    centred on 1 (_mean_scale), so y/x must stay below 2**1000."""
     x = _require_finite("x", x)
     y = _require_finite("y", y)
-    if not (0.0 < x <= y):
-        raise DomainError("refined_mean requires 0 < x <= y")
+    k, fits = _mean_scale(x, y, math.frexp)
+    if not (0.0 < x <= y and fits):
+        raise DomainError("refined_mean requires 0 < x <= y, y/x < 2**1000")
     if x == y:
         return x
-    return _refined_from_log(x, y, log_mean(x, y))
+    x, y = math.ldexp(x, k), math.ldexp(y, k)
+    lm = log_mean(x, y)
+    return math.ldexp(math.sqrt(x * y + (lm - x) * (y - lm) / 3.0), -k)
 
 
-def _refined_from_log(x: float, y: float, lm: float) -> float:
-    """The refined mean of x < y given their logarithmic mean lm."""
-    return math.sqrt(x * y + (lm - x) * (y - lm) / 3.0)
+def _mean_scale(x, y, frexp):
+    """(k, fits) for 0 < x < y, floats or arrays with the matching frexp:
+    2^k x and 2^k y are centred on 1 (k = 0 inside [2**-255, 2**255]), and
+    fits says y/x < 2**1000, so the mean formulas' products stay normal."""
+    ex, ey = frexp(x)[1], frexp(y)[1]
+    unsafe = (x < 2.0 ** -255) | (y > 2.0 ** 255)
+    return -((ex + ey) // 2) * unsafe, ey - ex < 1000

@@ -95,6 +95,14 @@ class RatioParts:
             raise DomainError("RatioParts requires positive integrals")
 
 
+def _arg_rounding_err(ln_norm, x, log, exp):
+    """|dQ/dx| * 0.5 eps |x|, the half-ulp rounding of x = a + c charged
+    through the density, given ln_norm = _log_gamma_norm(a, x); zero below
+    a density of e^-709."""
+    ln_density = ln_norm - log(x)
+    return exp(ln_density) * (0.5 * EPS * abs(x)) * (ln_density > -_LOG_MAX)
+
+
 def tail_prob_detail(query: TailQuery) -> TailValue:
     """P(X_a - a > c) with an absolute error bound.
 
@@ -108,11 +116,7 @@ def tail_prob_detail(query: TailQuery) -> TailValue:
     if x <= 0.0:
         return TailValue(1.0, 0.0, "plateau")
     detail = reg_gamma_q_detail(a, x)
-    # |dQ/dx| = density(x); the argument x = a + c carries a half-ulp error.
-    ln_density = _log_gamma_norm(a, x) - math.log(x)
-    arg_err = 0.0
-    if ln_density > -_LOG_MAX:
-        arg_err = math.exp(ln_density) * (0.5 * EPS * abs(x))
+    arg_err = _arg_rounding_err(_log_gamma_norm(a, x), x, math.log, math.exp)
     return TailValue(detail.value, detail.err_bound + arg_err, detail.method)
 
 
@@ -149,17 +153,15 @@ def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
     """tail_prob_detail for many shapes at one offset c.
 
     a is a 1-D sequence of shapes; returns (values, err_bounds) arrays, each
-    lane bit-identical to tail_prob_detail(TailQuery(a_i, c)).  The
-    ascending series, the small-shape tail and the log prefactor's
-    log1pmx and lgamma1p sums fold blocks of iterations for all lanes per
-    numpy pass (_lanes._fold); the continued fraction steps all lanes one
-    iteration per pass (_lanes._lockstep).  Each lane's log prefactor is
-    computed once.  If any lane fails, the error raised is the first one a
-    tail_prob_detail scan in lane order raises.
+    lane bit-identical to tail_prob_detail(TailQuery(a_i, c)): the kernel
+    runs on numpy lanes (_lanes._reg_gamma_q_lanes) with the scalar path's
+    formulas, and the argument charge is _arg_rounding_err on arrays.  Each
+    lane's log prefactor is computed once.  If any lane fails, the error
+    raised is the first one a tail_prob_detail scan in lane order raises.
     """
     import numpy as np
 
-    from ._lanes import _log_gamma_norm_lanes, _per_lane, _reg_gamma_q_lanes
+    from ._lanes import _exp, _log, _log_gamma_norm_lanes, _reg_gamma_q_lanes
 
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
@@ -185,10 +187,8 @@ def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
         for a_i in a.tolist():
             tail_prob_detail(TailQuery(a_i, c))
         raise
-    ln_density = ln_norm - _per_lane(math.log, x_l)
-    arg_err = _per_lane(math.exp, ln_density) * (0.5 * EPS * np.abs(x_l))
     values[live] = q
-    errs[live] = q_err + np.where(ln_density > -_LOG_MAX, arg_err, 0.0)
+    errs[live] = q_err + _arg_rounding_err(ln_norm, x_l, _log, _exp)
     return values, errs
 
 

@@ -531,21 +531,49 @@ def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
     assert check_mean_chain(few) != check_mean_chain(few[:-1])
 
 
-def test_mean_chain_min_ratio_passes_over_nan_ratios():
-    # Near the top of the double range all three gaps of a pair are NaN;
-    # the minimum is taken over the other pairs' ratios, one of them a
-    # zero gap at spread 2^-52.
-    pairs = [(1e308, 1.7e308), (1.0, 1.0 + 2.0 ** -52), (2.0, 3.0)]
+def test_mean_chain_centres_pairs_near_the_ends_of_the_double_range():
+    # x*y, x + y or (L - x)(y - L) leaves the normal range at these pairs,
+    # whose gaps used to come out NaN, or certifiably negative at 1e-160.
+    # Each is evaluated centred on 1 by a power of two 2^k: its means and
+    # double gaps are the centred pair's scaled back by 2^-k, and the
+    # extended gaps, of squared means, by 2^-2k.  The minimum ratio keeps
+    # the first of the zero ratios at spread 2^-52.
+    far = [(1e308, 1.7e308, -1023), (1e-200, 1.03e-200, 664),
+           (1e-160, 1.03e-160, 531), (1e160, 1.03e160, -532),
+           (1e-100, 1.01e-100, 332)]
+    pairs = [(x, y) for x, y, _ in far] + [(1.0, 1.0 + 2.0 ** -52),
+                                           (2.0, 3.0)]
     rep = check_mean_chain(pairs)
-    ratios = [gap / max(e.err_bound, 5e-324) for e in rep.entries
+    for entry, (x, y, k) in zip(rep.entries, far):
+        centred = check_mean_chain([(math.ldexp(x, k), math.ldexp(y, k))])
+        c = centred.entries[0]
+        means = (c.geometric, c.logarithmic, c.refined, c.arithmetic)
+        gaps = (c.gap_log_vs_geo, c.gap_refined_vs_log,
+                c.gap_arith_vs_refined, c.err_bound)
+        p = 2 * k if c.extended else k
+        assert (entry.geometric, entry.logarithmic, entry.refined,
+                entry.arithmetic) == tuple(math.ldexp(v, -k) for v in means)
+        assert (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
+                entry.gap_arith_vs_refined, entry.err_bound) == tuple(
+                    math.ldexp(v, -p) for v in gaps)
+        assert entry.chain_ok and x < entry.geometric < entry.logarithmic
+    assert rep.entries[4].extended
+    ratios = [gap / e.err_bound for e in rep.entries
               for gap in (e.gap_log_vs_geo, e.gap_refined_vs_log,
                           e.gap_arith_vs_refined)]
-    assert all(math.isnan(r) for r in ratios[:3]) and 0.0 in ratios
+    assert all(math.isfinite(r) for r in ratios) and 0.0 in ratios
     ratio = math.inf
     for r in ratios:
         ratio = min(ratio, r)
     assert rep.min_margin_ratio.hex() == ratio.hex()
-    assert not math.isnan(rep.min_margin_ratio)
+
+
+def test_mean_chain_rejects_pairs_it_cannot_bound():
+    # Centring keeps the products normal only while y/x < 2^1000, and
+    # scaled back, a bound must stay a normal double.
+    for pair in ((1e-300, 1e300), (5e-324, 1e-323), (1e-200, 1.01e-200)):
+        with pytest.raises(DomainError):
+            check_mean_chain([(1.0, 4.0), pair])
 
 
 def test_mean_chain_declines_to_certify_below_dd_resolution():

@@ -12,13 +12,14 @@ import io
 import json
 import contextlib
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from gammatail import (CertificationError, MonotoneVerdict, ScanSpec, Witness,
-                       WitnessSearchError)
+from gammatail import (CertificationError, GammaTailError, MonotoneVerdict,
+                       ScanSpec, Witness, WitnessSearchError)
 from gammatail.cli import _certify_exit, build_parser, main
 
 
@@ -231,6 +232,10 @@ def test_median_requires_shape_or_grid():
 @pytest.mark.parametrize("a, expected", [
     ("1e-3", 2),    # median below the 1e-300 floor: a shape limit
     ("3e7", 3),     # bracket sign wrong only inside its error bound
+    # The root lands on the bracket end a - 1/3, which rounds to an offset
+    # below -1/3 by less than an ulp of a.
+    ("3.5e7", 3),
+    ("49152070.4192157", 3),
 ])
 def test_median_numerical_limits_are_not_violations(a, expected, capsys):
     assert run_cli(["median", "--a", a])[0] == expected
@@ -266,6 +271,19 @@ def test_means_golden_json():
         '  "chain_ok": true\n'
         "}\n"
     )
+
+
+@pytest.mark.parametrize("x, y", [("1e-160", "1.03e-160"),
+                                  ("1e-200", "1.03e-200"),
+                                  ("1e160", "1.03e160")])
+def test_means_near_the_ends_of_the_double_range(x, y, capsys):
+    # x*y leaves the normal range here, which used to make geo 0.0, inf or
+    # larger than the logarithmic mean, and a gap certifiably negative.
+    code, out = run_cli(["means", "--x", x, "--y", y])
+    assert code == 0 and capsys.readouterr().err == ""
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert float(x) < float(row["geo"]) < float(row["log_mean"])
+    assert row["chain_ok"] == "true"
 
 
 def test_precision_flags_reach_the_computation():
@@ -376,6 +394,32 @@ def test_no_subcommand_and_help_exit_codes():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "1", "--c"],
+    ["scan", "--n", "5", "--a-max", "3", "--c"],
+    ["certify", "--n", "9", "--a-max", "3", "--c"],
+])
+@pytest.mark.parametrize("c", ["-1e-05", "-1E+00", "-2.5e-1", "-inf"])
+def test_negative_values_in_exponent_form(argv, c):
+    # argparse reads -1e-05 as an option unless it is joined to its flag.
+    assert run_cli(argv + [c]) == run_cli(argv[:-1] + [f"--c={c}"])
+    assert run_cli(argv + [c])[0] in (0, 2)
+
+
+def test_internal_errors_exit_four(monkeypatch, capsys):
+    # Exit 1 means a certified violation and nothing else: an error no
+    # other exit code names is internal, and so is an unforeseen exception.
+    for exc in (GammaTailError("synthetic fault"),
+                ZeroDivisionError("synthetic fault")):
+        def boom(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("gammatail.certify.certify_monotone", boom)
+        assert run_cli(["certify", "--c", "0"]) == (4, "")
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "synthetic fault" in err
+
+
 def test_certification_error_maps_to_exit_one(monkeypatch):
     def boom(*args, **kwargs):
         raise CertificationError("synthetic contradiction")
@@ -433,3 +477,55 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert bad.returncode == 2
     assert "error" in bad.stderr.lower()
+
+
+# ----------------------------------------------------------------------
+# seeded fuzz
+# ----------------------------------------------------------------------
+
+
+def _fuzz_argv(rng):
+    """Seeded argv over eval, median, certify, scan and means: log-uniform
+    over each domain, plus the edges c = -a, c = -1/3, a near 2^53, and x
+    and y near the ends of the double range; floats print in repr or in
+    exponent form, negatives included."""
+    def logu(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    def signed(lo, hi):
+        return rng.choice((-1.0, 1.0)) * logu(lo, hi)
+
+    def text(v):
+        return rng.choice((repr(v), f"{v:.6e}"))
+
+    for verb in ("eval", "median", "certify", "scan", "means") * 60:
+        if verb == "eval":
+            a = rng.choice((logu(1e-4, 1e8), logu(1e-4, 1e8),
+                            2.0 ** 53 * rng.uniform(0.999, 1.001)))
+            c = rng.choice((signed(1e-8, 1e3), -a, -1.0 / 3.0,
+                            -a * rng.random()))
+            yield ["eval", "--a", text(a), "--c", text(c)]
+        elif verb == "median":
+            yield ["median", "--a", text(logu(1e-4, 1e9))]
+        elif verb in ("certify", "scan"):
+            c = rng.choice((signed(1e-6, 10.0), -1.0 / 3.0,
+                            rng.uniform(-0.37, -0.3)))
+            a_max = logu(1.0, 1e3) + max(0.0, -c) + 0.02
+            yield [verb, "--c", text(c), "--n", str(rng.randint(3, 30)),
+                   "--a-max", text(a_max)]
+        else:
+            x = rng.choice((logu(5e-324, 1.7e308), logu(5e-324, 1e-290),
+                            logu(1e290, 1.7e308)))
+            y = rng.choice((x * (1.0 + logu(1e-12, 1e3)),
+                            logu(5e-324, 1.79e308)))
+            yield ["means", "--x", text(x), "--y", text(min(y, 1.79e308))]
+
+
+def test_seeded_cli_fuzz_finds_no_violation_and_no_internal_error():
+    # None of these inputs contradicts a proven statement, so none may exit
+    # 1; exit 4 would be an error the CLI does not name.
+    rng = random.Random(16)
+    for argv in _fuzz_argv(rng):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code, _ = run_cli(argv)
+        assert code in (0, 2, 3), (argv, code, err.getvalue())

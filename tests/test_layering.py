@@ -2,7 +2,8 @@
 
 The oracle exists only to audit the fast path, so no production module may
 depend on it, and it may not depend on the code it audits.  Helpers have a
-single home: a second copy of an error-free transform is a fork waiting to
+single home: a second copy of an error-free transform, or of a kernel
+formula that the scalar and the lane path share, is a fork waiting to
 drift.  No capped iterative loop may run out of iterations silently.  An
 exported function needs a caller in another module or a stated reason to be
 public.  The checks read the source with ``ast`` and import nothing.
@@ -49,11 +50,54 @@ def test_oracle_is_validation_only_and_two_sum_has_one_home():
             if "oracle" in mods} == {"acceptance"}
     audited = {"tailprob", "median", "certify", "acceptance", "cli"}
     assert imports["oracle"] & audited == set()
-    homes = [name for name, tree in TREES.items()
-             for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef)
-             and node.name.lstrip("_") == "two_sum"]
-    assert homes == ["_dd"]
+    assert _homes("two_sum") == ["_dd"]
+
+
+def _homes(name: str) -> list[str]:
+    """The modules that define a function of this name, or a lane copy of
+    it, leading underscores and a _lanes suffix aside."""
+    def key(fn: str) -> str:
+        return fn.lstrip("_").removesuffix("_lanes")
+    return [module for module, tree in TREES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and key(node.name) == key(name)]
+
+
+def _called_names(module: str, function: str) -> set[str]:
+    """The names a function calls, directly or as an attribute."""
+    fn = next(node for node in ast.walk(TREES[module])
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+# Formulas written once for floats and arrays, (home, name) -> the scalar
+# and the lane function that call it.  Only the loops and the branch
+# dispatch keep a lane form of their own.
+_KERNEL_PATHS = (("specfun", "reg_gamma_q_detail"),
+                 ("_lanes", "_reg_gamma_q_lanes"))
+_PREFACTOR_PATHS = (("specfun", "_log_gamma_norm"),
+                    ("_lanes", "_log_gamma_norm_lanes"))
+SHARED_FORMULAS = {
+    ("specfun", "_cf_result"): _KERNEL_PATHS,
+    ("specfun", "_series_complement_result"): _KERNEL_PATHS,
+    ("specfun", "_tail_series_result"): _KERNEL_PATHS,
+    ("specfun", "_log_gamma_norm_stirling"): _PREFACTOR_PATHS,
+    ("specfun", "_log_gamma_norm_direct"): _PREFACTOR_PATHS,
+    ("tailprob", "_arg_rounding_err"): (("tailprob", "tail_prob_detail"),
+                                        ("tailprob", "tail_prob_many")),
+    ("specfun", "_mean_scale"): (("specfun", "refined_mean"),
+                                 ("certify", "check_mean_chain")),
+}
+
+
+def test_each_shared_formula_has_one_home_and_both_paths_call_it():
+    for (home, name), callers in SHARED_FORMULAS.items():
+        assert _homes(name) == [home], name
+        for caller in callers:
+            assert name in _called_names(*caller), (name, caller)
 
 
 # Capped loops that stop early on convergence but cannot reach their cap,
@@ -157,17 +201,12 @@ def test_no_capped_loop_runs_out_silently():
 # Every `raise CertificationError` site, (module, qualified function) -> the
 # condition of the `if` it sits in.  Exit 1 must mean a real contradiction,
 # so each guard compares a margin with STRICT_MARGIN (or strict_margin) times
-# its error bound, unless it is listed below with the reason it needs none.
+# its error bound.
 CERTIFICATION_RAISES = {
     ("certify", "check_threshold_chain"): ("d < -STRICT_MARGIN * err_sum",),
     ("median", "_bracket_failure"): ("margin < -STRICT_MARGIN * err",),
     ("median", "MedianResult.__post_init__"):
-        ("not -ONE_THIRD < self.offset < 0.0",),
-}
-GUARDS_WITHOUT_MARGIN = {
-    ("median", "MedianResult.__post_init__"):
-        "the offset of a median solved inside the bracket [a - 1/3, a], "
-        "whose endpoint signs gamma_median has already margin-checked",
+        ("escape > STRICT_MARGIN * slack",),
 }
 
 _MARGIN_GUARD = re.compile(
@@ -206,8 +245,7 @@ def test_every_certification_error_is_margin_guarded():
     # from a sign that rounding alone could flip.
     assert _certification_raises() == CERTIFICATION_RAISES
     for site, guards in CERTIFICATION_RAISES.items():
-        if site not in GUARDS_WITHOUT_MARGIN:
-            assert all(_MARGIN_GUARD.fullmatch(g) for g in guards), site
+        assert all(_MARGIN_GUARD.fullmatch(g) for g in guards), site
 
 
 # Exported functions that no other module of the package calls,

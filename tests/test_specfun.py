@@ -45,6 +45,15 @@ from gammatail.specfun import _log1pmx
 ULP = 2.220446049250313e-16
 
 
+def _ascending_p(a, x):
+    """P(a, x) by the ascending series, and its relative bound: the
+    series-complement branch's P before it is complemented."""
+    ln_pref = specfun._log_gamma_norm(a, x) - math.log(a)
+    n, _, total = specfun._lower_series_run(a, x, 0,
+                                            *specfun._LOWER_SERIES_START)
+    return math.exp(ln_pref) * total, specfun._kernel_rel(ln_pref, n)
+
+
 # ----------------------------------------------------------------------
 # regularized incomplete gamma
 # ----------------------------------------------------------------------
@@ -81,7 +90,7 @@ def test_complement_identity():
             if x == 0.0 or x >= a + 1.0:
                 continue
             q = reg_gamma_q(a, x)
-            p = specfun._lower_series(a, x)[0]
+            p = _ascending_p(a, x)[0]
             assert abs(p + q - 1.0) <= 8 * ULP
 
 
@@ -145,7 +154,7 @@ def test_gamma_q_complement_property(a, frac):
     q = reg_gamma_q(a, x)
     assert 0.0 <= q <= 1.0
     if x < a + 1.0:
-        p = specfun._lower_series(a, x)[0]
+        p = _ascending_p(a, x)[0]
         assert abs(p + q - 1.0) <= 16 * ULP
 
 
@@ -366,6 +375,22 @@ def test_mean_ordering_chain(x, ratio):
     assert lm < ref < arith
 
 
+def test_refined_mean_near_the_ends_of_the_double_range():
+    # x*y leaves the normal range here (the product underflowed to 0.0 or
+    # overflowed to inf); the pair is evaluated centred on 1 by a power of
+    # two, which gives the bits of the centred pair scaled back.
+    for x, y, k in ((1e-200, 1.03e-200, 664), (1e-160, 1.03e-160, 531),
+                    (1e160, 1.03e160, -532), (1e308, 1.7e308, -1023)):
+        ref = refined_mean(x, y)
+        centred = refined_mean(math.ldexp(x, k), math.ldexp(y, k))
+        assert ref == math.ldexp(centred, -k)
+        assert log_mean(x, y) < ref < 0.5 * (x + y)
+    assert refined_mean(1.0, 1e200) == math.ldexp(
+        refined_mean(2.0 ** -332, 1e200 * 2.0 ** -332), 332)
+    with pytest.raises(DomainError, match="2\\*\\*1000"):
+        refined_mean(1e-300, 1e300)
+
+
 def test_log_mean_derivative_spot_check():
     # d/dy L(1, y) at y = e equals (ln y - 1 + 1/y)/ln^2 y = 1/e.
     fd, _ = central_difference(lambda y: log_mean(1.0, y), math.e, 1e-5)
@@ -442,7 +467,7 @@ def test_log1pmx_fix_reaches_the_gamma_kernels():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         # a >= 24 takes the prefactor through log1pmx((x - a) / a) = -0.948.
-        p, rel, _ = specfun._lower_series(24.0, 1.25)
+        p, rel = _ascending_p(24.0, 1.25)
         ref = float(mpmath.gammainc(24, 0, 1.25, regularized=True))
         assert abs(p - ref) <= rel * p
         assert abs(p - ref) <= 1e-13 * ref
