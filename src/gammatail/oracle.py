@@ -13,7 +13,7 @@ evaluates the integrand's exponent.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from ._dd import mean_gaps as oracle_mean_gaps  # noqa: F401
 from ._dd import (dd_add, dd_div, dd_log, dd_log1p_small, dd_mul, dd_sub,
                   two_sum)
 from ._lanes import _log1pmx_vec
-from .errors import DomainError
-from .quadrature import integrate, integrate_many
+from .errors import DomainError, QuadratureError
+from .quadrature import integrate_many
 
 # Every quadrature gets half the oracle's relative target of 1e-13, so a
 # ratio of two of them meets it.
@@ -35,23 +35,23 @@ _HALF_TOL = 0.5 * 1e-13
 # Gamma-integrand quadrature oracle.
 # ---------------------------------------------------------------------------
 
-def _referenced_exponent(t: np.ndarray, u: float,
+def _referenced_exponent(t: np.ndarray, u: float | np.ndarray,
                          ref: float | np.ndarray) -> np.ndarray:
-    """h(t) - h(ref) for h(t) = u ln t - t, stably for t near ref; ref is a
-    scalar or one reference per point."""
-    if u == 0.0:
-        return ref - t
+    """h(t) - h(ref) for h(t) = u ln t - t, stably for t near ref and u > 0;
+    u and ref are scalars or one value per point."""
     return u * _log1pmx_vec((t - ref) / ref) + (t - ref) * (u / ref - 1.0)
 
 
-def _validate_gamma_args(a: float, x: float) -> tuple[float, float]:
-    a = float(a)
-    x = float(x)
-    if not (math.isfinite(a) and math.isfinite(x)):
+def _validated(a, x) -> list[np.ndarray]:
+    """a and x as float lanes of their broadcast shape, once every lane
+    meets oracle_gamma_q's domain."""
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
         raise DomainError("oracle_gamma_q requires finite arguments")
-    if a <= 0.0 or x < 0.0:
+    if np.any(a <= 0.0) or np.any(x < 0.0):
         raise DomainError("oracle_gamma_q requires a > 0 and x >= 0")
-    return a, x
+    return np.broadcast_arrays(a, x)
 
 
 # Above this shape the peak-referenced scheme is safe: the integrand behaves
@@ -61,140 +61,189 @@ def _validate_gamma_args(a: float, x: float) -> tuple[float, float]:
 _A_BIG = 16.0
 
 
-def _norm_big(a: float) -> tuple[float, float, float, float]:
-    """Normalization integral for a >= _A_BIG, referenced at the peak
-    t0 = a - 1.
+# The forms of the gamma integrand t^(a-1) e^(-t) that the oracle
+# integrates; each quadrature interval has one, with its shape a and, for
+# the referenced form, its reference point.
+def _referenced(t: np.ndarray, a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """exp(h(t) - h(ref)), for a >= _A_BIG."""
+    return np.exp(_referenced_exponent(t, a - 1.0, ref))
 
-    Returns (integral of exp(h(t) - h(t0)), t0, t_lo, t_up).
-    """
+
+def _direct(t: np.ndarray, a: np.ndarray, _ref: np.ndarray) -> np.ndarray:
+    """The direct integrand, for a < _A_BIG and t >= 1."""
+    return np.exp((a - 1.0) * np.log(t) - t)
+
+
+def _head_quartic(s: np.ndarray, a: np.ndarray,
+                  _ref: np.ndarray) -> np.ndarray:
+    """The head t in [0, 1] for 1 <= a < _A_BIG, in s with t = s^4: the
+    integrand 4 s^(4a-1) exp(-s^4) has origin exponent 4a - 1 >= 3, which
+    bisects cleanly where a fractional a - 1 < 1 would stall the refinement
+    at t = 0."""
+    return 4.0 * np.exp((4.0 * a - 1.0) * np.log(s) - s ** 4)
+
+
+def _head_power(s: np.ndarray, a: np.ndarray,
+                _ref: np.ndarray) -> np.ndarray:
+    """The head t in [0, 1] for a < 1, in s = t^a: exp(-s^(1/a)), to be
+    divided by a."""
+    return np.exp(-np.exp(np.log(s) / a))
+
+
+_FORMS = (_referenced, _direct, _head_quartic, _head_power)
+_REFERENCED, _DIRECT, _HEAD_QUARTIC, _HEAD_POWER = range(len(_FORMS))
+
+
+class _Intervals(NamedTuple):
+    """Quadrature intervals of the gamma integrand, one lane each: the
+    integrand's form, its shape a and reference point, and the bounds."""
+
+    form: np.ndarray
+    a: np.ndarray
+    ref: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _joined(*parts: _Intervals) -> _Intervals:
+    """The intervals of all parts, in order."""
+    return _Intervals(*(np.concatenate(f) for f in zip(*parts)))
+
+
+def _heads_and_tails(s: np.ndarray) -> tuple[_Intervals, _Intervals]:
+    """Gamma(s)'s normalisation for distinct shapes s, as one head per
+    shape and one tail per shape below _A_BIG.  For s >= _A_BIG the head is
+    the whole integral, referenced at the peak t0 = s - 1; below, it is the
+    substituted integral over t in [0, 1], and the tail runs from t = 1."""
+    big = s >= _A_BIG
+    t0 = s - 1.0
+    sig = np.sqrt(s)
+    heads = _Intervals(
+        np.where(big, _REFERENCED,
+                 np.where(s >= 1.0, _HEAD_QUARTIC, _HEAD_POWER)),
+        s, np.where(big, t0, 1.0),
+        np.where(big, np.maximum(0.0, t0 - 45.0 * sig - 45.0), 0.0),
+        np.where(big, t0 + 45.0 * sig + 900.0, 1.0))
+    small = s[~big]
+    ones = np.ones_like(small)
+    return heads, _Intervals(np.full(small.size, _DIRECT), small, ones, ones,
+                             np.full(small.size, 901.0))
+
+
+def _numerators(a: np.ndarray, x: np.ndarray,
+                t_up: np.ndarray) -> _Intervals:
+    """The integral from x > 0 of the integrand of a's normalisation, whose
+    head ends at t_up: for a >= _A_BIG referenced at the peak t0 = a - 1
+    for x <= t0 and at x beyond; below, the substituted head from x's
+    image up to 1 for x < 1 (the tail is the normalisation's), else the
+    direct integrand from x."""
+    big = a >= _A_BIG
     t0 = a - 1.0
-    u = a - 1.0
-    sig = math.sqrt(a)
-    t_lo = max(0.0, t0 - 45.0 * sig - 45.0)
-    t_up = t0 + 45.0 * sig + 900.0
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        return np.exp(_referenced_exponent(t, u, t0))
-
-    res = integrate(fn, t_lo, t_up, rel_tol=_HALF_TOL)
-    return res.value, t0, t_lo, t_up
-
-
-def _tail_integrand(a: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The direct integrand t^(a-1) e^(-t), integrated from t = 1 on."""
-    def fn(t: np.ndarray) -> np.ndarray:
-        return np.exp((a - 1.0) * np.log(t) - t)
-    return fn
+    near = x <= t0
+    head = ~big & (x < 1.0)
+    form = np.where(big, _REFERENCED, np.where(
+        head, np.where(a >= 1.0, _HEAD_QUARTIC, _HEAD_POWER), _DIRECT))
+    lo = x.copy()
+    # x's image under the head's substitution, with the math functions.
+    lo[head] = [x_i ** 0.25 if a_i >= 1.0 else math.exp(a_i * math.log(x_i))
+                for a_i, x_i in zip(a[head].tolist(), x[head].tolist())]
+    hi = np.where(big, np.where(near, t_up, np.maximum(t_up, x + 900.0)),
+                  np.where(head, 1.0, np.maximum(901.0, x + 900.0)))
+    return _Intervals(form, a, np.where(big & near, t0, np.where(big, x, 1.0)),
+                      lo, hi)
 
 
-def _head(a: float) -> tuple[Callable[[np.ndarray], np.ndarray],
-                             Callable[[float], float], float]:
-    """The head t in [0, 1] of the integral for a < _A_BIG, substituted
-    to keep the origin smooth: (integrand in s, the image s of a point t,
-    the divisor of the integral in s).
+def _integrals(iv: _Intervals, order: np.ndarray) -> np.ndarray:
+    """Each interval's integral, to half the oracle's target.
 
-    For a >= 1, t = s^4 gives 4 s^(4a-1) exp(-s^4), whose origin exponent
-    4a - 1 >= 3 bisects cleanly where a fractional a - 1 < 1 would stall
-    the refinement at t = 0.  For a < 1, s = t^a gives exp(-s^(1/a)) / a.
+    Each form's intervals run in one integrate_many call.  If one fails,
+    the intervals are replayed one at a time in the given order, so the
+    QuadratureError raised is the one the first failing interval in that
+    order raises.
     """
-    if a >= 1.0:
-        def fn(s: np.ndarray) -> np.ndarray:
-            return 4.0 * np.exp((4.0 * a - 1.0) * np.log(s) - s ** 4)
-        return fn, lambda t: t ** 0.25, 1.0
+    def values_of(idx: np.ndarray) -> list[float]:
+        form, a, ref = _FORMS[iv.form[idx[0]]], iv.a[idx], iv.ref[idx]
+        return [r.value for r in integrate_many(
+            lambda t, k: form(t, a[k], ref[k]), iv.lo[idx], iv.hi[idx],
+            rel_tol=_HALF_TOL)]
 
-    def fn(s: np.ndarray) -> np.ndarray:
-        return np.exp(-np.exp(np.log(s) / a))
-    return fn, lambda t: math.exp(a * math.log(t)), a
-
-
-def _head_and_tail(a: float) -> tuple[float, float]:
-    """Gamma(a) for a < _A_BIG as head plus tail integrals, split at 1."""
-    head_fn, _image, scale = _head(a)
-    # Dividing by scale = 1.0 is exact.
-    h = integrate(head_fn, 0.0, 1.0, rel_tol=_HALF_TOL).value / scale
-    tl = integrate(_tail_integrand(a), 1.0, 901.0, rel_tol=_HALF_TOL).value
-    return h, tl
-
-
-def _by_group(fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-              group: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
-                                             np.ndarray]:
-    """An integrate_many integrand applying fns[group[k]] to the points of
-    interval k; each point's value is what its own integrand gives it."""
-    def fn(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        g = group[k]
-        out = np.empty_like(t)
-        for i, f in enumerate(fns):
-            sel = g == i
-            if sel.all():
-                return f(t)
-            if sel.any():
-                out[sel] = f(t[sel])
-        return out
-    return fn
+    vals = np.empty(iv.form.size)
+    try:
+        for i in range(len(_FORMS)):
+            idx = np.flatnonzero(iv.form == i)
+            if idx.size:
+                vals[idx] = values_of(idx)
+    except QuadratureError:
+        for k in order.tolist():
+            values_of(np.array([k]))
+        raise
+    return vals
 
 
-def oracle_gamma_q_many(a: float, xs: Sequence[float]) -> list[float]:
-    """oracle_gamma_q(a, x) for every x in xs, as one lockstep quadrature.
+def _prefactors(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(h(x) - h(t0)) for h(t) = (a - 1) ln t - t and the peak
+    t0 = a - 1, on lanes, evaluated in double-double from one dd_log call
+    so that the relative error stays near 2e-13 even when the exponent is
+    ~700."""
+    if not a.size:
+        return a
+    t0 = a - 1.0
+    logs = dd_log(np.concatenate((t0, x)))
+    m = x.size
+    log_ratio = dd_sub((logs[0][m:], logs[1][m:]), (logs[0][:m], logs[1][:m]))
+    e_dd = dd_sub(dd_mul(two_sum(a, -1.0), log_ratio), two_sum(x, -t0))
+    return np.array([math.exp(hi) * (1.0 + lo)
+                     for hi, lo in zip(e_dd[0].tolist(), e_dd[1].tolist())])
 
-    All numerator integrals of the row advance together through
-    integrate_many, and each value equals the one-x call exactly.
-    Arguments are validated before any integration; a QuadratureError is
-    the one the lowest-indexed failing x raises.
+
+def oracle_gamma_q_many(a, x) -> list:
+    """oracle_gamma_q(a_i, x_i) for lanes (a, x) that broadcast together,
+    as a nested list of the broadcast shape.
+
+    The normalisations of all distinct shapes and all numerators run
+    through integrate_many, one call per integrand form, and the connecting
+    prefactors of all x beyond the peak come from one dd_log call; each
+    value equals the one-lane call exactly.  Arguments are validated before
+    any integration.  A QuadratureError is the one the lowest-indexed
+    failing lane raises: each shape's normalisation counts as part of its
+    first lane.
     """
-    a = _validate_gamma_args(a, 0.0)[0]
-    xs = [_validate_gamma_args(a, x)[1] for x in xs]
-    out = [1.0] * len(xs)
-    todo = [j for j, x in enumerate(xs) if x != 0.0]
-    if not todo:
-        return out
-    xt = [xs[j] for j in todo]
-
-    if a >= _A_BIG:
-        # Numerators referenced at the peak t0 for x <= t0, at x beyond.
-        d_int, t0, _t_lo, t_up = _norm_big(a)
-        u = a - 1.0
-        refs = np.array([t0 if x <= t0 else x for x in xt])
-
-        def fn(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return np.exp(_referenced_exponent(t, u, refs[k]))
-
-        his = [t_up if x <= t0 else max(t_up, x + 900.0) for x in xt]
-        nums = integrate_many(fn, xt, his, rel_tol=_HALF_TOL)
-        # The connecting prefactors of all x beyond t0, from one dd_log
-        # call that also takes ln t0.
-        x_far = np.array([x for x in xt if x > t0])
-        logs = dd_log(np.concatenate(([t0], x_far)))
-        log_ratio = dd_sub((logs[0][1:], logs[1][1:]),
-                           (logs[0][0], logs[1][0]))
-        e_dd = dd_sub(dd_mul(two_sum(a, -1.0), log_ratio),
-                      two_sum(x_far, -t0))
-        prefs = iter([math.exp(hi) * (1.0 + lo)
-                      for hi, lo in zip(e_dd[0].tolist(), e_dd[1].tolist())])
-        for j, x, res in zip(todo, xt, nums):
-            q = res.value / d_int
-            if x > t0:
-                q = next(prefs) * q
-            out[j] = min(max(q, 0.0), 1.0)
-        return out
-
-    # Below _A_BIG, x >= 1 integrates the direct integrand from x, and
-    # x < 1 the substituted head from x's image up to 1 plus the tail
-    # from 1.
-    head, tail = _head_and_tail(a)
-    head_fn, image, scale = _head(a)
-    in_head = [x < 1.0 for x in xt]
-    los = [image(x) if h else x for h, x in zip(in_head, xt)]
-    his = [1.0 if h else max(901.0, x + 900.0) for h, x in zip(in_head, xt)]
-    fn = _by_group((_tail_integrand(a), head_fn),
-                   np.array(in_head, dtype=np.intp))
-    nums = integrate_many(fn, los, his, rel_tol=_HALF_TOL)
-    denom = head + tail
-    for j, h, res in zip(todo, in_head, nums):
-        # Dividing by scale = 1.0 is exact.
-        num = res.value / scale + tail if h else res.value
-        out[j] = min(max(num / denom, 0.0), 1.0)
-    return out
+    a, x = _validated(a, x)
+    q = np.ones(a.size)
+    lanes = np.flatnonzero(x.ravel() != 0.0)
+    if lanes.size:
+        a_l = a.ravel()[lanes]
+        x_l = x.ravel()[lanes]
+        s, first, of = np.unique(a_l, return_index=True, return_inverse=True)
+        heads, tails = _heads_and_tails(s)
+        small = s < _A_BIG
+        tail_of = np.cumsum(small) - 1 + s.size
+        nums = _numerators(a_l, x_l, heads.hi[of])
+        # The order a loop of one-lane calls takes the quadratures in.
+        order = np.lexsort((
+            np.repeat([0, 1, 2], [s.size, tails.a.size, lanes.size]),
+            np.concatenate((first, first[small], np.arange(lanes.size)))))
+        vals = _integrals(_joined(heads, tails, nums), order)
+        num = vals[s.size + tails.a.size:]
+        norm = vals[of]
+        q_l = np.empty(lanes.size)
+        # From _A_BIG, the numerator over the referenced normalisation,
+        # times the connecting prefactor for x beyond the peak.
+        big = a_l >= _A_BIG
+        q_l[big] = num[big] / norm[big]
+        far = big & (x_l > a_l - 1.0)
+        q_l[far] = _prefactors(a_l[far], x_l[far]) * q_l[far]
+        # Below, head plus tail, the head divided by its substitution's
+        # scale: a for s = t^a, 1 for t = s^4 (dividing by 1.0 is exact).
+        sm = ~big
+        scale = np.where(a_l[sm] < 1.0, a_l[sm], 1.0)
+        tail = vals[tail_of[of[sm]]]
+        num_sm = np.where(x_l[sm] < 1.0, num[sm] / scale + tail, num[sm])
+        q_l[sm] = num_sm / (norm[sm] / scale + tail)
+        # min(max(q, 0), 1), as the builtins take it.
+        q_l = np.where(0.0 > q_l, 0.0, q_l)
+        q[lanes] = np.where(1.0 < q_l, 1.0, q_l)
+    return q.reshape(a.shape).tolist()
 
 
 def oracle_gamma_q(a: float, x: float) -> float:
@@ -225,12 +274,14 @@ def oracle_log_gamma(a: float) -> float:
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
         raise DomainError("oracle_log_gamma requires a > 0")
+    iv = _joined(*_heads_and_tails(np.array([a])))
+    vals = _integrals(iv, np.arange(iv.form.size)).tolist()
     if a < _A_BIG:
-        head, tail = _head_and_tail(a)
-        return math.log(head + tail)
-    d_int, t0, _t_lo, _t_up = _norm_big(a)
+        # Dividing by 1.0 is exact.
+        return math.log(vals[0] / (a if a < 1.0 else 1.0) + vals[1])
+    t0 = a - 1.0
     h_dd = dd_sub(dd_mul(two_sum(a, -1.0), dd_log(t0)), (t0, 0.0))
-    return h_dd[0] + (math.log(d_int) + h_dd[1])
+    return h_dd[0] + (math.log(vals[0]) + h_dd[1])
 
 
 # ---------------------------------------------------------------------------

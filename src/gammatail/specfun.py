@@ -533,7 +533,12 @@ def log_mean(x: float, y: float) -> float:
     if x > y:
         x, y = y, x
     d = y - x
-    return d / math.log1p(d / x)
+    r = d / x
+    if r == math.inf:
+        # y / x beyond the double range: ln y - ln x >= 709 loses at most
+        # a few ulps, where log1p(inf) would make L zero.
+        return d / (math.log(y) - math.log(x))
+    return d / math.log1p(r)
 
 
 def threshold_ratio(y: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,11 +96,19 @@ def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
+# The exact bytes of verify-all --json.  Every detail string is
+# deterministic, so a change that moves any verdict, margin or worst-case
+# deviation shows here.  C01's worst deviation is printed to the last bit,
+# so a numpy whose exp or log rounds differently moves it too.
+_VERIFY_ALL_GOLDEN = Path(__file__).with_name("data") / "verify_all.json"
+
+
 def test_verify_all_cli_output_is_byte_identical():
     first = _run_cli(["verify-all", "--json"])
     second = _run_cli(["verify-all", "--json"])
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == second.stdout
+    assert first.stdout == _VERIFY_ALL_GOLDEN.read_text(encoding="utf-8")
     payload = json.loads(first.stdout)
     assert payload["all_pass"] is True
     assert len(payload["criteria"]) == len(acceptance.CRITERIA)

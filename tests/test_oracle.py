@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gammatail import ConvergenceError, DomainError
+from gammatail import ConvergenceError, DomainError, QuadratureError
 from gammatail._dd import (
     _LN2_HI,
     _LN2_LO,
@@ -138,17 +138,64 @@ def test_oracle_gamma_q_rejects_bad_arguments():
             oracle_gamma_q(a, x)
 
 
-@pytest.mark.parametrize("a", [1e-3, 0.3, 0.999, 1.0, 5.5, 15.99, 16.0, 40.0,
-                               2.5e3])
-def test_oracle_gamma_q_many_equals_one_x_calls(a):
-    # x = 0, both sides of x = 1 (the head/tail split below a = 16) and of
-    # the peak a - 1 (the reference switch from a = 16), out of order and
-    # with a repeat.
+_LANE_SHAPES = [1e-3, 0.3, 0.999, 1.0, 5.5, 15.99, 16.0, 40.0, 2.5e3]
+
+
+def _lane_xs(a):
+    """x = 0, both sides of x = 1 (the head/tail split below a = 16) and of
+    the peak a - 1 (the reference switch from a = 16), out of order and
+    with a repeat."""
     xs = [0.0, 1e-9, 0.4, 0.999, 1.0, 1.5, a - 1.0 - 0.5 * math.sqrt(a),
           a - 1.0, a - 1.0 + 1e-9, a, 0.0, a + 5.0 * math.sqrt(a), 0.4,
           a + 40.0 * math.sqrt(a) + 40.0]
-    xs = [x for x in xs if x >= 0.0]
+    return [x for x in xs if x >= 0.0]
+
+
+@pytest.mark.parametrize("a", _LANE_SHAPES)
+def test_oracle_gamma_q_many_equals_one_x_calls(a):
+    xs = _lane_xs(a)
     assert oracle_gamma_q_many(a, xs) == [oracle_gamma_q(a, x) for x in xs]
+
+
+def test_oracle_gamma_q_many_mixed_shape_lanes_equal_one_lane_calls():
+    # Every shape regime in one call, a on both sides of 1 and of 16,
+    # interleaved so that no shape's lanes are adjacent.
+    lanes = [(a, x) for a in _LANE_SHAPES for x in _lane_xs(a)]
+    lanes = lanes[1::3] + lanes[2::3] + lanes[::3]
+    a, x = zip(*lanes)
+    assert oracle_gamma_q_many(a, x) == [oracle_gamma_q(*lane)
+                                         for lane in lanes]
+    # Lanes broadcast: a column of shapes against a row of x.
+    shapes = [0.3, 5.5, 16.0, 40.0]
+    xs = [0.0, 0.5, 3.0, 39.5, 60.0]
+    assert oracle_gamma_q_many(np.array(shapes)[:, None], xs) == [
+        [oracle_gamma_q(s, x) for x in xs] for s in shapes]
+
+
+def test_oracle_gamma_q_many_raises_the_first_failing_lanes_error(
+        monkeypatch):
+    # With six sweeps, lanes 2 and 3 fail, through different integrand
+    # forms; the quadratures run form by form, but the error must be the
+    # one a loop of one-lane calls meets first, lane 2's.
+    monkeypatch.setattr("gammatail.quadrature._MAX_SWEEPS", 6)
+    lanes = [(40.0, 60.0), (5.5, 0.5), (1e-3, 0.2), (0.3, 2.0)]
+
+    def fields(exc):
+        return (str(exc), exc.value, exc.err_bound, exc.n_panels)
+
+    errors = []
+    for lane in lanes:
+        try:
+            oracle_gamma_q(*lane)
+        except QuadratureError as exc:
+            errors.append(fields(exc))
+        else:
+            errors.append(None)
+    assert errors[:2] == [None, None]
+    assert errors[2] is not None and errors[3] not in (None, errors[2])
+    with pytest.raises(QuadratureError) as many:
+        oracle_gamma_q_many(*zip(*lanes))
+    assert fields(many.value) == errors[2]
 
 
 def test_oracle_gamma_q_many_edge_rows():

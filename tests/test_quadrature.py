@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammatail import QuadResult, QuadratureError, integrate
+from gammatail import quadrature
 from gammatail.quadrature import integrate_many
 
 
@@ -383,7 +384,7 @@ def _outcome(integrator, fn, lo, hi, **kw):
         return _error_fields(exc)
 
 
-@pytest.mark.parametrize("fn, lo, hi, kw, budget", [
+_LOOP_CASES = [
     (np.exp, 0.0, 50.0, {}, {}),
     (lambda t: np.sqrt(t), 0.0, 1.0, {}, {}),
     (lambda t: np.exp(-(((t - 0.3) / 1e-3) ** 2)), 0.0, 1.0,
@@ -397,11 +398,115 @@ def _outcome(integrator, fn, lo, hi, **kw):
      {"max_panels": 6, "pre_split": 1}),
     (lambda t: np.full_like(t, np.inf), 1.0, 1.0 + 1e-14, {}, {}),
     (np.exp, 2.0, 2.0, {}, {}),
-], ids=["exp", "sqrt", "peak", "oscillatory", "gauss", "sweep-limit",
-        "budget", "non-finite", "degenerate"])
+]
+_LOOP_IDS = ["exp", "sqrt", "peak", "oscillatory", "gauss", "sweep-limit",
+             "budget", "non-finite", "degenerate"]
+
+
+@pytest.mark.parametrize("fn, lo, hi, kw, budget", _LOOP_CASES,
+                         ids=_LOOP_IDS)
 def test_integrate_equals_the_one_interval_loop(fn, lo, hi, kw, budget,
                                                 monkeypatch):
     if budget:
         _set_budget(monkeypatch, **budget)
     assert (_outcome(integrate, fn, lo, hi, **kw)
             == _outcome(_reference_integrate, fn, lo, hi, **kw, **budget))
+
+
+@pytest.mark.parametrize("fn, lo, hi, kw, budget", _LOOP_CASES,
+                         ids=_LOOP_IDS)
+def test_fsum_fallback_keeps_every_bit(fn, lo, hi, kw, budget, monkeypatch):
+    # With no sure band, every sweep takes each interval's tolerance and
+    # mass as fsums, as the one-interval loop does; the result, or the
+    # error, must be the banded run's bit for bit.
+    if budget:
+        _set_budget(monkeypatch, **budget)
+    banded = _outcome(integrate, fn, lo, hi, **kw)
+    bands = quadrature._bands
+
+    def no_bands(*args):
+        *band, no_band = bands(*args)
+        return (*band, np.ones_like(no_band))
+
+    monkeypatch.setattr(quadrature, "_bands", no_bands)
+    assert _outcome(integrate, fn, lo, hi, **kw) == banded
+
+
+def test_panels_too_close_to_call_fall_back_to_fsum(monkeypatch):
+    # Tolerance bands of [0, inf] decide no panel that the rounding floor
+    # does not settle; each such panel's interval takes the fsums that
+    # sweep, and every result keeps its bits.
+    centers = np.linspace(0.05, 0.95, 24)
+    widths = np.geomspace(1e-3, 0.3, 24)
+
+    def fn(t, k):
+        return np.exp(-(((t - centers[k]) / widths[k]) ** 2))
+
+    los, his = [0.0] * 24, [1.0] * 24
+    expected = integrate_many(fn, los, his, rel_tol=1e-12)
+    bands = quadrature._bands
+
+    def open_bands(*args):
+        tol_lo, tol_hi, *rest = bands(*args)
+        return (np.zeros_like(tol_lo), np.full_like(tol_hi, np.inf), *rest)
+
+    monkeypatch.setattr(quadrature, "_bands", open_bands)
+    fallbacks = []
+    of = quadrature._Accepted.of
+
+    def spy(self, k):
+        fallbacks.append(k)
+        return of(self, k)
+
+    monkeypatch.setattr(quadrature._Accepted, "of", spy)
+    assert integrate_many(fn, los, his, rel_tol=1e-12) == expected
+    assert fallbacks
+
+
+def test_integrate_many_across_groups_equals_the_one_interval_loop(
+        monkeypatch):
+    # Eight intervals in lockstep groups of three, and integrand calls of
+    # at most five panels: each result is the plain loop's, field for field.
+    monkeypatch.setattr(quadrature, "_GROUP", 3)
+    monkeypatch.setattr(quadrature, "_CHUNK", 5)
+    centers = np.linspace(0.05, 0.95, 8)
+    widths = np.geomspace(1e-3, 0.3, 8)
+    seen = []
+
+    def fn(t, k):
+        seen.append(np.unique(k).tolist())
+        return np.exp(-(((t - centers[k]) / widths[k]) ** 2))
+
+    los, his = [0.0] * 8, [1.0] * 8
+    many = integrate_many(fn, los, his, rel_tol=1e-12)
+    assert many == [
+        _reference_integrate(lambda t, k=k: fn(t, np.full(t.shape, k)), lo,
+                             hi, rel_tol=1e-12)
+        for k, (lo, hi) in enumerate(zip(los, his))]
+    assert [r.n_panels for r in many] != [many[0].n_panels] * 8
+    assert max(len(k) for k in seen) <= 3
+
+
+def test_integrate_many_replays_only_the_failing_group(monkeypatch):
+    # Interval 3 stalls in the second group of two.  The first group's
+    # results stand, the third group never runs, and the replay covers the
+    # failing group alone, ending at interval 3 with its one-interval error.
+    monkeypatch.setattr(quadrature, "_GROUP", 2)
+    powers = np.array([1.0, 2.0, 0.5, -0.5, 3.0])
+    seen = []
+
+    def fn(t, k):
+        seen.append(np.unique(k).tolist())
+        return t ** powers[k]
+
+    with pytest.raises(QuadratureError) as single:
+        integrate(lambda t: t ** -0.5, 0.0, 1.0)
+    with pytest.raises(QuadratureError) as many:
+        integrate_many(fn, [0.0] * 5, [1.0] * 5)
+    assert _error_fields(many.value) == _error_fields(single.value)
+    assert seen[0] == [0, 1]
+    second = next(i for i, k in enumerate(seen) if 2 in k)
+    assert all(set(k) <= {2, 3} for k in seen[second:])
+    replay = seen[seen.index([2]):]
+    assert {tuple(k) for k in replay} == {(2,), (3,)}
+    assert replay[-1] == [3]

@@ -348,6 +348,21 @@ def test_log_mean_values():
     assert log_mean(2.0, 5.0) == log_mean(5.0, 2.0)
 
 
+@pytest.mark.parametrize("x, y", [(1e-300, 1e300), (5e-324, 1.7e308),
+                                  (1e-10, 1e300)])
+def test_log_mean_where_the_ratio_overflows(x, y):
+    # y / x leaves the double range; L is (y - x) / (ln y - ln x), between
+    # the arguments, not log1p(inf)'s 0.0.
+    lm = log_mean(x, y)
+    assert x <= lm <= y
+    assert log_mean(y, x) == lm
+    expected = (y - x) / (math.log(y) - math.log(x))
+    assert math.isclose(lm, expected, rel_tol=8 * ULP)
+    if x == 1e-300:
+        assert math.isclose(lm, 1e300 / (600.0 * math.log(10.0)),
+                            rel_tol=1e-14)
+
+
 def test_refined_mean_matches_definition():
     x, y = 1.0, 4.0
     lm = log_mean(x, y)
