@@ -33,7 +33,8 @@ _HOMES = {
     "tailprob": (
         "TailQuery", "TailValue", "RatioParts", "ScanSpec", "tail_prob",
         "tail_prob_detail", "tail_prob_many", "ratio_parts",
-        "direction_form", "direction_form_detail", "integrand_ratio"),
+        "ratio_parts_many", "direction_form", "direction_form_detail",
+        "integrand_ratio"),
     "median": (
         "MedianResult", "MedianBracketCheck", "MedianBracketReport",
         "gamma_median", "check_median_bracket"),

@@ -19,16 +19,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._lanes import reg_gamma_q_many
+from ._lanes import branch_roots_many, reg_gamma_q_many
 from .certify import (ScanSpec, certify_monotone, check_asymptotic_slope,
                       check_mean_chain, check_threshold_chain, find_witness)
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError)
 from .median import check_median_bracket, gamma_median
 from .oracle import oracle_gamma_q_many
-from .specfun import EPS, ONE_THIRD, STRICT_MARGIN, branch_roots
-from .tailprob import (TailQuery, direction_form_detail, integrand_ratio,
-                       ratio_parts, tail_prob)
+from .specfun import EPS, ONE_THIRD, STRICT_MARGIN
+from .tailprob import direction_form_detail, integrand_ratio, ratio_parts_many
 
 _KERNEL_GRID_N = 50
 _KERNEL_TOL = 1e-12
@@ -195,15 +194,15 @@ def c07_ratio_identity(tol_scale: float = 1.0,
                        _unused: object = None) -> CriterionResult:
     """tail_prob equals 1/(1 + head/tail integral ratio) at shifted shape."""
     tol = _IDENTITY_TOL * tol_scale
-    rng = np.random.default_rng(107)
+    draws = np.random.default_rng(107).random(40)
+    a = 1.1 + 18.9 * draws[0::2]
+    c = -0.9 + 2.9 * draws[1::2]
+    # tail_prob(TailQuery(a, c)) for each pair: Q(a, a + c), and 1 on the
+    # plateau a + c <= 0.
+    direct = reg_gamma_q_many(a, np.maximum(a + c, 0.0)).tolist()
     worst = 0.0
-    for _ in range(20):
-        a = 1.1 + 18.9 * float(rng.random())
-        c = -0.9 + 2.9 * float(rng.random())
-        parts = ratio_parts(a - 1.0, c)
-        via_ratio = 1.0 / (1.0 + parts.ratio)
-        direct = tail_prob(TailQuery(a, c))
-        worst = max(worst, abs(direct - via_ratio))
+    for d, parts in zip(direct, ratio_parts_many(a - 1.0, c)):
+        worst = max(worst, abs(d - 1.0 / (1.0 + parts.ratio)))
     return _result(
         "C07", "tail probability integral-ratio identity", worst <= tol,
         f"20 seeded (a, c) pairs, worst |direct - via_ratio| = {worst!r} "
@@ -215,28 +214,23 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
     """Direction form certified negative for c <= -1/3 on a z-grid, and
     certified positive somewhere for c > -1/3."""
     required = STRICT_MARGIN / tol_scale
-    zs = np.linspace(0.001, 0.999, 1000)
-    roots = [branch_roots(float(z)) for z in zs]
+    negative = (-ONE_THIRD, -0.4, -1.0, -3.0)
+    positive = (-0.33, -0.2, 0.0, 1.0)
+    # One row per offset, one column per grid point.
+    m, err = direction_form_detail(
+        branch_roots_many(np.linspace(0.001, 0.999, 1000)),
+        np.array(negative + positive)[:, None])
     lines = []
     ok = True
-    for c in (-ONE_THIRD, -0.4, -1.0, -3.0):
-        worst = -math.inf
-        certified = True
-        for r in roots:
-            m, err = direction_form_detail(r, c)
-            worst = max(worst, m)
-            if not (m < 0.0 and -m >= required * err):
-                certified = False
+    for c, m_c, err_c in zip(negative, m, err):
+        # The builtin max over the grid, as a loop over the points takes it.
+        worst = max([-math.inf, *m_c.tolist()])
+        certified = bool(np.all((m_c < 0.0) & (-m_c >= required * err_c)))
         ok = ok and certified
         lines.append(f"c={c!r}: max over grid {worst:.3e} "
                      f"({'all certified negative' if certified else 'NOT certified'})")
-    for c in (-0.33, -0.2, 0.0, 1.0):
-        found = False
-        for r in roots:
-            m, err = direction_form_detail(r, c)
-            if m > 0.0 and m >= required * err:
-                found = True
-                break
+    for c, m_c, err_c in zip(positive, m[4:], err[4:]):
+        found = bool(np.any((m_c > 0.0) & (m_c >= required * err_c)))
         ok = ok and found
         lines.append(f"c={c!r}: positive value "
                      f"{'found' if found else 'NOT found'}")
@@ -270,8 +264,7 @@ def c10_mean_chain(tol_scale: float = 1.0,
     n = 10_000
     xs = 10.0 ** (-2.0 + 4.0 * rng.random(n))
     spreads = 10.0 ** (-6.0 + (math.log10(1e6 - 1.0) + 6.0) * rng.random(n))
-    pairs = [(float(x), float(x) * (1.0 + float(t)))
-             for x, t in zip(xs, spreads)]
+    pairs = np.stack((xs, xs * (1.0 + spreads)), axis=1)
     report = check_mean_chain(pairs, probe_factor=0.332)
     passed = (report.certified
               and report.min_margin_ratio >= required
@@ -305,38 +298,36 @@ def c12_ratio_sign_relation(tol_scale: float = 1.0,
                             _unused: object = None) -> CriterionResult:
     """Finite-difference slope sign of the integrand ratio is opposite to
     the direction form's sign at seeded (z, c) points."""
-    rng = np.random.default_rng(112)
     n = 1000
-    checked = 0
-    skipped_floor = 0
-    unresolved = 0
-    violations = 0
-    for _ in range(n):
-        z = 0.01 + 0.98 * float(rng.random())
-        c = -2.0 + 4.0 * float(rng.random())
-        m, m_err = direction_form_detail(branch_roots(z), c)
-        if abs(m) <= max(_SIGN_NOISE_FLOOR, STRICT_MARGIN * m_err):
-            skipped_floor += 1
-            continue
-        resolved = False
-        for h_rel in _FD_LADDER:
-            h = z * h_rel
-            r_hi = integrand_ratio(branch_roots(z + h), c)
-            r_lo = integrand_ratio(branch_roots(z - h), c)
-            if not (math.isfinite(r_hi) and math.isfinite(r_lo)):
-                continue
+    draws = np.random.default_rng(112).random(2 * n)
+    z = 0.01 + 0.98 * draws[0::2]
+    c = -2.0 + 4.0 * draws[1::2]
+    m, m_err = direction_form_detail(branch_roots_many(z), c)
+    # max(_SIGN_NOISE_FLOOR, STRICT_MARGIN * m_err), as the builtin takes it.
+    floor = STRICT_MARGIN * m_err
+    floor = np.where(_SIGN_NOISE_FLOOR > floor, _SIGN_NOISE_FLOOR, floor)
+    below = np.abs(m) <= floor
+    skipped_floor = int(below.sum())
+    # Each rung of the ladder takes the points that no smaller step resolved,
+    # both sides of each in one roots call.
+    pending = np.flatnonzero(~below)
+    checked = violations = 0
+    for h_rel in _FD_LADDER:
+        z_o, c_o = z[pending], c[pending]
+        h = z_o * h_rel
+        r = integrand_ratio(branch_roots_many(np.concatenate((z_o + h,
+                                                              z_o - h))),
+                            np.concatenate((c_o, c_o)))
+        r_hi, r_lo = r[:pending.size], r[pending.size:]
+        with np.errstate(invalid="ignore"):
             d = r_hi - r_lo
-            noise = 64.0 * EPS * (abs(r_hi) + abs(r_lo))
-            if abs(d) <= noise:
-                continue
-            resolved = True
-            if (d > 0.0) != (m < 0.0):
-                violations += 1
-            break
-        if resolved:
-            checked += 1
-        else:
-            unresolved += 1
+            noise = 64.0 * EPS * (np.abs(r_hi) + np.abs(r_lo))
+            resolved = (np.isfinite(r_hi) & np.isfinite(r_lo)
+                        & ~(np.abs(d) <= noise))
+        checked += int(resolved.sum())
+        violations += int(np.sum(resolved & ((d > 0.0) != (m[pending] < 0.0))))
+        pending = pending[~resolved]
+    unresolved = int(pending.size)
     passed = violations == 0 and checked >= (2 * n) // 3
     return _result(
         "C12", "ratio derivative sign relation", passed,

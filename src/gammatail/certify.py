@@ -552,7 +552,10 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     with relative spread below 2% take their gaps from the extended-
     precision gap routine instead (the refined-vs-logarithmic gap shrinks
     like the fourth power of the spread and cancels catastrophically in
-    doubles), all of them in one lockstep call.
+    doubles), all of them in one lockstep call.  Those gaps are of squared
+    means (L^2 - xy, ...); each is divided by its sum of means (L + sqrt(xy),
+    ...) into the unit of the means, as the other pairs' gaps are, with the
+    rounding of that quotient and of the sum charged to its bound.
 
     The optimality probe replaces the 1/3 factor inside the refined mean by
     probe_factor (default 1/3 - 1e-3, which must stay below 1/3) and scans
@@ -569,8 +572,8 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         raise DomainError("check_mean_chain takes a sequence of (x, y) pairs")
     x, y = xy[:, 0], xy[:, 1]
     # A pair near either end of the double range is evaluated centred on 1
-    # by an exact power of two, then scaled back: the means and the double
-    # gaps by 2^-k, the extended gaps, which are of squared means, by 2^-2k.
+    # by an exact power of two, then scaled back: the means, the gaps and
+    # their bounds by 2^-k.
     k, fits = _mean_scale(x, y, np.frexp)
     if not np.all((0.0 < x) & (x < y) & np.isfinite(y) & fits):
         raise DomainError("mean chain pairs require 0 < x < y, finite, with "
@@ -585,11 +588,16 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     gaps = np.stack((lm - geo, ref - lm, ari - ref))
     errs = np.tile(32.0 * EPS * ari, (3, 1))
     ext = mean_gaps(xs[extended], ys[extended])
-    gaps[:, extended] = (ext.log_vs_geo, ext.refined_vs_log,
-                         ext.arith_vs_refined)
-    errs[:, extended] = ext.err_bounds
+    # Each sum of means is within 6 units of rounding of its exact value, so
+    # a quotient is within 7 of the exact gap's, and 8 eps (16 units) of it
+    # covers both; (1 + 8 eps) covers the same on the squared gap's bound.
+    sums = np.stack((lm + geo, ref + lm, ari + ref))[:, extended]
+    ext_gaps = np.stack((ext.log_vs_geo, ext.refined_vs_log,
+                         ext.arith_vs_refined)) / sums
+    gaps[:, extended] = ext_gaps
+    errs[:, extended] = (ext.err_bounds / sums * (1.0 + 8.0 * EPS)
+                         + 8.0 * EPS * np.abs(ext_gaps))
     geo, lm, ref, ari = (np.ldexp(v, -k) for v in (geo, lm, ref, ari))
-    k = np.where(extended, 2 * k, k)
     with np.errstate(over="ignore"):
         gaps, errs = np.ldexp(gaps, -k), np.ldexp(errs, -k)
     if not np.all((errs >= 2.0 ** -1022) & np.isfinite(gaps)):

@@ -11,12 +11,14 @@ target.
 The engine runs in lockstep: integrate_many advances up to _GROUP intervals
 together, and each refinement sweep evaluates every live panel of every
 interval (both bisection halves, plus the parent panels on the first sweep)
-in integrand calls of up to _CHUNK panels.  Live panels stay grouped by
-interval.  The books are arrays: per interval the accepted-value and
-evaluation counts and plain running sums of the accepted values and of
-their magnitudes, and per sweep the accepted children's values and defects,
-each tagged with its interval.  So a sweep is a fixed set of numpy
-operations, however many intervals are live.
+in integrand calls of up to _CHUNK panels: the nodes one row per panel, and
+the owners, each panel's interval index, one per panel as a column that
+broadcasts against the nodes.  Live panels stay grouped by interval.  The
+books are arrays: per interval the accepted-value and evaluation counts and
+plain running sums of the accepted values and of their magnitudes, and per
+sweep the accepted children's values and defects, each tagged with its
+interval.  So a sweep is a fixed set of numpy operations, however many
+intervals are live.
 
 Acceptance, the panel budget, the sweep limit and the fsum accumulation
 stay per interval, so each interval's result is bit-identical to
@@ -81,13 +83,13 @@ def _panel_estimates(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      lows: np.ndarray, widths: np.ndarray,
                      owner: np.ndarray) -> np.ndarray:
     """Gauss-Legendre estimate of fn on each panel [low, low + width]; fn
-    receives the nodes of up to _CHUNK panels per call, each with the index
-    of its panel's interval."""
+    receives the nodes of up to _CHUNK panels per call, one row per panel,
+    and the index of each row's interval as a column."""
     out = np.empty(lows.size)
     for i in range(0, lows.size, _CHUNK):
         part = slice(i, i + _CHUNK)
         pts = lows[part, None] + widths[part, None] * GAUSS_NODES_01[None, :]
-        vals = np.asarray(fn(pts.ravel(), np.repeat(owner[part], GAUSS_ORDER)),
+        vals = np.asarray(fn(pts, owner[part, None]),
                           dtype=float).reshape(pts.shape)
         # An inf or NaN in the engine's own arithmetic is caught as a
         # non-finite panel and ends in QuadratureError, so numpy's warnings
@@ -371,8 +373,10 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Integrate fn over each [los[k], his[k]], up to _GROUP intervals in
     lockstep at a time.
 
-    fn(t, k) is vectorized over points t, where k[i] is the index of the
-    interval that t[i] belongs to.  Each result equals, field for field,
+    fn(t, k) is elementwise over a (panels, GAUSS_ORDER) array t of nodes,
+    one row per panel; k is the (panels, 1) column of each row's interval
+    index, so per-interval parameters indexed by k broadcast against t.
+    Each result equals, field for field,
     what integrate would return for that interval alone (see integrate for
     the tolerance and acceptance rules).  If any interval of a group fails,
     the group's intervals are replayed one at a time, so the
@@ -398,7 +402,8 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
               rel_tol: float = 1e-10, abs_tol: float = 0.0) -> QuadResult:
-    """Integrate a vectorized callable over [lo, hi] to a requested tolerance.
+    """Integrate an elementwise callable over [lo, hi] to a requested
+    tolerance; fn takes a (panels, GAUSS_ORDER) array of nodes.
 
     The target for the whole interval is max(rel_tol * |integral|, abs_tol);
     each panel receives the larger of a width-proportional and a

@@ -21,6 +21,8 @@ lanes at once, bit-identical, and reads the loop caps from here at each
 call.  Each branch's value and bound (the *_result functions) and the log
 prefactor's two forms serve both paths: numpy-free, they take their
 transcendentals as arguments, math functions or _lanes' per-lane forms.
+So do the Lambert solvers' Halley and Newton steps and their stop test,
+which _lanes.branch_roots_many iterates for many z at once.
 
 Error bounds returned by the *_detail variants follow a rounding model
 calibrated against the independent quadrature oracle: (2*|log prefactor| +
@@ -401,18 +403,40 @@ def reg_gamma_q(a: float, x: float) -> float:
     return reg_gamma_q_detail(a, x).value
 
 
+def _root_converged(step, w):
+    """The Lambert solvers' stop test on the step just taken to w;
+    elementwise on arrays."""
+    return abs(step) <= _ROOT_REL_TOL * abs(w) + _ROOT_ABS_TOL
+
+
+def _halley_residual(v, w, exp):
+    """(exp(w), w*exp(w) - v); elementwise on arrays."""
+    ew = exp(w)
+    return ew, w * ew - v
+
+
+def _halley_step(w, ew, f):
+    """The Halley step for w*exp(w) = v, to subtract from w, given
+    _halley_residual's (ew, f); elementwise on arrays."""
+    wp1 = w + 1.0
+    return f / (ew * wp1 - f * (w + 2.0) / (2.0 * wp1))
+
+
+def _wm1_newton_step(t, t_target, log):
+    """The Newton step for ln t - t = t_target, to subtract from t;
+    elementwise on arrays."""
+    return (log(t) - t - t_target) / (1.0 / t - 1.0)
+
+
 def _halley_iterate(v: float, w: float) -> float:
     """Halley refinement for w*exp(w) = v from a seed on the right branch."""
     for _ in range(_ROOT_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - v
+        ew, f = _halley_residual(v, w, math.exp)
         if f == 0.0:
             break
-        wp1 = w + 1.0
-        denom = ew * wp1 - f * (w + 2.0) / (2.0 * wp1)
-        step = f / denom
+        step = _halley_step(w, ew, f)
         w -= step
-        if abs(step) <= _ROOT_REL_TOL * abs(w) + _ROOT_ABS_TOL:
+        if _root_converged(step, w):
             break
     else:
         raise _not_converged(f"Halley iteration for W(v={v!r})",
@@ -453,7 +477,7 @@ def lambert_w0(v: float) -> float:
             f = w + math.log(w) - t
             step = f / (1.0 + 1.0 / w)
             w -= step
-            if abs(step) <= _ROOT_REL_TOL * abs(w) + _ROOT_ABS_TOL:
+            if _root_converged(step, w):
                 return w
         raise _not_converged(f"Newton iteration for W0(v={v!r})",
                              _ROOT_MAX_ITER)
@@ -481,10 +505,9 @@ def lambert_wm1(v: float) -> float:
     t_target = math.log(-v)
     t = -t_target + math.log(max(-t_target, 2.0))
     for _ in range(_ROOT_MAX_ITER):
-        f = math.log(t) - t - t_target
-        step = f / (1.0 / t - 1.0)
+        step = _wm1_newton_step(t, t_target, math.log)
         t -= step
-        if abs(step) <= _ROOT_REL_TOL * abs(t) + _ROOT_ABS_TOL:
+        if _root_converged(step, t):
             return -t
     raise _not_converged(f"Newton iteration for W-1(v={v!r})", _ROOT_MAX_ITER)
 
@@ -504,8 +527,15 @@ def branch_roots(z: float) -> BranchRoots:
     return BranchRoots(z=z, x1=x1, x2=x2)
 
 
+def _any(mask) -> bool:
+    """A float comparison's truth, or whether any lane of an array
+    comparison holds."""
+    return bool(mask.any()) if hasattr(mask, "any") else mask
+
+
 def branch_root_deriv(roots: BranchRoots, which: int) -> float:
-    """d x_j / d z = x_j / ((1 - x_j) z); positive for j=1, negative for j=2."""
+    """d x_j / d z = x_j / ((1 - x_j) z); positive for j=1, negative for j=2.
+    On branch_roots_many's lanes, an array of them."""
     if which == 1:
         x = roots.x1
     elif which == 2:
@@ -513,7 +543,7 @@ def branch_root_deriv(roots: BranchRoots, which: int) -> float:
     else:
         raise DomainError("which must be 1 or 2")
     om = 1.0 - x
-    if abs(om) < _ROOT_ABS_TOL:
+    if _any(abs(om) < _ROOT_ABS_TOL):
         raise DomainError("branch_root_deriv is degenerate at the double root")
     return x / (om * roots.z)
 

@@ -23,13 +23,17 @@ whose sign is opposite to the sign of dr/dz.
 
 ScanSpec is the shape grid of scans, certification and median grids.  The
 scalar functions import the standard library alone; ScanSpec.grid,
-tail_prob_many and ratio_parts import numpy, the lane kernels and
+tail_prob_many and ratio_parts(_many) import numpy, the lane kernels and
 quadrature when called, so a one-shape evaluation never loads them.
+direction_form(_detail) and integrand_ratio take a BranchRoots or the lanes
+of _lanes.branch_roots_many, with one offset or one per lane; on lanes each
+value is bit-identical to the scalar call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, GammaTailError
@@ -207,22 +211,7 @@ def _substitution_order(exponent_at_zero: float) -> int:
     return max(4, math.ceil(4.0 / (exponent_at_zero + 1.0)))
 
 
-def ratio_parts(u: float, c: float) -> RatioParts:
-    """The split integrals of f(x)^u e^(-(1+c)x) and their ratio.
-
-    Requires u > -1 (integrability at 0) and u + c > -1 (integrability at
-    infinity; note c > -1 alone does not suffice when u < 0).  The head uses
-    x = s^m; the tail maps (1, inf) to (0, 1] via x = 1 - ln t and then
-    regularizes the endpoint with t = s^m, the order m chosen from the
-    endpoint exponent in each case.
-    """
-    import numpy as np
-
-    from ._lanes import _log1pmx_vec
-    from .quadrature import integrate
-
-    u = float(u)
-    c = float(c)
+def _check_ratio_args(u: float, c: float) -> None:
     if not (math.isfinite(u) and math.isfinite(c)):
         raise DomainError("ratio_parts requires finite u and c")
     if u <= -1.0:
@@ -231,43 +220,81 @@ def ratio_parts(u: float, c: float) -> RatioParts:
         raise DomainError("ratio_parts requires u + c > -1 "
                           "(integrand not integrable at infinity)")
 
-    m_head = _substitution_order(u)
 
-    def head_fn(s: np.ndarray) -> np.ndarray:
-        # x = s^m, d = x - 1.  In the bulk (d > -1/2) the exponent keeps the
-        # accurate u*log1pmx(d) form.  Near s = 0, d collapses to -1 in
-        # floating point, so the log is taken as m*ln s exactly instead:
-        #   u*log1pmx(d) + (m-1)*ln s = (m(u+1)-1)*ln s - u*d.
-        ln_s = np.log(s)
-        w = m_head * ln_s
-        d = np.expm1(w)
-        x = np.where(d > -0.5, 1.0 + d, np.exp(w))
-        d_safe = np.where(d > -0.5, d, 0.0)
-        bulk = (u * _log1pmx_vec(d_safe) + (m_head - 1.0) * ln_s)
-        deep = ((m_head * (u + 1.0) - 1.0) * ln_s - u * d)
-        expo = (np.where(d > -0.5, bulk, deep)
-                + math.log(m_head) - (1.0 + c) * x)
-        return np.exp(expo)
+def ratio_parts_many(u, c) -> list[RatioParts]:
+    """ratio_parts for lanes (u, c) that broadcast together, in lane order.
 
-    m_tail = _substitution_order(u + c)
+    Every lane's head runs in one integrate_many call and every tail in
+    another, each integrand taking its lane's u, c, substitution order m and
+    ln m per interval; the engine integrates each interval as it would
+    alone, so each result equals the lane's one-lane call field for field.
+    If any lane fails, the lanes are replayed one at a time, so the error
+    raised is the first one a loop of ratio_parts calls raises.
+    """
+    import numpy as np
 
-    def tail_fn(s: np.ndarray) -> np.ndarray:
-        # x = 1 - m*ln s, d = x - 1 >= 0.  For large d fold -u*d into the
-        # ln s coefficient exactly: u*log1pmx(d) + (m(1+c)-1)*ln s
-        # = u*log1p(d) + (m(u+c+1)-1)*ln s.
-        ln_s = np.log(s)
-        d = -m_tail * ln_s
-        d_safe = np.where(d < 0.5, d, 0.0)
-        bulk = (u * _log1pmx_vec(d_safe)
-                + (m_tail * (1.0 + c) - 1.0) * ln_s)
-        deep = (u * np.log1p(d)
-                + (m_tail * (u + c + 1.0) - 1.0) * ln_s)
-        expo = (np.where(d < 0.5, bulk, deep)
-                + math.log(m_tail) - (1.0 + c))
-        return np.exp(expo)
+    from ._lanes import _log, _log1pmx_vec
+    from .quadrature import integrate_many
 
-    head = integrate(head_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
-    tail = integrate(tail_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
+    u, c = (v.ravel() for v in np.broadcast_arrays(
+        np.asarray(u, dtype=float), np.asarray(c, dtype=float)))
+    lanes = list(zip(u.tolist(), c.tolist()))
+    try:
+        for u_i, c_i in lanes:
+            _check_ratio_args(u_i, c_i)
+        m_head = np.array([_substitution_order(u_i) for u_i, _ in lanes],
+                          dtype=float)
+        m_tail = np.array([_substitution_order(u_i + c_i)
+                           for u_i, c_i in lanes], dtype=float)
+        ln_head, ln_tail = _log(m_head), _log(m_tail)
+
+        def head_fn(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+            # x = s^m, d = x - 1.  In the bulk (d > -1/2) the exponent keeps
+            # the accurate u*log1pmx(d) form.  Near s = 0, d collapses to -1
+            # in floating point, so the log is taken as m*ln s exactly
+            # instead: u*log1pmx(d) + (m-1)*ln s = (m(u+1)-1)*ln s - u*d.
+            u_k, m_k = u[k], m_head[k]
+            ln_s = np.log(s)
+            w = m_k * ln_s
+            d = np.expm1(w)
+            x = np.where(d > -0.5, 1.0 + d, np.exp(w))
+            d_safe = np.where(d > -0.5, d, 0.0)
+            bulk = (u_k * _log1pmx_vec(d_safe) + (m_k - 1.0) * ln_s)
+            deep = ((m_k * (u_k + 1.0) - 1.0) * ln_s - u_k * d)
+            expo = (np.where(d > -0.5, bulk, deep)
+                    + ln_head[k] - (1.0 + c[k]) * x)
+            return np.exp(expo)
+
+        def tail_fn(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+            # x = 1 - m*ln s, d = x - 1 >= 0.  For large d fold -u*d into
+            # the ln s coefficient exactly: u*log1pmx(d) + (m(1+c)-1)*ln s
+            # = u*log1p(d) + (m(u+c+1)-1)*ln s.
+            u_k, c_k, m_k = u[k], c[k], m_tail[k]
+            ln_s = np.log(s)
+            d = -m_k * ln_s
+            d_safe = np.where(d < 0.5, d, 0.0)
+            bulk = (u_k * _log1pmx_vec(d_safe)
+                    + (m_k * (1.0 + c_k) - 1.0) * ln_s)
+            deep = (u_k * np.log1p(d)
+                    + (m_k * (u_k + c_k + 1.0) - 1.0) * ln_s)
+            expo = (np.where(d < 0.5, bulk, deep)
+                    + ln_tail[k] - (1.0 + c_k))
+            return np.exp(expo)
+
+        zeros, ones = [0.0] * len(lanes), [1.0] * len(lanes)
+        heads = integrate_many(head_fn, zeros, ones, rel_tol=_RATIO_REL_TOL)
+        tails = integrate_many(tail_fn, zeros, ones, rel_tol=_RATIO_REL_TOL)
+        return [_ratio_parts_of(u_i, c_i, head, tail) for (u_i, c_i), head,
+                tail in zip(lanes, heads, tails)]
+    except GammaTailError:
+        if len(lanes) > 1:
+            for u_i, c_i in lanes:
+                ratio_parts_many(u_i, c_i)
+        raise
+
+
+def _ratio_parts_of(u: float, c: float, head, tail) -> RatioParts:
+    """RatioParts from the head and tail QuadResults."""
     ratio = head.value / tail.value
     ratio_err = (head.err_bound / tail.value
                  + ratio * tail.err_bound / tail.value)
@@ -277,12 +304,46 @@ def ratio_parts(u: float, c: float) -> RatioParts:
                       tail_err=tail.err_bound, ratio_err=ratio_err)
 
 
+def ratio_parts(u: float, c: float) -> RatioParts:
+    """The split integrals of f(x)^u e^(-(1+c)x) and their ratio.
+
+    Requires u > -1 (integrability at 0) and u + c > -1 (integrability at
+    infinity; note c > -1 alone does not suffice when u < 0).  The head uses
+    x = s^m; the tail maps (1, inf) to (0, 1] via x = 1 - ln t and then
+    regularizes the endpoint with t = s^m, the order m chosen from the
+    endpoint exponent in each case.  The one-lane call of ratio_parts_many.
+    """
+    return ratio_parts_many(float(u), float(c))[0]
+
+
+def _offset(roots, c, name: str):
+    """c as a float for a BranchRoots, or as a float array (or 0-d array)
+    that broadcasts against branch_roots_many's lanes; DomainError unless
+    every value is finite."""
+    if isinstance(roots, BranchRoots):
+        c = float(c)
+        finite = math.isfinite(c)
+    else:
+        import numpy as np
+
+        c = np.asarray(c, dtype=float)
+        finite = np.all(np.isfinite(c))
+    if not finite:
+        raise DomainError(f"{name} requires finite c")
+    return c
+
+
 def direction_form(roots: BranchRoots, c: float) -> float:
-    """1 - x1 x2 + c (1 - x1)(x2 - 1): the sign of dr/dz is opposite to it."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError("direction_form requires finite c")
+    """1 - x1 x2 + c (1 - x1)(x2 - 1): the sign of dr/dz is opposite to it.
+    On branch_roots_many's lanes (c one value or one per lane), an array,
+    each lane bit-identical to the scalar call."""
+    c = _offset(roots, c, "direction_form")
     return 1.0 - roots.x1 * roots.x2 + c * (1.0 - roots.x1) * (roots.x2 - 1.0)
+
+
+def _at_least(v, floor: float):
+    """max(v, floor), elementwise on arrays (NaN stays NaN, as with max)."""
+    return max(v, floor) if isinstance(v, float) else v.clip(floor)
 
 
 def direction_form_detail(roots: BranchRoots, c: float) -> tuple[float, float]:
@@ -290,12 +351,14 @@ def direction_form_detail(roots: BranchRoots, c: float) -> tuple[float, float]:
 
     Each root solves w e^w = v to a residual of a few eps, which maps to a
     root error of roughly eps * x / |1 - x|; that error is pushed through
-    the partial derivatives of the form.
+    the partial derivatives of the form.  On branch_roots_many's lanes, a
+    pair of arrays, each lane bit-identical to the scalar call.
     """
+    c = _offset(roots, c, "direction_form")
     x1, x2 = roots.x1, roots.x2
     value = direction_form(roots, c)
-    gap1 = max(1.0 - x1, _ROOT_ABS_TOL)
-    gap2 = max(x2 - 1.0, _ROOT_ABS_TOL)
+    gap1 = _at_least(1.0 - x1, _ROOT_ABS_TOL)
+    gap2 = _at_least(x2 - 1.0, _ROOT_ABS_TOL)
     err_x1 = 4.0 * EPS * x1 / gap1
     err_x2 = 4.0 * EPS * x2 / gap2
     d_dx1 = abs(-x2 - c * gap2)
@@ -305,20 +368,28 @@ def direction_form_detail(roots: BranchRoots, c: float) -> tuple[float, float]:
     return value, err
 
 
-def integrand_ratio(roots: BranchRoots, c: float) -> float:
-    """r(z) = [x1' e^(-(1+c)x1)] / [-x2' e^(-(1+c)x2)] > 0.
-
-    Evaluated in log space; values beyond the double range saturate to inf
-    (r grows like e^((1+c)x2) for small z).
-    """
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError("integrand_ratio requires finite c")
-    d1 = branch_root_deriv(roots, 1)
-    d2 = branch_root_deriv(roots, 2)
-    ln_r = (math.log(d1) - math.log(-d2)
-            + (1.0 + c) * (roots.x2 - roots.x1))
+def _saturated_exp(ln_r: float) -> float:
+    """exp(ln_r), or inf beyond a ratio of e^709."""
     if ln_r > _LOG_MAX:
         return math.inf
     return math.exp(ln_r)
 
+
+def integrand_ratio(roots: BranchRoots, c: float) -> float:
+    """r(z) = [x1' e^(-(1+c)x1)] / [-x2' e^(-(1+c)x2)] > 0.
+
+    Evaluated in log space; values beyond the double range saturate to inf
+    (r grows like e^((1+c)x2) for small z).  On branch_roots_many's lanes
+    (c one value or one per lane), an array, each lane bit-identical to the
+    scalar call.
+    """
+    c = _offset(roots, c, "integrand_ratio")
+    if isinstance(roots, BranchRoots):
+        log, exp = math.log, _saturated_exp
+    else:
+        from ._lanes import _log, _per_lane
+
+        log, exp = _log, partial(_per_lane, _saturated_exp)
+    d1 = branch_root_deriv(roots, 1)
+    d2 = branch_root_deriv(roots, 2)
+    return exp(log(d1) - log(-d2) + (1.0 + c) * (roots.x2 - roots.x1))

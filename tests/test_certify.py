@@ -418,6 +418,18 @@ def test_mean_chain_certifies_mixed_pairs():
         assert entry.geometric < entry.logarithmic < entry.arithmetic
 
 
+def _in_mean_units(g, geo, lm, ref, ari):
+    """A pair's extended-precision gaps, which are of squared means, and
+    their bounds in the unit of the means: each divided by its sum of
+    means, with 8 eps of the quotient and of the bound charged."""
+    sums = (lm + geo, ref + lm, ari + ref)
+    gaps = [float(v) / s for v, s in zip(
+        (g.log_vs_geo, g.refined_vs_log, g.arith_vs_refined), sums)]
+    errs = [e / s * (1.0 + 8.0 * ULP) + 8.0 * ULP * abs(v)
+            for e, s, v in zip(g.err_bounds.ravel().tolist(), sums, gaps)]
+    return (*gaps, *errs)
+
+
 def _reference_mean_entry(x, y, strict_margin=8.0):
     """One pair's entry built on its own, as check_mean_chain did before it
     batched the extended-precision gaps."""
@@ -427,10 +439,7 @@ def _reference_mean_entry(x, y, strict_margin=8.0):
     ari = 0.5 * (x + y)
     extended = (y - x) / x <= 0.02
     if extended:
-        g = mean_gaps(x, y)
-        g1, g2, g3 = (float(g.log_vs_geo), float(g.refined_vs_log),
-                      float(g.arith_vs_refined))
-        errs = g.err_bounds.tolist()
+        g1, g2, g3, *errs = _in_mean_units(mean_gaps(x, y), geo, lm, ref, ari)
     else:
         g1, g2, g3 = lm - geo, ref - lm, ari - ref
         errs = [32.0 * ULP * ari] * 3
@@ -469,7 +478,7 @@ def _reference_mean_entry_from_gaps(x, y, gaps, strict_margin):
     ref = math.sqrt(x * y + (lm - x) * (y - lm) / 3.0)
     ari = 0.5 * (x + y)
     if gaps is not None:
-        g1, g2, g3, *errs = gaps
+        g1, g2, g3, *errs = _in_mean_units(gaps, geo, lm, ref, ari)
     else:
         g1, g2, g3 = lm - geo, ref - lm, ari - ref
         errs = [32.0 * ULP * ari] * 3
@@ -499,9 +508,11 @@ def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
     extended = [(y - x) / x <= 0.02 for x, y in pairs]
     g = mean_gaps(np.array([p[0] for p, e in zip(pairs, extended) if e]),
                   np.array([p[1] for p, e in zip(pairs, extended) if e]))
-    ext_gaps = list(zip(g.log_vs_geo.tolist(), g.refined_vs_log.tolist(),
-                        g.arith_vs_refined.tolist(), *g.err_bounds.tolist()))
-    for margin in (8.0, 1e15):
+    ext_gaps = [type(g)(*fields, err_bounds=np.array(errs))
+                for *fields, errs in zip(
+                    g.log_vs_geo.tolist(), g.refined_vs_log.tolist(),
+                    g.arith_vs_refined.tolist(), g.err_bounds.T.tolist())]
+    for margin in (8.0, 1e14):
         gaps = iter(ext_gaps)
         expected, errs = zip(*(
             _reference_mean_entry_from_gaps(x, y, next(gaps) if e else None,
@@ -534,10 +545,9 @@ def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
 def test_mean_chain_centres_pairs_near_the_ends_of_the_double_range():
     # x*y, x + y or (L - x)(y - L) leaves the normal range at these pairs,
     # whose gaps used to come out NaN, or certifiably negative at 1e-160.
-    # Each is evaluated centred on 1 by a power of two 2^k: its means and
-    # double gaps are the centred pair's scaled back by 2^-k, and the
-    # extended gaps, of squared means, by 2^-2k.  The minimum ratio keeps
-    # the first of the zero ratios at spread 2^-52.
+    # Each is evaluated centred on 1 by a power of two 2^k: its means, gaps
+    # and bounds are the centred pair's scaled back by 2^-k.  The minimum
+    # ratio keeps the first of the zero ratios at spread 2^-52.
     far = [(1e308, 1.7e308, -1023), (1e-200, 1.03e-200, 664),
            (1e-160, 1.03e-160, 531), (1e160, 1.03e160, -532),
            (1e-100, 1.01e-100, 332)]
@@ -550,12 +560,11 @@ def test_mean_chain_centres_pairs_near_the_ends_of_the_double_range():
         means = (c.geometric, c.logarithmic, c.refined, c.arithmetic)
         gaps = (c.gap_log_vs_geo, c.gap_refined_vs_log,
                 c.gap_arith_vs_refined, c.err_bound)
-        p = 2 * k if c.extended else k
         assert (entry.geometric, entry.logarithmic, entry.refined,
                 entry.arithmetic) == tuple(math.ldexp(v, -k) for v in means)
         assert (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
                 entry.gap_arith_vs_refined, entry.err_bound) == tuple(
-                    math.ldexp(v, -p) for v in gaps)
+                    math.ldexp(v, -k) for v in gaps)
         assert entry.chain_ok and x < entry.geometric < entry.logarithmic
     assert rep.entries[4].extended
     ratios = [gap / e.err_bound for e in rep.entries
@@ -571,9 +580,28 @@ def test_mean_chain_centres_pairs_near_the_ends_of_the_double_range():
 def test_mean_chain_rejects_pairs_it_cannot_bound():
     # Centring keeps the products normal only while y/x < 2^1000, and
     # scaled back, a bound must stay a normal double.
-    for pair in ((1e-300, 1e300), (5e-324, 1e-323), (1e-200, 1.01e-200)):
+    for pair in ((1e-300, 1e300), (5e-324, 1e-323)):
         with pytest.raises(DomainError):
             check_mean_chain([(1.0, 4.0), pair])
+
+
+def test_mean_chain_certifies_extended_pairs_far_from_one():
+    # An extended pair's gaps and bounds are in the unit of the means, as
+    # every other pair's are, so scaled back by 2^-k they stay normal at
+    # 1e+-200 (as gaps of squared means they left the double range there).
+    pairs = [(1e-200, 1.01e-200), (1e200, 1.01e200)]
+    rep = check_mean_chain(pairs)
+    assert rep.certified and all(e.extended and e.chain_ok
+                                 for e in rep.entries)
+    for entry, (x, y) in zip(rep.entries, pairs):
+        k = -round(math.log2(x))
+        alone = check_mean_chain([(math.ldexp(x, k), math.ldexp(y, k))])
+        c = alone.entries[0]
+        assert (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
+                entry.gap_arith_vs_refined, entry.err_bound) == tuple(
+                    math.ldexp(v, -k) for v in (
+                        c.gap_log_vs_geo, c.gap_refined_vs_log,
+                        c.gap_arith_vs_refined, c.err_bound))
 
 
 def test_mean_chain_declines_to_certify_below_dd_resolution():

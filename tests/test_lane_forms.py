@@ -1,0 +1,254 @@
+"""The lane forms behind verify-all's criteria against their scalar paths.
+
+Each lane form must give, lane by lane, the bits of the scalar call, and on
+failure the error a loop of scalar calls raises first.  Values are compared
+through float.hex, so -0.0 and the last ulp count.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from gammatail import specfun
+from gammatail._lanes import BranchRootLanes, branch_roots_many
+from gammatail.errors import ConvergenceError, DomainError
+from gammatail.median import _bracket_margins, check_median_bracket
+from gammatail.quadrature import integrate
+from gammatail.specfun import (_BRANCH_WINDOW, _INV_E, Z_GAP, Z_MIN,
+                               branch_roots)
+from gammatail.tailprob import (_RATIO_REL_TOL, _substitution_order,
+                                direction_form_detail, integrand_ratio,
+                                ratio_parts, ratio_parts_many)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+def _steps_around(z: float, n: int = 20) -> np.ndarray:
+    """z and the n doubles on each side of it."""
+    out = [z]
+    lo = hi = z
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return np.array(sorted(out))
+
+
+# z where v = -z/e sits at the edge of the branch-point window, and at the
+# switch of lambert_w0 and lambert_wm1 at v = -0.25.
+_WINDOW_EDGE = (1.0 - _BRANCH_WINDOW * math.e)
+_QUARTER = 0.25 * math.e
+
+
+def _roots_hex(z) -> list[tuple[str, str]]:
+    return [(r.x1.hex(), r.x2.hex()) for r in map(branch_roots, z.tolist())]
+
+
+@pytest.mark.parametrize("z", [
+    np.random.default_rng(17).random(2000) * (1.0 - Z_GAP - Z_MIN) + Z_MIN,
+    10.0 ** np.random.default_rng(18).uniform(-300.0, -1e-9, 500),
+    _steps_around(_WINDOW_EDGE),
+    _steps_around(_QUARTER),
+    np.array([Z_MIN, 1.0 - Z_GAP, 0.5, Z_MIN, 1.0 - Z_GAP]),
+    np.array([], dtype=float),
+], ids=["seeded", "log-seeded", "window-edge", "quarter", "ends", "empty"])
+def test_branch_roots_many_is_bitwise_the_scalar_call(z):
+    lanes = branch_roots_many(z)
+    assert isinstance(lanes, BranchRootLanes)
+    assert _hex(lanes.z) == _hex(z)
+    assert list(zip(_hex(lanes.x1), _hex(lanes.x2))) == _roots_hex(z)
+
+
+def test_branch_roots_many_grids_straddle_each_regime_switch():
+    # The window-edge and quarter grids reach both sides of each switch,
+    # so the test above compares every regime against its neighbour.
+    v = -_steps_around(_WINDOW_EDGE) * _INV_E
+    inside = np.abs(v + _INV_E) < _BRANCH_WINDOW
+    assert inside.any() and not inside.all()
+    v = -_steps_around(_QUARTER) * _INV_E
+    assert (v < -0.25).any() and (v > -0.25).any() and (v == -0.25).any()
+
+
+def _first_error(fn, items):
+    with pytest.raises(Exception) as info:
+        for item in items:
+            fn(item)
+    return type(info.value), str(info.value), getattr(info.value, "n_iter",
+                                                      None)
+
+
+@pytest.mark.parametrize("z", [
+    [0.5, 0.0, math.nan, 2.0],
+    [0.25, math.inf, 1.0],
+    [1e-301, 0.5],
+])
+def test_branch_roots_many_raises_the_scalar_loops_first_error(z):
+    with pytest.raises(DomainError) as info:
+        branch_roots_many(np.array(z))
+    assert (type(info.value), str(info.value), None) == _first_error(
+        branch_roots, z)
+
+
+def test_branch_roots_many_cap_errors_in_scalar_order(monkeypatch):
+    # One iteration allowed: the window lanes need none, every other lane
+    # runs out.  The first of those in lane order fails in lambert_w0 at
+    # z = 0.01 (Halley from log1p) before the W-1 Newton lane at z = 0.001
+    # or the range error at z = 2 is reached.
+    monkeypatch.setattr(specfun, "_ROOT_MAX_ITER", 1)
+    z = [1.0 - Z_GAP, 0.01, 0.001, 2.0]
+    with pytest.raises(ConvergenceError) as info:
+        branch_roots_many(np.array(z))
+    expected = _first_error(branch_roots, z)
+    assert expected[0] is ConvergenceError and "W(v=" in expected[1]
+    assert (type(info.value), str(info.value),
+            info.value.n_iter) == expected
+
+
+def test_branch_roots_many_takes_one_dimension():
+    with pytest.raises(DomainError):
+        branch_roots_many(np.full((2, 2), 0.5))
+
+
+_Z = np.concatenate((np.random.default_rng(21).random(400) * 0.98 + 0.01,
+                     [1e-300, 1e-30, 0.999999, 1.0 - Z_GAP]))
+_C = np.random.default_rng(22).uniform(-3.0, 3.0, _Z.size)
+
+
+@pytest.mark.parametrize("c", [_C, -1.0 / 3.0, 0.0, 2.0],
+                         ids=["per-lane", "minus-third", "zero", "two"])
+def test_direction_form_and_integrand_ratio_lanes_are_bitwise(c):
+    lanes = branch_roots_many(_Z)
+    cs = np.broadcast_to(c, _Z.shape).tolist()
+    roots = list(map(branch_roots, _Z.tolist()))
+    m, err = direction_form_detail(lanes, c)
+    scalar = [direction_form_detail(r, c_i) for r, c_i in zip(roots, cs)]
+    assert list(zip(_hex(m), _hex(err))) == [
+        (v.hex(), e.hex()) for v, e in scalar]
+    ratio = integrand_ratio(lanes, c)
+    assert _hex(ratio) == [integrand_ratio(r, c_i).hex()
+                           for r, c_i in zip(roots, cs)]
+
+
+def test_integrand_ratio_lanes_saturate_and_reject_as_the_scalar_call():
+    lanes = branch_roots_many(np.array([1e-300, 0.5]))
+    ratio = integrand_ratio(lanes, 2.0)
+    assert ratio[0] == math.inf and math.isfinite(ratio[1])
+    degenerate = BranchRootLanes(np.array([0.5, 0.5]),
+                                 np.array([0.2, 1.0 - 1e-16]),
+                                 np.array([2.0, 2.0]))
+    with pytest.raises(DomainError, match="degenerate"):
+        integrand_ratio(degenerate, 0.0)
+    with pytest.raises(DomainError, match="finite c"):
+        direction_form_detail(lanes, np.array([0.0, math.nan]))
+
+
+def test_direction_form_detail_broadcasts_offsets_against_lanes():
+    # Acceptance C08 takes every offset in one call, one row per offset.
+    lanes = branch_roots_many(_Z)
+    offsets = np.array([-1.0, 0.0, 1.0])
+    m, err = direction_form_detail(lanes, offsets[:, None])
+    assert m.shape == err.shape == (3, _Z.size)
+    for row, c in enumerate(offsets.tolist()):
+        each = direction_form_detail(lanes, c)
+        assert _hex(m[row]) == _hex(each[0])
+        assert _hex(err[row]) == _hex(each[1])
+
+
+def _reference_ratio_parts(u: float, c: float) -> tuple[float, ...]:
+    """ratio_parts as written for one pair before its lane form: the same
+    integrands with Python scalars u, c and m, one integrate call each."""
+    from gammatail._lanes import _log1pmx_vec
+
+    m_head = _substitution_order(u)
+
+    def head_fn(s):
+        ln_s = np.log(s)
+        w = m_head * ln_s
+        d = np.expm1(w)
+        x = np.where(d > -0.5, 1.0 + d, np.exp(w))
+        d_safe = np.where(d > -0.5, d, 0.0)
+        bulk = (u * _log1pmx_vec(d_safe) + (m_head - 1.0) * ln_s)
+        deep = ((m_head * (u + 1.0) - 1.0) * ln_s - u * d)
+        return np.exp(np.where(d > -0.5, bulk, deep)
+                      + math.log(m_head) - (1.0 + c) * x)
+
+    m_tail = _substitution_order(u + c)
+
+    def tail_fn(s):
+        ln_s = np.log(s)
+        d = -m_tail * ln_s
+        d_safe = np.where(d < 0.5, d, 0.0)
+        bulk = (u * _log1pmx_vec(d_safe)
+                + (m_tail * (1.0 + c) - 1.0) * ln_s)
+        deep = (u * np.log1p(d) + (m_tail * (u + c + 1.0) - 1.0) * ln_s)
+        return np.exp(np.where(d < 0.5, bulk, deep)
+                      + math.log(m_tail) - (1.0 + c))
+
+    head = integrate(head_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
+    tail = integrate(tail_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
+    ratio = head.value / tail.value
+    return (head.value, tail.value, ratio, head.err_bound, tail.err_bound,
+            head.err_bound / tail.value + ratio * tail.err_bound / tail.value)
+
+
+def _parts_hex(p) -> tuple[str, ...]:
+    return tuple(v.hex() for v in (p.head_integral, p.tail_integral, p.ratio,
+                                   p.head_err, p.tail_err, p.ratio_err))
+
+
+def test_ratio_parts_many_is_bitwise_the_one_pair_integrals():
+    # Acceptance C07's pairs (u = a - 1), plus the domain's corners.
+    draws = np.random.default_rng(107).random(40)
+    u = np.concatenate((0.1 + 18.9 * draws[0::2], [-0.9, -0.5, 0.0, 30.0]))
+    c = np.concatenate((-0.9 + 2.9 * draws[1::2], [0.5, -0.4, -0.99, 2.0]))
+    many = ratio_parts_many(u, c)
+    assert [(p.u, p.c) for p in many] == list(zip(u.tolist(), c.tolist()))
+    expected = [tuple(v.hex() for v in _reference_ratio_parts(u_i, c_i))
+                for u_i, c_i in zip(u.tolist(), c.tolist())]
+    assert [_parts_hex(p) for p in many] == expected
+    assert [_parts_hex(ratio_parts(u_i, c_i)) for u_i, c_i in zip(
+        u[:3].tolist(), c[:3].tolist())] == expected[:3]
+
+
+def test_ratio_parts_many_raises_the_first_lanes_error():
+    u = [1.0, -1.5, 0.5, 2.0]
+    c = [0.5, 0.0, math.nan, -4.0]
+    with pytest.raises(DomainError) as info:
+        ratio_parts_many(u, c)
+    assert str(info.value) == "ratio_parts requires u > -1"
+    with pytest.raises(DomainError, match="integrable at infinity"):
+        ratio_parts_many([1.0, 2.0], [0.5, -4.0])
+
+
+@pytest.mark.parametrize("grid", [
+    np.geomspace(1e-2, 1e4, 200),          # acceptance C05's grid
+    [0.35, 1.0, 1e6, 3e7, 1e-3],
+], ids=["c05", "edges"])
+def test_check_median_bracket_is_bitwise_the_scalar_margins(grid):
+    report = check_median_bracket(grid)
+    ratio = math.inf
+    certified = True
+    for entry, a in zip(report.entries, np.asarray(grid).tolist()):
+        margins = _bracket_margins(a)
+        assert entry.a == a
+        assert _hex([entry.below, entry.below_err, entry.above,
+                     entry.above_err]) == _hex(margins)
+        for margin, err in margins:
+            r = margin / max(err, 1e-300)
+            ratio = min(ratio, r)
+            certified = certified and margin > 0.0 and r > 8.0
+    assert report.min_margin_ratio.hex() == ratio.hex()
+    assert report.certified == certified
+
+
+def test_check_median_bracket_raises_the_scalar_loops_error():
+    grid = [1.0, math.inf, -1.0]
+    with pytest.raises(DomainError) as info:
+        check_median_bracket(grid)
+    assert str(info.value) == _first_error(_bracket_margins, grid)[1]
+    with pytest.raises(DomainError):
+        check_median_bracket([])

@@ -80,12 +80,20 @@ _KERNEL_PATHS = (("specfun", "reg_gamma_q_detail"),
                  ("_lanes", "_reg_gamma_q_lanes"))
 _PREFACTOR_PATHS = (("specfun", "_log_gamma_norm"),
                     ("_lanes", "_log_gamma_norm_lanes"))
+_HALLEY_PATHS = (("specfun", "_halley_iterate"),
+                 ("_lanes", "_halley_lane_step"))
+_WM1_NEWTON_PATHS = (("specfun", "lambert_wm1"),
+                     ("_lanes", "_wm1_newton_lane_step"))
 SHARED_FORMULAS = {
     ("specfun", "_cf_result"): _KERNEL_PATHS,
     ("specfun", "_series_complement_result"): _KERNEL_PATHS,
     ("specfun", "_tail_series_result"): _KERNEL_PATHS,
     ("specfun", "_log_gamma_norm_stirling"): _PREFACTOR_PATHS,
     ("specfun", "_log_gamma_norm_direct"): _PREFACTOR_PATHS,
+    ("specfun", "_halley_residual"): _HALLEY_PATHS,
+    ("specfun", "_halley_step"): _HALLEY_PATHS,
+    ("specfun", "_wm1_newton_step"): _WM1_NEWTON_PATHS,
+    ("specfun", "_root_converged"): _HALLEY_PATHS + _WM1_NEWTON_PATHS,
     ("tailprob", "_arg_rounding_err"): (("tailprob", "tail_prob_detail"),
                                         ("tailprob", "tail_prob_many")),
     ("specfun", "_mean_scale"): (("specfun", "refined_mean"),
@@ -112,9 +120,6 @@ LOOPS_THAT_CANNOT_RUN_OUT = {
     ("median", "_hybrid_root"):
         "the coarse bisection hands over to the refinement loop, which "
         "raises at the same evaluation cap",
-    ("acceptance", "c12_ratio_sign_relation"):
-        "a point that runs out of finite-difference steps is counted as "
-        "unresolved and reported",
 }
 
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
@@ -264,6 +269,12 @@ PUBLIC_WITHOUT_CALLER = {
         "one pair; check_mean_chain certifies it with a bound",
     ("specfun", "threshold_ratio"):
         "the paper's lambda(y), the threshold between the direction regimes",
+    ("tailprob", "tail_prob"):
+        "the paper's centered tail P(X_a - a > c) for one (a, c), the value "
+        "of tail_prob_detail without its bound",
+    ("tailprob", "ratio_parts"):
+        "the paper's head and tail integrals for one (u, c), the one-lane "
+        "call of ratio_parts_many",
     ("tailprob", "direction_form"):
         "the paper's direction form, whose sign is opposite to dr/dz; "
         "direction_form_detail adds its bound",
@@ -313,3 +324,89 @@ def test_every_export_is_called_or_listed():
                 if not any(name in names for module, names in used.items()
                            if module != home)}
     assert uncalled == set(PUBLIC_WITHOUT_CALLER)
+
+
+# Per-point functions that have a lane form -> that form.
+# direction_form_detail and integrand_ratio are their own lane forms, on
+# branch_roots_many's lanes.
+LANE_FORMS = {
+    "branch_roots": "_lanes.branch_roots_many",
+    "direction_form_detail": "direction_form_detail(branch_roots_many(z), c)",
+    "integrand_ratio": "integrand_ratio(branch_roots_many(z), c)",
+    "ratio_parts": "ratio_parts_many",
+    "tail_prob_detail": "tail_prob_many",
+}
+# Loops of acceptance.py that still call a package function once per point,
+# (criterion function, callee) -> why no lane form serves.
+PER_POINT_LOOPS = {
+    ("_monotone_cases", "certify_monotone"):
+        "one certification per offset, each scanning its 400 shapes on "
+        "lanes; C02 and C03 take five and four offsets",
+    ("c04_witnesses", "find_witness"):
+        "one witness search per offset, four offsets; each coarse scan is "
+        "one tail_prob_many call and the golden-section steps are sequential",
+    ("c06_median_solver", "gamma_median"):
+        "each median solve is a sequential root search, a few kernel calls "
+        "each, with no lane form",
+}
+
+
+def _on_lanes(arg: ast.expr, lanes: set[str]) -> bool:
+    """Whether a roots argument is branch_roots_many's result: the call
+    itself, or a name bound to it."""
+    if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
+        return arg.func.id == "branch_roots_many"
+    return isinstance(arg, ast.Name) and arg.id in lanes
+
+
+def _per_point_loop_calls() -> set[tuple[str, str]]:
+    """(function, callee) for each call in a loop body of acceptance.py to a
+    function it imports from the package, other than a lane form: a *_many
+    function, or direction_form_detail and integrand_ratio on lanes.  The
+    iterable of a for loop or of a comprehension's first generator is
+    evaluated once and is not part of the body."""
+    tree = TREES["acceptance"]
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    found = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        lanes = {target.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Assign)
+                 and _on_lanes(node.value, set())
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for loop in ast.walk(fn):
+            if isinstance(loop, (ast.For, ast.While)):
+                body = loop.body + loop.orelse
+            elif isinstance(loop, (ast.ListComp, ast.SetComp,
+                                   ast.GeneratorExp, ast.DictComp)):
+                gens = loop.generators
+                body = [getattr(loop, f) for f in ("elt", "key", "value")
+                        if hasattr(loop, f)]
+                body += [c for g in gens for c in g.ifs]
+                body += [g.iter for g in gens[1:]]
+            else:
+                continue
+            for node in (n for part in body for n in ast.walk(part)):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)):
+                    continue
+                name = node.func.id
+                if (name not in imported or name[0].isupper()
+                        or name.endswith("_many")):
+                    continue
+                if (name in ("direction_form_detail", "integrand_ratio")
+                        and node.args and _on_lanes(node.args[0], lanes)):
+                    continue
+                found.add((fn.name, name))
+    return found
+
+
+def test_acceptance_loops_call_lane_forms():
+    # A criterion that loops over its points calling a function that has a
+    # lane form pays the interpreter per point where one batched call
+    # would do; the loops left are listed with the reason they stay.
+    assert _per_point_loop_calls() == set(PER_POINT_LOOPS)
+    assert not {callee for _, callee in PER_POINT_LOOPS} & set(LANE_FORMS)

@@ -217,10 +217,12 @@ def test_integrate_many_passes_each_points_interval_index():
     assert [r.value for r in res] == [1.0, 1.0, 1.0]
     # One integrand call per sweep: a constant converges in the first.
     assert len(seen) == 1
+    # One row of nodes per panel, and each row's interval index as a column.
     t, k = seen[0]
-    assert t.shape == k.shape
+    assert t.shape[1] == 15 and k.shape == (t.shape[0], 1)
     for j, (lo, hi) in enumerate(zip(los, his)):
-        assert np.all((t[k == j] > lo) & (t[k == j] < hi))
+        rows = t[k[:, 0] == j]
+        assert rows.size and np.all((rows > lo) & (rows < hi))
 
 
 def test_integrate_many_empty_input():
@@ -411,6 +413,31 @@ def test_integrate_equals_the_one_interval_loop(fn, lo, hi, kw, budget,
         _set_budget(monkeypatch, **budget)
     assert (_outcome(integrate, fn, lo, hi, **kw)
             == _outcome(_reference_integrate, fn, lo, hi, **kw, **budget))
+
+
+@pytest.mark.parametrize("fn, lo, hi, kw, budget", _LOOP_CASES,
+                         ids=_LOOP_IDS)
+def test_integrate_many_under_per_panel_owners_equals_the_loop(
+        fn, lo, hi, kw, budget, monkeypatch):
+    # The integrand reads a per-interval parameter through its owner
+    # column, shaped (panels, 1) against the (panels, 15) nodes: three
+    # copies of each case must each give the one-interval loop's result,
+    # which takes the nodes flat, or its error.
+    if budget:
+        _set_budget(monkeypatch, **budget)
+    scale = np.ones(3)
+
+    def owned(t, k):
+        assert k.shape == (t.shape[0], 1) and t.shape[1] == 15
+        return fn(t) * scale[k]
+
+    expected = _outcome(_reference_integrate, fn, lo, hi, **kw, **budget)
+    try:
+        got = integrate_many(owned, [lo] * 3, [hi] * 3, **kw)
+    except QuadratureError as exc:
+        assert _error_fields(exc) == expected
+    else:
+        assert got == [expected] * 3
 
 
 @pytest.mark.parametrize("fn, lo, hi, kw, budget", _LOOP_CASES,
