@@ -2,8 +2,8 @@
 
 A double-double is an unevaluated (hi, lo) pair of doubles, about 32 digits,
 for the few scalars whose conditioning exceeds double precision: the
-mean-chain gaps certify uses, tailprob's compensated difference, and the
-oracle's quadrature prefactors.  central_difference, the derivative check
+mean-chain gaps certify uses, and the oracle's quadrature prefactors and
+threshold ratio.  central_difference, the derivative check
 that certify and the tests share, lives here too.
 
 The error-free transforms and dd_add/dd_sub/dd_mul/dd_div use only IEEE

@@ -3,9 +3,10 @@
 _reg_gamma_q_lanes and _log_gamma_norm_lanes evaluate whole arrays of lanes,
 every lane bit-identical to the scalar kernels of specfun: behind
 reg_gamma_q_many (any (a, x) lanes, such as the acceptance grid) and
-tailprob.tail_prob_many (scan grids at one offset).  Only the loops and the
-branch masks live here: each branch's result and the log prefactor are
-specfun's formulas, given per-lane transcendentals.  The first-order loops
+tailprob.tail_prob_many (shapes at one offset or one per shape).  Only the
+loops and the branch masks live here: each branch's result and the log
+prefactor are specfun's formulas, given per-lane transcendentals.  The
+first-order loops
 -- the ascending series, the small-shape tail and the _log1pmx and
 _lgamma1p Taylor sums -- fold _FOLD_BLOCK iterations of all lanes per numpy
 pass (_fold): each state variable is one row-wise ufunc.accumulate, a

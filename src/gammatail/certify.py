@@ -60,6 +60,9 @@ _CHAIN_DIRECT_RERR = 1e-10
 _MEAN_EXTENDED_MAX = 0.02
 _PROBE_DELTA = 1e-3
 _DEFECT_REL_TOL = 1e-12
+# The eps at which check_asymptotic_slope takes the integrated defect, in
+# increasing order.
+_SLOPE_EPS = (0.0025, 0.005, 0.01, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +648,7 @@ class AsymptoticSlopeReport:
     """Fit of the integrated defect T(eps) = 2*int_0^1 g(eps, z) dz.
 
     The defect must be certifiably positive with T(eps)/eps approaching
-    c + 1/3 (the slope target); a quadratic least-squares fit over eps_list
+    c + 1/3 (the slope target); a quadratic least-squares fit over eps
     checks the slope to 2% and bounds the residual by a fitted curvature
     constant.
     """
@@ -687,33 +690,20 @@ def integrated_defect(c: float, eps: float) -> tuple[float, float]:
     return 2.0 * res.value, 2.0 * res.err_bound
 
 
-def check_asymptotic_slope(c: float,
-                           eps_list: Sequence[float] = (0.02, 0.01, 0.005,
-                                                        0.0025)
-                           ) -> AsymptoticSlopeReport:
+def check_asymptotic_slope(c: float) -> AsymptoticSlopeReport:
     """Certify the leading small-eps behaviour of the integrated defect.
 
-    Requires c in (-1/3, 0) and every eps in (0, 0.2).  The defect totals
-    are certified positive against quadrature error; the fitted slope must
-    match c + 1/3 within 2% (a documented heuristic band, not an analytic
-    bound); residuals from the asserted leading term must stay within a
-    fitted quadratic envelope.
+    Requires c in (-1/3, 0); the defect is taken at each eps of _SLOPE_EPS.
+    The defect totals are certified positive against quadrature error; the
+    fitted slope must match c + 1/3 within 2% (a documented heuristic band,
+    not an analytic bound); residuals from the asserted leading term must
+    stay within a fitted quadratic envelope.
     """
     c = float(c)
     if not (-ONE_THIRD < c < 0.0):
         raise DomainError("slope check requires c strictly in (-1/3, 0)")
-    eps = tuple(sorted(float(e) for e in eps_list))
-    if len(eps) < 2:
-        raise DomainError("slope check needs at least two eps values")
-    if eps[0] <= 0.0 or eps[-1] >= 0.2:
-        raise DomainError("eps values must lie in (0, 0.2)")
-
-    totals = []
-    errs = []
-    for e in eps:
-        t, q = integrated_defect(c, e)
-        totals.append(t)
-        errs.append(q)
+    eps = _SLOPE_EPS
+    totals, errs = zip(*(integrated_defect(c, e) for e in eps))
 
     slope_target = c + ONE_THIRD
     positive_ok = all(t > STRICT_MARGIN * q
@@ -740,7 +730,7 @@ def check_asymptotic_slope(c: float,
 
     certified = positive_ok and slope_ok and residual_bound_ok
     return AsymptoticSlopeReport(
-        c=c, slope_target=slope_target, eps=eps, totals=tuple(totals),
-        quad_errs=tuple(errs), slope=slope, curvature=curvature,
+        c=c, slope_target=slope_target, eps=eps, totals=totals,
+        quad_errs=errs, slope=slope, curvature=curvature,
         positive_ok=positive_ok, slope_ok=slope_ok,
         residual_bound_ok=residual_bound_ok, certified=certified)

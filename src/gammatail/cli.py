@@ -239,7 +239,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     from .acceptance import verify_all
 
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     results = verify_all(criteria, corrupt=args.corrupt)
     all_pass = all(r.passed for r in results)

@@ -40,8 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Sequence
 
-from .errors import (CertificationError, ConvergenceError, DomainError,
-                     GammaTailError)
+from .errors import CertificationError, ConvergenceError, DomainError
 from .specfun import ONE_THIRD, STRICT_MARGIN, _lgamma1p, reg_gamma_q
 from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
@@ -323,32 +322,27 @@ def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     Each strict inequality is certified only when its margin exceeds
     STRICT_MARGIN (8) times the evaluation error bound; the report's
     min_margin_ratio is the smallest margin/error ratio encountered.
-    An empty grid is rejected rather than certified vacuously.  The margins
-    come from one tail_prob_many call per bracket end, each lane
-    bit-identical to _bracket_margins; if a lane fails, the grid is
-    replayed shape by shape, so the error raised is the first one a loop
-    of _bracket_margins calls raises.
+    The grid must be 1-D, and an empty one is rejected rather than
+    certified vacuously.  The margins come from one tail_prob_many call
+    with each shape's two bracket ends as adjacent lanes, each lane
+    bit-identical to _bracket_margins, so a failure raises the first error
+    a loop of _bracket_margins calls raises.
     """
     import numpy as np
 
-    if len(a_grid) == 0:
-        raise DomainError("check_median_bracket requires a non-empty grid")
     a = np.asarray(a_grid, dtype=float)
-    try:
-        at_mean, below_err = tail_prob_many(a, 0.0)
-        at_third, above_err = tail_prob_many(a, -ONE_THIRD)
-    except GammaTailError:
-        for a_i in a.tolist():
-            _bracket_margins(a_i)
-        raise
-    below, above = 0.5 - at_mean, at_third - 0.5
-    margins = np.stack((below, above), axis=1)
-    errs = np.stack((below_err, above_err), axis=1)
+    if a.ndim != 1:
+        raise DomainError("check_median_bracket takes a 1-D grid of shapes")
+    if not a.size:
+        raise DomainError("check_median_bracket requires a non-empty grid")
+    p, errs = (v.reshape(-1, 2) for v in tail_prob_many(
+        np.repeat(a, 2), np.tile((0.0, -ONE_THIRD), a.size)))
+    margins = np.stack((0.5 - p[:, 0], p[:, 1] - 0.5), axis=1)
     # margin / max(err, 1e-300), and the builtin min over them in grid order.
     ratios = margins / np.where(1e-300 > errs, 1e-300, errs)
     min_ratio = min([math.inf, *ratios.ravel().tolist()])
     certified = bool(np.all((margins > 0.0) & (ratios > STRICT_MARGIN)))
-    entries = tuple(map(MedianBracketCheck, *(v.tolist() for v in (
-        a, below, above, below_err, above_err))))
+    entries = tuple(map(MedianBracketCheck, a.tolist(), *margins.T.tolist(),
+                        *errs.T.tolist()))
     return MedianBracketReport(entries=entries, certified=certified,
                                min_margin_ratio=min_ratio)

@@ -3,17 +3,16 @@
 Only the acceptance criteria and the tests import this module.  The fast
 kernels in specfun are series / continued-fraction based; everything here
 goes through the defining integrals (adaptive panel quadrature of the gamma
-integrand in log space), plain bisection for inverse problems, and the
-double-double arithmetic of ``_dd`` for the few scalars whose conditioning
-exceeds double precision.  No Q kernel is shared with the fast path, so
-agreement between the two is meaningful evidence of correctness; the one
-helper borrowed from the fast path is _lanes' vectorized log1p(d) - d that
-evaluates the integrand's exponent.
+integrand in log space) and the double-double arithmetic of ``_dd`` for the
+few scalars whose conditioning exceeds double precision.  No Q kernel is
+shared with the fast path, so agreement between the two is meaningful
+evidence of correctness; the one helper borrowed from the fast path is
+_lanes' vectorized log1p(d) - d that evaluates the integrand's exponent.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,81 +265,6 @@ def oracle_tail_prob(a: float, c: float) -> float:
     if a + c <= 0.0:
         return 1.0
     return oracle_gamma_q(a, a + c)
-
-
-def oracle_log_gamma(a: float) -> float:
-    """ln Gamma(a) from the quadrature normalization (peak-referenced for
-    a >= _A_BIG, direct below)."""
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError("oracle_log_gamma requires a > 0")
-    iv = _joined(*_heads_and_tails(np.array([a])))
-    vals = _integrals(iv, np.arange(iv.form.size)).tolist()
-    if a < _A_BIG:
-        # Dividing by 1.0 is exact.
-        return math.log(vals[0] / (a if a < 1.0 else 1.0) + vals[1])
-    t0 = a - 1.0
-    h_dd = dd_sub(dd_mul(two_sum(a, -1.0), dd_log(t0)), (t0, 0.0))
-    return h_dd[0] + (math.log(vals[0]) + h_dd[1])
-
-
-# ---------------------------------------------------------------------------
-# Bisection root oracle.
-# ---------------------------------------------------------------------------
-
-_ROOT_IDS = ("w0", "wm1", "x1", "x2")
-
-
-def _bisect(fn: Callable[[float], float], lo: float, hi: float,
-            target: float, increasing: bool, width: float) -> float:
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        high_side = fn(mid) > target
-        if high_side == increasing:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def oracle_root(fn_id: str, target: float, *, width: float = 1e-14) -> float:
-    """Plain bisection inverse for the Lambert/branch-root functions.
-
-    fn_id is one of 'w0', 'wm1' (inverse of w*exp(w)) or 'x1', 'x2'
-    (inverse branches of x*exp(1-x)).  Bisection runs to the requested
-    interval width or to floating-point exhaustion, whichever comes first.
-    """
-    target = float(target)
-    if fn_id not in _ROOT_IDS:
-        raise DomainError(f"fn_id must be one of {_ROOT_IDS}")
-    if fn_id == "w0":
-        if target < -1.0 / math.e:
-            raise DomainError("w0 requires target >= -1/e")
-        fn = lambda w: w * math.exp(w)  # noqa: E731
-        hi = 2.0
-        while fn(hi) < target:
-            hi *= 2.0
-        return _bisect(fn, -1.0, hi, target, True, width)
-    if fn_id == "wm1":
-        if not (-1.0 / math.e <= target < 0.0):
-            raise DomainError("wm1 requires target in [-1/e, 0)")
-        fn = lambda w: w * math.exp(w)  # noqa: E731
-        lo = -2.0
-        while lo * math.exp(lo) < target:
-            lo *= 2.0
-        # w*exp(w) is decreasing on (-inf, -1].
-        return _bisect(fn, lo, -1.0, target, False, width)
-    if not (0.0 < target < 1.0):
-        raise DomainError("branch roots require target in (0, 1)")
-    fn = lambda x: x * math.exp(1.0 - x)  # noqa: E731
-    if fn_id == "x1":
-        return _bisect(fn, 0.0, 1.0, target, True, width)
-    hi = 2.0
-    while fn(hi) > target:
-        hi *= 2.0
-    return _bisect(fn, 1.0, hi, target, False, width)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ For a gamma variable X_a with shape a (unit rate), the central quantity is
     tail_prob(a, c) = P(X_a - a > c) = Q(a, a + c),
 
 the probability that X_a exceeds its mean by more than c.  tail_prob_many
-evaluates it for many shapes at one c in one batched kernel pass, each
-value bit-identical to the one-shape evaluation.  The companions
-implement an equivalent representation used to reason about how tail_prob
-moves with the shape: with f(x) = x e^(1-x) and u = a - 1,
+evaluates it for many shapes, at one c or one per shape, in one batched
+kernel pass, each value bit-identical to the one-shape evaluation.  The
+companions implement an equivalent representation used to reason about how
+tail_prob moves with the shape: with f(x) = x e^(1-x) and u = a - 1,
 
     head_integral(u) = integral_0^1   f(x)^u e^(-(1+c)x) dx,
     tail_integral(u) = integral_1^inf f(x)^u e^(-(1+c)x) dx,
@@ -32,6 +32,7 @@ value is bit-identical to the scalar call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -138,8 +139,14 @@ class ScanSpec:
             raise DomainError("scan bounds must be finite")
         if not (0.0 < self.a_min < self.a_max):
             raise DomainError("scan bounds must satisfy 0 < a_min < a_max")
-        if self.n < 3:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise DomainError("scan needs a whole number of points") from None
+        if n < 3:
             raise DomainError("scan needs at least 3 points")
+        # A numpy integer is kept as an int, so verdicts serialize to JSON.
+        object.__setattr__(self, "n", n)
         if self.scale not in ("linear", "log"):
             raise DomainError("scan scale must be 'linear' or 'log'")
 
@@ -153,24 +160,27 @@ class ScanSpec:
         return tuple(pts.tolist())
 
 
-def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """tail_prob_detail for many shapes at one offset c.
+def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:
+    """tail_prob_detail for many shapes, at one offset c or one per shape.
 
-    a is a 1-D sequence of shapes; returns (values, err_bounds) arrays, each
-    lane bit-identical to tail_prob_detail(TailQuery(a_i, c)): the kernel
-    runs on numpy lanes (_lanes._reg_gamma_q_lanes) with the scalar path's
-    formulas, and the argument charge is _arg_rounding_err on arrays.  Each
-    lane's log prefactor is computed once.  If any lane fails, the error
-    raised is the first one a tail_prob_detail scan in lane order raises.
+    a is a 1-D sequence of shapes and c a number or a sequence as long as
+    a; returns (values, err_bounds) arrays, each lane bit-identical to
+    tail_prob_detail(TailQuery(a_i, c_i)): the kernel runs on numpy lanes
+    (_lanes._reg_gamma_q_lanes) with the scalar path's formulas, and the
+    argument charge is _arg_rounding_err on arrays.  Each lane's log
+    prefactor is computed once.  If any lane fails, the error raised is the
+    first one a tail_prob_detail scan in lane order raises.
     """
     import numpy as np
 
     from ._lanes import _exp, _log, _log_gamma_norm_lanes, _reg_gamma_q_lanes
 
     a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
     if a.ndim != 1:
         raise DomainError("tail_prob_many takes a 1-D sequence of shapes")
-    c = float(c)
+    if c.ndim and c.shape != a.shape:
+        raise DomainError("tail_prob_many takes one offset, or one per shape")
     with np.errstate(over="ignore"):        # overflows to inf, as floats do
         x = a + c
     values = np.ones_like(a)
@@ -188,8 +198,8 @@ def tail_prob_many(a, c: float) -> tuple[np.ndarray, np.ndarray]:
     except GammaTailError:
         # Lanes of several branches may fail; the scalar scan says which
         # fails first, and how.
-        for a_i in a.tolist():
-            tail_prob_detail(TailQuery(a_i, c))
+        for a_i, c_i in zip(a.tolist(), np.broadcast_to(c, a.shape).tolist()):
+            tail_prob_detail(TailQuery(a_i, c_i))
         raise
     values[live] = q
     errs[live] = q_err + _arg_rounding_err(ln_norm, x_l, _log, _exp)

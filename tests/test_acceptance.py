@@ -139,3 +139,6 @@ def test_unknown_criterion_is_rejected():
 
     with pytest.raises(DomainError):
         acceptance.verify_all(["C99"])
+    # An empty selection would pass vacuously.
+    with pytest.raises(DomainError, match="no criteria selected"):
+        acceptance.verify_all([])

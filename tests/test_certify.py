@@ -65,6 +65,11 @@ def test_scan_spec_validation():
     ):
         with pytest.raises(DomainError):
             ScanSpec(**kwargs)
+    for n in (3.5, "4", None):
+        with pytest.raises(DomainError, match="whole number"):
+            ScanSpec(0.1, 1.0, n)
+    scan = ScanSpec(0.1, 1.0, np.int64(3))
+    assert type(scan.n) is int and scan == ScanSpec(0.1, 1.0, 3)
 
 
 def test_witness_container_enforces_valley_shape():
@@ -378,6 +383,27 @@ def test_threshold_chain_grid_validation():
             check_threshold_chain(bad)
 
 
+def test_threshold_chain_reversal_and_undecided_stage(monkeypatch):
+    # A stage whose values fall by more than STRICT_MARGIN times their
+    # bounds contradicts the lemma and raises; one whose differences stay
+    # inside their bounds leaves the report uncertified.
+    import gammatail.certify as certify
+
+    stages = certify._CHAIN_STAGES
+    ys = [2.0, 3.0, 4.0]
+    falling = ("falling", lambda y, s: (-y, 1e-16 * y))
+    monkeypatch.setattr(certify, "_CHAIN_STAGES", stages + (falling,))
+    with pytest.raises(CertificationError,
+                       match="'falling' certifiably decreases"):
+        check_threshold_chain(ys)
+    flat = ("flat", lambda y, s: (1.0, 1e-16))
+    monkeypatch.setattr(certify, "_CHAIN_STAGES", stages + (flat,))
+    rep = check_threshold_chain(ys)
+    assert rep.monotone == (True, True, True, True, False)
+    assert rep.min_margin_ratios[-1] == math.inf
+    assert not rep.certified
+
+
 def test_rational_stage_exact_values():
     # r3(y) = -2y/(1 + 4y + y^2): r3(1) = -1/3 exactly in floats, and
     # the excess over -1/3 is s^2/(3(6+6s+s^2)) with s = y - 1.
@@ -688,7 +714,3 @@ def test_asymptotic_slope_domain():
     for c in (0.0, -1.0 / 3.0, -0.5, 0.2):
         with pytest.raises(DomainError):
             check_asymptotic_slope(c)
-    with pytest.raises(DomainError):
-        check_asymptotic_slope(-0.2, eps_list=(0.01,))
-    with pytest.raises(DomainError):
-        check_asymptotic_slope(-0.2, eps_list=(0.01, 0.3))

@@ -286,6 +286,26 @@ def test_means_near_the_ends_of_the_double_range(x, y, capsys):
     assert row["chain_ok"] == "true"
 
 
+@pytest.mark.parametrize("gap, code", [(-1e-3, 1), (-1e-17, 3)],
+                         ids=["certified-reversal", "inside-margin"])
+def test_means_exit_code_of_a_failed_chain(monkeypatch, gap, code):
+    # Only a gap certifiably below zero reverses the proven chain (exit 1);
+    # one inside its margin is undecided (exit 3).
+    import types
+
+    import gammatail.certify as certify
+
+    entry = types.SimpleNamespace(
+        x=1.0, y=4.0, geometric=2.0, logarithmic=2.1640425613334453,
+        refined=2.2, arithmetic=2.5, chain_ok=False, gap_log_vs_geo=0.16,
+        gap_refined_vs_log=gap, gap_arith_vs_refined=0.3, err_bound=1e-16)
+    monkeypatch.setattr(certify, "check_mean_chain", lambda pairs, **kw:
+                        types.SimpleNamespace(entries=(entry,)))
+    result, out = run_cli(["means", "--x", "1", "--y", "4"])
+    assert result == code
+    assert out.splitlines()[1].endswith(",false")
+
+
 def test_precision_flags_reach_the_computation():
     # An unreachable residual target or margin turns success into an
     # inconclusive result (exit 3), never a certified violation.
@@ -331,6 +351,14 @@ def test_verify_all_corrupt_exits_one_and_names_failure():
 def test_verify_all_unknown_criterion_is_usage_error():
     code, _ = run_cli(["verify-all", "--criteria", "C99"])
     assert code == 2
+
+
+@pytest.mark.parametrize("selection", [",", "", " , "])
+def test_verify_all_empty_selection_is_usage_error(selection, capsys):
+    # A selection naming no criterion runs nothing, so it cannot pass.
+    code, out = run_cli(["verify-all", "--criteria", selection])
+    assert code == 2 and out == ""
+    assert "no criteria selected" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

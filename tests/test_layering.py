@@ -53,6 +53,36 @@ def test_oracle_is_validation_only_and_two_sum_has_one_home():
     assert _homes("two_sum") == ["_dd"]
 
 
+def _unused_imports() -> set[tuple[str, int, str]]:
+    """(module, line, name) of each imported name that its scope never
+    reads: the module for a module-level import, the function for one
+    inside a function.  Lines marked ``# noqa: F401`` are left out."""
+    found = set()
+    for module, tree in TREES.items():
+        lines = (SRC / f"{module}.py").read_text(encoding="utf-8").splitlines()
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.end_lineno - 1]):
+                continue
+            scope = parent[node]
+            while not isinstance(scope, (ast.Module, ast.FunctionDef)):
+                scope = parent[scope]
+            read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            found.update((module, node.lineno, name) for name in (
+                alias.asname or alias.name.partition(".")[0]
+                for alias in node.names) if name not in read)
+    return found
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # An import left behind by a deletion hides that the name's last user
+    # is gone; the one deliberate re-export is marked noqa: F401.
+    assert _unused_imports() == set()
+
+
 def _homes(name: str) -> list[str]:
     """The modules that define a function of this name, or a lane copy of
     it, leading underscores and a _lanes suffix aside."""

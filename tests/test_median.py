@@ -115,6 +115,9 @@ def test_check_median_bracket_rejects_bad_grid():
         check_median_bracket([])
     with pytest.raises(DomainError):
         check_median_bracket([1.0, -2.0])
+    for grid in ([[1.0, 2.0]], [[1.0], [2.0]], 2.0):
+        with pytest.raises(DomainError, match="1-D grid"):
+            check_median_bracket(grid)
 
 
 @pytest.mark.parametrize("cap", [1, 11])   # in bisection, in refinement
@@ -216,3 +219,28 @@ def test_median_bracket_violation_needs_a_margin_certified_sign(monkeypatch):
                         lambda q: TailValue(0.25, 1e-15, "cf"))
     with pytest.raises(CertificationError, match="contradicts the bracket"):
         gamma_median(2.0)
+
+
+@pytest.mark.parametrize("at_mean, error, code", [
+    (0.5 + 2.0 ** -52, ConvergenceError, 3),   # wrong only inside its bound
+    (0.75, CertificationError, 1),             # a certified contradiction
+], ids=["inside-bound", "certified"])
+def test_median_log_branch_upper_end_failure(monkeypatch, capsys, at_mean,
+                                             error, code):
+    # Below a = 0.35 the solver checks the upper end m = exp(ln a) of
+    # (0, a]; a wrong raw sign there is judged by the margins of the
+    # bracket ends.
+    from gammatail.cli import main
+
+    q = reg_gamma_q
+    monkeypatch.setattr(
+        "gammatail.median.reg_gamma_q",
+        lambda a, x: 0.75 if math.isclose(x, a) else q(a, x))
+    monkeypatch.setattr(
+        "gammatail.median.tail_prob_detail",
+        lambda query: TailValue(at_mean if query.c == 0.0 else 1.0, 1e-15,
+                                "series-complement"))
+    with pytest.raises(error, match=r"\(0, a\]"):
+        gamma_median(0.1)
+    assert main(["median", "--a", "0.1"]) == code
+    assert "(0, a]" in capsys.readouterr().err

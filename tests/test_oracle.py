@@ -38,8 +38,6 @@ from gammatail._dd import (
 from gammatail.oracle import (
     oracle_gamma_q,
     oracle_gamma_q_many,
-    oracle_log_gamma,
-    oracle_root,
     oracle_tail_prob,
     oracle_threshold_ratio,
 )
@@ -119,11 +117,6 @@ def test_oracle_gamma_q_range_and_regimes():
     for a, x in ((1e-3, 1e-3), (0.2, 1.5), (5.0, 5.0), (40.0, 35.0), (2e4, 2e4)):
         q = oracle_gamma_q(a, x)
         assert 0.0 <= q <= 1.0
-
-
-def test_oracle_log_gamma_matches_stdlib_away_from_zeros():
-    for a in (0.5, 3.0, 7.5, 120.0, 3e4):
-        assert math.isclose(oracle_log_gamma(a), math.lgamma(a), rel_tol=1e-14)
 
 
 def test_oracle_tail_prob_plateau_and_identity():
@@ -208,30 +201,6 @@ def test_oracle_gamma_q_many_edge_rows():
 
 
 # ----------------------------------------------------------------------
-# bisection root oracle
-# ----------------------------------------------------------------------
-
-
-def test_oracle_root_anchors():
-    # w e^w = e has root w = 1; x e^{1-x} = 2/e has upper root x = 2.
-    assert math.isclose(oracle_root("w0", math.e), 1.0, rel_tol=1e-13)
-    assert math.isclose(oracle_root("x2", 2.0 / math.e), 2.0, rel_tol=1e-13)
-    x1 = oracle_root("x1", 2.0 / math.e)
-    assert math.isclose(x1, 0.4063757399599588, rel_tol=1e-12)
-    assert math.isclose(x1 * math.exp(1.0 - x1), 2.0 / math.e, rel_tol=1e-12)
-    wm1 = oracle_root("wm1", -0.1)
-    assert wm1 < -1.0
-    assert math.isclose(wm1 * math.exp(wm1), -0.1, rel_tol=1e-11)
-
-
-def test_oracle_root_rejects_unknown_function():
-    with pytest.raises(DomainError):
-        oracle_root("nope", 0.5)
-    with pytest.raises(DomainError):
-        oracle_root("w0", -1.0)  # below the branch point -1/e
-
-
-# ----------------------------------------------------------------------
 # finite differences
 # ----------------------------------------------------------------------
 
@@ -242,11 +211,6 @@ def test_central_difference_on_known_derivatives():
     assert abs(fd - math.e) <= 8.0 * err + 1e-12
     fd, _ = central_difference(lambda t: t * math.exp(1.0 - t), 1.0, 1e-4)
     assert abs(fd) <= 1e-10  # stationary point of the peak map
-    # derivative of the upper branch root at z = 2/e is exactly -e
-    fd, _ = central_difference(
-        lambda z: oracle_root("x2", z, width=1e-13), 2.0 / math.e, 1e-6
-    )
-    assert math.isclose(fd, -math.e, rel_tol=1e-5)
 
 
 # ----------------------------------------------------------------------

@@ -266,6 +266,81 @@ def test_tail_prob_many_stops_no_lane_past_a_cap_inside_a_block(
     assert err == _raised(_scalar_scan, grid, 0.5)
 
 
+def _lane_scan(a, c):
+    """(value, err_bound) hex strings of tail_prob_detail at each (a_i, c_i)."""
+    out = [tail_prob_detail(TailQuery(a_i, c_i))
+           for a_i, c_i in zip(a.tolist(), c.tolist())]
+    return [(d.value.hex(), d.err_bound.hex()) for d in out]
+
+
+def _offset_lanes(seed):
+    """Seeded (a, c) lanes, one offset each, shuffled so branches interleave:
+    the plateau and its edge, both sides of x = a + 1 and on it, a <= 1/2,
+    and a >= 24 past the Stirling switch."""
+    rng = np.random.default_rng(seed)
+    a_mid = 10.0 ** rng.uniform(-1.0, 2.0, 40)
+    a_small = 10.0 ** rng.uniform(-3.0, math.log10(0.5), 40)
+    a_big = 10.0 ** rng.uniform(math.log10(24.0), 6.0, 40)
+    edge = 10.0 ** rng.uniform(-2.0, 3.0, 20)
+    lanes = [
+        (a_mid, -a_mid - rng.uniform(0.0, 2.0, 40)),       # plateau
+        (edge, -edge),                                     # x = 0
+        (edge, np.nextafter(-edge, 0.0)),                  # just past it
+        (a_mid, np.full(40, 1.0)),                         # x = a + 1
+        (a_mid, 1.0 + rng.uniform(-1e-9, 1e-9, 40)),       # either side
+        (a_mid, rng.uniform(-0.9, 3.0, 40)),
+        (a_small, rng.uniform(-0.4, 3.0, 40)),
+        (np.array([0.5, np.nextafter(0.5, 0.0)]), np.array([0.2, 0.7])),
+        (a_big, rng.uniform(-20.0, 40.0, 40)),
+        (np.array([24.0, np.nextafter(24.0, 0.0)]), np.array([-0.7, 2.0])),
+    ]
+    a = np.concatenate([v for v, _ in lanes])
+    c = np.concatenate([v for _, v in lanes])
+    order = rng.permutation(a.size)
+    return a[order], c[order]
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_tail_prob_many_with_one_offset_per_lane_is_bitwise_the_scan(seed):
+    a, c = _offset_lanes(seed)
+    x = a + c
+    assert (x <= 0.0).any() and (x == 0.0).any()
+    assert ((x > 0.0) & (x < a + 1.0)).any() and (x > a + 1.0).any()
+    assert (x == a + 1.0).any()
+    assert (a <= 0.5).any() and (a >= 24.0).any()
+    values, errs = tail_prob_many(a, c)
+    assert [(v.hex(), e.hex()) for v, e in zip(values.tolist(),
+                                              errs.tolist())] == \
+        _lane_scan(a, c)
+    # One offset per lane equal to a shared one gives the shared call's bits.
+    assert _batch_scan(a, c[0]) == _batch_scan(a, np.full(a.size, c[0]))
+
+
+def test_tail_prob_many_per_lane_offsets_raise_the_scans_error(monkeypatch):
+    # With a low cap, a continued-fraction lane, a series lane and a
+    # small-shape lane all fail; whichever comes first in lane order wins,
+    # as in the scan, whatever order the branches are evaluated in.  A
+    # plateau lane leads, so each failing lane fails only at its own c.
+    monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", 12)
+    lanes = {"continued fraction": (5000.0, 3.0),
+             "ascending series": (5000.0, 0.5),
+             "small-shape series": (0.3, 0.9)}
+    for first, second in ((k, j) for k in lanes for j in lanes if k != j):
+        a, c = (np.array(v) for v in zip((0.5, -1.0), lanes[first],
+                                         lanes[second]))
+        err = _raised(tail_prob_many, a, c)
+        assert err[0] is ConvergenceError and err[2] == 12
+        assert first in err[1]
+        assert err == _raised(_lane_scan, a, c)
+
+
+def test_tail_prob_many_rejects_offsets_of_another_length():
+    for c in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], np.zeros((2, 1))):
+        with pytest.raises(DomainError, match="one per shape"):
+            tail_prob_many([1.0, 2.0], c)
+    assert tail_prob_many([], [])[0].shape == (0,)
+
+
 # ----------------------------------------------------------------------
 # ratio decomposition
 # ----------------------------------------------------------------------
