@@ -1,10 +1,10 @@
 """The numpy lane machinery behind the batched kernels.
 
-_reg_gamma_q_lanes and _log_gamma_norm_lanes evaluate whole arrays of lanes,
-every lane bit-identical to the scalar kernels of specfun: behind
-reg_gamma_q_many (any (a, x) lanes, such as the acceptance grid) and
-tailprob.tail_prob_many (shapes at one offset or one per shape).  Only the
-loops and the branch masks live here: each branch's result and the log
+_reg_gamma_q_core, Q's one lane core, evaluates whole arrays of lanes,
+every lane bit-identical to specfun's scalar kernel: behind reg_gamma_q_many
+(any (a, x) lanes, such as the acceptance grid) and tailprob.tail_prob_many
+(shapes at one offset or one per shape, the plateau at x = 0).  Only the
+loops live here: the branch masks, each branch's result and the log
 prefactor are specfun's formulas, given per-lane transcendentals.  The
 first-order loops
 -- the ascending series, the small-shape tail and the _log1pmx and
@@ -41,11 +41,11 @@ from . import specfun
 from .errors import DomainError, GammaTailError
 from .specfun import (EPS, Z_GAP, Z_MIN, _BRANCH_WINDOW, _CF_TINY,
                       _EULER_GAMMA, _INV_E, _L1PMX_WINDOW,
-                      _LOWER_SERIES_START, _SMALL_SHAPE, _SMALL_SHAPE_START,
+                      _LOWER_SERIES_START, _SMALL_SHAPE_START,
                       _STIRLING_MIN, _branch_series, _cf_result,
                       _halley_residual, _halley_step, _lgamma1p, _log1pmx,
                       _log_gamma_norm_direct, _log_gamma_norm_stirling,
-                      _lower_series_run, _root_converged,
+                      _lower_series_run, _q_branches, _root_converged,
                       _series_complement_result, _tail_series_result,
                       _upper_cf_run, _upper_cf_start, _upper_small_shape_run,
                       _wm1_newton_step, branch_roots, reg_gamma_q_detail)
@@ -308,14 +308,13 @@ def _upper_small_shape_block(n, width, a, x, term, h, habs):
 def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """reg_gamma_q_detail's value and err_bound for arrays of lanes with
-    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x): its
-    branch choice as masks, the series loops folded in blocks, the continued
-    fraction in lockstep, and each branch's result specfun's formula.
+    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x): the
+    series loops folded in blocks, the continued fraction in lockstep, and
+    the branch masks and each branch's result specfun's formulas.
     """
     q = np.empty_like(a)
     err = np.empty_like(a)
-    cf = x >= a + 1.0
-    small = ~cf & (a <= _SMALL_SHAPE)
+    cf, small = _q_branches(a, x)
     series = ~(cf | small)
     max_iter = specfun._KERNEL_MAX_ITER
     if cf.any():
@@ -341,26 +340,34 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     return q, err
 
 
+def _reg_gamma_q_core(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Q's values and err_bounds for equal-shape arrays of lanes (a, x), the
+    mask of the lanes with x > 0 and their _log_gamma_norm(a, x); lanes with
+    x == 0 are 1.0 with bound 0.  DomainError unless every lane lies in
+    reg_gamma_q_detail's domain."""
+    live = x > 0.0
+    if not np.all(np.isfinite(a) & np.isfinite(x) & (a > 0.0)
+                  & (x >= 0.0) & ~(live & (a + 1.0 == a))):
+        raise DomainError("Q's lanes require finite a > 0 and x >= 0, and a "
+                          "below 2**53 where x > 0")
+    q, err = np.ones(a.shape), np.zeros(a.shape)
+    a_l, x_l = a[live], x[live]
+    ln_norm = _log_gamma_norm_lanes(a_l, x_l)
+    q[live], err[live] = _reg_gamma_q_lanes(a_l, x_l, ln_norm)
+    return q, err, live, ln_norm
+
+
 def reg_gamma_q_many(a, x) -> np.ndarray:
     """reg_gamma_q for equal-shape arrays of lanes (a, x), each lane
     bit-identical to the scalar call; lanes with x == 0 are 1.0.
 
-    One pass of _reg_gamma_q_lanes over all lanes with x > 0.  If any lane
-    fails, the error raised is the first one a loop of reg_gamma_q calls in
-    lane order raises.
+    One pass of _reg_gamma_q_core.  If any lane fails, the error raised is
+    the first one a loop of reg_gamma_q calls in lane order raises.
     """
     a, x = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(x, dtype=float))
-    q = np.ones(a.shape)
-    live = x > 0.0
     try:
-        if not np.all(np.isfinite(a) & np.isfinite(x) & (a > 0.0)
-                      & (x >= 0.0) & ~(live & (a + 1.0 == a))):
-            raise DomainError("reg_gamma_q_many requires finite a > 0 and "
-                              "x >= 0, and a below 2**53 where x > 0")
-        a_l, x_l = a[live], x[live]
-        q[live] = _reg_gamma_q_lanes(a_l, x_l,
-                                     _log_gamma_norm_lanes(a_l, x_l))[0]
+        q = _reg_gamma_q_core(a, x)[0]
     except GammaTailError:
         # Lanes of several branches may fail; the scalar loop says which
         # fails first, and how.

@@ -20,12 +20,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._lanes import branch_roots_many, reg_gamma_q_many
-from .certify import (ScanSpec, certify_monotone, check_asymptotic_slope,
-                      check_mean_chain, check_threshold_chain, find_witness)
+from .certify import (_PROBE_FACTOR, ScanSpec, certify_monotone,
+                      check_asymptotic_slope, check_mean_chain,
+                      check_threshold_chain, find_witness)
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError)
 from .median import check_median_bracket, gamma_median
-from .oracle import oracle_gamma_q_many
+from .oracle import oracle_gamma_q_many, oracle_tail_prob_many
 from .specfun import EPS, ONE_THIRD, STRICT_MARGIN
 from .tailprob import (direction_form_detail, integrand_ratio,
                        ratio_parts_many, tail_prob_many)
@@ -127,15 +128,11 @@ def c04_witnesses(tol_scale: float = 1.0,
             found.append((c, find_witness(c)))
         except GammaTailError as exc:
             found.append((c, exc))
-    # One oracle call for every witness point; x = max(a + c, 0) puts the
-    # plateau a + c <= 0 at x = 0, where Q is exactly 1.
-    a: list[float] = []
-    x: list[float] = []
-    for c, w in found:
-        if not isinstance(w, GammaTailError):
-            a += (w.a1, w.a2, w.a3)
-            x += (max(ai + c, 0.0) for ai in (w.a1, w.a2, w.a3))
-    probs = iter(oracle_gamma_q_many(a, x))
+    # One oracle call for every witness point, each at its own offset.
+    certified = [(c, w) for c, w in found if not isinstance(w, Exception)]
+    probs = iter(oracle_tail_prob_many(
+        [a for _, w in certified for a in (w.a1, w.a2, w.a3)],
+        np.repeat([c for c, _ in certified], 3)))
     lines = []
     ok = True
     for c, w in found:
@@ -264,16 +261,16 @@ def c10_mean_chain(tol_scale: float = 1.0,
     xs = 10.0 ** (-2.0 + 4.0 * rng.random(n))
     spreads = 10.0 ** (-6.0 + (math.log10(1e6 - 1.0) + 6.0) * rng.random(n))
     pairs = np.stack((xs, xs * (1.0 + spreads)), axis=1)
-    report = check_mean_chain(pairs, probe_factor=0.332)
+    report = check_mean_chain(pairs)
     passed = (report.certified
               and report.min_margin_ratio >= required
               and report.probe_violation_found)
     return _result(
         "C10", "mean chain and factor optimality", passed,
         f"{n} pairs, min margin ratio {report.min_margin_ratio:.6e} "
-        f"(required {required:g}); probe at factor 0.332 violation "
-        f"{'found' if report.probe_violation_found else 'NOT found'} at "
-        f"spread {report.probe_spread!r}")
+        f"(required {required:g}); probe at factor {_PROBE_FACTOR!r} "
+        f"violation {'found' if report.probe_violation_found else 'NOT found'}"
+        f" at spread {report.probe_spread!r}")
 
 
 def c11_asymptotic_slope(tol_scale: float = 1.0,

@@ -58,7 +58,7 @@ _CHAIN_SERIES_RERR = 2e-14
 _CHAIN_DIRECT_RERR = 1e-10
 # Pairs closer than this relative spread get extended-precision mean gaps.
 _MEAN_EXTENDED_MAX = 0.02
-_PROBE_DELTA = 1e-3
+_PROBE_FACTOR = 0.332               # the optimality probe's weakened 1/3
 _DEFECT_REL_TOL = 1e-12
 # The eps at which check_asymptotic_slope takes the integrated defect, in
 # increasing order.
@@ -302,8 +302,8 @@ def find_witness(c: float) -> Witness:
     lo = float(grid[j - 1]) if j > 0 else float(grid[0])
     hi = float(grid[j + 1])
 
-    # Golden-section descent to the minimizer; evaluations reuse the cheap
-    # value-only path, margins are re-checked at the final point.
+    # Golden-section descent to the minimizer: _eval_point computes bounds
+    # too, but the steps compare values; margins are checked at the end.
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, _ = _eval_point(x1, c)
@@ -545,9 +545,7 @@ class MeanChainReport:
 
 
 def check_mean_chain(pairs: Sequence[tuple[float, float]],
-                     strict_margin: float = STRICT_MARGIN, *,
-                     probe_factor: float = ONE_THIRD - _PROBE_DELTA
-                     ) -> MeanChainReport:
+                     strict_margin: float = STRICT_MARGIN) -> MeanChainReport:
     """Certify the mean chain on each pair and probe the 1/3 factor.
 
     All pairs are evaluated together, as numpy columns with the scalar
@@ -561,13 +559,11 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     rounding of that quotient and of the sum charged to its bound.
 
     The optimality probe replaces the 1/3 factor inside the refined mean by
-    probe_factor (default 1/3 - 1e-3, which must stay below 1/3) and scans
-    near-equal pairs for a certified reversal of L < refined mean; finding
-    one shows the factor cannot be lowered.  strict_margin must be >= 1.
+    0.332 and scans near-equal pairs for a certified reversal of L < refined
+    mean; finding one shows the factor cannot be lowered.  strict_margin
+    must be >= 1.
     """
     _check_margin(strict_margin)
-    if not (0.0 < probe_factor < ONE_THIRD):
-        raise DomainError("probe_factor must lie strictly inside (0, 1/3)")
     if len(pairs) == 0:
         raise DomainError("check_mean_chain requires at least one pair")
     xy = np.array(pairs, dtype=float)
@@ -619,14 +615,13 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     # Optimality probe: with the weakened factor the refined mean must drop
     # below the logarithmic mean somewhere near the diagonal.  The violation
     # gap grows like (delta/8) * spread^2, macroscopic in doubles.
-    factor = probe_factor
     probe_found = False
     probe_spread = 0.0
     probe_gap = 0.0
     for t in np.geomspace(1e-3, 0.09, 40):
         x, y = 1.0, 1.0 + float(t)
         lm = log_mean(x, y)
-        weakened = math.sqrt(x * y + factor * (lm - x) * (y - lm))
+        weakened = math.sqrt(x * y + _PROBE_FACTOR * (lm - x) * (y - lm))
         gap = lm - weakened
         if gap > strict_margin * 32.0 * EPS and gap > probe_gap:
             probe_found = True
@@ -686,7 +681,7 @@ def integrated_defect(c: float, eps: float) -> tuple[float, float]:
     def fn(z: np.ndarray) -> np.ndarray:
         return -np.expm1(lead + power * np.log1p(-eps * z) + z)
 
-    res = integrate(fn, 0.0, 1.0, rel_tol=_DEFECT_REL_TOL, abs_tol=1e-300)
+    res = integrate(fn, 0.0, 1.0, rel_tol=_DEFECT_REL_TOL)
     return 2.0 * res.value, 2.0 * res.err_bound
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (CertificationError, ConvergenceError, DomainError,
@@ -79,6 +79,17 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _emit_rows(args: argparse.Namespace, header: Sequence[str],
+               rows: Sequence[Sequence[object]], single: bool = False) -> None:
+    """The rows as CSV under header, or with --json as a list of JSON
+    objects keyed by header: the object itself for a single record."""
+    if args.json:
+        records = [dict(zip(header, row)) for row in rows]
+        _emit(_json_text(records[0] if single else records), args.out)
+    else:
+        _emit(_csv(rows, header), args.out)
+
+
 def _add_strict_margin(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict-margin", type=float,
                         default=STRICT_MARGIN,
@@ -116,14 +127,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from .tailprob import TailQuery, tail_prob_detail
 
     detail = tail_prob_detail(TailQuery(args.a, args.c))
-    record: dict[str, object] = {
-        "a": args.a, "c": args.c, "p": detail.value,
-        "method": detail.method, "err_bound": detail.err_bound,
-    }
-    if args.json:
-        _emit(_json_text(record), args.out)
-    else:
-        _emit(_csv([list(record.values())], list(record.keys())), args.out)
+    _emit_rows(args, ("a", "c", "p", "method", "err_bound"),
+               [(args.a, args.c, detail.value, detail.method,
+                 detail.err_bound)], single=True)
     return _EXIT_OK
 
 
@@ -132,17 +138,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     grid = _scan_spec(args, args.c).grid()
     values, errs = tail_prob_many(grid, args.c)
-    rows = []
-    prev: Optional[float] = None
-    for a, p, e in zip(grid, values.tolist(), errs.tolist()):
-        rows.append((a, p, None if prev is None else p - prev, e))
-        prev = p
-    if args.json:
-        payload = [{"a": a, "p": p, "delta": d, "err_bound": e}
-                   for a, p, d, e in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(rows, ("a", "p", "delta", "err_bound")), args.out)
+    p = values.tolist()
+    deltas = [None, *(q - prev for prev, q in zip(p, p[1:]))]
+    _emit_rows(args, ("a", "p", "delta", "err_bound"),
+               list(zip(grid, p, deltas, errs.tolist())))
     return _EXIT_OK
 
 
@@ -194,16 +193,9 @@ def _cmd_median(args: argparse.Namespace) -> int:
         spec = ScanSpec(a_min=args.a_min, a_max=args.a_max, n=args.n,
                         scale=args.scale)
         shapes = list(spec.grid())
-    rows = []
-    for a in shapes:
-        r = gamma_median(a, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-        rows.append((r.a, r.median, r.offset, r.residual))
-    if args.json:
-        payload = [{"a": a, "median": m, "offset": o, "residual": res}
-                   for a, m, o, res in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(rows, ("a", "median", "offset", "residual")), args.out)
+    rows = [astuple(gamma_median(a, rel_tol=args.rel_tol,
+                                 abs_tol=args.abs_tol)) for a in shapes]
+    _emit_rows(args, ("a", "median", "offset", "residual"), rows)
     return _EXIT_OK
 
 
@@ -215,15 +207,11 @@ def _cmd_means(args: argparse.Namespace) -> int:
     report = check_mean_chain([(args.x, args.y)],
                               strict_margin=args.strict_margin)
     entry = report.entries[0]
-    record = {
-        "x": entry.x, "y": entry.y, "geo": entry.geometric,
-        "log_mean": entry.logarithmic, "refined_mean": entry.refined,
-        "arith": entry.arithmetic, "chain_ok": entry.chain_ok,
-    }
-    if args.json:
-        _emit(_json_text(record), args.out)
-    else:
-        _emit(_csv([list(record.values())], list(record.keys())), args.out)
+    _emit_rows(args, ("x", "y", "geo", "log_mean", "refined_mean", "arith",
+                      "chain_ok"),
+               [(entry.x, entry.y, entry.geometric, entry.logarithmic,
+                 entry.refined, entry.arithmetic, entry.chain_ok)],
+               single=True)
     if entry.chain_ok:
         return _EXIT_OK
     # Only a gap certifiably below zero reverses the proven chain; a gap

@@ -8,6 +8,8 @@ few scalars whose conditioning exceeds double precision.  No Q kernel is
 shared with the fast path, so agreement between the two is meaningful
 evidence of correctness; the one helper borrowed from the fast path is
 _lanes' vectorized log1p(d) - d that evaluates the integrand's exponent.
+oracle_tail_prob_many, the oracle's one copy of the plateau, is
+oracle_gamma_q_many at x = max(a + c, 0); one-point calls are one lane.
 """
 from __future__ import annotations
 
@@ -256,15 +258,20 @@ def oracle_gamma_q(a: float, x: float) -> float:
     return oracle_gamma_q_many(a, (x,))[0]
 
 
+def oracle_tail_prob_many(a, c) -> list:
+    """oracle_tail_prob for (a, c) lanes that broadcast together, as a
+    nested list of their shape; the plateau a + c <= 0 is the x = 0 lane."""
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    if not (np.all(np.isfinite(a) & (a > 0.0)) and np.all(np.isfinite(c))):
+        raise DomainError("oracle_tail_prob requires finite a > 0 and c")
+    with np.errstate(over="ignore"):        # overflows to inf, as floats do
+        x = a + c
+    return oracle_gamma_q_many(a, np.maximum(x, 0.0))
+
+
 def oracle_tail_prob(a: float, c: float) -> float:
     """P(X_a - a > c) by quadrature; exactly 1 on the plateau a + c <= 0."""
-    a = float(a)
-    c = float(c)
-    if not (math.isfinite(a) and math.isfinite(c)) or a <= 0.0:
-        raise DomainError("oracle_tail_prob requires finite a > 0 and c")
-    if a + c <= 0.0:
-        return 1.0
-    return oracle_gamma_q(a, a + c)
+    return oracle_tail_prob_many(a, (c,))[0]
 
 
 # ---------------------------------------------------------------------------

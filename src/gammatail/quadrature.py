@@ -110,11 +110,10 @@ def _fsum(values: Iterable[float]) -> float:
         return math.nan
 
 
-def _tol_of(total, rel_tol: float, abs_tol: float):
-    """max(rel_tol * total, abs_tol, 1e-320) with the builtin max's
-    treatment of NaN, on floats or arrays; total is non-negative."""
+def _tol_of(total, rel_tol: float):
+    """max(rel_tol * total, 1e-320) with the builtin max's treatment of
+    NaN, on floats or arrays; total is non-negative."""
     tol = rel_tol * total
-    tol = np.where(abs_tol > tol, abs_tol, tol)
     return np.where(1e-320 > tol, 1e-320, tol)
 
 
@@ -130,7 +129,7 @@ def _alloc(tol: np.ndarray, mass: np.ndarray, abs_vals: np.ndarray,
 
 
 def _bands(total: np.ndarray, mass: np.ndarray, n_terms: np.ndarray,
-           rel_tol: float, abs_tol: float
+           rel_tol: float
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                       np.ndarray]:
     """Bands (tol_lo, tol_hi, mass_lo, mass_hi) sure to hold each
@@ -148,8 +147,8 @@ def _bands(total: np.ndarray, mass: np.ndarray, n_terms: np.ndarray,
     """
     slack = (n_terms + 8) * EPS
     spread = slack * mass
-    t_lo = _tol_of(np.maximum(np.abs(total) - spread, 0.0), rel_tol, abs_tol)
-    t_hi = _tol_of(np.abs(total) + spread, rel_tol, abs_tol)
+    t_lo = _tol_of(np.maximum(np.abs(total) - spread, 0.0), rel_tol)
+    t_hi = _tol_of(np.abs(total) + spread, rel_tol)
     no_band = ~((mass == 0.0) | ((mass >= 1e-280) & (mass <= 1e300)))
     if not math.isfinite(rel_tol):
         no_band[:] = True
@@ -214,8 +213,8 @@ class _Accepted:
 
 
 def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            los: Sequence[float], his: Sequence[float], rel_tol: float,
-            abs_tol: float) -> list[QuadResult]:
+            los: Sequence[float], his: Sequence[float],
+            rel_tol: float) -> list[QuadResult]:
     """The lockstep engine: integrate fn over each [los[k], his[k]], raising
     the first failure it meets."""
     lo = np.array(los, dtype=float)
@@ -276,7 +275,7 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             tol_lo, tol_hi, mass_lo, mass_hi, no_band = _bands(
                 kept_sum + np.bincount(owner, vals, n_int),
                 kept_abs + np.bincount(owner, abs_vals, n_int),
-                n_kept + counts, rel_tol, abs_tol)
+                n_kept + counts, rel_tol)
             alloc_lo = _alloc(tol_lo[owner], mass_hi[owner], abs_vals,
                               width_share)
             alloc_hi = _alloc(tol_hi[owner], mass_lo[owner], abs_vals,
@@ -304,8 +303,7 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             for k in np.flatnonzero(exact & (counts > 0)).tolist():
                 kept = accepted.of(k)[0]
                 seg = vals[owner == k].tolist()
-                tol[k] = max(rel_tol * abs(_fsum(kept) + _fsum(seg)),
-                             abs_tol, 1e-320)
+                tol[k] = _tol_of(abs(_fsum(kept) + _fsum(seg)), rel_tol)
                 mass[k] = _fsum(map(abs, kept)) + _fsum(map(abs, seg))
             sel = exact[owner]
             o = owner[sel]
@@ -368,8 +366,7 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    los: Sequence[float], his: Sequence[float], *,
-                   rel_tol: float = 1e-10, abs_tol: float = 0.0
-                   ) -> list[QuadResult]:
+                   rel_tol: float = 1e-10) -> list[QuadResult]:
     """Integrate fn over each [los[k], his[k]], up to _GROUP intervals in
     lockstep at a time.
 
@@ -391,22 +388,21 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         group_his = his[start:start + _GROUP]
         try:
             out += _sweeps(lambda t, own: fn(t, own + start), group_los,
-                           group_his, rel_tol, abs_tol)
+                           group_his, rel_tol)
         except QuadratureError:
             for k, (lo, hi) in enumerate(zip(group_los, group_his), start):
-                _sweeps(lambda t, own: fn(t, own + k), (lo,), (hi,),
-                        rel_tol, abs_tol)
+                _sweeps(lambda t, own: fn(t, own + k), (lo,), (hi,), rel_tol)
             raise
     return out
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
-              rel_tol: float = 1e-10, abs_tol: float = 0.0) -> QuadResult:
+              rel_tol: float = 1e-10) -> QuadResult:
     """Integrate an elementwise callable over [lo, hi] to a requested
     tolerance; fn takes a (panels, GAUSS_ORDER) array of nodes.
 
-    The target for the whole interval is max(rel_tol * |integral|, abs_tol);
-    each panel receives the larger of a width-proportional and a
+    The target for the whole interval is rel_tol * |integral|, at least
+    1e-320; each panel receives the larger of a width-proportional and a
     mass-proportional share.  The mass share lets a panel whose bisection
     defect has stalled at the integrand's own rounding noise (noise scales
     with the local value) accept, while the width share accepts far-tail
@@ -417,4 +413,4 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
     accumulated.  Exceeding _MAX_PANELS or producing non-finite values on an
     unsplittable panel raises QuadratureError.
     """
-    return _sweeps(lambda t, _k: fn(t), (lo,), (hi,), rel_tol, abs_tol)[0]
+    return _sweeps(lambda t, _k: fn(t), (lo,), (hi,), rel_tol)[0]

@@ -226,6 +226,11 @@ def _not_converged(loop: str, cap: int) -> ConvergenceError:
                             n_iter=cap)
 
 
+def _at_least(v, floor: float):
+    """max(v, floor), elementwise on arrays (NaN stays NaN, as with max)."""
+    return max(v, floor) if isinstance(v, float) else v.clip(floor)
+
+
 def _kernel_rel(ln_pref, n):
     """Relative bound of a prefactor-times-sum kernel after n iterations."""
     return EPS * (2.0 * abs(ln_pref) + 2.0 * n + 32.0)
@@ -325,9 +330,11 @@ def _upper_cf_run(a: float, x: float, n: int, b: float, c: float, d: float,
 
 def _cf_result(ln_norm, n, h, exp):
     """Q and its err_bound from the continued fraction's h after n
-    iterations, given ln_norm = _log_gamma_norm(a, x)."""
+    iterations, given ln_norm = _log_gamma_norm(a, x).  The bound counts
+    ln_norm from -1e300 on: from x ~ 9e307, 2 |ln_norm| would overflow, and
+    inf * (q = 0) would make it NaN; Q < 5e-324 there, since h <= 1."""
     q = exp(ln_norm) * h
-    return q, _kernel_rel(ln_norm, n) * q + 5e-324
+    return q, _kernel_rel(_at_least(ln_norm, -1e300), n) * q + 5e-324
 
 
 _SMALL_SHAPE_START = (1.0, 0.0, 0.0)        # (term, h, habs)
@@ -369,6 +376,12 @@ def _tail_series_result(a, x, n, h, habs, log, lgamma1p, exp, expm1):
                      + eg * (2.0 * n + 4.0) * habs + 8.0 * abs(q)) + 5e-324
 
 
+def _q_branches(a, x):
+    """(cf, tail): whether Q(a, x > 0) takes the continued fraction, and
+    whether the small-shape tail series; else the ascending series."""
+    return x >= a + 1.0, (x < a + 1.0) & (a <= _SMALL_SHAPE)
+
+
 def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
     """Upper regularized incomplete gamma Q(a, x) with an error bound."""
     a = _require_finite("a", a)
@@ -385,13 +398,14 @@ def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
         # no longer separates the branches.
         raise DomainError("reg_gamma_q requires a + 1 > a, i.e. a below "
                           "2**53")
-    if x < a + 1.0 and a <= _SMALL_SHAPE:
+    cf, tail = _q_branches(a, x)
+    if tail:
         n, _, h, habs = _upper_small_shape_run(a, x, 0, *_SMALL_SHAPE_START)
         return EvalDetail(*_tail_series_result(
             a, x, n, h, habs, math.log, _lgamma1p, math.exp, math.expm1),
             "tail-series", n)
     ln_norm = _log_gamma_norm(a, x)
-    if x >= a + 1.0:
+    if cf:
         n, *_, h = _upper_cf_run(a, x, 0, *_upper_cf_start(a, x))
         return EvalDetail(*_cf_result(ln_norm, n, h, math.exp), "cf", n)
     n, _, total = _lower_series_run(a, x, 0, *_LOWER_SERIES_START)

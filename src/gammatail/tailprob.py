@@ -5,8 +5,8 @@ For a gamma variable X_a with shape a (unit rate), the central quantity is
     tail_prob(a, c) = P(X_a - a > c) = Q(a, a + c),
 
 the probability that X_a exceeds its mean by more than c.  tail_prob_many
-evaluates it for many shapes, at one c or one per shape, in one batched
-kernel pass, each value bit-identical to the one-shape evaluation.  The
+evaluates it for many shapes, at one c or one per shape, in one pass of Q's
+lane core, each value bit-identical to the one-shape evaluation.  The
 companions implement an equivalent representation used to reason about how
 tail_prob moves with the shape: with f(x) = x e^(1-x) and u = a - 1,
 
@@ -42,6 +42,7 @@ from .specfun import (
     BranchRoots,
     EPS,
     _ROOT_ABS_TOL,
+    _at_least,
     _log_gamma_norm,
     branch_root_deriv,
     reg_gamma_q_detail,
@@ -165,15 +166,15 @@ def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:
 
     a is a 1-D sequence of shapes and c a number or a sequence as long as
     a; returns (values, err_bounds) arrays, each lane bit-identical to
-    tail_prob_detail(TailQuery(a_i, c_i)): the kernel runs on numpy lanes
-    (_lanes._reg_gamma_q_lanes) with the scalar path's formulas, and the
-    argument charge is _arg_rounding_err on arrays.  Each lane's log
-    prefactor is computed once.  If any lane fails, the error raised is the
-    first one a tail_prob_detail scan in lane order raises.
+    tail_prob_detail(TailQuery(a_i, c_i)): the kernel is Q's lane core
+    (_lanes._reg_gamma_q_core) at x = max(a + c, 0), so a plateau lane is
+    its x = 0 lane, and the argument charge is _arg_rounding_err on the
+    other lanes.  If any lane fails, the error raised is the first one a
+    tail_prob_detail scan in lane order raises.
     """
     import numpy as np
 
-    from ._lanes import _exp, _log, _log_gamma_norm_lanes, _reg_gamma_q_lanes
+    from ._lanes import _exp, _log, _reg_gamma_q_core
 
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -183,26 +184,18 @@ def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("tail_prob_many takes one offset, or one per shape")
     with np.errstate(over="ignore"):        # overflows to inf, as floats do
         x = a + c
-    values = np.ones_like(a)
-    errs = np.zeros_like(a)
-    live = x > 0.0
+    # The plateau a + c <= 0 becomes x = 0.  NaN and -inf (c = -inf) stay,
+    # so they fail the core's domain check as they fail TailQuery's.
+    np.maximum(x, 0.0, out=x, where=x > -np.inf)
     try:
-        if not np.all((a > 0.0) & np.isfinite(x)
-                      & ~(live & (a + 1.0 == a))):
-            raise DomainError("tail_prob_many requires shapes a > 0 with "
-                              "a + c finite, and a below 2**53 off the "
-                              "plateau")
-        a_l, x_l = a[live], x[live]
-        ln_norm = _log_gamma_norm_lanes(a_l, x_l)
-        q, q_err = _reg_gamma_q_lanes(a_l, x_l, ln_norm)
+        values, errs, live, ln_norm = _reg_gamma_q_core(a, x)
     except GammaTailError:
         # Lanes of several branches may fail; the scalar scan says which
         # fails first, and how.
         for a_i, c_i in zip(a.tolist(), np.broadcast_to(c, a.shape).tolist()):
             tail_prob_detail(TailQuery(a_i, c_i))
         raise
-    values[live] = q
-    errs[live] = q_err + _arg_rounding_err(ln_norm, x_l, _log, _exp)
+    errs[live] += _arg_rounding_err(ln_norm, x[live], _log, _exp)
     return values, errs
 
 
@@ -349,11 +342,6 @@ def direction_form(roots: BranchRoots, c: float) -> float:
     each lane bit-identical to the scalar call."""
     c = _offset(roots, c, "direction_form")
     return 1.0 - roots.x1 * roots.x2 + c * (1.0 - roots.x1) * (roots.x2 - 1.0)
-
-
-def _at_least(v, floor: float):
-    """max(v, floor), elementwise on arrays (NaN stays NaN, as with max)."""
-    return max(v, floor) if isinstance(v, float) else v.clip(floor)
 
 
 def direction_form_detail(roots: BranchRoots, c: float) -> tuple[float, float]:

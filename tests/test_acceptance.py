@@ -14,13 +14,16 @@ harness is capable of reporting red.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from gammatail import acceptance
+from gammatail import (CertificationError, ConvergenceError,
+                       WitnessSearchError, acceptance)
 
 
 def _check(result) -> None:
@@ -43,12 +46,59 @@ def test_c04_non_monotone_witnesses_in_middle_band():
     _check(acceptance.c04_witnesses())
 
 
+def test_c04_fails_on_a_witness_search_that_gives_up(monkeypatch):
+    # The search that gives up fails the criterion, and the oracle checks
+    # the other offsets' witnesses, each at its own offset.
+    real = acceptance.find_witness
+
+    def find_witness(c):
+        if c == -0.2:
+            raise WitnessSearchError("no witness", budget=1e6)
+        return real(c)
+
+    monkeypatch.setattr(acceptance, "find_witness", find_witness)
+    result = acceptance.c04_witnesses()
+    assert not result.passed
+    parts = result.detail.split("; ")
+    assert parts[1] == "c=-0.2: search failed (no witness)"
+    others = parts[:1] + parts[2:]
+    assert len(others) == 3
+    assert all(p.startswith(f"c={c!r}: a=") and p.endswith("dip confirmed")
+               for c, p in zip((-0.3, -0.1, -0.05), others))
+
+
 def test_c05_median_bracket_inequalities():
     _check(acceptance.c05_median_bracket())
 
 
 def test_c06_median_solver_residuals_and_offsets():
     _check(acceptance.c06_median_solver())
+
+
+def test_c06_counts_failed_solves_and_offsets_outside_the_band(
+        monkeypatch):
+    # Two solves raise, one offset leaves (-1/3, 0) and one residual
+    # misses its tolerance: four failures of 200.  The spot check at a = 1
+    # is the last call.
+    calls = iter(range(201))
+
+    def gamma_median(a):
+        i = next(calls)
+        if i == 0:
+            raise ConvergenceError("out of evaluations", n_iter=200)
+        if i == 1:
+            raise CertificationError("bracket sign")
+        if i == 200:
+            return SimpleNamespace(offset=math.log(2.0) - 1.0, residual=0.0)
+        return SimpleNamespace(offset=0.1 if i == 2 else -0.3,
+                               residual=1e-9 if i == 3 else 0.0)
+
+    monkeypatch.setattr(acceptance, "gamma_median", gamma_median)
+    result = acceptance.c06_median_solver()
+    assert not result.passed
+    assert result.detail == (
+        "200 shapes, 4 failures, worst residual 1e-09 (tolerance 1e-12); "
+        "offset(1) vs ln(2)-1 differs by 0.0 (tolerance 1e-14)")
 
 
 def test_c07_tail_probability_ratio_identity():

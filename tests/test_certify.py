@@ -143,6 +143,12 @@ def test_certify_rejects_scan_entering_plateau():
     assert v.direction in ("decreasing", "inconclusive", "non_monotone")
 
 
+def test_certify_rejects_a_non_finite_offset():
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^c must be finite$"):
+            certify_monotone(c, ScanSpec(1.0, 2.0, 12))
+
+
 def test_certify_reports_inconclusive_under_unreachable_margin():
     # With an absurd margin requirement no sign can be certified, and the
     # verdict must say so instead of guessing a direction.
@@ -207,6 +213,50 @@ def test_find_witness_rejects_outside_open_band():
     for c in (0.0, 0.1, -1.0 / 3.0, -0.5):
         with pytest.raises(DomainError):
             find_witness(c)
+
+
+def _witness_failure(c=-0.2):
+    with pytest.raises(WitnessSearchError) as info:
+        find_witness(c)
+    assert info.value.budget == 1e6
+    return str(info.value)
+
+
+def test_find_witness_gives_up_when_the_scan_minimum_stays_at_its_edge(
+        monkeypatch):
+    # A tail probability falling on every scan leaves the minimum at the
+    # right edge, so the scan grows by 8x until it passes the budget.
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "tail_prob_many",
+                        lambda a, c: (-np.asarray(a), None))
+    assert _witness_failure().startswith(
+        "no interior minimum of the tail probability found below a=1e+06 "
+        "for c=-0.2")
+
+
+def test_find_witness_gives_up_on_a_dip_inside_the_margin(monkeypatch):
+    # Every point, the plateau edge included, at one value with a bound:
+    # the dip is not certifiably below the plateau.
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "_eval_point", lambda a, c: (0.9, 1e-3))
+    message = _witness_failure()
+    assert message.startswith("interior minimum at a=")
+    assert message.endswith(
+        " is not certifiably below the plateau value for c=-0.2")
+
+
+def test_find_witness_gives_up_when_no_recovery_is_certified(monkeypatch):
+    # 1 at the plateau edge and flat beyond it: p(a3) never rises above
+    # p(a2), so a3 doubles past the budget.
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "_eval_point",
+                        lambda a, c: (1.0 if a == -c else 0.5, 0.0))
+    assert _witness_failure().startswith(
+        "recovery above the dip not certified below the shape budget 1e+06 "
+        "for c=-0.2")
 
 
 # ----------------------------------------------------------------------
@@ -550,7 +600,7 @@ def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
                                  entry.gap_refined_vs_log,
                                  entry.gap_arith_vs_refined), entry_errs):
                 ratio = min(ratio, gap / max(err, 5e-324))
-        rep = check_mean_chain(pairs, margin, probe_factor=0.332)
+        rep = check_mean_chain(pairs, margin)
         assert len(rep.entries) == len(expected)
         # bitwise, -0.0 included; name the first mismatch, not all 10,000
         bad = next((i for i, (got, ref) in enumerate(zip(rep.entries,
@@ -648,8 +698,6 @@ def test_mean_chain_probe_finds_weakened_constant_violation():
     assert rep.probe_violation_found
     assert rep.probe_gap > 0.0
     assert 0.0 < rep.probe_spread < 0.1
-    harder = check_mean_chain([(1.0, 2.0)], probe_factor=0.332)
-    assert harder.probe_violation_found
 
 
 def test_mean_chain_validation():
@@ -657,10 +705,10 @@ def test_mean_chain_validation():
         check_mean_chain([])
     with pytest.raises(DomainError):
         check_mean_chain([(2.0, 1.0)])
-    with pytest.raises(DomainError):
-        check_mean_chain([(1.0, 2.0)], probe_factor=1.0 / 3.0)
-    with pytest.raises(DomainError):
-        check_mean_chain([(1.0, 2.0)], probe_factor=0.0)
+    for pairs in ([1.0, 2.0], [(1.0, 2.0, 3.0)], [[(1.0, 2.0)]]):
+        with pytest.raises(DomainError, match=r"^check_mean_chain takes a "
+                                              r"sequence of \(x, y\) pairs$"):
+            check_mean_chain(pairs)
 
 
 # ----------------------------------------------------------------------

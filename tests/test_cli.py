@@ -549,11 +549,52 @@ def _fuzz_argv(rng):
             yield ["means", "--x", text(x), "--y", text(min(y, 1.79e308))]
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not
+    have."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# Offsets at the top of the double range, where Q underflows to 0 and its
+# bound once came out NaN; drawn from no generator.
+_FUZZ_EDGES = [argv for c in ("1e308", "1.79e308") for argv in (
+    ["eval", "--a", "1", "--c", c],
+    ["scan", "--c", c, "--n", "5"],
+    ["certify", "--c", c, "--n", "5"])]
+
+
 def test_seeded_cli_fuzz_finds_no_violation_and_no_internal_error():
     # None of these inputs contradicts a proven statement, so none may exit
-    # 1; exit 4 would be an error the CLI does not name.
+    # 1; exit 4 would be an error the CLI does not name.  Every verb prints
+    # JSON (--json is appended without a draw, so the seed's argv stay),
+    # and every payload must be strict JSON.
     rng = random.Random(16)
-    for argv in _fuzz_argv(rng):
+    for argv in [*_fuzz_argv(rng), *_FUZZ_EDGES]:
+        if argv[0] != "certify":
+            argv = [*argv, "--json"]
         with contextlib.redirect_stderr(io.StringIO()) as err:
-            code, _ = run_cli(argv)
+            code, out = run_cli(argv)
         assert code in (0, 2, 3), (argv, code, err.getvalue())
+        if code == 0 or out:
+            _strict_json(out)
+
+
+def test_offsets_near_the_double_range_print_strict_json():
+    # Q underflows to 0 with bound 5e-324; certify finds no certified sign
+    # between zeros and says so.
+    for c in ("1e308", "1.79e308"):
+        code, out = run_cli(["eval", "--a", "1", "--c", c, "--json"])
+        assert code == 0
+        assert _strict_json(out) == {"a": 1.0, "c": float(c), "p": 0.0,
+                                     "method": "cf", "err_bound": 5e-324}
+        code, out = run_cli(["scan", "--c", c, "--n", "5", "--json"])
+        assert code == 0
+        assert {(r["p"], r["err_bound"]) for r in _strict_json(out)} == {
+            (0.0, 5e-324)}
+        code, out = run_cli(["certify", "--c", c, "--n", "5"])
+        assert code == 3
+        verdict = _strict_json(out)
+        assert verdict["direction"] == "inconclusive"
+        assert verdict["margin_ratio"] == 0.0

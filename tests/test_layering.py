@@ -104,8 +104,10 @@ def _called_names(module: str, function: str) -> set[str]:
 
 
 # Formulas written once for floats and arrays, (home, name) -> the scalar
-# and the lane function that call it.  Only the loops and the branch
-# dispatch keep a lane form of their own.
+# and the lane function that call it.  Only the loops keep a lane form of
+# their own.  The rules that several paths share -- Q's lane core, the
+# oracle's plateau and the CLI's CSV-or-JSON choice -- are listed with
+# every path that calls them.
 _KERNEL_PATHS = (("specfun", "reg_gamma_q_detail"),
                  ("_lanes", "_reg_gamma_q_lanes"))
 _PREFACTOR_PATHS = (("specfun", "_log_gamma_norm"),
@@ -115,6 +117,7 @@ _HALLEY_PATHS = (("specfun", "_halley_iterate"),
 _WM1_NEWTON_PATHS = (("specfun", "lambert_wm1"),
                      ("_lanes", "_wm1_newton_lane_step"))
 SHARED_FORMULAS = {
+    ("specfun", "_q_branches"): _KERNEL_PATHS,
     ("specfun", "_cf_result"): _KERNEL_PATHS,
     ("specfun", "_series_complement_result"): _KERNEL_PATHS,
     ("specfun", "_tail_series_result"): _KERNEL_PATHS,
@@ -126,6 +129,12 @@ SHARED_FORMULAS = {
     ("specfun", "_root_converged"): _HALLEY_PATHS + _WM1_NEWTON_PATHS,
     ("tailprob", "_arg_rounding_err"): (("tailprob", "tail_prob_detail"),
                                         ("tailprob", "tail_prob_many")),
+    ("_lanes", "_reg_gamma_q_core"): (("_lanes", "reg_gamma_q_many"),
+                                      ("tailprob", "tail_prob_many")),
+    ("oracle", "oracle_tail_prob_many"): (("oracle", "oracle_tail_prob"),
+                                          ("acceptance", "c04_witnesses")),
+    ("cli", "_emit_rows"): tuple(("cli", f"_cmd_{verb}") for verb in (
+        "eval", "scan", "median", "means")),
     ("specfun", "_mean_scale"): (("specfun", "refined_mean"),
                                  ("certify", "check_mean_chain")),
 }

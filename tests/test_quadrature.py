@@ -110,7 +110,7 @@ def test_engine_takes_only_its_tolerances():
     for fn in (integrate, integrate_many):
         params = inspect.signature(fn).parameters.values()
         assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
-            "rel_tol", "abs_tol"]
+            "rel_tol"]
 
 
 def test_result_is_deterministic():
@@ -304,8 +304,8 @@ _EPS = 2.220446049250313e-16
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _reference_integrate(fn, lo, hi, *, rel_tol=1e-10, abs_tol=0.0,
-                         max_panels=10_000, pre_split=8):
+def _reference_integrate(fn, lo, hi, *, rel_tol=1e-10, max_panels=10_000,
+                         pre_split=8):
     """The plain one-interval refinement loop the lockstep engine replaced,
     kept as the bit-level reference for integrate; a non-finite integrand
     reaches its checks without numpy warnings, as in the engine."""
@@ -338,7 +338,7 @@ def _reference_integrate(fn, lo, hi, *, rel_tol=1e-10, abs_tol=0.0,
 
     for _ in range(_MAX_SWEEPS):
         total = math.fsum(acc_vals) + math.fsum(vals.tolist())
-        tol = max(rel_tol * abs(total), abs_tol, 1e-320)
+        tol = max(rel_tol * abs(total), 1e-320)
         half = 0.5 * widths
         l_vals = estimates(lows, half)
         r_lows = lows + half

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -615,6 +616,22 @@ def test_reg_gamma_q_many_raises_the_scalar_loops_error(monkeypatch):
         assert err == raised(scalar_loop, a, x)
 
 
+def test_q_bound_is_finite_where_the_prefactor_underflows():
+    # From x ~ 9e307, 2 |ln prefactor| would overflow, and the bound of a
+    # Q that underflowed to 0 would be inf * 0 = NaN.  The continued
+    # fraction's h is at most 1, so the true Q is below 5e-324.
+    a = np.repeat([0.3, 2.0, 30.0, 1e6], 3)
+    x = np.tile([9e307, 1e308, 1.79e308], 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = [reg_gamma_q_detail(*p) for p in zip(a.tolist(), x.tolist())]
+        q, err = _lanes._reg_gamma_q_core(a, x)[:2]
+    assert {(d.value, d.err_bound, d.method) for d in scalar} == {
+        (0.0, 5e-324, "cf")}
+    assert q.tolist() == [0.0] * a.size
+    assert err.tolist() == [5e-324] * a.size
+
+
 def test_threshold_ratio_domain():
     with pytest.raises(DomainError):
         threshold_ratio(0.999)
@@ -659,9 +676,10 @@ def test_public_signatures_take_only_the_tolerances_they_read():
                 defaults[name, key] = params[key].default
     assert takers["prec"] == set()
     assert takers["strict_margin"] == {"certify_monotone", "check_mean_chain"}
-    # integrate's targets are the quadrature engine's own, set per call.
-    assert takers["rel_tol"] == takers["abs_tol"] == {"gamma_median",
-                                                      "integrate"}
+    # integrate's relative target is the quadrature engine's own, set per
+    # call; its absolute floor is fixed.
+    assert takers["rel_tol"] == {"gamma_median", "integrate"}
+    assert takers["abs_tol"] == {"gamma_median"}
     assert defaults["certify_monotone", "strict_margin"] == 8.0
     assert defaults["check_mean_chain", "strict_margin"] == 8.0
     assert defaults["gamma_median", "rel_tol"] == 1e-12

@@ -218,6 +218,19 @@ def test_tail_prob_many_raises_the_scalar_scans_error():
     assert tail_prob_many([], 0.5)[0].shape == (0,)
 
 
+def test_tail_prob_bound_is_finite_at_offsets_near_the_double_range():
+    # Q underflows to 0 there; its bound is 5e-324, not NaN, and the
+    # argument's rounding charge is 0 below a density of e^-709.
+    a = np.array([0.3, 2.0, 30.0, 1e6])
+    for c in (9e307, 1e308, 1.79e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errs = tail_prob_many(a, c)
+            scan = [tail_prob_detail(TailQuery(a_i, c)) for a_i in a.tolist()]
+        assert [(v.value, v.err_bound) for v in scan] == [(0.0, 5e-324)] * 4
+        assert list(zip(values.tolist(), errs.tolist())) == [(0.0, 5e-324)] * 4
+
+
 def test_tail_prob_many_rejects_shapes_past_two_to_53_as_the_scan_does():
     # From a = 2^53 on, a + 1 rounds to a and x = a would divide by zero in
     # the continued fraction's start; both paths raise DomainError, and the
