@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from ._lanes import _lockstep, _per_lane
+from ._lanes import _each_step, _lockstep, _per_lane
 from .specfun import EPS, _not_converged
 
 _SPLITTER = 134217729.0            # 2^27 + 1
@@ -144,7 +144,7 @@ def dd_exp(x: tuple) -> tuple:
         r_lo = r_lo + t
     # Taylor sum of exp(r) for |r| <= ~0.35, from term = sum = 1.
     left, _, _, _, sum_hi, sum_lo = _lockstep(
-        _exp_term, _EXP_MAX_TERMS, quick_two_sum(r_hi, r_lo - e2),
+        _each_step(_exp_term), _EXP_MAX_TERMS, quick_two_sum(r_hi, r_lo - e2),
         (1.0, 0.0, 1.0, 0.0), 1)
     if left.size:
         raise _not_converged("dd_exp's Taylor series", _EXP_MAX_TERMS)
@@ -225,7 +225,7 @@ def dd_log1p_small(u: tuple[float, float]) -> tuple[float, float]:
     u_hi, u_lo = np.broadcast_arrays(u_hi.ravel(), u_lo.ravel())
     # Terms 2.._LOG1P_MAX_TERMS-1, from term = sum = u.
     left, _, _, _, out_hi, out_lo = _lockstep(
-        _log1p_term, _LOG1P_MAX_TERMS - 2, (u_hi, u_lo),
+        _each_step(_log1p_term), _LOG1P_MAX_TERMS - 2, (u_hi, u_lo),
         (u_hi, u_lo, u_hi, u_lo), 1)
     if left.size:
         raise _not_converged("dd_log1p_small's Taylor series",

@@ -5,17 +5,22 @@ every lane bit-identical to specfun's scalar kernel: behind reg_gamma_q_many
 (any (a, x) lanes, such as the acceptance grid) and tailprob.tail_prob_many
 (shapes at one offset or one per shape, the plateau at x = 0).  Only the
 loops live here: the branch masks, each branch's result and the log
-prefactor are specfun's formulas, given per-lane transcendentals.  The
-first-order loops
--- the ascending series, the small-shape tail and the _log1pmx and
-_lgamma1p Taylor sums -- fold _FOLD_BLOCK iterations of all lanes per numpy
-pass (_fold): each state variable is one row-wise ufunc.accumulate, a
-sequential left fold, so every column holds the scalar loop's bits at that
-iteration.  Other loops run one iteration of all lanes per pass (_lockstep):
-the continued fraction (_upper_cf_step) and the Taylor sums of _dd.
-_finish continues the lanes either one leaves running on their scalar loop,
-which raises at its cap.  _log1pmx_vec is the fixed-length log1p(d) - d of
-the quadrature integrands.
+prefactor are specfun's formulas, given per-lane transcendentals.
+
+Every loop runs on one driver, _lockstep: each numpy pass runs a block of
+iterations of all running lanes, and a lane retires at its first stop
+column with that column's state, so its count and final state are the
+scalar loop's.  The first-order loops -- the ascending series, the
+small-shape tail and the _log1pmx and _lgamma1p Taylor sums -- fold
+_FOLD_BLOCK iterations per pass: each state variable is one row-wise
+ufunc.accumulate, a sequential left fold, so every column holds the scalar
+loop's bits at that iteration.  The continued fraction (_upper_cf_block)
+runs _CF_BLOCK iterations per pass: only the recurrences of c and d per
+iteration, and its other steps and its stop test once per block.  The
+Taylor sums of _dd and the Lambert solvers run one step per pass
+(_each_step).  _finish continues the lanes the driver leaves running on
+their scalar loop, which raises at its cap.  _log1pmx_vec is the
+fixed-length log1p(d) - d of the quadrature integrands.
 
 branch_roots_many solves the two Lambert branches behind branch_roots for
 an array of z: lambert_w0's and lambert_wm1's regimes are masks, and their
@@ -50,17 +55,21 @@ from .specfun import (EPS, Z_GAP, Z_MIN, _BRANCH_WINDOW, _CF_TINY,
                       _upper_cf_run, _upper_cf_start, _upper_small_shape_run,
                       _wm1_newton_step, branch_roots, reg_gamma_q_detail)
 
-# The continued fraction, run for many lanes at once one iteration per
-# numpy pass (_lockstep), hands its last lanes to its scalar loop (_finish)
-# once fewer than this many are still iterating: below it, numpy's fixed
-# cost per iteration exceeds the scalar loop's cost.  Timed over 8..128 on
-# 400-point scans up to a = 200 and up to a = 1e6, 64 was fastest on both.
-_LOCKSTEP_MIN_LANES = 64
-# Iterations per numpy pass of the folded loops (_fold): a wider block
-# wastes more iterations past each lane's stop.  Timed over 8..128 on a
-# certify pass (200 scans up to a = 200), 32 was fastest (0.55 s; 0.62 s at
-# 16, 0.60 s at 64); wider blocks win only on long series, up to a = 1e6.
+# Iterations per numpy pass of the folded loops: a wider block wastes more
+# iterations past each lane's stop.  Timed over 8..128 on a certify pass
+# (200 scans up to a = 200), 32 was fastest (0.55 s; 0.62 s at 16, 0.60 s at
+# 64); wider blocks win only on long series, up to a = 1e6.
 _FOLD_BLOCK = 32
+# Iterations per numpy pass of the continued fraction, which hands its last
+# lanes to its scalar loop (_finish) once fewer than _LOCKSTEP_MIN_LANES are
+# still iterating: below that, numpy's fixed cost per pass exceeds the
+# scalar loop's cost.  Timed over blocks of 8..64 and hand-offs of 16..128
+# on 400-point scans at c = 1.05, 1.2, 2 and 4.5 up to a = 200 (the certify
+# scans), a block of 16 and a hand-off at 64 were fastest: blocks of 32 took
+# 15-18% longer, of 48 and 64 40-80% longer, and hand-offs at 32 and 48 up
+# to 14%.  Up to a = 1e6 a hand-off at 32 was 16-27% faster than at 64.
+_CF_BLOCK = 16
+_LOCKSTEP_MIN_LANES = 64
 
 _ZETA_COEF = np.array(specfun._ZETA_TABLE)
 # (-1)^k k: dividing by it rounds exactly as _lgamma1p's -(z * a^k / k).
@@ -79,70 +88,35 @@ def _counts(n: int, width: int) -> np.ndarray:
     return np.arange(n + 1.0, n + width + 1.0)
 
 
-def _accumulate(ufunc, carry, steps, width: int) -> np.ndarray:
+def _accumulate(ufunc, carry, steps, width: int,
+                order: str = "C") -> np.ndarray:
     """Each lane's left fold of ufunc over carry and its width steps (steps
     broadcast to lanes x width): column k is the state after step k + 1,
-    rounded exactly as a scalar loop applying ufunc step by step."""
-    rows = np.empty((np.shape(carry)[0], width + 1))
+    rounded exactly as a scalar loop applying ufunc step by step.  With
+    order "F" each column is contiguous, for loops that step a column at a
+    time."""
+    rows = np.empty((np.shape(carry)[0], width + 1), order=order)
     rows[:, 0] = carry
     rows[:, 1:] = steps
     return ufunc.accumulate(rows, axis=1, out=rows)[:, 1:]
 
 
-def _fold(block, n_max: int, consts: tuple, start: tuple
-          ) -> tuple[np.ndarray, ...]:
-    """Run a loop whose iterations block folds, for arrays of lanes.
+def _lockstep(block, n_max: int, consts: tuple, start: tuple, width: int,
+              min_lanes: int = 1) -> tuple[np.ndarray, ...]:
+    """Run a loop for arrays of lanes, a block of iterations per pass.
 
     block(n, width, *consts, *state) returns the states after iterations
-    n+1..n+width of every lane, one lanes x width matrix per state
+    n+1..n+width of every running lane, one lanes x width matrix per state
     variable, and the matching stop matrix; start is the state before the
-    first iteration (scalars broadcast).  Each pass runs _FOLD_BLOCK
-    iterations, or fewer to end at n_max.  A lane leaves at its first stop
-    column with that column's state, so its iteration count and final state
-    are bit-identical to the scalar loop's.
+    first iteration (scalars broadcast).  Each pass runs width iterations,
+    or fewer to end at n_max.  A lane leaves at its first stop column with
+    that column's state, so its iteration count and final state are
+    bit-identical to the scalar loop's.  The loop ends after n_max
+    iterations, or once fewer than min_lanes lanes run.
 
-    Returns the lanes still running after n_max iterations (in lane order),
-    the iteration counts and the final states, one array each; a lane still
-    running counts n_max and keeps its state there.
-    """
-    state = np.broadcast_arrays(consts[0], *start)[1:]
-    out = [s.copy() for s in state]
-    n_out = np.full(consts[0].shape, n_max, dtype=np.int64)
-    lane = np.arange(consts[0].size)
-    n = 0
-    while lane.size and n < n_max:
-        width = min(_FOLD_BLOCK, n_max - n)
-        *cols, stop = block(n, width, *consts, *state)
-        first = stop.argmax(axis=1)
-        rows = np.arange(lane.size)
-        hit = stop[rows, first]
-        if hit.any():
-            done, k = lane[hit], first[hit]
-            n_out[done] = n + 1 + k
-            for o, col in zip(out, cols):
-                o[done] = col[rows[hit], k]
-            live = ~hit
-            lane = lane[live]
-            consts = [v[live] for v in consts]
-            state = [col[live, -1] for col in cols]
-        else:
-            state = [col[:, -1] for col in cols]
-        n += width
-    for o, s in zip(out, state):
-        o[lane] = s
-    return lane, n_out, *out
-
-
-def _lockstep(step, n_max: int, consts: tuple, start: tuple,
-              min_lanes: int) -> tuple[np.ndarray, ...]:
-    """Run a loop for arrays of lanes, one iteration of all lanes per pass.
-
-    step(n, *consts, *state) returns the state after iteration n of the
-    running lanes and their stop mask; start is the state before the first
-    iteration (scalars broadcast).  A lane leaves at its own stopping
-    iteration, so its count and final state are bit-identical to the scalar
-    loop's.  The loop ends after n_max iterations, or once fewer than
-    min_lanes lanes run.  Returns what _fold returns.
+    Returns the lanes still running (in lane order), the iteration counts
+    and the final states, one array each; a lane still running keeps the
+    count and the state it had when the loop ended.
     """
     state = np.broadcast_arrays(consts[0], *start)[1:]
     out = [s.copy() for s in state]
@@ -150,29 +124,41 @@ def _lockstep(step, n_max: int, consts: tuple, start: tuple,
     lane = np.arange(consts[0].size)
     n = 0
     while lane.size >= min_lanes and n < n_max:
-        n += 1
-        *state, stop = step(n, *consts, *state)
+        w = min(width, n_max - n)
+        *cols, stop = block(n, w, *consts, *state)
+        state = [col[:, -1] for col in cols]
         if stop.any():
-            hit = lane[stop]
-            n_out[hit] = n
-            for o, s in zip(out, state):
-                o[hit] = s[stop]
-            live = ~stop
+            hit = stop.any(axis=1)
+            k = stop[hit].argmax(axis=1)
+            done = lane[hit]
+            n_out[done] = n + 1 + k
+            for o, col in zip(out, cols):
+                o[done] = col[hit, k]
+            live = ~hit
             lane = lane[live]
             consts = [v[live] for v in consts]
             state = [s[live] for s in state]
+        n += w
     n_out[lane] = n
     for o, s in zip(out, state):
         o[lane] = s
     return lane, n_out, *out
 
 
+def _each_step(step):
+    """step(n, *consts, *state) -> (*state, stop), one iteration n of the
+    running lanes and their stop mask, as a block of width 1."""
+    def block(n, width, *args):
+        return [v[:, None] for v in step(n + 1, *args)]
+    return block
+
+
 def _finish(run, consts: tuple, left: np.ndarray, n: np.ndarray,
             *state: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Finish the lanes that _fold or _lockstep left running, given that
-    call's result, on the scalar loop run(*consts, n, *state) -> (n,
-    *state); a lane at the cap raises run's ConvergenceError.  Returns the
-    iteration counts and the final states."""
+    """Finish the lanes that _lockstep left running, given that call's
+    result, on the scalar loop run(*consts, n, *state) -> (n, *state); a
+    lane at the cap raises run's ConvergenceError.  Returns the iteration
+    counts and the final states."""
     lists = (v[left].tolist() for v in (*consts, n, *state))
     for i, *args in zip(left.tolist(), *lists):
         n[i], *final = run(*args)
@@ -205,8 +191,8 @@ def _lgamma1p_block(i, width, a, ak, acc):
 
 def _lgamma1p_lanes(a: np.ndarray) -> np.ndarray:
     """_lgamma1p for arrays of lanes, bit-identical per lane."""
-    left, _, _, acc = _fold(_lgamma1p_block, len(specfun._ZETA_TABLE), (a,),
-                            (a, 0.0))
+    left, _, _, acc = _lockstep(_lgamma1p_block, len(specfun._ZETA_TABLE),
+                                (a,), (a, 0.0), _FOLD_BLOCK)
     for i in left[:1].tolist():
         _lgamma1p(a[i].item())              # raises the scalar loop's error
     return acc - _EULER_GAMMA * a
@@ -231,8 +217,8 @@ def _log1pmx_lanes(d: np.ndarray) -> np.ndarray:
     out[direct] = _per_lane(math.log1p, d_b) - d_b
     d_b = d[~direct]
     u = d_b / (2.0 + d_b)
-    left, _, _, acc = _fold(_log1pmx_block, specfun._L1PMX_MAX_TERMS - 2,
-                            (u,), (u, 0.0))
+    left, _, _, acc = _lockstep(_log1pmx_block, specfun._L1PMX_MAX_TERMS - 2,
+                                (u,), (u, 0.0), _FOLD_BLOCK)
     for i in left[:1].tolist():
         _log1pmx(d_b[i].item())             # raises the scalar loop's error
     out[~direct] = -2.0 * acc
@@ -266,7 +252,11 @@ def _log_gamma_norm_lanes(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """_log_gamma_norm for arrays of lanes, bit-identical per lane."""
     out = np.empty_like(a)
     big = a >= _STIRLING_MIN
-    out[big] = _log_gamma_norm_stirling(a[big], x[big], _log1pmx_lanes, _log)
+    # Near the largest double, a * log1pmx((x - a) / a) overflows to -inf,
+    # silently, as it does with floats.
+    with np.errstate(over="ignore"):
+        out[big] = _log_gamma_norm_stirling(a[big], x[big], _log1pmx_lanes,
+                                            _log)
     out[~big] = _log_gamma_norm_direct(a[~big], x[~big], _log, _lgamma)
     return out
 
@@ -279,18 +269,61 @@ def _lower_series_block(n, width, a, x, term, total):
     return terms, totals, terms <= 0.25 * EPS * totals
 
 
-def _upper_cf_step(n, a, x, b, c, d, h):
-    """One iteration of _upper_cf_run on arrays of lanes."""
-    an = n * (a - n)
-    b = b + 2.0
-    d = an * d + b
-    d = np.where(d == 0.0, _CF_TINY, d)
-    c = b + an / c
-    c = np.where(c == 0.0, _CF_TINY, c)
-    d = 1.0 / d
-    delta = d * c
-    h = h * delta
-    return b, c, d, h, np.abs(delta - 1.0) <= EPS
+def _upper_cf_rows(an, bs, c, d, cs, ds, tiny: bool) -> None:
+    """The recurrences of c and d over a block of _upper_cf_run, one
+    iteration per row of an, bs, cs and ds (cs and ds are written); with
+    tiny, a c or d of 0 is replaced by _CF_TINY, as the scalar loop does."""
+    for an_k, b_k, c_k, d_k in zip(an, bs, cs, ds):
+        np.multiply(an_k, d, out=d_k)
+        np.add(d_k, b_k, out=d_k)
+        if tiny:
+            d_k[d_k == 0.0] = _CF_TINY
+        np.divide(an_k, c, out=c_k)
+        np.add(b_k, c_k, out=c_k)
+        if tiny:
+            c_k[c_k == 0.0] = _CF_TINY
+        np.divide(1.0, d_k, out=d_k)
+        c, d = c_k, d_k
+
+
+def _upper_cf_block(n, width, a, x, b, c, d, h):
+    """Iterations n+1..n+width of _upper_cf_run on arrays of lanes.
+
+    Only the recurrences of c and d run per iteration (_upper_cf_rows);
+    an, b, delta = d c, the running product h and the stop test are each
+    one operation on the whole block.  The block runs without the scalar
+    loop's replacement of a zero c or d, and is replayed with it if a c is
+    0 or a d infinite (1/0): no input in Q's domain is known to reach it,
+    and the replacement's two masks per iteration made certify's
+    op_tail_ms about 7% longer (8 alternating pairs of perfbench runs,
+    1.78 -> 1.92 ms in the median, longer in every pair).  A lane keeps
+    stepping past its stop to the end of the block, where it may overflow
+    or divide by zero, so numpy's warnings are muted here.
+    """
+    counts = _counts(n, width)[:, None]
+    an = counts * (a - counts)
+    bs = _accumulate(np.add, b, 2.0, width, "F")
+    cs, ds = np.empty((2, width, a.size)).transpose(0, 2, 1)
+    rows = an, bs.T, c, d, cs.T, ds.T
+    with np.errstate(all="ignore"):
+        _upper_cf_rows(*rows, False)
+        if not cs.all() or np.isinf(ds).any():
+            _upper_cf_rows(*rows, True)
+        deltas = ds * cs
+        hs = _accumulate(np.multiply, h, deltas, width, "F")
+    return bs, cs, ds, hs, np.abs(deltas - 1.0) <= EPS
+
+
+def _upper_cf_lanes(a: np.ndarray, x: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """_upper_cf_run from its start for arrays of lanes: the iteration
+    counts and h, bit-identical per lane.  The lanes run in blocks of
+    _CF_BLOCK; the last fewer than _LOCKSTEP_MIN_LANES finish on the scalar
+    loop, which raises at the cap."""
+    n, *_, h = _finish(_upper_cf_run, (a, x), *_lockstep(
+        _upper_cf_block, specfun._KERNEL_MAX_ITER, (a, x),
+        _upper_cf_start(a, x), _CF_BLOCK, _LOCKSTEP_MIN_LANES))
+    return n, h
 
 
 def _upper_small_shape_block(n, width, a, x, term, h, habs):
@@ -308,9 +341,9 @@ def _upper_small_shape_block(n, width, a, x, term, h, habs):
 def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """reg_gamma_q_detail's value and err_bound for arrays of lanes with
-    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x): the
-    series loops folded in blocks, the continued fraction in lockstep, and
-    the branch masks and each branch's result specfun's formulas.
+    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x): each
+    branch's loop in blocks of _lockstep, and the branch masks and each
+    branch's result specfun's formulas.
     """
     q = np.empty_like(a)
     err = np.empty_like(a)
@@ -319,22 +352,21 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
     max_iter = specfun._KERNEL_MAX_ITER
     if cf.any():
         a_b, x_b = a[cf], x[cf]
-        n, *_, h = _finish(_upper_cf_run, (a_b, x_b), *_lockstep(
-            _upper_cf_step, max_iter, (a_b, x_b),
-            _upper_cf_start(a_b, x_b), _LOCKSTEP_MIN_LANES))
+        n, h = _upper_cf_lanes(a_b, x_b)
         q[cf], err[cf] = _cf_result(ln_norm[cf], n, h, _exp)
     if small.any():
         a_b, x_b = a[small], x[small]
-        n, _, h, habs = _finish(_upper_small_shape_run, (a_b, x_b), *_fold(
-            _upper_small_shape_block, max_iter, (a_b, x_b),
-            _SMALL_SHAPE_START))
+        n, _, h, habs = _finish(
+            _upper_small_shape_run, (a_b, x_b), *_lockstep(
+                _upper_small_shape_block, max_iter, (a_b, x_b),
+                _SMALL_SHAPE_START, _FOLD_BLOCK))
         q[small], err[small] = _tail_series_result(
             a_b, x_b, n, h, habs, _log, _lgamma1p_lanes, _exp, _expm1)
     if series.any():
         a_b, x_b = a[series], x[series]
-        n, _, total = _finish(_lower_series_run, (a_b, x_b), *_fold(
+        n, _, total = _finish(_lower_series_run, (a_b, x_b), *_lockstep(
             _lower_series_block, max_iter, (a_b, x_b),
-            _LOWER_SERIES_START))
+            _LOWER_SERIES_START, _FOLD_BLOCK))
         q[series], err[series] = _series_complement_result(
             ln_norm[series], a_b, n, total, _log, _exp)
     return q, err
@@ -405,7 +437,8 @@ def _wm1_newton_lane_step(n, t_target, t):
 def _lane_roots(step, consts: tuple, start: tuple) -> np.ndarray:
     """A Lambert solver's loop run to its stop for every lane; a lane still
     running at the cap raises."""
-    left, _, w = _lockstep(step, specfun._ROOT_MAX_ITER, consts, start, 1)
+    left, _, w = _lockstep(_each_step(step), specfun._ROOT_MAX_ITER,
+                           consts, start, 1)
     if left.size:
         raise specfun._not_converged("Lambert solver lanes",
                                      specfun._ROOT_MAX_ITER)

@@ -15,6 +15,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -106,6 +107,25 @@ def test_scan_default_start_avoids_plateau():
     first = out.splitlines()[1].split(",")
     assert float(first[0]) == 0.51
     assert float(first[1]) < 1.0
+
+
+def test_scan_at_the_largest_double_warns_nothing(capsys):
+    # The lanes' Stirling prefactor overflows to -inf there, silently, as
+    # the scalar one does with floats; Q underflows to 0 with bound 5e-324.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["scan", "--c", "1.7976931348623157e308",
+                             "--a-min", "30", "--n", "5"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert out == (
+        "a,p,delta,err_bound\n"
+        "30.0,0.0,,5e-324\n"
+        "48.20570513667909,0.0,0.0,5e-324\n"
+        "77.45966692414835,0.0,0.0,5e-324\n"
+        "124.46659545769569,0.0,0.0,5e-324\n"
+        "200.0,0.0,0.0,5e-324\n"
+    )
 
 
 # ----------------------------------------------------------------------

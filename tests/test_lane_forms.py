@@ -8,17 +8,24 @@ through float.hex, so -0.0 and the last ulp count.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gammatail import specfun
-from gammatail._lanes import BranchRootLanes, branch_roots_many
+from gammatail import _lanes, specfun
+from gammatail._lanes import (BranchRootLanes, _reg_gamma_q_core,
+                              _upper_cf_lanes, branch_roots_many)
 from gammatail.errors import ConvergenceError, DomainError
 from gammatail.median import _bracket_margins, check_median_bracket
 from gammatail.quadrature import integrate
 from gammatail.specfun import (_BRANCH_WINDOW, _INV_E, Z_GAP, Z_MIN,
-                               branch_roots)
+                               _upper_cf_start, branch_roots,
+                               reg_gamma_q_detail)
 from gammatail.tailprob import (_RATIO_REL_TOL, _substitution_order,
                                 direction_form_detail, integrand_ratio,
                                 ratio_parts, ratio_parts_many)
@@ -252,3 +259,169 @@ def test_check_median_bracket_raises_the_scalar_loops_error():
     assert str(info.value) == _first_error(_bracket_margins, grid)[1]
     with pytest.raises(DomainError):
         check_median_bracket([])
+
+
+# ----------------------------------------------------------------------
+# The continued fraction's lanes, run in blocks of _CF_BLOCK iterations
+# ----------------------------------------------------------------------
+
+# The shapes of a certify scan; from c = 1 on, every lane takes the
+# continued fraction.
+_CF_SCAN = np.geomspace(0.01, 200.0, 400)
+
+
+def _cf_lanes_hex(a, x):
+    """Each lane's iteration count, h, value and err_bound (hex) on the
+    lane path: _upper_cf_lanes, and Q's lane core for the value."""
+    n, h = _upper_cf_lanes(a, x)
+    q, err = _reg_gamma_q_core(a, x)[:2]
+    return list(zip(n.tolist(), _hex(h), _hex(q), _hex(err)))
+
+
+def _cf_scalar_hex(a, x):
+    """The same, lane by lane, from the scalar loop and reg_gamma_q_detail."""
+    out = []
+    for a_i, x_i in zip(a.tolist(), x.tolist()):
+        n, *_, h = specfun._upper_cf_run(a_i, x_i, 0,
+                                         *specfun._upper_cf_start(a_i, x_i))
+        detail = reg_gamma_q_detail(a_i, x_i)
+        assert (detail.method, detail.n_iter) == ("cf", n)
+        out.append((n, h.hex(), detail.value.hex(), detail.err_bound.hex()))
+    return out
+
+
+@pytest.mark.parametrize("c", [1.05, 3.0])
+def test_cf_lanes_retire_at_every_column_of_a_block(monkeypatch, c):
+    # With no hand-off, every lane retires inside a block, and the stops
+    # fall on every column of one, the first and the last included.
+    monkeypatch.setattr(_lanes, "_LOCKSTEP_MIN_LANES", 1)
+    x = _CF_SCAN + c
+    scalar = _cf_scalar_hex(_CF_SCAN, x)
+    columns = {(n - 1) % _lanes._CF_BLOCK for n, *_ in scalar}
+    assert columns == set(range(_lanes._CF_BLOCK))
+    assert _cf_lanes_hex(_CF_SCAN, x) == scalar
+
+
+def test_cf_lanes_below_the_hand_off_finish_on_the_scalar_loop(monkeypatch):
+    handed = []
+    run = _lanes._upper_cf_run
+
+    def spy(a, x, n, *state):
+        handed.append(n)
+        return run(a, x, n, *state)
+
+    monkeypatch.setattr(_lanes, "_upper_cf_run", spy)
+    x = _CF_SCAN + 4.5
+    scalar = _cf_scalar_hex(_CF_SCAN, x)
+    _upper_cf_lanes(_CF_SCAN, x)
+    # The last lanes are handed over together, at the end of a block.
+    assert 0 < len(handed) < _lanes._LOCKSTEP_MIN_LANES
+    assert len(set(handed)) == 1 and handed[0] % _lanes._CF_BLOCK == 0
+    assert _cf_lanes_hex(_CF_SCAN, x) == scalar
+
+
+def test_cf_lanes_cut_their_last_block_at_the_cap(monkeypatch):
+    # A cap of 20 cuts the second block short.  Lanes that stop by then, at
+    # the cap itself too, keep their bits; with a lane that needs more, the
+    # first such lane raises the scalar loop's error.
+    x = _CF_SCAN + 4.5
+    n = np.array([s[0] for s in _cf_scalar_hex(_CF_SCAN, x)])
+    cap = 20
+    assert _lanes._CF_BLOCK < cap < 2 * _lanes._CF_BLOCK
+    monkeypatch.setattr(specfun, "_KERNEL_MAX_ITER", cap)
+    monkeypatch.setattr(_lanes, "_LOCKSTEP_MIN_LANES", 1)
+    in_time = n <= cap
+    assert (n == cap).any() and (n[in_time] > _lanes._CF_BLOCK).sum() > 1
+    a_t, x_t = _CF_SCAN[in_time], x[in_time]
+    assert _cf_lanes_hex(a_t, x_t) == _cf_scalar_hex(a_t, x_t)
+    err = _first_error(lambda p: reg_gamma_q_detail(*p),
+                       zip(_CF_SCAN.tolist(), x.tolist()))
+    assert err[0] is ConvergenceError and err[2] == cap
+    for lanes in (_upper_cf_lanes, _reg_gamma_q_core):
+        assert _first_error(lambda p: lanes(*p), [(_CF_SCAN, x)]) == err
+
+
+def _tiny_start(zero, a, x):
+    """_upper_cf_start with c (zero = "c") or d (zero = "d") moved so that
+    the first iteration's c or d is exactly 0 wherever a - 1 and x + 3 - a
+    are powers of two."""
+    b, c, d, h = _upper_cf_start(a, x)
+    an, b1 = a - 1.0, b + 2.0
+    if zero == "c":
+        return b, -an / b1, d, h
+    return b, c, -b1 / an, h
+
+
+@pytest.mark.parametrize("zero", ["c", "d"])
+def test_cf_lanes_replace_a_zero_c_or_d_as_the_scalar_loop(monkeypatch, zero):
+    # No shape in Q's domain is known to reach the replacement, so both
+    # paths start from a state that does, on 30 lanes of 130.
+    start = partial(_tiny_start, zero)
+    monkeypatch.setattr(specfun, "_upper_cf_start", start)
+    monkeypatch.setattr(_lanes, "_upper_cf_start", start)
+    monkeypatch.setattr(_lanes, "_LOCKSTEP_MIN_LANES", 1)
+    a_z, x_z = np.array([(a, a - 3.0 + 2.0 ** k)
+                         for a in (2.0, 3.0, 5.0, 9.0, 17.0, 33.0)
+                         for k in range(2, 7)]).T
+    b, c, d, _ = start(a_z, x_z)
+    an, b1 = a_z - 1.0, b + 2.0
+    assert ((b1 + an / c if zero == "c" else an * d + b1) == 0.0).all()
+    a = np.concatenate((a_z, _CF_SCAN[::4]))
+    x = np.concatenate((x_z, _CF_SCAN[::4] + 2.0))
+    assert _cf_lanes_hex(a, x) == _cf_scalar_hex(a, x)
+
+
+def test_cf_lanes_are_bitwise_the_scalar_loop_on_seeded_lanes():
+    # Shapes over [1e-3, 1e6], from the branch edge x = a + 1 (the slowest
+    # lanes, some thousands of iterations at the top) to a few standard
+    # deviations above the mean.
+    rng = np.random.default_rng(2026)
+    a = 10.0 ** rng.uniform(-3.0, 6.0, 300)
+    x = a + 1.0 + np.abs(rng.standard_normal(300)) * 2.0 * np.sqrt(a)
+    x[::10] = a[::10] + 1.0
+    assert _cf_lanes_hex(a, x) == _cf_scalar_hex(a, x)
+
+
+# The lane tests of Q's kernel, which claim bit-identity from IEEE + - * /
+# alone, with numpy's optional SIMD paths on and off.
+_Q_LANE_PARITY = [
+    "tests/test_lane_forms.py::" + name for name in (
+        "test_cf_lanes_retire_at_every_column_of_a_block",
+        "test_cf_lanes_below_the_hand_off_finish_on_the_scalar_loop",
+        "test_cf_lanes_cut_their_last_block_at_the_cap",
+        "test_cf_lanes_replace_a_zero_c_or_d_as_the_scalar_loop",
+        "test_cf_lanes_are_bitwise_the_scalar_loop_on_seeded_lanes")] + [
+    "tests/test_tailprob.py::test_tail_prob_many_is_bitwise_the_scalar_scan",
+    "tests/test_tailprob.py::"
+    "test_tail_prob_many_with_one_offset_per_lane_is_bitwise_the_scan",
+    "tests/test_specfun.py::test_reg_gamma_q_many_is_bitwise_the_scalar_loop",
+]
+
+
+def _optional_simd_features() -> list[str]:
+    """The CPU features numpy dispatches to at run time on this machine:
+    the names NPY_DISABLE_CPU_FEATURES accepts, which differ between numpy
+    versions (baseline features cannot be turned off)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                     # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(name)]
+
+
+def test_q_lane_parity_holds_with_numpy_simd_paths_off():
+    features = _optional_simd_features()
+    if not features:
+        pytest.skip("numpy dispatches to no optional CPU feature here")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        # Plain asserts: rewriting the modules the test files import (the
+        # property-test library's among them) would take most of the run.
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--assert=plain", *_Q_LANE_PARITY], cwd=root, env=env,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -175,8 +175,8 @@ def test_tail_prob_many_is_bitwise_the_scalar_scan(monkeypatch, min_lanes):
 
 
 def test_tail_prob_many_hands_its_last_lanes_to_the_scalar_loop(monkeypatch):
-    # The continued fraction (x = a + 3 >= a + 1 on the whole grid) steps
-    # one iteration per pass and hands over its last lanes; the folded
+    # The continued fraction (x = a + 3 >= a + 1 on the whole grid) runs
+    # in blocks of iterations and hands over its last lanes; the folded
     # loops never do.
     handed = []
     run = _lanes._upper_cf_run
