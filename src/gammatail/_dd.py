@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -36,10 +35,18 @@ _LN2_LO = 2.3190468138462996e-17
 _EXP_MAX_TERMS = 39
 # Term cap of dd_log1p_small's Taylor series; |u| <= 1/2 stops by n = 115.
 _LOG1P_MAX_TERMS = 120
+
+
+def _reciprocal(n: int) -> tuple[float, float]:
+    """1/n as a double-double: with 1.0/n = p/d exactly, the low part is
+    1/n - p/d = (d - n p)/(n d), one correctly rounded integer division."""
+    p, d = (1.0 / n).as_integer_ratio()
+    return 1.0 / n, (d - n * p) / (n * d)
+
+
 # 1/n as double-double pairs for the Taylor sums, 1/n at index n - 1: a
 # double 1/n alone would cap them near 1e-19 relative.
-_RECIPROCALS = tuple((1.0 / n, float(Fraction(1, n) - Fraction(1.0 / n)))
-                     for n in range(1, _LOG1P_MAX_TERMS))
+_RECIPROCALS = tuple(map(_reciprocal, range(1, _LOG1P_MAX_TERMS)))
 # dd_log scales x outside [2^-960, 2^960] by a power of two, so that
 # neither exp(-ln x) nor the split of x leaves the double range.
 _LOG_SCALE_MAX = 960

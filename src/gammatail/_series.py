@@ -5,7 +5,8 @@ approaches 1, and their floating-point formulas cancel catastrophically there.
 The fix is a Taylor branch in s = y - 1.  _build() generates every
 expansion with Fraction arithmetic from the defining elementary series
 (log1p and geometric series only) and rounds it to floats; the tables below
-are its output frozen as literals, so importing the module builds nothing.
+are its output frozen as literals, so importing the module builds nothing
+and loads no fractions module.
 A test rebuilds them and compares them bit for bit, so every coefficient
 stays reproducible from the formulas in this file.
 
@@ -16,7 +17,10 @@ so its operands are built past ORDER by the length of that block.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ORDER = 40
 # The threshold-ratio division cancels a shared s^4 factor, so its operands
@@ -25,6 +29,8 @@ _DIV_SHIFT = 4
 
 
 def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    from fractions import Fraction
+
     n = len(a)
     out = [Fraction(0)] * n
     for i, ai in enumerate(a):
@@ -53,6 +59,8 @@ def _div(num: list[Fraction], den: list[Fraction],
          order: int) -> list[Fraction]:
     """Power-series division through s^order: shared leading zeros cancel
     exactly, so the operands must run that many terms past s^order."""
+    from fractions import Fraction
+
     shift = next(i for i, c in enumerate(den) if c)
     if any(num[:shift]):
         raise ValueError("numerator must vanish at least as fast as denominator")
@@ -70,6 +78,8 @@ def _div(num: list[Fraction], den: list[Fraction],
 
 
 def _build(order: int = ORDER) -> dict[str, tuple[float, ...]]:
+    from fractions import Fraction
+
     length = order + 1 + _DIV_SHIFT
     zero = [Fraction(0)] * length
     s = [*zero]

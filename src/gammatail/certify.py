@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._dd import central_difference, mean_gaps
-from ._lanes import _per_lane
+from ._lanes import _ordered_extreme, _per_lane
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
@@ -605,9 +605,9 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     chain_ok = np.all(gaps > strict_margin * errs, axis=0)
     ratios = (gaps / errs).T
     err = errs.max(axis=0)
-    # Python's min over the ratios in pair order keeps the first of two
+    # The builtin min over the ratios in pair order keeps the first of two
     # equal signed zeros; np.min may return either.
-    min_ratio = min([math.inf, *ratios.ravel().tolist()])
+    min_ratio = _ordered_extreme(min, math.inf, ratios)
     columns = (x, y, geo, lm, ref, ari, *gaps, err, extended, chain_ok)
     for column in columns:
         column.flags.writeable = False

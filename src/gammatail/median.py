@@ -330,6 +330,8 @@ def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     """
     import numpy as np
 
+    from ._lanes import _ordered_extreme
+
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1:
         raise DomainError("check_median_bracket takes a 1-D grid of shapes")
@@ -340,7 +342,7 @@ def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     margins = np.stack((0.5 - p[:, 0], p[:, 1] - 0.5), axis=1)
     # margin / max(err, 1e-300), and the builtin min over them in grid order.
     ratios = margins / np.where(1e-300 > errs, 1e-300, errs)
-    min_ratio = min([math.inf, *ratios.ravel().tolist()])
+    min_ratio = _ordered_extreme(min, math.inf, ratios)
     certified = bool(np.all((margins > 0.0) & (ratios > STRICT_MARGIN)))
     entries = tuple(map(MedianBracketCheck, a.tolist(), *margins.T.tolist(),
                         *errs.T.tolist()))

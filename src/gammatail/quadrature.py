@@ -63,10 +63,25 @@ _MAX_PANELS = 10_000
 _GROUP = 512
 _CHUNK = 512
 
-_nodes, _weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+# The 15-point Gauss-Legendre rule on [-1, 1], as numpy's
+# polynomial.legendre.leggauss(15) returns it (numpy 2.4, x86-64), frozen so
+# that the rule's bits do not depend on the LAPACK build or cost the import
+# of numpy.polynomial.
+_NODES = np.array((
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854))
+_WEIGHTS = np.array((
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203))
 # Affine map of the canonical nodes onto (0, 1); weights absorb the 1/2.
-GAUSS_NODES_01 = 0.5 * (_nodes + 1.0)
-GAUSS_WEIGHTS_01 = 0.5 * _weights
+GAUSS_NODES_01 = 0.5 * (_NODES + 1.0)
+GAUSS_WEIGHTS_01 = 0.5 * _WEIGHTS
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ on this module therefore prints one pass/fail line per criterion.
 The final tests exercise the reproducibility contract end to end through
 the command line (`verify-all --json` must be byte-identical across runs)
 and confirm that the fault-injection mode actually fails, i.e. that the
-harness is capable of reporting red.
+harness is capable of reporting red.  The seeded-draw tests pin the
+criteria's own generator to numpy's ``default_rng`` stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gammatail import (CertificationError, ConvergenceError,
@@ -127,6 +129,39 @@ def test_c12_ratio_derivative_sign_relation():
 
 def test_c13_deterministic_verdicts_across_runs():
     _check(acceptance.c13_determinism())
+
+
+def _bits(values: np.ndarray) -> list[str]:
+    return [v.hex() for v in values.tolist()]
+
+
+@pytest.mark.parametrize("seed, n", [(107, 40), (110, 20_000), (112, 2_000),
+                                     (107, 0), (110, 1), (0, 64),
+                                     (2**32 + 5, 64), (2**64 + 3, 64),
+                                     (2**128 - 1, 64)])
+def test_seeded_uniforms_are_numpys_default_rng_stream(seed, n):
+    # C07, C10 and C12 draw (107, 40), (110, 20,000) and (112, 2,000).
+    # Seeds of one to four 32-bit digits fill SeedSequence's four-word pool
+    # partly or wholly.
+    ours = acceptance._seeded_uniforms(seed, n)
+    assert ours.dtype == np.float64 and ours.shape == (n,)
+    assert _bits(ours) == _bits(np.random.default_rng(seed).random(n))
+
+
+def test_one_draw_of_2n_is_two_consecutive_draws_of_n():
+    # C10 takes its x and spread draws in one call.
+    n = 10_000
+    rng = np.random.default_rng(110)
+    first, second = rng.random(n), rng.random(n)
+    both = acceptance._seeded_uniforms(110, 2 * n)
+    assert _bits(both[:n]) == _bits(first)
+    assert _bits(both[n:]) == _bits(second)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seeded_uniforms_reject_a_seed_outside_the_pool(seed):
+    with pytest.raises(ValueError, match=r"in \[0, 2\*\*128\)"):
+        acceptance._seeded_uniforms(seed, 4)
 
 
 def test_verify_all_returns_every_criterion_once():

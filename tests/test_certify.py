@@ -33,6 +33,7 @@ from gammatail import (
     rational_stage_deriv,
 )
 from gammatail._dd import mean_gaps
+from gammatail.acceptance import _seeded_uniforms
 from gammatail.certify import MeanChainEntry
 from gammatail.oracle import oracle_tail_prob
 from gammatail.specfun import log_mean, refined_mean
@@ -569,10 +570,10 @@ def _reference_mean_entry_from_gaps(x, y, gaps, strict_margin):
 def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
     # Acceptance criterion C10's seeded pairs, plus pairs at, just below and
     # just above the extended-precision switch at relative spread 0.02.
-    rng = np.random.default_rng(110)
     n = 10_000
-    xs = 10.0 ** (-2.0 + 4.0 * rng.random(n))
-    spreads = 10.0 ** (-6.0 + (math.log10(1e6 - 1.0) + 6.0) * rng.random(n))
+    draws = _seeded_uniforms(110, 2 * n)
+    xs = 10.0 ** (-2.0 + 4.0 * draws[:n])
+    spreads = 10.0 ** (-6.0 + (math.log10(1e6 - 1.0) + 6.0) * draws[n:])
     pairs = [(float(x), float(x) * (1.0 + float(t)))
              for x, t in zip(xs, spreads)]
     for x in (1.0, 3.0, 0.5, 50.0, 7.25, 1e-3, 1e4, 0.3):

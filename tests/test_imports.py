@@ -3,8 +3,9 @@
 ``import gammatail`` resolves its exports on first access (PEP 562), so a
 cold command pays only for the layers it runs.  The scalar commands
 (``eval``, ``median --a``) and the parser must not load numpy or the
-batched, quadrature, oracle and acceptance layers; fresh interpreters
-check that.
+batched, quadrature, oracle and acceptance layers, and no command loads
+``numpy.random``, ``numpy.polynomial``, ``fractions`` or ``decimal``;
+fresh interpreters check that.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ def test_scalar_commands_load_no_numpy_and_no_batch_layer(args):
     loaded = _loaded(args)
     assert "gammatail.tailprob" in loaded
     assert loaded & _BATCH_LAYERS == set()
+    assert loaded & {"fractions", "decimal"} == set()
 
 
 def test_help_loads_neither_acceptance_nor_numpy():
@@ -113,3 +115,19 @@ def test_grid_commands_load_numpy_but_no_certification_layer(args, layers):
     assert "numpy" in loaded
     assert {m for m in loaded if m.startswith("gammatail.")} == {
         f"gammatail.{name}" for name in layers}
+
+
+# Modules no command needs: the seeded draws are the package's own copy of
+# numpy's PCG64 stream, the Gauss-Legendre rule is frozen as literals, and
+# the Fraction arithmetic runs only when _series' tables are rebuilt.
+_UNNEEDED = {"numpy.random", "numpy.polynomial", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("args", [["verify-all", "--json"],
+                                  ["certify", "--c", "0.5"],
+                                  ["scan", "--c", "0.5", "--n", "5"]],
+                         ids=["verify-all", "certify", "scan"])
+def test_batch_commands_load_no_random_polynomial_or_fractions(args):
+    loaded = _loaded(args)
+    assert "numpy" in loaded
+    assert loaded & _UNNEEDED == set()

@@ -20,6 +20,7 @@ import pytest
 from gammatail import _lanes, specfun
 from gammatail._lanes import (BranchRootLanes, _reg_gamma_q_core,
                               _upper_cf_lanes, branch_roots_many)
+from gammatail.acceptance import _seeded_uniforms
 from gammatail.errors import ConvergenceError, DomainError
 from gammatail.median import _bracket_margins, check_median_bracket
 from gammatail.quadrature import integrate
@@ -209,7 +210,7 @@ def _parts_hex(p) -> tuple[str, ...]:
 
 def test_ratio_parts_many_is_bitwise_the_one_pair_integrals():
     # Acceptance C07's pairs (u = a - 1), plus the domain's corners.
-    draws = np.random.default_rng(107).random(40)
+    draws = _seeded_uniforms(107, 40)
     u = np.concatenate((0.1 + 18.9 * draws[0::2], [-0.9, -0.5, 0.0, 30.0]))
     c = np.concatenate((-0.9 + 2.9 * draws[1::2], [0.5, -0.4, -0.99, 2.0]))
     many = ratio_parts_many(u, c)
@@ -259,6 +260,29 @@ def test_check_median_bracket_raises_the_scalar_loops_error():
     assert str(info.value) == _first_error(_bracket_margins, grid)[1]
     with pytest.raises(DomainError):
         check_median_bracket([])
+
+
+@pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+@pytest.mark.parametrize("pick, start, fill", [(min, math.inf, 1.0),
+                                               (max, -math.inf, -1.0)])
+def test_ordered_extreme_is_the_builtin_over_one_list(pick, start, fill,
+                                                      first, second):
+    # Two equal signed zeros on either side of a chunk boundary, NaN in
+    # both chunks: the builtin keeps the first zero and skips each NaN.
+    chunk = _lanes._ORDERED_CHUNK
+    values = np.full(2 * chunk + 7, fill)
+    values[[3, chunk + 2]] = math.nan
+    values[chunk - 1], values[chunk] = first, second
+    expected = pick([start, *values.tolist()])
+    assert math.copysign(1.0, expected) == math.copysign(1.0, first)
+    for lanes in (values, values.reshape(1, -1), values[::-1].copy()):
+        assert (_lanes._ordered_extreme(pick, start, lanes).hex()
+                == pick([start, *lanes.ravel().tolist()]).hex())
+    # An extreme in the last, partial chunk; all NaN or no values: start.
+    values[-1] = -4.0 * fill
+    assert _lanes._ordered_extreme(pick, start, values) == -4.0 * fill
+    for lanes in (np.full(chunk + 1, math.nan), np.empty((0, 3))):
+        assert _lanes._ordered_extreme(pick, start, lanes) == start
 
 
 # ----------------------------------------------------------------------

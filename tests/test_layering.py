@@ -83,6 +83,80 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert _unused_imports() == set()
 
 
+# numpy submodules no module may use: numpy.random's streams are not
+# pinned across numpy versions (NEP 19), and both cost megabytes at import.
+_BANNED_NUMPY = {"random", "polynomial"}
+# Standard-library modules no module may import when it is imported.
+_BANNED_AT_IMPORT = {"fractions", "decimal"}
+
+
+def _banned_numpy_uses(tree: ast.Module) -> set[str]:
+    """Each np.random, numpy.polynomial, ... a source tree names or imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _BANNED_NUMPY
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            found.add(f"{node.value.id}.{node.attr}")
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        found.update(name for name in names
+                     if name.split(".")[:2] in (["numpy", sub]
+                                                for sub in _BANNED_NUMPY))
+    return found
+
+
+def _import_time_imports(tree: ast.Module) -> set[str]:
+    """The top-level packages a source tree imports when it is imported:
+    its body, if and try blocks and class bodies included, but not the
+    functions it defines or its `if TYPE_CHECKING:` blocks."""
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                stack.extend(node.body)
+            stack.extend(node.orelse)
+        elif isinstance(node, ast.Try):
+            stack.extend(node.body + node.orelse + node.finalbody)
+            stack.extend(n for handler in node.handlers for n in handler.body)
+        elif isinstance(node, ast.ClassDef):
+            stack.extend(node.body)
+    return found
+
+
+def test_no_module_uses_numpy_random_or_polynomial():
+    assert {module: uses for module, tree in TREES.items()
+            if (uses := _banned_numpy_uses(tree))} == {}
+    # The rule sees each form of use.
+    assert _banned_numpy_uses(ast.parse(
+        "import numpy.random\nfrom numpy import polynomial\n"
+        "from numpy.random import default_rng\n"
+        "def f():\n    return np.random.default_rng(1), numpy.polynomial\n"
+    )) == {"numpy.random", "numpy.polynomial", "numpy.random.default_rng",
+           "np.random"}
+
+
+def test_no_module_imports_fractions_or_decimal_when_imported():
+    # Fraction arithmetic is for rebuilding tables, inside the builder.
+    assert {module: found for module, tree in TREES.items()
+            if (found := _import_time_imports(tree) & _BANNED_AT_IMPORT)
+            } == {}
+    assert _import_time_imports(ast.parse(
+        "from fractions import Fraction\n"
+        "if TYPE_CHECKING:\n    import decimal\n"
+        "def f():\n    import decimal\n")) == {"fractions"}
+
+
 def _homes(name: str) -> list[str]:
     """The modules that define a function of this name, or a lane copy of
     it, leading underscores and a _lanes suffix aside."""
@@ -137,6 +211,10 @@ SHARED_FORMULAS = {
         "eval", "scan", "median", "means")),
     ("specfun", "_mean_scale"): (("specfun", "refined_mean"),
                                  ("certify", "check_mean_chain")),
+    ("_lanes", "_ordered_extreme"): (("certify", "check_mean_chain"),
+                                     ("median", "check_median_bracket"),
+                                     ("acceptance",
+                                      "c08_direction_form_signs")),
 }
 
 
@@ -387,6 +465,9 @@ PER_POINT_LOOPS = {
     ("c06_median_solver", "gamma_median"):
         "each median solve is a sequential root search, a few kernel calls "
         "each, with no lane form",
+    ("c08_direction_form_signs", "_ordered_extreme"):
+        "one ordered max per offset, four offsets; each walks its whole "
+        "1,000-point row",
 }
 
 

@@ -73,6 +73,13 @@ def test_two_prod_is_error_free(a, b):
     assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
 
+def test_reciprocals_are_the_exact_low_parts():
+    # Each pair is 1/n rounded, then the exact remainder 1/n - hi rounded.
+    assert [(hi.hex(), lo.hex()) for hi, lo in _RECIPROCALS] == [
+        ((1.0 / n).hex(), float(Fraction(1, n) - Fraction(1.0 / n)).hex())
+        for n in range(1, len(_RECIPROCALS) + 1)]
+
+
 def test_dd_arithmetic_recovers_dropped_bits():
     # (1 + 2^-60) - 1 vanishes in doubles but survives in dd.
     tiny = 2.0**-60

@@ -537,3 +537,18 @@ def test_integrate_many_replays_only_the_failing_group(monkeypatch):
     replay = seen[seen.index([2]):]
     assert {tuple(k) for k in replay} == {(2,), (3,)}
     assert replay[-1] == [3]
+
+
+def test_gauss_legendre_literals_are_numpys_rule():
+    # The frozen rule is leggauss(15) to within 2 ulps, with the symmetry of
+    # the exact rule: nodes antisymmetric, weights symmetric, summing to 2.
+    nodes, weights = np.polynomial.legendre.leggauss(quadrature.GAUSS_ORDER)
+    for ours, ref in ((quadrature._NODES, nodes),
+                      (quadrature._WEIGHTS, weights)):
+        assert ours.shape == (quadrature.GAUSS_ORDER,)
+        assert np.all(np.abs(ours - ref) <= 2.0 * np.spacing(np.abs(ref)))
+    assert np.all(np.diff(quadrature._NODES) > 0.0)
+    assert quadrature._NODES.tolist() == (-quadrature._NODES[::-1]).tolist()
+    assert quadrature._WEIGHTS.tolist() == quadrature._WEIGHTS[::-1].tolist()
+    assert (abs(math.fsum(quadrature._WEIGHTS.tolist()) - 2.0)
+            <= 4.0 * math.ulp(2.0))
