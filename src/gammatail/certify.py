@@ -3,11 +3,10 @@
 Everything here reduces a claimed analytic fact to finitely many certified
 floating-point sign checks.  The margin discipline is uniform: a difference
 counts as a certified sign only when it exceeds the strict margin
-(``STRICT_MARGIN`` = 8, or the ``strict_margin`` keyword of
-``certify_monotone`` and ``check_mean_chain``) times the combined evaluation
-error bound of its two endpoints.  Anything smaller is refined (up to a fixed
-depth) and then reported inconclusive rather than rounded up to a verdict,
-because strict monotonicity cannot be proven numerically without a margin.
+(``STRICT_MARGIN`` = 8, a constant) times the combined evaluation error bound
+of its two endpoints.  Anything smaller is refined (up to a fixed depth) and
+then reported inconclusive rather than rounded up to a verdict, because
+strict monotonicity cannot be proven numerically without a margin.
 
 Contents:
 
@@ -123,15 +122,10 @@ def _eval_point(a: float, c: float) -> tuple[float, float]:
     return d.value, d.err_bound
 
 
-def _check_margin(strict_margin: float) -> None:
-    if not strict_margin >= 1.0:
-        raise DomainError("strict_margin must be at least 1")
-
-
-def _classify(d, err_sum, strict_margin: float):
+def _classify(d, err_sum):
     """+1 / -1 for a certified strict sign, 0 for not-certifiable;
     elementwise when d and err_sum are arrays."""
-    margin = strict_margin * err_sum
+    margin = STRICT_MARGIN * err_sum
     return 1 * (d > margin) - 1 * (d < -margin)
 
 
@@ -154,8 +148,7 @@ def _children(ends: np.ndarray, mid: np.ndarray) -> np.ndarray:
     return np.stack((ends[0], mid, mid, ends[1]), axis=-1).reshape(-1, 2).T
 
 
-def certify_monotone(c: float, scan: ScanSpec,
-                     strict_margin: float = STRICT_MARGIN) -> MonotoneVerdict:
+def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     """Scan the tail probability over shapes and certify its direction.
 
     A direction is certified only if every consecutive difference carries a
@@ -166,9 +159,8 @@ def certify_monotone(c: float, scan: ScanSpec,
 
     The scan must not start strictly inside the plateau: a_min >= -c is
     required when c < 0 (equality puts the first point on the plateau edge,
-    where the probability is exactly 1).  strict_margin must be at least 1.
+    where the probability is exactly 1).
     """
-    _check_margin(strict_margin)
     c = float(c)
     if not math.isfinite(c):
         raise DomainError("c must be finite")
@@ -188,7 +180,7 @@ def certify_monotone(c: float, scan: ScanSpec,
         a_ends, p_ends, e_ends = ends
         d = p_ends[1] - p_ends[0]
         err_sum = e_ends[0] + e_ends[1]
-        sign = _classify(d, err_sum, strict_margin)
+        sign = _classify(d, err_sum)
         ratio = np.abs(d) / np.maximum(err_sum, 5e-324)
         for s in (1, -1):
             if np.any(sign == s):
@@ -209,7 +201,7 @@ def certify_monotone(c: float, scan: ScanSpec,
     n_extra = a_pts.size - len(grid)
     if len(ratios) == 2:
         witness, ratio = _witness_from_points(a_pts, p_all[first],
-                                              e_all[first], strict_margin)
+                                              e_all[first])
         if witness is None:
             interval = (tuple(a_ends[:, unresolved[0]].tolist())
                         if unresolved.size else (grid[0], grid[-1]))
@@ -242,8 +234,7 @@ def certify_monotone(c: float, scan: ScanSpec,
                f"{word} ({n_extra} refinement points)")
 
 
-def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray,
-                         strict_margin: float
+def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray
                          ) -> tuple[Optional[Witness], float]:
     """Best dip triple from evaluated points, given as arrays sorted by
     shape without repeats, or None if margins fail.  Ties go to the
@@ -259,8 +250,8 @@ def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray,
     right_gap = p3 - p2
     left_err = e1 + e2
     right_err = e3 + e2
-    if not (left_gap > strict_margin * left_err
-            and right_gap > strict_margin * right_err):
+    if not (left_gap > STRICT_MARGIN * left_err
+            and right_gap > STRICT_MARGIN * right_err):
         return None, 0.0
     ratio = min(left_gap / max(left_err, 5e-324),
                 right_gap / max(right_err, 5e-324))
@@ -544,8 +535,7 @@ class MeanChainReport:
                     other.probe_gap, other.entries))
 
 
-def check_mean_chain(pairs: Sequence[tuple[float, float]],
-                     strict_margin: float = STRICT_MARGIN) -> MeanChainReport:
+def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
     """Certify the mean chain on each pair and probe the 1/3 factor.
 
     All pairs are evaluated together, as numpy columns with the scalar
@@ -560,10 +550,8 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
 
     The optimality probe replaces the 1/3 factor inside the refined mean by
     0.332 and scans near-equal pairs for a certified reversal of L < refined
-    mean; finding one shows the factor cannot be lowered.  strict_margin
-    must be >= 1.
+    mean; finding one shows the factor cannot be lowered.
     """
-    _check_margin(strict_margin)
     if len(pairs) == 0:
         raise DomainError("check_mean_chain requires at least one pair")
     xy = np.array(pairs, dtype=float)
@@ -602,7 +590,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
     if not np.all((errs >= 2.0 ** -1022) & np.isfinite(gaps)):
         raise DomainError("mean chain pairs need gaps and error bounds "
                           "inside the normal double range")
-    chain_ok = np.all(gaps > strict_margin * errs, axis=0)
+    chain_ok = np.all(gaps > STRICT_MARGIN * errs, axis=0)
     ratios = (gaps / errs).T
     err = errs.max(axis=0)
     # The builtin min over the ratios in pair order keeps the first of two
@@ -623,7 +611,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]],
         lm = log_mean(x, y)
         weakened = math.sqrt(x * y + _PROBE_FACTOR * (lm - x) * (y - lm))
         gap = lm - weakened
-        if gap > strict_margin * 32.0 * EPS and gap > probe_gap:
+        if gap > STRICT_MARGIN * 32.0 * EPS and gap > probe_gap:
             probe_found = True
             probe_spread = float(t)
             probe_gap = gap

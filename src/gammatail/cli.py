@@ -15,10 +15,10 @@ does building the parser (--help included).
 
 Exit codes: 0 success / certified as predicted; 1 certified violation of a
 claim this package certifies, and nothing else; 2 usage or domain error; 3
-inconclusive (a certification that could not be decided at the requested
-precision or margin, or a numerical routine that ran out of its budget
-before it met its target); 4 internal error (an error that no other code
-names, reported on stderr with its traceback).
+inconclusive (a certification that could not be decided at the fixed
+margin in double precision, or a numerical routine that ran out of its
+budget before it met its target); 4 internal error (an error that no other
+code names, reported on stderr with its traceback).
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      QuadratureError, WitnessSearchError)
-from .median import ABS_TOL, REL_TOL
 from .specfun import ONE_THIRD, STRICT_MARGIN
 
 if TYPE_CHECKING:
@@ -90,12 +89,6 @@ def _emit_rows(args: argparse.Namespace, header: Sequence[str],
         _emit(_csv(rows, header), args.out)
 
 
-def _add_strict_margin(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strict-margin", type=float,
-                        default=STRICT_MARGIN,
-                        help="certified-sign margin multiplier")
-
-
 def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None,
                         help="write output to this path instead of stdout")
@@ -145,20 +138,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _verdict_payload(verdict: MonotoneVerdict) -> dict[str, object]:
-    witness = None if verdict.witness is None else asdict(verdict.witness)
-    interval = None if verdict.interval is None else list(verdict.interval)
-    return {
-        "direction": verdict.direction,
-        "c": verdict.c,
-        "scan": asdict(verdict.scan),
-        "witness": witness,
-        "margin_ratio": verdict.margin_ratio,
-        "interval": interval,
-        "detail": verdict.detail,
-    }
-
-
 def _certify_exit(verdict: MonotoneVerdict) -> int:
     if verdict.direction == "inconclusive":
         return _EXIT_INCONCLUSIVE
@@ -174,8 +153,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     from .certify import certify_monotone
 
     spec = _scan_spec(args, args.c)
-    verdict = certify_monotone(args.c, spec, strict_margin=args.strict_margin)
-    _emit(_json_text(_verdict_payload(verdict)), args.out)
+    verdict = certify_monotone(args.c, spec)
+    _emit(_json_text(asdict(verdict)), args.out)
     return _certify_exit(verdict)
 
 
@@ -193,8 +172,7 @@ def _cmd_median(args: argparse.Namespace) -> int:
         spec = ScanSpec(a_min=args.a_min, a_max=args.a_max, n=args.n,
                         scale=args.scale)
         shapes = list(spec.grid())
-    rows = [astuple(gamma_median(a, rel_tol=args.rel_tol,
-                                 abs_tol=args.abs_tol)) for a in shapes]
+    rows = [astuple(gamma_median(a)) for a in shapes]
     _emit_rows(args, ("a", "median", "offset", "residual"), rows)
     return _EXIT_OK
 
@@ -204,8 +182,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
 
     # check_mean_chain validates 0 < x < y and raises DomainError otherwise
     # (equal arguments are rejected: the chain is strict).
-    report = check_mean_chain([(args.x, args.y)],
-                              strict_margin=args.strict_margin)
+    report = check_mean_chain([(args.x, args.y)])
     entry = report.entries[0]
     _emit_rows(args, ("x", "y", "geo", "log_mean", "refined_mean", "arith",
                       "chain_ok"),
@@ -218,7 +195,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
     # inside the margin is merely undecided at this precision.
     gaps = (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
             entry.gap_arith_vs_refined)
-    if min(gaps) < -args.strict_margin * entry.err_bound:
+    if min(gaps) < -STRICT_MARGIN * entry.err_bound:
         return _EXIT_VIOLATION
     return _EXIT_INCONCLUSIVE
 
@@ -280,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "direction over a scan")
     p_cert.add_argument("--c", type=float, required=True)
     _add_scan_flags(p_cert)
-    _add_strict_margin(p_cert)
     _add_out(p_cert)
     p_cert.set_defaults(func=_cmd_certify)
 
@@ -289,12 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_med.add_argument("--a", type=float, default=None)
     _add_scan_flags(p_med, n_default=50)
     p_med.add_argument("--json", action="store_true")
-    p_med.add_argument("--rel-tol", type=float,
-                       default=REL_TOL,
-                       help="relative tolerance target")
-    p_med.add_argument("--abs-tol", type=float,
-                       default=ABS_TOL,
-                       help="absolute tolerance floor")
     _add_out(p_med)
     p_med.set_defaults(func=_cmd_median)
 
@@ -302,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_means.add_argument("--x", type=float, required=True)
     p_means.add_argument("--y", type=float, required=True)
     p_means.add_argument("--json", action="store_true")
-    _add_strict_margin(p_means)
     _add_out(p_means)
     p_means.set_defaults(func=_cmd_means)
 

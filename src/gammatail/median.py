@@ -30,8 +30,8 @@ one correction term, which is within a few ulps below a = 0.05 and within
 a = 1.0043e-3 the median lies under the floor, and gamma_median rejects the
 shape with DomainError.
 
-gamma_median takes its residual target and bracket-width floor as keywords;
-its 200-evaluation budget, shared by the search and the refinement, and the
+gamma_median's residual target (1e-12), bracket-width floor (1e-14),
+200-evaluation budget, shared by the search and the refinement, and the
 bracket check's margin are constants.
 """
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 _LINEAR_BRACKET_MIN = 0.35
 _LOG_FLOOR = math.log(1e-300)
 _COARSE_WIDTH = 1e-3
-REL_TOL = 1e-12     # gamma_median's default residual target,
-ABS_TOL = 1e-14     # its default bracket-width floor,
+_REL_TOL = 1e-12    # gamma_median's residual target,
+_ABS_TOL = 1e-14    # its bracket-width floor,
 _MAX_EVALS = 200    # and its solver's budget of Q evaluations
 
 
@@ -104,7 +104,7 @@ class MedianBracketReport:
 
 
 def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
-                 f_lo: float, f_hi: float, abs_tol: float, n: int = 0
+                 f_lo: float, f_hi: float, n: int = 0
                  ) -> tuple[float, float, int]:
     """Root of fn on a sign-changing bracket: bisection to a coarse width,
     then secant/inverse-quadratic refinement kept inside the bracket.
@@ -155,7 +155,7 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
         else:
             hi = x_new
         x0, f0, x1, f1, x2, f2 = x1, f1, x_new, f_new, x0, f0
-        if hi - lo <= 8.0 * abs_tol + 4.0 * (abs(lo) + abs(hi)) * 1.1e-16:
+        if hi - lo <= 8.0 * _ABS_TOL + 4.0 * (abs(lo) + abs(hi)) * 1.1e-16:
             return best_x, best_f, n
     raise ConvergenceError(
         f"median root bracket [{lo!r}, {hi!r}] still wider than the target "
@@ -193,8 +193,8 @@ def _small_shape_log_median(a: float) -> tuple[float, float]:
 
 
 def _root_from_guess(fn: Callable[[float], float], guess: float, step: float,
-                     lo: float, hi: float, f_lo: float, f_hi: float,
-                     abs_tol: float) -> tuple[float, float, int]:
+                     lo: float, hi: float, f_lo: float, f_hi: float
+                     ) -> tuple[float, float, int]:
     """Root of fn on a sign-changing bracket, searched outward from a guess.
 
     Probes fn at guess (clamped into [lo, hi]) and then steps away from it
@@ -218,7 +218,7 @@ def _root_from_guess(fn: Callable[[float], float], guess: float, step: float,
             hi, f_hi = x, f
             x = hi - step
         if hi - lo <= step:
-            return _hybrid_root(fn, lo, hi, f_lo, f_hi, abs_tol, n)
+            return _hybrid_root(fn, lo, hi, f_lo, f_hi, n)
         step *= 2.0
     raise ConvergenceError(
         f"median search from {guess!r} found no sign change in [{lo!r}, "
@@ -252,27 +252,24 @@ def _bracket_failure(a: float, bracket: str) -> NoReturn:
         + ", ".join(f"({m!r}, {e!r})" for m, e in margins), n_iter=2)
 
 
-def gamma_median(a: float, rel_tol: float = REL_TOL,
-                 abs_tol: float = ABS_TOL) -> MedianResult:
-    """The median of a gamma variable with shape a, to residual rel_tol.
+def gamma_median(a: float) -> MedianResult:
+    """The median of a gamma variable with shape a, to residual 1e-12.
 
     A root of Q(a, m) = 1/2 inside [a - 1/3, a], searched outward from the
     asymptotic median once both endpoint signs hold (in log space on
     [1e-300, a], from the small-shape guess, when a < 0.35); the
-    refinement stops once the bracket is narrower than about 8 * abs_tol
-    plus a few ulps.  Both tolerances must lie in (0, 1).  A bracket
-    endpoint whose sign is wrong by more than STRICT_MARGIN times its error
-    bound raises CertificationError; one wrong only within that bound, a
-    residual that will not meet rel_tol, or a solver budget run out raises
-    ConvergenceError (with an evaluation count in n_iter), and so does a
-    root that escapes the bracket only by rounding (n_iter 0).  A shape whose
-    median lies below the 1e-300 floor raises DomainError.
+    refinement stops once the bracket is narrower than about 8e-14 plus a
+    few ulps.  A bracket endpoint whose sign is wrong by more than
+    STRICT_MARGIN times its error bound raises CertificationError; one wrong
+    only within that bound, a residual that will not meet 1e-12, or a solver
+    budget run out raises ConvergenceError (with an evaluation count in
+    n_iter), and so does a root that escapes the bracket only by rounding
+    (n_iter 0).  A shape whose median lies below the 1e-300 floor raises
+    DomainError.
     """
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
         raise DomainError("gamma_median requires finite a > 0")
-    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
-        raise DomainError("tolerances must lie in (0, 1)")
 
     def f_linear(m: float) -> float:
         return reg_gamma_q(a, m) - 0.5
@@ -287,7 +284,7 @@ def gamma_median(a: float, rel_tol: float = REL_TOL,
         median, f_root, n_evals = _root_from_guess(
             f_linear, _asymptotic_median(a),
             max(2.5e-4 / a ** 5, 4.0 * math.ulp(a)),
-            lo, hi, f_lo, f_hi, abs_tol)
+            lo, hi, f_lo, f_hi)
     else:
         def f_log(t: float) -> float:
             return reg_gamma_q(a, math.exp(t)) - 0.5
@@ -303,15 +300,15 @@ def gamma_median(a: float, rel_tol: float = REL_TOL,
             _bracket_failure(a, "(0, a]")
         guess, step = _small_shape_log_median(a)
         t_root, f_root, n_evals = _root_from_guess(
-            f_log, guess, step, t_lo, t_hi, f_lo, f_hi, abs_tol)
+            f_log, guess, step, t_lo, t_hi, f_lo, f_hi)
         median = math.exp(t_root)
 
     residual = abs(f_root)
-    if residual > rel_tol:
+    if residual > _REL_TOL:
         # An unreachable target contradicts nothing: the bracket held.
         raise ConvergenceError(
             f"median residual {residual!r} at a={a!r} exceeds the target "
-            f"{rel_tol!r} after {n_evals} evaluations", n_iter=n_evals)
+            f"{_REL_TOL!r} after {n_evals} evaluations", n_iter=n_evals)
     return MedianResult(a=a, median=median, offset=median - a,
                         residual=residual)
 

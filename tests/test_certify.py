@@ -1,7 +1,7 @@
 """Tests for the certification toolkit.
 
 A verdict here is never "the difference looked positive": a sign is
-certified only when the difference exceeds strict_margin times the sum
+certified only when the difference exceeds STRICT_MARGIN times the sum
 of the evaluation error bounds, refinement is capped at depth 6, and
 anything weaker is reported as inconclusive.  These tests pin the three
 monotonicity regimes, the witness search, the threshold-ratio chain, the
@@ -150,10 +150,13 @@ def test_certify_rejects_a_non_finite_offset():
             certify_monotone(c, ScanSpec(1.0, 2.0, 12))
 
 
-def test_certify_reports_inconclusive_under_unreachable_margin():
+def test_certify_reports_inconclusive_under_unreachable_margin(monkeypatch):
     # With an absurd margin requirement no sign can be certified, and the
     # verdict must say so instead of guessing a direction.
-    v = certify_monotone(0.0, ScanSpec(1.0, 2.0, 12), strict_margin=1e15)
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "STRICT_MARGIN", 1e15)
+    v = certify_monotone(0.0, ScanSpec(1.0, 2.0, 12))
     assert v.direction == "inconclusive"
     assert v.witness is None
     assert v.interval is not None
@@ -265,7 +268,7 @@ def test_find_witness_gives_up_when_no_recovery_is_certified(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _reference_certify_monotone(c, scan, strict_margin=8.0):
+def _reference_certify_monotone(c, scan, strict_margin):
     """certify_monotone with one tail_prob_detail call per grid point and
     every grid interval classified on the refinement stack, kept as the
     bit-level reference for the batched scan."""
@@ -306,7 +309,7 @@ def _reference_certify_monotone(c, scan, strict_margin=8.0):
         a_pts = sorted(points)
         witness, ratio = _witness_from_points(
             np.array(a_pts), np.array([points[a][0] for a in a_pts]),
-            np.array([points[a][1] for a in a_pts]), strict_margin)
+            np.array([points[a][1] for a in a_pts]))
         if witness is None:
             lo, hi = (unresolved[0][:2] if unresolved
                       else (grid[0], grid[-1]))
@@ -350,8 +353,12 @@ def _reference_certify_monotone(c, scan, strict_margin=8.0):
 ], ids=["increasing", "cf", "decreasing", "non-monotone", "refined",
         "inconclusive", "inconclusive-dip", "no-signs", "refined-certified",
         "rounded-midpoints"])
-def test_certify_monotone_equals_point_by_point_scan(c, scan, margin):
-    got = certify_monotone(c, scan, strict_margin=margin)
+def test_certify_monotone_equals_point_by_point_scan(c, scan, margin,
+                                                     monkeypatch):
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "STRICT_MARGIN", margin)
+    got = certify_monotone(c, scan)
     assert repr(got) == repr(_reference_certify_monotone(c, scan, margin))
     if margin == 1e9:
         assert "0 refinement points" not in got.detail
@@ -361,8 +368,7 @@ def test_witness_from_points_takes_the_leftmost_of_tied_points():
     from gammatail.certify import _witness_from_points
 
     p = np.array([0.9, 0.9, 0.5, 0.1, 0.1, 0.8, 0.8])
-    witness, _ = _witness_from_points(np.arange(1.0, 8.0), p, np.zeros(7),
-                                      8.0)
+    witness, _ = _witness_from_points(np.arange(1.0, 8.0), p, np.zeros(7))
     assert (witness.a1, witness.a2, witness.a3) == (1.0, 4.0, 6.0)
 
 
@@ -567,7 +573,10 @@ def _reference_mean_entry_from_gaps(x, y, gaps, strict_margin):
                      for gap, err in zip((g1, g2, g3), errs))), errs
 
 
-def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
+def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs(
+        monkeypatch):
+    import gammatail.certify as certify
+
     # Acceptance criterion C10's seeded pairs, plus pairs at, just below and
     # just above the extended-precision switch at relative spread 0.02.
     n = 10_000
@@ -601,7 +610,8 @@ def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs():
                                  entry.gap_refined_vs_log,
                                  entry.gap_arith_vs_refined), entry_errs):
                 ratio = min(ratio, gap / max(err, 5e-324))
-        rep = check_mean_chain(pairs, margin)
+        monkeypatch.setattr(certify, "STRICT_MARGIN", margin)
+        rep = check_mean_chain(pairs)
         assert len(rep.entries) == len(expected)
         # bitwise, -0.0 included; name the first mismatch, not all 10,000
         bad = next((i for i, (got, ref) in enumerate(zip(rep.entries,

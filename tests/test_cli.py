@@ -166,11 +166,13 @@ def test_certify_exit_codes_by_regime():
     assert json.loads(out)["direction"] == "decreasing"
 
 
-def test_certify_inconclusive_exits_three():
+def test_certify_inconclusive_exits_three(monkeypatch):
     # an unreachable margin forces the honest inconclusive verdict
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "STRICT_MARGIN", 1e15)
     code, out = run_cli(
-        ["certify", "--c", "0", "--a-min", "1", "--a-max", "2", "--n", "12",
-         "--strict-margin", "1e15"]
+        ["certify", "--c", "0", "--a-min", "1", "--a-max", "2", "--n", "12"]
     )
     assert code == 3
     assert json.loads(out)["direction"] == "inconclusive"
@@ -319,20 +321,28 @@ def test_means_exit_code_of_a_failed_chain(monkeypatch, gap, code):
         x=1.0, y=4.0, geometric=2.0, logarithmic=2.1640425613334453,
         refined=2.2, arithmetic=2.5, chain_ok=False, gap_log_vs_geo=0.16,
         gap_refined_vs_log=gap, gap_arith_vs_refined=0.3, err_bound=1e-16)
-    monkeypatch.setattr(certify, "check_mean_chain", lambda pairs, **kw:
+    monkeypatch.setattr(certify, "check_mean_chain", lambda pairs:
                         types.SimpleNamespace(entries=(entry,)))
     result, out = run_cli(["means", "--x", "1", "--y", "4"])
     assert result == code
     assert out.splitlines()[1].endswith(",false")
 
 
-def test_precision_flags_reach_the_computation():
+def test_precision_flags_reach_the_computation(monkeypatch):
     # An unreachable residual target or margin turns success into an
     # inconclusive result (exit 3), never a certified violation.
+    import gammatail.certify as certify
+    import gammatail.cli as cli
+    import gammatail.median as median
+
     assert run_cli(["median", "--a", "2"])[0] == 0
-    assert run_cli(["median", "--a", "2", "--rel-tol", "1e-300"])[0] == 3
-    # The means golden above exits 0 at the default margin of 8.
-    args = ["means", "--x", "1", "--y", "4", "--strict-margin", "1e15"]
+    monkeypatch.setattr(median, "_REL_TOL", 1e-300)
+    assert run_cli(["median", "--a", "2"])[0] == 3
+    # The means golden above exits 0 at the margin of 8.
+    args = ["means", "--x", "1", "--y", "4"]
+    assert run_cli(args)[0] == 0
+    for module in (certify, cli):
+        monkeypatch.setattr(module, "STRICT_MARGIN", 1e15)
     assert run_cli(args)[0] == 3
 
 
@@ -399,9 +409,9 @@ def test_out_flag_writes_identical_bytes(tmp_path):
 _CLI_OPTIONS = {
     "eval": "--a --c --json --out",
     "scan": "--c --a-min --a-max --n --scale --json --out",
-    "certify": "--c --a-min --a-max --n --scale --strict-margin --out",
-    "median": "--a --a-min --a-max --n --scale --json --rel-tol --abs-tol --out",
-    "means": "--x --y --json --strict-margin --out",
+    "certify": "--c --a-min --a-max --n --scale --out",
+    "median": "--a --a-min --a-max --n --scale --json --out",
+    "means": "--x --y --json --out",
     "verify-all": "--criteria --corrupt --json --out",
 }
 
@@ -421,6 +431,8 @@ def test_cli_surface_is_pinned():
     "eval --a 1 --c 0 --rel-tol 1e-3", "median --a 1 --strict-margin 2",
     "scan --c 0 --abs-tol 1e-3", "means --x 1 --y 4 --rel-tol 1e-3",
     "eval --a 1 --c 0 --use-oracle",
+    "certify --c 0 --strict-margin 8", "means --x 1 --y 4 --strict-margin 8",
+    "median --a 1 --rel-tol 1e-12", "median --a 1 --abs-tol 1e-14",
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     assert run_cli(argv.split()) == (2, "")

@@ -322,8 +322,7 @@ def test_no_capped_loop_runs_out_silently():
 
 # Every `raise CertificationError` site, (module, qualified function) -> the
 # condition of the `if` it sits in.  Exit 1 must mean a real contradiction,
-# so each guard compares a margin with STRICT_MARGIN (or strict_margin) times
-# its error bound.
+# so each guard compares a margin with STRICT_MARGIN times its error bound.
 CERTIFICATION_RAISES = {
     ("certify", "check_threshold_chain"): ("d < -STRICT_MARGIN * err_sum",),
     ("median", "_bracket_failure"): ("margin < -STRICT_MARGIN * err",),
@@ -331,8 +330,7 @@ CERTIFICATION_RAISES = {
         ("escape > STRICT_MARGIN * slack",),
 }
 
-_MARGIN_GUARD = re.compile(
-    r"\w+ [<>] -?(STRICT_MARGIN|strict_margin) \* \w+")
+_MARGIN_GUARD = re.compile(r"\w+ [<>] -?STRICT_MARGIN \* \w+")
 
 
 def _certification_raises() -> dict[tuple[str, str], tuple]:

@@ -124,11 +124,10 @@ def test_check_median_bracket_rejects_bad_grid():
 def test_hybrid_root_raises_at_its_cap(monkeypatch, cap):
     monkeypatch.setattr("gammatail.median._MAX_EVALS", cap)
     with pytest.raises(ConvergenceError) as info:
-        _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7, 1e-14)
+        _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7)
     assert info.value.n_iter == cap
     monkeypatch.setattr("gammatail.median._MAX_EVALS", 200)
-    root, _, n = _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7,
-                              1e-14)
+    root, _, n = _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7)
     assert n < 200 and abs(root - 0.3 ** (1.0 / 3.0)) < 1e-13
 
 

@@ -24,12 +24,8 @@ from gammatail import (
     ConvergenceError,
     DomainError,
     GammaTailError,
-    ScanSpec,
     branch_root_deriv,
     branch_roots,
-    certify_monotone,
-    check_mean_chain,
-    gamma_median,
     lambert_w0,
     lambert_wm1,
     log_mean,
@@ -644,24 +640,12 @@ def test_threshold_ratio_domain():
 # ----------------------------------------------------------------------
 
 
-def test_precision_validation():
-    # Each tolerance is checked where it enters: the solver tolerances by
-    # gamma_median, the margin by the two checks that take it.
-    assert gamma_median(1.0, rel_tol=1e-10, abs_tol=1e-12).residual <= 1e-10
-    for kwargs in ({"rel_tol": 0.0}, {"rel_tol": -1e-3}, {"abs_tol": -1.0}):
-        with pytest.raises(DomainError):
-            gamma_median(1.0, **kwargs)
-    for margin in (0.5, math.nan):
-        with pytest.raises(DomainError):
-            certify_monotone(0.0, ScanSpec(1.0, 2.0, 12), strict_margin=margin)
-        with pytest.raises(DomainError):
-            check_mean_chain([(1.0, 4.0)], strict_margin=margin)
-
-
 def test_public_signatures_take_only_the_tolerances_they_read():
+    # The certification margin, the median's residual target and its
+    # bracket floor are constants; only integrate takes a target, because
+    # its callers need different ones.
     takers = {"prec": set(), "strict_margin": set(), "rel_tol": set(),
               "abs_tol": set()}
-    defaults = {}
     for name in gammatail.__all__:
         obj = getattr(gammatail, name)
         if not callable(obj):
@@ -673,14 +657,5 @@ def test_public_signatures_take_only_the_tolerances_they_read():
         for key, names in takers.items():
             if key in params:
                 names.add(name)
-                defaults[name, key] = params[key].default
-    assert takers["prec"] == set()
-    assert takers["strict_margin"] == {"certify_monotone", "check_mean_chain"}
-    # integrate's relative target is the quadrature engine's own, set per
-    # call; its absolute floor is fixed.
-    assert takers["rel_tol"] == {"gamma_median", "integrate"}
-    assert takers["abs_tol"] == {"gamma_median"}
-    assert defaults["certify_monotone", "strict_margin"] == 8.0
-    assert defaults["check_mean_chain", "strict_margin"] == 8.0
-    assert defaults["gamma_median", "rel_tol"] == 1e-12
-    assert defaults["gamma_median", "abs_tol"] == 1e-14
+    assert takers == {"prec": set(), "strict_margin": set(),
+                      "rel_tol": {"integrate"}, "abs_tol": set()}
