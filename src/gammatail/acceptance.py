@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,15 +40,6 @@ _LIMIT_TOL = 1e-6
 _SIGN_NOISE_FLOOR = 1e-6
 _FD_LADDER = (1e-5, 1e-4, 1e-3)
 
-# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-# and PCG64's 128-bit LCG multiplier (O'Neill 2014, HMC-CS-2014-0905).
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_SEED_POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -57,70 +49,15 @@ class CriterionResult:
     detail: str
 
 
-def _seed_words(seed: int) -> list[int]:
-    """SeedSequence(seed).generate_state(8): the 32-bit words PCG64 is
-    seeded from, hashed from the seed's 32-bit digits, lowest first.  A
-    seed of at most four digits fits the hash pool, the only case coded."""
-    if not 0 <= seed <= _MASK128:
-        raise ValueError("seed must be an integer in [0, 2**128)")
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    hash_const = _HASH_INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _HASH_MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0)
-            for i in range(_SEED_POOL)]
-    for i_src in range(_SEED_POOL):
-        for i_dst in range(_SEED_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    hash_const = _HASH_INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % _SEED_POOL] ^ hash_const
-        hash_const = hash_const * _HASH_MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return words
-
-
-def _pcg64_words(state: int, inc: int, n: int) -> Iterator[int]:
-    """The top 53 bits of PCG64's next n outputs: a 128-bit LCG step, then
-    the XOR of the state's halves rotated right by its top 6 bits."""
-    for _ in range(n):
-        state = state * _PCG_MULT + inc & _MASK128
-        word = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        yield ((word >> rot | word << 64 - rot) & _MASK64) >> 11
-
-
 def _seeded_uniforms(seed: int, n: int) -> np.ndarray:
-    """np.random.default_rng(seed).random(n), bit for bit, without numpy's
-    random module: SeedSequence hashing, then PCG64 (XSL-RR 128/64), then
-    the top 53 bits of each output times 2^-53.  One call of 2n draws is
-    the stream of two calls of n.
+    """The first n draws of random.Random(seed).random().  Python keeps this
+    sequence for an integer seed fixed across versions, and MT19937 is
+    integer arithmetic followed by one exact division, so the draws are the
+    same on every platform too.  One call of 2n draws is the stream of two
+    calls of n.
     """
-    w = _seed_words(seed)
-    # The words pair up little-endian into four 64-bit words: the state
-    # seed (high, low), then the stream selector (high, low).  Seeding
-    # steps the LCG from 0, adds the seed and steps again.
-    u = [w[i + 1] << 32 | w[i] for i in range(0, 8, 2)]
-    inc = (u[2] << 65 | u[3] << 1 | 1) & _MASK128
-    state = (inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc & _MASK128
-    return (np.fromiter(_pcg64_words(state, inc, n), dtype=float, count=n)
-            * 2.0 ** -53)
+    draw = random.Random(seed).random
+    return np.fromiter((draw() for _ in range(n)), dtype=float, count=n)
 
 
 def _result(cid: str, name: str, passed: bool, detail: str) -> CriterionResult:

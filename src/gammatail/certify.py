@@ -42,8 +42,8 @@ from ._lanes import _ordered_extreme, _per_lane
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
-from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _mean_scale,
-                      _threshold_forms, log_mean)
+from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _THRESHOLD_Y_MAX,
+                      _mean_scale, _threshold_forms, log_mean)
 from .tailprob import ScanSpec, TailQuery, tail_prob_detail, tail_prob_many
 
 _REFINE_DEPTH = 6
@@ -403,12 +403,20 @@ def _rational_excess(y: float, s: float) -> tuple[float, float]:
 
 
 def rational_stage(y: float) -> float:
-    """The closed rational end of the chain, -2y/(1 + 4y + y^2)."""
-    return _rational_excess(y, y - 1.0)[0] - ONE_THIRD
+    """The closed rational end of the chain, -2y/(1 + 4y + y^2), for
+    1 <= y <= 1e75, as -2/(6 + (y - 1)^2/y): unlike its excess minus 1/3,
+    this neither cancels as it falls toward 0 nor drops below -1/3."""
+    if not 1.0 <= y <= _THRESHOLD_Y_MAX:
+        raise DomainError("rational_stage requires 1 <= y <= 1e75")
+    s = y - 1.0
+    return -2.0 / (6.0 + s * s / y)
 
 
 def rational_stage_deriv(y: float) -> float:
-    """Its derivative 2(y^2 - 1)/(1 + 4y + y^2)^2, positive for y > 1."""
+    """Its derivative 2(y^2 - 1)/(1 + 4y + y^2)^2 for 1 <= y <= 1e75,
+    positive for y > 1."""
+    if not 1.0 <= y <= _THRESHOLD_Y_MAX:
+        raise DomainError("rational_stage_deriv requires 1 <= y <= 1e75")
     den = 1.0 + y * (4.0 + y)
     return 2.0 * (y * y - 1.0) / (den * den)
 
@@ -424,14 +432,14 @@ _CHAIN_STAGES = (
 def check_threshold_chain(y_grid: Sequence[float]) -> ThresholdChainReport:
     """Certify that every reduction stage increases along y_grid.
 
-    The grid must lie strictly inside (1, oo) and be strictly increasing.
+    The grid must lie in (1, 1e75] and be strictly increasing.
     A certified *reversal* at any stage contradicts the underlying lemma and
     raises CertificationError; differences merely too small for their error
     bounds leave the report uncertified without raising.
     """
     ys = [float(y) for y in y_grid]
-    if not ys or any(y <= 1.0 or not math.isfinite(y) for y in ys):
-        raise DomainError("y_grid must lie strictly inside (1, oo)")
+    if not ys or any(not 1.0 < y <= _THRESHOLD_Y_MAX for y in ys):
+        raise DomainError("y_grid must lie in (1, 1e75]")
     if len(ys) < 2:
         raise DomainError("y_grid needs at least two points to order")
     if any(b <= a for a, b in zip(ys, ys[1:])):
@@ -653,15 +661,15 @@ def integrated_defect(c: float, eps: float) -> tuple[float, float]:
     """T(eps) = 2 * int_0^1 [1 - (1-b*eps)(1-z*eps)^(1/eps-b-1) e^z] dz
     with b = c + 1, and its quadrature error bound.
 
-    Requires 0 < eps < 1 so that both logarithms in the integrand stay
-    inside their domains (b < 1 whenever c < 0, so b*eps < 1 follows).
+    Requires 1e-300 <= eps < 1 so that 1/eps is finite and both logarithms
+    stay inside their domains (b < 1 whenever c < 0, so b*eps < 1 follows).
     """
     c = float(c)
     eps = float(eps)
     if not math.isfinite(c) or not -1.0 < c < 0.0:
         raise DomainError("integrated_defect requires c in (-1, 0)")
-    if not 0.0 < eps < 1.0:
-        raise DomainError("integrated_defect requires eps in (0, 1)")
+    if not 1e-300 <= eps < 1.0:
+        raise DomainError("integrated_defect requires eps in [1e-300, 1)")
     b = c + 1.0
     power = 1.0 / eps - b - 1.0
     lead = math.log1p(-b * eps)

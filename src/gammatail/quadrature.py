@@ -234,7 +234,10 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     the first failure it meets."""
     lo = np.array(los, dtype=float)
     hi = np.array(his, dtype=float)
-    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        span_of = hi - lo
+    # A finite span has finite ends, and its width does not overflow.
+    if not np.all(np.isfinite(span_of) & (hi > lo)):
         raise QuadratureError(
             "integration interval must be finite with hi > lo",
             value=math.nan, err_bound=math.inf, n_panels=0)
@@ -243,7 +246,6 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         return []
 
     # Live panels, grouped by owning interval in ascending order.
-    span_of = hi - lo
     width0 = span_of / _PRE_SPLIT
     lows = (lo[:, None]
             + width0[:, None] * np.arange(_PRE_SPLIT)[None, :]).ravel()

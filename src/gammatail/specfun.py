@@ -74,6 +74,9 @@ Z_GAP = 1e-12
 # Threshold-ratio Taylor branch: used for y - 1 <= this, where the direct
 # formula has lost more than ~24 eps / s^2 relative accuracy.
 _THRESHOLD_SERIES_MAX = 0.25
+# The threshold chain's largest y: from about 1e77 the rational stage's
+# derivative overflows, and from about 7e152 the threshold ratio.
+_THRESHOLD_Y_MAX = 1e75
 
 # Lambert W solvers stop once a step is below rel * |w| + abs and raise
 # ConvergenceError at the cap.  The abs floor also bounds the slack clamped
@@ -205,7 +208,11 @@ def _log_gamma_norm_stirling(a, x, log1pmx, log):
     phi = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
         phi = phi * r2 + c
-    return a * log1pmx((x - a) / a) + 0.5 * log(a / _TWO_PI) - phi / a
+    # Below about half an ulp of a, x - a rounds to -a, and log1p(d) - d has
+    # no value at d = -1.  d counts from the next double up: the result only
+    # grows with x below a, and is below -850 there, so Q's prefactor is 0.
+    d = _at_least((x - a) / a, -1.0 + 0.5 * EPS)
+    return a * log1pmx(d) + 0.5 * log(a / _TWO_PI) - phi / a
 
 
 def _log_gamma_norm_direct(a, x, log, lgamma):
@@ -588,14 +595,14 @@ def log_mean(x: float, y: float) -> float:
 def threshold_ratio(y: float) -> float:
     """The direction threshold lambda(y) = (y - l^2)/((l - 1)(y - l)) with
     l the logarithmic mean of 1 and y; strictly increasing from -1/3 at 1+
-    toward 0, always inside (-1/3, 0).
+    toward 0, always inside (-1/3, 0).  Takes 1 < y <= 1e75.
 
     For y - 1 <= 0.25 the exact Taylor branch is used: the direct formula has
     an s^4-order cancellation that loses ~24 eps / s^2 in relative terms.
     """
     y = _require_finite("y", y)
-    if y <= 1.0:
-        raise DomainError("threshold_ratio requires y > 1")
+    if not 1.0 < y <= _THRESHOLD_Y_MAX:
+        raise DomainError("threshold_ratio requires 1 < y <= 1e75")
     return _threshold_forms(y)[1]
 
 

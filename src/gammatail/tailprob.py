@@ -53,6 +53,9 @@ if TYPE_CHECKING:
 
 _LOG_MAX = 709.0
 _RATIO_REL_TOL = 1e-10
+# The largest |c| (and |u|) the direction form and the integral identity
+# take: up to it, c times the roots and the exponents stay finite.
+_ARG_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,6 @@ class RatioParts:
     head_err: float
     tail_err: float
     ratio_err: float
-
-    def __post_init__(self) -> None:
-        if not (self.head_integral > 0.0 and self.tail_integral > 0.0):
-            raise DomainError("RatioParts requires positive integrals")
 
 
 def _arg_rounding_err(ln_norm, x, log, exp):
@@ -215,8 +214,8 @@ def _substitution_order(exponent_at_zero: float) -> int:
 
 
 def _check_ratio_args(u: float, c: float) -> None:
-    if not (math.isfinite(u) and math.isfinite(c)):
-        raise DomainError("ratio_parts requires finite u and c")
+    if not (abs(u) <= _ARG_MAX and abs(c) <= _ARG_MAX):
+        raise DomainError("ratio_parts requires |u| and |c| <= 1e300")
     if u <= -1.0:
         raise DomainError("ratio_parts requires u > -1")
     if u + c <= -1.0:
@@ -285,8 +284,12 @@ def ratio_parts_many(u, c) -> list[RatioParts]:
             return np.exp(expo)
 
         zeros, ones = [0.0] * len(lanes), [1.0] * len(lanes)
-        heads = integrate_many(head_fn, zeros, ones, rel_tol=_RATIO_REL_TOL)
-        tails = integrate_many(tail_fn, zeros, ones, rel_tol=_RATIO_REL_TOL)
+        # An integrand past the double range is inf: QuadratureError.
+        with np.errstate(over="ignore"):
+            heads = integrate_many(head_fn, zeros, ones,
+                                   rel_tol=_RATIO_REL_TOL)
+            tails = integrate_many(tail_fn, zeros, ones,
+                                   rel_tol=_RATIO_REL_TOL)
         return [_ratio_parts_of(u_i, c_i, head, tail) for (u_i, c_i), head,
                 tail in zip(lanes, heads, tails)]
     except GammaTailError:
@@ -297,7 +300,10 @@ def ratio_parts_many(u, c) -> list[RatioParts]:
 
 
 def _ratio_parts_of(u: float, c: float, head, tail) -> RatioParts:
-    """RatioParts from the head and tail QuadResults."""
+    """RatioParts from the head and tail QuadResults, both above 0."""
+    if not (head.value > 0.0 and tail.value > 0.0):
+        raise DomainError(f"ratio_parts at u={u!r}, c={c!r}: an integral "
+                          "underflows to 0")
     ratio = head.value / tail.value
     ratio_err = (head.err_bound / tail.value
                  + ratio * tail.err_bound / tail.value)
@@ -322,17 +328,17 @@ def ratio_parts(u: float, c: float) -> RatioParts:
 def _offset(roots, c, name: str):
     """c as a float for a BranchRoots, or as a float array (or 0-d array)
     that broadcasts against branch_roots_many's lanes; DomainError unless
-    every value is finite."""
+    every |c| <= 1e300."""
     if isinstance(roots, BranchRoots):
         c = float(c)
-        finite = math.isfinite(c)
+        inside = abs(c) <= _ARG_MAX
     else:
         import numpy as np
 
         c = np.asarray(c, dtype=float)
-        finite = np.all(np.isfinite(c))
-    if not finite:
-        raise DomainError(f"{name} requires finite c")
+        inside = np.all(np.abs(c) <= _ARG_MAX)
+    if not inside:
+        raise DomainError(f"{name} requires finite c, |c| <= 1e300")
     return c
 
 
@@ -377,9 +383,9 @@ def integrand_ratio(roots: BranchRoots, c: float) -> float:
     """r(z) = [x1' e^(-(1+c)x1)] / [-x2' e^(-(1+c)x2)] > 0.
 
     Evaluated in log space; values beyond the double range saturate to inf
-    (r grows like e^((1+c)x2) for small z).  On branch_roots_many's lanes
-    (c one value or one per lane), an array, each lane bit-identical to the
-    scalar call.
+    (r grows like e^((1+c)x2) for small z), and below it to 0.  On
+    branch_roots_many's lanes (c one value or one per lane), an array, each
+    lane bit-identical to the scalar call.
     """
     c = _offset(roots, c, "integrand_ratio")
     if isinstance(roots, BranchRoots):

@@ -131,37 +131,25 @@ def test_c13_deterministic_verdicts_across_runs():
     _check(acceptance.c13_determinism())
 
 
-def _bits(values: np.ndarray) -> list[str]:
-    return [v.hex() for v in values.tolist()]
+# C07, C10 and C12 draw (107, 40), (110, 20,000) and (112, 2,000).  Python
+# promises random() under an integer seed the same sequence on every
+# version, so the interpreter matrix in CI checks that promise here.
+@pytest.mark.parametrize("seed, n, first, last", [
+    (107, 40, "0x1.f8cb889eabcb8p-3", "0x1.31c7ce1523e66p-2"),
+    (110, 20_000, "0x1.de57957f6bb11p-1", "0x1.21c41125fd6bep-1"),
+    (112, 2_000, "0x1.eccbeaea9ea84p-2", "0x1.d733c9aaf2238p-2"),
+], ids=["107-40", "110-20000", "112-2000"])
+def test_seeded_uniforms_are_pinned(seed, n, first, last):
+    draws = acceptance._seeded_uniforms(seed, n)
+    assert draws.dtype == np.float64 and draws.shape == (n,)
+    assert (draws[0].hex(), draws[-1].hex()) == (first, last)
 
 
-@pytest.mark.parametrize("seed, n", [(107, 40), (110, 20_000), (112, 2_000),
-                                     (107, 0), (110, 1), (0, 64),
-                                     (2**32 + 5, 64), (2**64 + 3, 64),
-                                     (2**128 - 1, 64)])
-def test_seeded_uniforms_are_numpys_default_rng_stream(seed, n):
-    # C07, C10 and C12 draw (107, 40), (110, 20,000) and (112, 2,000).
-    # Seeds of one to four 32-bit digits fill SeedSequence's four-word pool
-    # partly or wholly.
-    ours = acceptance._seeded_uniforms(seed, n)
-    assert ours.dtype == np.float64 and ours.shape == (n,)
-    assert _bits(ours) == _bits(np.random.default_rng(seed).random(n))
-
-
-def test_one_draw_of_2n_is_two_consecutive_draws_of_n():
+def test_one_draw_of_2n_starts_with_the_draw_of_n():
     # C10 takes its x and spread draws in one call.
     n = 10_000
-    rng = np.random.default_rng(110)
-    first, second = rng.random(n), rng.random(n)
     both = acceptance._seeded_uniforms(110, 2 * n)
-    assert _bits(both[:n]) == _bits(first)
-    assert _bits(both[n:]) == _bits(second)
-
-
-@pytest.mark.parametrize("seed", [-1, 2**128])
-def test_seeded_uniforms_reject_a_seed_outside_the_pool(seed):
-    with pytest.raises(ValueError, match=r"in \[0, 2\*\*128\)"):
-        acceptance._seeded_uniforms(seed, 4)
+    assert both[:n].tolist() == acceptance._seeded_uniforms(110, n).tolist()
 
 
 def test_verify_all_returns_every_criterion_once():

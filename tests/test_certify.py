@@ -474,6 +474,34 @@ def test_rational_stage_exact_values():
     assert rational_stage_deriv(10.0) > 0.0
 
 
+def test_rational_stage_and_its_derivative_match_mpmath_up_to_1e75():
+    # Taken as its excess minus 1/3, the stage cancelled: 17% off at 1e16,
+    # positive at 1e17 and 0 at 1e20.  The derivative's (1 + 4y + y^2)^2
+    # overflows from about 1e77.
+    mpmath = pytest.importorskip("mpmath")
+    ys = (math.nextafter(1.0, 2.0), 1.5, 1e16, 1e17, 1e20, 1e50, 1e75)
+    with mpmath.workdps(40):
+        for y in ys:
+            den = 1 + 4 * mpmath.mpf(y) + mpmath.mpf(y) ** 2
+            stage = float(-2 * mpmath.mpf(y) / den)
+            deriv = float(2 * (mpmath.mpf(y) ** 2 - 1) / den ** 2)
+            assert math.isclose(rational_stage(y), stage, rel_tol=4 * ULP), y
+            assert rational_stage(y) >= -1.0 / 3.0
+            assert math.isclose(rational_stage_deriv(y), deriv,
+                                rel_tol=1e-15), y
+
+
+def test_threshold_chain_functions_reject_y_past_1e75():
+    for y in (0.5, math.nextafter(1e75, math.inf), 1.3e154, math.inf,
+              math.nan):
+        for fn in (rational_stage, rational_stage_deriv):
+            with pytest.raises(DomainError, match="1 <= y <= 1e"):
+                fn(y)
+    # Past 1e77 the grid's stages came out NaN and the report uncertified.
+    with pytest.raises(DomainError, match=r"\(1, 1e75\]"):
+        check_threshold_chain([2.0, 1e200, 1e300])
+
+
 # ----------------------------------------------------------------------
 # mean chain
 # ----------------------------------------------------------------------

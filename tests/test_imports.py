@@ -121,9 +121,9 @@ def test_grid_commands_load_numpy_but_no_certification_layer(args, layers):
         f"gammatail.{name}" for name in layers}
 
 
-# Modules no command needs: the seeded draws are the package's own copy of
-# numpy's PCG64 stream, the Gauss-Legendre rule is frozen as literals, and
-# the Fraction arithmetic runs only when _series' tables are rebuilt.
+# Modules no command needs: the seeded draws come from the standard
+# library's random.Random, the Gauss-Legendre rule is frozen as literals,
+# and the Fraction arithmetic runs only when _series' tables are rebuilt.
 _UNNEEDED = {"numpy.random", "numpy.polynomial", "fractions", "decimal"}
 
 

@@ -628,11 +628,42 @@ def test_q_bound_is_finite_where_the_prefactor_underflows():
     assert err.tolist() == [5e-324] * a.size
 
 
+def test_q_is_one_below_half_an_ulp_of_a_large_shape():
+    # From a = 24 the prefactor takes Stirling's form in d = (x - a)/a, and
+    # below about half an ulp of a, x - a rounds to -a and d to -1.  The
+    # prefactor is below e^-850 there, so Q is 1 to double precision.
+    a = [24.0, 100.0, 30.0, 1e6, 24.0]
+    x = [1e-15, 6e-15, 1e-320, 1e-11, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        details = [reg_gamma_q_detail(*p) for p in zip(a, x)]
+        lanes = _lanes.reg_gamma_q_many(a, x)
+    assert [(d.value, d.err_bound, d.method) for d in details] == [
+        (1.0, ULP, "series-complement")] * len(a)
+    assert lanes.tolist() == [1.0] * len(a)
+
+
 def test_threshold_ratio_domain():
     with pytest.raises(DomainError):
         threshold_ratio(0.999)
     with pytest.raises(DomainError):
         threshold_ratio(math.inf)
+    # From about 7e152 its denominator overflows; the chain stops at 1e75.
+    for y in (math.nextafter(1e75, math.inf), 1e153, 1.3e154):
+        with pytest.raises(DomainError, match="1 < y <= 1e"):
+            threshold_ratio(y)
+
+
+def test_threshold_ratio_matches_mpmath_up_to_its_top():
+    # lambda(y) falls toward 0 like -1/ln y; it returned -0.0 from y = 1e153
+    # and NaN from 1.3e154.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for y in (1e16, 1e17, 1e20, 1e50, 1e75):
+            l = (mpmath.mpf(y) - 1) / mpmath.log(y)
+            exact = (y - l * l) / ((l - 1) * (y - l))
+            assert math.isclose(threshold_ratio(y), float(exact),
+                                rel_tol=8 * ULP), y
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from gammatail import (
     direction_form_detail,
     integrand_ratio,
     ratio_parts,
+    ratio_parts_many,
     reg_gamma_q,
     tail_prob,
     tail_prob_detail,
@@ -392,6 +393,17 @@ def test_ratio_parts_domain():
     for u, c in ((-1.0, 0.5), (-1.5, 0.0), (0.5, -1.6)):
         with pytest.raises(DomainError):
             ratio_parts(u, c)
+
+
+def test_ratio_parts_rejects_an_integral_that_underflows():
+    # The tail integral is about 1.7e-351 at (0, 800).  From u = 1e9 the
+    # panels miss the peak and both integrals come back 0.
+    for u, c in ((0.0, 800.0), (1.0, 1e6), (1e9, 0.0)):
+        with pytest.raises(DomainError, match="underflows to 0"):
+            ratio_parts(u, c)
+    # The lane replay names the first failing lane.
+    with pytest.raises(DomainError, match=r"u=1\.0, c=1000000\.0"):
+        ratio_parts_many([1.0, 1.0], [0.0, 1e6])
 
 
 # ----------------------------------------------------------------------
