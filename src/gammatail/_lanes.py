@@ -5,7 +5,10 @@ every lane bit-identical to specfun's scalar kernel: behind reg_gamma_q_many
 (any (a, x) lanes, such as the acceptance grid) and tailprob.tail_prob_many
 (shapes at one offset or one per shape, the plateau at x = 0).  Only the
 loops live here: the branch masks, each branch's result and the log
-prefactor are specfun's formulas, given per-lane transcendentals.
+prefactor are specfun's formulas, given per-lane transcendentals.  The core
+takes each live lane's ln x once, one math.log call per lane, and hands
+that value to every formula that uses it: the direct prefactor, the
+small-shape tail's result and tailprob's argument charge.
 
 Every loop runs on one driver, _lockstep: each numpy pass runs a block of
 iterations of all running lanes, and a lane retires at its first stop
@@ -110,18 +113,19 @@ def _lockstep(block, n_max: int, consts: tuple, start: tuple, width: int,
     block(n, width, *consts, *state) returns the states after iterations
     n+1..n+width of every running lane, one lanes x width matrix per state
     variable, and the matching stop matrix; start is the state before the
-    first iteration (scalars broadcast).  Each pass runs width iterations,
-    or fewer to end at n_max.  A lane leaves at its first stop column with
-    that column's state, so its iteration count and final state are
-    bit-identical to the scalar loop's.  The loop ends after n_max
-    iterations, or once fewer than min_lanes lanes run.
+    first iteration, per variable one value for all lanes or an array of
+    one per lane, which the loop copies and neither writes nor returns.
+    Each pass runs width iterations, or fewer to end at n_max.  A lane
+    leaves at its first stop column with that column's state, so its
+    iteration count and final state are bit-identical to the scalar
+    loop's.  The loop ends after n_max iterations, or once fewer than
+    min_lanes lanes run.
 
     Returns the lanes still running (in lane order), the iteration counts
     and the final states, one array each; a lane still running keeps the
     count and the state it had when the loop ended.
     """
-    state = np.broadcast_arrays(consts[0], *start)[1:]
-    out = [s.copy() for s in state]
+    out = state = [np.full(consts[0].shape, s) for s in start]
     n_out = np.empty(consts[0].shape, dtype=np.int64)
     lane = np.arange(consts[0].size)
     n = 0
@@ -262,8 +266,10 @@ def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_gamma_norm_lanes(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_log_gamma_norm for arrays of lanes, bit-identical per lane."""
+def _log_gamma_norm_lanes(a: np.ndarray, x: np.ndarray, log_x: np.ndarray
+                          ) -> np.ndarray:
+    """_log_gamma_norm for arrays of lanes, bit-identical per lane, given
+    each lane's log_x = ln x."""
     out = np.empty_like(a)
     big = a >= _STIRLING_MIN
     # Near the largest double, a * log1pmx((x - a) / a) overflows to -inf,
@@ -271,7 +277,8 @@ def _log_gamma_norm_lanes(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         out[big] = _log_gamma_norm_stirling(a[big], x[big], _log1pmx_lanes,
                                             _log)
-    out[~big] = _log_gamma_norm_direct(a[~big], x[~big], _log, _lgamma)
+    out[~big] = _log_gamma_norm_direct(a[~big], x[~big], log_x[~big],
+                                       _lgamma)
     return out
 
 
@@ -352,12 +359,12 @@ def _upper_small_shape_block(n, width, a, x, term, h, habs):
     return terms, hs, habss, stop
 
 
-def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, log_x: np.ndarray,
+                       ln_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """reg_gamma_q_detail's value and err_bound for arrays of lanes with
-    x > 0 and a + 1 > a, given each lane's _log_gamma_norm(a, x): each
-    branch's loop in blocks of _lockstep, and the branch masks and each
-    branch's result specfun's formulas.
+    x > 0 and a + 1 > a, given each lane's ln x and _log_gamma_norm(a, x):
+    each branch's loop in blocks of _lockstep, and the branch masks and
+    each branch's result specfun's formulas.
     """
     q = np.empty_like(a)
     err = np.empty_like(a)
@@ -375,7 +382,7 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
                 _upper_small_shape_block, max_iter, (a_b, x_b),
                 _SMALL_SHAPE_START, _FOLD_BLOCK))
         q[small], err[small] = _tail_series_result(
-            a_b, x_b, n, h, habs, _log, _lgamma1p_lanes, _exp, _expm1)
+            a_b, log_x[small], n, h, habs, _lgamma1p_lanes, _exp, _expm1)
     if series.any():
         a_b, x_b = a[series], x[series]
         n, _, total = _finish(_lower_series_run, (a_b, x_b), *_lockstep(
@@ -388,9 +395,9 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, ln_norm: np.ndarray
 
 def _reg_gamma_q_core(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Q's values and err_bounds for equal-shape arrays of lanes (a, x), the
-    mask of the lanes with x > 0 and their _log_gamma_norm(a, x); lanes with
-    x == 0 are 1.0 with bound 0.  DomainError unless every lane lies in
-    reg_gamma_q_detail's domain."""
+    mask of the lanes with x > 0, and their _log_gamma_norm(a, x) and ln x;
+    lanes with x == 0 are 1.0 with bound 0.  DomainError unless every lane
+    lies in reg_gamma_q_detail's domain."""
     live = x > 0.0
     if not np.all(np.isfinite(a) & np.isfinite(x) & (a > 0.0)
                   & (x >= 0.0) & ~(live & (a + 1.0 == a))):
@@ -398,9 +405,10 @@ def _reg_gamma_q_core(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
                           "below 2**53 where x > 0")
     q, err = np.ones(a.shape), np.zeros(a.shape)
     a_l, x_l = a[live], x[live]
-    ln_norm = _log_gamma_norm_lanes(a_l, x_l)
-    q[live], err[live] = _reg_gamma_q_lanes(a_l, x_l, ln_norm)
-    return q, err, live, ln_norm
+    log_x = _log(x_l)
+    ln_norm = _log_gamma_norm_lanes(a_l, x_l, log_x)
+    q[live], err[live] = _reg_gamma_q_lanes(a_l, x_l, log_x, ln_norm)
+    return q, err, live, ln_norm, log_x
 
 
 def reg_gamma_q_many(a, x) -> np.ndarray:

@@ -169,9 +169,8 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
             "scan enters the plateau interior (a_min < -c) where the tail "
             "probability is identically 1; start the scan at -c or above")
 
-    grid = scan.grid()
-    a = np.array(grid)
-    evaluated = [(a, *tail_prob_many(a, c))]
+    grid = scan._grid_array()
+    evaluated = [(grid, *tail_prob_many(grid, c))]
     # Shapes, values and error bounds at the ends of the open intervals of
     # one depth, left to right; depth 0 is the grid.
     ends = [np.stack((x[:-1], x[1:])) for x in evaluated[0]]
@@ -196,15 +195,21 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     # Open intervals are left only at the last depth.
     unresolved = np.flatnonzero(open_)
 
-    a_all, p_all, e_all = (np.concatenate(x) for x in zip(*evaluated))
-    a_pts, first = np.unique(a_all, return_index=True)
-    n_extra = a_pts.size - len(grid)
+    if len(evaluated) == 1 and np.all(grid[:-1] < grid[1:]):
+        # Nothing was refined on a strictly increasing grid (numpy's
+        # spacing can step back an ulp on a range a few ulps wide): the
+        # points are already sorted and distinct.
+        points = evaluated[0]
+    else:
+        a_all, p_all, e_all = (np.concatenate(x) for x in zip(*evaluated))
+        a_pts, first = np.unique(a_all, return_index=True)
+        points = a_pts, p_all[first], e_all[first]
+    n_extra = points[0].size - scan.n
     if len(ratios) == 2:
-        witness, ratio = _witness_from_points(a_pts, p_all[first],
-                                              e_all[first])
+        witness, ratio = _witness_from_points(*points)
         if witness is None:
-            interval = (tuple(a_ends[:, unresolved[0]].tolist())
-                        if unresolved.size else (grid[0], grid[-1]))
+            interval = tuple((a_ends[:, unresolved[0]] if unresolved.size
+                              else grid[[0, -1]]).tolist())
             return MonotoneVerdict(
                 direction="inconclusive", c=c, scan=scan, witness=None,
                 margin_ratio=0.0, interval=interval,
@@ -214,7 +219,7 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
             direction="non_monotone", c=c, scan=scan, witness=witness,
             margin_ratio=ratio, interval=None,
             detail=f"certified decrease and increase on the scan "
-                   f"({len(grid)} grid points, {n_extra} refinement points)")
+                   f"({scan.n} grid points, {n_extra} refinement points)")
     if unresolved.size:
         k = unresolved[0]
         a_lo, a_hi = a_ends[:, k].tolist()
@@ -230,7 +235,7 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     return MonotoneVerdict(
         direction=direction, c=c, scan=scan, witness=None,
         margin_ratio=ratios[s], interval=None,
-        detail=f"all {len(grid) - 1} consecutive differences certified "
+        detail=f"all {scan.n - 1} consecutive differences certified "
                f"{word} ({n_extra} refinement points)")
 
 
@@ -418,7 +423,8 @@ def rational_stage_deriv(y: float) -> float:
     if not 1.0 <= y <= _THRESHOLD_Y_MAX:
         raise DomainError("rational_stage_deriv requires 1 <= y <= 1e75")
     den = 1.0 + y * (4.0 + y)
-    return 2.0 * (y * y - 1.0) / (den * den)
+    # (y - 1)(y + 1), not y*y - 1, which cancels near y = 1.
+    return 2.0 * ((y - 1.0) * (y + 1.0)) / (den * den)
 
 
 _CHAIN_STAGES = (

@@ -20,7 +20,8 @@ step.  The other two loops test every step.  _lanes runs them for many
 lanes at once, bit-identical, and reads the loop caps from here at each
 call.  Each branch's value and bound (the *_result functions) and the log
 prefactor's two forms serve both paths: numpy-free, they take their
-transcendentals as arguments, math functions or _lanes' per-lane forms.
+transcendentals as arguments, math functions or _lanes' per-lane forms, and
+ln x as a value, which the lanes take once per lane.
 So do the Lambert solvers' Halley and Newton steps and their stop test,
 which _lanes.branch_roots_many iterates for many z at once.
 
@@ -215,9 +216,9 @@ def _log_gamma_norm_stirling(a, x, log1pmx, log):
     return a * log1pmx(d) + 0.5 * log(a / _TWO_PI) - phi / a
 
 
-def _log_gamma_norm_direct(a, x, log, lgamma):
-    """a*ln x - x - lnGamma(a) as written, for a < 24."""
-    return a * log(x) - x - lgamma(a)
+def _log_gamma_norm_direct(a, x, log_x, lgamma):
+    """a*ln x - x - lnGamma(a) as written, for a < 24, given log_x = ln x."""
+    return a * log_x - x - lgamma(a)
 
 
 def _log_gamma_norm(a: float, x: float) -> float:
@@ -225,7 +226,7 @@ def _log_gamma_norm(a: float, x: float) -> float:
     form cancels catastrophically (large a, x near a)."""
     if a >= _STIRLING_MIN:
         return _log_gamma_norm_stirling(a, x, _log1pmx, math.log)
-    return _log_gamma_norm_direct(a, x, math.log, math.lgamma)
+    return _log_gamma_norm_direct(a, x, math.log(x), math.lgamma)
 
 
 def _not_converged(loop: str, cap: int) -> ConvergenceError:
@@ -363,9 +364,10 @@ def _upper_small_shape_run(a: float, x: float, n: int, term: float, h: float,
                          _KERNEL_MAX_ITER)
 
 
-def _tail_series_result(a, x, n, h, habs, log, lgamma1p, exp, expm1):
-    """Q(a, x) and its err_bound for a <= 1/2 and x < a + 1, from the
-    small-shape loop's h and habs after n iterations.
+def _tail_series_result(a, log_x, n, h, habs, lgamma1p, exp, expm1):
+    """Q(a, x) and its err_bound for a <= 1/2 and x < a + 1, given
+    log_x = ln x, from the small-shape loop's h and habs after n
+    iterations.
 
     With g = a*ln x - lnGamma(a+1),
         Q = -expm1(g) + exp(g) * h,   h = sum_{n>=1} -a (-x)^n / (n! (a+n)),
@@ -374,7 +376,7 @@ def _tail_series_result(a, x, n, h, habs, log, lgamma1p, exp, expm1):
     absolute ~2e-16 error in g (the platform lgamma's floor near its zero
     at 1) would leak into Q at full size.
     """
-    alnx = a * log(x)
+    alnx = a * log_x
     lg = lgamma1p(a)
     g = alnx - lg
     eg = exp(g)
@@ -409,7 +411,7 @@ def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
     if tail:
         n, _, h, habs = _upper_small_shape_run(a, x, 0, *_SMALL_SHAPE_START)
         return EvalDetail(*_tail_series_result(
-            a, x, n, h, habs, math.log, _lgamma1p, math.exp, math.expm1),
+            a, math.log(x), n, h, habs, _lgamma1p, math.exp, math.expm1),
             "tail-series", n)
     ln_norm = _log_gamma_norm(a, x)
     if cf:

@@ -100,11 +100,12 @@ class RatioParts:
     ratio_err: float
 
 
-def _arg_rounding_err(ln_norm, x, log, exp):
+def _arg_rounding_err(ln_norm, x, log_x, exp):
     """|dQ/dx| * 0.5 eps |x|, the half-ulp rounding of x = a + c charged
-    through the density, given ln_norm = _log_gamma_norm(a, x); zero below
-    a density of e^-709."""
-    ln_density = ln_norm - log(x)
+    through the density, given ln_norm = _log_gamma_norm(a, x) and
+    log_x = ln x (the lanes pass the log their kernel took); zero below a
+    density of e^-709."""
+    ln_density = ln_norm - log_x
     return exp(ln_density) * (0.5 * EPS * abs(x)) * (ln_density > -_LOG_MAX)
 
 
@@ -121,7 +122,8 @@ def tail_prob_detail(query: TailQuery) -> TailValue:
     if x <= 0.0:
         return TailValue(1.0, 0.0, "plateau")
     detail = reg_gamma_q_detail(a, x)
-    arg_err = _arg_rounding_err(_log_gamma_norm(a, x), x, math.log, math.exp)
+    arg_err = _arg_rounding_err(_log_gamma_norm(a, x), x, math.log(x),
+                                math.exp)
     return TailValue(detail.value, detail.err_bound + arg_err, detail.method)
 
 
@@ -151,13 +153,15 @@ class ScanSpec:
             raise DomainError("scan scale must be 'linear' or 'log'")
 
     def grid(self) -> tuple[float, ...]:
+        return tuple(self._grid_array().tolist())
+
+    def _grid_array(self) -> np.ndarray:
+        """The grid as a float array, as numpy spaces it."""
         import numpy as np
 
         if self.scale == "log":
-            pts = np.geomspace(self.a_min, self.a_max, self.n)
-        else:
-            pts = np.linspace(self.a_min, self.a_max, self.n)
-        return tuple(pts.tolist())
+            return np.geomspace(self.a_min, self.a_max, self.n)
+        return np.linspace(self.a_min, self.a_max, self.n)
 
 
 def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:
@@ -168,12 +172,13 @@ def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:
     tail_prob_detail(TailQuery(a_i, c_i)): the kernel is Q's lane core
     (_lanes._reg_gamma_q_core) at x = max(a + c, 0), so a plateau lane is
     its x = 0 lane, and the argument charge is _arg_rounding_err on the
-    other lanes.  If any lane fails, the error raised is the first one a
-    tail_prob_detail scan in lane order raises.
+    other lanes, from the ln x and the log prefactor the core took.  If
+    any lane fails, the error raised is the first one a tail_prob_detail
+    scan in lane order raises.
     """
     import numpy as np
 
-    from ._lanes import _exp, _log, _reg_gamma_q_core
+    from ._lanes import _exp, _reg_gamma_q_core
 
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -187,14 +192,14 @@ def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:
     # so they fail the core's domain check as they fail TailQuery's.
     np.maximum(x, 0.0, out=x, where=x > -np.inf)
     try:
-        values, errs, live, ln_norm = _reg_gamma_q_core(a, x)
+        values, errs, live, ln_norm, log_x = _reg_gamma_q_core(a, x)
     except GammaTailError:
         # Lanes of several branches may fail; the scalar scan says which
         # fails first, and how.
         for a_i, c_i in zip(a.tolist(), np.broadcast_to(c, a.shape).tolist()):
             tail_prob_detail(TailQuery(a_i, c_i))
         raise
-    errs[live] += _arg_rounding_err(ln_norm, x[live], _log, _exp)
+    errs[live] += _arg_rounding_err(ln_norm, x[live], log_x, _exp)
     return values, errs
 
 

@@ -12,6 +12,7 @@ witness through the independent oracle.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -489,6 +490,25 @@ def test_rational_stage_and_its_derivative_match_mpmath_up_to_1e75():
             assert rational_stage(y) >= -1.0 / 3.0
             assert math.isclose(rational_stage_deriv(y), deriv,
                                 rel_tol=1e-15), y
+
+
+def test_rational_stage_deriv_keeps_its_precision_near_1():
+    # Written as 2(y*y - 1)/den^2, the numerator cancelled: 5.0e-9 off at
+    # y = 1 + 1e-8.  (y - 1)(y + 1) is exact but for one rounding.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(4015)
+    ys = ([1.0 + 10.0 ** -k for k in range(1, 16)]
+          + [math.nextafter(1.0, 2.0)]
+          + [1.0 + 1e-3 * rng.random() for _ in range(2000)]
+          + [10.0 ** (75.0 * i / 1999) for i in range(1, 2000)])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for y in ys:
+            m = mpmath.mpf(y)
+            deriv = 2 * (m * m - 1) / (1 + 4 * m + m * m) ** 2
+            worst = max(worst, abs(float((rational_stage_deriv(y) - deriv)
+                                         / deriv)))
+    assert worst <= 4 * ULP
 
 
 def test_threshold_chain_functions_reject_y_past_1e75():

@@ -406,6 +406,61 @@ def test_cf_lanes_are_bitwise_the_scalar_loop_on_seeded_lanes():
     assert _cf_lanes_hex(a, x) == _cf_scalar_hex(a, x)
 
 
+def _ramp_block(n, width, k, acc, step, count):
+    """acc grows by step each iteration and count is an integer counter; a
+    lane stops at iteration k."""
+    j = np.arange(1, width + 1)
+    accs = acc[:, None] + step[:, None] * j
+    steps = np.repeat(step[:, None], width, axis=1)
+    return accs, steps, count[:, None] + j, n + j >= k[:, None]
+
+
+def _lockstep_broadcast(block, n_max, consts, start, width, min_lanes=1):
+    """_lockstep given every start as its own array of lanes, as
+    np.broadcast_arrays spreads it."""
+    lanes = np.broadcast_arrays(consts[0], *start)[1:]
+    return _lanes._lockstep(block, n_max, consts,
+                            tuple(s.copy() for s in lanes), width, min_lanes)
+
+
+@pytest.mark.parametrize("n_max, min_lanes", [(100, 1), (5, 1), (0, 1),
+                                              (100, 5)],
+                         ids=["to-stop", "to-cap", "no-pass", "too-few"])
+def test_lockstep_copies_its_start_states(n_max, min_lanes):
+    # Scalar starts reach every lane, an array start is neither written nor
+    # returned, and the result is the one from fully broadcast starts, dtype
+    # included, whether the loop stops each lane, stops at its cap or never
+    # runs.
+    k = np.array([3.0, 1.0, 7.0, 5.0])
+    step = np.array([1.0, 2.0, 3.0, 4.0])
+    start = (0.5, step, 0)
+    got = _lanes._lockstep(_ramp_block, n_max, (k,), start, 4, min_lanes)
+    assert np.array_equal(step, [1.0, 2.0, 3.0, 4.0])
+    assert not any(np.shares_memory(v, step) for v in got)
+    left, n, acc, steps, count = got
+    runs = min_lanes <= k.size
+    assert n.tolist() == (np.minimum(k, n_max) if runs else 0 * k).tolist()
+    assert acc.tolist() == (0.5 + n * step).tolist()
+    assert steps.tolist() == step.tolist() and count.tolist() == n.tolist()
+    assert count.dtype == np.asarray(0).dtype
+    expected = _lockstep_broadcast(_ramp_block, n_max, (k,), start, 4,
+                                   min_lanes)
+    assert all(g.dtype == e.dtype and np.array_equal(g, e)
+               for g, e in zip(got, expected))
+    # Q's continued fraction starts from three arrays (two of them the same
+    # array) and one scalar.
+    a, x = _CF_SCAN[::8], _CF_SCAN[::8] + 2.0
+    start = _upper_cf_start(a, x)
+    got = _lanes._lockstep(_lanes._upper_cf_block, n_max, (a, x), start,
+                           _lanes._CF_BLOCK, min_lanes)
+    expected = _lockstep_broadcast(_lanes._upper_cf_block, n_max, (a, x),
+                                   start, _lanes._CF_BLOCK, min_lanes)
+    assert [_hex(v) for v in got[2:]] == [_hex(v) for v in expected[2:]]
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    assert not any(np.shares_memory(v, s) for v in got for s in start[::2])
+
+
 # The lane tests of Q's kernel, which claim bit-identity from IEEE + - * /
 # alone, with numpy's optional SIMD paths on and off.
 _Q_LANE_PARITY = [

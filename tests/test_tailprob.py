@@ -115,9 +115,12 @@ def _scalar_scan(a, c):
     return [(d.value.hex(), d.err_bound.hex()) for d in out]
 
 
-def _batch_scan(a, c):
-    values, errs = tail_prob_many(a, c)
+def _hex_pairs(values, errs):
     return [(v.hex(), e.hex()) for v, e in zip(values.tolist(), errs.tolist())]
+
+
+def _batch_scan(a, c):
+    return _hex_pairs(*tail_prob_many(a, c))
 
 
 _RNG = np.random.default_rng(20)
@@ -191,6 +194,37 @@ def test_tail_prob_many_hands_its_last_lanes_to_the_scalar_loop(monkeypatch):
     assert _batch_scan(a, 3.0) == _scalar_scan(a, 3.0)
     assert 0 < len(handed) < _lanes._LOCKSTEP_MIN_LANES
     assert all(n > 0 for n in handed)
+
+
+def test_tail_prob_many_takes_one_log_of_x_per_live_lane(monkeypatch):
+    # One scan with a lane of each kind: the small-shape tail, the ascending
+    # series and the continued fraction below and from the Stirling switch
+    # at a = 24, and two plateau lanes.  The direct prefactor, the tail's
+    # result and the argument charge all read the one ln x the core takes.
+    a = np.array([0.2, 0.3, 3.0, 10.0, 0.1, 30.0, 50.0, 0.5, 2.0, 40.0])
+    c = np.array([0.4, 0.5, 0.5, 2.0, 2.0, 0.5, 3.0, -1.0, -2.5, 1.5])
+    x = np.maximum(a + c, 0.0)              # the core's x; 0 on the plateau
+    scalar = [tail_prob_detail(TailQuery(*p))
+              for p in zip(a.tolist(), c.tolist())]
+    branches = [d.method for d in scalar]
+    assert set(branches) == {"tail-series", "series-complement", "cf",
+                             "plateau"}
+    logged = []
+    log = _lanes._log
+
+    def spy(values):
+        logged.extend(values.tolist())
+        return log(values)
+
+    monkeypatch.setattr(_lanes, "_log", spy)
+    values, errs = tail_prob_many(a, c)
+    assert [logged.count(v) for v in x.tolist()] == [1] * 7 + [0, 0] + [1]
+    # The other per-lane logs are of the shapes: ln(a / 2 pi) in the
+    # Stirling prefactor and ln a in the series complement.
+    assert len(logged) == ((x > 0.0).sum() + (a >= 24.0).sum()
+                           + branches.count("series-complement"))
+    assert (_hex_pairs(values, errs)
+            == [(d.value.hex(), d.err_bound.hex()) for d in scalar])
 
 
 def _raised(fn, *args):
