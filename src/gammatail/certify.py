@@ -4,18 +4,16 @@ Everything here reduces a claimed analytic fact to finitely many certified
 floating-point sign checks.  The margin discipline is uniform: a difference
 counts as a certified sign only when it exceeds the strict margin
 (``STRICT_MARGIN`` = 8, a constant) times the combined evaluation error bound
-of its two endpoints.  Anything smaller is refined (up to a fixed depth) and
-then reported inconclusive rather than rounded up to a verdict, because
-strict monotonicity cannot be proven numerically without a margin.
+of its two endpoints.  Anything smaller is reported inconclusive rather than
+rounded up to a verdict, because strict monotonicity cannot be proven
+numerically without a margin.
 
 Contents:
 
 * ``certify_monotone`` — scans ``a -> P(X_a - a > c)`` on a grid and returns
   a direction verdict (increasing / decreasing / non-monotone with witness /
-  inconclusive with the offending interval).  One loop runs over the
-  refinement depths, the grid being depth 0: each pass classifies all open
-  intervals at once and splits the uncertified ones, evaluating all new
-  midpoints in one ``tail_prob_many`` call.
+  inconclusive with the first uncertified grid interval) from one
+  ``tail_prob_many`` call over the grid.
 * ``find_witness`` — constructive non-monotonicity: for c in (-1/3, 0) finds
   a1 < a2 < a3 with p(a1) > p(a2) < p(a3) at certified margins; its coarse
   scan is one ``tail_prob_many`` call.
@@ -46,7 +44,6 @@ from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _THRESHOLD_Y_MAX,
                       _mean_scale, _threshold_forms, log_mean)
 from .tailprob import ScanSpec, TailQuery, tail_prob_detail, tail_prob_many
 
-_REFINE_DEPTH = 6
 _WITNESS_BUDGET = 1e6
 _WITNESS_SCAN_N = 200
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -129,33 +126,17 @@ def _classify(d, err_sum):
     return 1 * (d > margin) - 1 * (d < -margin)
 
 
-def _scale_midpoint(lo, hi, scale: str) -> np.ndarray:
-    """Midpoints of the intervals (lo, hi), elementwise: geometric on a log
-    scan, arithmetic on a linear one or where the geometric midpoint rounds
-    out of the open interval."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    with np.errstate(over="ignore"):        # overflows to inf, as floats do
-        mean = 0.5 * (lo + hi)
-        if scale != "log":
-            return mean
-        mid = np.sqrt(lo * hi)
-    return np.where((lo < mid) & (mid < hi), mid, mean)
-
-
-def _children(ends: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """The children (lo, mid) and (mid, hi) of each interval, left to right;
-    rows 0 and 1 of ends (and of the result) are the lo and hi ends."""
-    return np.stack((ends[0], mid, mid, ends[1]), axis=-1).reshape(-1, 2).T
-
-
 def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     """Scan the tail probability over shapes and certify its direction.
 
-    A direction is certified only if every consecutive difference carries a
-    certified strict sign and all signs agree.  Opposite certified signs
-    yield a non_monotone verdict with a Witness.  Differences too small for
-    their error bounds are refined by scale-aware bisection up to depth 6,
-    after which the verdict is inconclusive with the offending interval.
+    The grid is evaluated once.  A direction is certified only if every
+    consecutive difference carries a certified strict sign and all signs
+    agree.  Opposite certified signs yield a non_monotone verdict with a
+    Witness.  A difference too small for its error bounds makes the
+    verdict inconclusive, naming the first such grid interval: halves
+    certifying one common sign would have certified the interval itself
+    (their differences and margins add up), and a valley inside one
+    interval is find_witness's to locate.
 
     The scan must not start strictly inside the plateau: a_min >= -c is
     required when c < 0 (equality puts the first point on the plateau edge,
@@ -170,73 +151,46 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
             "probability is identically 1; start the scan at -c or above")
 
     grid = scan._grid_array()
-    evaluated = [(grid, *tail_prob_many(grid, c))]
-    # Shapes, values and error bounds at the ends of the open intervals of
-    # one depth, left to right; depth 0 is the grid.
-    ends = [np.stack((x[:-1], x[1:])) for x in evaluated[0]]
-    ratios: dict[int, float] = {}       # certified sign -> smallest ratio
-    for depth in range(_REFINE_DEPTH + 1):
-        a_ends, p_ends, e_ends = ends
-        d = p_ends[1] - p_ends[0]
-        err_sum = e_ends[0] + e_ends[1]
-        sign = _classify(d, err_sum)
-        ratio = np.abs(d) / np.maximum(err_sum, 5e-324)
-        for s in (1, -1):
-            if np.any(sign == s):
-                ratios[s] = min(ratios.get(s, math.inf),
-                                float(np.min(ratio[sign == s])))
-        open_ = sign == 0
-        if depth == _REFINE_DEPTH or not np.any(open_):
-            break
-        mid = _scale_midpoint(*a_ends[:, open_], scan.scale)
-        evaluated.append((mid, *tail_prob_many(mid, c)))
-        ends = [_children(x[:, open_], m)
-                for x, m in zip(ends, evaluated[-1])]
-    # Open intervals are left only at the last depth.
-    unresolved = np.flatnonzero(open_)
+    p, e = tail_prob_many(grid, c)
+    d = p[1:] - p[:-1]
+    err_sum = e[:-1] + e[1:]
+    sign = _classify(d, err_sum)
+    ratio = np.abs(d) / np.maximum(err_sum, 5e-324)
+    # Certified sign -> smallest ratio among its intervals.
+    ratios = {s: float(np.min(ratio[sign == s]))
+              for s in (1, -1) if np.any(sign == s)}
+    unresolved = np.flatnonzero(sign == 0)
 
-    if len(evaluated) == 1 and np.all(grid[:-1] < grid[1:]):
-        # Nothing was refined on a strictly increasing grid (numpy's
-        # spacing can step back an ulp on a range a few ulps wide): the
-        # points are already sorted and distinct.
-        points = evaluated[0]
-    else:
-        a_all, p_all, e_all = (np.concatenate(x) for x in zip(*evaluated))
-        a_pts, first = np.unique(a_all, return_index=True)
-        points = a_pts, p_all[first], e_all[first]
-    n_extra = points[0].size - scan.n
     if len(ratios) == 2:
-        witness, ratio = _witness_from_points(*points)
+        witness, w_ratio = _witness_from_points(grid, p, e)
         if witness is None:
-            interval = tuple((a_ends[:, unresolved[0]] if unresolved.size
-                              else grid[[0, -1]]).tolist())
+            ends = ([unresolved[0], unresolved[0] + 1] if unresolved.size
+                    else [0, -1])
             return MonotoneVerdict(
                 direction="inconclusive", c=c, scan=scan, witness=None,
-                margin_ratio=0.0, interval=interval,
+                margin_ratio=0.0, interval=tuple(grid[ends].tolist()),
                 detail="opposite certified signs found but no witness triple "
                        "met the margin discipline")
         return MonotoneVerdict(
             direction="non_monotone", c=c, scan=scan, witness=witness,
-            margin_ratio=ratio, interval=None,
+            margin_ratio=w_ratio, interval=None,
             detail=f"certified decrease and increase on the scan "
-                   f"({scan.n} grid points, {n_extra} refinement points)")
+                   f"({scan.n} grid points)")
     if unresolved.size:
         k = unresolved[0]
-        a_lo, a_hi = a_ends[:, k].tolist()
+        a_lo, a_hi = grid[[k, k + 1]].tolist()
         return MonotoneVerdict(
             direction="inconclusive", c=c, scan=scan, witness=None,
             margin_ratio=float(ratio[k]), interval=(a_lo, a_hi),
             detail=f"difference {float(d[k])!r} on [{a_lo!r}, {a_hi!r}] is "
-                   f"below the certification margin after "
-                   f"depth-{_REFINE_DEPTH} refinement")
+                   "below the certification margin")
     # Every interval certified one sign.
     s, word, direction = ((1, "positive", "increasing") if 1 in ratios
                           else (-1, "negative", "decreasing"))
     return MonotoneVerdict(
         direction=direction, c=c, scan=scan, witness=None,
         margin_ratio=ratios[s], interval=None,
-        detail=f"all {scan.n - 1} consecutive differences certified "
-               f"{word} ({n_extra} refinement points)")
+        detail=f"all {scan.n - 1} consecutive differences certified {word}")
 
 
 def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray

@@ -156,12 +156,17 @@ class ScanSpec:
         return tuple(self._grid_array().tolist())
 
     def _grid_array(self) -> np.ndarray:
-        """The grid as a float array, as numpy spaces it."""
+        """The grid as a float array, as numpy spaces it; a range too
+        narrow for n distinct doubles (numpy rounds each point on its own,
+        so a few ulps per step repeat or step back) is rejected."""
         import numpy as np
 
-        if self.scale == "log":
-            return np.geomspace(self.a_min, self.a_max, self.n)
-        return np.linspace(self.a_min, self.a_max, self.n)
+        space = np.geomspace if self.scale == "log" else np.linspace
+        grid = space(self.a_min, self.a_max, self.n)
+        if not np.all(grid[:-1] < grid[1:]):
+            raise DomainError(f"scan range is too narrow for {self.n} "
+                              "strictly increasing shapes")
+        return grid
 
 
 def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:

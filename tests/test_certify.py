@@ -2,11 +2,10 @@
 
 A verdict here is never "the difference looked positive": a sign is
 certified only when the difference exceeds STRICT_MARGIN times the sum
-of the evaluation error bounds, refinement is capped at depth 6, and
-anything weaker is reported as inconclusive.  These tests pin the three
-monotonicity regimes, the witness search, the threshold-ratio chain, the
-mean chain, and the integrated-defect slope, re-verifying every frozen
-witness through the independent oracle.
+of the evaluation error bounds, and anything weaker is reported as
+inconclusive.  These tests pin the three monotonicity regimes, the witness
+search, the threshold-ratio chain, the mean chain, and the integrated-defect
+slope, re-verifying every frozen witness through the independent oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from gammatail import (
     integrated_defect,
     rational_stage,
     rational_stage_deriv,
+    tail_prob_many,
 )
 from gammatail._dd import mean_gaps
 from gammatail.acceptance import _seeded_uniforms
@@ -74,6 +74,23 @@ def test_scan_spec_validation():
     assert type(scan.n) is int and scan == ScanSpec(0.1, 1.0, 3)
 
 
+def test_scan_spec_rejects_a_range_too_narrow_for_its_points():
+    # numpy rounds each point on its own, so a few ulps per step repeat
+    # shapes or step back; such a grid is refused, not scanned.
+    for scan in (ScanSpec(2.0, 2.0000000000000178, 50),
+                 ScanSpec(1.0, 1.0 + 40 * ULP, 400),
+                 ScanSpec(1.0, 1.0 + 2 * ULP, 4, "linear"),
+                 ScanSpec(1e300, 1e300 * (1.0 + 8 * ULP), 30)):
+        with pytest.raises(DomainError, match="too narrow"):
+            scan.grid()
+        with pytest.raises(DomainError, match="too narrow"):
+            certify_monotone(0.5, scan)
+    # a normal range keeps numpy's spacing, end points included
+    scan = ScanSpec(0.01, 200.0, 400)
+    assert scan.grid() == tuple(np.geomspace(0.01, 200.0, 400).tolist())
+    assert scan.grid()[0] == 0.01 and scan.grid()[-1] == 200.0
+
+
 def test_witness_container_enforces_valley_shape():
     Witness(a1=1.0, a2=2.0, a3=3.0, p1=0.9, p2=0.5, p3=0.7)
     with pytest.raises(DomainError):
@@ -108,7 +125,7 @@ def test_certify_increasing_for_zero_threshold():
     assert v.witness is None
     assert v.interval is None
     assert v.margin_ratio > 8.0
-    assert "refin" in v.detail or "grid" in v.detail
+    assert v.detail == "all 79 consecutive differences certified positive"
 
 
 def test_certify_decreasing_below_minus_third():
@@ -157,12 +174,16 @@ def test_certify_reports_inconclusive_under_unreachable_margin(monkeypatch):
     import gammatail.certify as certify
 
     monkeypatch.setattr(certify, "STRICT_MARGIN", 1e15)
-    v = certify_monotone(0.0, ScanSpec(1.0, 2.0, 12))
+    scan = ScanSpec(1.0, 2.0, 12)
+    v = certify_monotone(0.0, scan)
     assert v.direction == "inconclusive"
     assert v.witness is None
-    assert v.interval is not None
-    assert v.interval[0] < v.interval[1]
-    assert "refinement" in v.detail
+    # the first grid interval, which no sign certified
+    assert v.interval == scan.grid()[:2]
+    lo, hi = v.interval
+    assert v.detail.startswith("difference ")
+    assert v.detail.endswith(
+        f" on [{lo!r}, {hi!r}] is below the certification margin")
 
 
 # ----------------------------------------------------------------------
@@ -271,46 +292,34 @@ def test_find_witness_gives_up_when_no_recovery_is_certified(monkeypatch):
 
 def _reference_certify_monotone(c, scan, strict_margin):
     """certify_monotone with one tail_prob_detail call per grid point and
-    every grid interval classified on the refinement stack, kept as the
-    bit-level reference for the batched scan."""
-    from gammatail.certify import (_REFINE_DEPTH, _eval_point,
-                                   _scale_midpoint, _witness_from_points)
+    each grid interval classified on its own, kept as the bit-level
+    reference for the batched scan."""
+    from gammatail.certify import _eval_point, _witness_from_points
 
     grid = scan.grid()
-    points = {a: _eval_point(a, c) for a in grid}
-    ratios = {1: math.inf, -1: math.inf}
-    seen = set()
+    points = [_eval_point(a, c) for a in grid]
+    ratios = {}
     unresolved = []
-    stack = [(grid[i], grid[i + 1], 0) for i in range(len(grid) - 2, -1, -1)]
-    while stack:
-        a_lo, a_hi, depth = stack.pop()
-        (p_lo, e_lo), (p_hi, e_hi) = points[a_lo], points[a_hi]
+    for k in range(len(grid) - 1):
+        (p_lo, e_lo), (p_hi, e_hi) = points[k], points[k + 1]
         d = p_hi - p_lo
         err_sum = e_lo + e_hi
         margin = strict_margin * err_sum
         sign = 1 if d > margin else -1 if d < -margin else 0
+        ratio = abs(d) / max(err_sum, 5e-324)
         if sign:
-            seen.add(sign)
-            ratios[sign] = min(ratios[sign], abs(d) / max(err_sum, 5e-324))
-        elif depth >= _REFINE_DEPTH:
-            unresolved.append((a_lo, a_hi, d, err_sum))
+            ratios[sign] = min(ratios.get(sign, math.inf), ratio)
         else:
-            mid = float(_scale_midpoint(a_lo, a_hi, scan.scale))
-            if mid not in points:
-                points[mid] = _eval_point(mid, c)
-            stack += [(mid, a_hi, depth + 1), (a_lo, mid, depth + 1)]
+            unresolved.append((grid[k], grid[k + 1], d, ratio))
 
     def verdict(direction, ratio, interval, detail, witness=None):
         return MonotoneVerdict(direction=direction, c=c, scan=scan,
                                witness=witness, margin_ratio=ratio,
                                interval=interval, detail=detail)
 
-    n_extra = len(points) - len(grid)
-    if seen == {1, -1}:
-        a_pts = sorted(points)
+    if len(ratios) == 2:
         witness, ratio = _witness_from_points(
-            np.array(a_pts), np.array([points[a][0] for a in a_pts]),
-            np.array([points[a][1] for a in a_pts]))
+            *(np.array(x) for x in (grid, *zip(*points))))
         if witness is None:
             lo, hi = (unresolved[0][:2] if unresolved
                       else (grid[0], grid[-1]))
@@ -319,23 +328,18 @@ def _reference_certify_monotone(c, scan, strict_margin):
                            "triple met the margin discipline")
         return verdict("non_monotone", ratio, None,
                        f"certified decrease and increase on the scan "
-                       f"({len(grid)} grid points, {n_extra} refinement "
-                       f"points)", witness)
+                       f"({len(grid)} grid points)", witness)
     if unresolved:
-        lo, hi, d, err_sum = unresolved[0]
-        return verdict("inconclusive", abs(d) / max(err_sum, 5e-324),
-                       (lo, hi),
+        lo, hi, d, ratio = unresolved[0]
+        return verdict("inconclusive", ratio, (lo, hi),
                        f"difference {d!r} on [{lo!r}, {hi!r}] is below the "
-                       f"certification margin after depth-{_REFINE_DEPTH} "
-                       "refinement")
-    for sign, word, name in ((1, "positive", "increasing"),
-                             (-1, "negative", "decreasing")):
-        if sign in seen:
-            return verdict(name, ratios[sign], None,
-                           f"all {len(grid) - 1} consecutive differences "
-                           f"certified {word} ({n_extra} refinement points)")
-    return verdict("inconclusive", 0.0, (grid[0], grid[-1]),
-                   "no certified differences on the scan")
+                       "certification margin")
+    (sign, ratio), = ratios.items()
+    word, name = (("positive", "increasing") if sign == 1
+                  else ("negative", "decreasing"))
+    return verdict(name, ratio, None,
+                   f"all {len(grid) - 1} consecutive differences certified "
+                   f"{word}")
 
 
 @pytest.mark.parametrize("c, scan, margin", [
@@ -343,14 +347,14 @@ def _reference_certify_monotone(c, scan, strict_margin):
     (2.5, ScanSpec(0.01, 200.0, 400), 8.0),
     (-1.2, ScanSpec(1.2, 200.0, 400), 8.0),
     (-0.1, ScanSpec(0.1, 200.0, 400), 8.0),
-    (-0.2, ScanSpec(0.2, 30.0, 200, scale="linear"), 1e9),    # refines
+    (-0.2, ScanSpec(0.2, 30.0, 200, scale="linear"), 1e9),    # some open
     (0.0, ScanSpec(0.01, 200.0, 400), 1e10),                  # inconclusive
     (-0.3, ScanSpec(0.3, 50.0, 50, scale="linear"), 1e11),    # inconclusive
     (0.0, ScanSpec(1.0, 2.0, 12), 1e15),                      # no signs
     (-0.2, ScanSpec(0.23738424190495053, 16648.89558963054, 3, "linear"),
-     8.0),                                           # refined, then certified
+     8.0),                                   # the valley inside one interval
     (0.0, ScanSpec(1.0, 1.0 + 4.440892098500626e-16, 3, "linear"),
-     8.0),                                      # midpoints round onto ends
+     8.0),                                           # intervals one ulp wide
 ], ids=["increasing", "cf", "decreasing", "non-monotone", "refined",
         "inconclusive", "inconclusive-dip", "no-signs", "refined-certified",
         "rounded-midpoints"])
@@ -361,8 +365,49 @@ def test_certify_monotone_equals_point_by_point_scan(c, scan, margin,
     monkeypatch.setattr(certify, "STRICT_MARGIN", margin)
     got = certify_monotone(c, scan)
     assert repr(got) == repr(_reference_certify_monotone(c, scan, margin))
-    if margin == 1e9:
-        assert "0 refinement points" not in got.detail
+    if got.direction == "inconclusive":
+        # an interval of the grid, never a zero-width one
+        grid = scan.grid()
+        lo, hi = got.interval
+        assert lo < hi
+        assert grid.index(hi) == grid.index(lo) + 1
+
+
+@pytest.mark.parametrize("c, a_min", [(1000.0, 0.01), (-100.0, 100.0),
+                                      (1e308, 0.01)])
+def test_certify_monotone_evaluates_its_grid_once(c, a_min, monkeypatch):
+    # Past the double range of Q (and on the plateau's far side) no sign
+    # certifies anywhere; the scan still costs its 400 grid lanes alone.
+    import gammatail.certify as certify
+
+    lanes = []
+
+    def counted(a, c):
+        lanes.append(len(a))
+        return tail_prob_many(a, c)
+
+    monkeypatch.setattr(certify, "tail_prob_many", counted)
+    v = certify_monotone(c, ScanSpec(a_min, 200.0, 400))
+    assert v.direction == "inconclusive"
+    assert lanes == [400]
+
+
+def test_a_valley_inside_one_grid_interval_is_left_to_find_witness():
+    # Three linear points put the whole valley of c = -0.2 inside the first
+    # interval: its difference is one rounding, no certified sign.
+    scan = ScanSpec(0.23738424190495053, 16648.89558963054, 3, "linear")
+    v = certify_monotone(-0.2, scan)
+    assert v.direction == "inconclusive"
+    assert v.interval == scan.grid()[:2]
+    assert v.margin_ratio < 8.0
+    # find_witness locates the dip, and its margins are certified.
+    from gammatail.certify import _eval_point
+
+    w = find_witness(-0.2)
+    (p1, e1), (p2, e2), (p3, e3) = (_eval_point(a, -0.2)
+                                    for a in (w.a1, w.a2, w.a3))
+    assert (p1, p2, p3) == (w.p1, w.p2, w.p3)
+    assert p1 - p2 > 8.0 * (e1 + e2) and p3 - p2 > 8.0 * (e3 + e2)
 
 
 def test_witness_from_points_takes_the_leftmost_of_tied_points():

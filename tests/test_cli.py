@@ -109,6 +109,19 @@ def test_scan_default_start_avoids_plateau():
     assert float(first[1]) < 1.0
 
 
+def test_a_range_too_narrow_for_its_points_is_a_usage_error(capsys):
+    # 14 of these 50 log-spaced shapes would repeat; scan, certify and a
+    # median grid all refuse the range.
+    narrow = ["--a-min", "2", "--a-max", "2.0000000000000178", "--n", "50"]
+    for argv in (["scan", "--c", "0.5", *narrow],
+                 ["certify", "--c", "0.5", *narrow],
+                 ["median", *narrow]):
+        code, out = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert "too narrow for 50 strictly increasing shapes" in (
+            capsys.readouterr().err)
+
+
 def test_scan_at_the_largest_double_warns_nothing(capsys):
     # The lanes' Stirling prefactor overflows to -inf there, silently, as
     # the scalar one does with floats; Q underflows to 0 with bound 5e-324.
@@ -152,7 +165,8 @@ def test_certify_golden_json_non_monotone():
         "p3": 0.4976211735322509,
     }
     assert payload["interval"] is None
-    assert "refinement" in payload["detail"]
+    assert payload["detail"] == (
+        "certified decrease and increase on the scan (200 grid points)")
 
 
 def test_certify_exit_codes_by_regime():
@@ -176,6 +190,19 @@ def test_certify_inconclusive_exits_three(monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["direction"] == "inconclusive"
+
+
+def test_certify_past_the_double_range_exits_three():
+    # Q underflows to 0 on the whole grid: the first grid interval carries
+    # no certified sign.
+    code, out = run_cli(["certify", "--c", "1000"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["direction"] == "inconclusive"
+    assert payload["interval"] == [0.01, 0.0102513137059137]
+    assert payload["margin_ratio"] == 0.0
+    assert payload["detail"] == ("difference 0.0 on [0.01, 0.0102513137059137] "
+                                 "is below the certification margin")
 
 
 def test_certify_exit_maps_regime_violations():

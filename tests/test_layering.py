@@ -228,9 +228,6 @@ def test_each_shared_formula_has_one_home_and_both_paths_call_it():
 # Capped loops that stop early on convergence but cannot reach their cap,
 # so they end without a raise: (module, function) -> why.
 LOOPS_THAT_CANNOT_RUN_OUT = {
-    ("certify", "certify_monotone"):
-        "the pass at the last refinement depth always breaks, and the "
-        "intervals still open there are reported inconclusive",
     ("certify", "find_witness"):
         "golden section cuts a bracket of relative width <= 1 to 1e-10 in "
         "at most 48 of its 200 steps",
