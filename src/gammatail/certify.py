@@ -15,8 +15,9 @@ Contents:
   inconclusive with the first uncertified grid interval) from one
   ``tail_prob_many`` call over the grid.
 * ``find_witness`` — constructive non-monotonicity: for c in (-1/3, 0) finds
-  a1 < a2 < a3 with p(a1) > p(a2) < p(a3) at certified margins; its coarse
-  scan is one ``tail_prob_many`` call.
+  a1 < a2 < a3 with p(a1) > p(a2) < p(a3) at certified margins, from
+  geometric scans off the plateau edge, each one ``tail_prob_many`` call;
+  both engines take the triple from a grid by the same rule.
 * ``check_threshold_chain`` — certifies that each stage of the derivative
   ratio chain behind the -1/3 threshold is increasing on (1, oo) and that
   all stages share the limit -1/3 at 1+.
@@ -42,11 +43,10 @@ from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
 from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _THRESHOLD_Y_MAX,
                       _mean_scale, _threshold_forms, log_mean)
-from .tailprob import ScanSpec, TailQuery, tail_prob_detail, tail_prob_many
+from .tailprob import ScanSpec, tail_prob_many
 
 _WITNESS_BUDGET = 1e6
 _WITNESS_SCAN_N = 200
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Taylor window for the reduction-stage excess forms; beyond it the direct
 # formulas lose at most ~1e-11 relative accuracy, reflected in the bounds.
 _CHAIN_SERIES_MAX = 0.5
@@ -111,12 +111,6 @@ class MonotoneVerdict:
 
 # ---------------------------------------------------------------------------
 # Monotonicity certification
-
-
-def _eval_point(a: float, c: float) -> tuple[float, float]:
-    """(value, err_bound) of the tail probability at one shape."""
-    d = tail_prob_detail(TailQuery(a, c))
-    return d.value, d.err_bound
 
 
 def _classify(d, err_sum):
@@ -225,72 +219,27 @@ def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray
 def find_witness(c: float) -> Witness:
     """A certified dip triple for c strictly inside (-1/3, 0).
 
-    a1 is placed at the plateau edge -c where the probability is exactly 1;
-    the interior minimizer a2 is located by a coarse geometric scan (grown
-    by 8x while the minimum sits at the right edge) followed by golden-
-    section refinement; a3 doubles from a2 until p(a3) > p(a2) is certified.
-    The shape budget is 1e6; exhausting it raises WitnessSearchError instead
-    of returning an uncertified triple.
+    Each scan is a 200-point geometric ScanSpec grid from the plateau edge
+    -c, where the probability is exactly 1, evaluated in one tail_prob_many
+    call; the triple is taken from it by _witness_from_points, the rule
+    certify_monotone applies to its own grid.  While no triple meets the
+    margins, the grid's right end grows by 8x from max(-8c, 4); past the
+    shape budget 1e6 the search raises WitnessSearchError instead of
+    returning an uncertified triple.
     """
     c = float(c)
     if not (-ONE_THIRD < c < 0.0):
         raise DomainError("witness search requires c strictly in (-1/3, 0)")
-
-    # Coarse scan for the interior minimizer, starting just off the plateau.
-    scan_lo = -c * (1.0 + 1e-3)
-    scan_hi = max(8.0 * -c, 4.0)
-    while True:
-        grid = np.geomspace(scan_lo, scan_hi, _WITNESS_SCAN_N)
-        j = int(np.argmin(tail_prob_many(grid, c)[0]))
-        if j < len(grid) - 1:
-            break
-        scan_hi *= 8.0
-        if scan_hi > _WITNESS_BUDGET:
-            raise WitnessSearchError(
-                f"no interior minimum of the tail probability found below "
-                f"a={_WITNESS_BUDGET:g} for c={c!r}", budget=_WITNESS_BUDGET)
-    lo = float(grid[j - 1]) if j > 0 else float(grid[0])
-    hi = float(grid[j + 1])
-
-    # Golden-section descent to the minimizer: _eval_point computes bounds
-    # too, but the steps compare values; margins are checked at the end.
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, _ = _eval_point(x1, c)
-    f2, _ = _eval_point(x2, c)
-    for _ in range(200):
-        if hi - lo <= 1e-10 * hi:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1, _ = _eval_point(x1, c)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2, _ = _eval_point(x2, c)
-    a2 = 0.5 * (lo + hi)
-    p2, e2 = _eval_point(a2, c)
-
-    a1 = -c
-    p1, e1 = _eval_point(a1, c)  # plateau edge: exactly 1, zero error
-    if not (p1 - p2 > STRICT_MARGIN * (e1 + e2)):
-        raise WitnessSearchError(
-            f"interior minimum at a={a2!r} is not certifiably below the "
-            f"plateau value for c={c!r}", budget=_WITNESS_BUDGET)
-
-    a3 = max(2.0 * a2, a2 + 1.0)
-    while True:
-        p3, e3 = _eval_point(a3, c)
-        if p3 - p2 > STRICT_MARGIN * (e3 + e2):
-            break
-        a3 *= 2.0
-        if a3 > _WITNESS_BUDGET:
-            raise WitnessSearchError(
-                f"recovery above the dip not certified below the shape "
-                f"budget {_WITNESS_BUDGET:g} for c={c!r}",
-                budget=_WITNESS_BUDGET)
-    return Witness(a1=a1, a2=a2, a3=a3, p1=p1, p2=p2, p3=p3)
+    a_max = max(8.0 * -c, 4.0)
+    while a_max <= _WITNESS_BUDGET:
+        grid = ScanSpec(-c, a_max, _WITNESS_SCAN_N)._grid_array()
+        witness, _ = _witness_from_points(grid, *tail_prob_many(grid, c))
+        if witness is not None:
+            return witness
+        a_max *= 8.0
+    raise WitnessSearchError(
+        f"no certified dip of the tail probability found below "
+        f"a={_WITNESS_BUDGET:g} for c={c!r}", budget=_WITNESS_BUDGET)
 
 
 # ---------------------------------------------------------------------------

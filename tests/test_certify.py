@@ -21,6 +21,7 @@ from gammatail import (
     DomainError,
     MonotoneVerdict,
     ScanSpec,
+    TailQuery,
     Witness,
     WitnessSearchError,
     certify_monotone,
@@ -31,6 +32,7 @@ from gammatail import (
     integrated_defect,
     rational_stage,
     rational_stage_deriv,
+    tail_prob_detail,
     tail_prob_many,
 )
 from gammatail._dd import mean_gaps
@@ -215,9 +217,10 @@ def test_find_witness_structure_and_oracle_recheck():
     assert w.p1 == 1.0
     assert w.a1 < w.a2 < w.a3
     assert w.p1 > w.p2 < w.p3
-    # frozen deterministic search result
-    assert math.isclose(w.a2, 0.47476848380990105, rel_tol=1e-12)
-    assert math.isclose(w.a3, 1.474768483809901, rel_tol=1e-12)
+    # frozen deterministic search result: the lowest and, beyond it, the
+    # highest point of the first 200-point scan, which ends at 4
+    assert math.isclose(w.a2, 0.4717227575089627, rel_tol=1e-12)
+    assert w.a3 == 4.0
     # oracle re-verification of both strict drops
     o2 = oracle_tail_prob(w.a2, -0.2)
     o3 = oracle_tail_prob(w.a3, -0.2)
@@ -241,48 +244,43 @@ def test_find_witness_rejects_outside_open_band():
             find_witness(c)
 
 
-def _witness_failure(c=-0.2):
-    with pytest.raises(WitnessSearchError) as info:
-        find_witness(c)
-    assert info.value.budget == 1e6
-    return str(info.value)
+def _lowest_at_the_right_edge(a):
+    # Falling on every scan: the dip never has a point beyond it.
+    return -a, np.zeros(len(a))
 
 
-def test_find_witness_gives_up_when_the_scan_minimum_stays_at_its_edge(
-        monkeypatch):
-    # A tail probability falling on every scan leaves the minimum at the
-    # right edge, so the scan grows by 8x until it passes the budget.
+def _dip_inside_the_margin(a):
+    # One value with a bound everywhere but a dip at the fourth point far
+    # smaller than the bound.
+    p = np.full(len(a), 0.9)
+    p[3] -= 1e-4
+    return p, np.full(len(a), 1e-3)
+
+
+def _no_certified_recovery(a):
+    # 1 at the plateau edge and flat beyond it: nothing rises above the dip.
+    p = np.full(len(a), 0.5)
+    p[0] = 1.0
+    return p, np.zeros(len(a))
+
+
+@pytest.mark.parametrize("scan", [_lowest_at_the_right_edge,
+                                  _dip_inside_the_margin,
+                                  _no_certified_recovery],
+                         ids=["minimum-at-right-edge", "dip-inside-margin",
+                              "no-recovery"])
+def test_find_witness_gives_up_past_the_budget(scan, monkeypatch):
+    # No scan yields a certified triple, so the scan grows by 8x until it
+    # passes the budget.
     import gammatail.certify as certify
 
     monkeypatch.setattr(certify, "tail_prob_many",
-                        lambda a, c: (-np.asarray(a), None))
-    assert _witness_failure().startswith(
-        "no interior minimum of the tail probability found below a=1e+06 "
-        "for c=-0.2")
-
-
-def test_find_witness_gives_up_on_a_dip_inside_the_margin(monkeypatch):
-    # Every point, the plateau edge included, at one value with a bound:
-    # the dip is not certifiably below the plateau.
-    import gammatail.certify as certify
-
-    monkeypatch.setattr(certify, "_eval_point", lambda a, c: (0.9, 1e-3))
-    message = _witness_failure()
-    assert message.startswith("interior minimum at a=")
-    assert message.endswith(
-        " is not certifiably below the plateau value for c=-0.2")
-
-
-def test_find_witness_gives_up_when_no_recovery_is_certified(monkeypatch):
-    # 1 at the plateau edge and flat beyond it: p(a3) never rises above
-    # p(a2), so a3 doubles past the budget.
-    import gammatail.certify as certify
-
-    monkeypatch.setattr(certify, "_eval_point",
-                        lambda a, c: (1.0 if a == -c else 0.5, 0.0))
-    assert _witness_failure().startswith(
-        "recovery above the dip not certified below the shape budget 1e+06 "
-        "for c=-0.2")
+                        lambda a, c: scan(np.asarray(a)))
+    with pytest.raises(WitnessSearchError) as info:
+        find_witness(-0.2)
+    assert info.value.budget == 1e6
+    assert str(info.value) == ("no certified dip of the tail probability "
+                               "found below a=1e+06 for c=-0.2")
 
 
 # ----------------------------------------------------------------------
@@ -290,14 +288,19 @@ def test_find_witness_gives_up_when_no_recovery_is_certified(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def _value_and_bound(a, c):
+    d = tail_prob_detail(TailQuery(a, c))
+    return d.value, d.err_bound
+
+
 def _reference_certify_monotone(c, scan, strict_margin):
     """certify_monotone with one tail_prob_detail call per grid point and
     each grid interval classified on its own, kept as the bit-level
     reference for the batched scan."""
-    from gammatail.certify import _eval_point, _witness_from_points
+    from gammatail.certify import _witness_from_points
 
     grid = scan.grid()
-    points = [_eval_point(a, c) for a in grid]
+    points = [_value_and_bound(a, c) for a in grid]
     ratios = {}
     unresolved = []
     for k in range(len(grid) - 1):
@@ -401,10 +404,8 @@ def test_a_valley_inside_one_grid_interval_is_left_to_find_witness():
     assert v.interval == scan.grid()[:2]
     assert v.margin_ratio < 8.0
     # find_witness locates the dip, and its margins are certified.
-    from gammatail.certify import _eval_point
-
     w = find_witness(-0.2)
-    (p1, e1), (p2, e2), (p3, e3) = (_eval_point(a, -0.2)
+    (p1, e1), (p2, e2), (p3, e3) = (_value_and_bound(a, -0.2)
                                     for a in (w.a1, w.a2, w.a3))
     assert (p1, p2, p3) == (w.p1, w.p2, w.p3)
     assert p1 - p2 > 8.0 * (e1 + e2) and p3 - p2 > 8.0 * (e3 + e2)
@@ -419,46 +420,66 @@ def test_witness_from_points_takes_the_leftmost_of_tied_points():
 
 
 def _reference_find_witness(c):
-    """find_witness with its coarse scan evaluated point by point, kept as
-    the bit-level reference for the batched scan."""
-    from gammatail.certify import (_GOLDEN, _WITNESS_SCAN_N, _eval_point)
+    """find_witness with each scan evaluated point by point, kept as the
+    bit-level reference for the batched scans."""
+    from gammatail.certify import _WITNESS_SCAN_N, _witness_from_points
 
-    scan_lo, scan_hi = -c * (1.0 + 1e-3), max(8.0 * -c, 4.0)
+    a_max = max(8.0 * -c, 4.0)
     while True:
-        grid = np.geomspace(scan_lo, scan_hi, _WITNESS_SCAN_N)
-        vals = [_eval_point(float(a), c)[0] for a in grid]
-        j = min(range(len(vals)), key=lambda k: (vals[k], k))
-        if j < len(vals) - 1:
-            break
-        scan_hi *= 8.0
-    lo = float(grid[j - 1]) if j > 0 else float(grid[0])
-    hi = float(grid[j + 1])
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = _eval_point(x1, c)[0], _eval_point(x2, c)[0]
-    while hi - lo > 1e-10 * hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _eval_point(x1, c)[0]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _eval_point(x2, c)[0]
-    a2 = 0.5 * (lo + hi)
-    p2, e2 = _eval_point(a2, c)
-    a3 = max(2.0 * a2, a2 + 1.0)
-    while True:
-        p3, e3 = _eval_point(a3, c)
-        if p3 - p2 > 8.0 * (e3 + e2):
-            break
-        a3 *= 2.0
-    return Witness(a1=-c, a2=a2, a3=a3, p1=_eval_point(-c, c)[0], p2=p2,
-                   p3=p3)
+        grid = ScanSpec(-c, a_max, _WITNESS_SCAN_N).grid()
+        points = [_value_and_bound(a, c) for a in grid]
+        witness, _ = _witness_from_points(
+            *(np.array(x) for x in (grid, *zip(*points))))
+        if witness is not None:
+            return witness
+        a_max *= 8.0
 
 
 @pytest.mark.parametrize("c", [-0.3332, -0.3, -0.2, -0.05, -0.001])
 def test_find_witness_equals_point_by_point_scan(c):
     assert repr(find_witness(c)) == repr(_reference_find_witness(c))
+
+
+@pytest.mark.parametrize("c, scans", [(-0.2, 1), (-0.3333, 4),
+                                      (-0.333333, 6)])
+def test_find_witness_runs_on_lanes_only(c, scans, monkeypatch):
+    # Every witness scan is one 200-lane tail_prob_many call; no shape is
+    # evaluated on its own, through certify's name or tailprob's.  At
+    # -0.333333 six scans run before the seventh would pass the budget.
+    import gammatail.certify as certify
+    import gammatail.tailprob as tailprob
+
+    lanes, scalar = [], []
+
+    def many(a, c):
+        lanes.append(len(a))
+        return tail_prob_many(a, c)
+
+    def detail(*args, **kwargs):
+        scalar.append(args)
+        return tail_prob_detail(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "tail_prob_many", many)
+    monkeypatch.setattr(certify, "tail_prob_detail", detail, raising=False)
+    monkeypatch.setattr(tailprob, "tail_prob_detail", detail)
+    if c == -0.333333:
+        with pytest.raises(WitnessSearchError):
+            find_witness(c)
+    else:
+        find_witness(c)
+    assert lanes == [200] * scans
+    assert scalar == []
+
+
+@pytest.mark.parametrize("c, a_max", [(-0.3, 4.0), (-0.2, 4.0), (-0.1, 4.0),
+                                      (-0.05, 4.0), (-0.3333, 2048.0)])
+def test_find_witness_takes_certify_monotones_witness(c, a_max):
+    # Both engines take a witness from a grid by the same rule: the triple
+    # is the one certify_monotone reports on the scan where the search
+    # stopped.
+    verdict = certify_monotone(c, ScanSpec(-c, a_max, 200))
+    assert verdict.direction == "non_monotone"
+    assert find_witness(c) == verdict.witness
 
 
 # ----------------------------------------------------------------------

@@ -228,9 +228,6 @@ def test_each_shared_formula_has_one_home_and_both_paths_call_it():
 # Capped loops that stop early on convergence but cannot reach their cap,
 # so they end without a raise: (module, function) -> why.
 LOOPS_THAT_CANNOT_RUN_OUT = {
-    ("certify", "find_witness"):
-        "golden section cuts a bracket of relative width <= 1 to 1e-10 in "
-        "at most 48 of its 200 steps",
     ("median", "_hybrid_root"):
         "the coarse bisection hands over to the refinement loop, which "
         "raises at the same evaluation cap",
@@ -455,8 +452,8 @@ PER_POINT_LOOPS = {
         "one certification per offset, each scanning its 400 shapes on "
         "lanes; C02 and C03 take five and four offsets",
     ("c04_witnesses", "find_witness"):
-        "one witness search per offset, four offsets; each coarse scan is "
-        "one tail_prob_many call and the golden-section steps are sequential",
+        "one witness search per offset, four offsets; each of its scans is "
+        "one tail_prob_many call",
     ("c06_median_solver", "gamma_median"):
         "each median solve is a sequential root search, a few kernel calls "
         "each, with no lane form",
