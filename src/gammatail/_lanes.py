@@ -245,7 +245,7 @@ def _log1pmx_lanes(d: np.ndarray) -> np.ndarray:
 
 def _log1pmx_vec(d: np.ndarray) -> np.ndarray:
     """Vectorized log1p(d) - d for d > -1 (quadrature integrands in
-    tailprob and the oracle).
+    tailprob, the oracle and integrated_defect).
 
     The fixed-length Horner series is only used for |d| <= 0.5, where its
     truncation sits far below eps; outside, the direct form's cancellation

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._dd import central_difference, mean_gaps
-from ._lanes import _ordered_extreme, _per_lane
+from ._lanes import _log1pmx_vec, _ordered_extreme, _per_lane
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
@@ -570,21 +570,28 @@ def integrated_defect(c: float, eps: float) -> tuple[float, float]:
     """T(eps) = 2 * int_0^1 [1 - (1-b*eps)(1-z*eps)^(1/eps-b-1) e^z] dz
     with b = c + 1, and its quadrature error bound.
 
-    Requires 1e-300 <= eps < 1 so that 1/eps is finite and both logarithms
-    stay inside their domains (b < 1 whenever c < 0, so b*eps < 1 follows).
+    With w = -eps*z the exponent is
+    log1p(-b*eps) - (b+1)*log1p(w) + (log1p(w) - w)/eps, each term O(eps):
+    the O(1) terms of (1/eps - b - 1)*log1p(w) + z, which would cancel to
+    O(eps), are taken together by _log1pmx_vec.  Requires 1e-100 <= eps < 1:
+    below, the last term's leading -eps*z^2/2 heads for underflow (w^2
+    leaves the normal range near eps = 1e-150) and T(eps)/eps would lose
+    the 1/3 of its limit c + 1/3.  b < 1 whenever c < 0, so b*eps < 1 keeps
+    log1p(-b*eps) inside its domain.
     """
     c = float(c)
     eps = float(eps)
     if not math.isfinite(c) or not -1.0 < c < 0.0:
         raise DomainError("integrated_defect requires c in (-1, 0)")
-    if not 1e-300 <= eps < 1.0:
-        raise DomainError("integrated_defect requires eps in [1e-300, 1)")
+    if not 1e-100 <= eps < 1.0:
+        raise DomainError("integrated_defect requires eps in [1e-100, 1)")
     b = c + 1.0
-    power = 1.0 / eps - b - 1.0
     lead = math.log1p(-b * eps)
 
     def fn(z: np.ndarray) -> np.ndarray:
-        return -np.expm1(lead + power * np.log1p(-eps * z) + z)
+        w = -eps * z
+        return -np.expm1(lead - (b + 1.0) * np.log1p(w)
+                         + _log1pmx_vec(w) / eps)
 
     res = integrate(fn, 0.0, 1.0, rel_tol=_DEFECT_REL_TOL)
     return 2.0 * res.value, 2.0 * res.err_bound

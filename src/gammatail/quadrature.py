@@ -23,17 +23,16 @@ intervals are live.
 Acceptance, the panel budget, the sweep limit and the fsum accumulation
 stay per interval, so each interval's result is bit-identical to
 integrating it alone: integrand values and per-panel 15-node sums are
-element-wise, and fsum is exactly rounded, so neither depends on which
-other panels share the arrays.  A sweep's error target and mass are fsums
-of the interval's accepted and live values.  The plain sums give bands
-sure to contain both (see _bands); a panel whose defect lies outside its
-allowance's band is decided by the band, and an interval with a panel
-inside it, or without a sure band, takes the fsums that sweep and decides
-its panels exactly.  Each result takes its fsums once, at the end.  The
-engine raises the first failure it meets; integrate_many then replays the
-failing group's intervals one at a time, so the error is the one a loop of
-integrate calls raises first.  The routine is single-threaded and
-bit-deterministic.
+element-wise, and fsum is correctly rounded, so neither depends on which
+other panels share the arrays.  A sweep's error target and mass are the
+interval's running plain sums of its accepted values and of their
+magnitudes, plus the sums of its live values and magnitudes that sweep;
+np.bincount adds each interval's own panels alone, in panel order, so
+these do not depend on the other intervals either.  Each result takes its
+fsums once, at the end.  The engine raises the first failure it meets;
+integrate_many then replays the failing group's intervals one at a time, so
+the error is the one a loop of integrate calls raises first.  The routine
+is single-threaded and bit-deterministic.
 """
 from __future__ import annotations
 
@@ -118,57 +117,22 @@ def _panel_estimates(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def _fsum(values: Iterable[float]) -> float:
     """math.fsum, or NaN where it refuses: +inf and -inf together, or an
-    intermediate overflow.  A NaN target or total ends in QuadratureError."""
+    intermediate overflow.  A NaN total ends in QuadratureError."""
     try:
         return math.fsum(values)
     except (ValueError, OverflowError):
         return math.nan
 
 
-def _tol_of(total, rel_tol: float):
-    """max(rel_tol * total, 1e-320) with the builtin max's treatment of
-    NaN, on floats or arrays; total is non-negative."""
-    tol = rel_tol * total
-    return np.where(1e-320 > tol, 1e-320, tol)
-
-
 def _alloc(tol: np.ndarray, mass: np.ndarray, abs_vals: np.ndarray,
            width_share: np.ndarray) -> np.ndarray:
     """Each panel's error allowance: its interval's tolerance times the
     larger of its width share and, where the interval has mass, its mass
-    share.  Non-decreasing in tol and non-increasing in mass."""
+    share."""
     massive = mass > 0.0
     mass_share = abs_vals / np.where(massive, mass, 1.0)
     return tol * np.where(massive, np.maximum(width_share, mass_share),
                           width_share)
-
-
-def _bands(total: np.ndarray, mass: np.ndarray, n_terms: np.ndarray,
-           rel_tol: float
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                      np.ndarray]:
-    """Bands (tol_lo, tol_hi, mass_lo, mass_hi) sure to hold each
-    interval's fsum tolerance and mass, from its plain running sums, and
-    the intervals where no band is sure.
-
-    total and mass are sums in some order of an interval's n_terms signed
-    and absolute panel values.  Any summation order is within
-    (n - 1) u / (1 - (n - 1) u) of the exact sum, relative to the mass, and
-    the fsum forms add three roundings; a slack of (n + 8) * EPS = 2 (n + 8) u
-    covers both twice over.  Masses beyond [1e-280, 1e300], other than 0,
-    and a non-finite rel_tol get no band: there an underflow could void the
-    relative bound, fsum could refuse, or inf * 0 could make a NaN on one
-    side only.
-    """
-    slack = (n_terms + 8) * EPS
-    spread = slack * mass
-    t_lo = _tol_of(np.maximum(np.abs(total) - spread, 0.0), rel_tol)
-    t_hi = _tol_of(np.abs(total) + spread, rel_tol)
-    no_band = ~((mass == 0.0) | ((mass >= 1e-280) & (mass <= 1e300)))
-    if not math.isfinite(rel_tol):
-        no_band[:] = True
-    return (np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi),
-            mass * (1.0 - slack), mass * (1.0 + slack), no_band)
 
 
 class _Accepted:
@@ -282,21 +246,17 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         with np.errstate(invalid="ignore", over="ignore"):
             pair = l_vals + r_vals
             diff = np.abs(vals - pair)
-            width_share = widths / span_of[owner]
             abs_pair = np.abs(l_vals) + np.abs(r_vals)
             floor = 32.0 * EPS * abs_pair
-            # Each interval's error target and absolute mass are the fsum
-            # of its accepted and live values, and of their magnitudes;
-            # bands around the plain sums decide every panel not too close
-            # to its allowance to tell.
-            tol_lo, tol_hi, mass_lo, mass_hi, no_band = _bands(
-                kept_sum + np.bincount(owner, vals, n_int),
-                kept_abs + np.bincount(owner, abs_vals, n_int),
-                n_kept + counts, rel_tol)
-            alloc_lo = _alloc(tol_lo[owner], mass_hi[owner], abs_vals,
-                              width_share)
-            alloc_hi = _alloc(tol_hi[owner], mass_lo[owner], abs_vals,
-                              width_share)
+            # Each interval's error target and absolute mass, from the
+            # running sums of its accepted values and the sums of its live
+            # ones.  np.maximum keeps a NaN target, as the builtin max does.
+            tol = np.maximum(
+                rel_tol * np.abs(kept_sum + np.bincount(owner, vals, n_int)),
+                1e-320)
+            mass = kept_abs + np.bincount(owner, abs_vals, n_int)
+            alloc = _alloc(tol[owner], mass[owner], abs_vals,
+                           widths / span_of[owner])
         # A panel too narrow to bisect in floating point cannot be improved.
         exhausted = (r_lows <= lows) | (r_lows >= lows + widths)
         finite = np.isfinite(pair)
@@ -307,27 +267,7 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 "integrand is non-finite on an unsplittable panel",
                 value=_fsum(accepted.of(k)[0]), err_bound=math.inf,
                 n_panels=int(n_kept[k] + counts[k]))
-        settled = (diff <= floor) | exhausted
-        accept = (settled | (diff <= alloc_lo)) & finite
-        unsure = finite & ~settled & (diff > alloc_lo) & (diff <= alloc_hi)
-        exact = no_band.copy()
-        exact[owner[unsure]] = True
-        if exact.any():
-            # fsum for these intervals, exactly as a one-interval loop
-            # takes it, and their panels decided again.
-            tol = np.zeros(n_int)
-            mass = np.zeros(n_int)
-            for k in np.flatnonzero(exact & (counts > 0)).tolist():
-                kept = accepted.of(k)[0]
-                seg = vals[owner == k].tolist()
-                tol[k] = _tol_of(abs(_fsum(kept) + _fsum(seg)), rel_tol)
-                mass[k] = _fsum(map(abs, kept)) + _fsum(map(abs, seg))
-            sel = exact[owner]
-            o = owner[sel]
-            with np.errstate(invalid="ignore", over="ignore"):
-                alloc = _alloc(tol[o], mass[o], abs_vals[sel],
-                               width_share[sel])
-            accept[sel] = (settled[sel] | (diff[sel] <= alloc)) & finite[sel]
+        accept = ((diff <= floor) | exhausted | (diff <= alloc)) & finite
 
         idx = np.flatnonzero(accept)
         if idx.size:

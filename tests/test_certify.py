@@ -860,9 +860,39 @@ def test_integrated_defect_integrand_endpoint_identity():
 
 
 def test_integrated_defect_validation():
-    for c, eps in ((-0.2, 0.0), (-0.2, 2.0), (-0.2, -0.01), (0.5, 0.01), (-1.5, 0.01)):
+    # Below eps = 1e-100 the exponent's -eps z^2/2 heads for underflow and
+    # T/eps would lose the 1/3 of its limit, so such eps are rejected.
+    for c, eps in ((-0.2, 0.0), (-0.2, 2.0), (-0.2, -0.01), (0.5, 0.01),
+                   (-1.5, 0.01), (-0.2, math.nextafter(1e-100, 0.0)),
+                   (-0.2, 1e-300)):
         with pytest.raises(DomainError):
             integrated_defect(c, eps)
+    integrated_defect(-0.2, 1e-100)
+
+
+@pytest.mark.parametrize("c", [-0.3, -0.2, -0.1])
+def test_integrated_defect_bound_holds_against_mpmath(c):
+    # At the slope check's eps the error against a 40-digit quadrature of
+    # the defect's own formula stays inside the returned bound, and down to
+    # eps = 1e-100 T/eps stays within eps of its limit c + 1/3 (the next
+    # term of T/eps is O(eps) with a coefficient below 1 here), give or
+    # take the bound.
+    mpmath = pytest.importorskip("mpmath")
+    from gammatail.certify import _SLOPE_EPS
+
+    b = c + 1.0
+    with mpmath.workdps(40):
+        for eps in _SLOPE_EPS:
+            value, err = integrated_defect(c, eps)
+            m_b, m_eps = mpmath.mpf(b), mpmath.mpf(eps)
+            ref = 2 * mpmath.quad(
+                lambda z: 1 - (1 - m_b * m_eps)
+                * (1 - z * m_eps) ** (1 / m_eps - m_b - 1) * mpmath.exp(z),
+                [0, 1])
+            assert abs(value - ref) <= err, (c, eps)
+    for eps in (1e-4, 1e-6, 1e-12, 1e-100):
+        value, err = integrated_defect(c, eps)
+        assert abs(value / eps - (c + 1.0 / 3.0)) <= eps + err / eps, eps
 
 
 def test_asymptotic_slope_report():

@@ -243,12 +243,12 @@ def _in_third(c, *_):
 def _defect_probes(rng):
     return _pairs((-1.0, math.nextafter(-1.0, 0.0), -0.5, -ONE_THIRD, -TINY,
                    0.0, math.nan),
-                  (TINY, 1e-300, 1e-16, 0.0025, 0.5, math.nextafter(1.0, 0.0),
-                   1.0))
+                  (TINY, 1e-300, math.nextafter(1e-100, 0.0), 1e-100, 1e-16,
+                   0.0025, 0.5, math.nextafter(1.0, 0.0), 1.0))
 
 
 def _defect_domain(c, eps):
-    return -1.0 < c < 0.0 and 1e-300 <= eps < 1.0
+    return -1.0 < c < 0.0 and 1e-100 <= eps < 1.0
 
 
 def _quad_probes(rng):

@@ -393,6 +393,10 @@ _LOOP_CASES = [
      {"rel_tol": 1e-12}, {}),
     (lambda t: np.cos(40.0 * t) ** 2, 0.0, 3.0, {"rel_tol": 1e-13}, {}),
     (lambda t: np.exp(-0.5 * t * t), -30.0, 30.0, {"rel_tol": 1e-14}, {}),
+    # Signed integrands whose total is far below their mass: there the
+    # engine's plain running sums stray furthest from fsums.
+    (lambda t: np.sin(37.0 * t), 0.0, 3.0, {"rel_tol": 1e-12}, {}),
+    (lambda t: t * np.sin(20.0 * t * t), 0.0, 3.0, {"rel_tol": 1e-12}, {}),
     # Failures: sweep limit, panel budget, non-finite unsplittable panels,
     # and a degenerate interval.
     (lambda t: t ** -0.5, 0.0, 1.0, {}, {}),
@@ -401,8 +405,8 @@ _LOOP_CASES = [
     (lambda t: np.full_like(t, np.inf), 1.0, 1.0 + 1e-14, {}, {}),
     (np.exp, 2.0, 2.0, {}, {}),
 ]
-_LOOP_IDS = ["exp", "sqrt", "peak", "oscillatory", "gauss", "sweep-limit",
-             "budget", "non-finite", "degenerate"]
+_LOOP_IDS = ["exp", "sqrt", "peak", "oscillatory", "gauss", "sine", "chirp",
+             "sweep-limit", "budget", "non-finite", "degenerate"]
 
 
 @pytest.mark.parametrize("fn, lo, hi, kw, budget", _LOOP_CASES,
@@ -440,54 +444,40 @@ def test_integrate_many_under_per_panel_owners_equals_the_loop(
         assert got == [expected] * 3
 
 
-@pytest.mark.parametrize("fn, lo, hi, kw, budget", _LOOP_CASES,
-                         ids=_LOOP_IDS)
-def test_fsum_fallback_keeps_every_bit(fn, lo, hi, kw, budget, monkeypatch):
-    # With no sure band, every sweep takes each interval's tolerance and
-    # mass as fsums, as the one-interval loop does; the result, or the
-    # error, must be the banded run's bit for bit.
-    if budget:
-        _set_budget(monkeypatch, **budget)
-    banded = _outcome(integrate, fn, lo, hi, **kw)
-    bands = quadrature._bands
-
-    def no_bands(*args):
-        *band, no_band = bands(*args)
-        return (*band, np.ones_like(no_band))
-
-    monkeypatch.setattr(quadrature, "_bands", no_bands)
-    assert _outcome(integrate, fn, lo, hi, **kw) == banded
+# Integrands whose masses span the double range, from near the smallest
+# normal double to near the largest.
+_SCALES = [1e-300, 1e-285, 1e-200, 1e-50, 1.0, 1e100, 1e302, 1e306]
+_SCALED_CASES = [
+    (lambda t: np.exp(-t), 0.0, 50.0),
+    (lambda t: np.exp(-(((t - 0.3) / 1e-3) ** 2)), 0.0, 1.0),
+    (lambda t: np.sqrt(t), 0.0, 1.0),
+]
+_SCALED_IDS = ["exp", "peak", "sqrt"]
 
 
-def test_panels_too_close_to_call_fall_back_to_fsum(monkeypatch):
-    # Tolerance bands of [0, inf] decide no panel that the rounding floor
-    # does not settle; each such panel's interval takes the fsums that
-    # sweep, and every result keeps its bits.
-    centers = np.linspace(0.05, 0.95, 24)
-    widths = np.geomspace(1e-3, 0.3, 24)
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("fn, lo, hi", _SCALED_CASES, ids=_SCALED_IDS)
+def test_integrate_equals_the_one_interval_loop_at_every_scale(fn, lo, hi,
+                                                               scale):
+    def scaled(t):
+        return scale * fn(t)
 
-    def fn(t, k):
-        return np.exp(-(((t - centers[k]) / widths[k]) ** 2))
+    assert (_outcome(integrate, scaled, lo, hi, rel_tol=1e-12)
+            == _outcome(_reference_integrate, scaled, lo, hi, rel_tol=1e-12))
 
-    los, his = [0.0] * 24, [1.0] * 24
-    expected = integrate_many(fn, los, his, rel_tol=1e-12)
-    bands = quadrature._bands
 
-    def open_bands(*args):
-        tol_lo, tol_hi, *rest = bands(*args)
-        return (np.zeros_like(tol_lo), np.full_like(tol_hi, np.inf), *rest)
+@pytest.mark.parametrize("fn, lo, hi", _SCALED_CASES, ids=_SCALED_IDS)
+def test_integrate_many_mixing_every_scale_equals_each_alone(fn, lo, hi):
+    # One group holds all eight scales: each interval's target and mass
+    # are its own sums, whatever the other intervals' magnitudes.
+    scales = np.array(_SCALES)
 
-    monkeypatch.setattr(quadrature, "_bands", open_bands)
-    fallbacks = []
-    of = quadrature._Accepted.of
+    def scaled(t, k):
+        return scales[k] * fn(t)
 
-    def spy(self, k):
-        fallbacks.append(k)
-        return of(self, k)
-
-    monkeypatch.setattr(quadrature._Accepted, "of", spy)
-    assert integrate_many(fn, los, his, rel_tol=1e-12) == expected
-    assert fallbacks
+    los, his = [lo] * len(_SCALES), [hi] * len(_SCALES)
+    assert (integrate_many(scaled, los, his, rel_tol=1e-12)
+            == _one_at_a_time(scaled, los, his, rel_tol=1e-12))
 
 
 def test_integrate_many_across_groups_equals_the_one_interval_loop(
