@@ -153,7 +153,7 @@ def c04_witnesses(tol_scale: float = 1.0,
             lines.append(f"c={c!r}: search failed ({w})")
             continue
         o1, o2, o3 = next(probs), next(probs), next(probs)
-        good = w.a3 <= 1e6 and o1 > o2 < o3
+        good = o1 > o2 < o3
         ok = ok and good
         lines.append(f"c={c!r}: a=({w.a1!r}, {w.a2!r}, {w.a3!r}) "
                      f"oracle dip {'confirmed' if good else 'REFUTED'}")

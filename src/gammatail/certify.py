@@ -14,10 +14,10 @@ Contents:
   a direction verdict (increasing / decreasing / non-monotone with witness /
   inconclusive with the first uncertified grid interval) from one
   ``tail_prob_many`` call over the grid.
-* ``find_witness`` — constructive non-monotonicity: for c in (-1/3, 0) finds
-  a1 < a2 < a3 with p(a1) > p(a2) < p(a3) at certified margins, from
-  geometric scans off the plateau edge, each one ``tail_prob_many`` call;
-  both engines take the triple from a grid by the same rule.
+* ``find_witness`` — constructive non-monotonicity: for c in (-1/3, 0)
+  certifies p(a1) > p(a2) < p(a3) at the plateau edge a1 = -c, the valley
+  a2 = (8/135)/(c + 1/3) of the tail's large-shape expansion and a3 = 8 a2,
+  three scalar evaluations; both engines take the triple by the same rule.
 * ``check_threshold_chain`` — certifies that each stage of the derivative
   ratio chain behind the -1/3 threshold is increasing on (1, oo) and that
   all stages share the limit -1/3 at 1+.
@@ -43,10 +43,10 @@ from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
 from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _THRESHOLD_Y_MAX,
                       _mean_scale, _threshold_forms, log_mean)
-from .tailprob import ScanSpec, tail_prob_many
+from .tailprob import (ScanSpec, TailQuery, tail_prob_detail,
+                       tail_prob_many)
 
-_WITNESS_BUDGET = 1e6
-_WITNESS_SCAN_N = 200
+_VALLEY = 8.0 / 135.0   # (c + 1/3) a* at the valley of Choi's median expansion
 # Taylor window for the reduction-stage excess forms; beyond it the direct
 # formulas lose at most ~1e-11 relative accuracy, reflected in the bounds.
 _CHAIN_SERIES_MAX = 0.5
@@ -213,33 +213,33 @@ def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Witness search
+# Witness by formula
 
 
 def find_witness(c: float) -> Witness:
     """A certified dip triple for c strictly inside (-1/3, 0).
 
-    Each scan is a 200-point geometric ScanSpec grid from the plateau edge
-    -c, where the probability is exactly 1, evaluated in one tail_prob_many
-    call; the triple is taken from it by _witness_from_points, the rule
-    certify_monotone applies to its own grid.  While no triple meets the
-    margins, the grid's right end grows by 8x from max(-8c, 4); past the
-    shape budget 1e6 the search raises WitnessSearchError instead of
+    The triple is (-c, a*, 8a*): the plateau edge, where the probability is
+    exactly 1, the valley a* = (8/135)/(c + 1/3), and a shape past it on the
+    way back up to 1/2.  Each is one tail_prob_detail call, and the triple is
+    certified by _witness_from_points, the rule certify_monotone applies to
+    its own grid.  Margins that fail raise WitnessSearchError instead of
     returning an uncertified triple.
     """
     c = float(c)
     if not (-ONE_THIRD < c < 0.0):
         raise DomainError("witness search requires c strictly in (-1/3, 0)")
-    a_max = max(8.0 * -c, 4.0)
-    while a_max <= _WITNESS_BUDGET:
-        grid = ScanSpec(-c, a_max, _WITNESS_SCAN_N)._grid_array()
-        witness, _ = _witness_from_points(grid, *tail_prob_many(grid, c))
-        if witness is not None:
-            return witness
-        a_max *= 8.0
-    raise WitnessSearchError(
-        f"no certified dip of the tail probability found below "
-        f"a={_WITNESS_BUDGET:g} for c={c!r}", budget=_WITNESS_BUDGET)
+    a_star = _VALLEY / (c + ONE_THIRD)
+    a = (-c, a_star, 8.0 * a_star)
+    points = [tail_prob_detail(TailQuery(x, c)) for x in a]
+    witness, _ = _witness_from_points(
+        np.array(a), np.array([t.value for t in points]),
+        np.array([t.err_bound for t in points]))
+    if witness is None:
+        raise WitnessSearchError(
+            f"no certified dip of the tail probability at a={a!r} "
+            f"for c={c!r}")
+    return witness
 
 
 # ---------------------------------------------------------------------------

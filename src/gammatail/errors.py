@@ -3,8 +3,8 @@
 Every failure mode is explicit: invalid inputs raise DomainError, a quadrature
 that cannot meet its target reports what it did achieve, a kernel loop that
 runs out of iterations or a solver that misses its residual target raises
-ConvergenceError instead of returning a partial result, and certification or
-witness-search routines that run out of budget say so rather than guessing.
+ConvergenceError instead of returning a partial result, and a witness whose
+margins fail is reported as such rather than guessed.
 """
 from __future__ import annotations
 
@@ -51,8 +51,4 @@ class CertificationError(GammaTailError, RuntimeError):
 
 
 class WitnessSearchError(GammaTailError, RuntimeError):
-    """Non-monotonicity witness search exhausted its parameter budget."""
-
-    def __init__(self, message: str, *, budget: float) -> None:
-        super().__init__(message)
-        self.budget = budget
+    """A non-monotonicity witness triple missed its certification margins."""

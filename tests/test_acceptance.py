@@ -55,7 +55,7 @@ def test_c04_fails_on_a_witness_search_that_gives_up(monkeypatch):
 
     def find_witness(c):
         if c == -0.2:
-            raise WitnessSearchError("no witness", budget=1e6)
+            raise WitnessSearchError("no witness")
         return real(c)
 
     monkeypatch.setattr(acceptance, "find_witness", find_witness)

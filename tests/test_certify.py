@@ -4,7 +4,7 @@ A verdict here is never "the difference looked positive": a sign is
 certified only when the difference exceeds STRICT_MARGIN times the sum
 of the evaluation error bounds, and anything weaker is reported as
 inconclusive.  These tests pin the three monotonicity regimes, the witness
-search, the threshold-ratio chain, the mean chain, and the integrated-defect
+formula, the threshold-ratio chain, the mean chain, and the integrated-defect
 slope, re-verifying every frozen witness through the independent oracle.
 """
 
@@ -22,6 +22,7 @@ from gammatail import (
     MonotoneVerdict,
     ScanSpec,
     TailQuery,
+    TailValue,
     Witness,
     WitnessSearchError,
     certify_monotone,
@@ -189,7 +190,7 @@ def test_certify_reports_inconclusive_under_unreachable_margin(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# witness search
+# witness formula
 # ----------------------------------------------------------------------
 
 
@@ -217,10 +218,9 @@ def test_find_witness_structure_and_oracle_recheck():
     assert w.p1 == 1.0
     assert w.a1 < w.a2 < w.a3
     assert w.p1 > w.p2 < w.p3
-    # frozen deterministic search result: the lowest and, beyond it, the
-    # highest point of the first 200-point scan, which ends at 4
-    assert math.isclose(w.a2, 0.4717227575089627, rel_tol=1e-12)
-    assert w.a3 == 4.0
+    # frozen formula triple: the valley (8/135)/(c + 1/3) and 8 times it
+    assert w.a2 == 0.4444444444444446
+    assert w.a3 == 3.5555555555555567
     # oracle re-verification of both strict drops
     o2 = oracle_tail_prob(w.a2, -0.2)
     o3 = oracle_tail_prob(w.a3, -0.2)
@@ -244,43 +244,68 @@ def test_find_witness_rejects_outside_open_band():
             find_witness(c)
 
 
-def _lowest_at_the_right_edge(a):
-    # Falling on every scan: the dip never has a point beyond it.
-    return -a, np.zeros(len(a))
+@pytest.mark.parametrize("c", [-0.333333, -0.3333, -0.3, -0.2, -0.05,
+                               -0.001, -1e-300])
+def test_find_witness_is_the_formula_triple_under_the_scan_rule(c):
+    # The witness is the one certify_monotone's rule takes from the three
+    # formula shapes: the plateau edge, the valley and 8 times the valley.
+    from gammatail.certify import _witness_from_points
+
+    a2 = (8.0 / 135.0) / (c + 1.0 / 3.0)
+    a = (-c, a2, 8.0 * a2)
+    points = [tail_prob_detail(TailQuery(x, c)) for x in a]
+    expected, _ = _witness_from_points(
+        np.array(a), np.array([t.value for t in points]),
+        np.array([t.err_bound for t in points]))
+    assert expected is not None
+    assert find_witness(c) == expected
 
 
-def _dip_inside_the_margin(a):
-    # One value with a bound everywhere but a dip at the fourth point far
-    # smaller than the bound.
-    p = np.full(len(a), 0.9)
-    p[3] -= 1e-4
-    return p, np.full(len(a), 1e-3)
-
-
-def _no_certified_recovery(a):
-    # 1 at the plateau edge and flat beyond it: nothing rises above the dip.
-    p = np.full(len(a), 0.5)
-    p[0] = 1.0
-    return p, np.zeros(len(a))
-
-
-@pytest.mark.parametrize("scan", [_lowest_at_the_right_edge,
-                                  _dip_inside_the_margin,
-                                  _no_certified_recovery],
-                         ids=["minimum-at-right-edge", "dip-inside-margin",
-                              "no-recovery"])
-def test_find_witness_gives_up_past_the_budget(scan, monkeypatch):
-    # No scan yields a certified triple, so the scan grows by 8x until it
-    # passes the budget.
+@pytest.mark.parametrize("c", [-0.2, -0.333333])
+def test_find_witness_makes_three_scalar_calls_and_no_lane_call(
+        c, monkeypatch):
     import gammatail.certify as certify
 
-    monkeypatch.setattr(certify, "tail_prob_many",
-                        lambda a, c: scan(np.asarray(a)))
+    lanes, scalar = [], []
+
+    def many(*args):
+        lanes.append(args)
+        return tail_prob_many(*args)
+
+    def detail(query):
+        scalar.append(query)
+        return tail_prob_detail(query)
+
+    monkeypatch.setattr(certify, "tail_prob_many", many)
+    monkeypatch.setattr(certify, "tail_prob_detail", detail)
+    w = find_witness(c)
+    assert [(q.a, q.c) for q in scalar] == [(w.a1, c), (w.a2, c), (w.a3, c)]
+    assert lanes == []
+
+
+def _dip_inside_the_margin(query):
+    # A dip at the valley, between the plateau edge and 3, far smaller than
+    # the bounds.
+    return TailValue(0.9 - 1e-4 * (0.3 < query.a < 3.0), 1e-3, "cf")
+
+
+def _no_certified_recovery(query):
+    # 1 at the plateau edge and flat beyond it: nothing rises above the dip.
+    return TailValue(1.0 if query.a + query.c <= 0.0 else 0.5, 0.0, "cf")
+
+
+@pytest.mark.parametrize("detail", [_dip_inside_the_margin,
+                                    _no_certified_recovery],
+                         ids=["dip-inside-margin", "no-recovery"])
+def test_find_witness_gives_up_when_the_margins_fail(detail, monkeypatch):
+    import gammatail.certify as certify
+
+    monkeypatch.setattr(certify, "tail_prob_detail", detail)
     with pytest.raises(WitnessSearchError) as info:
         find_witness(-0.2)
-    assert info.value.budget == 1e6
-    assert str(info.value) == ("no certified dip of the tail probability "
-                               "found below a=1e+06 for c=-0.2")
+    assert str(info.value) == (
+        "no certified dip of the tail probability at "
+        "a=(0.2, 0.4444444444444446, 3.5555555555555567) for c=-0.2")
 
 
 # ----------------------------------------------------------------------
@@ -417,69 +442,6 @@ def test_witness_from_points_takes_the_leftmost_of_tied_points():
     p = np.array([0.9, 0.9, 0.5, 0.1, 0.1, 0.8, 0.8])
     witness, _ = _witness_from_points(np.arange(1.0, 8.0), p, np.zeros(7))
     assert (witness.a1, witness.a2, witness.a3) == (1.0, 4.0, 6.0)
-
-
-def _reference_find_witness(c):
-    """find_witness with each scan evaluated point by point, kept as the
-    bit-level reference for the batched scans."""
-    from gammatail.certify import _WITNESS_SCAN_N, _witness_from_points
-
-    a_max = max(8.0 * -c, 4.0)
-    while True:
-        grid = ScanSpec(-c, a_max, _WITNESS_SCAN_N).grid()
-        points = [_value_and_bound(a, c) for a in grid]
-        witness, _ = _witness_from_points(
-            *(np.array(x) for x in (grid, *zip(*points))))
-        if witness is not None:
-            return witness
-        a_max *= 8.0
-
-
-@pytest.mark.parametrize("c", [-0.3332, -0.3, -0.2, -0.05, -0.001])
-def test_find_witness_equals_point_by_point_scan(c):
-    assert repr(find_witness(c)) == repr(_reference_find_witness(c))
-
-
-@pytest.mark.parametrize("c, scans", [(-0.2, 1), (-0.3333, 4),
-                                      (-0.333333, 6)])
-def test_find_witness_runs_on_lanes_only(c, scans, monkeypatch):
-    # Every witness scan is one 200-lane tail_prob_many call; no shape is
-    # evaluated on its own, through certify's name or tailprob's.  At
-    # -0.333333 six scans run before the seventh would pass the budget.
-    import gammatail.certify as certify
-    import gammatail.tailprob as tailprob
-
-    lanes, scalar = [], []
-
-    def many(a, c):
-        lanes.append(len(a))
-        return tail_prob_many(a, c)
-
-    def detail(*args, **kwargs):
-        scalar.append(args)
-        return tail_prob_detail(*args, **kwargs)
-
-    monkeypatch.setattr(certify, "tail_prob_many", many)
-    monkeypatch.setattr(certify, "tail_prob_detail", detail, raising=False)
-    monkeypatch.setattr(tailprob, "tail_prob_detail", detail)
-    if c == -0.333333:
-        with pytest.raises(WitnessSearchError):
-            find_witness(c)
-    else:
-        find_witness(c)
-    assert lanes == [200] * scans
-    assert scalar == []
-
-
-@pytest.mark.parametrize("c, a_max", [(-0.3, 4.0), (-0.2, 4.0), (-0.1, 4.0),
-                                      (-0.05, 4.0), (-0.3333, 2048.0)])
-def test_find_witness_takes_certify_monotones_witness(c, a_max):
-    # Both engines take a witness from a grid by the same rule: the triple
-    # is the one certify_monotone reports on the scan where the search
-    # stopped.
-    verdict = certify_monotone(c, ScanSpec(-c, a_max, 200))
-    assert verdict.direction == "non_monotone"
-    assert find_witness(c) == verdict.witness
 
 
 # ----------------------------------------------------------------------

@@ -518,7 +518,7 @@ def test_certification_error_maps_to_exit_one(monkeypatch):
 
 def test_witness_search_error_maps_to_exit_three(monkeypatch):
     def boom(*args, **kwargs):
-        raise WitnessSearchError("synthetic exhaustion", budget=1e6)
+        raise WitnessSearchError("synthetic exhaustion")
 
     monkeypatch.setattr("gammatail.certify.certify_monotone", boom)
     code, _ = run_cli(["certify", "--c", "-0.2"])

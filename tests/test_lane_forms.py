@@ -462,7 +462,8 @@ def test_lockstep_copies_its_start_states(n_max, min_lanes):
 
 
 # The lane tests of Q's kernel, which claim bit-identity from IEEE + - * /
-# alone, with numpy's optional SIMD paths on and off.
+# alone, and the verify-all golden, each with numpy's optional SIMD paths on
+# and off.
 _Q_LANE_PARITY = [
     "tests/test_lane_forms.py::" + name for name in (
         "test_cf_lanes_retire_at_every_column_of_a_block",
@@ -474,6 +475,7 @@ _Q_LANE_PARITY = [
     "tests/test_tailprob.py::"
     "test_tail_prob_many_with_one_offset_per_lane_is_bitwise_the_scan",
     "tests/test_specfun.py::test_reg_gamma_q_many_is_bitwise_the_scalar_loop",
+    "tests/test_acceptance.py::test_verify_all_cli_output_is_byte_identical",
 ]
 
 

@@ -452,8 +452,8 @@ PER_POINT_LOOPS = {
         "one certification per offset, each scanning its 400 shapes on "
         "lanes; C02 and C03 take five and four offsets",
     ("c04_witnesses", "find_witness"):
-        "one witness search per offset, four offsets; each of its scans is "
-        "one tail_prob_many call",
+        "one witness per offset, four offsets; each is three scalar "
+        "tail_prob_detail calls at the formula's shapes",
     ("c06_median_solver", "gamma_median"):
         "each median solve is a sequential root search, a few kernel calls "
         "each, with no lane form",
