@@ -12,12 +12,15 @@ Contents:
 
 * ``certify_monotone`` — scans ``a -> P(X_a - a > c)`` on a grid and returns
   a direction verdict (increasing / decreasing / non-monotone with witness /
-  inconclusive with the first uncertified grid interval) from one
-  ``tail_prob_many`` call over the grid.
+  inconclusive with the first uncertified grid interval).  For c in
+  (-1/3, 0) with the valley inside the scan range, a certified formula
+  triple (below) settles the verdict first; otherwise, and whenever the
+  triple's margins fail, one ``tail_prob_many`` call over the grid does.
 * ``find_witness`` — constructive non-monotonicity: for c in (-1/3, 0)
   certifies p(a1) > p(a2) < p(a3) at the plateau edge a1 = -c, the valley
   a2 = (8/135)/(c + 1/3) of the tail's large-shape expansion and a3 = 8 a2,
-  three scalar evaluations; both engines take the triple by the same rule.
+  three scalar evaluations.  Both engines place the triple with one helper,
+  which certifies it by the rule a scan applies to its grid's points.
 * ``check_threshold_chain`` — certifies that each stage of the derivative
   ratio chain behind the -1/3 threshold is increasing on (1, oo) and that
   all stages share the limit -1/3 at 1+.
@@ -123,14 +126,19 @@ def _classify(d, err_sum):
 def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     """Scan the tail probability over shapes and certify its direction.
 
-    The grid is evaluated once.  A direction is certified only if every
-    consecutive difference carries a certified strict sign and all signs
-    agree.  Opposite certified signs yield a non_monotone verdict with a
-    Witness.  A difference too small for its error bounds makes the
+    For c in (-1/3, 0) whose valley a* = (8/135)/(c + 1/3) lies strictly
+    inside (a_min, a_max), the three shapes (a_min, a*, min(8 a*, a_max))
+    come first: if they certify a dip, the verdict is non_monotone with
+    that witness, and the grid adds nothing (a dip inside the range is the
+    verdict the grid reaches, or finds inside one of its intervals).
+
+    Otherwise the grid is evaluated once.  A direction is certified only if
+    every consecutive difference carries a certified strict sign and all
+    signs agree.  Opposite certified signs yield a non_monotone verdict
+    with a Witness.  A difference too small for its error bounds makes the
     verdict inconclusive, naming the first such grid interval: halves
     certifying one common sign would have certified the interval itself
-    (their differences and margins add up), and a valley inside one
-    interval is find_witness's to locate.
+    (their differences and margins add up).
 
     The scan must not start strictly inside the plateau: a_min >= -c is
     required when c < 0 (equality puts the first point on the plateau edge,
@@ -145,6 +153,15 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
             "probability is identically 1; start the scan at -c or above")
 
     grid = scan._grid_array()
+    if -ONE_THIRD < c < 0.0:
+        a, witness, w_ratio = _formula_dip(c, float(scan.a_min),
+                                           float(scan.a_max))
+        if witness is not None:
+            return MonotoneVerdict(
+                direction="non_monotone", c=c, scan=scan, witness=witness,
+                margin_ratio=w_ratio, interval=None,
+                detail=f"certified dip at three points a={a!r}, placed by "
+                       "the valley formula (8/135)/(c + 1/3)")
     p, e = tail_prob_many(grid, c)
     d = p[1:] - p[:-1]
     err_sum = e[:-1] + e[1:]
@@ -216,6 +233,25 @@ def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray
 # Witness by formula
 
 
+def _formula_dip(c: float, a_min: float, a_max: float = math.inf
+                 ) -> tuple[tuple[float, float, float], Optional[Witness],
+                            float]:
+    """The triple a = (a_min, a*, min(8 a*, a_max)) for c in (-1/3, 0), with
+    a* = (8/135)/(c + 1/3), and (a, witness, ratio) from three
+    tail_prob_detail calls certified by _witness_from_points.  The witness
+    is None if the margins fail, or, with no evaluation, unless
+    a_min < a* < a_max."""
+    a_star = _VALLEY / (c + ONE_THIRD)
+    a = (a_min, a_star, min(8.0 * a_star, a_max))
+    if not a_min < a_star < a_max:
+        return a, None, 0.0
+    points = [tail_prob_detail(TailQuery(x, c)) for x in a]
+    witness, ratio = _witness_from_points(
+        np.array(a), np.array([t.value for t in points]),
+        np.array([t.err_bound for t in points]))
+    return a, witness, ratio
+
+
 def find_witness(c: float) -> Witness:
     """A certified dip triple for c strictly inside (-1/3, 0).
 
@@ -223,18 +259,14 @@ def find_witness(c: float) -> Witness:
     exactly 1, the valley a* = (8/135)/(c + 1/3), and a shape past it on the
     way back up to 1/2.  Each is one tail_prob_detail call, and the triple is
     certified by _witness_from_points, the rule certify_monotone applies to
-    its own grid.  Margins that fail raise WitnessSearchError instead of
+    its own points.  Margins that fail raise WitnessSearchError instead of
     returning an uncertified triple.
     """
     c = float(c)
     if not (-ONE_THIRD < c < 0.0):
         raise DomainError("witness search requires c strictly in (-1/3, 0)")
-    a_star = _VALLEY / (c + ONE_THIRD)
-    a = (-c, a_star, 8.0 * a_star)
-    points = [tail_prob_detail(TailQuery(x, c)) for x in a]
-    witness, _ = _witness_from_points(
-        np.array(a), np.array([t.value for t in points]),
-        np.array([t.err_bound for t in points]))
+    # a* + c >= 2 sqrt(8/135) - 1/3 > 0.15 over the band: a* lies past -c.
+    a, witness, _ = _formula_dip(c, -c)
     if witness is None:
         raise WitnessSearchError(
             f"no certified dip of the tail probability at a={a!r} "

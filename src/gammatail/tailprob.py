@@ -52,6 +52,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _LOG_MAX = 709.0
+_MIN_NORMAL = 2.0 ** -1022
 _RATIO_REL_TOL = 1e-10
 # The largest |c| (and |u|) the direction form and the integral identity
 # take: up to it, c times the roots and the exponents stay finite.
@@ -310,10 +311,24 @@ def ratio_parts_many(u, c) -> list[RatioParts]:
 
 
 def _ratio_parts_of(u: float, c: float, head, tail) -> RatioParts:
-    """RatioParts from the head and tail QuadResults, both above 0."""
-    if not (head.value > 0.0 and tail.value > 0.0):
-        raise DomainError(f"ratio_parts at u={u!r}, c={c!r}: an integral "
-                          "underflows to 0")
+    """RatioParts from the head and tail QuadResults, both above 0.
+
+    An integral of 0 is an underflow only if its integrand's peak, m e^-(1+c)
+    at x = 1 for substitution order m (inf once e^-(1+c) overflows), is
+    below the normal range; otherwise the quadrature missed a peak about
+    u^(-1/2) wide.
+    """
+    for name, part, order in (("head", head, u), ("tail", tail, u + c)):
+        if not part.value > 0.0:
+            peak = (_substitution_order(order) * math.exp(-(1.0 + c))
+                    if c > -_LOG_MAX else math.inf)
+            if peak >= _MIN_NORMAL:
+                raise DomainError(
+                    f"ratio_parts at u={u!r}, c={c!r}: the quadrature misses "
+                    f"the {name} integrand's peak {peak!r} at x = 1, about "
+                    "u**-0.5 wide")
+            raise DomainError(f"ratio_parts at u={u!r}, c={c!r}: an "
+                              "integral underflows to 0")
     ratio = head.value / tail.value
     ratio_err = (head.err_bound / tail.value
                  + ratio * tail.err_bound / tail.value)

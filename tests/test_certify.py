@@ -144,9 +144,11 @@ def test_certify_non_monotone_in_middle_band():
     assert v.direction == "non_monotone"
     w = v.witness
     assert w is not None
-    # frozen deterministic output of this scan
-    assert math.isclose(w.a2, 0.47704552021187635, rel_tol=1e-12)
-    assert w.a1 == 0.21 and w.a3 == 500.0
+    # the scan start, the valley (8/135)/(c + 1/3) and 8 times it
+    assert (w.a1, w.a2, w.a3) == (0.21, 0.4444444444444446, 3.5555555555555567)
+    assert v.detail == (
+        "certified dip at three points a=(0.21, 0.4444444444444446, "
+        "3.5555555555555567), placed by the valley formula (8/135)/(c + 1/3)")
     # independent re-check of the valley through the slow oracle
     o1 = oracle_tail_prob(w.a1, -0.2)
     o2 = oracle_tail_prob(w.a2, -0.2)
@@ -319,12 +321,28 @@ def _value_and_bound(a, c):
 
 
 def _reference_certify_monotone(c, scan, strict_margin):
-    """certify_monotone with one tail_prob_detail call per grid point and
-    each grid interval classified on its own, kept as the bit-level
-    reference for the batched scan."""
+    """certify_monotone with one tail_prob_detail call per point and each
+    grid interval classified on its own, kept as the bit-level reference
+    for the batched scan.  In the band, the formula triple comes first."""
     from gammatail.certify import _witness_from_points
 
+    def verdict(direction, ratio, interval, detail, witness=None):
+        return MonotoneVerdict(direction=direction, c=c, scan=scan,
+                               witness=witness, margin_ratio=ratio,
+                               interval=interval, detail=detail)
+
     grid = scan.grid()
+    if -1.0 / 3.0 < c < 0.0:
+        a2 = (8.0 / 135.0) / (c + 1.0 / 3.0)
+        if scan.a_min < a2 < scan.a_max:
+            a = (scan.a_min, a2, min(8.0 * a2, scan.a_max))
+            witness, ratio = _witness_from_points(*(np.array(x) for x in (
+                a, *zip(*(_value_and_bound(x, c) for x in a)))))
+            if witness is not None:
+                return verdict("non_monotone", ratio, None,
+                               f"certified dip at three points a={a!r}, "
+                               "placed by the valley formula "
+                               "(8/135)/(c + 1/3)", witness)
     points = [_value_and_bound(a, c) for a in grid]
     ratios = {}
     unresolved = []
@@ -339,11 +357,6 @@ def _reference_certify_monotone(c, scan, strict_margin):
             ratios[sign] = min(ratios.get(sign, math.inf), ratio)
         else:
             unresolved.append((grid[k], grid[k + 1], d, ratio))
-
-    def verdict(direction, ratio, interval, detail, witness=None):
-        return MonotoneVerdict(direction=direction, c=c, scan=scan,
-                               witness=witness, margin_ratio=ratio,
-                               interval=interval, detail=detail)
 
     if len(ratios) == 2:
         witness, ratio = _witness_from_points(
@@ -420,20 +433,112 @@ def test_certify_monotone_evaluates_its_grid_once(c, a_min, monkeypatch):
     assert lanes == [400]
 
 
-def test_a_valley_inside_one_grid_interval_is_left_to_find_witness():
+def test_a_valley_inside_one_grid_interval_is_settled_by_the_formula_triple():
     # Three linear points put the whole valley of c = -0.2 inside the first
     # interval: its difference is one rounding, no certified sign.
     scan = ScanSpec(0.23738424190495053, 16648.89558963054, 3, "linear")
+    p, e = tail_prob_many(np.array(scan.grid()), -0.2)
+    assert abs(p[1] - p[0]) <= 8.0 * (e[0] + e[1])
+    # The formula triple from the scan start certifies the dip.
     v = certify_monotone(-0.2, scan)
-    assert v.direction == "inconclusive"
-    assert v.interval == scan.grid()[:2]
-    assert v.margin_ratio < 8.0
-    # find_witness locates the dip, and its margins are certified.
-    w = find_witness(-0.2)
+    assert v.direction == "non_monotone" and v.interval is None
+    w = v.witness
+    assert (w.a1, w.a2, w.a3) == (scan.a_min, 0.4444444444444446,
+                                  3.5555555555555567)
     (p1, e1), (p2, e2), (p3, e3) = (_value_and_bound(a, -0.2)
                                     for a in (w.a1, w.a2, w.a3))
     assert (p1, p2, p3) == (w.p1, w.p2, w.p3)
     assert p1 - p2 > 8.0 * (e1 + e2) and p3 - p2 > 8.0 * (e3 + e2)
+    assert v.margin_ratio == min((p1 - p2) / (e1 + e2),
+                                 (p3 - p2) / (e3 + e2))
+
+
+def _count_evaluations(monkeypatch):
+    """Lists that fill with the lane count of each tail_prob_many call and
+    the shape of each tail_prob_detail call certify makes."""
+    import gammatail.certify as certify
+
+    lanes, scalar = [], []
+
+    def many(a, c):
+        lanes.append(len(a))
+        return tail_prob_many(a, c)
+
+    def detail(query):
+        scalar.append(query.a)
+        return tail_prob_detail(query)
+
+    monkeypatch.setattr(certify, "tail_prob_many", many)
+    monkeypatch.setattr(certify, "tail_prob_detail", detail)
+    return lanes, scalar
+
+
+def test_certify_settles_a_band_scan_from_three_points(monkeypatch):
+    # Scans as the bench's: from the plateau edge, 400 log points up to 200.
+    rng = random.Random(1)
+    for _ in range(12):
+        c = rng.uniform(-1.0 / 3.0 + 1e-3, -1e-3)
+        lanes, scalar = _count_evaluations(monkeypatch)
+        v = certify_monotone(c, ScanSpec(-c, 200.0, 400))
+        a2 = (8.0 / 135.0) / (c + 1.0 / 3.0)
+        assert scalar == [-c, a2, min(8.0 * a2, 200.0)]
+        assert lanes == []
+        assert v.direction == "non_monotone"
+        assert (v.witness.a1, v.witness.a2, v.witness.a3) == tuple(scalar)
+
+
+@pytest.mark.parametrize("c, scan, triple_calls, direction, detail", [
+    # p(a_min) < p(a*): the dip lies left of the valley, on the grid
+    (-0.05, ScanSpec(0.06, 200.0, 400), 3, "non_monotone",
+     "certified decrease and increase on the scan (400 grid points)"),
+    # a* below the range
+    (-0.2, ScanSpec(5.0, 200.0, 400), 0, "increasing",
+     "all 399 consecutive differences certified positive"),
+    # a* about 1,779, past a_max
+    (-0.3333, ScanSpec(0.3334, 200.0, 400), 0, "decreasing",
+     "all 399 consecutive differences certified negative"),
+], ids=["triple-fails", "valley-below", "valley-above"])
+def test_certify_falls_back_to_one_grid_call_in_the_band(
+        c, scan, triple_calls, direction, detail, monkeypatch):
+    lanes, scalar = _count_evaluations(monkeypatch)
+    v = certify_monotone(c, scan)
+    assert lanes == [400]
+    assert len(scalar) == triple_calls
+    assert (v.direction, v.detail) == (direction, detail)
+    assert repr(v) == repr(_reference_certify_monotone(c, scan, 8.0))
+
+
+def test_certify_band_verdicts_agree_with_the_grid_alone(monkeypatch):
+    # The triple only ever turns the grid's inconclusive into non_monotone.
+    import gammatail.certify as certify
+
+    rng = random.Random(2)
+    scans = []
+    for a_max in (30.0, 200.0, 1e4):
+        for start in (0.0, 0.01):
+            for _ in range(9):
+                c = rng.uniform(-1.0 / 3.0 + 1e-4, -1e-4)
+                scans.append((c, ScanSpec(-c + start, a_max, 400)))
+    got = [certify_monotone(c, scan).direction for c, scan in scans]
+    monkeypatch.setattr(certify, "_formula_dip",
+                        lambda *args: ((), None, 0.0))
+    grid = [certify_monotone(c, scan).direction for c, scan in scans]
+    assert len(scans) == 54
+    for g, alone in zip(got, grid):
+        assert g == alone or (alone, g) == ("inconclusive", "non_monotone")
+
+
+def test_certify_validates_a_band_scan_before_its_triple(monkeypatch):
+    a2 = (8.0 / 135.0) / (-0.2 + 1.0 / 3.0)
+    lanes, scalar = _count_evaluations(monkeypatch)
+    for c, scan, message in (
+            (-0.2, ScanSpec(0.1, 200.0, 400), "plateau interior"),
+            (math.nan, ScanSpec(0.2, 200.0, 400), "^c must be finite$"),
+            (-0.2, ScanSpec(a2 * (1.0 - 20 * ULP), a2 * (1.0 + 20 * ULP),
+                            400), "too narrow")):
+        with pytest.raises(DomainError, match=message):
+            certify_monotone(c, scan)
+    assert lanes == [] and scalar == []
 
 
 def test_witness_from_points_takes_the_leftmost_of_tied_points():

@@ -158,15 +158,16 @@ def test_certify_golden_json_non_monotone():
     assert payload["direction"] == "non_monotone"
     assert payload["witness"] == {
         "a1": 0.21,
-        "a2": 0.47704552021187635,
-        "a3": 500.0,
+        "a2": 0.4444444444444446,
+        "a3": 3.5555555555555567,
         "p1": 0.5854727938337183,
-        "p2": 0.438479290113096,
-        "p3": 0.4976211735322509,
+        "p2": 0.43866329786117636,
+        "p3": 0.47189861367863983,
     }
     assert payload["interval"] is None
     assert payload["detail"] == (
-        "certified decrease and increase on the scan (200 grid points)")
+        "certified dip at three points a=(0.21, 0.4444444444444446, "
+        "3.5555555555555567), placed by the valley formula (8/135)/(c + 1/3)")
 
 
 def test_certify_exit_codes_by_regime():

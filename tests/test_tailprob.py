@@ -430,14 +430,27 @@ def test_ratio_parts_domain():
 
 
 def test_ratio_parts_rejects_an_integral_that_underflows():
-    # The tail integral is about 1.7e-351 at (0, 800).  From u = 1e9 the
-    # panels miss the peak and both integrals come back 0.
-    for u, c in ((0.0, 800.0), (1.0, 1e6), (1e9, 0.0)):
+    # The tail integral is about 1.7e-351 at (0, 800), and the integrands'
+    # peak m e^-(1+c) at x = 1 underflows too.
+    for u, c in ((0.0, 800.0), (1.0, 1e6)):
         with pytest.raises(DomainError, match="underflows to 0"):
             ratio_parts(u, c)
     # The lane replay names the first failing lane.
     with pytest.raises(DomainError, match=r"u=1\.0, c=1000000\.0"):
         ratio_parts_many([1.0, 1.0], [0.0, 1e6])
+
+
+def test_ratio_parts_names_a_peak_its_quadrature_misses():
+    # From u = 1e9 both integrals are about 1.5e-5, but the peak at x = 1,
+    # about u**-0.5 wide, falls between the nodes and both come back 0.  The
+    # head's peak is m e^-(1+c) with substitution order m = 4.
+    for u, c in ((1e9, 0.0), (1e9, 5.0), (1e12, -0.5)):
+        peak = 4.0 * math.exp(-(1.0 + c))
+        with pytest.raises(DomainError) as info:
+            ratio_parts(u, c)
+        assert str(info.value) == (
+            f"ratio_parts at u={u!r}, c={c!r}: the quadrature misses the "
+            f"head integrand's peak {peak!r} at x = 1, about u**-0.5 wide")
 
 
 # ----------------------------------------------------------------------
