@@ -161,12 +161,20 @@ def c04_witnesses(tol_scale: float = 1.0,
                    "; ".join(lines))
 
 
+def _median_shapes() -> list[float]:
+    """The log grid _MEDIAN_GRID of C05 and C06, built with math so that no
+    shape depends on numpy's SIMD dispatch."""
+    lo, hi, n = _MEDIAN_GRID
+    l0, l1 = math.log10(lo), math.log10(hi)
+    return [lo, *(10.0 ** (l0 + (l1 - l0) * i / (n - 1))
+                  for i in range(1, n - 1)), hi]
+
+
 def c05_median_bracket(tol_scale: float = 1.0,
                        _unused: object = None) -> CriterionResult:
     """Both bracket inequalities strict with margins on the shape grid."""
     required = STRICT_MARGIN / tol_scale
-    grid = np.geomspace(*_MEDIAN_GRID)
-    report = check_median_bracket(grid)
+    report = check_median_bracket(_median_shapes())
     passed = report.certified and report.min_margin_ratio >= required
     return _result(
         "C05", "median bracket inequalities", passed,
@@ -181,9 +189,9 @@ def c06_median_solver(tol_scale: float = 1.0,
     spot_tol = 1e-14 * tol_scale
     worst_residual = 0.0
     failures = 0
-    for a in np.geomspace(*_MEDIAN_GRID):
+    for a in _median_shapes():
         try:
-            r = gamma_median(float(a))
+            r = gamma_median(a)
         except (CertificationError, ConvergenceError):
             failures += 1
             continue

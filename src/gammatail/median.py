@@ -11,27 +11,26 @@ A wrong sign inside the bound is a precision limit and raises
 ConvergenceError: from about a = 3e7 the true margin ~0.0079 a^{-3/2} falls
 below the rounding of the kernel's argument.
 
-For a >= 0.35, once both endpoint signs hold, the search starts from the
-median's asymptotic expansion, which is within 4.6e-4/a^5 of the root
-(0.04 at a = 0.35, 1e-4 at a = 1, a few ulps of a from a ~ 100).  It
-steps outward from that guess in doubling steps until Q - 1/2 changes
-sign, which leaves a bracket about as wide as the guess's error, and hands
-it to the secant/inverse-quadratic refinement.  A solve costs about five
-kernel calls at large shapes, where each call is expensive.
+Once both endpoint signs hold, Newton's method solves Q - 1/2 = 0 inside
+the bracket: the derivative of Q in m is minus the gamma density, whose
+log _log_gamma_norm already computes.  A step that would leave the sign
+bracket, which shrinks with each evaluation, bisects it instead.  For
+a >= 0.35 the iteration starts from the median's asymptotic expansion,
+which is within 4.6e-4/a^5 of the root (0.04 at a = 0.35, 1e-4 at a = 1, a
+few ulps of a from a ~ 100), so a solve costs three or four kernel calls at
+large shapes, where each call is expensive.
 
 For a < 0.35 the lower endpoint a - 1/3 is non-positive or nearly so while
 the median itself collapses towards zero much faster than a (for a = 0.01
-it is ~4e-31), so the root is located in log space on [1e-300, a]; the
+it is ~4e-31), so the root is located in t = ln m on [ln 1e-300, ln a]; the
 positive lower floor is implementation policy justified by positivity of
-the median, not by the bracket statement itself.  The search starts from
+the median, not by the bracket statement itself.  The iteration starts from
 ln m ~ (lnGamma(1 + a) - ln 2) / a, from P(a, x) ~ x^a / Gamma(a + 1), with
 one correction term, which is within a few ulps below a = 0.05 and within
-0.005 up to 0.35, and steps outward from it as above.  Below about
-a = 1.0043e-3 the median lies under the floor, and gamma_median rejects the
-shape with DomainError.
+0.005 up to 0.35.  Below about a = 1.0043e-3 the median lies under the
+floor, and gamma_median rejects the shape with DomainError.
 
-gamma_median's residual target (1e-12), bracket-width floor (1e-14),
-200-evaluation budget, shared by the search and the refinement, and the
+gamma_median's residual target (1e-12), its 200-evaluation budget and the
 bracket check's margin are constants.
 """
 from __future__ import annotations
@@ -41,14 +40,13 @@ from dataclasses import dataclass
 from typing import Callable, NoReturn, Sequence
 
 from .errors import CertificationError, ConvergenceError, DomainError
-from .specfun import ONE_THIRD, STRICT_MARGIN, _lgamma1p, reg_gamma_q
+from .specfun import (ONE_THIRD, STRICT_MARGIN, _lgamma1p, _log_gamma_norm,
+                      reg_gamma_q)
 from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
 _LINEAR_BRACKET_MIN = 0.35
 _LOG_FLOOR = math.log(1e-300)
-_COARSE_WIDTH = 1e-3
-_REL_TOL = 1e-12    # gamma_median's residual target,
-_ABS_TOL = 1e-14    # its bracket-width floor,
+_REL_TOL = 1e-12    # gamma_median's residual target
 _MAX_EVALS = 200    # and its solver's budget of Q evaluations
 
 
@@ -103,65 +101,6 @@ class MedianBracketReport:
     min_margin_ratio: float
 
 
-def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
-                 f_lo: float, f_hi: float, n: int = 0
-                 ) -> tuple[float, float, int]:
-    """Root of fn on a sign-changing bracket: bisection to a coarse width,
-    then secant/inverse-quadratic refinement kept inside the bracket.
-
-    Returns (root, fn(root), n_evals), counting from the n evaluations
-    already spent.  fn must be finite on [lo, hi] with f_lo > 0 > f_hi.
-    Raises ConvergenceError when _MAX_EVALS evaluations leave the bracket
-    wider than the target.
-    """
-    while hi - lo > _COARSE_WIDTH and n < _MAX_EVALS:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = fn(mid)
-        n += 1
-        if f_mid == 0.0:
-            return mid, 0.0, n
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-
-    # Refinement on the last three iterates; fall back to bisection when an
-    # interpolated step escapes the bracket or stalls.
-    x0, f0 = lo, f_lo
-    x1, f1 = hi, f_hi
-    x2, f2 = None, None
-    best_x, best_f = (x0, f0) if abs(f0) <= abs(f1) else (x1, f1)
-    while n < _MAX_EVALS:
-        x_new = None
-        if x2 is not None and f0 != f1 and f1 != f2 and f0 != f2:
-            # Inverse quadratic interpolation through the three iterates.
-            x_new = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
-                     + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
-                     + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
-        elif f0 != f1:
-            x_new = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if x_new is None or not (lo < x_new < hi) or not math.isfinite(x_new):
-            x_new = 0.5 * (lo + hi)
-        f_new = fn(x_new)
-        n += 1
-        if abs(f_new) < abs(best_f):
-            best_x, best_f = x_new, f_new
-        if f_new == 0.0:
-            return x_new, 0.0, n
-        if f_new > 0.0:
-            lo = x_new
-        else:
-            hi = x_new
-        x0, f0, x1, f1, x2, f2 = x1, f1, x_new, f_new, x0, f0
-        if hi - lo <= 8.0 * _ABS_TOL + 4.0 * (abs(lo) + abs(hi)) * 1.1e-16:
-            return best_x, best_f, n
-    raise ConvergenceError(
-        f"median root bracket [{lo!r}, {hi!r}] still wider than the target "
-        f"after {n} evaluations", n_iter=n)
-
-
 def _asymptotic_median(a: float) -> float:
     """The median's expansion a - 1/3 + 8/(405a) + 184/(25515a^2)
     + 2248/(3444525a^3) - 19006408/(15345358875a^4) (Choi 1994, Proc. AMS
@@ -172,9 +111,8 @@ def _asymptotic_median(a: float) -> float:
         2248.0 / 3444525.0 - 19006408.0 / 15345358875.0 / a) / a) / a) / a
 
 
-def _small_shape_log_median(a: float) -> tuple[float, float]:
-    """A guess at ln m for a < 0.35, and the first step of the search
-    from it.
+def _small_shape_log_median(a: float) -> float:
+    """A guess at ln m for a < 0.35.
 
     P(a, x) ~ x^a / Gamma(a + 1) for small x gives t0 = (lnGamma(1 + a)
     - ln 2) / a, and the next term of the series corrects it to
@@ -183,46 +121,47 @@ def _small_shape_log_median(a: float) -> tuple[float, float]:
     to 4 ulps of t at a = 0.002.  Against mpmath at 50 digits, t1 is within
     0.72 exp(2 t0) + 2 ulps of ln m from a = 1.0045e-3 to 0.35: 2e-13 at
     a = 0.05, 2.2e-7 at 0.1, 2.4e-3 at 0.3 and 4.6e-3 at 0.349, where
-    exp(2 t0) is 3.1e-13, 3.5e-7, 4.8e-3 and 9.7e-3.  The first step,
-    0.3 exp(2 t0) but at least 4 ulps of t1, is about half that error, so
-    one or two steps cross the root.
+    exp(2 t0) is 3.1e-13, 3.5e-7, 4.8e-3 and 9.7e-3.
     """
     t0 = (_lgamma1p(a) - math.log(2.0)) / a
-    guess = t0 + math.exp(t0) / (a + 1.0)
-    return guess, max(0.3 * math.exp(2.0 * t0), 4.0 * math.ulp(guess))
+    return t0 + math.exp(t0) / (a + 1.0)
 
 
-def _root_from_guess(fn: Callable[[float], float], guess: float, step: float,
-                     lo: float, hi: float, f_lo: float, f_hi: float
-                     ) -> tuple[float, float, int]:
-    """Root of fn on a sign-changing bracket, searched outward from a guess.
+def _newton_root(fn: Callable[[float], float],
+                 density: Callable[[float], float], guess: float,
+                 lo: float, hi: float) -> tuple[float, float, int]:
+    """Root of the decreasing fn inside its sign bracket (lo, hi), by Newton
+    steps s + fn(s)/density(s) from guess, where density = -fn' > 0.
 
-    Probes fn at guess (clamped into [lo, hi]) and then steps away from it
-    toward the sign change by step, 2 * step, 4 * step, ..., until a probe
-    flips the sign or the next step would reach the bracket's end.  The
-    bracket left, about as wide as the guess's error, goes to _hybrid_root.
-    Returns (root, fn(root), n_evals) as _hybrid_root does; every probe
-    counts toward _MAX_EVALS.
+    Each evaluation moves the end of the bracket on its side to the point,
+    and a step that would leave the bracket bisects it instead.  The loop
+    stops at fn(s) == 0, at a step too small to move s, or once the bracket
+    holds no double strictly inside, and returns (s, fn(s), n_evals) for the
+    last point evaluated.  Every evaluation counts toward _MAX_EVALS, and
+    reaching it raises ConvergenceError.
     """
-    x = min(max(guess, lo), hi)
+    s = min(max(guess, lo), hi)
     n = 0
     while n < _MAX_EVALS:
-        f = fn(x)
+        f = fn(s)
         n += 1
         if f == 0.0:
-            return x, 0.0, n
+            return s, 0.0, n
         if f > 0.0:
-            lo, f_lo = x, f
-            x = lo + step
+            lo = s
         else:
-            hi, f_hi = x, f
-            x = hi - step
-        if hi - lo <= step:
-            return _hybrid_root(fn, lo, hi, f_lo, f_hi, n)
-        step *= 2.0
+            hi = s
+        s_next = s + f / density(s)
+        if s_next == s:
+            return s, f, n
+        if not lo < s_next < hi:
+            s_next = 0.5 * (lo + hi)
+            if not lo < s_next < hi:
+                return s, f, n
+        s = s_next
     raise ConvergenceError(
-        f"median search from {guess!r} found no sign change in [{lo!r}, "
-        f"{hi!r}] after {n} evaluations", n_iter=n)
+        f"median Newton iteration left the bracket [{lo!r}, {hi!r}] open "
+        f"after {n} evaluations", n_iter=n)
 
 
 def _bracket_margins(a: float) -> tuple[tuple[float, float], ...]:
@@ -255,17 +194,16 @@ def _bracket_failure(a: float, bracket: str) -> NoReturn:
 def gamma_median(a: float) -> MedianResult:
     """The median of a gamma variable with shape a, to residual 1e-12.
 
-    A root of Q(a, m) = 1/2 inside [a - 1/3, a], searched outward from the
+    A root of Q(a, m) = 1/2 inside [a - 1/3, a], by Newton steps from the
     asymptotic median once both endpoint signs hold (in log space on
-    [1e-300, a], from the small-shape guess, when a < 0.35); the
-    refinement stops once the bracket is narrower than about 8e-14 plus a
-    few ulps.  A bracket endpoint whose sign is wrong by more than
-    STRICT_MARGIN times its error bound raises CertificationError; one wrong
-    only within that bound, a residual that will not meet 1e-12, or a solver
-    budget run out raises ConvergenceError (with an evaluation count in
-    n_iter), and so does a root that escapes the bracket only by rounding
-    (n_iter 0).  A shape whose median lies below the 1e-300 floor raises
-    DomainError.
+    [1e-300, a], from the small-shape guess, when a < 0.35), until a step
+    no longer moves the iterate.  A bracket endpoint whose sign is wrong by
+    more than STRICT_MARGIN times its error bound raises CertificationError;
+    one wrong only within that bound, a residual that will not meet 1e-12,
+    or a solver budget run out raises ConvergenceError (with an evaluation
+    count in n_iter), and so does a root that escapes the bracket only by
+    rounding (n_iter 0).  A shape whose median lies below the 1e-300 floor
+    raises DomainError.
     """
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
@@ -279,12 +217,9 @@ def gamma_median(a: float) -> MedianResult:
         f_lo, f_hi = f_linear(lo), f_linear(hi)
         if not (f_lo > 0.0 > f_hi):
             _bracket_failure(a, "[a-1/3, a]")
-        # The first step is about half the guess's worst error, so one or
-        # two steps cross the root, and never under a few ulps of a.
-        median, f_root, n_evals = _root_from_guess(
-            f_linear, _asymptotic_median(a),
-            max(2.5e-4 / a ** 5, 4.0 * math.ulp(a)),
-            lo, hi, f_lo, f_hi)
+        median, f_root, n_evals = _newton_root(
+            f_linear, lambda m: math.exp(_log_gamma_norm(a, m)) / m,
+            _asymptotic_median(a), lo, hi)
     else:
         def f_log(t: float) -> float:
             return reg_gamma_q(a, math.exp(t)) - 0.5
@@ -298,9 +233,9 @@ def gamma_median(a: float) -> MedianResult:
                 "below about 1.0043e-3 are not supported")
         if not 0.0 > f_hi:
             _bracket_failure(a, "(0, a]")
-        guess, step = _small_shape_log_median(a)
-        t_root, f_root, n_evals = _root_from_guess(
-            f_log, guess, step, t_lo, t_hi, f_lo, f_hi)
+        t_root, f_root, n_evals = _newton_root(
+            f_log, lambda t: math.exp(_log_gamma_norm(a, math.exp(t))),
+            _small_shape_log_median(a), t_lo, t_hi)
         median = math.exp(t_root)
 
     residual = abs(f_root)

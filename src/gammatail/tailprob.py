@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -52,6 +53,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _LOG_MAX = 709.0
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 _MIN_NORMAL = 2.0 ** -1022
 _RATIO_REL_TOL = 1e-10
 # The largest |c| (and |u|) the direction form and the integral identity
@@ -224,6 +226,21 @@ def _substitution_order(exponent_at_zero: float) -> int:
     return max(4, math.ceil(4.0 / (exponent_at_zero + 1.0)))
 
 
+def _log_tail_peak(u: float, c: float) -> float:
+    """ln of the tail integrand's largest value as the quadrature sees it,
+    for c < -1 (so u > 0), where it also bounds the head's.
+
+    With x = 1 + d and substitution order m the tail integrand is
+    m e^(d/m) f(x)^u e^-(1+c)x, largest at x = u / (u + c + 1 - 1/m),
+    where its log is ln m - 1/m + u ln x, ln x taken as log1p(x - 1) so
+    that it stays accurate near x = 1.  The head's is largest at x = 1,
+    m e^-(1+c) with m = 4, which is no larger.
+    """
+    m = _substitution_order(u + c)
+    ln_x = math.log1p((1.0 / m - (1.0 + c)) / ((u + c) + 1.0 - 1.0 / m))
+    return math.log(m) - 1.0 / m + u * ln_x
+
+
 def _check_ratio_args(u: float, c: float) -> None:
     if not (abs(u) <= _ARG_MAX and abs(c) <= _ARG_MAX):
         raise DomainError("ratio_parts requires |u| and |c| <= 1e300")
@@ -232,6 +249,11 @@ def _check_ratio_args(u: float, c: float) -> None:
     if u + c <= -1.0:
         raise DomainError("ratio_parts requires u + c > -1 "
                           "(integrand not integrable at infinity)")
+    ln_peak = _log_tail_peak(u, c) if c < -1.0 else 0.0
+    if ln_peak > _LOG_DBL_MAX:
+        raise DomainError(
+            f"ratio_parts at u={u!r}, c={c!r}: the tail integrand's peak "
+            f"e**{ln_peak:.6g} lies past the double range")
 
 
 def ratio_parts_many(u, c) -> list[RatioParts]:
@@ -345,7 +367,9 @@ def ratio_parts(u: float, c: float) -> RatioParts:
     infinity; note c > -1 alone does not suffice when u < 0).  The head uses
     x = s^m; the tail maps (1, inf) to (0, 1] via x = 1 - ln t and then
     regularizes the endpoint with t = s^m, the order m chosen from the
-    endpoint exponent in each case.  The one-lane call of ratio_parts_many.
+    endpoint exponent in each case.  An integrand whose peak lies past the
+    double range, possible only for c < -1, raises DomainError before any
+    quadrature runs.  The one-lane call of ratio_parts_many.
     """
     return ratio_parts_many(float(u), float(c))[0]
 

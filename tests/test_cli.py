@@ -364,7 +364,9 @@ def test_precision_flags_reach_the_computation(monkeypatch):
     import gammatail.median as median
 
     assert run_cli(["median", "--a", "2"])[0] == 0
-    monkeypatch.setattr(median, "_REL_TOL", 1e-300)
+    # The solve at a = 2 lands on Q = 1/2 exactly, so only a negative
+    # target is out of reach.
+    monkeypatch.setattr(median, "_REL_TOL", -1.0)
     assert run_cli(["median", "--a", "2"])[0] == 3
     # The means golden above exits 0 at the margin of 8.
     args = ["means", "--x", "1", "--y", "4"]

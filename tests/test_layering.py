@@ -227,11 +227,7 @@ def test_each_shared_formula_has_one_home_and_both_paths_call_it():
 
 # Capped loops that stop early on convergence but cannot reach their cap,
 # so they end without a raise: (module, function) -> why.
-LOOPS_THAT_CANNOT_RUN_OUT = {
-    ("median", "_hybrid_root"):
-        "the coarse bisection hands over to the refinement loop, which "
-        "raises at the same evaluation cap",
-}
+LOOPS_THAT_CANNOT_RUN_OUT = {}
 
 _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
 

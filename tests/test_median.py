@@ -23,7 +23,6 @@ from gammatail import (
     gamma_median,
     reg_gamma_q,
 )
-from gammatail.median import _hybrid_root
 from gammatail.oracle import oracle_gamma_q
 from gammatail.specfun import reg_gamma_q_detail
 from gammatail.tailprob import TailValue
@@ -120,29 +119,7 @@ def test_check_median_bracket_rejects_bad_grid():
             check_median_bracket(grid)
 
 
-@pytest.mark.parametrize("cap", [1, 11])   # in bisection, in refinement
-def test_hybrid_root_raises_at_its_cap(monkeypatch, cap):
-    monkeypatch.setattr("gammatail.median._MAX_EVALS", cap)
-    with pytest.raises(ConvergenceError) as info:
-        _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7)
-    assert info.value.n_iter == cap
-    monkeypatch.setattr("gammatail.median._MAX_EVALS", 200)
-    root, _, n = _hybrid_root(lambda t: 0.3 - t ** 3, 0.0, 1.0, 0.3, -0.7)
-    assert n < 200 and abs(root - 0.3 ** (1.0 / 3.0)) < 1e-13
-
-
-_CALL_CAPS = [(1.0, 8), (10.0, 8), (1e3, 8), (1e5, 8),
-              (0.002, 10), (0.01, 10), (0.1, 10), (0.3, 10)]
-
-
-@pytest.mark.parametrize("a, max_calls", _CALL_CAPS,
-                         ids=[str(a) for a, _ in _CALL_CAPS])
-def test_median_solve_starts_at_the_asymptotic_median(monkeypatch, a,
-                                                      max_calls):
-    # Two endpoint sign checks, the guess (the large-shape expansion, or
-    # below a = 0.35 the root of x^a / Gamma(a + 1) = 1/2 in ln x), a step
-    # or two outward from it and a short refinement.  Bisecting took 14 to
-    # 17 calls at the large shapes and 25 to 27 at the small ones.
+def _counted_kernel(monkeypatch):
     calls = []
 
     def counted(shape, x):
@@ -150,6 +127,23 @@ def test_median_solve_starts_at_the_asymptotic_median(monkeypatch, a,
         return reg_gamma_q(shape, x)
 
     monkeypatch.setattr("gammatail.median.reg_gamma_q", counted)
+    return calls
+
+
+_CALL_CAPS = [(1.0, 8), (10.0, 8), (1e3, 4), (1e5, 4), (1e7, 4),
+              (0.002, 10), (0.01, 10), (0.1, 10),
+              (0.3, 8), (0.349, 8), (0.35, 8), (0.5, 8)]
+
+
+@pytest.mark.parametrize("a, max_calls", _CALL_CAPS,
+                         ids=[str(a) for a, _ in _CALL_CAPS])
+def test_median_solve_starts_at_the_asymptotic_median(monkeypatch, a,
+                                                      max_calls):
+    # Two endpoint sign checks, the guess (the large-shape expansion, or
+    # below a = 0.35 the root of x^a / Gamma(a + 1) = 1/2 in ln x) and a few
+    # Newton steps from it.  Bisecting took 14 to 17 calls at the large
+    # shapes and 25 to 27 at the small ones.
+    calls = _counted_kernel(monkeypatch)
     r = gamma_median(a)
     assert len(calls) <= max_calls, calls
     assert r.residual <= 1e-12
@@ -166,22 +160,30 @@ def test_median_invariants_from_the_linear_branch_to_1e6():
     assert all(lo < hi for lo, hi in zip(medians, medians[1:]))
 
 
-@pytest.mark.parametrize("cap, message", [
-    (1, "found no sign change"),            # in the search from the guess
-    (3, "still wider than the target"),     # in the refinement after it
-])
-def test_median_search_and_refinement_share_the_budget(monkeypatch, cap,
-                                                        message):
-    # At a = 10 the guess and its first step lie on the same side of the
-    # root and the second step crosses it.
+def test_median_grid_of_c06_stays_within_its_kernel_calls(monkeypatch):
+    # C06's 200 log-spaced shapes in [1e-2, 1e4] took 1,218 kernel calls
+    # (1,232 on numpy's geomspace grid) when each solve stepped outward from
+    # its guess and then bisected and interpolated.
+    from gammatail.acceptance import _median_shapes
+
+    calls = _counted_kernel(monkeypatch)
+    for a in _median_shapes():
+        gamma_median(a)
+    assert len(calls) <= 1047
+
+
+@pytest.mark.parametrize("a, cap", [(10.0, 1), (10.0, 2), (0.3, 3)])
+def test_median_newton_loop_raises_at_its_cap(monkeypatch, a, cap):
+    # Each solve needs more evaluations than the cap after its two endpoint
+    # checks, which do not count toward it.
     monkeypatch.setattr("gammatail.median._MAX_EVALS", cap)
-    with pytest.raises(ConvergenceError, match=message) as info:
-        gamma_median(10.0)
+    with pytest.raises(ConvergenceError, match="Newton iteration") as info:
+        gamma_median(a)
     assert info.value.n_iter == cap
 
 
-@pytest.mark.parametrize("a", [0.002, 0.01, 0.1, 0.3, 0.35, 1.0, 7.5, 250.0,
-                               12345.678, 1e6])
+@pytest.mark.parametrize("a", [0.002, 0.01, 0.1, 0.3, 0.349, 0.35, 0.5, 1.0,
+                               7.5, 250.0, 12345.678, 1e6, 1e7])
 def test_median_residual_against_mpmath(a):
     mpmath = pytest.importorskip("mpmath")
     r = gamma_median(a)

@@ -453,6 +453,27 @@ def test_ratio_parts_names_a_peak_its_quadrature_misses():
             f"head integrand's peak {peak!r} at x = 1, about u**-0.5 wide")
 
 
+@pytest.mark.parametrize("u, c, ln_peak", [
+    (1000.0, -1000.0, "7196.57"), (800.0, -700.0, "1658.71"),
+    (1e300, -1e300, "6.91063e+302")])
+def test_ratio_parts_rejects_a_peak_past_the_double_range(monkeypatch, u, c,
+                                                           ln_peak):
+    # For c < -1 the tail integrand peaks at x = u / (u + c + 1 - 1/m), at
+    # m x^u e^(u + (x - 1)/m - (1 + c) x) with substitution order m.  Past
+    # the double range no quadrature can run, so none starts.
+    import gammatail.quadrature
+
+    calls = []
+    monkeypatch.setattr(gammatail.quadrature, "integrate_many",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(DomainError) as info:
+        ratio_parts(u, c)
+    assert str(info.value) == (
+        f"ratio_parts at u={u!r}, c={c!r}: the tail integrand's peak "
+        f"e**{ln_peak} lies past the double range")
+    assert not calls
+
+
 # ----------------------------------------------------------------------
 # direction form on branch roots
 # ----------------------------------------------------------------------
