@@ -10,6 +10,19 @@ evidence of correctness; the one helper borrowed from the fast path is
 _lanes' vectorized log1p(d) - d that evaluates the integrand's exponent.
 oracle_tail_prob_many, the oracle's one copy of the plateau, is
 oracle_gamma_q_many at x = max(a + c, 0); one-point calls are one lane.
+
+From a = 16 each integral is taken in the offset s = t - r from its
+reference r (the peak t0 = a - 1, or x beyond it), so that its nodes carry
+the rounding of s, not of t.  Each referenced and direct interval ends, on
+each side, where the exponent h(t) = (a - 1) ln t - t has fallen _DROP = 36
+below its largest value there, placed by per-lane math calls.  For a >= 1,
+h is concave and the mass past an end T is at most e^h(T) / |h'(T)|, so
+each side loses at most e^-36 / (1 - e^-36) < 3e-16 of its integral; for
+a < 1 the integrand falls at least as fast as e^-(t - m) from its largest
+value at m, and the loss is at most 2 e^-36.  Each quadrature targets
+5e-14, so a ratio of two meets 1e-13; against 40-digit mpmath the worst
+lane of C01's grid errs by 2.3e-14 (a power-law head), referenced and
+direct lanes by 9e-15.  Shapes up to 1e12 are taken.
 """
 from __future__ import annotations
 
@@ -36,11 +49,15 @@ _HALF_TOL = 0.5 * 1e-13
 # Gamma-integrand quadrature oracle.
 # ---------------------------------------------------------------------------
 
-def _referenced_exponent(t: np.ndarray, u: float | np.ndarray,
+def _referenced_exponent(s: np.ndarray, u: float | np.ndarray,
                          ref: float | np.ndarray) -> np.ndarray:
-    """h(t) - h(ref) for h(t) = u ln t - t, stably for t near ref and u > 0;
-    u and ref are scalars or one value per point."""
-    return u * _log1pmx_vec((t - ref) / ref) + (t - ref) * (u / ref - 1.0)
+    """h(ref + s) - h(ref) for h(t) = u ln t - t, stably near s = 0 for
+    u > 0; u and ref are scalars or one value per point.  The slope
+    (u - ref)/ref is exact at the peak ref = u, where u/ref - 1 cancels."""
+    return u * _log1pmx_vec(s / ref) + s * ((u - ref) / ref)
+
+
+_A_MAX = 1e12      # the largest shape, checked against mpmath at 1e6..1e12
 
 
 def _validated(a, x) -> list[np.ndarray]:
@@ -52,6 +69,9 @@ def _validated(a, x) -> list[np.ndarray]:
         raise DomainError("oracle_gamma_q requires finite arguments")
     if np.any(a <= 0.0) or np.any(x < 0.0):
         raise DomainError("oracle_gamma_q requires a > 0 and x >= 0")
+    if np.any(a > _A_MAX):
+        raise DomainError(f"oracle_gamma_q requires a <= {_A_MAX:g}, the "
+                          f"largest shape its accuracy is checked at")
     return np.broadcast_arrays(a, x)
 
 
@@ -60,14 +80,43 @@ def _validated(a, x) -> list[np.ndarray]:
 # smooth for the Gauss panels.  Below it, integrals are taken in direct
 # (unreferenced) form, which cannot overflow since Gamma(16) ~ 1.3e12.
 _A_BIG = 16.0
+# Each interval ends where the exponent has fallen this far below its
+# largest value on the interval, on each side.
+_DROP = 36.0
+
+
+def _drop_offset(u: float, r: float) -> float:
+    """An offset s > 0 with h(r + s) <= h(r) - _DROP, for h(t) = u ln t - t
+    and r >= max(u, 1).  For u < 0, h' <= -1 there.  For u >= 0, h is
+    concave: Newton starts inside, at its quadratic model's root, and every
+    step lands past the root."""
+    if u < 0.0:
+        return _DROP
+    b = (r - u) / r
+    s = 2.0 * _DROP / (b + math.sqrt(b * b + 2.0 * _DROP * u / (r * r)))
+    for _ in range(3):
+        v = s / r
+        s += (u * (math.log1p(v) - v) - b * s + _DROP) / (1.0 - u / (r + s))
+    return s
+
+
+def _left_drop_offset(u: float) -> float:
+    """The offset s < 0 from the peak u >= 15 with h(u + s) <= h(u) - _DROP,
+    by Newton in y = ln(t/u), where h(t) - h(u) = u (y - expm1(y)) is
+    concave and has no pole: every step lands past the root."""
+    y = -math.sqrt(2.0 * _DROP / u)
+    for _ in range(3):
+        e = math.expm1(y)
+        y += (u * (y - e) + _DROP) / (u * e)
+    return u * math.expm1(y)
 
 
 # The forms of the gamma integrand t^(a-1) e^(-t) that the oracle
 # integrates; each quadrature interval has one, with its shape a and, for
 # the referenced form, its reference point.
-def _referenced(t: np.ndarray, a: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """exp(h(t) - h(ref)), for a >= _A_BIG."""
-    return np.exp(_referenced_exponent(t, a - 1.0, ref))
+def _referenced(s: np.ndarray, a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """exp(h(ref + s) - h(ref)) in the offset s, for a >= _A_BIG."""
+    return np.exp(_referenced_exponent(s, a - 1.0, ref))
 
 
 def _direct(t: np.ndarray, a: np.ndarray, _ref: np.ndarray) -> np.ndarray:
@@ -97,7 +146,8 @@ _REFERENCED, _DIRECT, _HEAD_QUARTIC, _HEAD_POWER = range(len(_FORMS))
 
 class _Intervals(NamedTuple):
     """Quadrature intervals of the gamma integrand, one lane each: the
-    integrand's form, its shape a and reference point, and the bounds."""
+    integrand's form, its shape a and reference point, and the bounds (in
+    the offset from the reference for the referenced form)."""
 
     form: np.ndarray
     a: np.ndarray
@@ -114,44 +164,51 @@ def _joined(*parts: _Intervals) -> _Intervals:
 def _heads_and_tails(s: np.ndarray) -> tuple[_Intervals, _Intervals]:
     """Gamma(s)'s normalisation for distinct shapes s, as one head per
     shape and one tail per shape below _A_BIG.  For s >= _A_BIG the head is
-    the whole integral, referenced at the peak t0 = s - 1; below, it is the
-    substituted integral over t in [0, 1], and the tail runs from t = 1."""
+    the whole integral, in the offset from the peak t0 = s - 1; below, the
+    substituted integral over t in [0, 1], with a tail from t = 1."""
     big = s >= _A_BIG
     t0 = s - 1.0
-    sig = np.sqrt(s)
+    top = np.maximum(t0, 1.0)
+    ends = np.array([_drop_offset(u, m)
+                     for u, m in zip(t0.tolist(), top.tolist())])
+    starts = np.array([_left_drop_offset(u) if b else 0.0
+                       for u, b in zip(t0.tolist(), big.tolist())])
     heads = _Intervals(
         np.where(big, _REFERENCED,
                  np.where(s >= 1.0, _HEAD_QUARTIC, _HEAD_POWER)),
-        s, np.where(big, t0, 1.0),
-        np.where(big, np.maximum(0.0, t0 - 45.0 * sig - 45.0), 0.0),
-        np.where(big, t0 + 45.0 * sig + 900.0, 1.0))
-    small = s[~big]
-    ones = np.ones_like(small)
-    return heads, _Intervals(np.full(small.size, _DIRECT), small, ones, ones,
-                             np.full(small.size, 901.0))
+        s, np.where(big, t0, 1.0), starts, np.where(big, ends, 1.0))
+    small = ~big
+    ones = np.ones(np.count_nonzero(small))
+    return heads, _Intervals(np.full(ones.size, _DIRECT), s[small], ones,
+                             ones, top[small] + ends[small])
 
 
-def _numerators(a: np.ndarray, x: np.ndarray,
-                t_up: np.ndarray) -> _Intervals:
+def _numerators(a: np.ndarray, x: np.ndarray, lo_of: np.ndarray,
+                hi_of: np.ndarray) -> _Intervals:
     """The integral from x > 0 of the integrand of a's normalisation, whose
-    head ends at t_up: for a >= _A_BIG referenced at the peak t0 = a - 1
-    for x <= t0 and at x beyond; below, the substituted head from x's
-    image up to 1 for x < 1 (the tail is the normalisation's), else the
-    direct integrand from x."""
+    referenced head or direct tail spans [lo_of, hi_of]: for a >= _A_BIG in
+    the offset from the peak t0 = a - 1 for x <= t0 and from x beyond;
+    below, the substituted head from x's image up to 1 for x < 1 (the tail
+    is the normalisation's), else the direct integrand.  Past max(t0, 1)
+    the integrand falls from x on, so x sets the end."""
     big = a >= _A_BIG
     t0 = a - 1.0
-    near = x <= t0
+    far = x > np.maximum(t0, 1.0)
     head = ~big & (x < 1.0)
     form = np.where(big, _REFERENCED, np.where(
         head, np.where(a >= 1.0, _HEAD_QUARTIC, _HEAD_POWER), _DIRECT))
-    lo = x.copy()
+    lo = np.where(big, np.where(far, 0.0, np.maximum(x - t0, lo_of)), x)
     # x's image under the head's substitution, with the math functions.
     lo[head] = [x_i ** 0.25 if a_i >= 1.0 else math.exp(a_i * math.log(x_i))
                 for a_i, x_i in zip(a[head].tolist(), x[head].tolist())]
-    hi = np.where(big, np.where(near, t_up, np.maximum(t_up, x + 900.0)),
-                  np.where(head, 1.0, np.maximum(901.0, x + 900.0)))
-    return _Intervals(form, a, np.where(big & near, t0, np.where(big, x, 1.0)),
-                      lo, hi)
+    ends = np.array([_drop_offset(u, r)
+                     for u, r in zip(t0[far].tolist(), x[far].tolist())])
+    hi = hi_of.copy()
+    # From x ~ 6e17 on, x + ends rounds to x; the integrand is 0 there.
+    hi[far] = np.where(big[far], ends, np.maximum(
+        x[far] + ends, np.nextafter(x[far], np.inf)))
+    hi[head] = 1.0
+    return _Intervals(form, a, np.where(big & ~far, t0, x), lo, hi)
 
 
 def _integrals(iv: _Intervals, order: np.ndarray) -> np.ndarray:
@@ -183,9 +240,9 @@ def _integrals(iv: _Intervals, order: np.ndarray) -> np.ndarray:
 
 def _prefactors(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """exp(h(x) - h(t0)) for h(t) = (a - 1) ln t - t and the peak
-    t0 = a - 1, on lanes, evaluated in double-double from one dd_log call
-    so that the relative error stays near 2e-13 even when the exponent is
-    ~700."""
+    t0 = a - 1, on lanes, evaluated in double-double from one dd_log call,
+    so that the exponent's error stays far below an ulp of the result even
+    when the exponent is ~700."""
     if not a.size:
         return a
     t0 = a - 1.0
@@ -219,7 +276,10 @@ def oracle_gamma_q_many(a, x) -> list:
         heads, tails = _heads_and_tails(s)
         small = s < _A_BIG
         tail_of = np.cumsum(small) - 1 + s.size
-        nums = _numerators(a_l, x_l, heads.hi[of])
+        # Each shape's referenced head, or its direct tail below _A_BIG.
+        spans = heads.hi.copy()
+        spans[small] = tails.hi
+        nums = _numerators(a_l, x_l, heads.lo[of], spans[of])
         # The order a loop of one-lane calls takes the quadratures in.
         order = np.lexsort((
             np.repeat([0, 1, 2], [s.size, tails.a.size, lanes.size]),
@@ -253,7 +313,7 @@ def oracle_gamma_q(a: float, x: float) -> float:
 
     For x beyond the integrand peak the numerator is re-referenced at x and
     the connecting prefactor exp(h(x) - h(t0)) is evaluated in double-double,
-    keeping the relative error near 2e-13 even when the exponent is ~700.
+    keeping the relative target of 1e-13 even when the exponent is ~700.
     """
     return oracle_gamma_q_many(a, (x,))[0]
 
@@ -264,8 +324,11 @@ def oracle_tail_prob_many(a, c) -> list:
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     if not (np.all(np.isfinite(a) & (a > 0.0)) and np.all(np.isfinite(c))):
         raise DomainError("oracle_tail_prob requires finite a > 0 and c")
-    with np.errstate(over="ignore"):        # overflows to inf, as floats do
+    with np.errstate(over="ignore"):
         x = a + c
+    if not np.all(np.isfinite(x)):
+        raise DomainError("oracle_tail_prob requires a + c within the double "
+                          "range; it overflows")
     return oracle_gamma_q_many(a, np.maximum(x, 0.0))
 
 

@@ -391,8 +391,9 @@ def _q_branches(a, x):
     return x >= a + 1.0, (x < a + 1.0) & (a <= _SMALL_SHAPE)
 
 
-def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
-    """Upper regularized incomplete gamma Q(a, x) with an error bound."""
+def _q_detail(a: float, x: float) -> tuple[EvalDetail, float | None]:
+    """reg_gamma_q_detail(a, x), and the _log_gamma_norm(a, x) its branch
+    took, or None (x = 0 and the tail series)."""
     a = _require_finite("a", a)
     x = _require_finite("x", x)
     if a <= 0.0:
@@ -400,7 +401,7 @@ def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
     if x < 0.0:
         raise DomainError("reg_gamma_q requires x >= 0")
     if x == 0.0:
-        return EvalDetail(1.0, 0.0, "exact", 0)
+        return EvalDetail(1.0, 0.0, "exact", 0), None
     if a + 1.0 == a:
         # From 2^53 on, a + 1 rounds to a: the continued fraction's first
         # denominator x + 1 - a vanishes at x = a, and the split at x = a + 1
@@ -412,14 +413,21 @@ def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
         n, _, h, habs = _upper_small_shape_run(a, x, 0, *_SMALL_SHAPE_START)
         return EvalDetail(*_tail_series_result(
             a, math.log(x), n, h, habs, _lgamma1p, math.exp, math.expm1),
-            "tail-series", n)
+            "tail-series", n), None
     ln_norm = _log_gamma_norm(a, x)
     if cf:
         n, *_, h = _upper_cf_run(a, x, 0, *_upper_cf_start(a, x))
-        return EvalDetail(*_cf_result(ln_norm, n, h, math.exp), "cf", n)
+        return EvalDetail(*_cf_result(ln_norm, n, h, math.exp), "cf",
+                          n), ln_norm
     n, _, total = _lower_series_run(a, x, 0, *_LOWER_SERIES_START)
     return EvalDetail(*_series_complement_result(
-        ln_norm, a, n, total, math.log, math.exp), "series-complement", n)
+        ln_norm, a, n, total, math.log, math.exp), "series-complement",
+        n), ln_norm
+
+
+def reg_gamma_q_detail(a: float, x: float) -> EvalDetail:
+    """Upper regularized incomplete gamma Q(a, x) with an error bound."""
+    return _q_detail(a, x)[0]
 
 
 def reg_gamma_q(a: float, x: float) -> float:

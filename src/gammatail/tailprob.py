@@ -45,8 +45,8 @@ from .specfun import (
     _ROOT_ABS_TOL,
     _at_least,
     _log_gamma_norm,
+    _q_detail,
     branch_root_deriv,
-    reg_gamma_q_detail,
 )
 
 if TYPE_CHECKING:
@@ -124,9 +124,10 @@ def tail_prob_detail(query: TailQuery) -> TailValue:
     x = a + c
     if x <= 0.0:
         return TailValue(1.0, 0.0, "plateau")
-    detail = reg_gamma_q_detail(a, x)
-    arg_err = _arg_rounding_err(_log_gamma_norm(a, x), x, math.log(x),
-                                math.exp)
+    detail, ln_norm = _q_detail(a, x)
+    if ln_norm is None:                 # the tail series takes none
+        ln_norm = _log_gamma_norm(a, x)
+    arg_err = _arg_rounding_err(ln_norm, x, math.log(x), math.exp)
     return TailValue(detail.value, detail.err_bound + arg_err, detail.method)
 
 

@@ -182,7 +182,7 @@ def _called_names(module: str, function: str) -> set[str]:
 # their own.  The rules that several paths share -- Q's lane core, the
 # oracle's plateau and the CLI's CSV-or-JSON choice -- are listed with
 # every path that calls them.
-_KERNEL_PATHS = (("specfun", "reg_gamma_q_detail"),
+_KERNEL_PATHS = (("specfun", "_q_detail"),
                  ("_lanes", "_reg_gamma_q_lanes"))
 _PREFACTOR_PATHS = (("specfun", "_log_gamma_norm"),
                     ("_lanes", "_log_gamma_norm_lanes"))

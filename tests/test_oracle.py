@@ -36,6 +36,9 @@ from gammatail._dd import (
     two_sum,
 )
 from gammatail.oracle import (
+    _DROP,
+    _drop_offset,
+    _left_drop_offset,
     oracle_gamma_q,
     oracle_gamma_q_many,
     oracle_tail_prob,
@@ -174,11 +177,12 @@ def test_oracle_gamma_q_many_mixed_shape_lanes_equal_one_lane_calls():
 
 def test_oracle_gamma_q_many_raises_the_first_failing_lanes_error(
         monkeypatch):
-    # With six sweeps, lanes 2 and 3 fail, through different integrand
-    # forms; the quadratures run form by form, but the error must be the
-    # one a loop of one-lane calls meets first, lane 2's.
-    monkeypatch.setattr("gammatail.quadrature._MAX_SWEEPS", 6)
-    lanes = [(40.0, 60.0), (5.5, 0.5), (1e-3, 0.2), (0.3, 2.0)]
+    # With one sweep, lanes 2 and 3 fail, through different integrand
+    # forms: lane 2 first at its power-law head, lane 3 at its direct tail.
+    # The quadratures run form by form, direct before the heads, but the
+    # error must be the one a loop of one-lane calls meets first, lane 2's.
+    monkeypatch.setattr("gammatail.quadrature._MAX_SWEEPS", 1)
+    lanes = [(40.0, 60.0), (5.5, 0.5), (1e-3, 0.2), (1.5, 2.0)]
 
     def fields(exc):
         return (str(exc), exc.value, exc.err_bound, exc.n_panels)
@@ -205,6 +209,131 @@ def test_oracle_gamma_q_many_edge_rows():
                   (2.0, [math.nan])):
         with pytest.raises(DomainError):
             oracle_gamma_q_many(a, xs)
+
+
+def test_oracle_domain_edges():
+    # Past the largest shape its accuracy is checked at, the oracle names
+    # that limit; a + c past the double range is named as an overflow.
+    for a, x in ((math.nextafter(1e12, math.inf), 1e12), (1e300, 2e300)):
+        with pytest.raises(DomainError, match=r"a <= 1e\+12"):
+            oracle_gamma_q(a, x)
+    with pytest.raises(DomainError, match="overflows"):
+        oracle_tail_prob(1e308, 1e308)
+    # Far past the peak the upper tail underflows to 0, in the direct form
+    # too, where an end x + 36 rounds back onto x.
+    assert oracle_gamma_q_many([5.0, 0.5, 100.0, 5.0], [1e300, 1e18, 1e300,
+                                                        2e18]) == [0.0] * 4
+
+
+@pytest.mark.parametrize("u, r", [
+    (0.0, 1.0), (0.5, 1.0), (15.0, 15.0), (15.0, 15.5), (15.0, 40.0),
+    (14.99, 700.0), (9999.0, 9999.0), (9999.0, 40002.0), (1e12, 1e12),
+    (1e12, 1e12 + 1e6), (16.0, 1e300)])
+def test_drop_ends_lie_just_past_the_drop(u, r):
+    # h(r + s) - h(r) for h(t) = u ln t - t: at most -_DROP, so that the
+    # truncation bound holds, and within 0.1 of it, so that no span is
+    # wasted.  1e-6 allows for this check's own rounding: log1p(v) - v
+    # cancels for small v.
+    s = _drop_offset(u, r)
+    v = s / r
+    assert -_DROP - 0.1 <= u * (math.log1p(v) - v) - s * (r - u) / r \
+        <= -_DROP + 1e-6
+    if u >= 15.0:
+        s = _left_drop_offset(u)
+        v = s / u
+        assert -1.0 < v < 0.0
+        assert -_DROP - 0.1 <= u * (math.log1p(v) - v) <= -_DROP + 1e-6
+    assert _drop_offset(-0.5, r) == _DROP
+
+
+def _c01_grid():
+    """The (a, x) lanes of acceptance criterion C01's 50 x 50 grid."""
+    shapes = np.geomspace(1e-3, 1e4, 50)
+    rows = [np.linspace(0.0, a + 40.0 * math.sqrt(a) + 40.0, 50)
+            for a in shapes.tolist()]
+    return np.repeat(shapes, 50), np.concatenate(rows)
+
+
+def test_oracle_quadrature_on_c01s_grid_stays_within_its_evaluations(
+        monkeypatch):
+    from gammatail import oracle
+    from gammatail.quadrature import integrate_many
+
+    spent = []
+
+    def spy(*args, **kwargs):
+        results = integrate_many(*args, **kwargs)
+        spent.extend(r.n_evals for r in results)
+        return results
+
+    monkeypatch.setattr(oracle, "integrate_many", spy)
+    oracle_gamma_q_many(*_c01_grid())
+    # 2,530 quadratures: 50 normalisation heads, 30 tails and 2,450
+    # numerators.  Taken in t up to t0 + 45 sqrt(a) + 900 or x + 900, they
+    # cost 1,353,660 evaluations.
+    assert len(spent) == 2530
+    assert sum(spent) <= 950_000
+
+
+def _numerator_form(a, x):
+    """The integrand form that takes the numerator of Q(a, x > 0)."""
+    if a >= 16.0:
+        return "referenced at the peak" if x <= a - 1.0 else "referenced at x"
+    if x >= 1.0:
+        return "direct"
+    return "quartic head" if a >= 1.0 else "power head"
+
+
+# Lanes off C01's grid: numerators in the quartic head, which the grid takes
+# only in its normalisations, and offsets far into the upper tail, where Q
+# underflows to 0 at (1e3, 3e3) and (1e4, 40002).
+_OFF_GRID_LANES = [(1.0, 0.3), (5.5, 0.5), (15.99, 0.9), (2.0, 1e-3),
+                   (16.0, 200.0), (16.0, 700.0), (15.99, 700.0), (0.5, 700.0),
+                   (40.0, 600.0), (1e3, 3e3), (1e4, 13000.0), (1e4, 40002.0),
+                   (1e6, 1.03e6)]
+
+
+def test_oracle_matches_mpmath_across_its_integrand_forms():
+    mpmath = pytest.importorskip("mpmath")
+    a, x = _c01_grid()
+    strata = {}
+    for lane in zip(a.tolist(), x.tolist()):
+        if lane[1] > 0.0:
+            strata.setdefault(_numerator_form(*lane), []).append(lane)
+    for lane in _OFF_GRID_LANES:
+        strata.setdefault(_numerator_form(*lane), []).append(lane)
+    # About 80 lanes of each form, evenly spread over the grid's order.
+    sample = [lane for lanes in strata.values()
+              for lane in lanes[::max(1, len(lanes) // 80)]]
+    sample += [lane for lane in _OFF_GRID_LANES if lane not in sample]
+    values = oracle_gamma_q_many(*zip(*sample))
+    worst = {}
+    with mpmath.workdps(40):
+        for (a_i, x_i), q in zip(sample, values):
+            ref = mpmath.gammainc(a_i, x_i, mpmath.inf, regularized=True)
+            if float(ref) == 0.0:
+                err = 0.0 if q == 0.0 else math.inf
+            else:
+                err = float(abs(q - ref) / ref)
+            form = _numerator_form(a_i, x_i)
+            worst[form] = max(worst.get(form, 0.0), err)
+    assert len(worst) == 5
+    # The heads' substitutions in t = s^4 and t = s^(1/a): their worst lane,
+    # (0.00139, 0.847), errs by 2.3e-14.
+    assert worst.pop("power head") <= 3e-14
+    assert worst.pop("quartic head") <= 3e-14
+    assert max(worst.values()) <= 2e-14, worst
+
+
+@pytest.mark.parametrize("a, x", [(1e6, 1e6), (1e6, 1e6 + 3e3),
+                                  (1e8, 1e8 - 2e4), (1e12, 1e12)])
+def test_oracle_reach_against_mpmath(a, x):
+    mpmath = pytest.importorskip("mpmath")
+    # 30 digits: at a = 1e12 mpmath takes seconds, and agrees with its
+    # 40-digit value to 1e-21.
+    with mpmath.workdps(30):
+        ref = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        assert abs(oracle_gamma_q(a, x) - ref) <= 1e-13 * ref
 
 
 # ----------------------------------------------------------------------

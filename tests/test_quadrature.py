@@ -187,8 +187,8 @@ def test_integrate_many_sharply_peaked_matches_integrate():
 
 
 def test_integrate_many_oracle_referenced_integrand_matches_integrate():
-    # The oracle's a >= 16 numerator, referenced at the peak u = a - 1 for
-    # x <= u and at x beyond: one reference point per interval.
+    # The oracle's a >= 16 numerator, in the offset from the peak u = a - 1
+    # for x <= u and from x beyond: one reference point per interval.
     from gammatail.oracle import _referenced_exponent
 
     a = 40.0
@@ -196,12 +196,13 @@ def test_integrate_many_oracle_referenced_integrand_matches_integrate():
     xs = [1.0, 20.0, 39.0, 39.5, 60.0, 120.0]
     refs = np.array([u if x <= u else x for x in xs])
 
-    def fn(t, k):
-        return np.exp(_referenced_exponent(t, u, refs[k]))
+    def fn(s, k):
+        return np.exp(_referenced_exponent(s, u, refs[k]))
 
-    his = [x + 900.0 for x in xs]
-    many = integrate_many(fn, xs, his, rel_tol=5e-14)
-    assert many == _one_at_a_time(fn, xs, his, rel_tol=5e-14)
+    los = [x - r for x, r in zip(xs, refs.tolist())]
+    his = [100.0] * len(xs)
+    many = integrate_many(fn, los, his, rel_tol=5e-14)
+    assert many == _one_at_a_time(fn, los, his, rel_tol=5e-14)
 
 
 def test_integrate_many_passes_each_points_interval_index():
