@@ -32,9 +32,9 @@ from .specfun import EPS, ONE_THIRD, STRICT_MARGIN
 from .tailprob import (direction_form_detail, integrand_ratio,
                        ratio_parts_many, tail_prob_many)
 
-_KERNEL_GRID_N = 50
+_KERNEL_SHAPES = ScanSpec(1e-3, 1e4, 50)
 _KERNEL_TOL = 1e-12
-_MEDIAN_GRID = (1e-2, 1e4, 200)
+_MEDIAN_SHAPES = ScanSpec(1e-2, 1e4, 200)
 _IDENTITY_TOL = 1e-8
 _LIMIT_TOL = 1e-6
 _SIGN_NOISE_FLOOR = 1e-6
@@ -65,17 +65,22 @@ def _result(cid: str, name: str, passed: bool, detail: str) -> CriterionResult:
                            detail=detail)
 
 
+def _kernel_grid() -> tuple[np.ndarray, np.ndarray]:
+    """C01's (a, x) lanes: n x in [0, a + 40 sqrt(a) + 40] per shape a."""
+    n = _KERNEL_SHAPES.n
+    shapes = _KERNEL_SHAPES._grid_array()
+    x = np.concatenate([np.linspace(0.0, s + 40.0 * math.sqrt(s) + 40.0, n)
+                        for s in shapes.tolist()])
+    return np.repeat(shapes, n), x
+
+
 def c01_kernel_accuracy(tol_scale: float = 1.0,
                         _unused: object = None) -> CriterionResult:
     """Fast kernel vs oracle on a 50x50 (a, x) grid."""
     tol = _KERNEL_TOL * tol_scale
     worst = 0.0
     worst_at = (0.0, 0.0)
-    shapes = np.geomspace(1e-3, 1e4, _KERNEL_GRID_N)
-    a = np.repeat(shapes, _KERNEL_GRID_N)
-    x = np.concatenate([
-        np.linspace(0.0, s + 40.0 * math.sqrt(s) + 40.0, _KERNEL_GRID_N)
-        for s in shapes.tolist()])
+    a, x = _kernel_grid()
     # Both sides take the whole grid, one lane per (a, x), in one call.
     for a_i, x_i, slow, fast in zip(a.tolist(), x.tolist(),
                                     oracle_gamma_q_many(a, x),
@@ -91,7 +96,7 @@ def c01_kernel_accuracy(tol_scale: float = 1.0,
     return _result(
         "C01", "kernel-vs-oracle accuracy", passed,
         f"worst relative deviation {worst!r} at (a, x)={worst_at!r} on the "
-        f"{_KERNEL_GRID_N}x{_KERNEL_GRID_N} grid (tolerance {tol!r})")
+        f"{_KERNEL_SHAPES.n}x{_KERNEL_SHAPES.n} grid (tolerance {tol!r})")
 
 
 def _monotone_cases(cid: str, name: str, cases: Sequence[float],
@@ -161,20 +166,11 @@ def c04_witnesses(tol_scale: float = 1.0,
                    "; ".join(lines))
 
 
-def _median_shapes() -> list[float]:
-    """The log grid _MEDIAN_GRID of C05 and C06, built with math so that no
-    shape depends on numpy's SIMD dispatch."""
-    lo, hi, n = _MEDIAN_GRID
-    l0, l1 = math.log10(lo), math.log10(hi)
-    return [lo, *(10.0 ** (l0 + (l1 - l0) * i / (n - 1))
-                  for i in range(1, n - 1)), hi]
-
-
 def c05_median_bracket(tol_scale: float = 1.0,
                        _unused: object = None) -> CriterionResult:
     """Both bracket inequalities strict with margins on the shape grid."""
     required = STRICT_MARGIN / tol_scale
-    report = check_median_bracket(_median_shapes())
+    report = check_median_bracket(_MEDIAN_SHAPES.grid())
     passed = report.certified and report.min_margin_ratio >= required
     return _result(
         "C05", "median bracket inequalities", passed,
@@ -189,7 +185,7 @@ def c06_median_solver(tol_scale: float = 1.0,
     spot_tol = 1e-14 * tol_scale
     worst_residual = 0.0
     failures = 0
-    for a in _median_shapes():
+    for a in _MEDIAN_SHAPES.grid():
         try:
             r = gamma_median(a)
         except (CertificationError, ConvergenceError):
@@ -203,7 +199,7 @@ def c06_median_solver(tol_scale: float = 1.0,
     passed = failures == 0 and spot_err <= spot_tol
     return _result(
         "C06", "median offset and residual", passed,
-        f"{int(_MEDIAN_GRID[2])} shapes, {failures} failures, worst residual "
+        f"{_MEDIAN_SHAPES.n} shapes, {failures} failures, worst residual "
         f"{worst_residual!r} (tolerance {residual_tol!r}); offset(1) vs "
         f"ln(2)-1 differs by {spot_err!r} (tolerance {spot_tol!r})")
 
@@ -259,7 +255,7 @@ def c09_threshold_chain(tol_scale: float = 1.0,
     """All four reduction stages certified increasing with a common limit."""
     required = STRICT_MARGIN / tol_scale
     limit_tol = _LIMIT_TOL * tol_scale
-    ys = 1.0 + np.geomspace(1e-8, 1e6 - 1.0, 400)
+    ys = 1.0 + ScanSpec(1e-8, 1e6 - 1.0, 400)._grid_array()
     report = check_threshold_chain(ys)
     worst_limit = max(abs(v) for v in report.limit_excesses)
     passed = (report.certified

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._dd import central_difference, mean_gaps
-from ._lanes import _log1pmx_vec, _ordered_extreme, _per_lane
+from ._lanes import _expm1, _log1p, _log1pmx_vec, _ordered_extreme
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
@@ -173,7 +173,8 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     unresolved = np.flatnonzero(sign == 0)
 
     if len(ratios) == 2:
-        witness, w_ratio = _witness_from_points(grid, p, e)
+        witness, w_ratio = _witness_from_points(grid.tolist(), p.tolist(),
+                                                e.tolist())
         if witness is None:
             ends = ([unresolved[0], unresolved[0] + 1] if unresolved.size
                     else [0, -1])
@@ -204,18 +205,19 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
         detail=f"all {scan.n - 1} consecutive differences certified {word}")
 
 
-def _witness_from_points(a: np.ndarray, p: np.ndarray, e: np.ndarray
+def _witness_from_points(a: Sequence[float], p: Sequence[float],
+                         e: Sequence[float]
                          ) -> tuple[Optional[Witness], float]:
-    """Best dip triple from evaluated points, given as arrays sorted by
+    """Best dip triple from evaluated points, given as sequences sorted by
     shape without repeats, or None if margins fail.  Ties go to the
-    leftmost point."""
-    j = int(np.argmin(p))
+    leftmost point: min and max with a key return the first extreme."""
+    j = min(range(len(p)), key=p.__getitem__)
     if j == 0 or j == len(p) - 1:
         return None, 0.0
-    i = int(np.argmax(p[:j]))
-    k = j + 1 + int(np.argmax(p[j + 1:]))
+    i = max(range(j), key=p.__getitem__)
+    k = max(range(j + 1, len(p)), key=p.__getitem__)
     (a1, a2, a3), (p1, p2, p3), (e1, e2, e3) = (
-        x[[i, j, k]].tolist() for x in (a, p, e))
+        (x[i], x[j], x[k]) for x in (a, p, e))
     left_gap = p1 - p2
     right_gap = p3 - p2
     left_err = e1 + e2
@@ -246,10 +248,8 @@ def _formula_dip(c: float, a_min: float, a_max: float = math.inf
     if not a_min < a_star < a_max:
         return a, None, 0.0
     points = [tail_prob_detail(TailQuery(x, c)) for x in a]
-    witness, ratio = _witness_from_points(
-        np.array(a), np.array([t.value for t in points]),
-        np.array([t.err_bound for t in points]))
-    return a, witness, ratio
+    return (a, *_witness_from_points(
+        a, [t.value for t in points], [t.err_bound for t in points]))
 
 
 def find_witness(c: float) -> Witness:
@@ -518,7 +518,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
     d = ys - xs
     extended = d / xs <= _MEAN_EXTENDED_MAX
     geo = np.sqrt(xs * ys)
-    lm = d / _per_lane(math.log1p, d / xs)
+    lm = d / _log1p(d / xs)
     ref = np.sqrt(xs * ys + (lm - xs) * (ys - lm) / 3.0)
     ari = 0.5 * (xs + ys)
     gaps = np.stack((lm - geo, ref - lm, ari - ref))
@@ -555,14 +555,14 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
     probe_found = False
     probe_spread = 0.0
     probe_gap = 0.0
-    for t in np.geomspace(1e-3, 0.09, 40):
-        x, y = 1.0, 1.0 + float(t)
+    for t in ScanSpec(1e-3, 0.09, 40).grid():
+        x, y = 1.0, 1.0 + t
         lm = log_mean(x, y)
         weakened = math.sqrt(x * y + _PROBE_FACTOR * (lm - x) * (y - lm))
         gap = lm - weakened
         if gap > STRICT_MARGIN * 32.0 * EPS and gap > probe_gap:
             probe_found = True
-            probe_spread = float(t)
+            probe_spread = t
             probe_gap = gap
     certified = bool(chain_ok.all()) and probe_found
     return MeanChainReport(
@@ -621,9 +621,8 @@ def integrated_defect(c: float, eps: float) -> tuple[float, float]:
     lead = math.log1p(-b * eps)
 
     def fn(z: np.ndarray) -> np.ndarray:
-        w = -eps * z
-        return -np.expm1(lead - (b + 1.0) * np.log1p(w)
-                         + _log1pmx_vec(w) / eps)
+        w = -eps * z.ravel()            # libm per node; the engine reshapes
+        return -_expm1(lead - (b + 1.0) * _log1p(w) + _log1pmx_vec(w) / eps)
 
     res = integrate(fn, 0.0, 1.0, rel_tol=_DEFECT_REL_TOL)
     return 2.0 * res.value, 2.0 * res.err_bound

@@ -167,11 +167,7 @@ def _cmd_median(args: argparse.Namespace) -> int:
         if args.a_min is None or args.a_max is None:
             raise DomainError(
                 "median requires either --a or both --a-min and --a-max")
-        from .tailprob import ScanSpec
-
-        spec = ScanSpec(a_min=args.a_min, a_max=args.a_max, n=args.n,
-                        scale=args.scale)
-        shapes = list(spec.grid())
+        shapes = _scan_spec(args, 0.0).grid()   # a_min given: c is unused
     rows = [astuple(gamma_median(a)) for a in shapes]
     _emit_rows(args, ("a", "median", "offset", "residual"), rows)
     return _EXIT_OK

@@ -21,8 +21,8 @@ integrand ratio r(z) and the direction form
 
 whose sign is opposite to the sign of dr/dz.
 
-ScanSpec is the shape grid of scans, certification and median grids.  The
-scalar functions import the standard library alone; ScanSpec.grid,
+ScanSpec builds every shape grid of scans, certification and acceptance.
+The scalar functions import the standard library alone; ScanSpec.grid,
 tail_prob_many and ratio_parts(_many) import numpy, the lane kernels and
 quadrature when called, so a one-shape evaluation never loads them.
 direction_form(_detail) and integrand_ratio take a BranchRoots or the lanes
@@ -133,7 +133,7 @@ def tail_prob_detail(query: TailQuery) -> TailValue:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """A deterministic evaluation grid over the shape parameter."""
+    """n shapes from a_min to a_max, evenly spaced in log10(a) or in a."""
 
     a_min: float
     a_max: float
@@ -160,13 +160,22 @@ class ScanSpec:
         return tuple(self._grid_array().tolist())
 
     def _grid_array(self) -> np.ndarray:
-        """The grid as a float array, as numpy spaces it; a range too
-        narrow for n distinct doubles (numpy rounds each point on its own,
-        so a few ulps per step repeat or step back) is rejected."""
+        """The grid as a float array, a_min and a_max exact.  Log point i is
+        one libm pow, 10 ** (l0 + (l1 - l0) i / (n - 1)) with l = log10 of
+        the ends, whose exponents numpy's + - * / round alike on every SIMD
+        path.  A range too narrow for n increasing doubles is rejected."""
         import numpy as np
 
-        space = np.geomspace if self.scale == "log" else np.linspace
-        grid = space(self.a_min, self.a_max, self.n)
+        if self.scale == "linear":
+            grid = np.linspace(self.a_min, self.a_max, self.n)
+        else:
+            l0, l1 = math.log10(self.a_min), math.log10(self.a_max)
+            expo = l0 + (l1 - l0) * np.arange(1, self.n - 1) / (self.n - 1)
+            try:
+                inner = [10.0 ** e for e in expo.tolist()]
+            except OverflowError:       # inf steps back to a_max: rejected
+                inner = [math.inf]
+            grid = np.array([self.a_min, *inner, self.a_max])
         if not np.all(grid[:-1] < grid[1:]):
             raise DomainError(f"scan range is too narrow for {self.n} "
                               "strictly increasing shapes")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -78,20 +80,34 @@ def test_scan_spec_validation():
 
 
 def test_scan_spec_rejects_a_range_too_narrow_for_its_points():
-    # numpy rounds each point on its own, so a few ulps per step repeat
-    # shapes or step back; such a grid is refused, not scanned.
+    # Each point is rounded on its own, so a few ulps per step repeat
+    # shapes or step back; such a grid is refused, not scanned.  So is one
+    # whose interior would pass the largest double.
     for scan in (ScanSpec(2.0, 2.0000000000000178, 50),
                  ScanSpec(1.0, 1.0 + 40 * ULP, 400),
                  ScanSpec(1.0, 1.0 + 2 * ULP, 4, "linear"),
-                 ScanSpec(1e300, 1e300 * (1.0 + 8 * ULP), 30)):
+                 ScanSpec(1e300, 1e300 * (1.0 + 8 * ULP), 30),
+                 ScanSpec(sys.float_info.max * (1.0 - 32 * ULP),
+                          sys.float_info.max, 3)):
         with pytest.raises(DomainError, match="too narrow"):
             scan.grid()
         with pytest.raises(DomainError, match="too narrow"):
             certify_monotone(0.5, scan)
-    # a normal range keeps numpy's spacing, end points included
+    # A normal range takes one libm power per interior point, with the end
+    # points exact.
     scan = ScanSpec(0.01, 200.0, 400)
-    assert scan.grid() == tuple(np.geomspace(0.01, 200.0, 400).tolist())
-    assert scan.grid()[0] == 0.01 and scan.grid()[-1] == 200.0
+    l0, l1 = math.log10(0.01), math.log10(200.0)
+    assert scan.grid() == (0.01, *(10.0 ** (l0 + (l1 - l0) * i / 399)
+                                   for i in range(1, 399)), 200.0)
+
+
+def test_a_log_grid_ending_at_the_largest_double_warns_nothing():
+    # A power taken at the end point would overflow; the ends are kept.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = ScanSpec(1.0, sys.float_info.max, 5).grid()
+    assert grid[0] == 1.0 and grid[-1] == sys.float_info.max
+    assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_witness_container_enforces_valley_shape():
@@ -257,8 +273,7 @@ def test_find_witness_is_the_formula_triple_under_the_scan_rule(c):
     a = (-c, a2, 8.0 * a2)
     points = [tail_prob_detail(TailQuery(x, c)) for x in a]
     expected, _ = _witness_from_points(
-        np.array(a), np.array([t.value for t in points]),
-        np.array([t.err_bound for t in points]))
+        a, [t.value for t in points], [t.err_bound for t in points])
     assert expected is not None
     assert find_witness(c) == expected
 
@@ -336,8 +351,8 @@ def _reference_certify_monotone(c, scan, strict_margin):
         a2 = (8.0 / 135.0) / (c + 1.0 / 3.0)
         if scan.a_min < a2 < scan.a_max:
             a = (scan.a_min, a2, min(8.0 * a2, scan.a_max))
-            witness, ratio = _witness_from_points(*(np.array(x) for x in (
-                a, *zip(*(_value_and_bound(x, c) for x in a)))))
+            witness, ratio = _witness_from_points(
+                a, *zip(*(_value_and_bound(x, c) for x in a)))
             if witness is not None:
                 return verdict("non_monotone", ratio, None,
                                f"certified dip at three points a={a!r}, "
@@ -359,8 +374,7 @@ def _reference_certify_monotone(c, scan, strict_margin):
             unresolved.append((grid[k], grid[k + 1], d, ratio))
 
     if len(ratios) == 2:
-        witness, ratio = _witness_from_points(
-            *(np.array(x) for x in (grid, *zip(*points))))
+        witness, ratio = _witness_from_points(grid, *zip(*points))
         if witness is None:
             lo, hi = (unresolved[0][:2] if unresolved
                       else (grid[0], grid[-1]))
@@ -544,8 +558,8 @@ def test_certify_validates_a_band_scan_before_its_triple(monkeypatch):
 def test_witness_from_points_takes_the_leftmost_of_tied_points():
     from gammatail.certify import _witness_from_points
 
-    p = np.array([0.9, 0.9, 0.5, 0.1, 0.1, 0.8, 0.8])
-    witness, _ = _witness_from_points(np.arange(1.0, 8.0), p, np.zeros(7))
+    p = [0.9, 0.9, 0.5, 0.1, 0.1, 0.8, 0.8]
+    witness, _ = _witness_from_points(range(1, 8), p, [0.0] * 7)
     assert (witness.a1, witness.a2, witness.a3) == (1.0, 4.0, 6.0)
 
 

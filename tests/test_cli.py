@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import contextlib
+import hashlib
 import math
 import random
 import subprocess
@@ -139,6 +140,35 @@ def test_scan_at_the_largest_double_warns_nothing(capsys):
         "124.46659545769569,0.0,0.0,5e-324\n"
         "200.0,0.0,0.0,5e-324\n"
     )
+    # A log grid ending there keeps its end points exact, so no power
+    # overflows; its shapes past 2**53 are the kernel's usage error.
+    wide = ["--a-min", "1", "--a-max", "1.7976931348623157e308", "--n", "5"]
+    for argv in (["scan", "--c", "0", *wide], ["median", *wide]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert "below 2**53" in capsys.readouterr().err
+
+
+# sha256 of what each command prints.  Every shape is a point of ScanSpec's
+# libm grid, so the bytes do not depend on numpy's SIMD dispatch:
+# test_lane_forms runs this test again with numpy's optional paths off.
+_GRID_OUTPUT_SHA256 = {
+    ("scan", "--c", "0.5"):
+        "73245c74c6010d35778d9ba2d1fde0fe585ea24c02d28fb3b008c69c2e55a972",
+    ("scan", "--c", "-0.2"):
+        "0044ade76ec858a00d8a525bc067a8c382047649af8719d4367ac7d5eeebef03",
+    ("median", "--a-min", "0.5", "--a-max", "40", "--n", "30"):
+        "3df7c742a240dab806bbecfda643f8c5a3c26b2814d3885c16cab55b7de00f7b",
+}
+
+
+def test_log_grid_outputs_are_pinned_byte_for_byte():
+    for argv, digest in _GRID_OUTPUT_SHA256.items():
+        code, out = run_cli(list(argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 # ----------------------------------------------------------------------

@@ -20,16 +20,17 @@ import pytest
 from gammatail import _lanes, specfun
 from gammatail._lanes import (BranchRootLanes, _reg_gamma_q_core,
                               _upper_cf_lanes, branch_roots_many)
-from gammatail.acceptance import _seeded_uniforms
+from gammatail.acceptance import _MEDIAN_SHAPES, _seeded_uniforms
 from gammatail.errors import ConvergenceError, DomainError
 from gammatail.median import _bracket_margins, check_median_bracket
 from gammatail.quadrature import integrate
 from gammatail.specfun import (_BRANCH_WINDOW, _INV_E, Z_GAP, Z_MIN,
                                _upper_cf_start, branch_roots,
                                reg_gamma_q_detail)
-from gammatail.tailprob import (_RATIO_REL_TOL, _substitution_order,
-                                direction_form_detail, integrand_ratio,
-                                ratio_parts, ratio_parts_many)
+from gammatail.tailprob import (_RATIO_REL_TOL, ScanSpec,
+                                _substitution_order, direction_form_detail,
+                                integrand_ratio, ratio_parts,
+                                ratio_parts_many)
 
 
 def _hex(values) -> list[str]:
@@ -233,7 +234,7 @@ def test_ratio_parts_many_raises_the_first_lanes_error():
 
 
 @pytest.mark.parametrize("grid", [
-    np.geomspace(1e-2, 1e4, 200),          # acceptance C05's grid
+    _MEDIAN_SHAPES.grid(),                 # acceptance C05's grid
     [0.35, 1.0, 1e6, 3e7, 1e-3],
 ], ids=["c05", "edges"])
 def test_check_median_bracket_is_bitwise_the_scalar_margins(grid):
@@ -291,7 +292,7 @@ def test_ordered_extreme_is_the_builtin_over_one_list(pick, start, fill,
 
 # The shapes of a certify scan; from c = 1 on, every lane takes the
 # continued fraction.
-_CF_SCAN = np.geomspace(0.01, 200.0, 400)
+_CF_SCAN = ScanSpec(0.01, 200.0, 400)._grid_array()
 
 
 def _cf_lanes_hex(a, x):
@@ -462,8 +463,8 @@ def test_lockstep_copies_its_start_states(n_max, min_lanes):
 
 
 # The lane tests of Q's kernel, which claim bit-identity from IEEE + - * /
-# alone, and the verify-all golden, each with numpy's optional SIMD paths on
-# and off.
+# alone, the verify-all golden and the log-grid outputs, each with numpy's
+# optional SIMD paths on and off.
 _Q_LANE_PARITY = [
     "tests/test_lane_forms.py::" + name for name in (
         "test_cf_lanes_retire_at_every_column_of_a_block",
@@ -476,6 +477,7 @@ _Q_LANE_PARITY = [
     "test_tail_prob_many_with_one_offset_per_lane_is_bitwise_the_scan",
     "tests/test_specfun.py::test_reg_gamma_q_many_is_bitwise_the_scalar_loop",
     "tests/test_acceptance.py::test_verify_all_cli_output_is_byte_identical",
+    "tests/test_cli.py::test_log_grid_outputs_are_pinned_byte_for_byte",
 ]
 
 

@@ -86,15 +86,21 @@ def test_no_module_imports_a_name_it_does_not_use():
 # numpy submodules no module may use: numpy.random's streams are not
 # pinned across numpy versions (NEP 19), and both cost megabytes at import.
 _BANNED_NUMPY = {"random", "polynomial"}
+# numpy grid builders no module may use: their powers take numpy's SIMD
+# dispatch, so a grid point could differ by machine.  ScanSpec builds every
+# log grid with libm.
+_BANNED_GRIDS = {"geomspace", "logspace"}
 # Standard-library modules no module may import when it is imported.
 _BANNED_AT_IMPORT = {"fractions", "decimal"}
 
 
-def _banned_numpy_uses(tree: ast.Module) -> set[str]:
-    """Each np.random, numpy.polynomial, ... a source tree names or imports."""
+def _banned_numpy_uses(tree: ast.Module,
+                       banned: set[str] = _BANNED_NUMPY) -> set[str]:
+    """Each np.random, numpy.polynomial, ... (numpy's names in banned) a
+    source tree names or imports."""
     found = set()
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in _BANNED_NUMPY
+        if (isinstance(node, ast.Attribute) and node.attr in banned
                 and isinstance(node.value, ast.Name)
                 and node.value.id in ("np", "numpy")):
             found.add(f"{node.value.id}.{node.attr}")
@@ -105,7 +111,7 @@ def _banned_numpy_uses(tree: ast.Module) -> set[str]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         found.update(name for name in names
                      if name.split(".")[:2] in (["numpy", sub]
-                                                for sub in _BANNED_NUMPY))
+                                                for sub in banned))
     return found
 
 
@@ -144,6 +150,15 @@ def test_no_module_uses_numpy_random_or_polynomial():
         "def f():\n    return np.random.default_rng(1), numpy.polynomial\n"
     )) == {"numpy.random", "numpy.polynomial", "numpy.random.default_rng",
            "np.random"}
+
+
+def test_no_module_spaces_a_grid_with_numpy_geomspace_or_logspace():
+    assert {module: uses for module, tree in TREES.items()
+            if (uses := _banned_numpy_uses(tree, _BANNED_GRIDS))} == {}
+    assert _banned_numpy_uses(ast.parse(
+        "from numpy import logspace\n"
+        "def f():\n    return np.geomspace(1.0, 2.0, 3)\n"
+    ), _BANNED_GRIDS) == {"numpy.logspace", "np.geomspace"}
 
 
 def test_no_module_imports_fractions_or_decimal_when_imported():

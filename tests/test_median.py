@@ -164,10 +164,10 @@ def test_median_grid_of_c06_stays_within_its_kernel_calls(monkeypatch):
     # C06's 200 log-spaced shapes in [1e-2, 1e4] took 1,218 kernel calls
     # (1,232 on numpy's geomspace grid) when each solve stepped outward from
     # its guess and then bisected and interpolated.
-    from gammatail.acceptance import _median_shapes
+    from gammatail.acceptance import _MEDIAN_SHAPES
 
     calls = _counted_kernel(monkeypatch)
-    for a in _median_shapes():
+    for a in _MEDIAN_SHAPES.grid():
         gamma_median(a)
     assert len(calls) <= 1047
 

@@ -35,6 +35,7 @@ from gammatail._dd import (
     two_prod,
     two_sum,
 )
+from gammatail.acceptance import _kernel_grid
 from gammatail.oracle import (
     _DROP,
     _drop_offset,
@@ -246,14 +247,6 @@ def test_drop_ends_lie_just_past_the_drop(u, r):
     assert _drop_offset(-0.5, r) == _DROP
 
 
-def _c01_grid():
-    """The (a, x) lanes of acceptance criterion C01's 50 x 50 grid."""
-    shapes = np.geomspace(1e-3, 1e4, 50)
-    rows = [np.linspace(0.0, a + 40.0 * math.sqrt(a) + 40.0, 50)
-            for a in shapes.tolist()]
-    return np.repeat(shapes, 50), np.concatenate(rows)
-
-
 def test_oracle_quadrature_on_c01s_grid_stays_within_its_evaluations(
         monkeypatch):
     from gammatail import oracle
@@ -267,7 +260,7 @@ def test_oracle_quadrature_on_c01s_grid_stays_within_its_evaluations(
         return results
 
     monkeypatch.setattr(oracle, "integrate_many", spy)
-    oracle_gamma_q_many(*_c01_grid())
+    oracle_gamma_q_many(*_kernel_grid())
     # 2,530 quadratures: 50 normalisation heads, 30 tails and 2,450
     # numerators.  Taken in t up to t0 + 45 sqrt(a) + 900 or x + 900, they
     # cost 1,353,660 evaluations.
@@ -295,7 +288,7 @@ _OFF_GRID_LANES = [(1.0, 0.3), (5.5, 0.5), (15.99, 0.9), (2.0, 1e-3),
 
 def test_oracle_matches_mpmath_across_its_integrand_forms():
     mpmath = pytest.importorskip("mpmath")
-    a, x = _c01_grid()
+    a, x = _kernel_grid()
     strata = {}
     for lane in zip(a.tolist(), x.tolist()):
         if lane[1] > 0.0:

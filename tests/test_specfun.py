@@ -36,6 +36,7 @@ from gammatail import (
 )
 from gammatail import _lanes, _series, specfun
 from gammatail._dd import central_difference
+from gammatail.acceptance import _kernel_grid
 from gammatail.oracle import oracle_gamma_q, oracle_threshold_ratio
 from gammatail.specfun import _log1pmx
 
@@ -556,16 +557,8 @@ def test_log1pmx_vec_masked_lanes_keep_the_unmasked_bits():
     assert _lanes._log1pmx_vec(np.array([0.7])).shape == (1,)
 
 
-def _c01_grid():
-    """The (a, x) lanes of acceptance criterion C01's 50 x 50 grid."""
-    shapes = np.geomspace(1e-3, 1e4, 50)
-    rows = [np.linspace(0.0, a + 40.0 * math.sqrt(a) + 40.0, 50)
-            for a in shapes.tolist()]
-    return np.repeat(shapes, 50), np.concatenate(rows)
-
-
 def test_reg_gamma_q_many_is_bitwise_the_scalar_loop():
-    a, x = _c01_grid()
+    a, x = _kernel_grid()
     # Branch edges: x = 0, x = a + 1 and its neighbours, the small-shape
     # switch at a = 1/2 and the Stirling switch at a = 24.
     for s in (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 24.0,
