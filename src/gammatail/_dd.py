@@ -17,8 +17,7 @@ takes one math.log call per lane.  A float argument gives a float result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -262,8 +261,7 @@ def central_difference(fn: Callable[[float], float], x: float,
     return value, err
 
 
-@dataclass(frozen=True)
-class MeanChainGaps:
+class MeanChainGaps(NamedTuple):
     """Signed squared-mean gaps along geometric < logarithmic < refined <
     arithmetic, one array lane per pair; row k of err_bounds bounds the k-th
     gap.  All three should be positive."""

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (CertificationError, ConvergenceError, DomainError,
                      GammaTailError)
 from .median import check_median_bracket, gamma_median
 from .oracle import oracle_gamma_q_many, oracle_tail_prob_many
-from .specfun import EPS, ONE_THIRD, STRICT_MARGIN
+from .specfun import EPS, ONE_THIRD, STRICT_MARGIN, _plain
 from .tailprob import (direction_form_detail, integrand_ratio,
                        ratio_parts_many, tail_prob_many)
 
@@ -41,8 +40,7 @@ _SIGN_NOISE_FLOOR = 1e-6
 _FD_LADDER = (1e-5, 1e-4, 1e-3)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: str
     name: str
     passed: bool
@@ -356,8 +354,8 @@ def c13_determinism(tol_scale: float = 1.0,
     scan = ScanSpec(0.21, 500.0, 120, "log")
     first = certify_monotone(-0.2, scan)
     again = certify_monotone(-0.2, scan)
-    same_bytes = (json.dumps(asdict(first), sort_keys=True)
-                  == json.dumps(asdict(again), sort_keys=True))
+    same_bytes = (json.dumps(_plain(first), sort_keys=True)
+                  == json.dumps(_plain(again), sort_keys=True))
     return _result(
         "C13", "deterministic verdicts", first == again and same_bytes,
         f"verdict equality across runs: {first == again}; serialized forms "

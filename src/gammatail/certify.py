@@ -33,9 +33,8 @@ Contents:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,10 +67,7 @@ _SLOPE_EPS = (0.0025, 0.005, 0.01, 0.02)
 # Types
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A certified non-monotonicity triple: p(a1) > p(a2) < p(a3)."""
-
+class _WitnessFields(NamedTuple):
     a1: float
     a2: float
     a3: float
@@ -79,22 +75,21 @@ class Witness:
     p2: float
     p3: float
 
-    def __post_init__(self) -> None:
-        if not (self.a1 < self.a2 < self.a3):
+
+class Witness(_WitnessFields):
+    """A certified non-monotonicity triple: p(a1) > p(a2) < p(a3)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a1, a2, a3, p1, p2, p3):
+        if not (a1 < a2 < a3):
             raise DomainError("witness shapes must be strictly increasing")
-        if not (self.p1 > self.p2 and self.p3 > self.p2):
+        if not (p1 > p2 and p3 > p2):
             raise DomainError("witness probabilities must dip at a2")
+        return super().__new__(cls, a1, a2, a3, p1, p2, p3)
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    """Outcome of a monotonicity scan.
-
-    margin_ratio is the smallest certified gap divided by its error bound
-    (for inconclusive verdicts: the failing gap's ratio).  interval is the
-    offending (a_lo, a_hi) pair when inconclusive, else None.
-    """
-
+class _MonotoneVerdictFields(NamedTuple):
     direction: str
     c: float
     scan: ScanSpec
@@ -103,13 +98,27 @@ class MonotoneVerdict:
     interval: Optional[tuple[float, float]]
     detail: str
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("increasing", "decreasing", "non_monotone",
-                                  "inconclusive"):
-            raise DomainError(f"unknown direction {self.direction!r}")
-        if (self.direction == "non_monotone") != (self.witness is not None):
+
+class MonotoneVerdict(_MonotoneVerdictFields):
+    """Outcome of a monotonicity scan.
+
+    margin_ratio is the smallest certified gap divided by its error bound
+    (for inconclusive verdicts: the failing gap's ratio).  interval is the
+    offending (a_lo, a_hi) pair when inconclusive, else None.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, direction, c, scan, witness, margin_ratio, interval,
+                detail):
+        if direction not in ("increasing", "decreasing", "non_monotone",
+                             "inconclusive"):
+            raise DomainError(f"unknown direction {direction!r}")
+        if (direction == "non_monotone") != (witness is not None):
             raise DomainError(
                 "a witness must be present exactly for non_monotone verdicts")
+        return super().__new__(cls, direction, c, scan, witness, margin_ratio,
+                               interval, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +287,7 @@ def find_witness(c: float) -> Witness:
 # Threshold-ratio reduction chain
 
 
-@dataclass(frozen=True)
-class ThresholdChainReport:
+class ThresholdChainReport(NamedTuple):
     """Certified monotonicity of the four threshold-ratio stages.
 
     Values are stored as excesses over the shared limit -1/3, which keeps
@@ -433,8 +441,7 @@ def check_threshold_chain(y_grid: Sequence[float]) -> ThresholdChainReport:
 # Mean-inequality chain
 
 
-@dataclass(frozen=True)
-class MeanChainEntry:
+class MeanChainEntry(NamedTuple):
     """One certified instance of sqrt(xy) < L < refined < (x+y)/2; each gap
     is checked against its own bound, and err_bound is the largest."""
 
@@ -452,22 +459,24 @@ class MeanChainEntry:
     chain_ok: bool
 
 
-@dataclass(frozen=True)
-class MeanChainReport:
-    """The mean-chain verdict over a list of pairs.
-
-    The per-pair results are kept as read-only numpy columns, one per
-    MeanChainEntry field in field order; entries builds the MeanChainEntry
-    records from them on first access.  Two reports are equal when their
-    summary fields and their entries are.
-    """
-
+class _MeanChainReportFields(NamedTuple):
     certified: bool
     min_margin_ratio: float
     probe_violation_found: bool
     probe_spread: float
     probe_gap: float
-    columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    columns: tuple[np.ndarray, ...]
+
+
+class MeanChainReport(_MeanChainReportFields):
+    """The mean-chain verdict over a list of pairs.
+
+    The per-pair results are kept as read-only numpy columns, one per
+    MeanChainEntry field in field order; entries builds the MeanChainEntry
+    records from them on first access.  Two reports are equal when their
+    summary fields and their entries are; the repr shows the summary
+    fields alone.
+    """
 
     @cached_property
     def entries(self) -> tuple[MeanChainEntry, ...]:
@@ -476,12 +485,16 @@ class MeanChainReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MeanChainReport):
             return NotImplemented
-        return ((self.certified, self.min_margin_ratio,
-                 self.probe_violation_found, self.probe_spread,
-                 self.probe_gap, self.entries)
-                == (other.certified, other.min_margin_ratio,
-                    other.probe_violation_found, other.probe_spread,
-                    other.probe_gap, other.entries))
+        return (*self[:-1], self.entries) == (*other[:-1], other.entries)
+
+    def __ne__(self, other: object) -> bool:    # tuple's would see columns
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._fields[:-1], self))
+        return f"MeanChainReport({shown})"
 
 
 def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
@@ -575,8 +588,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
 # Small-eps slope of the integrated tail defect
 
 
-@dataclass(frozen=True)
-class AsymptoticSlopeReport:
+class AsymptoticSlopeReport(NamedTuple):
     """Fit of the integrated defect T(eps) = 2*int_0^1 g(eps, z) dz.
 
     The defect must be certifiably positive with T(eps)/eps approaching

@@ -25,12 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, astuple
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      QuadratureError, WitnessSearchError)
-from .specfun import ONE_THIRD, STRICT_MARGIN
+from .specfun import ONE_THIRD, STRICT_MARGIN, _plain
 
 if TYPE_CHECKING:
     from .certify import MonotoneVerdict
@@ -154,7 +153,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     spec = _scan_spec(args, args.c)
     verdict = certify_monotone(args.c, spec)
-    _emit(_json_text(asdict(verdict)), args.out)
+    _emit(_json_text(_plain(verdict)), args.out)
     return _certify_exit(verdict)
 
 
@@ -168,7 +167,7 @@ def _cmd_median(args: argparse.Namespace) -> int:
             raise DomainError(
                 "median requires either --a or both --a-min and --a-max")
         shapes = _scan_spec(args, 0.0).grid()   # a_min given: c is unused
-    rows = [astuple(gamma_median(a)) for a in shapes]
+    rows = [gamma_median(a) for a in shapes]
     _emit_rows(args, ("a", "median", "offset", "residual"), rows)
     return _EXIT_OK
 
@@ -206,7 +205,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     all_pass = all(r.passed for r in results)
     if args.json:
         payload = {
-            "criteria": [asdict(r) for r in results],
+            "criteria": [_plain(r) for r in results],
             "all_pass": all_pass,
         }
         _emit(_json_text(payload), args.out)

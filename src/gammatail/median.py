@@ -36,8 +36,7 @@ bracket check's margin are constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import CertificationError, ConvergenceError, DomainError
 from .specfun import (ONE_THIRD, STRICT_MARGIN, _lgamma1p, _log_gamma_norm,
@@ -50,8 +49,14 @@ _REL_TOL = 1e-12    # gamma_median's residual target
 _MAX_EVALS = 200    # and its solver's budget of Q evaluations
 
 
-@dataclass(frozen=True)
-class MedianResult:
+class _MedianResultFields(NamedTuple):
+    a: float
+    median: float
+    offset: float
+    residual: float
+
+
+class MedianResult(_MedianResultFields):
     """A solved gamma median with its offset from the mean.
 
     residual is |Q(a, median) - 1/2| at the returned point.  The offset
@@ -63,28 +68,24 @@ class MedianResult:
     a - 1/3 than that.
     """
 
-    a: float
-    median: float
-    offset: float
-    residual: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if -ONE_THIRD < self.offset < 0.0:
-            return
-        escape = max(-ONE_THIRD - self.offset, self.offset)
-        slack = math.ulp(self.a)
+    def __new__(cls, a, median, offset, residual):
+        if -ONE_THIRD < offset < 0.0:
+            return super().__new__(cls, a, median, offset, residual)
+        escape = max(-ONE_THIRD - offset, offset)
+        slack = math.ulp(a)
         if escape > STRICT_MARGIN * slack:
             raise CertificationError(
-                f"median offset {self.offset!r} for a={self.a!r} escapes "
+                f"median offset {offset!r} for a={a!r} escapes "
                 "(-1/3, 0), contradicting the bracket theorem")
         raise ConvergenceError(
-            f"median offset {self.offset!r} for a={self.a!r} escapes (-1/3, "
+            f"median offset {offset!r} for a={a!r} escapes (-1/3, "
             f"0) only by {escape!r}, within {STRICT_MARGIN:g} ulps of a: the "
             "rounding of the bracket ends", n_iter=0)
 
 
-@dataclass(frozen=True)
-class MedianBracketCheck:
+class MedianBracketCheck(NamedTuple):
     """Margins of Q(a, a) < 1/2 < Q(a, a - 1/3) at one shape."""
 
     a: float
@@ -94,8 +95,7 @@ class MedianBracketCheck:
     above_err: float
 
 
-@dataclass(frozen=True)
-class MedianBracketReport:
+class MedianBracketReport(NamedTuple):
     entries: tuple[MedianBracketCheck, ...]
     certified: bool
     min_margin_ratio: float

@@ -37,8 +37,8 @@ is single-threaded and bit-deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -47,18 +47,23 @@ from .specfun import EPS
 
 GAUSS_ORDER = 15
 _MAX_SWEEPS = 120
-# Panels each interval starts with, and the most it may accept.
-_PRE_SPLIT = 8
+# Panels each interval starts with, and the most it may accept.  C01's
+# 2,530 oracle quadratures take 332,370, 295,920, 373,410, 466,320,
+# 577,770, 689,040 and 915,240 evaluations from 1, 2, 3, 4, 5, 6 and 8
+# starting panels.  From 1 or 2, C11's fitted slope moves, and from 2 the
+# direct form's worst error against mpmath reaches 2.07e-14; from 4 or 5,
+# C01's worst deviation moves.  From 3, 6 and 8 verify-all prints the same
+# bytes, and 3 spends the fewest evaluations of those.
+_PRE_SPLIT = 3
 _MAX_PANELS = 10_000
 # The most intervals integrate_many advances in lockstep, and the most
 # panels one integrand call takes; together they bound the engine's memory
 # whatever the number of intervals.  Measured on C01's 2,530 oracle
-# quadratures in a cold verify-all: groups of 256, 512 and 1,024 take 72,
-# 47 and 35 sweeps.  Groups of 1,024 ran C01 about 3% faster than 512, but
-# their larger arrays left more heap behind and raised the process's peak
-# RSS by about 0.2 MB more (median of 15 runs).  One integrand call per
-# sweep over a group of 256 raised C01's peak traced memory to 8.8 MB;
-# calls of 512 panels keep it near 2 MB.
+# quadratures in a cold verify-all: groups of 256, 512 and 1,024 take 40,
+# 28 and 23 sweeps.  Groups of 1,024 ran a cold verify-all no faster than
+# 512 and its peak RSS no lower (median of 12 runs each).  One integrand
+# call per sweep over a group of 256 raised C01's peak traced memory to
+# 8.8 MB; calls of 512 panels keep it near 2 MB.
 _GROUP = 512
 _CHUNK = 512
 
@@ -83,8 +88,7 @@ GAUSS_NODES_01 = 0.5 * (_NODES + 1.0)
 GAUSS_WEIGHTS_01 = 0.5 * _WEIGHTS
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Integral estimate with an accumulated error bound."""
 
     value: float

@@ -32,7 +32,7 @@ calibrated against the independent quadrature oracle: (2*|log prefactor| +
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._series import LAMBDA_EXCESS, eval_series
 from .errors import ConvergenceError, DomainError
@@ -91,23 +91,35 @@ _ROOT_MAX_ITER = 200
 STRICT_MARGIN = 8.0
 
 
-@dataclass(frozen=True)
-class BranchRoots:
-    """The two preimages of z under x*exp(1-x): x1 in (0,1), x2 in (1,inf)."""
+def _plain(record: object) -> object:
+    """A record as plain data: a dict of its fields in field order, each
+    field that is a record a dict too; anything else as it is.  It lives
+    in the lowest module with records, which every serialising path loads."""
+    if hasattr(record, "_fields"):
+        return {name: _plain(v) for name, v in zip(record._fields, record)}
+    return record
 
+
+class _BranchRootsFields(NamedTuple):
     z: float
     x1: float
     x2: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.z < 1.0):
+
+class BranchRoots(_BranchRootsFields):
+    """The two preimages of z under x*exp(1-x): x1 in (0,1), x2 in (1,inf)."""
+
+    __slots__ = ()
+
+    def __new__(cls, z, x1, x2):
+        if not (0.0 < z < 1.0):
             raise DomainError("base probability z must lie in (0, 1)")
-        if not (0.0 < self.x1 < 1.0 < self.x2):
+        if not (0.0 < x1 < 1.0 < x2):
             raise DomainError("roots must straddle the peak at 1")
+        return super().__new__(cls, z, x1, x2)
 
 
-@dataclass(frozen=True)
-class EvalDetail:
+class EvalDetail(NamedTuple):
     """A kernel value with its rounding-model error bound and provenance."""
 
     value: float

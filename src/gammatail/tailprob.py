@@ -22,9 +22,10 @@ integrand ratio r(z) and the direction form
 whose sign is opposite to the sign of dr/dz.
 
 ScanSpec builds every shape grid of scans, certification and acceptance.
-The scalar functions import the standard library alone; ScanSpec.grid,
-tail_prob_many and ratio_parts(_many) import numpy, the lane kernels and
-quadrature when called, so a one-shape evaluation never loads them.
+The scalar functions and a log-scale ScanSpec.grid import the standard
+library alone; a linear grid, ScanSpec._grid_array, tail_prob_many and
+ratio_parts(_many) import numpy, the lane kernels and quadrature when
+called, so a one-shape evaluation never loads them.
 direction_form(_detail) and integrand_ratio take a BranchRoots or the lanes
 of _lanes.branch_roots_many, with one offset or one per lane; on lanes each
 value is bit-identical to the scalar call.
@@ -34,9 +35,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, GammaTailError
 from .specfun import (
@@ -61,22 +61,25 @@ _RATIO_REL_TOL = 1e-10
 _ARG_MAX = 1e300
 
 
-@dataclass(frozen=True)
-class TailQuery:
-    """Shape and centering offset for a tail probability request."""
-
+class _TailQueryFields(NamedTuple):
     a: float
     c: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.c)):
+
+class TailQuery(_TailQueryFields):
+    """Shape and centering offset for a tail probability request."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, c):
+        if not (math.isfinite(a) and math.isfinite(c)):
             raise DomainError("TailQuery requires finite a and c")
-        if self.a <= 0.0:
+        if a <= 0.0:
             raise DomainError("TailQuery requires shape a > 0")
+        return super().__new__(cls, a, c)
 
 
-@dataclass(frozen=True)
-class TailValue:
+class TailValue(NamedTuple):
     """A tail probability with an error bound and the kernel that made it."""
 
     value: float
@@ -84,8 +87,7 @@ class TailValue:
     method: str
 
 
-@dataclass(frozen=True)
-class RatioParts:
+class RatioParts(NamedTuple):
     """The two integrals splitting the tail identity at x = 1.
 
     head_integral covers (0, 1), tail_integral covers (1, inf), and
@@ -131,55 +133,63 @@ def tail_prob_detail(query: TailQuery) -> TailValue:
     return TailValue(detail.value, detail.err_bound + arg_err, detail.method)
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """n shapes from a_min to a_max, evenly spaced in log10(a) or in a."""
-
+class _ScanSpecFields(NamedTuple):
     a_min: float
     a_max: float
     n: int
-    scale: str = "log"
+    scale: str
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a_min) and math.isfinite(self.a_max)):
+
+class ScanSpec(_ScanSpecFields):
+    """n shapes from a_min to a_max, evenly spaced in log10(a) or in a."""
+
+    __slots__ = ()
+
+    def __new__(cls, a_min, a_max, n, scale="log"):
+        if not (math.isfinite(a_min) and math.isfinite(a_max)):
             raise DomainError("scan bounds must be finite")
-        if not (0.0 < self.a_min < self.a_max):
+        if not (0.0 < a_min < a_max):
             raise DomainError("scan bounds must satisfy 0 < a_min < a_max")
+        # A numpy integer is kept as an int, so verdicts serialize to JSON.
         try:
-            n = operator.index(self.n)
+            n = operator.index(n)
         except TypeError:
             raise DomainError("scan needs a whole number of points") from None
         if n < 3:
             raise DomainError("scan needs at least 3 points")
-        # A numpy integer is kept as an int, so verdicts serialize to JSON.
-        object.__setattr__(self, "n", n)
-        if self.scale not in ("linear", "log"):
+        if scale not in ("linear", "log"):
             raise DomainError("scan scale must be 'linear' or 'log'")
+        return super().__new__(cls, a_min, a_max, n, scale)
 
     def grid(self) -> tuple[float, ...]:
-        return tuple(self._grid_array().tolist())
-
-    def _grid_array(self) -> np.ndarray:
-        """The grid as a float array, a_min and a_max exact.  Log point i is
-        one libm pow, 10 ** (l0 + (l1 - l0) i / (n - 1)) with l = log10 of
-        the ends, whose exponents numpy's + - * / round alike on every SIMD
-        path.  A range too narrow for n increasing doubles is rejected."""
-        import numpy as np
-
+        """The shapes, a_min and a_max exact.  Log point i is one libm pow,
+        10 ** (l0 + (l1 - l0) i / (n - 1)) with l = log10 of the ends, its
+        exponent taken in Python floats, so no point depends on numpy.  A
+        range too narrow for n increasing doubles is rejected."""
+        n = self.n
         if self.scale == "linear":
-            grid = np.linspace(self.a_min, self.a_max, self.n)
+            import numpy as np
+
+            grid = tuple(np.linspace(self.a_min, self.a_max, n).tolist())
         else:
-            l0, l1 = math.log10(self.a_min), math.log10(self.a_max)
-            expo = l0 + (l1 - l0) * np.arange(1, self.n - 1) / (self.n - 1)
+            l0 = math.log10(self.a_min)
+            span, last = math.log10(self.a_max) - l0, float(n - 1)
             try:
-                inner = [10.0 ** e for e in expo.tolist()]
+                inner = [10.0 ** (l0 + span * i / last)
+                         for i in range(1, n - 1)]
             except OverflowError:       # inf steps back to a_max: rejected
                 inner = [math.inf]
-            grid = np.array([self.a_min, *inner, self.a_max])
-        if not np.all(grid[:-1] < grid[1:]):
-            raise DomainError(f"scan range is too narrow for {self.n} "
+            grid = (float(self.a_min), *inner, float(self.a_max))
+        if not all(map(operator.lt, grid, grid[1:])):
+            raise DomainError(f"scan range is too narrow for {n} "
                               "strictly increasing shapes")
         return grid
+
+    def _grid_array(self) -> np.ndarray:
+        """grid() as a float array."""
+        import numpy as np
+
+        return np.fromiter(self.grid(), float, self.n)
 
 
 def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:

@@ -160,6 +160,28 @@ def test_verify_all_returns_every_criterion_once():
     )
 
 
+def test_verify_all_quadrature_spend_is_pinned(monkeypatch):
+    # Every quadrature starts from three panels: verify-all's 2,598 take
+    # 384,030 integrand evaluations, C01's oracle 373,410 of them.  From
+    # eight panels they took 940,200 and 915,240.
+    from gammatail import quadrature
+
+    sweeps = quadrature._sweeps
+    spent: dict[str, list[int]] = {}
+
+    def spy(*args):          # files the results under the running criterion
+        results = sweeps(*args)
+        spent.setdefault(cid, []).extend(r.n_evals for r in results)
+        return results
+
+    monkeypatch.setattr(quadrature, "_sweeps", spy)
+    for cid, fn in acceptance.CRITERIA.items():
+        _check(fn(1.0, None))
+    assert sum(map(len, spent.values())) == 2598
+    assert sum(map(sum, spent.values())) <= 384_030
+    assert sum(spent["C01"]) <= 373_410
+
+
 def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "gammatail", *args],

@@ -110,6 +110,29 @@ def test_a_log_grid_ending_at_the_largest_double_warns_nothing():
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
+def _array_log_grid(scan):
+    """The log grid as it was built on arrays: exponents from numpy's
+    + - * / over np.arange, one libm power per exponent, then an array."""
+    l0, l1 = math.log10(scan.a_min), math.log10(scan.a_max)
+    expo = l0 + (l1 - l0) * np.arange(1, scan.n - 1) / (scan.n - 1)
+    inner = [10.0 ** e for e in expo.tolist()]
+    return np.array([scan.a_min, *inner, scan.a_max])
+
+
+def test_log_grid_in_python_floats_equals_the_array_path_bit_for_bit():
+    # 3,000 seeded specs: a_min from 1e-5 to 1e5, spans up to 1e8 and n
+    # from 3 to 600.  Python's float arithmetic rounds the exponents as
+    # numpy's does, so every point keeps its bits.
+    rng = random.Random(37)
+    for _ in range(3000):
+        a_min = 10.0 ** rng.uniform(-5.0, 5.0)
+        scan = ScanSpec(a_min, a_min * 10.0 ** rng.uniform(1e-3, 8.0),
+                        rng.randint(3, 600))
+        grid = scan.grid()
+        assert all(type(a) is float for a in grid)
+        assert np.array_equal(np.array(grid), _array_log_grid(scan)), scan
+
+
 def test_witness_container_enforces_valley_shape():
     Witness(a1=1.0, a2=2.0, a3=3.0, p1=0.9, p2=0.5, p3=0.7)
     with pytest.raises(DomainError):

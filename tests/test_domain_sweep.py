@@ -11,7 +11,6 @@ exception or a RuntimeWarning fails.
 """
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import math
 import random
@@ -382,9 +381,9 @@ _ROWS = {
 
 def _floats(value):
     """Every float a result holds, in its fields, items and arrays."""
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _floats(getattr(value, f.name))
+    if hasattr(value, "_fields"):       # a record, a NamedTuple
+        for name in value._fields:
+            yield from _floats(getattr(value, name))
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _floats(item)

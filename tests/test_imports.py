@@ -2,10 +2,11 @@
 
 ``import gammatail`` resolves its exports on first access (PEP 562), so a
 cold command pays only for the layers it runs.  The scalar commands
-(``eval``, ``median --a``) and the parser must not load numpy or the
-batched, quadrature, oracle and acceptance layers, and no command loads
-``numpy.random``, ``numpy.polynomial``, ``fractions`` or ``decimal``;
-fresh interpreters check that.
+(``eval``, ``median --a``, ``median`` over a log grid) and the parser must
+not load numpy or the batched, quadrature, oracle and acceptance layers,
+and no command loads ``numpy.random``, ``numpy.polynomial``,
+``fractions``, ``decimal`` or ``dataclasses``; fresh interpreters check
+that.
 """
 
 from __future__ import annotations
@@ -87,9 +88,13 @@ def test_import_gammatail_loads_no_submodule_and_no_numpy():
 
 
 @pytest.mark.parametrize("args", [["eval", "--a", "5", "--c", "0.1"],
-                                  ["median", "--a", "2"]],
-                         ids=["eval", "median"])
+                                  ["median", "--a", "2"],
+                                  ["median", "--a-min", "1", "--a-max", "2",
+                                   "--n", "3"]],
+                         ids=["eval", "median", "median-log-grid"])
 def test_scalar_commands_load_no_numpy_and_no_batch_layer(args):
+    # A log grid is libm powers in Python floats: a median over one solves
+    # shape by shape without numpy.
     loaded = _loaded(args)
     assert "gammatail.tailprob" in loaded
     assert loaded & _BATCH_LAYERS == set()
@@ -109,12 +114,13 @@ def test_help_loads_neither_acceptance_nor_numpy():
 @pytest.mark.parametrize("args, layers", [
     (["scan", "--c", "0.5", "--n", "5"],
      {"_lanes", "_series", "cli", "errors", "specfun", "tailprob"}),
-    (["median", "--a-min", "1", "--a-max", "2", "--n", "3"],
+    (["median", "--a-min", "1", "--a-max", "2", "--n", "3", "--scale",
+      "linear"],
      {"_series", "cli", "errors", "median", "specfun", "tailprob"}),
 ], ids=["scan", "median-grid"])
 def test_grid_commands_load_numpy_but_no_certification_layer(args, layers):
-    # ScanSpec lives in tailprob: building a grid needs numpy, not certify,
-    # quadrature or the double-double layer.
+    # ScanSpec lives in tailprob: a scan's lanes and a linear grid need
+    # numpy, not certify, quadrature or the double-double layer.
     loaded = _loaded(args)
     assert "numpy" in loaded
     assert {m for m in loaded if m.startswith("gammatail.")} == {
@@ -123,8 +129,11 @@ def test_grid_commands_load_numpy_but_no_certification_layer(args, layers):
 
 # Modules no command needs: the seeded draws come from the standard
 # library's random.Random, the Gauss-Legendre rule is frozen as literals,
-# and the Fraction arithmetic runs only when _series' tables are rebuilt.
-_UNNEEDED = {"numpy.random", "numpy.polynomial", "fractions", "decimal"}
+# the Fraction arithmetic runs only when _series' tables are rebuilt, and
+# the records are NamedTuples, which generate no code at import (numpy
+# does not load dataclasses either).
+_UNNEEDED = {"numpy.random", "numpy.polynomial", "fractions", "decimal",
+             "dataclasses"}
 
 
 @pytest.mark.parametrize("args", [["verify-all", "--json"],

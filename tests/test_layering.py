@@ -172,6 +172,27 @@ def test_no_module_imports_fractions_or_decimal_when_imported():
         "def f():\n    import decimal\n")) == {"fractions"}
 
 
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """The top-level packages a source tree imports anywhere in it, by
+    absolute import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # The records are NamedTuples: a frozen dataclass generates and execs
+    # its methods at every import, which a cold command pays for.
+    assert {module for module, tree in TREES.items()
+            if "dataclasses" in _absolute_imports(tree)} == set()
+    assert _absolute_imports(ast.parse(
+        "def f():\n    from dataclasses import asdict\n")) == {"dataclasses"}
+
+
 def _homes(name: str) -> list[str]:
     """The modules that define a function of this name, or a lane copy of
     it, leading underscores and a _lanes suffix aside."""
@@ -331,7 +352,7 @@ def test_no_capped_loop_runs_out_silently():
 CERTIFICATION_RAISES = {
     ("certify", "check_threshold_chain"): ("d < -STRICT_MARGIN * err_sum",),
     ("median", "_bracket_failure"): ("margin < -STRICT_MARGIN * err",),
-    ("median", "MedianResult.__post_init__"):
+    ("median", "MedianResult.__new__"):
         ("escape > STRICT_MARGIN * slack",),
 }
 

@@ -306,12 +306,16 @@ _EPS = 2.220446049250313e-16
 
 @np.errstate(invalid="ignore", over="ignore")
 def _reference_integrate(fn, lo, hi, *, rel_tol=1e-10, max_panels=10_000,
-                         pre_split=8):
+                         pre_split=None):
     """The plain one-interval refinement loop the lockstep engine replaced,
     kept as the bit-level reference for integrate; a non-finite integrand
-    reaches its checks without numpy warnings, as in the engine."""
-    from gammatail.quadrature import (_MAX_SWEEPS, GAUSS_NODES_01,
+    reaches its checks without numpy warnings, as in the engine.  pre_split
+    defaults to the engine's own starting panel count."""
+    from gammatail.quadrature import (_MAX_SWEEPS, _PRE_SPLIT, GAUSS_NODES_01,
                                       GAUSS_ORDER, GAUSS_WEIGHTS_01)
+
+    if pre_split is None:
+        pre_split = _PRE_SPLIT
 
     def estimates(lows, widths):
         pts = lows[:, None] + widths[:, None] * GAUSS_NODES_01[None, :]
