@@ -44,7 +44,8 @@ from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
 from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _THRESHOLD_Y_MAX,
-                      _mean_scale, _threshold_forms, log_mean)
+                      _checked_make, _mean_scale, _threshold_forms,
+                      log_mean)
 from .tailprob import (ScanSpec, TailQuery, tail_prob_detail,
                        tail_prob_many)
 
@@ -80,6 +81,7 @@ class Witness(_WitnessFields):
     """A certified non-monotonicity triple: p(a1) > p(a2) < p(a3)."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, a1, a2, a3, p1, p2, p3):
         if not (a1 < a2 < a3):
@@ -108,6 +110,7 @@ class MonotoneVerdict(_MonotoneVerdictFields):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, direction, c, scan, witness, margin_ratio, interval,
                 detail):

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      QuadratureError, WitnessSearchError)
-from .specfun import ONE_THIRD, STRICT_MARGIN, _plain
+from .specfun import ONE_THIRD, STRICT_MARGIN
 
 if TYPE_CHECKING:
     from .certify import MonotoneVerdict
@@ -63,6 +63,14 @@ def _csv(rows: Sequence[Sequence[object]], header: Sequence[str]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _plain(record: object) -> object:
+    """A record as plain data: a dict of its fields in field order, each
+    field that is a record a dict too; anything else as it is."""
+    if hasattr(record, "_fields"):
+        return {name: _plain(v) for name, v in zip(record._fields, record)}
+    return record
 
 
 def _json_text(obj: object) -> str:

@@ -39,8 +39,8 @@ import math
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import CertificationError, ConvergenceError, DomainError
-from .specfun import (ONE_THIRD, STRICT_MARGIN, _lgamma1p, _log_gamma_norm,
-                      reg_gamma_q)
+from .specfun import (ONE_THIRD, STRICT_MARGIN, _checked_make, _lgamma1p,
+                      _log_gamma_norm, reg_gamma_q)
 from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
 _LINEAR_BRACKET_MIN = 0.35
@@ -69,6 +69,7 @@ class MedianResult(_MedianResultFields):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, a, median, offset, residual):
         if -ONE_THIRD < offset < 0.0:

@@ -91,13 +91,11 @@ _ROOT_MAX_ITER = 200
 STRICT_MARGIN = 8.0
 
 
-def _plain(record: object) -> object:
-    """A record as plain data: a dict of its fields in field order, each
-    field that is a record a dict too; anything else as it is.  It lives
-    in the lowest module with records, which every serialising path loads."""
-    if hasattr(record, "_fields"):
-        return {name: _plain(v) for name, v in zip(record._fields, record)}
-    return record
+@classmethod
+def _checked_make(cls, iterable):
+    """A validating record's _make, which NamedTuple's _replace calls: the
+    values go through the record's __new__ and its checks."""
+    return cls(*iterable)
 
 
 class _BranchRootsFields(NamedTuple):
@@ -110,6 +108,7 @@ class BranchRoots(_BranchRootsFields):
     """The two preimages of z under x*exp(1-x): x1 in (0,1), x2 in (1,inf)."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, z, x1, x2):
         if not (0.0 < z < 1.0):

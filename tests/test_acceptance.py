@@ -161,9 +161,11 @@ def test_verify_all_returns_every_criterion_once():
 
 
 def test_verify_all_quadrature_spend_is_pinned(monkeypatch):
-    # Every quadrature starts from three panels: verify-all's 2,598 take
-    # 384,030 integrand evaluations, C01's oracle 373,410 of them.  From
-    # eight panels they took 940,200 and 915,240.
+    # Every quadrature starts from three panels: verify-all's 2,638 take
+    # 389,430 integrand evaluations, C01's oracle 373,410 of them and C07's
+    # 80 ratio_parts intervals (two per integral) 10,800.  From eight
+    # panels, with one interval per integral, 2,598 took 940,200, C01's
+    # 915,240.
     from gammatail import quadrature
 
     sweeps = quadrature._sweeps
@@ -177,8 +179,13 @@ def test_verify_all_quadrature_spend_is_pinned(monkeypatch):
     monkeypatch.setattr(quadrature, "_sweeps", spy)
     for cid, fn in acceptance.CRITERIA.items():
         _check(fn(1.0, None))
-    assert sum(map(len, spent.values())) == 2598
-    assert sum(map(sum, spent.values())) <= 384_030
+    quadratures = sum(map(len, spent.values()))
+    evals = sum(map(sum, spent.values()))
+    # The CI log prints this line (pytest -s).
+    print(f"verify-all quadrature: {quadratures} integrals, {evals} "
+          f"integrand evaluations, C01 {sum(spent['C01'])}")
+    assert quadratures == 2638
+    assert evals <= 389_430
     assert sum(spent["C01"]) <= 373_410
 
 

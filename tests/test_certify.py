@@ -110,19 +110,10 @@ def test_a_log_grid_ending_at_the_largest_double_warns_nothing():
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
-def _array_log_grid(scan):
-    """The log grid as it was built on arrays: exponents from numpy's
-    + - * / over np.arange, one libm power per exponent, then an array."""
-    l0, l1 = math.log10(scan.a_min), math.log10(scan.a_max)
-    expo = l0 + (l1 - l0) * np.arange(1, scan.n - 1) / (scan.n - 1)
-    inner = [10.0 ** e for e in expo.tolist()]
-    return np.array([scan.a_min, *inner, scan.a_max])
-
-
 def test_log_grid_in_python_floats_equals_the_array_path_bit_for_bit():
     # 3,000 seeded specs: a_min from 1e-5 to 1e5, spans up to 1e8 and n
     # from 3 to 600.  Python's float arithmetic rounds the exponents as
-    # numpy's does, so every point keeps its bits.
+    # numpy's does over np.arange, so every point keeps its bits.
     rng = random.Random(37)
     for _ in range(3000):
         a_min = 10.0 ** rng.uniform(-5.0, 5.0)
@@ -130,7 +121,7 @@ def test_log_grid_in_python_floats_equals_the_array_path_bit_for_bit():
                         rng.randint(3, 600))
         grid = scan.grid()
         assert all(type(a) is float for a in grid)
-        assert np.array_equal(np.array(grid), _array_log_grid(scan)), scan
+        assert np.array_equal(np.array(grid), scan._grid_array()), scan
 
 
 def test_witness_container_enforces_valley_shape():
@@ -159,6 +150,36 @@ def test_verdict_container_validation():
 # ----------------------------------------------------------------------
 # monotonicity certification
 # ----------------------------------------------------------------------
+
+
+def test_replace_and_make_run_each_records_checks():
+    # NamedTuple's _replace builds through _make, which each validating
+    # record sends through its own __new__: a record its constructor
+    # rejects cannot be made either way.
+    from gammatail.median import MedianResult
+    from gammatail.specfun import branch_roots
+
+    scan = ScanSpec(1.0, 2.0, 4)
+    witness = Witness(a1=1.0, a2=2.0, a3=3.0, p1=0.9, p2=0.5, p3=0.7)
+    verdict = MonotoneVerdict(direction="non_monotone", c=-0.2, scan=scan,
+                              witness=witness, margin_ratio=10.0,
+                              interval=None, detail="")
+    for record, bad, error in (
+            (scan, {"n": 2}, DomainError),
+            (scan, {"a_min": -1.0}, DomainError),
+            (TailQuery(1.0, 0.0), {"a": -1.0}, DomainError),
+            (witness, {"p2": 0.95}, DomainError),
+            (verdict, {"witness": None}, DomainError),
+            (branch_roots(0.5), {"x1": 2.0}, DomainError),
+            (MedianResult(1.0, 0.69, -0.31, 0.0), {"offset": 0.5},
+             CertificationError)):
+        with pytest.raises(error):
+            record._replace(**bad)
+        with pytest.raises(error):
+            type(record)._make({**record._asdict(), **bad}.values())
+    # ScanSpec's n is normalised on every path.
+    assert type(scan._replace(n=np.int64(5)).n) is int
+    assert scan._replace(a_max=3.0) == ScanSpec(1.0, 3.0, 4)
 
 
 def test_certify_increasing_for_zero_threshold():

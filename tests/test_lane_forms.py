@@ -169,7 +169,8 @@ def test_direction_form_detail_broadcasts_offsets_against_lanes():
 
 def _reference_ratio_parts(u: float, c: float) -> tuple[float, ...]:
     """ratio_parts as written for one pair before its lane form: the same
-    integrands with Python scalars u, c and m, one integrate call each."""
+    integrands with Python scalars u, c and m, each integrated by two
+    integrate calls, over [0, 5/8] and [5/8, 1], and summed."""
     from gammatail._lanes import _log1pmx_vec
 
     m_head = _substitution_order(u)
@@ -197,11 +198,15 @@ def _reference_ratio_parts(u: float, c: float) -> tuple[float, ...]:
         return np.exp(np.where(d < 0.5, bulk, deep)
                       + math.log(m_tail) - (1.0 + c))
 
-    head = integrate(head_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
-    tail = integrate(tail_fn, 0.0, 1.0, rel_tol=_RATIO_REL_TOL)
-    ratio = head.value / tail.value
-    return (head.value, tail.value, ratio, head.err_bound, tail.err_bound,
-            head.err_bound / tail.value + ratio * tail.err_bound / tail.value)
+    def both(fn):
+        lo = integrate(fn, 0.0, 0.625, rel_tol=_RATIO_REL_TOL)
+        hi = integrate(fn, 0.625, 1.0, rel_tol=_RATIO_REL_TOL)
+        return lo.value + hi.value, lo.err_bound + hi.err_bound
+
+    (head, head_err), (tail, tail_err) = both(head_fn), both(tail_fn)
+    ratio = head / tail
+    return (head, tail, ratio, head_err, tail_err,
+            head_err / tail + ratio * tail_err / tail)
 
 
 def _parts_hex(p) -> tuple[str, ...]:

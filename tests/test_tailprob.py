@@ -396,7 +396,9 @@ def test_tail_prob_many_rejects_offsets_of_another_length():
 
 def test_ratio_identity_at_deterministic_corners():
     # p(u+1, c) = 1 / (1 + R(u, c)) where R is the head/tail integral
-    # ratio of the shifted integrand.
+    # ratio of the shifted integrand.  From u = 1e8 the peak at x = 1, about
+    # u**-0.5 wide, is seen only by nodes next to s = 1 (up to u near 6.5e8
+    # at c = 0); reg_gamma_q converges at these (u + 1, u + 1 + c).
     for u, c in (
         (1.0, 0.5),
         (0.1, -0.3),
@@ -404,6 +406,10 @@ def test_ratio_identity_at_deterministic_corners():
         (5.0, -0.9),
         (0.5, -0.4),
         (19.0, 1.9),
+        (1e8, 0.0),
+        (1e8, -0.5),
+        (2e8, 5.0),
+        (6e8, 5.0),
     ):
         parts = ratio_parts(u, c)
         direct = reg_gamma_q(u + 1.0, u + 1.0 + c)
