@@ -28,7 +28,7 @@ from .errors import (CertificationError, ConvergenceError, DomainError,
 from .median import check_median_bracket, gamma_median
 from .oracle import oracle_gamma_q_many, oracle_tail_prob_many
 from .specfun import EPS, ONE_THIRD, STRICT_MARGIN
-from .tailprob import (direction_form_detail, integrand_ratio,
+from .tailprob import (_default_scan, direction_form_detail, integrand_ratio,
                        ratio_parts_many, tail_prob_many)
 
 _KERNEL_SHAPES = ScanSpec(1e-3, 1e4, 50)
@@ -66,10 +66,12 @@ def _result(cid: str, name: str, passed: bool, detail: str) -> CriterionResult:
 def _kernel_grid() -> tuple[np.ndarray, np.ndarray]:
     """C01's (a, x) lanes: n x in [0, a + 40 sqrt(a) + 40] per shape a."""
     n = _KERNEL_SHAPES.n
-    shapes = _KERNEL_SHAPES._grid_array()
-    x = np.concatenate([np.linspace(0.0, s + 40.0 * math.sqrt(s) + 40.0, n)
-                        for s in shapes.tolist()])
-    return np.repeat(shapes, n), x
+    shapes = _KERNEL_SHAPES.grid()
+    tops = np.array([s + 40.0 * math.sqrt(s) + 40.0 for s in shapes])
+    # Evenly spaced from 0, the last x exact, as ScanSpec spaces a linear grid.
+    x = np.arange(n) * (tops / (n - 1))[:, None]
+    x[:, -1] = tops
+    return np.repeat(shapes, n), x.ravel()
 
 
 def c01_kernel_accuracy(tol_scale: float = 1.0,
@@ -98,14 +100,12 @@ def c01_kernel_accuracy(tol_scale: float = 1.0,
 
 
 def _monotone_cases(cid: str, name: str, cases: Sequence[float],
-                    expected: str, a_min_of: Callable[[float], float],
-                    tol_scale: float) -> CriterionResult:
+                    expected: str, tol_scale: float) -> CriterionResult:
     required = STRICT_MARGIN / tol_scale
     lines = []
     ok = True
     for c in cases:
-        scan = ScanSpec(a_min_of(c), 200.0, 400, "log")
-        verdict = certify_monotone(c, scan)
+        verdict = certify_monotone(c, _default_scan(c))
         good = (verdict.direction == expected
                 and verdict.margin_ratio >= required)
         ok = ok and good
@@ -121,8 +121,7 @@ def c02_increasing_regime(tol_scale: float = 1.0,
     """Certified increasing tail probability for c >= 0."""
     return _monotone_cases(
         "C02", "increasing tail for c >= 0",
-        (0.0, 0.1, ONE_THIRD, 1.0, 5.0), "increasing",
-        lambda c: 0.01, tol_scale)
+        (0.0, 0.1, ONE_THIRD, 1.0, 5.0), "increasing", tol_scale)
 
 
 def c03_decreasing_regime(tol_scale: float = 1.0,
@@ -130,8 +129,7 @@ def c03_decreasing_regime(tol_scale: float = 1.0,
     """Certified decreasing tail probability for c <= -1/3."""
     return _monotone_cases(
         "C03", "decreasing tail for c <= -1/3",
-        (-ONE_THIRD - 1e-3, -0.5, -1.0, -2.0), "decreasing",
-        lambda c: -c + 0.01, tol_scale)
+        (-ONE_THIRD - 1e-3, -0.5, -1.0, -2.0), "decreasing", tol_scale)
 
 
 def c04_witnesses(tol_scale: float = 1.0,
@@ -228,7 +226,7 @@ def c08_direction_form_signs(tol_scale: float = 1.0,
     positive = (-0.33, -0.2, 0.0, 1.0)
     # One row per offset, one column per grid point.
     m, err = direction_form_detail(
-        branch_roots_many(np.linspace(0.001, 0.999, 1000)),
+        branch_roots_many(ScanSpec(0.001, 0.999, 1000, "linear").grid()),
         np.array(negative + positive)[:, None])
     lines = []
     ok = True
@@ -253,7 +251,7 @@ def c09_threshold_chain(tol_scale: float = 1.0,
     """All four reduction stages certified increasing with a common limit."""
     required = STRICT_MARGIN / tol_scale
     limit_tol = _LIMIT_TOL * tol_scale
-    ys = 1.0 + ScanSpec(1e-8, 1e6 - 1.0, 400)._grid_array()
+    ys = [1.0 + t for t in ScanSpec(1e-8, 1e6 - 1.0, 400).grid()]
     report = check_threshold_chain(ys)
     worst_limit = max(abs(v) for v in report.limit_excesses)
     passed = (report.certified

@@ -141,12 +141,13 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     For c in (-1/3, 0) whose valley a* = (8/135)/(c + 1/3) lies strictly
     inside (a_min, a_max), the three shapes (a_min, a*, min(8 a*, a_max))
     come first: if they certify a dip, the verdict is non_monotone with
-    that witness, and the grid adds nothing (a dip inside the range is the
+    that witness, and no grid is built (a dip inside the range is the
     verdict the grid reaches, or finds inside one of its intervals).
 
-    Otherwise the grid is evaluated once.  A direction is certified only if
-    every consecutive difference carries a certified strict sign and all
-    signs agree.  Opposite certified signs yield a non_monotone verdict
+    Otherwise scan.grid() is built, raising DomainError for a range too
+    narrow for its points, and evaluated in one tail_prob_many call.  A
+    direction is certified only if every consecutive difference carries a
+    certified strict sign and all signs agree.  Opposite certified signs yield a non_monotone verdict
     with a Witness.  A difference too small for its error bounds makes the
     verdict inconclusive, naming the first such grid interval: halves
     certifying one common sign would have certified the interval itself
@@ -164,7 +165,6 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
             "scan enters the plateau interior (a_min < -c) where the tail "
             "probability is identically 1; start the scan at -c or above")
 
-    grid = scan._grid_array()
     if -ONE_THIRD < c < 0.0:
         a, witness, w_ratio = _formula_dip(c, float(scan.a_min),
                                            float(scan.a_max))
@@ -174,6 +174,7 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
                 margin_ratio=w_ratio, interval=None,
                 detail=f"certified dip at three points a={a!r}, placed by "
                        "the valley formula (8/135)/(c + 1/3)")
+    grid = scan.grid()
     p, e = tail_prob_many(grid, c)
     d = p[1:] - p[:-1]
     err_sum = e[:-1] + e[1:]
@@ -185,14 +186,13 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     unresolved = np.flatnonzero(sign == 0)
 
     if len(ratios) == 2:
-        witness, w_ratio = _witness_from_points(grid.tolist(), p.tolist(),
-                                                e.tolist())
+        witness, w_ratio = _witness_from_points(grid, p.tolist(), e.tolist())
         if witness is None:
-            ends = ([unresolved[0], unresolved[0] + 1] if unresolved.size
-                    else [0, -1])
+            lo, hi = ((unresolved[0], unresolved[0] + 1) if unresolved.size
+                      else (0, -1))
             return MonotoneVerdict(
                 direction="inconclusive", c=c, scan=scan, witness=None,
-                margin_ratio=0.0, interval=tuple(grid[ends].tolist()),
+                margin_ratio=0.0, interval=(grid[lo], grid[hi]),
                 detail="opposite certified signs found but no witness triple "
                        "met the margin discipline")
         return MonotoneVerdict(
@@ -202,7 +202,7 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
                    f"({scan.n} grid points)")
     if unresolved.size:
         k = unresolved[0]
-        a_lo, a_hi = grid[[k, k + 1]].tolist()
+        a_lo, a_hi = grid[k], grid[k + 1]
         return MonotoneVerdict(
             direction="inconclusive", c=c, scan=scan, witness=None,
             margin_ratio=float(ratio[k]), interval=(a_lo, a_hi),

@@ -102,25 +102,24 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scan_flags(parser: argparse.ArgumentParser, *,
-                    n_default: int = 400) -> None:
-    parser.add_argument("--a-min", type=float, default=None,
-                        help="smallest shape parameter")
-    parser.add_argument("--a-max", type=float, default=200.0,
-                        help="largest shape parameter")
+                    n_default: Optional[int] = None) -> None:
+    parser.add_argument("--a-min", type=float, help="smallest shape parameter")
+    parser.add_argument("--a-max", type=float, help="largest shape parameter")
     parser.add_argument("--n", type=int, default=n_default,
                         help="number of grid points")
-    parser.add_argument("--scale", choices=("linear", "log"), default="log",
+    parser.add_argument("--scale", choices=("linear", "log"),
                         help="grid spacing")
 
 
-def _scan_spec(args: argparse.Namespace, c: float) -> ScanSpec:
-    from .tailprob import ScanSpec
+def _scan_spec(args: argparse.Namespace,
+               c: Optional[float] = None) -> ScanSpec:
+    """The scan the flags name; a flag left out takes tailprob's default
+    scan of offset c."""
+    from .tailprob import _default_scan
 
-    a_min = args.a_min
-    if a_min is None:
-        a_min = 0.01 if c >= 0.0 else -c + 0.01
-    return ScanSpec(a_min=a_min, a_max=args.a_max, n=args.n,
-                    scale=args.scale)
+    given = {name: value for name in ("a_min", "a_max", "n", "scale")
+             if (value := getattr(args, name)) is not None}
+    return _default_scan(c, **given)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -171,10 +170,10 @@ def _cmd_median(args: argparse.Namespace) -> int:
     if args.a is not None:
         shapes = [args.a]
     else:
-        if args.a_min is None or args.a_max is None:
+        if args.a_min is None:
             raise DomainError(
                 "median requires either --a or both --a-min and --a-max")
-        shapes = _scan_spec(args, 0.0).grid()   # a_min given: c is unused
+        shapes = _scan_spec(args).grid()
     rows = [gamma_median(a) for a in shapes]
     _emit_rows(args, ("a", "median", "offset", "residual"), rows)
     return _EXIT_OK

@@ -21,11 +21,11 @@ integrand ratio r(z) and the direction form
 
 whose sign is opposite to the sign of dr/dz.
 
-ScanSpec builds every shape grid of scans, certification and acceptance.
-The scalar functions and a log-scale ScanSpec.grid import the standard
-library alone; a linear grid, ScanSpec._grid_array, tail_prob_many and
-ratio_parts(_many) import numpy, the lane kernels and quadrature when
-called, so a one-shape evaluation never loads them.
+ScanSpec builds every shape grid of scans, certification and acceptance,
+and _default_scan gives the scan of an offset that names no range.  The
+scalar functions and ScanSpec import the standard library alone;
+tail_prob_many and ratio_parts(_many) import numpy, the lane kernels and
+quadrature when called, so a one-shape evaluation never loads them.
 direction_form(_detail) and integrand_ratio take a BranchRoots or the lanes
 of _lanes.branch_roots_many, with one offset or one per lane; on lanes each
 value is bit-identical to the scalar call.
@@ -36,7 +36,7 @@ import math
 import operator
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import DomainError, GammaTailError
 from .specfun import (
@@ -165,48 +165,38 @@ class ScanSpec(_ScanSpecFields):
         return super().__new__(cls, a_min, a_max, n, scale)
 
     def grid(self) -> tuple[float, ...]:
-        """The shapes, a_min and a_max exact.  Log point i is one libm pow,
-        10 ** (l0 + (l1 - l0) i / (n - 1)) with l = log10 of the ends, its
-        exponent taken in Python floats, so a log grid loads no numpy; a
-        linear grid is _grid_array's.  A range too narrow for n increasing
-        doubles is rejected."""
+        """The shapes in Python floats, a_min and a_max exact.  Log point i
+        is one libm pow, 10 ** (l0 + (l1 - l0) i / (n - 1)) with l = log10
+        of the ends; linear point i is a_min + i step with step = (a_max -
+        a_min) / (n - 1), rounded as numpy's evenly spaced grid rounds it.
+        A range too narrow for n increasing doubles is rejected."""
+        lo, hi, last = float(self.a_min), float(self.a_max), self.n - 1
         if self.scale == "linear":
-            return tuple(self._grid_array().tolist())
-        l0, l1 = math.log10(self.a_min), math.log10(self.a_max)
-        last = self.n - 1
-        grid = self._log_points(l0 + (l1 - l0) * i / last
-                                for i in range(1, last))
-        if not all(map(operator.lt, grid, grid[1:])):
-            raise self._too_narrow()
-        return grid
-
-    def _grid_array(self) -> np.ndarray:
-        """grid() as a float array.  The log exponents are taken over
-        np.arange, whose + - * / round them as Python floats do on every
-        SIMD path, and faster."""
-        import numpy as np
-
-        if self.scale == "linear":
-            grid = np.linspace(self.a_min, self.a_max, self.n)
+            step = (hi - lo) / last
+            inner = [lo + i * step for i in range(1, last)]
         else:
-            l0, l1 = math.log10(self.a_min), math.log10(self.a_max)
-            expo = l0 + (l1 - l0) * np.arange(1, self.n - 1) / (self.n - 1)
-            grid = np.array(self._log_points(expo.tolist()))
-        if not np.all(grid[:-1] < grid[1:]):
-            raise self._too_narrow()
+            l0, l1 = math.log10(lo), math.log10(hi)
+            try:
+                inner = [10.0 ** (l0 + (l1 - l0) * i / last)
+                         for i in range(1, last)]
+            except OverflowError:   # inf steps back to a_max: rejected
+                inner = [math.inf]
+        grid = (lo, *inner, hi)
+        if not all(map(operator.lt, grid, grid[1:])):
+            raise DomainError(f"scan range is too narrow for {self.n} "
+                              "strictly increasing shapes")
         return grid
 
-    def _log_points(self, exponents) -> tuple[float, ...]:
-        """a_min, one libm power 10 ** e per exponent e, then a_max."""
-        try:
-            inner = [10.0 ** e for e in exponents]
-        except OverflowError:       # inf steps back to a_max: rejected
-            inner = [math.inf]
-        return (float(self.a_min), *inner, float(self.a_max))
 
-    def _too_narrow(self) -> DomainError:
-        return DomainError(f"scan range is too narrow for {self.n} "
-                           "strictly increasing shapes")
+def _default_scan(c: Optional[float], a_min: Optional[float] = None,
+                  a_max: float = 200.0, n: int = 400,
+                  scale: str = "log") -> ScanSpec:
+    """The scan of offset c, for the bounds a caller leaves out: from 0.01
+    past the plateau edge max(-c, 0) (c is read only then) to 200, 400
+    shapes spaced in log10(a)."""
+    if a_min is None:
+        a_min = 0.01 if c >= 0.0 else -c + 0.01
+    return ScanSpec(a_min, a_max, n, scale)
 
 
 def tail_prob_many(a, c) -> tuple[np.ndarray, np.ndarray]:
@@ -374,28 +364,35 @@ def ratio_parts_many(u, c) -> list[RatioParts]:
 
 
 def _ratio_parts_of(u: float, c: float, heads, tails) -> RatioParts:
-    """RatioParts from the head's and the tail's two QuadResults, each
-    part's sum above 0.
+    """RatioParts from the head's and the tail's two QuadResults.
 
-    An integral of 0 is an underflow only if its integrand's peak, m e^-(1+c)
-    at x = 1 for substitution order m (inf once e^-(1+c) overflows), is
-    below the normal range; otherwise the quadrature missed a peak about
-    u^(-1/2) wide.
+    Each part is at least its integral over the width w next to x = 1, w =
+    1/2 up to u = 4 and u^(-1/2) past it, where f(x)^u >= e^-1 and
+    e^-(1+c)x >= e^(-(1+c) - |1+c| w).  A part whose value and bound stay
+    below w e^(-1 - (1+c) - |1+c| w), or that is 0 while its peak m e^-(1+c)
+    at x = 1 (substitution order m; inf once e^-(1+c) overflows) is normal,
+    missed that peak, about u^(-1/2) wide.  Any other part of 0 is an
+    underflow.
     """
     (head, head_err), (tail, tail_err) = (
         (lo.value + hi.value, lo.err_bound + hi.err_bound)
         for lo, hi in (heads, tails))
-    for name, part, order in (("head", head, u), ("tail", tail, u + c)):
-        if not part > 0.0:
-            peak = (_substitution_order(order) * math.exp(-(1.0 + c))
-                    if c > -_LOG_MAX else math.inf)
-            if peak >= _MIN_NORMAL:
-                raise DomainError(
-                    f"ratio_parts at u={u!r}, c={c!r}: the quadrature misses "
-                    f"the {name} integrand's peak {peak!r} at x = 1, about "
-                    "u**-0.5 wide")
-            raise DomainError(f"ratio_parts at u={u!r}, c={c!r}: an "
-                              "integral underflows to 0")
+    width = 0.5 if u <= 4.0 else u ** -0.5
+    floor = math.exp(min(math.log(width) - 1.0 - (1.0 + c)
+                         - abs(1.0 + c) * width, _LOG_DBL_MAX))
+    for name, part, err, order in (("head", head, head_err, u),
+                                   ("tail", tail, tail_err, u + c)):
+        if part > 0.0 and part + err >= floor:
+            continue
+        peak = (_substitution_order(order) * math.exp(-(1.0 + c))
+                if c > -_LOG_MAX else math.inf)
+        if part + err < floor or peak >= _MIN_NORMAL:
+            raise DomainError(
+                f"ratio_parts at u={u!r}, c={c!r}: the quadrature misses "
+                f"the {name} integrand's peak {peak!r} at x = 1, about "
+                "u**-0.5 wide")
+        raise DomainError(f"ratio_parts at u={u!r}, c={c!r}: an "
+                          "integral underflows to 0")
     ratio = head / tail
     ratio_err = head_err / tail + ratio * tail_err / tail
     return RatioParts(u=u, c=c, head_integral=head, tail_integral=tail,

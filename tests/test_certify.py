@@ -110,18 +110,36 @@ def test_a_log_grid_ending_at_the_largest_double_warns_nothing():
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
-def test_log_grid_in_python_floats_equals_the_array_path_bit_for_bit():
-    # 3,000 seeded specs: a_min from 1e-5 to 1e5, spans up to 1e8 and n
-    # from 3 to 600.  Python's float arithmetic rounds the exponents as
-    # numpy's does over np.arange, so every point keeps its bits.
+def _seeded_specs(scale):
+    """3,000 seeded specs: a_min from 1e-5 to 1e5, spans up to 1e8 and n
+    from 3 to 600."""
     rng = random.Random(37)
     for _ in range(3000):
         a_min = 10.0 ** rng.uniform(-5.0, 5.0)
-        scan = ScanSpec(a_min, a_min * 10.0 ** rng.uniform(1e-3, 8.0),
-                        rng.randint(3, 600))
+        yield ScanSpec(a_min, a_min * 10.0 ** rng.uniform(1e-3, 8.0),
+                       rng.randint(3, 600), scale)
+
+
+def test_log_grid_is_one_libm_power_per_interior_point():
+    for scan in _seeded_specs("log"):
+        l0, l1 = math.log10(scan.a_min), math.log10(scan.a_max)
+        last = scan.n - 1
         grid = scan.grid()
         assert all(type(a) is float for a in grid)
-        assert np.array_equal(np.array(grid), scan._grid_array()), scan
+        assert grid == (scan.a_min,
+                        *(10.0 ** (l0 + (l1 - l0) * i / last)
+                          for i in range(1, last)),
+                        scan.a_max), scan
+
+
+def test_linear_grid_equals_numpy_linspace_bit_for_bit():
+    # Point i is a_min + i * step, the last one a_max itself: numpy's
+    # evenly spaced grid, to the last bit, from floats alone.
+    for scan in _seeded_specs("linear"):
+        grid = scan.grid()
+        assert all(type(a) is float for a in grid)
+        assert np.array_equal(np.array(grid),
+                              np.linspace(scan.a_min, scan.a_max, scan.n)), scan
 
 
 def test_witness_container_enforces_valley_shape():
@@ -533,6 +551,9 @@ def _count_evaluations(monkeypatch):
 
 def test_certify_settles_a_band_scan_from_three_points(monkeypatch):
     # Scans as the bench's: from the plateau edge, 400 log points up to 200.
+    # The triple settles each before any grid is built.
+    grids = []
+    monkeypatch.setattr(ScanSpec, "grid", lambda scan: grids.append(scan))
     rng = random.Random(1)
     for _ in range(12):
         c = rng.uniform(-1.0 / 3.0 + 1e-3, -1e-3)
@@ -543,6 +564,7 @@ def test_certify_settles_a_band_scan_from_three_points(monkeypatch):
         assert lanes == []
         assert v.direction == "non_monotone"
         assert (v.witness.a1, v.witness.a2, v.witness.a3) == tuple(scalar)
+    assert grids == []
 
 
 @pytest.mark.parametrize("c, scan, triple_calls, direction, detail", [
@@ -587,16 +609,27 @@ def test_certify_band_verdicts_agree_with_the_grid_alone(monkeypatch):
 
 
 def test_certify_validates_a_band_scan_before_its_triple(monkeypatch):
-    a2 = (8.0 / 135.0) / (-0.2 + 1.0 / 3.0)
     lanes, scalar = _count_evaluations(monkeypatch)
     for c, scan, message in (
             (-0.2, ScanSpec(0.1, 200.0, 400), "plateau interior"),
-            (math.nan, ScanSpec(0.2, 200.0, 400), "^c must be finite$"),
-            (-0.2, ScanSpec(a2 * (1.0 - 20 * ULP), a2 * (1.0 + 20 * ULP),
-                            400), "too narrow")):
+            (math.nan, ScanSpec(0.2, 200.0, 400), "^c must be finite$")):
         with pytest.raises(DomainError, match=message):
             certify_monotone(c, scan)
     assert lanes == [] and scalar == []
+
+
+def test_certify_rejects_a_band_range_too_narrow_after_its_triple(
+        monkeypatch):
+    # The valley lies strictly inside a range 40 ulps wide: its three
+    # points differ far less than their margins, so the triple leaves the
+    # verdict open and the grid's own check refuses the range.
+    a2 = (8.0 / 135.0) / (-0.2 + 1.0 / 3.0)
+    scan = ScanSpec(a2 * (1.0 - 20 * ULP), a2 * (1.0 + 20 * ULP), 400)
+    assert scan.a_min < a2 < scan.a_max
+    lanes, scalar = _count_evaluations(monkeypatch)
+    with pytest.raises(DomainError, match="too narrow"):
+        certify_monotone(-0.2, scan)
+    assert lanes == [] and scalar == [scan.a_min, a2, scan.a_max]
 
 
 def test_witness_from_points_takes_the_leftmost_of_tied_points():

@@ -2,7 +2,7 @@
 
 ``import gammatail`` resolves its exports on first access (PEP 562), so a
 cold command pays only for the layers it runs.  The scalar commands
-(``eval``, ``median --a``, ``median`` over a log grid) and the parser must
+(``eval``, ``median --a``, ``median`` over a grid) and the parser must
 not load numpy or the batched, quadrature, oracle and acceptance layers,
 and no command loads ``numpy.random``, ``numpy.polynomial``,
 ``fractions``, ``decimal`` or ``dataclasses``; fresh interpreters check
@@ -90,11 +90,14 @@ def test_import_gammatail_loads_no_submodule_and_no_numpy():
 @pytest.mark.parametrize("args", [["eval", "--a", "5", "--c", "0.1"],
                                   ["median", "--a", "2"],
                                   ["median", "--a-min", "1", "--a-max", "2",
-                                   "--n", "3"]],
-                         ids=["eval", "median", "median-log-grid"])
+                                   "--n", "3"],
+                                  ["median", "--a-min", "1", "--a-max", "2",
+                                   "--n", "3", "--scale", "linear"]],
+                         ids=["eval", "median", "median-log-grid",
+                              "median-linear-grid"])
 def test_scalar_commands_load_no_numpy_and_no_batch_layer(args):
-    # A log grid is libm powers in Python floats: a median over one solves
-    # shape by shape without numpy.
+    # Every grid is built in Python floats, libm powers on a log scale: a
+    # median over one solves shape by shape without numpy.
     loaded = _loaded(args)
     assert "gammatail.tailprob" in loaded
     assert loaded & _BATCH_LAYERS == set()
@@ -114,13 +117,10 @@ def test_help_loads_neither_acceptance_nor_numpy():
 @pytest.mark.parametrize("args, layers", [
     (["scan", "--c", "0.5", "--n", "5"],
      {"_lanes", "_series", "cli", "errors", "specfun", "tailprob"}),
-    (["median", "--a-min", "1", "--a-max", "2", "--n", "3", "--scale",
-      "linear"],
-     {"_series", "cli", "errors", "median", "specfun", "tailprob"}),
-], ids=["scan", "median-grid"])
+], ids=["scan"])
 def test_grid_commands_load_numpy_but_no_certification_layer(args, layers):
-    # ScanSpec lives in tailprob: a scan's lanes and a linear grid need
-    # numpy, not certify, quadrature or the double-double layer.
+    # ScanSpec lives in tailprob: a scan's lanes need numpy, not certify,
+    # quadrature or the double-double layer.
     loaded = _loaded(args)
     assert "numpy" in loaded
     assert {m for m in loaded if m.startswith("gammatail.")} == {

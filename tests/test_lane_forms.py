@@ -297,7 +297,7 @@ def test_ordered_extreme_is_the_builtin_over_one_list(pick, start, fill,
 
 # The shapes of a certify scan; from c = 1 on, every lane takes the
 # continued fraction.
-_CF_SCAN = ScanSpec(0.01, 200.0, 400)._grid_array()
+_CF_SCAN = np.array(ScanSpec(0.01, 200.0, 400).grid())
 
 
 def _cf_lanes_hex(a, x):

@@ -161,6 +161,12 @@ def test_no_module_spaces_a_grid_with_numpy_geomspace_or_logspace():
     ), _BANNED_GRIDS) == {"numpy.logspace", "np.geomspace"}
 
 
+def test_no_module_spaces_a_grid_with_numpy_linspace():
+    # ScanSpec.grid() builds every grid, linear ones too, in Python floats.
+    assert {module: uses for module, tree in TREES.items()
+            if (uses := _banned_numpy_uses(tree, {"linspace"}))} == {}
+
+
 def test_no_module_imports_fractions_or_decimal_when_imported():
     # Fraction arithmetic is for rebuilding tables, inside the builder.
     assert {module: found for module, tree in TREES.items()
@@ -480,6 +486,8 @@ LANE_FORMS = {
 # Loops of acceptance.py that still call a package function once per point,
 # (criterion function, callee) -> why no lane form serves.
 PER_POINT_LOOPS = {
+    ("_monotone_cases", "_default_scan"):
+        "builds each offset's ScanSpec, a record with no lane form",
     ("_monotone_cases", "certify_monotone"):
         "one certification per offset, each scanning its 400 shapes on "
         "lanes; C02 and C03 take five and four offsets",

@@ -398,7 +398,9 @@ def test_ratio_identity_at_deterministic_corners():
     # p(u+1, c) = 1 / (1 + R(u, c)) where R is the head/tail integral
     # ratio of the shifted integrand.  From u = 1e8 the peak at x = 1, about
     # u**-0.5 wide, is seen only by nodes next to s = 1 (up to u near 6.5e8
-    # at c = 0); reg_gamma_q converges at these (u + 1, u + 1 + c).
+    # at c = 0); reg_gamma_q converges at these (u + 1, u + 1 + c).  At
+    # (1e6, 700) and (1e6, 705) both parts are tiny, 1e-307 to 1e-310,
+    # because e^-(1+c) is, and still return.
     for u, c in (
         (1.0, 0.5),
         (0.1, -0.3),
@@ -410,6 +412,8 @@ def test_ratio_identity_at_deterministic_corners():
         (1e8, -0.5),
         (2e8, 5.0),
         (6e8, 5.0),
+        (1e6, 700.0),
+        (1e6, 705.0),
     ):
         parts = ratio_parts(u, c)
         direct = reg_gamma_q(u + 1.0, u + 1.0 + c)
@@ -448,9 +452,14 @@ def test_ratio_parts_rejects_an_integral_that_underflows():
 
 def test_ratio_parts_names_a_peak_its_quadrature_misses():
     # From u = 1e9 both integrals are about 1.5e-5, but the peak at x = 1,
-    # about u**-0.5 wide, falls between the nodes and both come back 0.  The
-    # head's peak is m e^-(1+c) with substitution order m = 4.
-    for u, c in ((1e9, 0.0), (1e9, 5.0), (1e12, -0.5)):
+    # about u**-0.5 wide, falls between the nodes and both come back 0.  At
+    # u = 6.5e8 the head comes back subnormal, accepted under the
+    # quadrature's 1e-320 absolute floor, though each part is at least
+    # w e^(-1 - (1+c) - |1+c| w) with w = u**-0.5 (p(u + 1, c) is about 1/2
+    # there, so the true ratio is about 1).  The head's peak is m e^-(1+c)
+    # with substitution order m = 4.
+    for u, c in ((1e9, 0.0), (1e9, 5.0), (1e12, -0.5), (6.5e8, -0.5),
+                 (6.5e8, 0.0), (6.5e8, 5.0)):
         peak = 4.0 * math.exp(-(1.0 + c))
         with pytest.raises(DomainError) as info:
             ratio_parts(u, c)
