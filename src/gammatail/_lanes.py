@@ -73,8 +73,6 @@ _FOLD_BLOCK = 32
 # to 14%.  Up to a = 1e6 a hand-off at 32 was 16-27% faster than at 64.
 _CF_BLOCK = 16
 _LOCKSTEP_MIN_LANES = 64
-# Values per Python list when _ordered_extreme walks an array.
-_ORDERED_CHUNK = 1024
 
 _ZETA_COEF = np.array(specfun._ZETA_TABLE)
 # (-1)^k k: dividing by it rounds exactly as _lgamma1p's -(z * a^k / k).
@@ -177,17 +175,6 @@ def _per_lane(fn, values: np.ndarray) -> np.ndarray:
     """fn applied to each lane's Python float, one scalar call per lane."""
     return np.fromiter(map(fn, values.tolist()), dtype=float,
                        count=values.size)
-
-
-def _ordered_extreme(pick, start: float, values: np.ndarray) -> float:
-    """pick (the builtin min or max) over start and then values in C order,
-    as one call over one list takes it: ties keep the first value, so of
-    two equal signed zeros the earlier, and NaN never wins.  The values
-    are walked in chunks, so no Python list of every lane is built."""
-    flat = values.ravel()
-    for i in range(0, flat.size, _ORDERED_CHUNK):
-        start = pick([start, *flat[i:i + _ORDERED_CHUNK].tolist()])
-    return start
 
 
 # The transcendentals of specfun's shared formulas, one scalar call per lane.

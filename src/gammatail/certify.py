@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._dd import central_difference, mean_gaps
-from ._lanes import _expm1, _log1p, _log1pmx_vec, _ordered_extreme
+from ._lanes import _expm1, _log1p, _log1pmx_vec
 from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
@@ -558,9 +558,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
     chain_ok = np.all(gaps > STRICT_MARGIN * errs, axis=0)
     ratios = (gaps / errs).T
     err = errs.max(axis=0)
-    # The builtin min over the ratios in pair order keeps the first of two
-    # equal signed zeros; np.min may return either.
-    min_ratio = _ordered_extreme(min, math.inf, ratios)
+    min_ratio = float(ratios.min())
     columns = (x, y, geo, lm, ref, ari, *gaps, err, extended, chain_ok)
     for column in columns:
         column.flags.writeable = False

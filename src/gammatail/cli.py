@@ -171,8 +171,8 @@ def _cmd_median(args: argparse.Namespace) -> int:
         shapes = [args.a]
     else:
         if args.a_min is None:
-            raise DomainError(
-                "median requires either --a or both --a-min and --a-max")
+            raise DomainError("median requires either --a or --a-min "
+                              "(--a-max defaults to 200)")
         shapes = _scan_spec(args).grid()
     rows = [gamma_median(a) for a in shapes]
     _emit_rows(args, ("a", "median", "offset", "residual"), rows)

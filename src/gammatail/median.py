@@ -263,8 +263,6 @@ def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     """
     import numpy as np
 
-    from ._lanes import _ordered_extreme
-
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1:
         raise DomainError("check_median_bracket takes a 1-D grid of shapes")
@@ -273,9 +271,8 @@ def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     p, errs = (v.reshape(-1, 2) for v in tail_prob_many(
         np.repeat(a, 2), np.tile((0.0, -ONE_THIRD), a.size)))
     margins = np.stack((0.5 - p[:, 0], p[:, 1] - 0.5), axis=1)
-    # margin / max(err, 1e-300), and the builtin min over them in grid order.
-    ratios = margins / np.where(1e-300 > errs, 1e-300, errs)
-    min_ratio = _ordered_extreme(min, math.inf, ratios)
+    ratios = margins / np.maximum(errs, 1e-300)
+    min_ratio = float(ratios.min())
     certified = bool(np.all((margins > 0.0) & (ratios > STRICT_MARGIN)))
     entries = tuple(map(MedianBracketCheck, a.tolist(), *margins.T.tolist(),
                         *errs.T.tolist()))

@@ -211,14 +211,9 @@ def _numerators(a: np.ndarray, x: np.ndarray, lo_of: np.ndarray,
     return _Intervals(form, a, np.where(big & ~far, t0, x), lo, hi)
 
 
-def _integrals(iv: _Intervals, order: np.ndarray) -> np.ndarray:
-    """Each interval's integral, to half the oracle's target.
-
-    Each form's intervals run in one integrate_many call.  If one fails,
-    the intervals are replayed one at a time in the given order, so the
-    QuadratureError raised is the one the first failing interval in that
-    order raises.
-    """
+def _integrals(iv: _Intervals) -> np.ndarray:
+    """Each interval's integral, to half the oracle's target; each form's
+    intervals run in one integrate_many call."""
     def values_of(idx: np.ndarray) -> list[float]:
         form, a, ref = _FORMS[iv.form[idx[0]]], iv.a[idx], iv.ref[idx]
         return [r.value for r in integrate_many(
@@ -226,15 +221,10 @@ def _integrals(iv: _Intervals, order: np.ndarray) -> np.ndarray:
             rel_tol=_HALF_TOL)]
 
     vals = np.empty(iv.form.size)
-    try:
-        for i in range(len(_FORMS)):
-            idx = np.flatnonzero(iv.form == i)
-            if idx.size:
-                vals[idx] = values_of(idx)
-    except QuadratureError:
-        for k in order.tolist():
-            values_of(np.array([k]))
-        raise
+    for i in range(len(_FORMS)):
+        idx = np.flatnonzero(iv.form == i)
+        if idx.size:
+            vals[idx] = values_of(idx)
     return vals
 
 
@@ -262,9 +252,9 @@ def oracle_gamma_q_many(a, x) -> list:
     through integrate_many, one call per integrand form, and the connecting
     prefactors of all x beyond the peak come from one dd_log call; each
     value equals the one-lane call exactly.  Arguments are validated before
-    any integration.  A QuadratureError is the one the lowest-indexed
-    failing lane raises: each shape's normalisation counts as part of its
-    first lane.
+    any integration.  If a quadrature fails, the lanes with x > 0 are
+    replayed as one-lane calls in lane order, so the QuadratureError raised
+    is the one a loop of one-lane calls raises first.
     """
     a, x = _validated(a, x)
     q = np.ones(a.size)
@@ -272,7 +262,7 @@ def oracle_gamma_q_many(a, x) -> list:
     if lanes.size:
         a_l = a.ravel()[lanes]
         x_l = x.ravel()[lanes]
-        s, first, of = np.unique(a_l, return_index=True, return_inverse=True)
+        s, of = np.unique(a_l, return_inverse=True)
         heads, tails = _heads_and_tails(s)
         small = s < _A_BIG
         tail_of = np.cumsum(small) - 1 + s.size
@@ -280,11 +270,13 @@ def oracle_gamma_q_many(a, x) -> list:
         spans = heads.hi.copy()
         spans[small] = tails.hi
         nums = _numerators(a_l, x_l, heads.lo[of], spans[of])
-        # The order a loop of one-lane calls takes the quadratures in.
-        order = np.lexsort((
-            np.repeat([0, 1, 2], [s.size, tails.a.size, lanes.size]),
-            np.concatenate((first, first[small], np.arange(lanes.size)))))
-        vals = _integrals(_joined(heads, tails, nums), order)
+        try:
+            vals = _integrals(_joined(heads, tails, nums))
+        except QuadratureError:
+            if lanes.size > 1:
+                for a_i, x_i in zip(a_l.tolist(), x_l.tolist()):
+                    oracle_gamma_q_many(a_i, (x_i,))
+            raise
         num = vals[s.size + tails.a.size:]
         norm = vals[of]
         q_l = np.empty(lanes.size)

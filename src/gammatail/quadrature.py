@@ -8,17 +8,17 @@ accepted as converged.  Non-convergence raises QuadratureError carrying the
 best estimate; the engine never silently returns a value that missed its
 target.
 
-The engine runs in lockstep: integrate_many advances up to _GROUP intervals
-together, and each refinement sweep evaluates every live panel of every
-interval (both bisection halves, plus the parent panels on the first sweep)
-in integrand calls of up to _CHUNK panels: the nodes one row per panel, and
-the owners, each panel's interval index, one per panel as a column that
-broadcasts against the nodes.  Live panels stay grouped by interval.  The
-books are arrays: per interval the accepted-value and evaluation counts and
-plain running sums of the accepted values and of their magnitudes, and per
-sweep the accepted children's values and defects, each tagged with its
-interval.  So a sweep is a fixed set of numpy operations, however many
-intervals are live.
+The engine runs in lockstep: integrate_many advances all of a call's
+intervals together, and each refinement sweep evaluates every live panel of
+every interval (both bisection halves, plus the parent panels on the first
+sweep) in integrand calls of up to _CHUNK panels: the nodes one row per
+panel, and the owners, each panel's interval index, one per panel as a
+column that broadcasts against the nodes.  Live panels stay grouped by
+interval.  The books are arrays: per interval the accepted-value and
+evaluation counts and plain running sums of the accepted values and of their
+magnitudes, and per sweep the accepted children's values and defects, each
+tagged with its interval.  So a sweep is a fixed set of numpy operations,
+however many intervals are live.
 
 Acceptance, the panel budget, the sweep limit and the fsum accumulation
 stay per interval, so each interval's result is bit-identical to
@@ -30,9 +30,9 @@ magnitudes, plus the sums of its live values and magnitudes that sweep;
 np.bincount adds each interval's own panels alone, in panel order, so
 these do not depend on the other intervals either.  Each result takes its
 fsums once, at the end.  The engine raises the first failure it meets;
-integrate_many then replays the failing group's intervals one at a time, so
-the error is the one a loop of integrate calls raises first.  The routine
-is single-threaded and bit-deterministic.
+integrate_many then replays the intervals one at a time, so the error is
+the one a loop of integrate calls raises first.  The routine is
+single-threaded and bit-deterministic.
 """
 from __future__ import annotations
 
@@ -56,15 +56,10 @@ _MAX_SWEEPS = 120
 # bytes, and 3 spends the fewest evaluations of those.
 _PRE_SPLIT = 3
 _MAX_PANELS = 10_000
-# The most intervals integrate_many advances in lockstep, and the most
-# panels one integrand call takes; together they bound the engine's memory
-# whatever the number of intervals.  Measured on C01's 2,530 oracle
-# quadratures in a cold verify-all: groups of 256, 512 and 1,024 take 40,
-# 28 and 23 sweeps.  Groups of 1,024 ran a cold verify-all no faster than
-# 512 and its peak RSS no lower (median of 12 runs each).  One integrand
-# call per sweep over a group of 256 raised C01's peak traced memory to
-# 8.8 MB; calls of 512 panels keep it near 2 MB.
-_GROUP = 512
+# The most panels one integrand call takes, which bounds the memory of each
+# call whatever the number of intervals: one integrand call per sweep over
+# 256 of C01's intervals raised its peak traced memory to 8.8 MB; calls of
+# 512 panels keep it near 2 MB.
 _CHUNK = 512
 
 # The 15-point Gauss-Legendre rule on [-1, 1], as numpy's
@@ -140,7 +135,7 @@ def _alloc(tol: np.ndarray, mass: np.ndarray, abs_vals: np.ndarray,
 
 
 class _Accepted:
-    """The accepted panels of a group of intervals, one array per sweep:
+    """The accepted panels of the intervals, one array per sweep:
     owning interval, children's values (left, right) and defect."""
 
     def __init__(self) -> None:
@@ -328,33 +323,27 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    los: Sequence[float], his: Sequence[float], *,
                    rel_tol: float = 1e-10) -> list[QuadResult]:
-    """Integrate fn over each [los[k], his[k]], up to _GROUP intervals in
-    lockstep at a time.
+    """Integrate fn over each [los[k], his[k]], all intervals in one
+    lockstep pass.
 
     fn(t, k) is elementwise over a (panels, GAUSS_ORDER) array t of nodes,
     one row per panel; k is the (panels, 1) column of each row's interval
     index, so per-interval parameters indexed by k broadcast against t.
     Each result equals, field for field,
     what integrate would return for that interval alone (see integrate for
-    the tolerance and acceptance rules).  If any interval of a group fails,
-    the group's intervals are replayed one at a time, so the
+    the tolerance and acceptance rules).  If any interval fails, the
+    intervals are replayed one at a time in index order, so the
     QuadratureError raised is the one a loop of integrate calls raises
     first.
     """
     if len(his) != len(los):
         raise ValueError("los and his must have the same length")
-    out: list[QuadResult] = []
-    for start in range(0, len(los), _GROUP):
-        group_los = los[start:start + _GROUP]
-        group_his = his[start:start + _GROUP]
-        try:
-            out += _sweeps(lambda t, own: fn(t, own + start), group_los,
-                           group_his, rel_tol)
-        except QuadratureError:
-            for k, (lo, hi) in enumerate(zip(group_los, group_his), start):
-                _sweeps(lambda t, own: fn(t, own + k), (lo,), (hi,), rel_tol)
-            raise
-    return out
+    try:
+        return _sweeps(fn, los, his, rel_tol)
+    except QuadratureError:
+        for k, (lo, hi) in enumerate(zip(los, his)):
+            _sweeps(lambda t, own: fn(t, own + k), (lo,), (hi,), rel_tol)
+        raise
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,

@@ -192,9 +192,11 @@ def _default_scan(c: Optional[float], a_min: Optional[float] = None,
                   a_max: float = 200.0, n: int = 400,
                   scale: str = "log") -> ScanSpec:
     """The scan of offset c, for the bounds a caller leaves out: from 0.01
-    past the plateau edge max(-c, 0) (c is read only then) to 200, 400
-    shapes spaced in log10(a)."""
+    past the plateau edge max(-c, 0) (c is read only then, and must be
+    finite) to 200, 400 shapes spaced in log10(a)."""
     if a_min is None:
+        if not math.isfinite(c):
+            raise DomainError("c must be finite")
         a_min = 0.01 if c >= 0.0 else -c + 0.01
     return ScanSpec(a_min, a_max, n, scale)
 

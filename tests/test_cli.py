@@ -261,6 +261,16 @@ def test_certify_plateau_scan_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["certify", "--c", "nan"],
+                                  ["certify", "--c", "-inf"],
+                                  ["scan", "--c", "nan"]])
+def test_a_non_finite_offset_is_named_as_the_offset(argv, capsys):
+    # The default scan starts from the offset, so it checks c first.
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: c must be finite\n"
+
+
 # ----------------------------------------------------------------------
 # median / means
 # ----------------------------------------------------------------------
@@ -307,6 +317,24 @@ def test_median_requires_shape_or_grid():
     assert code == 2
     code, _ = run_cli(["median", "--a", "-3"])
     assert code == 2
+
+
+def test_median_grid_from_a_min_alone_ends_at_200(capsys):
+    code, out = run_cli(["median", "--a-min", "1", "--n", "3"])
+    assert code == 0
+    assert out == (
+        "a,median,offset,residual\n"
+        "1.0,0.6931471805599453,-0.3068528194400547,0.0\n"
+        "14.142135623730951,13.810235300818867,-0.3319003229120838,"
+        "8.881784197001252e-16\n"
+        "200.0,199.66676561246567,-0.33323438753433265,"
+        "3.3306690738754696e-16\n"
+    )
+    code, out = run_cli(["median", "--a-max", "5"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: median requires either --a or --a-min "
+        "(--a-max defaults to 200)\n")
 
 
 @pytest.mark.parametrize("a, expected", [

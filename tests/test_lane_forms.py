@@ -21,6 +21,7 @@ from gammatail import _lanes, specfun
 from gammatail._lanes import (BranchRootLanes, _reg_gamma_q_core,
                               _upper_cf_lanes, branch_roots_many)
 from gammatail.acceptance import _MEDIAN_SHAPES, _seeded_uniforms
+from gammatail.certify import check_mean_chain
 from gammatail.errors import ConvergenceError, DomainError
 from gammatail.median import _bracket_margins, check_median_bracket
 from gammatail.quadrature import integrate
@@ -268,27 +269,29 @@ def test_check_median_bracket_raises_the_scalar_loops_error():
         check_median_bracket([])
 
 
-@pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
-@pytest.mark.parametrize("pick, start, fill", [(min, math.inf, 1.0),
-                                               (max, -math.inf, -1.0)])
-def test_ordered_extreme_is_the_builtin_over_one_list(pick, start, fill,
-                                                      first, second):
-    # Two equal signed zeros on either side of a chunk boundary, NaN in
-    # both chunks: the builtin keeps the first zero and skips each NaN.
-    chunk = _lanes._ORDERED_CHUNK
-    values = np.full(2 * chunk + 7, fill)
-    values[[3, chunk + 2]] = math.nan
-    values[chunk - 1], values[chunk] = first, second
-    expected = pick([start, *values.tolist()])
-    assert math.copysign(1.0, expected) == math.copysign(1.0, first)
-    for lanes in (values, values.reshape(1, -1), values[::-1].copy()):
-        assert (_lanes._ordered_extreme(pick, start, lanes).hex()
-                == pick([start, *lanes.ravel().tolist()]).hex())
-    # An extreme in the last, partial chunk; all NaN or no values: start.
-    values[-1] = -4.0 * fill
-    assert _lanes._ordered_extreme(pick, start, values) == -4.0 * fill
-    for lanes in (np.full(chunk + 1, math.nan), np.empty((0, 3))):
-        assert _lanes._ordered_extreme(pick, start, lanes) == start
+def test_min_margin_ratios_are_the_builtin_min_over_the_entries():
+    # The reports take numpy's min over their ratios; on seeded inputs it is
+    # the builtin min over the entries in order, bit for bit.  The mean
+    # pairs spread past 2%, where each gap's bound is the entry's err_bound.
+    rng = np.random.default_rng(39)
+    shapes = (10.0 ** rng.uniform(-0.4, 6.0, 200)).tolist()
+    median = check_median_bracket(shapes)
+    ratio = math.inf
+    for e in median.entries:
+        for margin, err in ((e.below, e.below_err), (e.above, e.above_err)):
+            ratio = min(ratio, margin / max(err, 1e-300))
+    assert median.min_margin_ratio.hex() == ratio.hex()
+
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 300)
+    y = x * (1.0 + 10.0 ** rng.uniform(math.log10(0.03), 2.0, 300))
+    means = check_mean_chain(list(zip(x.tolist(), y.tolist())))
+    assert not any(e.extended for e in means.entries)
+    ratio = math.inf
+    for e in means.entries:
+        for gap in (e.gap_log_vs_geo, e.gap_refined_vs_log,
+                    e.gap_arith_vs_refined):
+            ratio = min(ratio, gap / e.err_bound)
+    assert means.min_margin_ratio.hex() == ratio.hex()
 
 
 # ----------------------------------------------------------------------

@@ -253,10 +253,6 @@ SHARED_FORMULAS = {
         "eval", "scan", "median", "means")),
     ("specfun", "_mean_scale"): (("specfun", "refined_mean"),
                                  ("certify", "check_mean_chain")),
-    ("_lanes", "_ordered_extreme"): (("certify", "check_mean_chain"),
-                                     ("median", "check_median_bracket"),
-                                     ("acceptance",
-                                      "c08_direction_form_signs")),
 }
 
 
@@ -497,9 +493,6 @@ PER_POINT_LOOPS = {
     ("c06_median_solver", "gamma_median"):
         "each median solve is a sequential root search, a few kernel calls "
         "each, with no lane form",
-    ("c08_direction_form_signs", "_ordered_extreme"):
-        "one ordered max per offset, four offsets; each walks its whole "
-        "1,000-point row",
 }
 
 

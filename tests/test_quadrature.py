@@ -267,8 +267,9 @@ def test_integrate_many_two_stalled_intervals_report_the_first():
 
 def test_integrate_many_replays_a_failed_batch_one_interval_at_a_time():
     # After the batch raises, the intervals run alone in index order up to
-    # the first one that fails, each seeing its own index k.
-    powers = np.array([1.0, -0.5, 2.0])
+    # the first one that fails, each seeing its own index k; the intervals
+    # after it, interval 3 that would fail too included, never replay.
+    powers = np.array([1.0, -0.5, 2.0, -0.3, 3.0])
     seen = []
 
     def fn(t, k):
@@ -276,8 +277,8 @@ def test_integrate_many_replays_a_failed_batch_one_interval_at_a_time():
         return t ** powers[k]
 
     with pytest.raises(QuadratureError):
-        integrate_many(fn, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    assert seen[0] == [0, 1, 2]
+        integrate_many(fn, [0.0] * 5, [1.0] * 5)
+    assert seen[0] == [0, 1, 2, 3, 4]
     replay = seen[seen.index([0]):]
     assert replay[0] == [0] and replay[-1] == [1]
     assert {tuple(k) for k in replay} == {(0,), (1,)}
@@ -487,9 +488,8 @@ def test_integrate_many_mixing_every_scale_equals_each_alone(fn, lo, hi):
 
 def test_integrate_many_across_groups_equals_the_one_interval_loop(
         monkeypatch):
-    # Eight intervals in lockstep groups of three, and integrand calls of
-    # at most five panels: each result is the plain loop's, field for field.
-    monkeypatch.setattr(quadrature, "_GROUP", 3)
+    # Eight intervals in lockstep, and integrand calls of at most five
+    # panels: each result is the plain loop's, field for field.
     monkeypatch.setattr(quadrature, "_CHUNK", 5)
     centers = np.linspace(0.05, 0.95, 8)
     widths = np.geomspace(1e-3, 0.3, 8)
@@ -506,32 +506,28 @@ def test_integrate_many_across_groups_equals_the_one_interval_loop(
                              hi, rel_tol=1e-12)
         for k, (lo, hi) in enumerate(zip(los, his))]
     assert [r.n_panels for r in many] != [many[0].n_panels] * 8
-    assert max(len(k) for k in seen) <= 3
+    assert max(len(k) for k in seen) <= 5
 
 
-def test_integrate_many_replays_only_the_failing_group(monkeypatch):
-    # Interval 3 stalls in the second group of two.  The first group's
-    # results stand, the third group never runs, and the replay covers the
-    # failing group alone, ending at interval 3 with its one-interval error.
-    monkeypatch.setattr(quadrature, "_GROUP", 2)
-    powers = np.array([1.0, 2.0, 0.5, -0.5, 3.0])
-    seen = []
+def test_integrate_many_over_more_than_512_intervals_equals_the_loop():
+    # 1,100 seeded Gaussians of widths from 1e-3 to 0.3 in one lockstep
+    # pass, more intervals than one integrand call takes panels: each result
+    # is the plain loop's, field for field.
+    rng = np.random.default_rng(39)
+    n = 1100
+    centers = rng.uniform(0.05, 0.95, n)
+    widths = 10.0 ** rng.uniform(-3.0, math.log10(0.3), n)
 
     def fn(t, k):
-        seen.append(np.unique(k).tolist())
-        return t ** powers[k]
+        return np.exp(-(((t - centers[k]) / widths[k]) ** 2))
 
-    with pytest.raises(QuadratureError) as single:
-        integrate(lambda t: t ** -0.5, 0.0, 1.0)
-    with pytest.raises(QuadratureError) as many:
-        integrate_many(fn, [0.0] * 5, [1.0] * 5)
-    assert _error_fields(many.value) == _error_fields(single.value)
-    assert seen[0] == [0, 1]
-    second = next(i for i, k in enumerate(seen) if 2 in k)
-    assert all(set(k) <= {2, 3} for k in seen[second:])
-    replay = seen[seen.index([2]):]
-    assert {tuple(k) for k in replay} == {(2,), (3,)}
-    assert replay[-1] == [3]
+    los, his = [0.0] * n, [1.0] * n
+    many = integrate_many(fn, los, his, rel_tol=1e-12)
+    assert many == [
+        _reference_integrate(lambda t, k=k: fn(t, np.full(t.shape, k)), lo,
+                             hi, rel_tol=1e-12)
+        for k, (lo, hi) in enumerate(zip(los, his))]
+    assert len({r.n_panels for r in many}) > 1
 
 
 def test_gauss_legendre_literals_are_numpys_rule():
