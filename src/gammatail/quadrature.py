@@ -9,16 +9,16 @@ best estimate; the engine never silently returns a value that missed its
 target.
 
 The engine runs in lockstep: integrate_many advances all of a call's
-intervals together, and each refinement sweep evaluates every live panel of
-every interval (both bisection halves, plus the parent panels on the first
-sweep) in integrand calls of up to _CHUNK panels: the nodes one row per
-panel, and the owners, each panel's interval index, one per panel as a
-column that broadcasts against the nodes.  Live panels stay grouped by
-interval.  The books are arrays: per interval the accepted-value and
-evaluation counts and plain running sums of the accepted values and of their
-magnitudes, and per sweep the accepted children's values and defects, each
-tagged with its interval.  So a sweep is a fixed set of numpy operations,
-however many intervals are live.
+intervals together.  It evaluates the starting panels first, then each
+refinement sweep evaluates both bisection halves of every live panel, in
+integrand calls of up to _CHUNK panels: the nodes one row per panel, and
+the owners, each panel's interval index, as a column that broadcasts
+against the nodes.  Live panels stay grouped by interval.  The books are
+arrays: per interval the live, accepted and evaluation counts and plain
+running sums of the accepted values and magnitudes, and per sweep the
+accepted children's intervals, values and defects.  So a sweep is a fixed
+set of numpy operations, however many intervals are live; one stable sort
+by interval at the end gathers each interval's children in accepted order.
 
 Acceptance, the panel budget, the sweep limit and the fsum accumulation
 stay per interval, so each interval's result is bit-identical to
@@ -37,12 +37,11 @@ single-threaded and bit-deterministic.
 from __future__ import annotations
 
 import math
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 from .specfun import EPS
 
 GAUSS_ORDER = 15
@@ -134,62 +133,6 @@ def _alloc(tol: np.ndarray, mass: np.ndarray, abs_vals: np.ndarray,
                           width_share)
 
 
-class _Accepted:
-    """The accepted panels of the intervals, one array per sweep:
-    owning interval, children's values (left, right) and defect."""
-
-    def __init__(self) -> None:
-        self.owners: list[np.ndarray] = []
-        self.pairs: list[np.ndarray] = []
-        self.errs: list[np.ndarray] = []
-
-    def add(self, owners: np.ndarray, pairs: np.ndarray,
-            errs: np.ndarray) -> None:
-        self.owners.append(owners)
-        self.pairs.append(pairs)
-        self.errs.append(errs)
-
-    def _merged(self) -> None:
-        if len(self.owners) > 1:
-            self.owners = [np.concatenate(self.owners)]
-            self.pairs = [np.concatenate(self.pairs)]
-            self.errs = [np.concatenate(self.errs)]
-
-    def of(self, k: int) -> tuple[list[float], list[float]]:
-        """Interval k's children's values and defects, in the order they
-        were accepted."""
-        if not self.owners:
-            return [], []
-        self._merged()
-        sel = self.owners[0] == k
-        return (self.pairs[0][sel].ravel().tolist(),
-                self.errs[0][sel].tolist())
-
-    def by_interval(self, n_int: int
-                    ) -> Iterator[tuple[list[float], list[float]]]:
-        """Each interval's children's values and defects, in the order
-        accepted, interval by interval."""
-        self._merged()
-        owners = self.owners[0]
-        order = np.argsort(owners, kind="stable")
-        pairs = self.pairs[0][order]
-        errs = self.errs[0][order]
-        start = 0
-        for end in np.cumsum(np.bincount(owners, minlength=n_int)).tolist():
-            yield pairs[start:end].ravel().tolist(), errs[start:end].tolist()
-            start = end
-
-    def failure(self, k: int, message: str,
-                live: list[float]) -> QuadratureError:
-        """The error for interval k, stopped with panels still live; they
-        count in full towards the error bound."""
-        values, errs = self.of(k)
-        return QuadratureError(
-            message, value=_fsum(values) + _fsum(live),
-            err_bound=_fsum(errs) + _fsum(map(abs, live)),
-            n_panels=len(values) + len(live))
-
-
 def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             los: Sequence[float], his: Sequence[float],
             rel_tol: float) -> list[QuadResult]:
@@ -197,6 +140,10 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     the first failure it meets."""
     lo = np.array(los, dtype=float)
     hi = np.array(his, dtype=float)
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError("rel_tol must be finite and positive")
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise DomainError("los and his must be 1-D and of one length")
     with np.errstate(over="ignore", invalid="ignore"):
         span_of = hi - lo
     # A finite span has finite ends, and its width does not overflow.
@@ -208,38 +155,52 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     if n_int == 0:
         return []
 
-    # Live panels, grouped by owning interval in ascending order.
+    # Live panels, grouped by owning interval in ascending order, and their
+    # estimates.
     width0 = span_of / _PRE_SPLIT
     lows = (lo[:, None]
             + width0[:, None] * np.arange(_PRE_SPLIT)[None, :]).ravel()
     widths = np.repeat(width0, _PRE_SPLIT)
     owner = np.repeat(np.arange(n_int), _PRE_SPLIT)
-    vals: Optional[np.ndarray] = None
-    # Per interval: evaluations, accepted children, and plain running sums
-    # of their values and magnitudes.
-    n_evals = np.full(n_int, _PRE_SPLIT * GAUSS_ORDER)
+    vals = _panel_estimates(fn, lows, widths, owner)
+    # Per interval: live panels, evaluations, accepted children, and plain
+    # running sums of their values and magnitudes.
+    counts = np.full(n_int, _PRE_SPLIT)
+    n_evals = GAUSS_ORDER * counts
     n_kept = np.zeros(n_int, dtype=np.intp)
     kept_sum = np.zeros(n_int)
     kept_abs = np.zeros(n_int)
-    accepted = _Accepted()
+    # Per sweep: the accepted panels' intervals, children's values (left,
+    # right) and defects.
+    books: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def accepted(k: int) -> tuple[list[float], list[float]]:
+        """Interval k's children's values and defects, in the order they
+        were accepted."""
+        if not books:
+            return [], []
+        owners, pairs, defects = (np.concatenate(part) for part in zip(*books))
+        sel = owners == k
+        return pairs[sel].ravel().tolist(), defects[sel].tolist()
+
+    def failure(k: int, message: str) -> QuadratureError:
+        """The error for interval k, stopped with panels still live; they
+        count in full towards the error bound."""
+        values, defects = accepted(k)
+        live = vals[owner == k].tolist()
+        return QuadratureError(
+            message, value=_fsum(values) + _fsum(live),
+            err_bound=_fsum(defects) + _fsum(map(abs, live)),
+            n_panels=len(values) + len(live))
 
     for _ in range(_MAX_SWEEPS):
-        counts = np.bincount(owner, minlength=n_int)
         n_evals += 2 * GAUSS_ORDER * counts
-
-        n = lows.size
         half = 0.5 * widths
         r_lows = lows + half
-        if vals is None:
-            est = _panel_estimates(fn, np.concatenate((lows, lows, r_lows)),
-                                   np.concatenate((widths, half, half)),
-                                   np.concatenate((owner, owner, owner)))
-            vals, l_vals, r_vals = est[:n], est[n:2 * n], est[2 * n:]
-        else:
-            est = _panel_estimates(fn, np.concatenate((lows, r_lows)),
-                                   np.concatenate((half, half)),
-                                   np.concatenate((owner, owner)))
-            l_vals, r_vals = est[:n], est[n:]
+        est = _panel_estimates(fn, np.concatenate((lows, r_lows)),
+                               np.concatenate((half, half)),
+                               np.concatenate((owner, owner)))
+        l_vals, r_vals = est[:lows.size], est[lows.size:]
 
         abs_vals = np.abs(vals)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -264,53 +225,44 @@ def _sweeps(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             k = int(owner[stuck][0])
             raise QuadratureError(
                 "integrand is non-finite on an unsplittable panel",
-                value=_fsum(accepted.of(k)[0]), err_bound=math.inf,
+                value=_fsum(accepted(k)[0]), err_bound=math.inf,
                 n_panels=int(n_kept[k] + counts[k]))
         accept = ((diff <= floor) | exhausted | (diff <= alloc)) & finite
 
         idx = np.flatnonzero(accept)
-        if idx.size:
-            acc_owner = owner[idx]
-            accepted.add(acc_owner,
-                         np.stack((l_vals[idx], r_vals[idx]), axis=1),
-                         diff[idx])
-            n_kept += 2 * np.bincount(acc_owner, minlength=n_int)
-            kept_sum += np.bincount(acc_owner, pair[idx], n_int)
-            kept_abs += np.bincount(acc_owner, abs_pair[idx], n_int)
+        acc_owner = owner[idx]
+        books.append((acc_owner, np.stack((l_vals[idx], r_vals[idx]), axis=1),
+                      diff[idx]))
+        n_kept += 2 * np.bincount(acc_owner, minlength=n_int)
+        kept_sum += np.bincount(acc_owner, pair[idx], n_int)
+        kept_abs += np.bincount(acc_owner, abs_pair[idx], n_int)
 
         keep = np.flatnonzero(~accept)
-        m = keep.size
-        new_lows = np.empty(2 * m)
-        new_widths = np.empty(2 * m)
-        new_vals = np.empty(2 * m)
-        new_lows[0::2] = lows[keep]
-        new_lows[1::2] = r_lows[keep]
-        new_widths[0::2] = half[keep]
-        new_widths[1::2] = half[keep]
-        new_vals[0::2] = l_vals[keep]
-        new_vals[1::2] = r_vals[keep]
-        lows, widths, vals = new_lows, new_widths, new_vals
+        lows = np.stack((lows[keep], r_lows[keep]), axis=1).ravel()
+        widths = np.repeat(half[keep], 2)
+        vals = np.stack((l_vals[keep], r_vals[keep]), axis=1).ravel()
         owner = np.repeat(owner[keep], 2)
-
         counts = np.bincount(owner, minlength=n_int)
         over = np.flatnonzero((counts > 0) & (n_kept + counts > _MAX_PANELS))
         if over.size:
-            k = int(over[0])
-            raise accepted.failure(k, f"panel budget {_MAX_PANELS} exceeded",
-                                   vals[owner == k].tolist())
+            raise failure(int(over[0]), f"panel budget {_MAX_PANELS} exceeded")
         if owner.size == 0:
             break
     else:
-        k = int(owner[0])
-        raise accepted.failure(
-            k, f"no convergence after {_MAX_SWEEPS} refinement sweeps",
-            vals[owner == k].tolist())
+        raise failure(int(owner[0]),
+                      f"no convergence after {_MAX_SWEEPS} refinement sweeps")
 
+    # Each interval's accepted children, in the order accepted.
+    owners, pairs, defects = (np.concatenate(part) for part in zip(*books))
+    order = np.argsort(owners, kind="stable")
+    pairs, defects = pairs[order], defects[order]
+    ends = np.cumsum(np.bincount(owners, minlength=n_int)).tolist()
     out = []
-    for (kept, errs), evals in zip(accepted.by_interval(n_int),
-                                   n_evals.tolist()):
+    for start, end, evals in zip([0, *ends], ends, n_evals.tolist()):
+        kept = pairs[start:end].ravel().tolist()
         value = _fsum(kept)
-        err_bound = _fsum(errs) + 4.0 * EPS * _fsum(map(abs, kept))
+        err_bound = (_fsum(defects[start:end].tolist())
+                     + 4.0 * EPS * _fsum(map(abs, kept)))
         if not math.isfinite(err_bound):
             raise QuadratureError(
                 "accepted panels sum beyond the double range", value=value,
@@ -334,10 +286,9 @@ def integrate_many(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     the tolerance and acceptance rules).  If any interval fails, the
     intervals are replayed one at a time in index order, so the
     QuadratureError raised is the one a loop of integrate calls raises
-    first.
+    first.  DomainError unless los and his are 1-D and of one length and
+    0 < rel_tol < inf.
     """
-    if len(his) != len(los):
-        raise ValueError("los and his must have the same length")
     try:
         return _sweeps(fn, los, his, rel_tol)
     except QuadratureError:
@@ -361,6 +312,7 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
     parent-vs-children defect meets its share or is indistinguishable from
     quadrature rounding noise, and the children's values are what get
     accumulated.  Exceeding _MAX_PANELS or producing non-finite values on an
-    unsplittable panel raises QuadratureError.
+    unsplittable panel raises QuadratureError; a rel_tol outside
+    0 < rel_tol < inf raises DomainError.
     """
     return _sweeps(lambda t, _k: fn(t), (lo,), (hi,), rel_tol)[0]

@@ -198,6 +198,11 @@ def _default_scan(c: Optional[float], a_min: Optional[float] = None,
         if not math.isfinite(c):
             raise DomainError("c must be finite")
         a_min = 0.01 if c >= 0.0 else -c + 0.01
+        if a_min >= a_max:
+            raise DomainError(
+                f"the default scan start a_min = {a_min!r}, 0.01 past the "
+                f"plateau edge max(-c, 0), is not below a_max = {a_max!r}, "
+                "so a_max must exceed max(-c, 0) + 0.01")
     return ScanSpec(a_min, a_max, n, scale)
 
 

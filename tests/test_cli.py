@@ -271,6 +271,22 @@ def test_a_non_finite_offset_is_named_as_the_offset(argv, capsys):
     assert capsys.readouterr().err == "error: c must be finite\n"
 
 
+@pytest.mark.parametrize("verb", ["certify", "scan"])
+@pytest.mark.parametrize("c, start", [("-300", "300.01"),
+                                      ("-199.99", "200.0"),
+                                      ("-1e308", "1e+308")])
+def test_a_default_start_past_the_default_end_names_the_offset(verb, c,
+                                                               start, capsys):
+    # Below c = -199.99 the default start, 0.01 past the plateau edge, is
+    # not below the default end a_max = 200.
+    code, out = run_cli([verb, "--c", c])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: the default scan start a_min = {start}, 0.01 past the "
+        "plateau edge max(-c, 0), is not below a_max = 200.0, so a_max "
+        "must exceed max(-c, 0) + 0.01\n")
+
+
 # ----------------------------------------------------------------------
 # median / means
 # ----------------------------------------------------------------------

@@ -251,9 +251,13 @@ def _defect_domain(c, eps):
 
 
 def _quad_probes(rng):
-    return [(np.cos, lo, hi) for lo, hi in (
+    # The intervals at the default rel_tol, then rel_tol's edges on one.
+    return [(np.cos, lo, hi, 1e-10) for lo, hi in (
         (0.0, 1.0), (0.0, 1e300), (-MAX, MAX), (1.0, 0.0), (0.0, math.inf),
-        (math.nan, 1.0), (TINY, 2 * TINY))]
+        (math.nan, 1.0), (TINY, 2 * TINY))] + [
+        (np.cos, 0.0, 1.0, tol) for tol in (
+            -math.inf, -1.0, -TINY, 0.0, TINY, 1e-300, 1e-16, 0.5, 1.0, MAX,
+            math.inf, math.nan)]
 
 
 def _nowhere(*_):
@@ -341,9 +345,10 @@ _ROWS = {
     "check_mean_chain": (
         gammatail.check_mean_chain, _mean_pairs, _mean_domain,
         lambda r, pairs: r.min_margin_ratio >= 0.0 or not r.certified),
-    "integrate": (gammatail.integrate, _quad_probes,
-                  lambda fn, lo, hi: True,
-                  lambda r, fn, lo, hi: math.isfinite(r.value)
+    "integrate": (lambda fn, lo, hi, tol: gammatail.integrate(
+                      fn, lo, hi, rel_tol=tol), _quad_probes,
+                  lambda fn, lo, hi, tol: 0.0 < tol < math.inf,
+                  lambda r, fn, lo, hi, tol: math.isfinite(r.value)
                   and _bound(r.err_bound)),
     "ratio_parts": (gammatail.ratio_parts, _ratio_probes, _nowhere,
                     lambda p, u, c: _ratio_ok([p])),

@@ -471,8 +471,9 @@ def test_lockstep_copies_its_start_states(n_max, min_lanes):
 
 
 # The lane tests of Q's kernel, which claim bit-identity from IEEE + - * /
-# alone, the verify-all golden and the log-grid outputs, each with numpy's
-# optional SIMD paths on and off.
+# alone, the verify-all golden, the log-grid outputs and the quadrature's
+# batches, whose every interval must keep its bits whatever shares its
+# arrays, each with numpy's optional SIMD paths on and off.
 _Q_LANE_PARITY = [
     "tests/test_lane_forms.py::" + name for name in (
         "test_cf_lanes_retire_at_every_column_of_a_block",
@@ -486,6 +487,10 @@ _Q_LANE_PARITY = [
     "tests/test_specfun.py::test_reg_gamma_q_many_is_bitwise_the_scalar_loop",
     "tests/test_acceptance.py::test_verify_all_cli_output_is_byte_identical",
     "tests/test_cli.py::test_log_grid_outputs_are_pinned_byte_for_byte",
+    "tests/test_quadrature.py::"
+    "test_integrate_many_over_more_than_512_intervals_equals_the_loop",
+    "tests/test_quadrature.py::"
+    "test_integrate_many_mixing_every_scale_equals_each_alone",
 ]
 
 

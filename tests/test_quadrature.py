@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammatail import QuadResult, QuadratureError, integrate
+from gammatail import DomainError, QuadResult, QuadratureError, integrate
 from gammatail import quadrature
 from gammatail.quadrature import integrate_many
 
@@ -216,14 +216,15 @@ def test_integrate_many_passes_each_points_interval_index():
     his = [1.0, 11.0, 21.0]
     res = integrate_many(fn, los, his)
     assert [r.value for r in res] == [1.0, 1.0, 1.0]
-    # One integrand call per sweep: a constant converges in the first.
-    assert len(seen) == 1
+    # One integrand call for the starting panels and one per sweep: a
+    # constant converges in the first.
+    assert len(seen) == 2
     # One row of nodes per panel, and each row's interval index as a column.
-    t, k = seen[0]
-    assert t.shape[1] == 15 and k.shape == (t.shape[0], 1)
-    for j, (lo, hi) in enumerate(zip(los, his)):
-        rows = t[k[:, 0] == j]
-        assert rows.size and np.all((rows > lo) & (rows < hi))
+    for t, k in seen:
+        assert t.shape[1] == 15 and k.shape == (t.shape[0], 1)
+        for j, (lo, hi) in enumerate(zip(los, his)):
+            rows = t[k[:, 0] == j]
+            assert rows.size and np.all((rows > lo) & (rows < hi))
 
 
 def test_integrate_many_empty_input():
@@ -296,6 +297,59 @@ def test_integrate_many_panel_budget_is_per_interval(monkeypatch):
                        [1.0, 30.0, 40.0], rel_tol=1e-14)
     assert "panel budget" in str(many.value)
     assert _error_fields(many.value) == _error_fields(single.value)
+
+
+@pytest.mark.parametrize("fail, los, his, rel_tol, budget, message", [
+    (lambda t: np.exp(-0.5 * t * t), [-1.0, -30.0, 0.0], [2.0, 30.0, 1.0],
+     1e-14, {"max_panels": 6, "pre_split": 1}, "panel budget 6 exceeded"),
+    (lambda t: t ** -0.5, [0.5, 0.0, 0.0], [1.0, 1.0, 2.0], 1e-10, {},
+     "no convergence after 120 refinement sweeps"),
+    (lambda t: np.where(t > 1.0 + 5e-15, np.inf, 1.0), [0.0, 1.0, 2.0],
+     [1.0, 1.0 + 1e-14, 3.0], 1e-10, {},
+     "integrand is non-finite on an unsplittable panel"),
+], ids=["budget", "sweep-limit", "non-finite"])
+def test_a_batch_failure_carries_the_one_interval_payload(
+        fail, los, his, rel_tol, budget, message, monkeypatch):
+    # The engine itself, without integrate_many's replay: interval 1 fails
+    # between two that converge, and its error is the one integrate raises
+    # on it alone, accepted panels, live panels and all.
+    if budget:
+        _set_budget(monkeypatch, **budget)
+    with pytest.raises(QuadratureError) as single:
+        integrate(fail, los[1], his[1], rel_tol=rel_tol)
+    with pytest.raises(QuadratureError) as batch:
+        quadrature._sweeps(
+            lambda t, k: np.where(k == 1, fail(t), np.cos(t)), los, his,
+            rel_tol)
+    assert str(single.value) == message
+    assert _error_fields(batch.value) == _error_fields(single.value)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, math.inf,
+                                     -math.inf])
+def test_a_rel_tol_outside_its_domain_raises_domain_error(rel_tol):
+    # Before, nan, -1 and 0 spent the panel budget on a narrow peak and inf
+    # returned a value off by a factor of 40.
+    calls = []
+
+    def peak(t, *_):
+        calls.append(t)
+        return np.exp(-(((t - 0.3) / 1e-3) ** 2))
+
+    with pytest.raises(DomainError, match="rel_tol"):
+        integrate(peak, 0.0, 1.0, rel_tol=rel_tol)
+    with pytest.raises(DomainError, match="rel_tol"):
+        integrate_many(peak, [0.0], [1.0], rel_tol=rel_tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("los, his", [
+    ([[0.0]], [[1.0]]), ([0.0, 1.0], [1.0]), ([0.0], [1.0, 2.0]),
+    ([], [1.0]), (0.0, 1.0)], ids=["2-D", "his-short", "los-short",
+                                   "empty-los", "scalars"])
+def test_intervals_not_1d_and_of_one_length_raise_domain_error(los, his):
+    with pytest.raises(DomainError, match="1-D and of one length"):
+        integrate_many(lambda t, k: t, los, his)
 
 
 # ----------------------------------------------------------------------
