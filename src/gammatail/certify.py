@@ -1,12 +1,10 @@
 """Certification engine for the tail-probability monotonicity trichotomy.
 
 Everything here reduces a claimed analytic fact to finitely many certified
-floating-point sign checks.  The margin discipline is uniform: a difference
-counts as a certified sign only when it exceeds the strict margin
-(``STRICT_MARGIN`` = 8, a constant) times the combined evaluation error bound
-of its two endpoints.  Anything smaller is reported inconclusive rather than
-rounded up to a verdict, because strict monotonicity cannot be proven
-numerically without a margin.
+floating-point sign checks, each by specfun._certified_sign: a difference
+counts only when it exceeds 8 times the combined error bound of its two
+endpoints, and anything smaller is reported inconclusive rather than rounded
+up to a verdict.
 
 Contents:
 
@@ -44,8 +42,8 @@ from ._series import CHAIN1_NUM, CHAIN2_NUM, eval_series
 from .errors import CertificationError, DomainError, WitnessSearchError
 from .quadrature import integrate
 from .specfun import (EPS, ONE_THIRD, STRICT_MARGIN, _THRESHOLD_Y_MAX,
-                      _checked_make, _mean_scale, _threshold_forms,
-                      log_mean)
+                      _certified_sign, _checked_make, _mean_scale,
+                      _threshold_forms, log_mean)
 from .tailprob import (ScanSpec, TailQuery, tail_prob_detail,
                        tail_prob_many)
 
@@ -128,13 +126,6 @@ class MonotoneVerdict(_MonotoneVerdictFields):
 # Monotonicity certification
 
 
-def _classify(d, err_sum):
-    """+1 / -1 for a certified strict sign, 0 for not-certifiable;
-    elementwise when d and err_sum are arrays."""
-    margin = STRICT_MARGIN * err_sum
-    return 1 * (d > margin) - 1 * (d < -margin)
-
-
 def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     """Scan the tail probability over shapes and certify its direction.
 
@@ -178,14 +169,10 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
     p, e = tail_prob_many(grid, c)
     d = p[1:] - p[:-1]
     err_sum = e[:-1] + e[1:]
-    sign = _classify(d, err_sum)
-    ratio = np.abs(d) / np.maximum(err_sum, 5e-324)
-    # Certified sign -> smallest ratio among its intervals.
-    ratios = {s: float(np.min(ratio[sign == s]))
-              for s in (1, -1) if np.any(sign == s)}
+    sign, ratio, _ = _certified_sign(d, err_sum)
     unresolved = np.flatnonzero(sign == 0)
 
-    if len(ratios) == 2:
+    if sign.min() < 0 < sign.max():
         witness, w_ratio = _witness_from_points(grid, p.tolist(), e.tolist())
         if witness is None:
             lo, hi = ((unresolved[0], unresolved[0] + 1) if unresolved.size
@@ -205,15 +192,16 @@ def certify_monotone(c: float, scan: ScanSpec) -> MonotoneVerdict:
         a_lo, a_hi = grid[k], grid[k + 1]
         return MonotoneVerdict(
             direction="inconclusive", c=c, scan=scan, witness=None,
-            margin_ratio=float(ratio[k]), interval=(a_lo, a_hi),
+            margin_ratio=_certified_sign(float(d[k]), float(err_sum[k]))[1],
+            interval=(a_lo, a_hi),
             detail=f"difference {float(d[k])!r} on [{a_lo!r}, {a_hi!r}] is "
                    "below the certification margin")
     # Every interval certified one sign.
-    s, word, direction = ((1, "positive", "increasing") if 1 in ratios
-                          else (-1, "negative", "decreasing"))
+    word, direction = (("positive", "increasing") if sign[0] > 0
+                       else ("negative", "decreasing"))
     return MonotoneVerdict(
         direction=direction, c=c, scan=scan, witness=None,
-        margin_ratio=ratios[s], interval=None,
+        margin_ratio=ratio, interval=None,
         detail=f"all {scan.n - 1} consecutive differences certified {word}")
 
 
@@ -230,17 +218,12 @@ def _witness_from_points(a: Sequence[float], p: Sequence[float],
     k = max(range(j + 1, len(p)), key=p.__getitem__)
     (a1, a2, a3), (p1, p2, p3), (e1, e2, e3) = (
         (x[i], x[j], x[k]) for x in (a, p, e))
-    left_gap = p1 - p2
-    right_gap = p3 - p2
-    left_err = e1 + e2
-    right_err = e3 + e2
-    if not (left_gap > STRICT_MARGIN * left_err
-            and right_gap > STRICT_MARGIN * right_err):
+    left = _certified_sign(p1 - p2, e1 + e2)
+    right = _certified_sign(p3 - p2, e3 + e2)
+    if left[0] < 1 or right[0] < 1:
         return None, 0.0
-    ratio = min(left_gap / max(left_err, 5e-324),
-                right_gap / max(right_err, 5e-324))
-    witness = Witness(a1=a1, a2=a2, a3=a3, p1=p1, p2=p2, p3=p3)
-    return witness, ratio
+    return (Witness(a1=a1, a2=a2, a3=a3, p1=p1, p2=p2, p3=p3),
+            min(left[1], right[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +276,10 @@ def find_witness(c: float) -> Witness:
 class ThresholdChainReport(NamedTuple):
     """Certified monotonicity of the four threshold-ratio stages.
 
-    Values are stored as excesses over the shared limit -1/3, which keeps
-    them well conditioned near y = 1.  stage_names orders the stages from
-    the original ratio down to the closed rational form; min_margin_ratios
-    and monotone follow that order.  limit_excesses holds each stage's
+    Values are excesses over the shared limit -1/3, well conditioned near
+    y = 1.  stage_names orders the stages from the original ratio down to
+    the closed rational form; monotone and min_margin_ratios (each over
+    every interval) follow that order.  limit_excesses holds each stage's
     excess at the smallest grid point (all must vanish as y -> 1+).
     """
 
@@ -398,27 +381,19 @@ def check_threshold_chain(y_grid: Sequence[float]) -> ThresholdChainReport:
         raise DomainError("y_grid must be strictly increasing")
 
     names = tuple(name for name, _ in _CHAIN_STAGES)
-    monotone = []
-    ratios = []
-    limits = []
-    for _name, stage in _CHAIN_STAGES:
-        vals_errs = [stage(y, y - 1.0) for y in ys]
-        limits.append(vals_errs[0][0])
-        ok = True
-        min_ratio = math.inf
-        for (v0, e0), (v1, e1) in zip(vals_errs, vals_errs[1:]):
-            d = v1 - v0
-            err_sum = e0 + e1
-            if d < -STRICT_MARGIN * err_sum:
-                raise CertificationError(
-                    f"stage {_name!r} certifiably decreases between grid "
-                    f"points with values {v0!r} -> {v1!r}")
-            if d > STRICT_MARGIN * err_sum:
-                min_ratio = min(min_ratio, d / max(err_sum, 5e-324))
-            else:
-                ok = False
-        monotone.append(ok)
-        ratios.append(min_ratio)
+    monotone, ratios, limits = [], [], []
+    for name, stage in _CHAIN_STAGES:
+        vals, errs = zip(*(stage(y, y - 1.0) for y in ys))
+        limits.append(vals[0])
+        v, e = np.array(vals), np.array(errs)
+        sign, ratio, _ = _certified_sign(v[1:] - v[:-1], e[:-1] + e[1:])
+        if sign.min() < 0:
+            k = int(sign.argmin())
+            raise CertificationError(
+                f"stage {name!r} certifiably decreases between grid "
+                f"points with values {vals[k]!r} -> {vals[k + 1]!r}")
+        monotone.append(bool(sign.min() > 0))
+        ratios.append(ratio)
 
     deriv_vals = [rational_stage_deriv(y) for y in ys]
     deriv_min = min(deriv_vals)
@@ -555,10 +530,9 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
     if not np.all((errs >= 2.0 ** -1022) & np.isfinite(gaps)):
         raise DomainError("mean chain pairs need gaps and error bounds "
                           "inside the normal double range")
-    chain_ok = np.all(gaps > STRICT_MARGIN * errs, axis=0)
-    ratios = (gaps / errs).T
+    sign, min_ratio, _ = _certified_sign(gaps, errs)
+    chain_ok = np.all(sign > 0, axis=0)
     err = errs.max(axis=0)
-    min_ratio = float(ratios.min())
     columns = (x, y, geo, lm, ref, ari, *gaps, err, extended, chain_ok)
     for column in columns:
         column.flags.writeable = False
@@ -574,6 +548,7 @@ def check_mean_chain(pairs: Sequence[tuple[float, float]]) -> MeanChainReport:
         lm = log_mean(x, y)
         weakened = math.sqrt(x * y + _PROBE_FACTOR * (lm - x) * (y - lm))
         gap = lm - weakened
+        # A fixed floor, 8 x 32 eps: the probe's gap carries no bound.
         if gap > STRICT_MARGIN * 32.0 * EPS and gap > probe_gap:
             probe_found = True
             probe_spread = t
@@ -657,7 +632,7 @@ def check_asymptotic_slope(c: float) -> AsymptoticSlopeReport:
     totals, errs = zip(*(integrated_defect(c, e) for e in eps))
 
     slope_target = c + ONE_THIRD
-    positive_ok = all(t > STRICT_MARGIN * q
+    positive_ok = all(_certified_sign(t, q)[0] > 0
                       for t, q in zip(totals, errs))
 
     # Least squares for T ~ slope*eps + curvature*eps^2 (2x2 normal system).
@@ -675,6 +650,7 @@ def check_asymptotic_slope(c: float) -> AsymptoticSlopeReport:
     # curvature constant: |T - slope_target*eps| <= K*eps^2 (with margin).
     resid = [t - slope_target * e for t, e in zip(totals, eps)]
     k_fit = sum(r * e * e for r, e in zip(resid, eps)) / s4
+    # An envelope, not a sign: the residual may fall on either side.
     residual_bound_ok = all(
         abs(r) <= 1.25 * abs(k_fit) * e * e + STRICT_MARGIN * q
         for r, e, q in zip(resid, eps, errs))

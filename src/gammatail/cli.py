@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      QuadratureError, WitnessSearchError)
-from .specfun import ONE_THIRD, STRICT_MARGIN
+from .specfun import ONE_THIRD, _certified_sign
 
 if TYPE_CHECKING:
     from .certify import MonotoneVerdict
@@ -197,7 +197,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
     # inside the margin is merely undecided at this precision.
     gaps = (entry.gap_log_vs_geo, entry.gap_refined_vs_log,
             entry.gap_arith_vs_refined)
-    if min(gaps) < -STRICT_MARGIN * entry.err_bound:
+    if _certified_sign(min(gaps), entry.err_bound)[0] < 0:
         return _EXIT_VIOLATION
     return _EXIT_INCONCLUSIVE
 

@@ -5,8 +5,8 @@ gamma variable with shape a between a - 1/3 and a.  The solver treats that
 bracket as a theorem and never widens the search.  When an endpoint sign
 check fails, it re-evaluates the bracket margins with their error bounds,
 as check_median_bracket does (the bound charges the rounding of a - 1/3),
-and raises a certification error only when a margin is wrong by more than
-STRICT_MARGIN times its bound, which would contradict the proven statement.
+and raises a certification error only for a margin certifiably wrong, which
+would contradict the proven statement.
 A wrong sign inside the bound is a precision limit and raises
 ConvergenceError: from about a = 3e7 the true margin ~0.0079 a^{-3/2} falls
 below the rounding of the kernel's argument.
@@ -39,8 +39,8 @@ import math
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import CertificationError, ConvergenceError, DomainError
-from .specfun import (ONE_THIRD, STRICT_MARGIN, _checked_make, _lgamma1p,
-                      _log_gamma_norm, reg_gamma_q)
+from .specfun import (ONE_THIRD, STRICT_MARGIN, _certified_sign,
+                      _checked_make, _lgamma1p, _log_gamma_norm, reg_gamma_q)
 from .tailprob import TailQuery, tail_prob_detail, tail_prob_many
 
 _LINEAR_BRACKET_MIN = 0.35
@@ -76,6 +76,7 @@ class MedianResult(_MedianResultFields):
             return super().__new__(cls, a, median, offset, residual)
         escape = max(-ONE_THIRD - offset, offset)
         slack = math.ulp(a)
+        # Ulps of a, the rounding of the bracket ends: the offset has no bound.
         if escape > STRICT_MARGIN * slack:
             raise CertificationError(
                 f"median offset {offset!r} for a={a!r} escapes "
@@ -181,7 +182,8 @@ def _bracket_failure(a: float, bracket: str) -> NoReturn:
     otherwise."""
     margins = _bracket_margins(a)
     for margin, err in margins:
-        if margin < -STRICT_MARGIN * err:
+        sign = _certified_sign(margin, err)[0]
+        if sign < 0:
             raise CertificationError(
                 f"median bracket {bracket} sign check failed at a={a!r}: "
                 f"margin {margin!r} with error bound {err!r} contradicts the "
@@ -252,9 +254,8 @@ def gamma_median(a: float) -> MedianResult:
 def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     """Certify Q(a, a) < 1/2 < Q(a, a - 1/3) with margins over a grid.
 
-    Each strict inequality is certified only when its margin exceeds
-    STRICT_MARGIN (8) times the evaluation error bound; the report's
-    min_margin_ratio is the smallest margin/error ratio encountered.
+    Each strict inequality is certified by _certified_sign, and the
+    report's min_margin_ratio is the smallest |margin| / error ratio.
     The grid must be 1-D, and an empty one is rejected rather than
     certified vacuously.  The margins come from one tail_prob_many call
     with each shape's two bracket ends as adjacent lanes, each lane
@@ -271,10 +272,9 @@ def check_median_bracket(a_grid: Sequence[float]) -> MedianBracketReport:
     p, errs = (v.reshape(-1, 2) for v in tail_prob_many(
         np.repeat(a, 2), np.tile((0.0, -ONE_THIRD), a.size)))
     margins = np.stack((0.5 - p[:, 0], p[:, 1] - 0.5), axis=1)
-    ratios = margins / np.maximum(errs, 1e-300)
-    min_ratio = float(ratios.min())
-    certified = bool(np.all((margins > 0.0) & (ratios > STRICT_MARGIN)))
+    sign, min_ratio, _ = _certified_sign(margins, errs)
     entries = tuple(map(MedianBracketCheck, a.tolist(), *margins.T.tolist(),
                         *errs.T.tolist()))
-    return MedianBracketReport(entries=entries, certified=certified,
+    return MedianBracketReport(entries=entries,
+                               certified=bool((sign > 0).all()),
                                min_margin_ratio=min_ratio)

@@ -91,6 +91,23 @@ _ROOT_MAX_ITER = 200
 STRICT_MARGIN = 8.0
 
 
+def _certified_sign(gap, bound, tol_scale: float = 1.0):
+    """The margin rule every verdict rests on: (sign, ratio, index),
+    elementwise on arrays as _at_least is.  sign is the sign of gap where
+    |gap| exceeds STRICT_MARGIN / tol_scale times bound, else 0; ratio is
+    the smallest |gap| / bound and index its flat position (0 for a float).
+    The bound's floor keeps each quotient finite: a ratio past about 2**1022
+    saturates there, and 0 / 0 reads as 0."""
+    margin = STRICT_MARGIN / tol_scale * bound
+    sign = 1 * (gap > margin) - 1 * (gap < -margin)
+    size = abs(gap)
+    ratio = size / _at_least(bound, size * 2.0 ** -1023 + 5e-324)
+    if isinstance(ratio, float):
+        return sign, ratio, 0
+    i = int(ratio.argmin())
+    return sign, float(ratio.flat[i]), i
+
+
 @classmethod
 def _checked_make(cls, iterable):
     """A validating record's _make, which NamedTuple's _replace calls: the

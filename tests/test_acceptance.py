@@ -217,10 +217,13 @@ def test_verify_all_cli_output_is_byte_identical():
 
 
 def test_corrupt_mode_actually_fails():
-    # Fault injection shrinks every tolerance by 1e6; the accuracy and
-    # margin criteria must then report failure, proving the harness is
-    # able to go red rather than passing vacuously.
-    results = acceptance.verify_all(["C01", "C05"], corrupt=True)
+    # Fault injection shrinks every tolerance by 1e9; every criterion with
+    # a tolerance or a required margin must then report failure, proving
+    # the harness is able to go red rather than passing vacuously.
+    with_tolerance = [cid for cid in acceptance.CRITERIA
+                      if cid not in ("C04", "C13")]
+    results = acceptance.verify_all(with_tolerance, corrupt=True)
+    assert [r.cid for r in results] == with_tolerance
     assert not any(r.passed for r in results)
 
     proc = _run_cli(["verify-all", "--criteria", "C01", "--corrupt"])

@@ -42,6 +42,7 @@ from gammatail._dd import mean_gaps
 from gammatail.acceptance import _seeded_uniforms
 from gammatail.certify import MeanChainEntry
 from gammatail.oracle import oracle_tail_prob
+from gammatail import specfun
 from gammatail.specfun import log_mean, refined_mean
 
 ULP = 2.220446049250313e-16
@@ -254,9 +255,7 @@ def test_certify_rejects_a_non_finite_offset():
 def test_certify_reports_inconclusive_under_unreachable_margin(monkeypatch):
     # With an absurd margin requirement no sign can be certified, and the
     # verdict must say so instead of guessing a direction.
-    import gammatail.certify as certify
-
-    monkeypatch.setattr(certify, "STRICT_MARGIN", 1e15)
+    monkeypatch.setattr(specfun, "STRICT_MARGIN", 1e15)
     scan = ScanSpec(1.0, 2.0, 12)
     v = certify_monotone(0.0, scan)
     assert v.direction == "inconclusive"
@@ -477,9 +476,7 @@ def _reference_certify_monotone(c, scan, strict_margin):
         "rounded-midpoints"])
 def test_certify_monotone_equals_point_by_point_scan(c, scan, margin,
                                                      monkeypatch):
-    import gammatail.certify as certify
-
-    monkeypatch.setattr(certify, "STRICT_MARGIN", margin)
+    monkeypatch.setattr(specfun, "STRICT_MARGIN", margin)
     got = certify_monotone(c, scan)
     assert repr(got) == repr(_reference_certify_monotone(c, scan, margin))
     if got.direction == "inconclusive":
@@ -682,8 +679,26 @@ def test_threshold_chain_reversal_and_undecided_stage(monkeypatch):
     monkeypatch.setattr(certify, "_CHAIN_STAGES", stages + (flat,))
     rep = check_threshold_chain(ys)
     assert rep.monotone == (True, True, True, True, False)
-    assert rep.min_margin_ratios[-1] == math.inf
+    assert rep.min_margin_ratios[-1] == 0.0
     assert not rep.certified
+
+
+@pytest.mark.parametrize("ys", [[2.0, 2.0 + 4e-16, 3.0], [2.0, 2.0 + 4e-16]],
+                         ids=["one-ulp-then-wide", "one-ulp"])
+def test_threshold_chain_ratios_cover_uncertified_intervals(ys):
+    # A stage that fails reports its smallest ratio over every interval,
+    # the uncertified ones included, as the mean chain and the median
+    # bracket do: not the ratio of its certified intervals alone, nor inf
+    # when none certified.
+    from gammatail.certify import _CHAIN_STAGES
+
+    rep = check_threshold_chain(ys)
+    assert rep.monotone == (False,) * 4 and not rep.certified
+    for (_, stage), ratio in zip(_CHAIN_STAGES, rep.min_margin_ratios):
+        points = [stage(y, y - 1.0) for y in ys]
+        expected = min(abs(v1 - v0) / (e0 + e1)
+                       for (v0, e0), (v1, e1) in zip(points, points[1:]))
+        assert ratio == expected < 8.0
 
 
 def test_rational_stage_exact_values():
@@ -847,8 +862,6 @@ def _reference_mean_entry_from_gaps(x, y, gaps, strict_margin):
 
 def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs(
         monkeypatch):
-    import gammatail.certify as certify
-
     # Acceptance criterion C10's seeded pairs, plus pairs at, just below and
     # just above the extended-precision switch at relative spread 0.02.
     n = 10_000
@@ -882,7 +895,7 @@ def test_mean_chain_columns_match_the_per_pair_loop_on_c10_pairs(
                                  entry.gap_refined_vs_log,
                                  entry.gap_arith_vs_refined), entry_errs):
                 ratio = min(ratio, gap / max(err, 5e-324))
-        monkeypatch.setattr(certify, "STRICT_MARGIN", margin)
+        monkeypatch.setattr(specfun, "STRICT_MARGIN", margin)
         rep = check_mean_chain(pairs)
         assert len(rep.entries) == len(expected)
         # bitwise, -0.0 included; name the first mismatch, not all 10,000
@@ -906,7 +919,7 @@ def test_mean_chain_centres_pairs_near_the_ends_of_the_double_range():
     # whose gaps used to come out NaN, or certifiably negative at 1e-160.
     # Each is evaluated centred on 1 by a power of two 2^k: its means, gaps
     # and bounds are the centred pair's scaled back by 2^-k.  The minimum
-    # ratio keeps the first of the zero ratios at spread 2^-52.
+    # ratio is the zero |gap| / bound at spread 2^-52.
     far = [(1e308, 1.7e308, -1023), (1e-200, 1.03e-200, 664),
            (1e-160, 1.03e-160, 531), (1e160, 1.03e160, -532),
            (1e-100, 1.01e-100, 332)]
@@ -926,7 +939,7 @@ def test_mean_chain_centres_pairs_near_the_ends_of_the_double_range():
                     math.ldexp(v, -k) for v in gaps)
         assert entry.chain_ok and x < entry.geometric < entry.logarithmic
     assert rep.entries[4].extended
-    ratios = [gap / e.err_bound for e in rep.entries
+    ratios = [abs(gap) / e.err_bound for e in rep.entries
               for gap in (e.gap_log_vs_geo, e.gap_refined_vs_log,
                           e.gap_arith_vs_refined)]
     assert all(math.isfinite(r) for r in ratios) and 0.0 in ratios

@@ -22,6 +22,7 @@ import pytest
 
 from gammatail import (CertificationError, GammaTailError, MonotoneVerdict,
                        ScanSpec, Witness, WitnessSearchError)
+from gammatail import specfun
 from gammatail.cli import _certify_exit, build_parser, main
 
 
@@ -213,9 +214,7 @@ def test_certify_exit_codes_by_regime():
 
 def test_certify_inconclusive_exits_three(monkeypatch):
     # an unreachable margin forces the honest inconclusive verdict
-    import gammatail.certify as certify
-
-    monkeypatch.setattr(certify, "STRICT_MARGIN", 1e15)
+    monkeypatch.setattr(specfun, "STRICT_MARGIN", 1e15)
     code, out = run_cli(
         ["certify", "--c", "0", "--a-min", "1", "--a-max", "2", "--n", "12"]
     )
@@ -433,8 +432,6 @@ def test_means_exit_code_of_a_failed_chain(monkeypatch, gap, code):
 def test_precision_flags_reach_the_computation(monkeypatch):
     # An unreachable residual target or margin turns success into an
     # inconclusive result (exit 3), never a certified violation.
-    import gammatail.certify as certify
-    import gammatail.cli as cli
     import gammatail.median as median
 
     assert run_cli(["median", "--a", "2"])[0] == 0
@@ -445,8 +442,7 @@ def test_precision_flags_reach_the_computation(monkeypatch):
     # The means golden above exits 0 at the margin of 8.
     args = ["means", "--x", "1", "--y", "4"]
     assert run_cli(args)[0] == 0
-    for module in (certify, cli):
-        monkeypatch.setattr(module, "STRICT_MARGIN", 1e15)
+    monkeypatch.setattr(specfun, "STRICT_MARGIN", 1e15)
     assert run_cli(args)[0] == 3
 
 

@@ -350,15 +350,27 @@ def test_no_capped_loop_runs_out_silently():
 
 # Every `raise CertificationError` site, (module, qualified function) -> the
 # condition of the `if` it sits in.  Exit 1 must mean a real contradiction,
-# so each guard compares a margin with STRICT_MARGIN times its error bound.
+# so each guard reads a sign that the function took from _certified_sign,
+# or is the median offset's ulp escape (see STRICT_MARGIN_SITES).
 CERTIFICATION_RAISES = {
-    ("certify", "check_threshold_chain"): ("d < -STRICT_MARGIN * err_sum",),
-    ("median", "_bracket_failure"): ("margin < -STRICT_MARGIN * err",),
+    ("certify", "check_threshold_chain"): ("sign.min() < 0",),
+    ("median", "_bracket_failure"): ("sign < 0",),
     ("median", "MedianResult.__new__"):
         ("escape > STRICT_MARGIN * slack",),
 }
 
-_MARGIN_GUARD = re.compile(r"\w+ [<>] -?STRICT_MARGIN \* \w+")
+_MARGIN_GUARD = re.compile(
+    r"(?P<sign>sign)(\.min\(\))? < 0|escape > STRICT_MARGIN \* slack")
+
+
+def _owner(parent: dict, node: ast.AST) -> str:
+    """The qualified name of the functions and classes around node."""
+    names = []
+    while node in parent:
+        node = parent[node]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return ".".join(reversed(names))
 
 
 def _certification_raises() -> dict[tuple[str, str], tuple]:
@@ -378,13 +390,33 @@ def _certification_raises() -> dict[tuple[str, str], tuple]:
             up = parent[node]
             guard = (ast.unparse(up.test)
                      if isinstance(up, ast.If) and node in up.body else None)
-            names = []
-            while up in parent:
-                if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
-                    names.append(up.name)
-                up = parent[up]
-            site = (module, ".".join(reversed(names)))
+            site = (module, _owner(parent, node))
             found[site] = found.get(site, ()) + (guard,)
+    return found
+
+
+def _names_from_certified_sign(module: str, qualname: str) -> set[str]:
+    """Names the function binds from a _certified_sign(...) call: `x = ...`,
+    `x = ...[0]` or the first name of `x, ... = ...`."""
+    tree = TREES[module]
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign)
+                and _owner(parent, node) == qualname):
+            continue
+        call = node.value
+        if isinstance(call, ast.Subscript):
+            call = call.value
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "_certified_sign"):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Tuple):
+                target = target.elts[0]
+            if isinstance(target, ast.Name):
+                found.add(target.id)
     return found
 
 
@@ -393,7 +425,49 @@ def test_every_certification_error_is_margin_guarded():
     # from a sign that rounding alone could flip.
     assert _certification_raises() == CERTIFICATION_RAISES
     for site, guards in CERTIFICATION_RAISES.items():
-        assert all(_MARGIN_GUARD.fullmatch(g) for g in guards), site
+        for guard in guards:
+            match = _MARGIN_GUARD.fullmatch(guard)
+            assert match, site
+            if match["sign"]:
+                assert "sign" in _names_from_certified_sign(*site), site
+
+
+# Every read of STRICT_MARGIN, (module, qualified function) -> why it is
+# there.  Everywhere else a gap meets 8 times its bound through
+# specfun._certified_sign, the margin rule's one home; each other site keeps
+# a rule of its own, for the reason given.
+STRICT_MARGIN_SITES = {
+    ("specfun", "_certified_sign"): "the margin rule itself",
+    ("median", "MedianResult.__new__"):
+        "the offset's escape is measured in ulps of a, the rounding of the "
+        "bracket ends, since the offset carries no error bound",
+    ("certify", "check_mean_chain"):
+        "the optimality probe's gap has no computed bound, so it keeps a "
+        "fixed floor of 8 times 32 eps",
+    ("certify", "check_asymptotic_slope"):
+        "the residual envelope takes either sign: the fitted curvature term "
+        "plus 8 times the quadrature bound",
+    ("acceptance", "_required"):
+        "the criteria's details print the margin ratio the rule requires",
+}
+
+
+def _strict_margin_reads() -> set[tuple[str, str]]:
+    found = set()
+    for module, tree in TREES.items():
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        found.update((module, _owner(parent, node)) for node in ast.walk(tree)
+                     if isinstance(node, ast.Name)
+                     and node.id == "STRICT_MARGIN"
+                     and isinstance(node.ctx, ast.Load))
+    return found
+
+
+def test_strict_margin_is_read_only_at_listed_sites():
+    # A second copy of the margin rule could drift from the first, in its
+    # floor, its comparison or its treatment of tol_scale.
+    assert _strict_margin_reads() == set(STRICT_MARGIN_SITES)
 
 
 # Exported functions that no other module of the package calls,
