@@ -20,17 +20,15 @@ ufunc.accumulate, a sequential left fold, so every column holds the scalar
 loop's bits at that iteration.  The continued fraction (_upper_cf_block)
 runs _CF_BLOCK iterations per pass: only the recurrences of c and d per
 iteration, and its other steps and its stop test once per block.  The
-Taylor sums of _dd and the Lambert solvers run one step per pass
-(_each_step).  _finish continues the lanes the driver leaves running on
-their scalar loop, which raises at its cap.  _log1pmx_vec is the
-fixed-length log1p(d) - d of the quadrature integrands.
+Taylor sums of _dd run one step per pass (_each_step).  _finish continues
+the lanes the driver leaves running on their scalar loop, which raises at
+its cap.  _log1pmx_vec is the fixed-length log1p(d) - d of the quadrature
+integrands.
 
-branch_roots_many solves the two Lambert branches behind branch_roots for
-an array of z: lambert_w0's and lambert_wm1's regimes are masks, and their
-Halley and Newton loops run in _lockstep to each lane's stop, one step of
-specfun's step formulas per pass.  Its BranchRootLanes feed tailprob's
+branch_roots_many takes one branch_roots call per z, so specfun's scalar
+Lambert solver is the only one.  Its BranchRootLanes feed tailprob's
 direction_form_detail and integrand_ratio, which take lanes as well as a
-BranchRoots.
+BranchRoots; C08 and C12 call it.
 
 specfun holds the scalar loops and imports no numpy; this module holds
 everything that does.  The loop caps _KERNEL_MAX_ITER, _L1PMX_MAX_TERMS and
@@ -47,16 +45,14 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, GammaTailError
-from .specfun import (EPS, Z_GAP, Z_MIN, _BRANCH_WINDOW, _CF_TINY,
-                      _EULER_GAMMA, _INV_E, _L1PMX_WINDOW,
+from .specfun import (EPS, _CF_TINY, _EULER_GAMMA, _L1PMX_WINDOW,
                       _LOWER_SERIES_START, _SMALL_SHAPE_START,
-                      _STIRLING_MIN, _branch_series, _cf_result,
-                      _halley_residual, _halley_step, _lgamma1p, _log1pmx,
+                      _STIRLING_MIN, _cf_result, _lgamma1p, _log1pmx,
                       _log_gamma_norm_direct, _log_gamma_norm_stirling,
-                      _lower_series_run, _q_branches, _root_converged,
+                      _lower_series_run, _q_branches,
                       _series_complement_result, _tail_series_result,
                       _upper_cf_run, _upper_cf_start, _upper_small_shape_run,
-                      _wm1_newton_step, branch_roots, reg_gamma_q_detail)
+                      branch_roots, reg_gamma_q_detail)
 
 # Iterations per numpy pass of the folded loops: a wider block wastes more
 # iterations past each lane's stop.  Timed over 8..128 on a certify pass
@@ -428,84 +424,13 @@ class BranchRootLanes(NamedTuple):
     x2: np.ndarray
 
 
-def _halley_lane_step(n, v, w):
-    """One iteration of specfun._halley_iterate on arrays of lanes."""
-    ew, f = _halley_residual(v, w, _exp)
-    exact = f == 0.0                    # the scalar loop stops unstepped
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = _halley_step(w, ew, f)
-        w = np.where(exact, w, w - step)
-    return w, exact | _root_converged(step, w)
-
-
-def _wm1_newton_lane_step(n, t_target, t):
-    """One iteration of lambert_wm1's Newton loop on arrays of lanes."""
-    step = _wm1_newton_step(t, t_target, _log)
-    t = t - step
-    return t, _root_converged(step, t)
-
-
-def _lane_roots(step, consts: tuple, start: tuple) -> np.ndarray:
-    """A Lambert solver's loop run to its stop for every lane; a lane still
-    running at the cap raises."""
-    left, _, w = _lockstep(_each_step(step), specfun._ROOT_MAX_ITER,
-                           consts, start, 1)
-    if left.size:
-        raise specfun._not_converged("Lambert solver lanes",
-                                     specfun._ROOT_MAX_ITER)
-    return w
-
-
 def branch_roots_many(z) -> BranchRootLanes:
-    """branch_roots for a 1-D array of z, each lane bit-identical to the
-    scalar call.
-
-    The regimes of lambert_w0 and lambert_wm1 on [-1/e, 0) are masks: the
-    branch-point series inside _BRANCH_WINDOW; outside it, Halley from the
-    series or log1p seed, or for W-1 above v = -0.25 Newton in t = -w.  All
-    Halley lanes of both branches iterate in one _lockstep call, the Newton
-    lanes in another, with one math function call per lane for exp, log
-    and log1p.  If any lane fails, the error raised is
-    the first one a loop of branch_roots calls in lane order raises.
-    """
+    """branch_roots for a 1-D array of z: one scalar call per z, in lane
+    order, so each lane is the scalar call's bits and a failure is the
+    first one a loop of branch_roots calls raises."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise DomainError("branch_roots_many takes a 1-D array of z")
-    try:
-        if not np.all((Z_MIN <= z) & (z <= 1.0 - Z_GAP)):
-            raise DomainError("branch_roots requires z in [1e-300, 1 - 1e-12]")
-        v = -z * _INV_E
-        ev1 = math.e * v + 1.0
-        window = np.abs(v + _INV_E) < _BRANCH_WINDOW
-        ev1_w = ev1[window]
-        p = np.sqrt(2.0 * np.where(0.0 > ev1_w, 0.0, ev1_w))  # max(ev1, 0.0)
-        w0, wm1 = np.empty_like(v), np.empty_like(v)
-        w0[window], wm1[window] = _branch_series(p), _branch_series(-p)
-        # Halley for W0 outside the window (v < 100 throughout), and for
-        # W-1 up to v = -0.25, in one lockstep call.
-        outside = ~window
-        deep = outside & (v < -0.25)
-        seeds0 = np.empty_like(v)
-        seeds0[deep] = _branch_series(np.sqrt(2.0 * ev1[deep]))
-        shallow = outside & ~deep
-        seeds0[shallow] = _log1p(v[shallow])
-        halley1 = outside & (v <= -0.25)
-        seeds1 = _branch_series(-np.sqrt(2.0 * ev1[halley1]))
-        n0 = int(outside.sum())
-        w = _lane_roots(_halley_lane_step,
-                        (np.concatenate((v[outside], v[halley1])),),
-                        (np.concatenate((seeds0[outside], seeds1)),))
-        w0[outside], wm1[halley1] = w[:n0], w[n0:]
-        newton = outside & ~halley1
-        t_target = _log(-v[newton])
-        t = _lane_roots(_wm1_newton_lane_step, (t_target,),
-                        (-t_target + _log(np.maximum(-t_target, 2.0)),))
-        wm1[newton] = -t
-        x1, x2 = -w0, -wm1
-        if not np.all((0.0 < x1) & (x1 < 1.0) & (1.0 < x2)):
-            raise DomainError("roots must straddle the peak at 1")
-    except GammaTailError:
-        for z_i in z.tolist():
-            branch_roots(z_i)
-        raise
-    return BranchRootLanes(z, x1, x2)
+    roots = [branch_roots(z_i) for z_i in z.tolist()]
+    return BranchRootLanes(z, np.array([r.x1 for r in roots], dtype=float),
+                           np.array([r.x2 for r in roots], dtype=float))

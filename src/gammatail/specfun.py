@@ -21,9 +21,9 @@ lanes at once, bit-identical, and reads the loop caps from here at each
 call.  Each branch's value and bound (the *_result functions) and the log
 prefactor's two forms serve both paths: numpy-free, they take their
 transcendentals as arguments, math functions or _lanes' per-lane forms, and
-ln x as a value, which the lanes take once per lane.
-So do the Lambert solvers' Halley and Newton steps and their stop test,
-which _lanes.branch_roots_many iterates for many z at once.
+ln x as a value, which the lanes take once per lane.  The Lambert solvers
+are scalar loops alone: _lanes.branch_roots_many calls branch_roots once
+per z.
 
 Error bounds returned by the *_detail variants follow a rounding model
 calibrated against the independent quadrature oracle: (2*|log prefactor| +
@@ -462,38 +462,20 @@ def reg_gamma_q(a: float, x: float) -> float:
     return reg_gamma_q_detail(a, x).value
 
 
-def _root_converged(step, w):
-    """The Lambert solvers' stop test on the step just taken to w;
-    elementwise on arrays."""
+def _root_converged(step: float, w: float) -> bool:
+    """The Lambert solvers' stop test on the step just taken to w."""
     return abs(step) <= _ROOT_REL_TOL * abs(w) + _ROOT_ABS_TOL
-
-
-def _halley_residual(v, w, exp):
-    """(exp(w), w*exp(w) - v); elementwise on arrays."""
-    ew = exp(w)
-    return ew, w * ew - v
-
-
-def _halley_step(w, ew, f):
-    """The Halley step for w*exp(w) = v, to subtract from w, given
-    _halley_residual's (ew, f); elementwise on arrays."""
-    wp1 = w + 1.0
-    return f / (ew * wp1 - f * (w + 2.0) / (2.0 * wp1))
-
-
-def _wm1_newton_step(t, t_target, log):
-    """The Newton step for ln t - t = t_target, to subtract from t;
-    elementwise on arrays."""
-    return (log(t) - t - t_target) / (1.0 / t - 1.0)
 
 
 def _halley_iterate(v: float, w: float) -> float:
     """Halley refinement for w*exp(w) = v from a seed on the right branch."""
     for _ in range(_ROOT_MAX_ITER):
-        ew, f = _halley_residual(v, w, math.exp)
+        ew = math.exp(w)
+        f = w * ew - v
         if f == 0.0:
             break
-        step = _halley_step(w, ew, f)
+        wp1 = w + 1.0
+        step = f / (ew * wp1 - f * (w + 2.0) / (2.0 * wp1))
         w -= step
         if _root_converged(step, w):
             break
@@ -564,7 +546,7 @@ def lambert_wm1(v: float) -> float:
     t_target = math.log(-v)
     t = -t_target + math.log(max(-t_target, 2.0))
     for _ in range(_ROOT_MAX_ITER):
-        step = _wm1_newton_step(t, t_target, math.log)
+        step = (math.log(t) - t - t_target) / (1.0 / t - 1.0)
         t -= step
         if _root_converged(step, t):
             return -t

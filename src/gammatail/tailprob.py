@@ -27,8 +27,8 @@ scalar functions and ScanSpec import the standard library alone;
 tail_prob_many and ratio_parts(_many) import numpy, the lane kernels and
 quadrature when called, so a one-shape evaluation never loads them.
 direction_form(_detail) and integrand_ratio take a BranchRoots or the lanes
-of _lanes.branch_roots_many, with one offset or one per lane; on lanes each
-value is bit-identical to the scalar call.
+of _lanes.branch_roots_many, one branch_roots call per z, with one offset or
+one per lane; on lanes each value is bit-identical to the scalar call.
 """
 from __future__ import annotations
 
@@ -449,10 +449,15 @@ def direction_form(roots: BranchRoots, c: float) -> float:
 def direction_form_detail(roots: BranchRoots, c: float) -> tuple[float, float]:
     """direction_form with an error bound propagated from the root errors.
 
-    Each root solves w e^w = v to a residual of a few eps, which maps to a
-    root error of roughly eps * x / |1 - x|; that error is pushed through
-    the partial derivatives of the form.  On branch_roots_many's lanes, a
-    pair of arrays, each lane bit-identical to the scalar call.
+    Each root x errs by up to about eps * x / |1 - x| + eps * |x|: the
+    rounding of v = -z/e and the solver's residual, magnified by the
+    conditioning of w e^w = v, plus the rounding of x itself.  A charge of
+    4 eps * x / |1 - x| per root is pushed through the partial derivatives
+    of the form.  It falls short of the second part for x2 above 5, by up
+    to (x2 - 1) / 4, about 170 times, at z = 1e-300; there the charge
+    4 eps * (1 + |x1 x2| + ...) for the form's own rounding takes it in.
+    On branch_roots_many's lanes, a pair of arrays, each lane bit-identical
+    to the scalar call.
     """
     c = _offset(roots, c, "direction_form")
     x1, x2 = roots.x1, roots.x2

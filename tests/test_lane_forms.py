@@ -25,33 +25,17 @@ from gammatail.certify import check_mean_chain
 from gammatail.errors import ConvergenceError, DomainError
 from gammatail.median import _bracket_margins, check_median_bracket
 from gammatail.quadrature import integrate
-from gammatail.specfun import (_BRANCH_WINDOW, _INV_E, Z_GAP, Z_MIN,
-                               _upper_cf_start, branch_roots,
+from gammatail.specfun import (Z_GAP, Z_MIN, _upper_cf_start, branch_roots,
                                reg_gamma_q_detail)
 from gammatail.tailprob import (_RATIO_REL_TOL, ScanSpec,
                                 _substitution_order, direction_form_detail,
                                 integrand_ratio, ratio_parts,
                                 ratio_parts_many)
+from test_specfun import _QUARTER, _WINDOW_EDGE, _steps_around
 
 
 def _hex(values) -> list[str]:
     return [float(v).hex() for v in np.ravel(values).tolist()]
-
-
-def _steps_around(z: float, n: int = 20) -> np.ndarray:
-    """z and the n doubles on each side of it."""
-    out = [z]
-    lo = hi = z
-    for _ in range(n):
-        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 2.0)
-        out += [lo, hi]
-    return np.array(sorted(out))
-
-
-# z where v = -z/e sits at the edge of the branch-point window, and at the
-# switch of lambert_w0 and lambert_wm1 at v = -0.25.
-_WINDOW_EDGE = (1.0 - _BRANCH_WINDOW * math.e)
-_QUARTER = 0.25 * math.e
 
 
 def _roots_hex(z) -> list[tuple[str, str]]:
@@ -71,16 +55,6 @@ def test_branch_roots_many_is_bitwise_the_scalar_call(z):
     assert isinstance(lanes, BranchRootLanes)
     assert _hex(lanes.z) == _hex(z)
     assert list(zip(_hex(lanes.x1), _hex(lanes.x2))) == _roots_hex(z)
-
-
-def test_branch_roots_many_grids_straddle_each_regime_switch():
-    # The window-edge and quarter grids reach both sides of each switch,
-    # so the test above compares every regime against its neighbour.
-    v = -_steps_around(_WINDOW_EDGE) * _INV_E
-    inside = np.abs(v + _INV_E) < _BRANCH_WINDOW
-    assert inside.any() and not inside.all()
-    v = -_steps_around(_QUARTER) * _INV_E
-    assert (v < -0.25).any() and (v > -0.25).any() and (v == -0.25).any()
 
 
 def _first_error(fn, items):

@@ -228,10 +228,6 @@ _KERNEL_PATHS = (("specfun", "_q_detail"),
                  ("_lanes", "_reg_gamma_q_lanes"))
 _PREFACTOR_PATHS = (("specfun", "_log_gamma_norm"),
                     ("_lanes", "_log_gamma_norm_lanes"))
-_HALLEY_PATHS = (("specfun", "_halley_iterate"),
-                 ("_lanes", "_halley_lane_step"))
-_WM1_NEWTON_PATHS = (("specfun", "lambert_wm1"),
-                     ("_lanes", "_wm1_newton_lane_step"))
 SHARED_FORMULAS = {
     ("specfun", "_q_branches"): _KERNEL_PATHS,
     ("specfun", "_cf_result"): _KERNEL_PATHS,
@@ -239,10 +235,6 @@ SHARED_FORMULAS = {
     ("specfun", "_tail_series_result"): _KERNEL_PATHS,
     ("specfun", "_log_gamma_norm_stirling"): _PREFACTOR_PATHS,
     ("specfun", "_log_gamma_norm_direct"): _PREFACTOR_PATHS,
-    ("specfun", "_halley_residual"): _HALLEY_PATHS,
-    ("specfun", "_halley_step"): _HALLEY_PATHS,
-    ("specfun", "_wm1_newton_step"): _WM1_NEWTON_PATHS,
-    ("specfun", "_root_converged"): _HALLEY_PATHS + _WM1_NEWTON_PATHS,
     ("tailprob", "_arg_rounding_err"): (("tailprob", "tail_prob_detail"),
                                         ("tailprob", "tail_prob_many")),
     ("_lanes", "_reg_gamma_q_core"): (("_lanes", "reg_gamma_q_many"),

@@ -333,6 +333,67 @@ def test_branch_root_derivatives():
         branch_root_deriv(r, 3)
 
 
+def _steps_around(z: float, n: int = 20) -> np.ndarray:
+    """z and the n doubles on each side of it."""
+    out = [z]
+    lo = hi = z
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return np.array(sorted(out))
+
+
+# z where v = -z/e sits at the edge of the branch-point window, and at the
+# switch of lambert_w0 and lambert_wm1 at v = -0.25.
+_WINDOW_EDGE = (1.0 - specfun._BRANCH_WINDOW * math.e)
+_QUARTER = 0.25 * math.e
+
+
+def _seeded_z(seed: int, n: int) -> np.ndarray:
+    """3n seeded z in [1e-300, 1 - 1e-12]: n uniform, n log-spaced below
+    0.1, and n with 1 - z log-spaced below 0.1."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate((
+        rng.random(n) * (1.0 - specfun.Z_GAP - specfun.Z_MIN) + specfun.Z_MIN,
+        10.0 ** rng.uniform(-300.0, -1.0, n),
+        1.0 - 10.0 ** rng.uniform(-12.0, -1.0, n)))
+
+
+def _mp_roots(z: float):
+    """x1 and x2 at z from 40-digit mpmath.lambertw, branches 0 and -1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        v = -mpmath.mpf(z) / mpmath.e
+        return -mpmath.lambertw(v, 0).real, -mpmath.lambertw(v, -1).real
+
+
+def test_branch_roots_match_mpmath_lambertw():
+    # Each root errs by the rounding of v = -z/e, magnified by the
+    # conditioning x / |1 - x| of w e^w = v, plus its own rounding.  The
+    # window-edge and quarter grids reach both sides of each regime switch.
+    v = -_steps_around(_WINDOW_EDGE) * specfun._INV_E
+    inside = np.abs(v + specfun._INV_E) < specfun._BRANCH_WINDOW
+    assert inside.any() and not inside.all()
+    v = -_steps_around(_QUARTER) * specfun._INV_E
+    assert (v < -0.25).any() and (v > -0.25).any() and (v == -0.25).any()
+    z = np.concatenate((_seeded_z(31, 200), _steps_around(_WINDOW_EDGE),
+                        _steps_around(_QUARTER),
+                        [specfun.Z_MIN, 1.0 - specfun.Z_GAP]))
+    for z_i in z.tolist():
+        r = branch_roots(z_i)
+        for x, ref in zip((r.x1, r.x2), _mp_roots(z_i)):
+            bound = 4.0 * ULP * x / abs(1.0 - x) + 2.0 * ULP * abs(x)
+            assert abs(x - ref) <= bound, (z_i, x)
+
+
+def test_lambert_w0_is_within_four_ulps_on_the_positive_axis():
+    mpmath = pytest.importorskip("mpmath")
+    for v in np.geomspace(1e-8, 1e12, 400).tolist():
+        with mpmath.workdps(40):
+            ref = float(mpmath.lambertw(v).real)
+        assert abs(lambert_w0(v) - ref) <= 4.0 * math.ulp(ref), v
+
+
 # ----------------------------------------------------------------------
 # means
 # ----------------------------------------------------------------------

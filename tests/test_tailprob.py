@@ -35,6 +35,7 @@ from gammatail import (
 from gammatail import _lanes, specfun
 from gammatail._dd import central_difference
 from gammatail.oracle import oracle_tail_prob
+from test_specfun import _mp_roots, _seeded_z
 
 ULP = 2.220446049250313e-16
 
@@ -503,6 +504,23 @@ def test_direction_form_closed_form_at_c_minus_one():
     value, err = direction_form_detail(r, -1.0)
     assert value == direction_form(r, -1.0)
     assert err >= 0.0
+
+
+def test_direction_form_detail_bound_holds_against_mpmath_roots():
+    # The form at 40-digit roots of the exact z, with c in [-3, 3] and of
+    # magnitudes up to 1e300.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    z = _seeded_z(33, 500).tolist()
+    c = np.concatenate((rng.uniform(-3.0, 3.0, 750),
+                        rng.choice([-1.0, 1.0], 750)
+                        * 10.0 ** rng.uniform(-300.0, 300.0, 750)))
+    for z_i, c_i in zip(z, rng.permutation(c).tolist()):
+        value, err = direction_form_detail(branch_roots(z_i), c_i)
+        x1, x2 = _mp_roots(z_i)
+        with mpmath.workdps(40):
+            ref = 1 - x1 * x2 + c_i * (1 - x1) * (x2 - 1)
+            assert abs(value - ref) <= err, (z_i, c_i)
 
 
 def test_direction_form_sign_pattern():
