@@ -14,16 +14,15 @@ Every loop runs on one driver, _lockstep: each numpy pass runs a block of
 iterations of all running lanes, and a lane retires at its first stop
 column with that column's state, so its count and final state are the
 scalar loop's.  The first-order loops -- the ascending series, the
-small-shape tail and the _log1pmx and _lgamma1p Taylor sums -- fold
-_FOLD_BLOCK iterations per pass: each state variable is one row-wise
-ufunc.accumulate, a sequential left fold, so every column holds the scalar
-loop's bits at that iteration.  The continued fraction (_upper_cf_block)
-runs _CF_BLOCK iterations per pass: only the recurrences of c and d per
-iteration, and its other steps and its stop test once per block.  The
-Taylor sums of _dd run one step per pass (_each_step).  _finish continues
-the lanes the driver leaves running on their scalar loop, which raises at
-its cap.  _log1pmx_vec is the fixed-length log1p(d) - d of the quadrature
-integrands.
+small-shape tail and the _log1pmx Taylor sum -- fold _FOLD_BLOCK
+iterations per pass: each state variable is one row-wise ufunc.accumulate,
+a sequential left fold, so every column holds the scalar loop's bits at
+that iteration.  The continued fraction (_upper_cf_block) runs _CF_BLOCK
+iterations per pass: only the recurrences of c and d per iteration, and
+its other steps and its stop test once per block.  The Taylor sums of _dd
+run one step per pass (_each_step).  _finish continues the lanes the driver
+leaves running on their scalar loop, which raises at its cap.  _log1pmx_vec
+is the fixed-length log1p(d) - d of the quadrature integrands.
 
 branch_roots_many takes one branch_roots call per z, so specfun's scalar
 Lambert solver is the only one.  Its BranchRootLanes feed tailprob's
@@ -31,9 +30,10 @@ direction_form_detail and integrand_ratio, which take lanes as well as a
 BranchRoots; C08 and C12 call it.
 
 specfun holds the scalar loops and imports no numpy; this module holds
-everything that does.  The loop caps _KERNEL_MAX_ITER, _L1PMX_MAX_TERMS and
-_ZETA_TABLE are read from specfun at each call, so the lanes and the scalar
-loops always share them.
+everything that does.  The loop caps _KERNEL_MAX_ITER and _L1PMX_MAX_TERMS
+are read from specfun at each call, so the lanes and the scalar loops always
+share them.  The small-shape tail's lnGamma(1 + a) is specfun's loop-free
+_lgamma1p, called on the array of lanes.
 """
 from __future__ import annotations
 
@@ -45,9 +45,8 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, GammaTailError
-from .specfun import (EPS, _CF_TINY, _EULER_GAMMA, _L1PMX_WINDOW,
-                      _LOWER_SERIES_START, _SMALL_SHAPE_START,
-                      _STIRLING_MIN, _cf_result, _lgamma1p, _log1pmx,
+from .specfun import (EPS, _CF_TINY, _L1PMX_WINDOW, _LOWER_SERIES_START,
+                      _SMALL_SHAPE_START, _STIRLING_MIN, _cf_result, _log1pmx,
                       _log_gamma_norm_direct, _log_gamma_norm_stirling,
                       _lower_series_run, _q_branches,
                       _series_complement_result, _tail_series_result,
@@ -69,11 +68,6 @@ _FOLD_BLOCK = 32
 # to 14%.  Up to a = 1e6 a hand-off at 32 was 16-27% faster than at 64.
 _CF_BLOCK = 16
 _LOCKSTEP_MIN_LANES = 64
-
-_ZETA_COEF = np.array(specfun._ZETA_TABLE)
-# (-1)^k k: dividing by it rounds exactly as _lgamma1p's -(z * a^k / k).
-_ZETA_SIGNED_K = np.array([(-1.0) ** k * k
-                           for k in range(2, 2 + len(specfun._ZETA_TABLE))])
 
 # c_k of _log1pmx's series for k = 2.._L1PMX_MAX_TERMS-1.
 _L1PMX_COEF = np.array([1.0 if k % 2 == 0 else (k - 1.0) / k
@@ -176,27 +170,6 @@ def _per_lane(fn, values: np.ndarray) -> np.ndarray:
 # The transcendentals of specfun's shared formulas, one scalar call per lane.
 _exp, _expm1, _log, _log1p, _lgamma = (partial(_per_lane, fn) for fn in (
     math.exp, math.expm1, math.log, math.log1p, math.lgamma))
-
-
-def _lgamma1p_block(i, width, a, ak, acc):
-    """Terms i..i+width-1 of _lgamma1p's loop on arrays of lanes (ak starts
-    at a, so the first fold step makes a*a)."""
-    k = slice(i, i + width)
-    aks = _accumulate(np.multiply, ak, a[:, None], width)
-    terms = _ZETA_COEF[k] * aks / _ZETA_SIGNED_K[k]
-    accs = _accumulate(np.add, acc, terms, width)
-    stop = np.abs(terms) <= 0.25 * EPS * (np.abs(accs)
-                                          + _EULER_GAMMA * a[:, None])
-    return aks, accs, stop
-
-
-def _lgamma1p_lanes(a: np.ndarray) -> np.ndarray:
-    """_lgamma1p for arrays of lanes, bit-identical per lane."""
-    left, _, _, acc = _lockstep(_lgamma1p_block, len(specfun._ZETA_TABLE),
-                                (a,), (a, 0.0), _FOLD_BLOCK)
-    for i in left[:1].tolist():
-        _lgamma1p(a[i].item())              # raises the scalar loop's error
-    return acc - _EULER_GAMMA * a
 
 
 def _log1pmx_block(i, width, u, uk, acc):
@@ -367,7 +340,7 @@ def _reg_gamma_q_lanes(a: np.ndarray, x: np.ndarray, log_x: np.ndarray,
                 _upper_small_shape_block, max_iter, (a_b, x_b),
                 _SMALL_SHAPE_START, _FOLD_BLOCK))
         q[small], err[small] = _tail_series_result(
-            a_b, log_x[small], n, h, habs, _lgamma1p_lanes, _exp, _expm1)
+            a_b, log_x[small], n, h, habs, _exp, _expm1)
     if series.any():
         a_b, x_b = a[series], x[series]
         n, _, total = _finish(_lower_series_run, (a_b, x_b), *_lockstep(

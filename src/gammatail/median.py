@@ -118,12 +118,13 @@ def _small_shape_log_median(a: float) -> float:
 
     P(a, x) ~ x^a / Gamma(a + 1) for small x gives t0 = (lnGamma(1 + a)
     - ln 2) / a, and the next term of the series corrects it to
-    t1 = t0 + exp(t0) / (a + 1).  lnGamma(1 + a) comes from _lgamma1p: the
-    platform lgamma's error near its zero at 1, divided by a, would cost up
-    to 4 ulps of t at a = 0.002.  Against mpmath at 50 digits, t1 is within
-    0.72 exp(2 t0) + 2 ulps of ln m from a = 1.0045e-3 to 0.35: 2e-13 at
-    a = 0.05, 2.2e-7 at 0.1, 2.4e-3 at 0.3 and 4.6e-3 at 0.349, where
-    exp(2 t0) is 3.1e-13, 3.5e-7, 4.8e-3 and 9.7e-3.
+    t1 = t0 + exp(t0) / (a + 1).  lnGamma(1 + a) comes from the polynomial
+    _lgamma1p, within 1.4 eps relative: the platform lgamma's error near its
+    zero at 1, divided by a, would cost up to 4 ulps of t at a = 0.002.
+    Against mpmath at 50 digits, t1 is within 0.72 exp(2 t0) + 2 ulps of
+    ln m from a = 1.0045e-3 to 0.35: 2e-13 at a = 0.05, 2.2e-7 at 0.1,
+    2.4e-3 at 0.3 and 4.6e-3 at 0.349, where exp(2 t0) is 3.1e-13, 3.5e-7,
+    4.8e-3 and 9.7e-3.
     """
     t0 = (_lgamma1p(a) - math.log(2.0)) / a
     return t0 + math.exp(t0) / (a + 1.0)

@@ -21,7 +21,9 @@ lanes at once, bit-identical, and reads the loop caps from here at each
 call.  Each branch's value and bound (the *_result functions) and the log
 prefactor's two forms serve both paths: numpy-free, they take their
 transcendentals as arguments, math functions or _lanes' per-lane forms, and
-ln x as a value, which the lanes take once per lane.  The Lambert solvers
+ln x as a value, which the lanes take once per lane.  The small-shape
+tail's lnGamma(1 + a) is one loop-free polynomial in a (_lgamma1p), which
+gives a float and an array of lanes the same bits.  The Lambert solvers
 are scalar loops alone: _lanes.branch_roots_many calls branch_roots once
 per z.
 
@@ -151,59 +153,30 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-# Euler-Mascheroni constant, correctly rounded.
-_EULER_GAMMA = 0.5772156649015329
+# lnGamma(1 + a) / a on [0, 1/2] as a degree-16 polynomial in a, lowest
+# power first: the monomial form of its Chebyshev interpolant at 17
+# first-kind nodes, computed at 50 digits and rounded to doubles.
+# tests/test_specfun.py rebuilds it from mpmath bit for bit.
+_LGAMMA1P_COEF = (
+    -0.5772156649015329, 0.8224670334241114, -0.40068563438617866,
+    0.27058080840077436, -0.2073855499361632, 0.1695571500757378,
+    -0.14404945716269785, 0.12550464913071976, -0.11129269142619333,
+    0.0998435956128985, -0.08976429495525075, 0.07912917581932445,
+    -0.06539820745258526, 0.04709138943135492, -0.02663318495612038,
+    0.010153045278653747, -0.0019063835610750456,
+)
 
-# B_{2i} for the Euler-Maclaurin zeta tail, i = 1..7.
-_BERNOULLI_2I = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
-                 5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
 
+def _lgamma1p(a):
+    """ln Gamma(1 + a) for 0 <= a <= 1/2, a float or an array of lanes.
 
-def _zeta_em(k: int) -> float:
-    """zeta(k) for integer k >= 2 by Euler-Maclaurin summation at N = 32.
-
-    The first neglected correction term is below 1e-25 for every k >= 2, so
-    the values are correctly rounded up to ordinary summation noise.
+    a times _LGAMMA1P_COEF's polynomial by Horner, elementwise, so a float
+    and each lane of an array get the same bits; within 1.4 eps relative
+    of 40-digit mpmath.  The platform lgamma only delivers ~3e-13 relative
+    accuracy near its zero at 1, which the small-shape tail kernel would
+    amplify into its result.
     """
-    n_base = 32
-    acc = 0.0
-    for n in range(n_base - 1, 0, -1):
-        acc += float(n) ** (-k)
-    nf = float(n_base)
-    acc += nf ** (1 - k) / (k - 1.0) + 0.5 * nf ** (-k)
-    rising = float(k)
-    power = nf ** (-k - 1)
-    for i, b2i in enumerate(_BERNOULLI_2I, start=1):
-        acc += b2i / math.factorial(2 * i) * rising * power
-        rising *= (k + 2.0 * i - 1.0) * (k + 2.0 * i)
-        power /= nf * nf
-    return acc
-
-
-_ZETA_TABLE = tuple(_zeta_em(k) for k in range(2, 71))
-
-
-def _lgamma1p(a: float) -> float:
-    """ln Gamma(1 + a) for 0 <= a <= 1/2 with near-eps relative accuracy.
-
-    Taylor series -euler_gamma*a + sum_{k>=2} (-1)^k zeta(k) a^k / k.  The
-    platform lgamma only delivers ~3e-13 relative accuracy near its zero at
-    1, which the small-shape tail kernel would amplify into its result.
-    """
-    acc = 0.0
-    ak = a * a
-    for i, z in enumerate(_ZETA_TABLE):
-        k = i + 2
-        term = z * ak / k
-        if k % 2 != 0:
-            term = -term
-        acc += term
-        if abs(term) <= 0.25 * EPS * (abs(acc) + _EULER_GAMMA * a):
-            break
-        ak *= a
-    else:
-        raise _not_converged(f"lgamma1p series at a={a!r}", len(_ZETA_TABLE))
-    return acc - _EULER_GAMMA * a
+    return a * eval_series(_LGAMMA1P_COEF, a)
 
 
 def _log1pmx(d: float) -> float:
@@ -392,20 +365,21 @@ def _upper_small_shape_run(a: float, x: float, n: int, term: float, h: float,
                          _KERNEL_MAX_ITER)
 
 
-def _tail_series_result(a, log_x, n, h, habs, lgamma1p, exp, expm1):
+def _tail_series_result(a, log_x, n, h, habs, exp, expm1):
     """Q(a, x) and its err_bound for a <= 1/2 and x < a + 1, given
     log_x = ln x, from the small-shape loop's h and habs after n
     iterations.
 
     With g = a*ln x - lnGamma(a+1),
         Q = -expm1(g) + exp(g) * h,   h = sum_{n>=1} -a (-x)^n / (n! (a+n)),
-    which avoids forming 1 - P when Q is many orders below 1.  lgamma1p is
-    the Taylor series _lgamma1p: the two outer terms cancel to O(a), so an
-    absolute ~2e-16 error in g (the platform lgamma's floor near its zero
-    at 1) would leak into Q at full size.
+    which avoids forming 1 - P when Q is many orders below 1.  lnGamma(a+1)
+    is the polynomial _lgamma1p, within 1.4 eps relative (charged 6 eps):
+    the two outer terms cancel to O(a), so an absolute ~2e-16 error in g
+    (the platform lgamma's floor near its zero at 1) would leak into Q at
+    full size.
     """
     alnx = a * log_x
-    lg = lgamma1p(a)
+    lg = _lgamma1p(a)
     g = alnx - lg
     eg = exp(g)
     q = -expm1(g) + eg * h
@@ -440,7 +414,7 @@ def _q_detail(a: float, x: float) -> tuple[EvalDetail, float | None]:
     if tail:
         n, _, h, habs = _upper_small_shape_run(a, x, 0, *_SMALL_SHAPE_START)
         return EvalDetail(*_tail_series_result(
-            a, math.log(x), n, h, habs, _lgamma1p, math.exp, math.expm1),
+            a, math.log(x), n, h, habs, math.exp, math.expm1),
             "tail-series", n), None
     ln_norm = _log_gamma_norm(a, x)
     if cf:

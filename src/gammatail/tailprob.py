@@ -74,6 +74,7 @@ class TailQuery(_TailQueryFields):
     _make = _checked_make
 
     def __new__(cls, a, c):
+        a, c = float(a), float(c)
         if not (math.isfinite(a) and math.isfinite(c)):
             raise DomainError("TailQuery requires finite a and c")
         if a <= 0.0:

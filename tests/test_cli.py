@@ -157,11 +157,11 @@ def test_scan_at_the_largest_double_warns_nothing(capsys):
 # test_lane_forms runs this test again with numpy's optional paths off.
 _GRID_OUTPUT_SHA256 = {
     ("scan", "--c", "0.5"):
-        "73245c74c6010d35778d9ba2d1fde0fe585ea24c02d28fb3b008c69c2e55a972",
+        "3ef49ee91d00d8d8a9a89b08bd68d23a45a6c29baf929e597fa384d0f00c906c",
     ("scan", "--c", "-0.2"):
-        "0044ade76ec858a00d8a525bc067a8c382047649af8719d4367ac7d5eeebef03",
+        "28c7d190d4d3aa562ae1da96f2fc24ac93a2faa4fcb52ca1e31594b55812098c",
     ("median", "--a-min", "0.5", "--a-max", "40", "--n", "30"):
-        "3df7c742a240dab806bbecfda643f8c5a3c26b2814d3885c16cab55b7de00f7b",
+        "e336141b94735d25220d1daab05bfa51be1d382b050b48dd5c51caaa08be8c4c",
 }
 
 

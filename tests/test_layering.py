@@ -233,6 +233,8 @@ SHARED_FORMULAS = {
     ("specfun", "_cf_result"): _KERNEL_PATHS,
     ("specfun", "_series_complement_result"): _KERNEL_PATHS,
     ("specfun", "_tail_series_result"): _KERNEL_PATHS,
+    ("specfun", "_lgamma1p"): (("specfun", "_tail_series_result"),
+                               ("median", "_small_shape_log_median")),
     ("specfun", "_log_gamma_norm_stirling"): _PREFACTOR_PATHS,
     ("specfun", "_log_gamma_norm_direct"): _PREFACTOR_PATHS,
     ("tailprob", "_arg_rounding_err"): (("tailprob", "tail_prob_detail"),

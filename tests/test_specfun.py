@@ -195,21 +195,60 @@ def test_log_gamma_near_unity_zero():
 
 
 def test_lgamma1p_kernel_is_relatively_accurate_near_zero():
-    # The internal Taylor kernel restores *relative* accuracy for
-    # lgamma(1+a) at small a, which the tail normalization needs; at
-    # moderate a it must agree with the platform lgamma, which is
-    # relatively accurate away from its zeros.
+    # The polynomial kernel restores *relative* accuracy for lgamma(1+a) at
+    # small a, which the tail normalization needs: within 2 eps of 40-digit
+    # mpmath on [0, 1/2], down to a = 1e-300 and at the edge a = 1/2.  The
+    # exact sum 1 + a keeps the reference relative at tiny a.
+    mpmath = pytest.importorskip("mpmath")
     from gammatail.specfun import _lgamma1p
 
-    zeta_over_k = (0.8224670334241132, -0.4006856343865314,
-                   0.2705808084277845, -0.2073855510286740)
-    for eps in (1e-12, 1e-8, 1e-4):
-        ref = -0.5772156649015329 * eps
-        for k, coeff in enumerate(zeta_over_k, start=2):
-            ref += coeff * eps**k
-        assert math.isclose(_lgamma1p(eps), ref, rel_tol=1e-13), eps
-    # At the window edge both routes carry a few ulp of their own noise.
-    assert math.isclose(_lgamma1p(0.5), math.lgamma(1.5), rel_tol=1e-14)
+    rng = np.random.default_rng(43)
+    a = np.concatenate((rng.uniform(0.0, 0.5, 2000),
+                        10.0 ** rng.uniform(-300.0, math.log10(0.5), 1000),
+                        [1e-300, 0.5]))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for v in a.tolist():
+            ref = mpmath.loggamma(mpmath.fadd(1, v, exact=True))
+            worst = max(worst, float(abs((_lgamma1p(v) - ref) / ref)) / ULP)
+    print(f"lgamma1p worst relative error: {worst:.2f} eps")
+    assert worst <= 2.0
+    assert _lgamma1p(0.0) == 0.0
+
+
+def _lgamma1p_coefficients(degree: int) -> tuple[float, ...]:
+    """_LGAMMA1P_COEF's build: the Chebyshev interpolant of lnGamma(1 + a)/a
+    on [0, 1/2] at degree + 1 first-kind nodes, computed in 50-digit mpmath
+    and turned into monomial coefficients in a, rounded to doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    n = degree + 1
+    with mpmath.workdps(50):
+        angles = [(2 * j + 1) * mpmath.pi / (2 * n) for j in range(n)]
+        nodes = [(1 + mpmath.cos(t)) / 4 for t in angles]
+        f = [mpmath.loggamma(1 + v) / v for v in nodes]
+        cheb = [2 * mpmath.fsum(fj * mpmath.cos(k * t)
+                                for fj, t in zip(f, angles)) / n
+                for k in range(n)]
+        cheb[0] /= 2
+
+        def times_u(p):                 # p(a) * (4a - 1), u on [-1, 1]
+            return [4 * (p[i - 1] if i else 0) - p[i] for i in range(n)]
+
+        one = [mpmath.mpf(1)] + [mpmath.mpf(0)] * degree
+        chebyshev = [one, times_u(one)]          # T_k(u) in powers of a
+        while len(chebyshev) < n:
+            chebyshev.append([2 * v - w for v, w in
+                              zip(times_u(chebyshev[-1]), chebyshev[-2])])
+        coef = [mpmath.fsum(c * t[i] for c, t in zip(cheb, chebyshev))
+                for i in range(n)]
+    return tuple(float(c) for c in coef)
+
+
+def test_frozen_lgamma1p_polynomial_matches_its_mpmath_build():
+    # The coefficients ship as float literals; the build regenerates them.
+    frozen = specfun._LGAMMA1P_COEF
+    rebuilt = _lgamma1p_coefficients(len(frozen) - 1)
+    assert [c.hex() for c in frozen] == [c.hex() for c in rebuilt]
 
 
 # ----------------------------------------------------------------------
@@ -552,8 +591,9 @@ def _hex(values):
 
 
 def test_lane_prefactors_are_bitwise_the_scalar_ones(monkeypatch):
-    # tail_prob_many's log prefactor folds the log1pmx and lgamma1p sums
-    # over all lanes at once; every lane must keep the scalar loop's bits.
+    # tail_prob_many's log prefactor folds the log1pmx sum over all lanes
+    # at once and takes lgamma1p on arrays; every lane must keep the scalar
+    # bits.
     rng = np.random.default_rng(8)
     d = np.concatenate((rng.uniform(-0.999, 2.0, 2000),
                         [-0.95, np.nextafter(-0.95, 0.0), 1.5,
@@ -561,7 +601,7 @@ def test_lane_prefactors_are_bitwise_the_scalar_ones(monkeypatch):
     assert (_hex(_lanes._log1pmx_lanes(d))
             == [_log1pmx(v).hex() for v in d.tolist()])
     a = np.concatenate((rng.uniform(0.0, 0.5, 2000), [0.0, 1e-300, 0.5]))
-    assert (_hex(_lanes._lgamma1p_lanes(a))
+    assert (_hex(specfun._lgamma1p(a))
             == [specfun._lgamma1p(v).hex() for v in a.tolist()])
     a = 10.0 ** rng.uniform(-3.0, 6.0, 2000)
     x = a * rng.uniform(0.01, 3.0, a.size)
@@ -576,20 +616,6 @@ def test_lane_prefactors_are_bitwise_the_scalar_ones(monkeypatch):
         _log1pmx(-0.9)
     with pytest.raises(ConvergenceError) as lanes:
         _lanes._log1pmx_lanes(np.array([0.1, -0.9, -0.92]))
-    assert str(lanes.value) == str(scalar.value)
-
-
-def test_lgamma1p_raises_at_the_end_of_its_zeta_table(monkeypatch):
-    # a = 1e-3 stops within ten terms; a = 0.5 needs about fifty and must
-    # raise on the scalar and the lane path alike, not return a partial sum.
-    small = specfun._lgamma1p(1e-3)
-    monkeypatch.setattr(specfun, "_ZETA_TABLE", specfun._ZETA_TABLE[:10])
-    assert specfun._lgamma1p(1e-3).hex() == small.hex()
-    assert _hex(_lanes._lgamma1p_lanes(np.array([1e-3]))) == [small.hex()]
-    with pytest.raises(ConvergenceError) as scalar:
-        specfun._lgamma1p(0.5)
-    with pytest.raises(ConvergenceError) as lanes:
-        _lanes._lgamma1p_lanes(np.array([1e-3, 0.5, 0.4]))
     assert str(lanes.value) == str(scalar.value)
 
 

@@ -28,6 +28,7 @@ from gammatail import (
     ratio_parts,
     ratio_parts_many,
     reg_gamma_q,
+    reg_gamma_q_detail,
     tail_prob,
     tail_prob_detail,
     tail_prob_many,
@@ -49,6 +50,18 @@ def test_query_validation():
     for a, c in ((0.0, 0.0), (-1.0, 0.5), (math.nan, 0.0), (1.0, math.inf)):
         with pytest.raises(DomainError):
             TailQuery(a, c)
+
+
+def test_query_stores_plain_floats():
+    # numpy scalars and bools become floats, so every field of the result
+    # is exactly a float and equals the float call's.
+    for a, c in ((np.float64(2.0), np.float64(0.5)), (True, 0.5),
+                 (np.float32(0.25), np.int64(1))):
+        query = TailQuery(a, c)
+        assert [type(v) for v in query] == [float, float]
+        d = tail_prob_detail(query)
+        assert type(d.value) is float and type(d.err_bound) is float
+        assert d == tail_prob_detail(TailQuery(float(a), float(c)))
 
 
 def test_plateau_is_exactly_one():
@@ -86,6 +99,39 @@ def test_error_bound_is_honesty_checked_against_oracle():
             d = tail_prob_detail(TailQuery(a, c))
             slow = oracle_tail_prob(a, c)
             assert abs(d.value - slow) <= d.err_bound + 1e-13 * slow, (a, c)
+
+
+def test_small_shape_tail_series_bounds_hold_against_mpmath():
+    # The tail-series branch (a <= 1/2, x < a + 1) against 40-digit mpmath,
+    # on the scalar kernel and on tail_prob_many's lanes: half the shapes in
+    # [0.3, 1/2], where lnGamma(1 + a) is largest, the others log-uniform
+    # down to 1e-8; x uniform and log-uniform in (0, a + 1).
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(4301)
+    n = 160
+    a = np.concatenate((rng.uniform(0.3, 0.5, n),
+                        10.0 ** rng.uniform(-8.0, math.log10(0.3), n)))
+    u = np.where(np.arange(2 * n) % 2 == 0,
+                 rng.uniform(0.0, 1.0, 2 * n),
+                 10.0 ** rng.uniform(-8.0, 0.0, 2 * n))
+    x = u * (a + 1.0)
+    c = x - a
+    values, errs = tail_prob_many(a, c)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i, (a_i, x_i, c_i) in enumerate(zip(a.tolist(), x.tolist(),
+                                                 c.tolist())):
+            d = reg_gamma_q_detail(a_i, x_i)
+            assert d.method == "tail-series", (a_i, x_i)
+            ref = mpmath.gammainc(a_i, x_i, mpmath.inf, regularized=True)
+            ratio = float(abs(d.value - ref)) / d.err_bound
+            assert ratio <= 1.0, (a_i, x_i, ratio)
+            ref = mpmath.gammainc(a_i, mpmath.fadd(a_i, c_i, exact=True),
+                                  mpmath.inf, regularized=True)
+            lane = float(abs(values[i] - ref)) / errs[i]
+            assert lane <= 1.0, (a_i, c_i, lane)
+            worst = max(worst, ratio, lane)
+    print(f"small-shape tail series worst |Q - ref| / err_bound: {worst:.3f}")
 
 
 def test_large_shape_limit_is_half():
